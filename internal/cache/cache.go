@@ -173,7 +173,9 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, Outcome, error)
 // cached normally — an impatient waiter cannot poison the entry for others.
 // If all callers leave, the compute context is cancelled and whatever the
 // orphaned computation returns is discarded uncached (a context error is
-// never stored, like any other error).
+// never stored, like any other error). A caller whose ctx is already done
+// when it misses gets ctx.Err() and starts no computation, so nothing it
+// asked for can be cached.
 func (c *Cache[V]) DoCtx(ctx context.Context, key string, compute func(ctx context.Context) (V, error)) (V, Outcome, error) {
 	var zero V
 	s := c.shardFor(key)
@@ -196,6 +198,11 @@ func (c *Cache[V]) DoCtx(ctx context.Context, key string, compute func(ctx conte
 			s.abandon(key, cl)
 			return zero, Deduped, ctx.Err()
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		s.mu.Unlock()
+		c.misses.Add(1)
+		return zero, Miss, err
 	}
 
 	cctx, cancel := context.WithCancel(context.Background())

@@ -2,13 +2,19 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
+
+	"vocabpipe/internal/sim"
+	"vocabpipe/internal/sweep"
 )
 
 // failingWriter errors every Write — a client that vanished, a proxy that
@@ -154,4 +160,74 @@ func TestWriteErrorDefaultLogf(t *testing.T) {
 	// Exercising the path must not panic even with the real logger.
 	r := httptest.NewRequest(http.MethodGet, "/api/v1/sweep", nil)
 	s.writeError(&failingWriter{}, r, http.StatusInternalServerError, ErrInternal, nil, "x")
+}
+
+// TestSweepWriteFailureLogged: a sweep body that cannot be written leaves a
+// log line naming the route, both on the miss that encoded it and on the
+// hit that wrote the stored bytes.
+func TestSweepWriteFailureLogged(t *testing.T) {
+	s, rec := newRecordingServer(t)
+	h := s.Handler()
+	for i, outcome := range []string{"miss", "hit"} {
+		w := &failingWriter{}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/sweep?grid="+url.QueryEscape(smallGrid), nil))
+		if w.status != http.StatusOK || w.header.Get("X-Cache") != outcome {
+			t.Fatalf("request %d: status %d, X-Cache %q, want 200 %s", i, w.status, w.header.Get("X-Cache"), outcome)
+		}
+		got := rec.joined()
+		if n := strings.Count(got, "connection reset"); n != i+1 {
+			t.Fatalf("after the %s: %d logged write failures, want %d; log = %q", outcome, n, i+1, got)
+		}
+		if strings.Count(got, "route=/api/v1/sweep") != i+1 {
+			t.Errorf("after the %s: log lines do not name the route; log = %q", outcome, got)
+		}
+	}
+}
+
+// TestJobWriteFailureLogged: the optimize 202 and a job poll that cannot be
+// written are logged with their routes.
+func TestJobWriteFailureLogged(t *testing.T) {
+	s, rec := newRecordingServer(t)
+	h := s.Handler()
+	w := &failingWriter{}
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/optimize?scenario=4b-quick", nil))
+	if w.status != http.StatusAccepted {
+		t.Fatalf("optimize status = %d, want 202", w.status)
+	}
+	if got := rec.joined(); !strings.Contains(got, "route=/api/v1/optimize") || !strings.Contains(got, "connection reset") {
+		t.Errorf("optimize write failure not logged with its route; log = %q", got)
+	}
+	snaps := s.jobs.List()
+	if len(snaps) != 1 {
+		t.Fatalf("%d jobs, want 1", len(snaps))
+	}
+	w = &failingWriter{}
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/jobs/"+snaps[0].ID, nil))
+	if w.status != http.StatusOK {
+		t.Fatalf("job GET status = %d", w.status)
+	}
+	if got := rec.joined(); !strings.Contains(got, "route=/api/v1/jobs/{id}") || strings.Count(got, "connection reset") != 2 {
+		t.Errorf("job GET write failure not logged with its route; log = %q", got)
+	}
+}
+
+// TestEncodeFailureIsUncached500: records JSON cannot encode (a NaN metric)
+// answer an enveloped 500, and the failure is not cached — the next request
+// computes again.
+func TestEncodeFailureIsUncached500(t *testing.T) {
+	s, _ := newRecordingServer(t)
+	nan := func(sweep.Cell) (*sim.Result, error) { return &sim.Result{IterTime: math.NaN()}, nil }
+	g := &sweep.Grid{Name: "nan", Cells: []sweep.Cell{{Label: "nan", Eval: nan}}}
+	for i := 1; i <= 2; i++ {
+		w := httptest.NewRecorder()
+		s.respond(w, httptest.NewRequest(http.MethodGet, "/api/v1/sweep", nil), "sweep", g)
+		var env ErrorEnvelope
+		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || w.Code != http.StatusInternalServerError ||
+			env.Error.Code != ErrInternal || !strings.Contains(env.Error.Message, "encoding records") {
+			t.Fatalf("request %d: status %d, body %s; want an enveloped 500 naming the encode", i, w.Code, w.Body.Bytes())
+		}
+		if st := s.CacheStats(); st.Misses != int64(i) || st.Entries != 0 {
+			t.Fatalf("request %d: cache %+v, want %d misses and nothing stored", i, st, i)
+		}
+	}
 }

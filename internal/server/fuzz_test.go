@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,9 +16,9 @@ import (
 // sweep.ParseGrid path. Invariants: the parser never panics; a spec that
 // fails to parse surfaces as a 400 with a JSON error body (never a 500 or a
 // hang); a spec that parses yields a stable canonical Key across repeated
-// parses (the property the result cache depends on). The accept path stops
-// at the size guards rather than running simulations, so the fuzzer stays
-// fast.
+// parses (the property the result cache depends on), and it and every cell
+// label equal their fmt references. The accept path stops at the size
+// guards rather than running simulations, so the fuzzer stays fast.
 func FuzzGridQuery(f *testing.F) {
 	f.Add("model=4B;method=baseline,vocab-1;vocab=32k;micro=16")
 	f.Add("model=4B,10B;seq=2048,4096;vocab=32k,256k;method=1f1b")
@@ -73,6 +74,7 @@ func FuzzGridQuery(f *testing.F) {
 		if cells := g.Expand(); strings.Count(k1, "|") != len(cells) {
 			t.Fatalf("spec %q: key %q does not cover all %d cells", spec, k1, len(cells))
 		}
+		checkKeyAndLabels(t, "spec "+strconv.Quote(spec), g)
 		// With MaxCells forced to 0 the handler must reject even valid specs
 		// at the size guard — still a clean JSON 400.
 		if rec.Code != http.StatusBadRequest {

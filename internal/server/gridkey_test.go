@@ -1,0 +1,91 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"vocabpipe/internal/costmodel"
+	"vocabpipe/internal/experiments"
+	"vocabpipe/internal/sim"
+	"vocabpipe/internal/sweep"
+	"vocabpipe/internal/tune"
+)
+
+// fmtGridKey is sweep.Grid.Key spelled with fmt: the reference the
+// append-built key must equal byte for byte. The key is this server's cache
+// identity and the cluster ring's placement hash, so a one-byte drift would
+// silently split cache entries and move shards between workers.
+func fmtGridKey(g *sweep.Grid) string {
+	var b strings.Builder
+	b.WriteString(g.Name)
+	for _, c := range g.Expand() {
+		cf := c.Config
+		fmt.Fprintf(&b, "|%s;%s;%s;L%d;a%d;h%d;s%d;b%d;m%d;v%d;d%d",
+			c.Label, c.Method, cf.Name, cf.Layers, cf.Heads, cf.Hidden,
+			cf.Seq, cf.MicroBatch, cf.NumMicro, cf.Vocab, cf.Devices)
+	}
+	return b.String()
+}
+
+// fmtCellLabel is sweep.CellLabel spelled with fmt; the table5 golden pins
+// the labels it produces.
+func fmtCellLabel(cfg costmodel.Config, m sim.Method) string {
+	return fmt.Sprintf("%s/seq%d/V%dk/%s", cfg.Name, cfg.Seq, cfg.Vocab/1024, m)
+}
+
+// checkKeyAndLabels compares g's key and every expanded cell's canonical
+// label with the fmt references.
+func checkKeyAndLabels(t *testing.T, what string, g *sweep.Grid) {
+	t.Helper()
+	if got, want := g.Key(), fmtGridKey(g); got != want {
+		t.Fatalf("%s: Key drifted from the fmt reference:\n got %q\nwant %q", what, got, want)
+	}
+	for _, c := range g.Expand() {
+		if got, want := sweep.CellLabel(c.Config, c.Method), fmtCellLabel(c.Config, c.Method); got != want {
+			t.Fatalf("%s: CellLabel = %q, fmt reference %q", what, got, want)
+		}
+		if len(g.Cells) == 0 && c.Label != fmtCellLabel(c.Config, c.Method) {
+			t.Fatalf("%s: expanded label %q, fmt reference %q", what, c.Label, fmtCellLabel(c.Config, c.Method))
+		}
+	}
+}
+
+// TestGridKeyMatchesFmtReference pins Key and CellLabel on every paper grid
+// and on every named tuning scenario's candidate cells, both as the batch
+// a search evaluates and one cell per grid, as the cluster places them.
+func TestGridKeyMatchesFmtReference(t *testing.T) {
+	for _, name := range experiments.Names() {
+		fn, _ := experiments.Grid(name)
+		checkKeyAndLabels(t, "experiment "+name, fn())
+	}
+	errSkip := errors.New("not simulated")
+	for _, name := range experiments.TuneNames() {
+		spec, _ := experiments.TuneSpec(name)
+		// An Eval that records and fails every cell makes the exhaustive
+		// search enumerate the whole space without simulating it.
+		var mu sync.Mutex
+		var cells []sweep.Cell
+		eval := func(_ context.Context, c sweep.Cell) (*sim.Result, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			cells = append(cells, c)
+			return nil, errSkip
+		}
+		if _, err := tune.Search(context.Background(), spec, tune.StrategyExhaustive,
+			tune.Options{Parallel: 1, Eval: eval}); err != nil {
+			t.Fatalf("scenario %s: %v", name, err)
+		}
+		if len(cells) != spec.Defaulted().SpaceSize() {
+			t.Fatalf("scenario %s: saw %d cells, space has %d", name, len(cells), spec.Defaulted().SpaceSize())
+		}
+		checkKeyAndLabels(t, "scenario "+name, &sweep.Grid{Name: cells[0].Experiment, Cells: cells})
+		for _, c := range cells {
+			checkKeyAndLabels(t, "scenario "+name+" cell "+c.Label,
+				&sweep.Grid{Name: c.Experiment, Cells: []sweep.Cell{c}})
+		}
+	}
+}

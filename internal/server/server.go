@@ -175,7 +175,7 @@ type Options struct {
 // job queue when the server is retired.
 type Server struct {
 	opt      Options
-	cache    *cache.Cache[[]report.Record]
+	cache    *cache.Cache[[]byte] // encoded response bodies
 	jobs     *jobs.Queue
 	cluster  *cluster.Dispatcher // non-nil in coordinator mode
 	admit    *admitter
@@ -223,7 +223,7 @@ func New(opt Options) *Server {
 	}
 	s := &Server{
 		opt:   opt,
-		cache: cache.New[[]report.Record](opt.CacheSize),
+		cache: cache.New[[]byte](opt.CacheSize),
 		admit: newAdmitter(opt.MaxInFlight, opt.AdmitQueue),
 		start: time.Now(),
 	}
@@ -406,11 +406,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusInternalServerError, ErrInternal, nil, "encoding health: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		// The response is already in flight; the log line is all that's left.
-		s.logf(r, "healthz: writing response: %v", err)
-	}
+	s.writeBody(w, r, http.StatusOK, "healthz", buf.Bytes())
 }
 
 // sizeViolation is a size-guard rejection: its envelope code, human message
@@ -446,15 +442,16 @@ func (s *Server) checkGrid(g *sweep.Grid) *sizeViolation {
 }
 
 // respond computes (or recalls) the grid's records and writes them exactly
-// as `vpbench -json` would. The cache key carries a route prefix so two
-// routes can never alias each other's entries. The request context flows
-// into the computation: a disconnected client cancels in-flight simulation
-// work at the next cell boundary — unless other requests are coalesced onto
-// the same key, in which case the sweep continues with their interest and a
-// partial result is never cached.
+// as `vpbench -json` would. The cache holds the encoded body, so only a miss
+// encodes; hits and deduplicated waiters write the stored bytes. The cache
+// key carries a route prefix so two routes can never alias each other's
+// entries. The request context flows into the computation: a disconnected
+// client cancels in-flight simulation work at the next cell boundary —
+// unless other requests are coalesced onto the same key, in which case the
+// sweep continues with their interest and a partial result is never cached.
 //
 // In coordinator mode, shardable multi-cell grids compute across the
-// worker pool instead of in-process; the merged records land in the same
+// worker pool instead of in-process; the merged records encode into the same
 // cache under the same key, so coordinator and single-node responses are
 // interchangeable byte for byte. The shard route itself always computes
 // locally — a worker never re-shards its shard — and single-cell grids
@@ -501,8 +498,8 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, route string, g
 	asp.End()
 	s.admitWait.Observe(waited.Seconds())
 
-	// The lookup span covers the whole DoCtx window — on a hit it is
-	// milliseconds of decode, on a miss it contains the compute span.
+	// The lookup span covers the whole DoCtx window — on a hit it is a map
+	// lookup of the stored body, on a miss it contains the compute span.
 	lsp := obs.ChildSpan(r.Context(), "cache.lookup")
 	// lctx carries the lookup span for PARENTAGE only; cancellation still
 	// comes from whatever context the cache hands the compute closure.
@@ -510,26 +507,21 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, route string, g
 
 	// The dispatch decision lives inside the compute closure so cache hits
 	// never pay for it (Shardable is a cheap scan, but the cell-count check
-	// re-expands the grid).
-	compute := func(ctx context.Context) ([]report.Record, error) {
+	// re-expands the grid). The closure returns the encoded body, so a miss
+	// encodes once and every later hit writes the stored bytes as they are.
+	compute := func(ctx context.Context) ([]byte, error) {
 		// The cache runs compute on a DETACHED context (refcounted by every
 		// coalesced caller) — bridge the two lineages: cancellation from the
 		// cache's ctx, trace parentage from this request's lookup span.
 		csp := obs.ChildSpan(lctx, "compute")
 		defer csp.End()
-		ctx = obs.ContextWithSpan(ctx, csp)
-		if s.cluster != nil && route != "shard" && sweep.Shardable(g) && len(g.Expand()) > 1 {
-			csp.SetAttr("path", "cluster")
-			return s.cluster.Records(ctx, g)
-		}
-		csp.SetAttr("path", "local")
-		res, err := sweep.RunCtx(ctx, g, sweep.Options{Parallel: s.opt.Parallel})
+		recs, err := s.records(obs.ContextWithSpan(ctx, csp), route, g)
 		if err != nil {
 			return nil, err
 		}
-		return res.Records(), nil
+		return encodeRecords(recs)
 	}
-	recs, outcome, err := s.cache.DoCtx(r.Context(), key, compute)
+	body, outcome, err := s.cache.DoCtx(r.Context(), key, compute)
 	lsp.SetAttr("outcome", outcomeHeader(outcome))
 	if err != nil {
 		lsp.SetAttr("error", err.Error())
@@ -545,9 +537,61 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, route string, g
 		s.writeError(w, r, http.StatusInternalServerError, ErrInternal, nil, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", outcomeHeader(outcome))
-	report.WriteJSON(w, recs)
+	s.writeBody(w, r, http.StatusOK, route, body)
+}
+
+// records computes g's records: across the worker pool for a coordinator's
+// shardable multi-cell grid, in-process otherwise. ctx carries the compute
+// span, which records the path taken.
+func (s *Server) records(ctx context.Context, route string, g *sweep.Grid) ([]report.Record, error) {
+	csp := obs.SpanFromContext(ctx)
+	if s.cluster != nil && route != "shard" && sweep.Shardable(g) && len(g.Expand()) > 1 {
+		csp.SetAttr("path", "cluster")
+		return s.cluster.Records(ctx, g)
+	}
+	csp.SetAttr("path", "local")
+	res, err := sweep.RunCtx(ctx, g, sweep.Options{Parallel: s.opt.Parallel})
+	if err != nil {
+		return nil, err
+	}
+	return res.Records(), nil
+}
+
+// encodeRecords renders records exactly as `vpbench -json` does, into a
+// slice of exactly the body's size: it is what the cache holds, and every
+// response for the key writes it unchanged.
+func encodeRecords(recs []report.Record) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := report.WriteJSON(&buf, recs); err != nil {
+		return nil, fmt.Errorf("encoding records: %w", err)
+	}
+	return append(make([]byte, 0, buf.Len()), buf.Bytes()...), nil
+}
+
+// writeBody writes a complete JSON body with its status and Content-Length
+// in one Write. what names the response in the log line a failed write
+// leaves: the response is already in flight, so the log is all that's left.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, status int, what string, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	if _, err := w.Write(body); err != nil {
+		s.logf(r, "%s: writing response: %v", what, err)
+	}
+}
+
+// writeJSON encodes v as one compact JSON line (json.Encoder's format) and
+// writes it through writeBody. The body is staged before anything reaches
+// the wire, so an encode failure still becomes an enveloped 500.
+func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, what string, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		s.writeError(w, r, http.StatusInternalServerError, ErrInternal, nil, "encoding %s: %v", what, err)
+		return
+	}
+	s.writeBody(w, r, status, what, append(body, '\n'))
 }
 
 func outcomeHeader(o cache.Outcome) string {
@@ -689,8 +733,7 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, ErrInvalidParameter, map[string]any{"parameter": "url"}, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(joinResponse{URL: u, Added: added, Members: s.cluster.Stats().Members})
+	s.writeJSON(w, r, http.StatusOK, "cluster/join", joinResponse{URL: u, Added: added, Members: s.cluster.Stats().Members})
 }
 
 // handleShard is the worker side of distributed mode: evaluate one
@@ -942,10 +985,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// same canonical schema every other job response uses.
 	snap, _ := s.jobs.Get(id)
 	view := viewJob(snap)
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", view.Poll)
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(view)
+	s.writeJSON(w, r, http.StatusAccepted, "optimize", view)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -954,8 +995,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	for i, snap := range snaps {
 		views[i] = viewJob(snap)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(views)
+	s.writeJSON(w, r, http.StatusOK, "jobs", views)
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -965,8 +1005,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 			"unknown job %q", r.PathValue("id"))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(viewJob(snap))
+	s.writeJSON(w, r, http.StatusOK, "job", viewJob(snap))
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
@@ -976,6 +1015,5 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 			"unknown job %q", r.PathValue("id"))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(viewJob(snap))
+	s.writeJSON(w, r, http.StatusOK, "job cancel", viewJob(snap))
 }

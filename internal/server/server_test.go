@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,8 +14,12 @@ import (
 	"testing"
 	"time"
 
+	"vocabpipe/internal/cluster"
+	"vocabpipe/internal/costmodel"
+	"vocabpipe/internal/experiments"
 	"vocabpipe/internal/jobs"
 	"vocabpipe/internal/report"
+	"vocabpipe/internal/sim"
 	"vocabpipe/internal/sweep"
 	"vocabpipe/internal/tune"
 )
@@ -297,33 +302,106 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestExperimentEndpoints sweeps every registered experiment once and
-// checks each yields decodable, non-empty records.
+// recordsJSON is the body vpbench -json prints for g: report.WriteJSON of a
+// direct sweep.Run, the bytes every cached route must serve.
+func recordsJSON(t *testing.T, g *sweep.Grid) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := report.WriteJSON(&buf, sweep.Run(g, sweep.Options{}).Records()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// wantCachedBody drives one cached route: the first request must miss, then
+// concurrent repeats must hit. Every response must carry exactly want with a
+// Content-Length that matches it. Under -race the concurrent hits also prove
+// that no response writes into the stored body the others are reading.
+func wantCachedBody(t *testing.T, ts *httptest.Server, method, path string, reqBody, want []byte) {
+	t.Helper()
+	fetch := func(wantCache string) error {
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(reqBody))
+		if err != nil {
+			return err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		switch {
+		case err != nil:
+			return err
+		case resp.StatusCode != http.StatusOK:
+			return fmt.Errorf("%s %s: status %d (%s)", method, path, resp.StatusCode, body)
+		case resp.Header.Get("X-Cache") != wantCache:
+			return fmt.Errorf("%s %s: X-Cache %q, want %q", method, path, resp.Header.Get("X-Cache"), wantCache)
+		case resp.ContentLength != int64(len(body)):
+			return fmt.Errorf("%s %s: Content-Length %d, body %d bytes", method, path, resp.ContentLength, len(body))
+		case !bytes.Equal(body, want):
+			return fmt.Errorf("%s %s (%s): body differs from report.WriteJSON of a direct sweep:\ngot  %s\nwant %s",
+				method, path, wantCache, body, want)
+		}
+		return nil
+	}
+	if err := fetch("miss"); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fetch("hit"); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestExperimentEndpoints serves every registered experiment: the miss and
+// the hits must all be the bytes `vpbench -json` prints for the grid.
 func TestExperimentEndpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment grids in -short mode")
 	}
 	_, ts := newTestServer(t, Options{})
-	for _, name := range []string{"fig1", "blocks", "interlaced-mem", "ablation-b2"} {
+	for _, name := range experiments.Names() {
 		t.Run(name, func(t *testing.T) {
-			status, body, _ := get(t, ts, "/api/experiments/"+name)
-			if status != http.StatusOK {
-				t.Fatalf("status = %d (%s)", status, body)
-			}
-			var recs []report.Record
-			if err := json.Unmarshal(body, &recs); err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) == 0 {
-				t.Error("no records")
-			}
-			for _, r := range recs {
-				if r.Experiment != name {
-					t.Errorf("record experiment = %q, want %q", r.Experiment, name)
-				}
-			}
+			fn, _ := experiments.Grid(name)
+			wantCachedBody(t, ts, http.MethodGet, "/api/v1/experiments/"+name, nil, recordsJSON(t, fn()))
 		})
 	}
+}
+
+// TestCachedRouteBodies is TestExperimentEndpoints for the other cached
+// routes: a multi-cell sweep, a schedule cell and a worker shard.
+func TestCachedRouteBodies(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	g, err := sweep.ParseGrid(smallGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCachedBody(t, ts, http.MethodGet, "/api/v1/sweep?grid="+url.QueryEscape(smallGrid), nil, recordsJSON(t, g))
+
+	cfg, _ := costmodel.ConfigByName("4B")
+	cfg = cfg.WithVocab(32 * 1024)
+	cfg.NumMicro = 16
+	sched := &sweep.Grid{Name: "schedule", Configs: []costmodel.Config{cfg}, Methods: []sim.Method{sim.Vocab1}}
+	wantCachedBody(t, ts, http.MethodGet, "/api/v1/schedule?config=4B&method=vocab-1&vocab=32768&micro=16", nil, recordsJSON(t, sched))
+
+	body := shardBody(t, g, sweep.Range{Start: 0, End: 2})
+	var req cluster.ShardRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := req.ToGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCachedBody(t, ts, http.MethodPost, "/api/v1/shard", body, recordsJSON(t, sub))
 }
 
 func TestGridKeyDeterministic(t *testing.T) {

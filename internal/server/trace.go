@@ -9,7 +9,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -124,10 +123,7 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, sum)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(out); err != nil {
-		s.logf(r, "debug/traces: writing listing: %v", err)
-	}
+	s.writeJSON(w, r, http.StatusOK, "debug/traces listing", out)
 }
 
 // handleTraceGet exports one completed trace as a Chrome trace_event JSON
@@ -170,10 +166,7 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 		}
 		return events[i].Ts < events[j].Ts
 	})
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(events); err != nil {
-		s.logf(r, "debug/traces: writing trace %s: %v", raw, err)
-	}
+	s.writeJSON(w, r, http.StatusOK, "debug/traces "+raw, events)
 }
 
 // remoteTraceEvents asks every active worker for its half of the trace.

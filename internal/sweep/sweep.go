@@ -35,7 +35,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"vocabpipe/internal/costmodel"
@@ -102,7 +102,27 @@ func (g *Grid) Expand() []Cell {
 		}
 		return cells
 	}
-	var cells []Cell
+	cells := make([]Cell, 0, g.axisCount())
+	g.eachAxisCell(func(c costmodel.Config, m sim.Method) {
+		cells = append(cells, Cell{
+			Experiment: g.Name,
+			Label:      CellLabel(c, m),
+			Config:     c,
+			Method:     m,
+			Eval:       g.Eval,
+		})
+	})
+	return cells
+}
+
+// axisCount is the size of the axes cross product.
+func (g *Grid) axisCount() int {
+	return len(g.Configs) * max(len(g.Seqs), 1) * max(len(g.Vocabs), 1) * len(g.Methods)
+}
+
+// eachAxisCell calls fn for every configuration × method of the axes cross
+// product, in expansion order.
+func (g *Grid) eachAxisCell(fn func(costmodel.Config, sim.Method)) {
 	for _, cfg := range g.Configs {
 		seqs := g.Seqs
 		if len(seqs) == 0 {
@@ -115,25 +135,28 @@ func (g *Grid) Expand() []Cell {
 			}
 			for _, v := range vocabs {
 				for _, m := range g.Methods {
-					c := cfg.WithSeq(seq).WithVocab(v)
-					cells = append(cells, Cell{
-						Experiment: g.Name,
-						Label:      CellLabel(c, m),
-						Config:     c,
-						Method:     m,
-						Eval:       g.Eval,
-					})
+					fn(cfg.WithSeq(seq).WithVocab(v), m)
 				}
 			}
 		}
 	}
-	return cells
 }
 
-// CellLabel is the canonical label for an axes-expanded cell.
+// CellLabel is the canonical label for an axes-expanded cell,
+// "<model>/seq<seq>/V<vocab/1024>k/<method>".
 func CellLabel(cfg costmodel.Config, m sim.Method) string {
-	return fmt.Sprintf("%s/seq%d/V%dk/%s", cfg.Name, cfg.Seq, cfg.Vocab/1024, m)
+	var buf [64]byte
+	return string(appendLabel(buf[:0], &cfg, m))
 }
+
+func appendLabel(b []byte, cfg *costmodel.Config, m sim.Method) []byte {
+	b = append(b, cfg.Name...)
+	b = appendInt(append(b, "/seq"...), cfg.Seq)
+	b = appendInt(append(b, "/V"...), cfg.Vocab/1024)
+	return append(append(b, "k/"...), m.String()...)
+}
+
+func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
 
 // Key returns a canonical identity string for the grid: the expansion-order
 // cell labels plus each cell's method and full configuration fingerprint.
@@ -145,17 +168,47 @@ func CellLabel(cfg costmodel.Config, m sim.Method) string {
 // are "d8/m32/baseline") omit model and sequence length, and two different
 // experiments must never share a cache entry just because their labels
 // collide.
+//
+// Each cell contributes "|<label>;<method>;<model>;L<layers>;a<heads>;
+// h<hidden>;s<seq>;b<microbatch>;m<micro>;v<vocab>;d<devices>". The string
+// is also the cluster ring's placement hash, so its bytes must never drift.
+// Key walks the grid without expanding it: a hit recomputes the key of a
+// grid it never simulates.
 func (g *Grid) Key() string {
-	var b strings.Builder
-	b.WriteString(g.Name)
-	for _, c := range g.Expand() {
-		cf := c.Config
-		fmt.Fprintf(&b, "|%s;%s;%s;L%d;a%d;h%d;s%d;b%d;m%d;v%d;d%d",
-			c.Label, c.Method, cf.Name, cf.Layers, cf.Heads, cf.Hidden,
-			cf.Seq, cf.MicroBatch, cf.NumMicro, cf.Vocab, cf.Devices)
+	n := len(g.Cells)
+	if n == 0 {
+		n = g.axisCount()
 	}
-	return b.String()
+	b := append(make([]byte, 0, len(g.Name)+n*keyBytesPerCell), g.Name...)
+	if len(g.Cells) > 0 {
+		for i := range g.Cells {
+			c := &g.Cells[i]
+			b = appendCellKey(append(append(b, '|'), c.Label...), &c.Config, c.Method)
+		}
+		return string(b)
+	}
+	g.eachAxisCell(func(c costmodel.Config, m sim.Method) {
+		b = appendCellKey(appendLabel(append(b, '|'), &c, m), &c, m)
+	})
+	return string(b)
 }
+
+// appendCellKey appends a cell's key entry after its label.
+func appendCellKey(b []byte, cf *costmodel.Config, m sim.Method) []byte {
+	b = append(append(b, ';'), m.String()...)
+	b = append(append(b, ';'), cf.Name...)
+	b = appendInt(append(b, ";L"...), cf.Layers)
+	b = appendInt(append(b, ";a"...), cf.Heads)
+	b = appendInt(append(b, ";h"...), cf.Hidden)
+	b = appendInt(append(b, ";s"...), cf.Seq)
+	b = appendInt(append(b, ";b"...), cf.MicroBatch)
+	b = appendInt(append(b, ";m"...), cf.NumMicro)
+	b = appendInt(append(b, ";v"...), cf.Vocab)
+	return appendInt(append(b, ";d"...), cf.Devices)
+}
+
+// keyBytesPerCell sizes Key's buffer: a paper-grid cell takes 77–90 bytes.
+const keyBytesPerCell = 96
 
 // CellResult is one evaluated cell. Exactly one of Result/Err is meaningful;
 // an OOM run is a successful Result with Result.OOM set.

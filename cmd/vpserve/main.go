@@ -117,6 +117,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -394,7 +395,9 @@ type serveConfig struct {
 // serve runs the HTTP server until SIGINT/SIGTERM, then drains gracefully.
 // A coordinator also probes its members' /healthz on a ticker — the probe
 // pass doubles as the membership-expiry sweep — and a worker started with
-// -join heartbeats its registration to the coordinator.
+// -join heartbeats its registration to the coordinator. Those background
+// loops share stderr with serve, so serve cancels them and waits for them
+// to return before its own shutdown logging and before it returns.
 func serve(srv *server.Server, stderr io.Writer, cfg serveConfig, ready chan<- string) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -405,17 +408,25 @@ func serve(srv *server.Server, stderr io.Writer, cfg serveConfig, ready chan<- s
 		return 1
 	}
 	fmt.Fprintf(stderr, "vpserve: listening on %s (role %s)\n", ln.Addr(), cfg.role)
+	bgCtx, cancelBG := context.WithCancel(ctx)
+	var bg sync.WaitGroup
+	stopBG := func() {
+		cancelBG()
+		bg.Wait()
+	}
 	if d := srv.Cluster(); d != nil && cfg.probeEvery > 0 {
+		bg.Add(1)
 		go func() {
-			d.Probe(ctx)
+			defer bg.Done()
+			d.Probe(bgCtx)
 			tick := time.NewTicker(cfg.probeEvery)
 			defer tick.Stop()
 			for {
 				select {
-				case <-ctx.Done():
+				case <-bgCtx.Done():
 					return
 				case <-tick.C:
-					d.Probe(ctx)
+					d.Probe(bgCtx)
 				}
 			}
 		}()
@@ -432,7 +443,11 @@ func serve(srv *server.Server, stderr io.Writer, cfg serveConfig, ready chan<- s
 			}
 		}
 		if adv != "" {
-			go heartbeat(ctx, stderr, cfg.joinURL, adv, cfg.heartbeatEvery)
+			bg.Add(1)
+			go func() {
+				defer bg.Done()
+				heartbeat(bgCtx, stderr, cfg.joinURL, adv, cfg.heartbeatEvery)
+			}()
 		}
 	}
 	if ready != nil {
@@ -445,10 +460,12 @@ func serve(srv *server.Server, stderr io.Writer, cfg serveConfig, ready chan<- s
 	select {
 	case err := <-errc:
 		// Serve only returns on listener failure.
+		stopBG()
 		fmt.Fprintf(stderr, "vpserve: %v\n", err)
 		return 1
 	case <-ctx.Done():
 	}
+	stopBG()
 	fmt.Fprintf(stderr, "vpserve: shutting down (draining up to %s)\n", cfg.shutdownTimeout)
 	sctx, cancel := context.WithTimeout(context.Background(), cfg.shutdownTimeout)
 	defer cancel()

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -507,5 +510,112 @@ func TestServeCoordinator(t *testing.T) {
 	}
 	if !strings.Contains(coordErr.String(), "role coordinator") {
 		t.Errorf("coordinator log missing role: %q", coordErr.String())
+	}
+}
+
+// sharedStderr is a stderr that records two misuses by concurrent loggers:
+// Writes that overlap in time, and Writes after its owner returned. hold,
+// when set, runs inside Write before the bytes land, so a test can keep one
+// writer parked mid-Write.
+type sharedStderr struct {
+	mu       sync.Mutex
+	buf      bytes.Buffer
+	active   atomic.Int32
+	overlaps atomic.Int32
+	closed   atomic.Bool
+	late     atomic.Int32
+	hold     func(p []byte)
+}
+
+func (w *sharedStderr) Write(p []byte) (int, error) {
+	if w.closed.Load() {
+		w.late.Add(1)
+	}
+	if w.active.Add(1) > 1 {
+		w.overlaps.Add(1)
+	}
+	defer w.active.Add(-1)
+	if w.hold != nil {
+		w.hold(p)
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.Write(p)
+}
+
+func (w *sharedStderr) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
+}
+
+// TestServeJoinsHeartbeatBeforeShutdownLog forces the window in which the
+// heartbeat goroutine is still writing stderr when SIGTERM arrives: its
+// "registration failing" line is parked inside Write until serve either
+// logs over it or a second passes. serve must wait for the heartbeat before
+// logging its shutdown, and nothing may write stderr after run returns.
+func TestServeJoinsHeartbeatBeforeShutdownLog(t *testing.T) {
+	// A coordinator address nobody listens on: registration fails fast.
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := dead.Addr().String()
+	dead.Close()
+
+	held := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	stderr := &sharedStderr{}
+	stderr.hold = func(p []byte) {
+		if bytes.Contains(p, []byte("cluster registration failing")) {
+			once.Do(func() {
+				close(held)
+				<-release
+			})
+		}
+	}
+	ready := make(chan string, 1)
+	done := make(chan int, 1)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-role", "worker", "-join", coord,
+			"-heartbeat-every", "10ms"}, io.Discard, stderr, ready)
+	}()
+	select {
+	case <-ready:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("server never became ready (stderr %q)", stderr.String())
+	}
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("heartbeat never logged its failing registration (stderr %q)", stderr.String())
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Second); stderr.overlaps.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(release)
+	select {
+	case code := <-done:
+		stderr.closed.Store(true)
+		if code != 0 {
+			t.Fatalf("exit %d, stderr %q", code, stderr.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("server did not shut down after SIGTERM")
+	}
+	time.Sleep(50 * time.Millisecond) // a stray heartbeat tick would log now
+	if n := stderr.overlaps.Load(); n != 0 {
+		t.Errorf("%d stderr writes overlapped another write: serve logged while the heartbeat was still writing", n)
+	}
+	if n := stderr.late.Load(); n != 0 {
+		t.Errorf("%d stderr writes after run returned", n)
+	}
+	if out := stderr.String(); !strings.Contains(out, "shutting down") || !strings.Contains(out, "bye") {
+		t.Errorf("shutdown log missing: %q", out)
 	}
 }

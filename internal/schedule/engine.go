@@ -1001,21 +1001,44 @@ func (e *engine) commitSlot(d, slot int, start float64) {
 }
 
 // pickDevice selects the next device to commit, reproducing the reference
-// scan fold exactly. The heap yields the exact minimum; any near-tied
-// devices are gathered and folded with the same tolerance comparison the
-// scan uses. The 5·tieTol window is sufficient: once the fold has processed
-// the exact-minimum device its running best start sits within tieTol of the
-// minimum, and each further tie-break switch requires a strictly lower
-// priority (later devices cannot win equal-priority ties), so at most four
-// more switches occur, each moving the best start by at most tieTol.
-// Devices beyond the window can never influence the outcome.
+// scan fold exactly. The heap yields the exact minimum; pickDevice gathers
+// the τ-connected cluster around it (every device starting within tieTol of
+// a start already gathered, repeated until the set stops growing) and folds
+// the cluster in device order with the scan's tolerance comparison.
+//
+// Why the cluster decides the scan: let hi be the highest gathered start.
+// Every device outside the cluster starts more than tieTol after hi (the
+// limit's ulp slack keeps that true through the fold's rounded
+// subtractions, for the engine's non-negative starts). So an outside device
+// is neither tieTol-strictly earlier than a gathered running best nor
+// within tieTol of it: it can never replace one. And each gathered device
+// starts more than tieTol before every outside device, so the first
+// gathered device the scan meets replaces whatever outside device held the
+// running best: no outside device outlasts it. From that point the scan
+// carries exactly the state a fold over the cluster alone starts from, and
+// both see the same gathered devices in the same order. A fixed window
+// above the minimum is not enough: a strictly earlier device can replace
+// the running best and restart the priority chain, which then climbs
+// further (TestPickDeviceClimbingCluster).
 func (e *engine) pickDevice() (int, bool) {
 	minD, ok := e.heap.min()
 	if !ok {
 		return 0, false
 	}
-	e.nearBuf = e.heap.within(e.choiceStart[minD]+5*tieTol, e.nearBuf[:0])
-	near := e.nearBuf
+	hi := e.choiceStart[minD]
+	near := e.heap.within(clusterLimit(hi), e.nearBuf[:0])
+	for len(near) > 1 {
+		top := hi
+		for _, d := range near {
+			top = max(top, e.choiceStart[d])
+		}
+		if top == hi {
+			break
+		}
+		hi = top
+		near = e.heap.within(clusterLimit(hi), near[:0])
+	}
+	e.nearBuf = near
 	if len(near) == 1 {
 		return minD, true
 	}
@@ -1032,6 +1055,14 @@ func (e *engine) pickDevice() (int, bool) {
 		}
 	}
 	return bestD, true
+}
+
+// clusterLimit is the latest start within tieTol of hi, widened by a few
+// ulps (2⁻⁵⁰ relative) so that a device past it differs from every start
+// up to hi by more than tieTol even after the fold's rounded subtractions.
+func clusterLimit(hi float64) float64 {
+	lim := hi + tieTol
+	return lim + lim*0x1p-50
 }
 
 // deviceChoice picks device d's preferred next pass: the earliest-starting

@@ -34,6 +34,11 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Counted before the preamble goes out: a client that has read it must
+	// already see its stream in the gauge.
+	s.sseActive.Add(1)
+	defer s.sseActive.Add(-1)
+
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
@@ -43,9 +48,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	// Ask reconnecting EventSource clients to back off a little.
 	fmt.Fprint(w, "retry: 2000\n\n")
 	flusher.Flush()
-
-	s.sseActive.Add(1)
-	defer s.sseActive.Add(-1)
 
 	heartbeat := time.NewTicker(s.opt.SSEHeartbeat)
 	defer heartbeat.Stop()

@@ -178,6 +178,31 @@ func measure(an *schedule.Analyzer, cfg costmodel.Config, m Method, tl *schedule
 	return res
 }
 
+// PassCount is the number of passes the schedule of (cfg, m) commits —
+// len(Timeline.Passes) of a successful build — without building it. The
+// engine's work grows with it, which makes it the cost estimate callers use
+// to order cells. Per device and microbatch: F and B (2) on 1F1B layouts,
+// plus the interlaced V segment (3) or the vocabulary S and T passes (4);
+// V-Half runs two chunks of F, B and split W (6), plus S and T (8). The
+// count needs no layout, so a config whose build would fail still gets
+// one; a cell with no model config (zero devices) counts 0.
+func PassCount(cfg costmodel.Config, m Method) int {
+	perDevMicro := 0
+	switch m {
+	case Baseline, Redis:
+		perDevMicro = 2
+	case Interlaced:
+		perDevMicro = 3
+	case Vocab1, Vocab2:
+		perDevMicro = 4
+	case VHalfBaseline:
+		perDevMicro = 6
+	case VHalfVocab1:
+		perDevMicro = 8
+	}
+	return perDevMicro * cfg.Devices * cfg.NumMicro
+}
+
 // MustRun panics on configuration errors (used by benches over the zoo).
 func MustRun(cfg costmodel.Config, m Method) *Result {
 	r, err := Run(cfg, m)

@@ -361,3 +361,37 @@ func TestRunnerResultsSurviveEngineReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestPassCountMatchesBuild pins PassCount to the engine: for every method,
+// the count equals the pass total of a real build.
+func TestPassCountMatchesBuild(t *testing.T) {
+	oneF1B, vhalf := small("4B"), small("7B")
+	odd := oneF1B
+	odd.NumMicro = 13
+	narrow := vhalf
+	narrow.Devices /= 2
+	cases := []struct {
+		cfg     costmodel.Config
+		methods []Method
+	}{
+		{oneF1B, OneF1BMethods},
+		{odd, OneF1BMethods},
+		{vhalf, VHalfMethods},
+		{narrow, VHalfMethods},
+	}
+	for _, tc := range cases {
+		for _, m := range tc.methods {
+			r, err := Run(tc.cfg, m)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", tc.cfg.Name, m, err)
+			}
+			if got, want := PassCount(tc.cfg, m), len(r.Timeline.Passes); got != want {
+				t.Errorf("%s/%v P=%d M=%d: PassCount %d, build committed %d passes",
+					tc.cfg.Name, m, tc.cfg.Devices, tc.cfg.NumMicro, got, want)
+			}
+		}
+	}
+	if got := PassCount(costmodel.Config{}, Vocab1); got != 0 {
+		t.Errorf("PassCount of an empty config = %d, want 0", got)
+	}
+}

@@ -2,10 +2,14 @@
 //
 // A Grid declares the sweep axes (model configurations, sequence lengths,
 // vocabulary sizes, methods); Expand turns it into an ordered list of Cells
-// and Run evaluates the cells on a worker pool via sim.Run. Results are
-// returned in expansion order regardless of worker count, each cell captures
-// its own error (a failing or OOM cell reports instead of aborting the grid),
-// and an optional progress callback observes completions as they happen.
+// and Run evaluates the cells on a worker pool via sim.Run. The pool takes
+// cells in chains (runs that differ only in microbatch count, so a warm
+// engine reuses its previous build) and starts the longest chains first, by
+// estimated pass count, so no worker is left holding the heaviest one at the
+// end of a batch. Results are still returned in expansion order regardless
+// of worker count or dispatch order, each cell captures its own error (a
+// failing or OOM cell reports instead of aborting the grid), and an optional
+// progress callback observes completions as they happen.
 //
 // The engine is the seam every vpbench experiment goes through: paper tables
 // are fixed grids, and user-defined scenarios (see ParseGrid) reuse the same
@@ -320,36 +324,48 @@ const maxChainLen = 16
 // default-eval cells that share a method and a configuration up to the
 // microbatch count, ordered by ascending NumMicro so consecutive specs
 // differ only in the trailing axis and the engine's prefix reuse engages.
-// Custom-eval cells stay singleton chains. This is purely an evaluation
-// permutation — expansion order, result order, Key() and sharding are
-// untouched; results are still written by original index.
+// Custom-eval cells stay singleton chains. The chains come back longest
+// first — by summed sim.PassCount, a stable sort — so a small batch does
+// not end with one worker still holding the heaviest chain while the others
+// idle; a cell with no model config (fig1's custom cells) costs 0. This is
+// purely an evaluation permutation — expansion order, result order, Key()
+// and sharding are untouched; results are still written by original index.
 func chainCells(cells []Cell) [][]int {
 	type chainKey struct {
 		method sim.Method
 		cfg    costmodel.Config
 	}
-	var chains [][]int
+	type chain struct {
+		cells []int
+		cost  int
+	}
+	var chains []chain
 	at := map[chainKey]int{}
 	for i := range cells {
+		cost := sim.PassCount(cells[i].Config, cells[i].Method)
 		if cells[i].Eval != nil {
-			chains = append(chains, []int{i})
+			chains = append(chains, chain{[]int{i}, cost})
 			continue
 		}
 		key := chainKey{cells[i].Method, cells[i].Config}
 		key.cfg.NumMicro = 0
-		if ci, ok := at[key]; ok && len(chains[ci]) < maxChainLen {
-			chains[ci] = append(chains[ci], i)
+		if ci, ok := at[key]; ok && len(chains[ci].cells) < maxChainLen {
+			chains[ci].cells = append(chains[ci].cells, i)
+			chains[ci].cost += cost
 			continue
 		}
 		at[key] = len(chains)
-		chains = append(chains, []int{i})
+		chains = append(chains, chain{[]int{i}, cost})
 	}
-	for _, chain := range chains {
-		sort.SliceStable(chain, func(a, b int) bool {
-			return cells[chain[a]].Config.NumMicro < cells[chain[b]].Config.NumMicro
+	sort.SliceStable(chains, func(a, b int) bool { return chains[a].cost > chains[b].cost })
+	out := make([][]int, len(chains))
+	for k, ch := range chains {
+		sort.SliceStable(ch.cells, func(a, b int) bool {
+			return cells[ch.cells[a]].Config.NumMicro < cells[ch.cells[b]].Config.NumMicro
 		})
+		out[k] = ch.cells
 	}
-	return chains
+	return out
 }
 
 // evalCell evaluates one cell on the worker's warm runner, converting panics

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -467,6 +468,51 @@ func TestRunCtxPartialResultsCellByCell(t *testing.T) {
 	for _, c := range full.Cells {
 		if errors.Is(c.Err, ErrSkipped) {
 			t.Errorf("uncancelled run skipped cell %q", c.Label)
+		}
+	}
+}
+
+// TestChainCellsLongestFirst pins the dispatch order: chains come back by
+// summed pass count, largest first, with equal costs in first-appearance
+// order; each chain still ascends the microbatch axis; every cell appears
+// once; cells with no model config cost nothing and trail.
+func TestChainCellsLongestFirst(t *testing.T) {
+	at := func(m sim.Method, micro int) Cell {
+		c := tinyConfig()
+		c.NumMicro = micro
+		return Cell{Label: m.String() + "/m" + strconv.Itoa(micro), Config: c, Method: m}
+	}
+	custom := Cell{Label: "custom", Eval: func(Cell) (*sim.Result, error) { return &sim.Result{}, nil }}
+	cells := []Cell{
+		custom,
+		at(sim.Baseline, 16), at(sim.Baseline, 8), // chain cost 2·4·24 = 192
+		at(sim.Vocab1, 8),                            // 4·4·8 = 128
+		at(sim.Interlaced, 8), at(sim.Interlaced, 4), // 3·4·12 = 144
+		at(sim.Redis, 24), // 2·4·24 = 192, ties with baseline
+	}
+	got := chainCells(cells)
+	want := [][]int{{2, 1}, {6}, {5, 4}, {3}, {0}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("chainCells = %v, want %v", got, want)
+	}
+
+	// End to end: one worker completes the cells in dispatch order, and the
+	// results stay in expansion order.
+	var order []string
+	res := Run(&Grid{Name: "order", Cells: cells}, Options{Parallel: 1,
+		OnCell: func(_, _ int, r CellResult) { order = append(order, r.Label) }})
+	var wantOrder []string
+	for _, chain := range want {
+		for _, i := range chain {
+			wantOrder = append(wantOrder, cells[i].Label)
+		}
+	}
+	if !reflect.DeepEqual(order, wantOrder) {
+		t.Errorf("completion order %v, want %v", order, wantOrder)
+	}
+	for i, c := range res.Cells {
+		if c.Index != i || c.Label != cells[i].Label || c.Err != nil {
+			t.Errorf("result %d = %q (index %d, err %v), want %q", i, c.Label, c.Index, c.Err, cells[i].Label)
 		}
 	}
 }

@@ -197,13 +197,30 @@ func searchBeam(ctx context.Context, s *Spec, opt Options) (*Result, error) {
 // budget, accepting improvements always and regressions with a cooling
 // probability. Deterministic for a given (spec, seed); revisited candidates
 // are memoized and do not consume budget.
+//
+// When the budget covers the whole space, the walk can only stop once it
+// has visited every candidate (or at its step bound), so the search first
+// simulates the space as one parallel batch and the walk then takes each
+// stored result as a fresh visit. The walk, its memo and its budget
+// accounting are the same on both paths, so the Result is too; only
+// Progress differs, counting the batch's simulations up to SpaceSize.
 func searchAnneal(ctx context.Context, s *Spec, opt Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(s.Seed))
-	budget := s.Budget
-	if space := s.SpaceSize(); budget > space {
-		budget = space
-	}
+	all := s.candidates()
+	budget := min(s.Budget, len(all))
 	t := &tracker{spec: s, opt: opt, total: budget}
+
+	var stored map[Candidate]evaluated
+	if budget == len(all) {
+		evals, err := s.evaluate(ctx, all, opt, t.onCell)
+		if err != nil {
+			return nil, err
+		}
+		stored = make(map[Candidate]evaluated, len(evals))
+		for _, e := range evals {
+			stored[e.cand] = e
+		}
+	}
 
 	memo := map[Candidate]evaluated{}
 	var order []evaluated // evaluation order, for the final assemble
@@ -211,13 +228,17 @@ func searchAnneal(ctx context.Context, s *Spec, opt Options) (*Result, error) {
 		if e, ok := memo[c]; ok {
 			return e, false, nil
 		}
-		evals, err := s.evaluate(ctx, []Candidate{c}, Options{Parallel: 1, Eval: opt.Eval}, t.onCell)
-		if err != nil {
-			return evaluated{}, false, err
+		e, ok := stored[c]
+		if !ok {
+			evals, err := s.evaluate(ctx, []Candidate{c}, Options{Parallel: 1, Eval: opt.Eval}, t.onCell)
+			if err != nil {
+				return evaluated{}, false, err
+			}
+			e = evals[0]
 		}
-		memo[c] = evals[0]
-		order = append(order, evals[0])
-		return evals[0], true, nil
+		memo[c] = e
+		order = append(order, e)
+		return e, true, nil
 	}
 	scoreOf := func(e evaluated) (float64, bool) {
 		rk := s.rankedOf(e)
@@ -228,7 +249,6 @@ func searchAnneal(ctx context.Context, s *Spec, opt Options) (*Result, error) {
 	// the current score is accepted with probability exp(-δ/T).
 	const t0, decay = 0.10, 0.92
 
-	all := s.candidates()
 	cur := all[rng.Intn(len(all))]
 	curEval, _, err := evalOne(cur)
 	if err != nil {

@@ -14,7 +14,8 @@
 //     count, keep the best BeamWidth pairs, then expand only those across the
 //     microbatch axis. Evaluates a fraction of the space.
 //   - anneal: a budgeted random walk with simulated-annealing acceptance for
-//     spaces too large to enumerate.
+//     spaces too large to enumerate. A budget that covers the space is
+//     simulated as one parallel batch before the walk.
 //
 // Every strategy returns the same Result shape: candidates ranked by the
 // objective, the Pareto frontier over (objective score, peak memory, bubble
@@ -268,7 +269,10 @@ type Result struct {
 	Strategy  Strategy  `json:"strategy"`
 	Objective Objective `json:"objective"`
 	// SpaceSize is the full cross-product size; Evaluated is how many
-	// candidates the strategy actually simulated (the search's cost).
+	// candidates the strategy ranked (the search's cost): those it
+	// simulated, or for an anneal whose budget covers the space, those its
+	// walk visited among the batch it simulated (Progress.Done counts the
+	// simulations).
 	SpaceSize int `json:"space_size"`
 	Evaluated int `json:"evaluated"`
 	Feasible  int `json:"feasible"`

@@ -2,13 +2,18 @@ package tune
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"vocabpipe/internal/costmodel"
 	"vocabpipe/internal/sim"
+	"vocabpipe/internal/sweep"
 )
 
 // quickSpec mirrors the experiments "4b-quick" scenario without importing
@@ -146,6 +151,100 @@ func TestAnnealTerminatesOnTinySpace(t *testing.T) {
 	res := mustSearch(t, spec, StrategyAnneal, Options{})
 	if res.Evaluated != 2 {
 		t.Errorf("evaluated %d, want the whole 2-candidate space", res.Evaluated)
+	}
+}
+
+// countingEval simulates candidates in process and counts the simulations
+// per label; safe for the sweep pool's concurrent workers.
+type countingEval struct {
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (ce *countingEval) eval(_ context.Context, c sweep.Cell) (*sim.Result, error) {
+	ce.mu.Lock()
+	if ce.calls == nil {
+		ce.calls = map[string]int{}
+	}
+	ce.calls[c.Label]++
+	ce.mu.Unlock()
+	return sim.Run(c.Config, c.Method)
+}
+
+// TestAnnealCoveredSpaceSimulatesOnce: a budget that covers the space runs
+// it as one batch, so every candidate is simulated exactly once, progress
+// counts those simulations up to SpaceSize, and the Result does not depend
+// on the worker count.
+func TestAnnealCoveredSpaceSimulatesOnce(t *testing.T) {
+	spec := quickSpec()
+	spec.Budget = 100
+	var ce countingEval
+	var last Progress
+	res := mustSearch(t, spec, StrategyAnneal, Options{Parallel: 3, Eval: ce.eval,
+		OnProgress: func(p Progress) { last = p }})
+	space := spec.SpaceSize()
+	if len(ce.calls) != space {
+		t.Fatalf("simulated %d distinct candidates, want the whole space of %d", len(ce.calls), space)
+	}
+	for label, n := range ce.calls {
+		if n != 1 {
+			t.Errorf("%s simulated %d times, want once", label, n)
+		}
+	}
+	if last.Done != space || last.Total != space {
+		t.Errorf("final progress %+v, want done = total = %d", last, space)
+	}
+	if res.Evaluated > space || res.Evaluated == 0 {
+		t.Errorf("walk visited %d of %d candidates", res.Evaluated, space)
+	}
+	if serial := mustSearch(t, spec, StrategyAnneal, Options{Parallel: 1}); !reflect.DeepEqual(res, serial) {
+		t.Error("batched anneal result differs from a serial run")
+	}
+}
+
+// TestAnnealCoveredSpaceRunsInParallel: the covered-space batch goes through
+// the worker pool, so two evaluations must be in flight at once. A serial
+// walk would hold the first one until its wait gives up.
+func TestAnnealCoveredSpaceRunsInParallel(t *testing.T) {
+	spec := quickSpec()
+	spec.Budget = spec.SpaceSize()
+	var arrived atomic.Int32
+	met := make(chan struct{})
+	eval := func(_ context.Context, c sweep.Cell) (*sim.Result, error) {
+		if arrived.Add(1) == 2 {
+			close(met)
+		}
+		select {
+		case <-met:
+		case <-time.After(5 * time.Second):
+			return nil, errors.New("no second evaluation in flight")
+		}
+		return sim.Run(c.Config, c.Method)
+	}
+	res := mustSearch(t, spec, StrategyAnneal, Options{Parallel: 2, Eval: eval})
+	for _, c := range res.Candidates {
+		if strings.Contains(c.Error, "no second evaluation") {
+			t.Fatalf("%s: %s", c.Label, c.Error)
+		}
+	}
+}
+
+// TestAnnealPartialBudgetStaysBudgeted: below the space size the walk
+// simulates candidates one at a time, never more than Budget of them.
+func TestAnnealPartialBudgetStaysBudgeted(t *testing.T) {
+	spec := quickSpec()
+	spec.Budget = 12
+	var ce countingEval
+	res := mustSearch(t, spec, StrategyAnneal, Options{Eval: ce.eval})
+	simulated := 0
+	for _, n := range ce.calls {
+		simulated += n
+	}
+	if simulated == 0 || simulated > spec.Budget {
+		t.Errorf("simulated %d candidates under a budget of %d", simulated, spec.Budget)
+	}
+	if simulated != res.Evaluated {
+		t.Errorf("simulated %d candidates, walk visited %d", simulated, res.Evaluated)
 	}
 }
 

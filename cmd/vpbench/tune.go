@@ -5,7 +5,7 @@ package main
 //	vpbench -tune SPEC [-tune-strategy beam|exhaustive|anneal] [-parallel N]
 //	        [-json] [-out FILE] [-v]
 //	    runs the auto-tuner and prints the ranked configuration table (the
-//	    same table /api/optimize jobs return as JSON). SPEC is either a
+//	    same table /api/v1/optimize jobs return as JSON). SPEC is either a
 //	    named scenario (see -tune-list) or an inline constraint spec in
 //	    tune.ParseSpec syntax, e.g.
 //	        -tune 'model=4B;devices=8..32;micro=32..128;method=1f1b'
@@ -14,7 +14,7 @@ package main
 //	    lists the named tuning scenarios.
 //
 // The search is submitted to the same async job queue vpserve uses for
-// POST /api/optimize and polled to completion, so the CLI exercises the
+// POST /api/v1/optimize and polled to completion, so the CLI exercises the
 // exact submit → poll → result lifecycle the HTTP API exposes; -v streams
 // the job's progress snapshots to stderr.
 
@@ -31,7 +31,7 @@ import (
 	"vocabpipe/internal/tune"
 )
 
-// writeTuneJSON emits the result exactly as a finished /api/optimize job's
+// writeTuneJSON emits the result exactly as a finished /api/v1/optimize job's
 // result field serializes.
 func writeTuneJSON(w io.Writer, res *tune.Result) error {
 	enc := json.NewEncoder(w)

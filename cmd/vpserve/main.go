@@ -3,11 +3,14 @@
 // cache with in-flight request deduplication.
 //
 //	go run ./cmd/vpserve -addr :8080
-//	curl 'localhost:8080/api/sweep?grid=model=4B;method=1f1b'
-//	curl 'localhost:8080/api/experiments/table5'
-//	curl -X POST 'localhost:8080/api/optimize?scenario=4b-quick'
-//	curl 'localhost:8080/api/jobs/j1'
+//	curl 'localhost:8080/api/v1/sweep?grid=model%3D4B%3Bmethod%3D1f1b'
+//	curl 'localhost:8080/api/v1/experiments/table5'
+//	curl -X POST 'localhost:8080/api/v1/optimize?scenario=4b-quick'
+//	curl 'localhost:8080/api/v1/jobs/j1'
 //	curl 'localhost:8080/healthz'
+//
+// Every API route lives under /api/v1; an unversioned /api/... path answers
+// an enveloped 404 (code unversioned_path) naming its /api/v1 route.
 //
 // Flags:
 //
@@ -56,32 +59,37 @@
 //	-probe-every D    member /healthz probe interval — also drives expiry
 //	                  (default 5s; 0 disables; coordinator only)
 //
-// Self-test mode starts an ephemeral server and drives the built-in load
-// harness (internal/load) against it, reporting req/s, latency percentiles
-// and cache hit rate as JSON on stdout:
+// Both load modes below run the one load engine (internal/load) and print
+// its one JSON report on stdout: the attempt ledger, OK-only latency
+// percentiles, status and envelope-code counts, per-stage rows and the SLO
+// verdicts.
+//
+// Self-test mode starts an ephemeral server and drives a closed loop against
+// it; its report also carries the server's cache hit rate
+// (cache_hit_rate_pct):
 //
 //	vpserve -selftest [-selftest-duration 2s] [-selftest-concurrency 8]
 //	        [-selftest-grid SPEC] [-selftest-min-rps 100]
 //
 // -selftest-min-rps makes the run a gate: exit 1 when the warmed-cache
-// throughput falls below the floor (the CI smoke step uses 100).
+// attempts/s (scheduled_rps) fall below the floor (the CI smoke step uses
+// 100).
 //
-// Load-test mode drives a harness against an EXTERNAL URL — an
-// already-running vpserve (or anything speaking HTTP) — and prints the JSON
-// report on stdout. The CI smoke step uses it to cross-check the client-side
-// attempt count against the server's own /metrics request counters.
+// Load-test mode drives the engine against an EXTERNAL URL — an
+// already-running vpserve (or anything speaking HTTP). The CI smoke step
+// uses it to cross-check the client-side attempt count against the server's
+// own /metrics request counters.
 //
-// The default is the CLOSED-LOOP harness (N workers in lockstep):
+// By default it runs a CLOSED LOOP (N workers issuing requests back to back):
 //
-//	vpserve -loadtest http://127.0.0.1:8080/api/sweep?grid=... \
+//	vpserve -loadtest 'http://127.0.0.1:8080/api/v1/sweep?grid=...' \
 //	        [-loadtest-duration 2s] [-loadtest-concurrency 8]
 //
 // Passing -loadtest-scenario (a preset: spike, soak, diurnal) or
 // -loadtest-stages (custom "[start=RATE,]TARGET:DURATION,..." legs) switches
-// to the OPEN-LOOP arrival-rate engine: injection follows the staged rate
-// curve regardless of server speed, a bounded VU pool turns client-side
-// saturation into counted drops, and declarative SLO gates decide pass/fail
-// (exit 4 on breach):
+// to an OPEN LOOP: injection follows the staged rate curve regardless of
+// server speed, a bounded VU pool turns client-side saturation into counted
+// drops, and declarative SLO gates decide pass/fail (exit 4 on breach):
 //
 //	vpserve -loadtest 'http://127.0.0.1:8080/api/v1/sweep?grid=...micro%3D{64+i%499}' \
 //	        -loadtest-scenario spike -loadtest-rate 50 -loadtest-peak 500 \
@@ -97,7 +105,7 @@
 // Retry-After.
 //
 // Observability: every serving vpserve exposes Prometheus metrics at
-// GET /metrics, streams job progress over SSE at GET /api/jobs/{id}/events,
+// GET /metrics, streams job progress over SSE at GET /api/v1/jobs/{id}/events,
 // serves a zero-dependency live dashboard at GET /dashboard, and traces
 // every API request — the response's X-Trace-Id header keys a Chrome-trace
 // export at GET /api/v1/debug/traces/{id}, which on a coordinator merges
@@ -107,6 +115,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -315,20 +324,21 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 				return 2
 			}
 		}
-		if openLoop {
-			return runOpenLoadtest(stdout, stderr, *loadtest, openLoopPlan{
-				scenario:   *ltScenario,
-				stages:     *ltStages,
-				rate:       *ltRate,
-				peak:       *ltPeak,
-				total:      *ltDur,
-				maxVUs:     *ltMaxVUs,
-				jitter:     *ltJitter,
-				seed:       *ltSeed,
-				thresholds: *ltThresholds,
-			})
+		plan := loadPlan{
+			scenario:   *ltScenario,
+			stages:     *ltStages,
+			rate:       *ltRate,
+			peak:       *ltPeak,
+			duration:   *ltDur,
+			vus:        *ltConc,
+			jitter:     *ltJitter,
+			seed:       *ltSeed,
+			thresholds: *ltThresholds,
 		}
-		return runLoadtest(stdout, stderr, *loadtest, *ltConc, *ltDur)
+		if openLoop {
+			plan.vus = *ltMaxVUs
+		}
+		return runLoadtest(stdout, stderr, *loadtest, plan)
 	}
 
 	// The flag's conventional zero means "no tracing"; a zero
@@ -540,66 +550,42 @@ func heartbeat(ctx context.Context, stderr io.Writer, joinURL, advertise string,
 	}
 }
 
-// runLoadtest drives the load harness against an external URL and prints
-// the JSON report. Unlike -selftest it imposes no pass/fail policy beyond
-// "the run completed" — the caller (CI) owns the assertions, and the report
-// carries the full ledger (attempts = requests + errors) it needs.
-func runLoadtest(stdout, stderr io.Writer, url string, conc int, dur time.Duration) int {
-	rep, err := load.Run(context.Background(), url, load.Options{Concurrency: conc, Duration: dur})
-	if err != nil {
-		fmt.Fprintf(stderr, "vpserve: loadtest: %v\n", err)
-		return 1
-	}
-	if err := rep.WriteJSON(stdout); err != nil {
-		fmt.Fprintf(stderr, "vpserve: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stderr, "vpserve: loadtest %s\n", rep.Summary())
-	return 0
-}
-
-// openLoopPlan bundles the open-loop flags into one argument.
-type openLoopPlan struct {
-	scenario   string // preset name, or "" when stages is set
+// loadPlan bundles the load-test flags into one argument. A plan with
+// neither a scenario nor stages runs the closed loop.
+type loadPlan struct {
+	scenario   string // preset name, or ""
 	stages     string // custom stages spec, or ""
 	rate, peak float64
-	total      time.Duration
-	maxVUs     int
+	duration   time.Duration
+	vus        int
 	jitter     float64
 	seed       int64
 	thresholds string
 }
 
-// runOpenLoadtest drives the open-loop arrival-rate engine against an
-// external URL. Exit codes: 0 pass, 1 unusable inputs or broken run, 4 an
-// SLO threshold breached on the final ledger — distinct so CI can tell
-// "could not test" from "tested and failed the gate".
-func runOpenLoadtest(stdout, stderr io.Writer, url string, plan openLoopPlan) int {
-	var sc *load.Scenario
+// runLoadtest drives the load engine against an external URL and prints the
+// JSON report, which carries the full ledger CI asserts on. Exit codes: 0
+// pass, 1 unusable inputs or broken run, 4 an SLO threshold breached on the
+// final ledger — distinct so CI can tell "could not test" from "tested and
+// failed the gate". Errored attempts alone do not fail a run: the caller
+// owns that policy.
+func runLoadtest(stdout, stderr io.Writer, url string, plan loadPlan) int {
+	opt := load.Options{VUs: plan.vus, Duration: plan.duration, Jitter: plan.jitter, Seed: plan.seed}
 	var err error
-	if plan.stages != "" {
-		sc, err = load.ParseStages(plan.stages)
-	} else {
-		sc, err = load.Preset(plan.scenario, plan.rate, plan.peak, plan.total)
+	switch {
+	case plan.stages != "":
+		opt.Scenario, err = load.ParseStages(plan.stages)
+	case plan.scenario != "":
+		opt.Scenario, err = load.Preset(plan.scenario, plan.rate, plan.peak, plan.duration)
+	}
+	if err == nil && plan.thresholds != "" {
+		opt.Thresholds, err = load.ParseThresholds(plan.thresholds)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "vpserve: loadtest: %v\n", err)
 		return 1
 	}
-	var thresholds []load.Threshold
-	if plan.thresholds != "" {
-		if thresholds, err = load.ParseThresholds(plan.thresholds); err != nil {
-			fmt.Fprintf(stderr, "vpserve: loadtest: %v\n", err)
-			return 1
-		}
-	}
-	rep, err := load.RunOpenLoop(context.Background(), url, load.OpenLoopOptions{
-		Scenario:   sc,
-		MaxVUs:     plan.maxVUs,
-		Jitter:     plan.jitter,
-		Seed:       plan.seed,
-		Thresholds: thresholds,
-	})
+	rep, err := load.Run(context.Background(), url, opt)
 	if err != nil {
 		fmt.Fprintf(stderr, "vpserve: loadtest: %v\n", err)
 		return 1
@@ -630,7 +616,7 @@ func runSelftest(srv *server.Server, stdout, stderr io.Writer, gridSpec string, 
 	// Grid specs must be percent-encoded: since Go 1.17 net/url rejects a
 	// raw ";" query separator, so an unescaped spec would be cut at the
 	// first semicolon server-side.
-	url := baseURL + "/api/sweep?grid=" + neturl.QueryEscape(gridSpec)
+	url := baseURL + "/api/v1/sweep?grid=" + neturl.QueryEscape(gridSpec)
 
 	warm, err := http.Get(url)
 	if err != nil {
@@ -645,29 +631,37 @@ func runSelftest(srv *server.Server, stdout, stderr io.Writer, gridSpec string, 
 	}
 
 	before := srv.CacheStats()
-	rep, err := load.Run(context.Background(), url, load.Options{Concurrency: conc, Duration: dur})
+	rep, err := load.Run(context.Background(), url, load.Options{VUs: conc, Duration: dur})
 	if err != nil {
 		fmt.Fprintf(stderr, "vpserve: selftest: %v\n", err)
 		return 1
 	}
 	after := srv.CacheStats()
+	// The load report plus the server-side cache hit rate over the run
+	// (negative: unknown, no lookups).
+	out := struct {
+		*load.Report
+		CacheHitRatePct float64 `json:"cache_hit_rate_pct"`
+	}{rep, -1}
 	if lookups := (after.Hits + after.Misses + after.Deduped) - (before.Hits + before.Misses + before.Deduped); lookups > 0 {
 		hits := (after.Hits + after.Deduped) - (before.Hits + before.Deduped)
-		rep.CacheHitRatePct = 100 * float64(hits) / float64(lookups)
+		out.CacheHitRatePct = 100 * float64(hits) / float64(lookups)
 	}
 
-	if err := rep.WriteJSON(stdout); err != nil {
+	enc := json.NewEncoder(stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(out); err != nil {
 		fmt.Fprintf(stderr, "vpserve: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(stderr, "vpserve: selftest %s\n", rep.Summary())
+	fmt.Fprintf(stderr, "vpserve: selftest %s; cache hit %.1f%%\n", rep.Summary(), out.CacheHitRatePct)
 	if rep.Errors > 0 || rep.NonOK > 0 {
 		fmt.Fprintf(stderr, "vpserve: selftest saw %d transport errors and %d non-200 responses\n", rep.Errors, rep.NonOK)
 		return 1
 	}
-	if minRPS > 0 && rep.ReqPerSec < minRPS {
+	if minRPS > 0 && rep.ScheduledRPS < minRPS {
 		fmt.Fprintf(stderr, "vpserve: selftest throughput %.0f req/s is below the -selftest-min-rps floor %.0f\n",
-			rep.ReqPerSec, minRPS)
+			rep.ScheduledRPS, minRPS)
 		return 1
 	}
 	return 0

@@ -45,12 +45,18 @@ func TestSelftest(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
-	var rep load.Report
+	var rep struct {
+		load.Report
+		CacheHitRatePct float64 `json:"cache_hit_rate_pct"`
+	}
 	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
 		t.Fatalf("stdout is not a load report: %v (%s)", err, stdout)
 	}
-	if rep.Requests == 0 || rep.Errors != 0 || rep.NonOK != 0 {
-		t.Errorf("report = %+v", rep)
+	if rep.OK == 0 || rep.Errors != 0 || rep.NonOK != 0 || rep.Scenario != "closed-loop" || rep.MaxVUs != 2 {
+		t.Errorf("report = %+v", rep.Report)
+	}
+	if rep.ScheduledRPS <= 0 || rep.Scheduled != rep.Attempts {
+		t.Errorf("attempts/s %v, scheduled %d, attempts %d", rep.ScheduledRPS, rep.Scheduled, rep.Attempts)
 	}
 	if rep.CacheHitRatePct < 99 {
 		t.Errorf("cache hit rate %.1f%%, want ~100%% on a warmed single-URL run", rep.CacheHitRatePct)
@@ -95,8 +101,14 @@ func TestLoadtestMode(t *testing.T) {
 	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
 		t.Fatalf("stdout is not a load report: %v (%s)", err, stdout)
 	}
-	if rep.Attempts == 0 || rep.Attempts != rep.Requests+rep.Errors {
+	if rep.Attempts == 0 || rep.Attempts != rep.OK+rep.NonOK+rep.Errors || rep.Scheduled != rep.Attempts+rep.Dropped {
 		t.Errorf("ledger broken: %+v", rep)
+	}
+	if rep.Scenario != "closed-loop" || rep.MaxVUs != 2 || rep.Dropped != 0 {
+		t.Errorf("closed-loop report = %+v", rep)
+	}
+	if strings.Contains(stdout, "cache_hit_rate_pct") {
+		t.Errorf("the cache hit rate is -selftest output only: %s", stdout)
 	}
 	if !strings.Contains(stderr, "loadtest") {
 		t.Errorf("missing summary on stderr: %q", stderr)
@@ -132,7 +144,7 @@ func TestOpenLoopLoadtestMode(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
-	var rep load.OpenReport
+	var rep load.Report
 	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
 		t.Fatalf("stdout is not an open-loop report: %v (%s)", err, stdout)
 	}
@@ -142,7 +154,20 @@ func TestOpenLoopLoadtestMode(t *testing.T) {
 	if !rep.ThresholdsOK || len(rep.Thresholds) != 2 {
 		t.Errorf("thresholds: ok=%v %+v", rep.ThresholdsOK, rep.Thresholds)
 	}
-	if !strings.Contains(stderr, "open-loop") {
+	// The open-loop report keeps every field name it had before the closed
+	// loop folded into the same engine.
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(stdout), &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"url", "scenario", "max_vus", "duration_s", "scheduled", "dropped",
+		"attempts", "ok", "non_ok", "errors", "scheduled_rps", "ok_rps", "p50_ms", "p90_ms",
+		"p99_ms", "max_ms", "status_codes", "bytes_read", "stages", "thresholds", "thresholds_ok"} {
+		if _, ok := fields[k]; !ok {
+			t.Errorf("open-loop report lacks %q: %s", k, stdout)
+		}
+	}
+	if !strings.Contains(stderr, "soak, 8 VUs") {
 		t.Errorf("missing summary on stderr: %q", stderr)
 	}
 }
@@ -161,7 +186,7 @@ func TestOpenLoopThresholdGate(t *testing.T) {
 	if code != 4 {
 		t.Fatalf("exit %d, want 4 (stderr %q)", code, stderr)
 	}
-	var rep load.OpenReport
+	var rep load.Report
 	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
 		t.Fatalf("gated run still prints the report: %v (%s)", err, stdout)
 	}
@@ -417,7 +442,7 @@ func TestWorkerJoinHeartbeat(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	const path = "/api/sweep?grid=model%3D4B%3Bmethod%3Dbaseline%2Cvocab-1%3Bvocab%3D32k%3Bmicro%3D16"
+	const path = "/api/v1/sweep?grid=model%3D4B%3Bmethod%3Dbaseline%2Cvocab-1%3Bvocab%3D32k%3Bmicro%3D16"
 	if sharded, direct := fetch(coordAddr, path), fetch(workerAddr, path); string(sharded) != string(direct) {
 		t.Error("coordinator response through a joined worker differs from the worker's own")
 	}
@@ -475,7 +500,7 @@ func TestServeCoordinator(t *testing.T) {
 	coordAddr, coordDone, coordErr := startServe("-addr", "127.0.0.1:0",
 		"-role", "coordinator", "-workers", workerAddr, "-probe-every", "50ms")
 
-	const path = "/api/sweep?grid=model%3D4B%3Bmethod%3Dbaseline%2Cvocab-1%3Bvocab%3D32k%3Bmicro%3D16"
+	const path = "/api/v1/sweep?grid=model%3D4B%3Bmethod%3Dbaseline%2Cvocab-1%3Bvocab%3D32k%3Bmicro%3D16"
 	sharded := fetch(coordAddr, path)
 	direct := fetch(workerAddr, path)
 	if string(sharded) != string(direct) {

@@ -32,7 +32,7 @@ func main() {
 		MemBudgetBytes: 18 * costmodel.GiB,
 	}
 	// The same spec can be written as a one-line constraint string — what
-	// `vpbench -tune` and POST /api/optimize accept (mem is in GiB, the
+	// `vpbench -tune` and POST /api/v1/optimize accept (mem is in GiB, the
 	// same unit the ranked table reports):
 	parsed, err := tune.ParseSpec("model=4B;vocab=128k;devices=8..32;micro=32..128;method=1f1b;mem=18")
 	if err != nil {

@@ -50,7 +50,7 @@ func fetch(base, path string) ([]byte, error) {
 }
 
 func sweepPath(spec string) string {
-	return "/api/sweep?grid=" + neturl.QueryEscape(spec)
+	return "/api/v1/sweep?grid=" + neturl.QueryEscape(spec)
 }
 
 func main() {
@@ -165,7 +165,7 @@ func main() {
 	// coordinator the unkind way — the WAL handle dies first (as in kill
 	// -9, nothing after this instant persists), then the process state goes
 	// away. The successor reopens the same directory and finishes the job.
-	resp, err = http.Post(coordURL+"/api/optimize?scenario=4b-quick&strategy=beam", "application/json", nil)
+	resp, err = http.Post(coordURL+"/api/v1/optimize?scenario=4b-quick&strategy=beam", "application/json", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func main() {
 	fmt.Printf("successor coordinator on %s resuming from %s\n", succURL, stateDir)
 
 	for deadline := time.Now().Add(60 * time.Second); ; {
-		body, err := fetch(succURL, "/api/jobs/"+acc.ID)
+		body, err := fetch(succURL, "/api/v1/jobs/"+acc.ID)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 // Package cluster scales vpserve horizontally: a coordinator shards a
 // sweep.Grid into contiguous cell ranges over the grid's deterministic
 // expansion order, dispatches each shard to a worker vpserve instance over
-// the existing HTTP API (POST /api/shard), and merges the per-shard records
+// the existing HTTP API (POST /api/v1/shard), and merges the per-shard records
 // back into expansion order — so the coordinator's JSON stays byte-identical
 // to a single-node run no matter how many workers computed it, or how the
 // membership changed while it ran.

@@ -34,7 +34,7 @@ func localRecords(g *sweep.Grid) []report.Record {
 	return sweep.Run(g, sweep.Options{}).Records()
 }
 
-// stubWorker serves the /api/shard protocol by evaluating the shard
+// stubWorker serves the /api/v1/shard protocol by evaluating the shard
 // locally, with optional hooks for delaying or failing requests.
 type stubWorker struct {
 	ts *httptest.Server

@@ -7,6 +7,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -77,7 +78,7 @@ func TestClusterTable5Determinism(t *testing.T) {
 	golden := table5Golden(t)
 	for _, n := range []int{1, 2, 3} {
 		c := clustertest.Start(t, n, clustertest.Options{})
-		status, body, _ := get(t, c.URL(), "/api/experiments/table5")
+		status, body, _ := get(t, c.URL(), "/api/v1/experiments/table5")
 		if status != http.StatusOK {
 			t.Fatalf("%d workers: status = %d", n, status)
 		}
@@ -96,31 +97,40 @@ func TestClusterTable5Determinism(t *testing.T) {
 }
 
 // TestClusterWorkerKilledMidSweep kills a worker while its shards are in
-// flight: worker 0 hangs on every shard request until the kill tears its
+// flight: the worker that receives the first shard request becomes the
+// victim and hangs on every shard request until the kill tears its
 // connections down, so the retry path deterministically moves the whole
-// grid onto worker 1 — and the response still matches the golden byte for
-// byte.
+// grid onto the survivor — and the response still matches the golden byte
+// for byte. The victim is picked at runtime because placement hashes the
+// workers' (random-port) URLs: a fixed victim may be placed no shard at
+// all. A victim's shard request that connects while the kill is under way
+// would outlive CloseClientConnections and wedge the listener's Close, so
+// the gate also aborts its connection once the kill starts.
 func TestClusterWorkerKilledMidSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table5 grid in -short mode")
 	}
 	firstShard := make(chan struct{})
+	killing := make(chan struct{})
 	var once sync.Once
+	var victim atomic.Int64
+	victim.Store(-1)
 	c := clustertest.Start(t, 2, clustertest.Options{
 		Cluster: cluster.Options{HedgeAfter: -1}, // isolate the retry path
 		WorkerMiddleware: func(i int, next http.Handler) http.Handler {
-			if i != 0 {
-				return next
-			}
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == "/api/v1/shard" {
+				if r.URL.Path == "/api/v1/shard" && (victim.CompareAndSwap(-1, int64(i)) || victim.Load() == int64(i)) {
 					// Drain the body first: net/http cancels r.Context() on
 					// client abort / connection teardown only once the body
 					// has been consumed, and the kill below relies on that
 					// to unwedge this gate.
 					io.Copy(io.Discard, r.Body)
 					once.Do(func() { close(firstShard) })
-					<-r.Context().Done() // hang until the worker dies
+					select {
+					case <-r.Context().Done(): // hang until the worker dies
+					case <-killing:
+						panic(http.ErrAbortHandler) // a dying worker never answers
+					}
 					return
 				}
 				next.ServeHTTP(w, r)
@@ -135,7 +145,7 @@ func TestClusterWorkerKilledMidSweep(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, err := http.Get(c.URL() + "/api/experiments/table5")
+		resp, err := http.Get(c.URL() + "/api/v1/experiments/table5")
 		if err != nil {
 			done <- result{err: err}
 			return
@@ -145,7 +155,9 @@ func TestClusterWorkerKilledMidSweep(t *testing.T) {
 		done <- result{status: resp.StatusCode, body: body, err: err}
 	}()
 	<-firstShard
-	c.Workers[0].Kill()
+	dead := c.Workers[victim.Load()]
+	close(killing)
+	dead.Kill()
 
 	select {
 	case res := <-done:
@@ -166,7 +178,7 @@ func TestClusterWorkerKilledMidSweep(t *testing.T) {
 		t.Errorf("dispatch stats %+v, want retries > 0 (the killed worker's shards must have moved)", *h.Dispatch)
 	}
 	for _, w := range h.Workers {
-		if w.URL == c.Workers[0].URL() && w.Failures == 0 {
+		if w.URL == dead.URL() && w.Failures == 0 {
 			t.Errorf("dead worker shows no failures: %+v", w)
 		}
 	}
@@ -184,21 +196,27 @@ func TestClusterWorkerKilledMidSweep(t *testing.T) {
 // cancellation itself reaches them (r.Context() dies). Parking on anything
 // else races the abort: a warm sweep engine computes a shard faster than
 // the cancel propagates coordinator→worker, and the completed shard would
-// be (validly) cached, failing the nothing-cached assertion. The follow-up
-// request's shards skip the park via the allowLive flag. If propagation
-// ever breaks, the parked handlers time out, run with live contexts, cache
-// their shards, and the assertions below fail loudly rather than hanging.
+// be (validly) cached, failing the nothing-cached assertion. A parked
+// handler reads the request body first: net/http cancels r.Context() on a
+// client disconnect only once the body has been read to EOF, so a handler
+// parked before reading it never sees the cancel. The follow-up request's
+// shards skip the park via the allowLive flag. If propagation ever breaks,
+// handlers are still parked after the settle and the test fails there.
 func TestClusterCancellationPropagation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table5 grid in -short mode")
 	}
 	shardStarted := make(chan struct{}, 64)
 	var allowLive atomic.Bool
+	var parked atomic.Int64
 	c := clustertest.Start(t, 1, clustertest.Options{
 		Cluster: cluster.Options{HedgeAfter: -1},
 		WorkerMiddleware: func(i int, next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/api/v1/shard" && !allowLive.Load() {
+					body, _ := io.ReadAll(r.Body)
+					r.Body = io.NopCloser(bytes.NewReader(body))
+					parked.Add(1)
 					select {
 					case shardStarted <- struct{}{}:
 					default:
@@ -207,6 +225,7 @@ func TestClusterCancellationPropagation(t *testing.T) {
 					case <-r.Context().Done():
 					case <-time.After(10 * time.Second):
 					}
+					parked.Add(-1)
 				}
 				next.ServeHTTP(w, r)
 			})
@@ -214,7 +233,7 @@ func TestClusterCancellationPropagation(t *testing.T) {
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.URL()+"/api/experiments/table5", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.URL()+"/api/v1/experiments/table5", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +253,12 @@ func TestClusterCancellationPropagation(t *testing.T) {
 
 	// The parked shard handlers wake as the cancellation reaches each of
 	// them and run with dead contexts. Give the abort a moment to unwind,
-	// then confirm the aborted sweep was cached nowhere.
+	// then confirm it reached every handler and the aborted sweep was
+	// cached nowhere.
 	time.Sleep(300 * time.Millisecond)
+	if n := parked.Load(); n != 0 {
+		t.Errorf("%d shard handlers still parked: the cancel never reached them", n)
+	}
 	if st := c.Coordinator.CacheStats(); st.Entries != 0 {
 		t.Errorf("coordinator cached an aborted sweep: %+v", st)
 	}
@@ -247,7 +270,7 @@ func TestClusterCancellationPropagation(t *testing.T) {
 	// a miss that computes the full grid and matches the golden. Its shard
 	// requests carry live contexts and must not park.
 	allowLive.Store(true)
-	status, body, hdr := get(t, c.URL(), "/api/experiments/table5")
+	status, body, hdr := get(t, c.URL(), "/api/v1/experiments/table5")
 	if status != http.StatusOK || string(body) != string(table5Golden(t)) {
 		t.Errorf("follow-up request: status %d, golden match %v", status, string(body) == string(table5Golden(t)))
 	}
@@ -256,13 +279,13 @@ func TestClusterCancellationPropagation(t *testing.T) {
 	}
 }
 
-// TestClusterTuneJob: POST /api/optimize on a coordinator farms candidate
+// TestClusterTuneJob: POST /api/v1/optimize on a coordinator farms candidate
 // evaluations out to the workers cell by cell and lands on the same best
 // configuration as a purely local search.
 func TestClusterTuneJob(t *testing.T) {
 	c := clustertest.Start(t, 2, clustertest.Options{})
 
-	resp, err := http.Post(c.URL()+"/api/optimize?scenario=4b-quick&strategy=beam", "application/json", nil)
+	resp, err := http.Post(c.URL()+"/api/v1/optimize?scenario=4b-quick&strategy=beam", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +304,7 @@ func TestClusterTuneJob(t *testing.T) {
 	var snap jobs.Snapshot
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		status, body, _ := get(t, c.URL(), "/api/jobs/"+acc.ID)
+		status, body, _ := get(t, c.URL(), "/api/v1/jobs/"+acc.ID)
 		if status != http.StatusOK {
 			t.Fatalf("poll status = %d (%s)", status, body)
 		}
@@ -369,7 +392,7 @@ func TestClusterCoordinatorRestartResume(t *testing.T) {
 
 	submit := func() string {
 		t.Helper()
-		resp, err := http.Post(c.URL()+"/api/optimize?scenario=4b-quick&strategy=beam", "application/json", nil)
+		resp, err := http.Post(c.URL()+"/api/v1/optimize?scenario=4b-quick&strategy=beam", "application/json", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +411,7 @@ func TestClusterCoordinatorRestartResume(t *testing.T) {
 	}
 	snapshot := func(id string) (jobs.Snapshot, []byte) {
 		t.Helper()
-		status, body, _ := get(t, c.URL(), "/api/jobs/"+id)
+		status, body, _ := get(t, c.URL(), "/api/v1/jobs/"+id)
 		if status != http.StatusOK {
 			t.Fatalf("GET job %s: %d (%s)", id, status, body)
 		}
@@ -503,7 +526,7 @@ func TestClusterJoinMidSweep(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, err := http.Get(c.URL() + "/api/experiments/table5")
+		resp, err := http.Get(c.URL() + "/api/v1/experiments/table5")
 		if err != nil {
 			done <- result{err: err}
 			return
@@ -545,7 +568,7 @@ func TestClusterJoinMidSweep(t *testing.T) {
 // them locally and never touch a worker.
 func TestClusterNonShardableStaysLocal(t *testing.T) {
 	c := clustertest.Start(t, 1, clustertest.Options{})
-	status, body, _ := get(t, c.URL(), "/api/experiments/fig1")
+	status, body, _ := get(t, c.URL(), "/api/v1/experiments/fig1")
 	if status != http.StatusOK {
 		t.Fatalf("status = %d (%s)", status, body)
 	}
@@ -557,12 +580,12 @@ func TestClusterNonShardableStaysLocal(t *testing.T) {
 	}
 }
 
-// TestClusterSingleCellStaysLocal: /api/schedule on a coordinator is one
+// TestClusterSingleCellStaysLocal: /api/v1/schedule on a coordinator is one
 // cheap cell; dispatching it would add a round trip and hedge exposure for
 // nothing, so it must compute in-process.
 func TestClusterSingleCellStaysLocal(t *testing.T) {
 	c := clustertest.Start(t, 1, clustertest.Options{})
-	status, body, _ := get(t, c.URL(), "/api/schedule?config=4B&method=vocab-1&micro=16")
+	status, body, _ := get(t, c.URL(), "/api/v1/schedule?config=4B&method=vocab-1&micro=16")
 	if status != http.StatusOK {
 		t.Fatalf("status = %d (%s)", status, body)
 	}

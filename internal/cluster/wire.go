@@ -1,4 +1,4 @@
-// The shard wire format: what a coordinator POSTs to a worker's /api/shard.
+// The shard wire format: what a coordinator POSTs to a worker's /api/v1/shard.
 // Cells travel fully materialized (label + config + method name) rather
 // than as a grid spec, so any shardable grid — named experiments, parsed
 // specs, tuner candidate batches — uses one protocol and the worker needs
@@ -23,7 +23,7 @@ type WireCell struct {
 	Method string           `json:"method"`
 }
 
-// ShardRequest is the POST /api/shard body: a contiguous slice of a grid's
+// ShardRequest is the POST /api/v1/shard body: a contiguous slice of a grid's
 // expansion order. Grid names the owning grid (it becomes the records'
 // experiment column, keeping shard output identical to a single-node run);
 // Range records where the cells sit in the full expansion, for diagnostics

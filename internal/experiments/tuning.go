@@ -1,5 +1,5 @@
 // Named tuning scenarios: curated tune.Spec constructors shared by
-// `vpbench -tune`, POST /api/optimize (scenario=NAME), the differential
+// `vpbench -tune`, POST /api/v1/optimize (scenario=NAME), the differential
 // tests and the perf suite — the same registry pattern the sweep grids use.
 package experiments
 

@@ -1,6 +1,6 @@
 // Package jobs is a generic in-process async job queue: submit a function,
 // poll its progress, fetch its result or cancel it. It is the machinery
-// behind POST /api/optimize (long-running tuner searches must not hold an
+// behind POST /api/v1/optimize (long-running tuner searches must not hold an
 // HTTP request open) and `vpbench -tune`'s progress reporting, but knows
 // nothing about either — a job is any func(ctx, report) (any, error).
 //

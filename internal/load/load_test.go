@@ -18,36 +18,40 @@ func TestRunCountsRequests(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	rep, err := Run(context.Background(), ts.URL, Options{Concurrency: 4, Duration: 150 * time.Millisecond})
+	rep, err := Run(context.Background(), ts.URL, Options{VUs: 4, Duration: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Requests == 0 {
+	if rep.OK == 0 {
 		t.Fatal("no requests completed")
 	}
-	// Every measured request was actually served (the server may have seen a
-	// few extra that were cut off at the deadline).
-	if got := served.Load(); got < int64(rep.Requests) {
-		t.Errorf("server saw %d requests, report claims %d", got, rep.Requests)
+	// The deadline only stops new requests: the ones in flight finish and
+	// are counted, so the client's attempts match the server's count exactly.
+	if got := served.Load(); got != int64(rep.Attempts) {
+		t.Errorf("server saw %d requests, report claims %d attempts", got, rep.Attempts)
 	}
 	if rep.Errors != 0 || rep.NonOK != 0 {
 		t.Errorf("errors = %d, nonOK = %d, want 0", rep.Errors, rep.NonOK)
 	}
-	if rep.ReqPerSec <= 0 {
-		t.Errorf("ReqPerSec = %v", rep.ReqPerSec)
+	if rep.ScheduledRPS <= 0 {
+		t.Errorf("ScheduledRPS = %v", rep.ScheduledRPS)
 	}
-	if rep.BytesRead < int64(rep.Requests)*2 {
-		t.Errorf("BytesRead = %d for %d requests", rep.BytesRead, rep.Requests)
+	if rep.BytesRead < int64(rep.OK)*2 {
+		t.Errorf("BytesRead = %d for %d requests", rep.BytesRead, rep.OK)
 	}
 	if rep.P50Ms <= 0 || rep.P50Ms > rep.P90Ms || rep.P90Ms > rep.P99Ms || rep.P99Ms > rep.MaxMs {
 		t.Errorf("percentiles not monotone: p50 %v p90 %v p99 %v max %v",
 			rep.P50Ms, rep.P90Ms, rep.P99Ms, rep.MaxMs)
 	}
-	if rep.CacheHitRatePct != -1 {
-		t.Errorf("CacheHitRatePct = %v, want -1 (unknown) by default", rep.CacheHitRatePct)
+	if rep.Attempts != rep.OK || rep.Scheduled != rep.Attempts || rep.Dropped != 0 {
+		t.Errorf("scheduled %d, attempts %d, ok %d, dropped %d; with zero errors the first three must match",
+			rep.Scheduled, rep.Attempts, rep.OK, rep.Dropped)
 	}
-	if rep.Attempts != rep.Requests {
-		t.Errorf("Attempts = %d, Requests = %d; with zero errors they must match", rep.Attempts, rep.Requests)
+	if rep.Scenario != "closed-loop" || rep.MaxVUs != 4 || len(rep.Stages) != 1 || rep.Stages[0].OK != rep.OK {
+		t.Errorf("closed-loop shape: scenario %q, VUs %d, stages %+v", rep.Scenario, rep.MaxVUs, rep.Stages)
+	}
+	if !rep.ThresholdsOK || len(rep.Thresholds) != 0 {
+		t.Errorf("no thresholds given: ok=%v %+v", rep.ThresholdsOK, rep.Thresholds)
 	}
 }
 
@@ -57,12 +61,12 @@ func TestRunCountsNonOK(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	rep, err := Run(context.Background(), ts.URL, Options{Concurrency: 2, Duration: 80 * time.Millisecond})
+	rep, err := Run(context.Background(), ts.URL, Options{VUs: 2, Duration: 80 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Requests == 0 || rep.NonOK != rep.Requests {
-		t.Errorf("NonOK = %d of %d requests, want all", rep.NonOK, rep.Requests)
+	if rep.NonOK == 0 || rep.OK != 0 || rep.StatusCodes["500"] != rep.NonOK {
+		t.Errorf("NonOK = %d, OK = %d, status %v; want every response a 500", rep.NonOK, rep.OK, rep.StatusCodes)
 	}
 }
 
@@ -70,30 +74,30 @@ func TestRunCountsTransportErrors(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	ts.Close() // refuse every connection
 
-	rep, err := Run(context.Background(), ts.URL, Options{Concurrency: 2, Duration: 50 * time.Millisecond})
+	rep, err := Run(context.Background(), ts.URL, Options{VUs: 2, Duration: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Errors == 0 {
 		t.Error("connection refusals were not counted as errors")
 	}
-	if rep.Requests != 0 {
-		t.Errorf("Requests = %d, want 0", rep.Requests)
+	if rep.OK+rep.NonOK != 0 {
+		t.Errorf("responses = %d, want 0", rep.OK+rep.NonOK)
 	}
-	// The accounting fix: errored attempts still count as offered load. The
-	// old code derived throughput from completed responses only, so a server
-	// refusing every connection scored 0 req/s attempted — a lie.
+	// Errored attempts still count as offered load: a server refusing every
+	// connection must not score 0 req/s attempted.
 	if rep.Attempts == 0 || rep.Attempts != rep.Errors {
 		t.Errorf("Attempts = %d, Errors = %d; every refusal is an attempt", rep.Attempts, rep.Errors)
 	}
-	if rep.ReqPerSec <= 0 {
-		t.Errorf("ReqPerSec = %v, want >0 offered load even when everything errors", rep.ReqPerSec)
+	if rep.ScheduledRPS <= 0 {
+		t.Errorf("ScheduledRPS = %v, want >0 offered load even when everything errors", rep.ScheduledRPS)
 	}
 }
 
-// TestRunAccountingInvariants drives the harness against servers with
-// different failure mixes and pins the ledger identity
-// Attempts == Requests + Errors plus the per-mode expectations.
+// TestRunAccountingInvariants drives the closed loop against servers with
+// different failure mixes and pins the ledger identities
+// Scheduled == Attempts + Dropped and Attempts == OK + NonOK + Errors plus
+// the per-mode expectations.
 func TestRunAccountingInvariants(t *testing.T) {
 	tests := []struct {
 		name       string
@@ -152,19 +156,23 @@ func TestRunAccountingInvariants(t *testing.T) {
 			} else {
 				defer ts.Close()
 			}
-			rep, err := Run(context.Background(), ts.URL, Options{Concurrency: 2, Duration: 80 * time.Millisecond})
+			rep, err := Run(context.Background(), ts.URL, Options{VUs: 2, Duration: 80 * time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.Attempts != rep.Requests+rep.Errors {
-				t.Errorf("ledger broken: Attempts %d != Requests %d + Errors %d",
-					rep.Attempts, rep.Requests, rep.Errors)
+			if rep.Attempts != rep.OK+rep.NonOK+rep.Errors {
+				t.Errorf("ledger broken: Attempts %d != OK %d + NonOK %d + Errors %d",
+					rep.Attempts, rep.OK, rep.NonOK, rep.Errors)
+			}
+			if rep.Scheduled != rep.Attempts+rep.Dropped || rep.Dropped != 0 {
+				t.Errorf("ledger broken: Scheduled %d, Attempts %d, Dropped %d (a closed loop never drops)",
+					rep.Scheduled, rep.Attempts, rep.Dropped)
 			}
 			if rep.Attempts == 0 {
 				t.Error("no attempts recorded at all")
 			}
-			if rep.ReqPerSec <= 0 {
-				t.Errorf("ReqPerSec = %v, want >0", rep.ReqPerSec)
+			if rep.ScheduledRPS <= 0 {
+				t.Errorf("ScheduledRPS = %v, want >0", rep.ScheduledRPS)
 			}
 			if tt.wantErrors && rep.Errors == 0 {
 				t.Error("expected transport errors, saw none")
@@ -179,10 +187,11 @@ func TestRunAccountingInvariants(t *testing.T) {
 	}
 }
 
-// TestRunSeparatesNonOKLatencies pins the percentile fix: a server that sheds
-// half its traffic with instant 503s must not be able to flatter the headline
-// p50/p99, which cover 200-OK responses only. OK responses sleep 30ms, so if
-// instant 503s leaked into the OK percentiles, P50 would collapse below 30.
+// TestRunSeparatesNonOKLatencies pins the percentile rule: a server that
+// sheds half its traffic with instant 503s must not be able to flatter the
+// headline p50/p99, which cover 200-OK responses only. OK responses sleep
+// 30ms, so if instant 503s leaked into the OK percentiles, P50 would
+// collapse below 30.
 func TestRunSeparatesNonOKLatencies(t *testing.T) {
 	var n atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -195,23 +204,18 @@ func TestRunSeparatesNonOKLatencies(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	rep, err := Run(context.Background(), ts.URL, Options{Concurrency: 4, Duration: 300 * time.Millisecond})
+	rep, err := Run(context.Background(), ts.URL, Options{VUs: 4, Duration: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	okCount := rep.Requests - rep.NonOK
-	if okCount == 0 || rep.NonOK == 0 {
-		t.Fatalf("need both outcomes: ok=%d non-ok=%d", okCount, rep.NonOK)
+	if rep.OK == 0 || rep.NonOK == 0 {
+		t.Fatalf("need both outcomes: ok=%d non-ok=%d", rep.OK, rep.NonOK)
 	}
 	if rep.P50Ms < 30 {
 		t.Errorf("OK p50 = %.2fms < 30ms: instant 503s leaked into the OK percentiles", rep.P50Ms)
 	}
-	if rep.NonOKP50Ms <= 0 || rep.NonOKMaxMs <= 0 {
-		t.Errorf("non-OK percentiles missing: p50 %.2f max %.2f", rep.NonOKP50Ms, rep.NonOKMaxMs)
-	}
-	if rep.NonOKP50Ms > rep.NonOKP99Ms || rep.NonOKP99Ms > rep.NonOKMaxMs {
-		t.Errorf("non-OK percentiles not monotone: p50 %.2f p99 %.2f max %.2f",
-			rep.NonOKP50Ms, rep.NonOKP99Ms, rep.NonOKMaxMs)
+	if rep.StatusCodes["503"] != rep.NonOK {
+		t.Errorf("status codes %v: want all %d non-OK responses classified as 503", rep.StatusCodes, rep.NonOK)
 	}
 }
 
@@ -226,7 +230,7 @@ func TestRunRequestTimeout(t *testing.T) {
 	defer close(release) // LIFO: unblock handlers before ts.Close waits on them
 
 	rep, err := Run(context.Background(), ts.URL, Options{
-		Concurrency:    2,
+		VUs:            2,
 		Duration:       40 * time.Millisecond,
 		RequestTimeout: 60 * time.Millisecond,
 	})
@@ -239,21 +243,63 @@ func TestRunRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestRunCancel: a request the caller's cancel aborts mid-flight is still an
+// attempt (an errored one), so the closed loop's ledger identities hold
+// after a cancel too.
+func TestRunCancel(t *testing.T) {
+	release := make(chan struct{})
+	arrived := make(chan struct{}, 3) // one per VU: each then hangs
+	var served atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		served.Add(1)
+		arrived <- struct{}{}
+		<-release
+	}))
+	defer ts.Close()
+	defer close(release)
+
+	// Cancel once every VU's request is in flight at the server.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for i := 0; i < 3; i++ {
+			<-arrived
+		}
+		cancel()
+	}()
+	rep, err := Run(ctx, ts.URL, Options{VUs: 3, Duration: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DurationS > 3 {
+		t.Fatalf("cancelled run took %.1fs", rep.DurationS)
+	}
+	if rep.Attempts != 3 || rep.Errors != 3 || rep.Scheduled != rep.Attempts+rep.Dropped {
+		t.Fatalf("after cancel: scheduled %d, attempts %d, errors %d, dropped %d; want the 3 aborted requests counted",
+			rep.Scheduled, rep.Attempts, rep.Errors, rep.Dropped)
+	}
+	if got := served.Load(); got != int64(rep.Attempts) {
+		t.Fatalf("server saw %d requests, report claims %d attempts", got, rep.Attempts)
+	}
+}
+
 func TestReportRendering(t *testing.T) {
-	rep := &Report{Requests: 10, DurationS: 1, Concurrency: 2, ReqPerSec: 10,
-		P50Ms: 1, P90Ms: 2, P99Ms: 3, MaxMs: 4, CacheHitRatePct: 87.5}
-	if s := rep.Summary(); !strings.Contains(s, "10 req/s") || !strings.Contains(s, "87.5%") {
+	rep := &Report{Scenario: "closed-loop", MaxVUs: 2, Scheduled: 10, Attempts: 10, OK: 10,
+		DurationS: 1, ScheduledRPS: 10, OKRPS: 10, P50Ms: 1, P90Ms: 2, P99Ms: 3, MaxMs: 4, ThresholdsOK: true}
+	if s := rep.Summary(); !strings.Contains(s, "closed-loop, 2 VUs") || !strings.Contains(s, "(10 req/s)") ||
+		!strings.HasSuffix(s, "thresholds pass") {
 		t.Errorf("Summary() = %q", s)
 	}
-	rep.CacheHitRatePct = -1
-	if s := rep.Summary(); !strings.Contains(s, "cache hit n/a") {
+	rep.ThresholdsOK = false
+	rep.Thresholds = []ThresholdResult{{Spec: "p99<2ms", Metric: "p99", Value: 3}}
+	if s := rep.Summary(); !strings.HasSuffix(s, "thresholds FAIL: p99<2ms (value 3)") {
 		t.Errorf("Summary() = %q", s)
 	}
 	var b strings.Builder
 	if err := rep.WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), `"req_per_sec": 10`) {
+	if !strings.Contains(b.String(), `"scheduled_rps": 10`) || !strings.Contains(b.String(), `"max_vus": 2`) {
 		t.Errorf("WriteJSON = %s", b.String())
 	}
 }

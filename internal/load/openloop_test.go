@@ -60,9 +60,9 @@ func TestRunOpenLoopInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunOpenLoop(context.Background(), srv.URL+"/?i={i}", OpenLoopOptions{
+	rep, err := Run(context.Background(), srv.URL+"/?i={i}", Options{
 		Scenario:   sc,
-		MaxVUs:     2, // 2 VUs × 50/s each ≪ 400/s offered → guaranteed drops
+		VUs:        2, // 2 VUs × 50/s each ≪ 400/s offered → guaranteed drops
 		Seed:       1,
 		Thresholds: th,
 		EvalEvery:  50 * time.Millisecond,
@@ -146,8 +146,8 @@ func TestRunOpenLoopSheddingClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunOpenLoop(context.Background(), srv.URL, OpenLoopOptions{
-		Scenario: sc, MaxVUs: 16,
+	rep, err := Run(context.Background(), srv.URL, Options{
+		Scenario: sc, VUs: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestRunOpenLoopCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	rep, err := RunOpenLoop(ctx, srv.URL, OpenLoopOptions{Scenario: sc, MaxVUs: 8})
+	rep, err := Run(ctx, srv.URL, Options{Scenario: sc, VUs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +198,11 @@ func TestRunOpenLoopCancel(t *testing.T) {
 }
 
 func TestRunOpenLoopBadInputs(t *testing.T) {
-	if _, err := RunOpenLoop(context.Background(), "http://x", OpenLoopOptions{}); err == nil {
-		t.Fatal("nil scenario accepted")
+	if _, err := Run(context.Background(), "http://x", Options{Scenario: &Scenario{Name: "empty"}}); err == nil {
+		t.Fatal("scenario without stages accepted")
 	}
 	sc, _ := Preset("soak", 10, 0, time.Second)
-	if _, err := RunOpenLoop(context.Background(), "http://x/{oops", OpenLoopOptions{Scenario: sc}); err == nil {
+	if _, err := Run(context.Background(), "http://x/{oops", Options{Scenario: sc}); err == nil {
 		t.Fatal("bad URL template accepted")
 	}
 }

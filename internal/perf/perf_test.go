@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -292,5 +293,16 @@ func TestCompareDetectsQualityRegression(t *testing.T) {
 	newPlain := benchReportOf(report.BenchCase{Name: "a", NsPerOp: 100, AllocsPerOp: 1000})
 	if _, reg := Compare(oldPlain, newPlain, tol); reg {
 		t.Error("quality gate fired on a case without quality")
+	}
+}
+
+// TestSuiteListingStartsNothing: listing the cases must have no side
+// effects. The serving cases boot their servers on first Run; an eager
+// server.New would start job workers that nothing stops.
+func TestSuiteListingStartsNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cases := Suite()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("listing %d cases started %d goroutines", len(cases), after-before)
 	}
 }

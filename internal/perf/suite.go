@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"vocabpipe/internal/cache"
 	"vocabpipe/internal/cluster"
 	"vocabpipe/internal/costmodel"
 	"vocabpipe/internal/experiments"
@@ -79,8 +80,8 @@ func Suite() []Case {
 		serverCase(),
 		openLoopCase(),
 		metricsCase(),
-		clusterCase(),
-		affinityCase(),
+		clusterCase("cluster/sweep-sharded", "model=4B;method=1f1b;vocab=32k,64k;micro=16", 16, false),
+		clusterCase("cluster/sweep-affine", "model=4B,10B;method=1f1b;vocab=32k,64k;micro=32", 64, true),
 		tuneCase(),
 	)
 	return cases
@@ -93,197 +94,84 @@ func Suite() []Case {
 // per-request middleware cost is two atomic bumps and is already inside
 // server/sweep-cached's numbers).
 func metricsCase() Case {
-	srv := server.New(server.Options{CacheSize: 16, Parallel: 1})
-	var (
-		once   sync.Once
-		target string
-		stop   func()
-	)
+	var target string
+	lb := &loopback{n: 1, opt: server.Options{CacheSize: 16, Parallel: 1}, setup: func(urls []string) {
+		// Seed a little route/cache/label state so the scrape renders a
+		// realistic family set, not an all-zero registry.
+		get(urls[0] + "/api/v1/sweep?grid=" + url.QueryEscape("model=4B;method=baseline;vocab=32k;micro=16"))
+		get(urls[0] + "/healthz")
+		target = urls[0] + "/metrics"
+	}}
 	return Case{
 		Name: "server/metrics-overhead",
 		Run: func(n int) {
-			once.Do(func() {
-				baseURL, st, err := server.StartLocal(srv)
-				if err != nil {
-					panic(fmt.Sprintf("perf: metrics case: %v", err))
-				}
-				// Seed a little route/cache/label state so the scrape renders
-				// a realistic family set, not an all-zero registry.
-				seed := baseURL + "/api/sweep?grid=" + url.QueryEscape("model=4B;method=baseline;vocab=32k;micro=16")
-				for _, u := range []string{seed, baseURL + "/healthz"} {
-					resp, err := http.Get(u)
-					if err != nil {
-						panic(fmt.Sprintf("perf: metrics case seed: %v", err))
-					}
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-				target, stop = baseURL+"/metrics", st
-			})
+			lb.start()
 			for i := 0; i < n; i++ {
-				resp, err := http.Get(target)
-				if err != nil {
-					panic(fmt.Sprintf("perf: metrics case: %v", err))
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					panic(fmt.Sprintf("perf: metrics case: HTTP %d", resp.StatusCode))
-				}
+				get(target)
 			}
 		},
 		Finish: func(bc *report.BenchCase) {
-			if bc.NsPerOp > 0 {
-				bc.ReqPerSec = 1e9 / bc.NsPerOp
-			}
-			if stop != nil {
-				stop()
-			}
-			srv.Close(context.Background())
+			bc.ReqPerSec = opsPerSec(bc)
+			lb.close()
 		},
 	}
 }
 
 // clusterCase measures the distributed fan-out end to end: two worker
-// vpserve instances on loopback, a dispatcher sharding a 10-cell grid
-// across them and merging the result. The first op warms the workers'
-// shard caches, so steady-state ops measure the coordinator's dispatch,
-// HTTP transport and merge — the per-request cost distributed mode adds on
-// top of the sweep itself; ns/op inverts into req/s at concurrency 1.
-func clusterCase() Case {
-	g, err := sweep.ParseGrid("model=4B;method=1f1b;vocab=32k,64k;micro=16")
+// vpserve instances on loopback (with cacheSize-entry result caches) and a
+// dispatcher sharding spec across them and merging the result; ns/op
+// inverts into req/s at concurrency 1. A case falling back to local
+// evaluation panics the run. It backs two cases:
+//
+//   - cluster/sweep-sharded: a 10-cell grid. The first op warms the
+//     workers' shard caches, so steady-state ops measure the coordinator's
+//     dispatch, HTTP transport and merge — the per-request cost distributed
+//     mode adds on top of the sweep itself.
+//   - cluster/sweep-affine (hitRate set): what consistent-hash placement
+//     buys. Placement is by the shard sub-grid's canonical key — the same
+//     identity the workers' result caches use — so after the cold first op
+//     every shard should land on the member that already holds it;
+//     cache_hit_pct reports the aggregate worker-side hit rate. A placement
+//     regression that scatters repeats across members collapses this number
+//     even when req/s barely moves. CacheSize 64 = 4 entries per internal
+//     LRU shard: roomy enough that every sweep shard stays resident even if
+//     the ring lands all of them on one member (a tiny capacity puts two
+//     keys in one capacity-1 LRU slot and the hit rate collapses to
+//     eviction noise).
+func clusterCase(name, spec string, cacheSize int, hitRate bool) Case {
+	g, err := sweep.ParseGrid(spec)
 	if err != nil {
-		panic(fmt.Sprintf("perf: cluster case grid: %v", err))
+		panic(fmt.Sprintf("perf: %s grid: %v", name, err))
 	}
 	cells := len(g.Expand())
-	// Lazy boot (see serverCase): enumerating cases must stay side-effect
-	// free.
-	var (
-		once    sync.Once
-		workers []*server.Server
-		stops   []func()
-		disp    *cluster.Dispatcher
-	)
+	var disp *cluster.Dispatcher
+	lb := &loopback{n: 2, opt: server.Options{CacheSize: cacheSize, Parallel: 1}, setup: func(urls []string) {
+		disp = cluster.New(cluster.Options{Workers: urls, ShardsPerWorker: 2, LocalParallel: 1})
+	}}
 	return Case{
-		Name:  "cluster/sweep-sharded",
+		Name:  name,
 		Cells: cells,
 		Run: func(n int) {
-			once.Do(func() {
-				var urls []string
-				for i := 0; i < 2; i++ {
-					ws := server.New(server.Options{CacheSize: 16, Parallel: 1})
-					baseURL, stop, err := server.StartLocal(ws)
-					if err != nil {
-						panic(fmt.Sprintf("perf: cluster case: %v", err))
-					}
-					workers = append(workers, ws)
-					stops = append(stops, stop)
-					urls = append(urls, baseURL)
-				}
-				disp = cluster.New(cluster.Options{Workers: urls, ShardsPerWorker: 2, LocalParallel: 1})
-			})
+			lb.start()
 			for i := 0; i < n; i++ {
 				recs, err := disp.Records(context.Background(), g)
 				if err != nil {
-					panic(fmt.Sprintf("perf: cluster case: %v", err))
+					panic(fmt.Sprintf("perf: %s: %v", name, err))
 				}
 				if len(recs) != cells {
-					panic(fmt.Sprintf("perf: cluster case: %d records for %d cells", len(recs), cells))
+					panic(fmt.Sprintf("perf: %s: %d records for %d cells", name, len(recs), cells))
 				}
 			}
 		},
 		Finish: func(bc *report.BenchCase) {
-			if bc.NsPerOp > 0 {
-				bc.ReqPerSec = 1e9 / bc.NsPerOp
+			bc.ReqPerSec = opsPerSec(bc)
+			if hitRate {
+				bc.CacheHitPct = lb.hitRatePct()
 			}
 			if st := disp.Stats(); st.Fallbacks > 0 {
-				panic(fmt.Sprintf("perf: cluster case fell back to local evaluation: %+v", st))
+				panic(fmt.Sprintf("perf: %s fell back to local evaluation: %+v", name, st))
 			}
-			for _, stop := range stops {
-				stop()
-			}
-			for _, ws := range workers {
-				ws.Close(context.Background())
-			}
-		},
-	}
-}
-
-// affinityCase measures what consistent-hash placement buys: repeated
-// sweeps of one grid across two workers, with the aggregate worker-side
-// shard-cache hit rate attached as cache_hit_pct. Placement is by the shard
-// sub-grid's canonical key — the same identity the workers' result caches
-// use — so after the cold first op every shard should land on the member
-// that already holds it. The uplift vs cold (0%) is the measured win;
-// a placement regression that scatters repeats across members collapses
-// this number even when req/s barely moves.
-func affinityCase() Case {
-	g, err := sweep.ParseGrid("model=4B,10B;method=1f1b;vocab=32k,64k;micro=32")
-	if err != nil {
-		panic(fmt.Sprintf("perf: affinity case grid: %v", err))
-	}
-	cells := len(g.Expand())
-	var (
-		once    sync.Once
-		workers []*server.Server
-		stops   []func()
-		disp    *cluster.Dispatcher
-	)
-	return Case{
-		Name:  "cluster/sweep-affine",
-		Cells: cells,
-		Run: func(n int) {
-			once.Do(func() {
-				var urls []string
-				for i := 0; i < 2; i++ {
-					// CacheSize 64 = 4 entries per internal LRU shard: roomy
-					// enough that every sweep shard stays resident even if the
-					// ring lands all of them on one member (a tiny capacity
-					// here puts two keys in one capacity-1 LRU slot and the
-					// measured hit rate collapses to eviction noise).
-					ws := server.New(server.Options{CacheSize: 64, Parallel: 1})
-					baseURL, stop, err := server.StartLocal(ws)
-					if err != nil {
-						panic(fmt.Sprintf("perf: affinity case: %v", err))
-					}
-					workers = append(workers, ws)
-					stops = append(stops, stop)
-					urls = append(urls, baseURL)
-				}
-				disp = cluster.New(cluster.Options{Workers: urls, ShardsPerWorker: 2, LocalParallel: 1})
-			})
-			for i := 0; i < n; i++ {
-				recs, err := disp.Records(context.Background(), g)
-				if err != nil {
-					panic(fmt.Sprintf("perf: affinity case: %v", err))
-				}
-				if len(recs) != cells {
-					panic(fmt.Sprintf("perf: affinity case: %d records for %d cells", len(recs), cells))
-				}
-			}
-		},
-		Finish: func(bc *report.BenchCase) {
-			if bc.NsPerOp > 0 {
-				bc.ReqPerSec = 1e9 / bc.NsPerOp
-			}
-			var hits, lookups int64
-			for _, ws := range workers {
-				st := ws.CacheStats()
-				hits += st.Hits + st.Deduped
-				lookups += st.Hits + st.Misses + st.Deduped
-			}
-			if lookups > 0 {
-				bc.CacheHitPct = 100 * float64(hits) / float64(lookups)
-			}
-			if st := disp.Stats(); st.Fallbacks > 0 {
-				panic(fmt.Sprintf("perf: affinity case fell back to local evaluation: %+v", st))
-			}
-			for _, stop := range stops {
-				stop()
-			}
-			for _, ws := range workers {
-				ws.Close(context.Background())
-			}
+			lb.close()
 		},
 	}
 }
@@ -352,51 +240,31 @@ func engineCase(prefix string, cfg costmodel.Config, m sim.Method,
 	}
 }
 
+// cachedGrid is the small grid the single-server cases query on a warmed
+// cache.
+const cachedGrid = "model=4B;method=baseline,vocab-1;vocab=32k;micro=16"
+
 // serverCase measures the vpserve serving path end to end: a loopback HTTP
 // server, a small grid, one GET per op. The warmup request primes the result
 // cache, so the measured ops are the steady-state cache-hit path a repeated
 // production query sees; ns/op inverts into req/s at concurrency 1.
 func serverCase() Case {
-	const grid = "model=4B;method=baseline,vocab-1;vocab=32k;micro=16"
-	srv := server.New(server.Options{CacheSize: 16, Parallel: 1})
-	// The listener binds lazily on the warmup iteration, not in Suite():
-	// enumerating cases must stay side-effect free.
-	var (
-		once   sync.Once
-		target string
-		stop   func()
-	)
+	var target string
+	lb := &loopback{n: 1, opt: server.Options{CacheSize: 16, Parallel: 1}, setup: func(urls []string) {
+		target = urls[0] + "/api/v1/sweep?grid=" + url.QueryEscape(cachedGrid)
+	}}
 	return Case{
 		Name: "server/sweep-cached",
 		Run: func(n int) {
-			once.Do(func() {
-				baseURL, st, err := server.StartLocal(srv)
-				if err != nil {
-					panic(fmt.Sprintf("perf: server case: %v", err))
-				}
-				target, stop = baseURL+"/api/sweep?grid="+url.QueryEscape(grid), st
-			})
+			lb.start()
 			for i := 0; i < n; i++ {
-				resp, err := http.Get(target)
-				if err != nil {
-					panic(fmt.Sprintf("perf: server case: %v", err))
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					panic(fmt.Sprintf("perf: server case: HTTP %d", resp.StatusCode))
-				}
+				get(target)
 			}
 		},
 		Finish: func(bc *report.BenchCase) {
-			if bc.NsPerOp > 0 {
-				bc.ReqPerSec = 1e9 / bc.NsPerOp
-			}
-			bc.CacheHitPct = srv.CacheStats().HitRatePct()
-			if stop != nil {
-				stop()
-			}
-			srv.Close(context.Background()) // release the idle job workers
+			bc.ReqPerSec = opsPerSec(bc)
+			bc.CacheHitPct = lb.hitRatePct()
+			lb.close()
 		},
 	}
 }
@@ -409,8 +277,6 @@ func serverCase() Case {
 // ReqPerSec reports the last op's delivered goodput (OK responses per
 // second of wall time), which under a passing run tracks the offered rate.
 func openLoopCase() Case {
-	const grid = "model=4B;method=baseline,vocab-1;vocab=32k;micro=16"
-	srv := server.New(server.Options{CacheSize: 16, Parallel: 1})
 	sc, err := load.Preset("soak", 1000, 0, 300*time.Millisecond)
 	if err != nil {
 		panic(fmt.Sprintf("perf: open-loop case scenario: %v", err))
@@ -420,36 +286,23 @@ func openLoopCase() Case {
 		panic(fmt.Sprintf("perf: open-loop case thresholds: %v", err))
 	}
 	var (
-		once   sync.Once
 		target string
-		stop   func()
 		okRPS  float64
 	)
+	lb := &loopback{n: 1, opt: server.Options{CacheSize: 16, Parallel: 1}, setup: func(urls []string) {
+		target = urls[0] + "/api/v1/sweep?grid=" + url.QueryEscape(cachedGrid)
+		// Warm the key: the measured runs exercise the cache-hit serving
+		// path at the scheduled arrival rate.
+		get(target)
+	}}
 	return Case{
 		Name: "server/open-loop-slo",
 		Run: func(n int) {
-			once.Do(func() {
-				baseURL, st, err := server.StartLocal(srv)
-				if err != nil {
-					panic(fmt.Sprintf("perf: open-loop case: %v", err))
-				}
-				target, stop = baseURL+"/api/v1/sweep?grid="+url.QueryEscape(grid), st
-				// Warm the key: the measured runs exercise the cache-hit
-				// serving path at the scheduled arrival rate.
-				resp, err := http.Get(target)
-				if err != nil {
-					panic(fmt.Sprintf("perf: open-loop case warmup: %v", err))
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					panic(fmt.Sprintf("perf: open-loop case warmup: HTTP %d", resp.StatusCode))
-				}
-			})
+			lb.start()
 			for i := 0; i < n; i++ {
-				rep, err := load.RunOpenLoop(context.Background(), target, load.OpenLoopOptions{
+				rep, err := load.Run(context.Background(), target, load.Options{
 					Scenario:   sc,
-					MaxVUs:     64,
+					VUs:        64,
 					Seed:       1,
 					Thresholds: thresholds,
 				})
@@ -464,16 +317,86 @@ func openLoopCase() Case {
 		},
 		Finish: func(bc *report.BenchCase) {
 			bc.ReqPerSec = okRPS
-			bc.CacheHitPct = srv.CacheStats().HitRatePct()
-			if stop != nil {
-				stop()
-			}
-			srv.Close(context.Background())
+			bc.CacheHitPct = lb.hitRatePct()
+			lb.close()
 		},
 	}
 }
 
-// gridCase times one full sweep grid and reports cells/sec.
+// loopback is the serving cases' fixture: n vpserve instances on loopback
+// listeners. They boot on the first Run — listing cases must have no side
+// effects, not even job-worker goroutines — after which setup receives
+// their base URLs once; Finish reads them and closes them.
+type loopback struct {
+	n       int
+	opt     server.Options
+	setup   func(urls []string)
+	once    sync.Once
+	servers []*server.Server
+	stops   []func()
+}
+
+// start boots the servers and runs setup, once.
+func (lb *loopback) start() {
+	lb.once.Do(func() {
+		var urls []string
+		for i := 0; i < lb.n; i++ {
+			srv := server.New(lb.opt)
+			baseURL, stop, err := server.StartLocal(srv)
+			if err != nil {
+				panic(fmt.Sprintf("perf: loopback server: %v", err))
+			}
+			lb.servers = append(lb.servers, srv)
+			lb.stops = append(lb.stops, stop)
+			urls = append(urls, baseURL)
+		}
+		lb.setup(urls)
+	})
+}
+
+// hitRatePct is the result-cache hit rate summed over the servers.
+func (lb *loopback) hitRatePct() float64 {
+	var sum cache.Stats
+	for _, srv := range lb.servers {
+		st := srv.CacheStats()
+		sum.Hits += st.Hits
+		sum.Misses += st.Misses
+		sum.Deduped += st.Deduped
+	}
+	return sum.HitRatePct()
+}
+
+// close stops the listeners and releases each server's job workers.
+func (lb *loopback) close() {
+	for _, stop := range lb.stops {
+		stop()
+	}
+	for _, srv := range lb.servers {
+		srv.Close(context.Background())
+	}
+}
+
+// get issues one GET and drains the body, panicking unless it answers 200.
+func get(target string) {
+	resp, err := http.Get(target)
+	if err != nil {
+		panic(fmt.Sprintf("perf: GET %s: %v", target, err))
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		panic(fmt.Sprintf("perf: GET %s: HTTP %d", target, resp.StatusCode))
+	}
+}
+
+// opsPerSec inverts ns/op into ops per second (req/s at concurrency 1).
+func opsPerSec(bc *report.BenchCase) float64 {
+	if bc.NsPerOp <= 0 {
+		return 0
+	}
+	return 1e9 / bc.NsPerOp
+}
+
 // incrementalCase measures the single-threaded floor of the warm-engine
 // path: one shared sim.Runner evaluates every cell of the grid in expansion
 // order, so the number isolates engine reuse (arena recycling + prefix
@@ -496,6 +419,7 @@ func incrementalCase(name string, g *sweep.Grid) Case {
 	}
 }
 
+// gridCase times one full sweep grid and reports cells/sec.
 func gridCase(name string, g *sweep.Grid) Case {
 	cells := len(g.Expand())
 	return Case{

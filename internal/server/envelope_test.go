@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -82,14 +83,15 @@ func checkEnvelope(t *testing.T, status int, body []byte, hdr http.Header, wantS
 // full job queue) build their own server; the rest share one.
 func TestErrorEnvelopeConformance(t *testing.T) {
 	type tc struct {
-		name       string
-		opts       *Options // nil: shared default server
-		prep       func(t *testing.T, s *Server)
-		method     string
-		path       string
-		body       string
-		wantStatus int
-		wantCode   ErrCode
+		name        string
+		opts        *Options // nil: shared default server
+		prep        func(t *testing.T, s *Server)
+		method      string
+		path        string
+		body        string
+		wantStatus  int
+		wantCode    ErrCode
+		wantDetails map[string]any // nil: not checked
 	}
 	oversizeSpec := url.QueryEscape("model=4B,10B;method=baseline,vocab-1,vocab-2;vocab=32k,64k,128k,256k;seq=1024,2048")
 	cases := []tc{
@@ -130,6 +132,8 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 			wantStatus: 404, wantCode: ErrJobNotFound},
 		{name: "job events not found", method: "GET", path: "/api/v1/jobs/j999999/events",
 			wantStatus: 404, wantCode: ErrJobNotFound},
+		{name: "unversioned path", method: "POST", path: "/api/optimize?scenario=4b-quick",
+			wantStatus: 404, wantCode: ErrUnversionedPath, wantDetails: map[string]any{"path": "/api/v1/optimize"}},
 		{
 			// Shed: one slot, no queue; occupy the slot so the next compute
 			// request must shed deterministically.
@@ -193,40 +197,13 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 			}
 			status, body, hdr := doReq(t, ts, c.method, c.path, c.body)
 			checkEnvelope(t, status, body, hdr, c.wantStatus, c.wantCode)
-
-			// Every failure mode answers identically on the deprecated alias.
-			if legacy := strings.Replace(c.path, "/api/v1/", "/api/", 1); legacy != c.path && c.opts == nil {
-				st2, body2, _ := doReq(t, ts, c.method, legacy, c.body)
-				if st2 != status || string(body2) != string(body) {
-					t.Errorf("legacy alias diverged: %d %s vs %d %s", st2, body2, status, body)
+			if c.wantDetails != nil {
+				var env ErrorEnvelope
+				if err := json.Unmarshal(body, &env); err != nil || !reflect.DeepEqual(env.Error.Details, c.wantDetails) {
+					t.Errorf("details = %v, want %v", env.Error.Details, c.wantDetails)
 				}
 			}
 		})
-	}
-}
-
-// TestV1LegacyAliasEquality: the satellite contract — a v1 path and its
-// unversioned alias dispatch to the same handler and answer byte-identically,
-// on success and on failure.
-func TestV1LegacyAliasEquality(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	paths := []string{
-		"/sweep?grid=" + url.QueryEscape(smallGrid), // success (cached on second hit)
-		"/sweep",            // error: missing parameter
-		"/experiments/nope", // error: not found
-		"/schedule?config=4B&method=baseline&micro=16", // success
-		"/jobs", // success: empty list
-	}
-	for _, p := range paths {
-		stV1, bodyV1, hdrV1 := doReq(t, ts, "GET", "/api/v1"+p, "")
-		stLegacy, bodyLegacy, _ := doReq(t, ts, "GET", "/api"+p, "")
-		if stV1 != stLegacy || string(bodyV1) != string(bodyLegacy) {
-			t.Errorf("%s: v1 (%d, %d bytes) != legacy (%d, %d bytes)",
-				p, stV1, len(bodyV1), stLegacy, len(bodyLegacy))
-		}
-		if stV1 == http.StatusOK && hdrV1.Get("Content-Type") != "application/json" {
-			t.Errorf("%s: Content-Type %q", p, hdrV1.Get("Content-Type"))
-		}
 	}
 }
 

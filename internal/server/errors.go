@@ -30,6 +30,9 @@ const (
 	ErrTooManyDevices ErrCode = "too_many_devices"
 	// ErrUnknownExperiment: /api/v1/experiments/{name} has no such grid.
 	ErrUnknownExperiment ErrCode = "unknown_experiment"
+	// ErrUnversionedPath: an unversioned /api/... path (404); details.path
+	// names the /api/v1 route to use instead.
+	ErrUnversionedPath ErrCode = "unversioned_path"
 	// ErrJobNotFound: no job with that id.
 	ErrJobNotFound ErrCode = "job_not_found"
 	// ErrNotCoordinator: POST /api/v1/cluster/join on a server that has no

@@ -42,7 +42,7 @@ func FuzzGridQuery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {
 		g, parseErr := sweep.ParseGrid(spec)
 
-		req := httptest.NewRequest(http.MethodGet, "/api/sweep?grid="+url.QueryEscape(spec), nil)
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/sweep?grid="+url.QueryEscape(spec), nil)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req) // must not panic
 

@@ -12,7 +12,7 @@ import (
 )
 
 // TestExperimentTable5Golden cross-checks the serving layer against the
-// CLI's committed golden: /api/experiments/table5 must decode to exactly the
+// CLI's committed golden: /api/v1/experiments/table5 must decode to exactly the
 // records in cmd/vpbench/testdata/table5.golden.json (and, since both go
 // through report.WriteJSON, match it byte for byte). A drift here means the
 // HTTP API and `vpbench -json table5` no longer compute the same table.
@@ -31,7 +31,7 @@ func TestExperimentTable5Golden(t *testing.T) {
 	}
 
 	_, ts := newTestServer(t, Options{})
-	status, body, _ := get(t, ts, "/api/experiments/table5")
+	status, body, _ := get(t, ts, "/api/v1/experiments/table5")
 	if status != http.StatusOK {
 		t.Fatalf("status = %d", status)
 	}

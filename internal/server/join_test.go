@@ -70,7 +70,7 @@ func TestClusterJoin(t *testing.T) {
 		t.Errorf("heartbeat = %d %+v, want 200 with added=false and 1 member", status, r)
 	}
 	// The query parameter overrides the body, and the unversioned alias works.
-	status, body = postJoin(t, ts, "/api/cluster/join?url=w2:8082", `{"url":"ignored:1"}`)
+	status, body = postJoin(t, ts, "/api/v1/cluster/join?url=w2:8082", `{"url":"ignored:1"}`)
 	if r := decode(body); status != http.StatusOK || !r.Added || r.Members != 2 {
 		t.Errorf("query join = %d %+v, want 2 members", status, r)
 	}

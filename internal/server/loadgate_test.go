@@ -38,9 +38,9 @@ func TestOpenLoopSpikeDegradesGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.requests.Load()
-	rep, err := load.RunOpenLoop(context.Background(), urlTmpl, load.OpenLoopOptions{
+	rep, err := load.Run(context.Background(), urlTmpl, load.Options{
 		Scenario:   sc,
-		MaxVUs:     32,
+		VUs:        32,
 		Seed:       1,
 		Thresholds: th,
 		EvalEvery:  50 * time.Millisecond,

@@ -41,7 +41,7 @@ func (s *Server) initMetrics() {
 		"HTTP request wall time by registered route pattern.",
 		metrics.DefLatencyBuckets, "route")
 	s.sseActive = r.Gauge("vpserve_sse_streams_active",
-		"Job event streams (GET /api/jobs/{id}/events) currently open.")
+		"Job event streams (GET /api/v1/jobs/{id}/events) currently open.")
 	r.GaugeFunc("vpserve_uptime_seconds",
 		"Seconds since the server was constructed.",
 		func() float64 { return time.Since(s.start).Seconds() })
@@ -126,7 +126,7 @@ func (s *Server) initMetrics() {
 		"Configured result-cache capacity.",
 		func() float64 { return float64(s.cache.Stats().Capacity) })
 
-	// Async job queue (POST /api/optimize): depth gauges + lifecycle totals.
+	// Async job queue (POST /api/v1/optimize): depth gauges + lifecycle totals.
 	r.GaugeFunc("vpserve_jobs_queued",
 		"Jobs waiting for a worker.",
 		func() float64 { return float64(s.jobs.Stats().Queued) })
@@ -248,7 +248,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // routeLabel resolves the registered mux pattern for the request — the
 // bounded-cardinality route label. The method prefix is stripped
-// ("GET /api/sweep" → "/api/sweep"); unmatched requests collapse into
+// ("GET /api/v1/sweep" → "/api/v1/sweep"); unmatched requests collapse into
 // "other" so junk paths cannot mint unbounded series.
 func routeLabel(mux *http.ServeMux, r *http.Request) string {
 	_, pattern := mux.Handler(r)

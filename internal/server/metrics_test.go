@@ -329,7 +329,7 @@ func TestMetricsExposition(t *testing.T) {
 	// Traffic: one computed sweep, one cache hit, a 400, a 404, healthz.
 	get(t, ts, sweepPath(smallGrid))
 	get(t, ts, sweepPath(smallGrid))
-	get(t, ts, "/api/sweep") // missing grid → 400
+	get(t, ts, "/api/v1/sweep") // missing grid → 400
 	if resp, err := http.Get(ts.URL + "/no/such/path"); err == nil {
 		resp.Body.Close()
 	}
@@ -389,11 +389,11 @@ func TestMetricsExposition(t *testing.T) {
 		}
 		return -1
 	}
-	if v := find("/api/sweep", "2xx"); v < 2 {
-		t.Errorf(`requests{route="/api/sweep",code="2xx"} = %v, want >= 2`, v)
+	if v := find("/api/v1/sweep", "2xx"); v < 2 {
+		t.Errorf(`requests{route="/api/v1/sweep",code="2xx"} = %v, want >= 2`, v)
 	}
-	if v := find("/api/sweep", "4xx"); v < 1 {
-		t.Errorf(`requests{route="/api/sweep",code="4xx"} = %v, want >= 1`, v)
+	if v := find("/api/v1/sweep", "4xx"); v < 1 {
+		t.Errorf(`requests{route="/api/v1/sweep",code="4xx"} = %v, want >= 1`, v)
 	}
 	if v := find("other", "4xx"); v < 1 {
 		t.Errorf(`requests{route="other",code="4xx"} = %v, want >= 1 (unmatched path)`, v)

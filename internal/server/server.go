@@ -5,8 +5,9 @@
 // a sharded LRU cache with in-flight request deduplication (internal/cache),
 // so a thundering herd on one grid computes it once.
 //
-// Endpoints (versioned under /api/v1; the unversioned /api/... paths remain
-// as deprecated aliases of the same handlers):
+// Endpoints (every API route lives under /api/v1; an unversioned /api/...
+// path answers an enveloped 404, code unversioned_path, naming its /api/v1
+// route):
 //
 //	GET /healthz                      liveness + uptime + cache + admission
 //	                                  statistics (+ per-worker health in
@@ -59,7 +60,7 @@
 // single-node run. Membership is dynamic: workers register and heartbeat
 // via POST /api/v1/cluster/join, silent members are expired by the prober,
 // and shard placement is cache-affine consistent hashing. Every server
-// answers POST /api/shard (shard evaluation is always local — a worker
+// answers POST /api/v1/shard (shard evaluation is always local — a worker
 // never re-shards), so any vpserve instance can serve as a worker. With
 // Options.JobStore set, optimize jobs are durable across restarts.
 //
@@ -72,7 +73,7 @@
 // engine: a client that disconnects mid-computation cancels the in-flight
 // work at the next cell boundary (unless another request is coalesced onto
 // the same cache key, in which case the computation continues for them).
-// Long tuner searches never hold a request open — POST /api/optimize
+// Long tuner searches never hold a request open — POST /api/v1/optimize
 // returns immediately and the job queue (internal/jobs) owns the work.
 package server
 
@@ -126,7 +127,7 @@ type Options struct {
 	MaxDevices int
 	// JobWorkers and JobCapacity size the async tuner-job queue (defaults 2
 	// and 64): at most JobWorkers searches run concurrently, and past
-	// JobCapacity pending submissions POST /api/optimize answers 429.
+	// JobCapacity pending submissions POST /api/v1/optimize answers 429.
 	JobWorkers  int
 	JobCapacity int
 	// MaxInFlight bounds concurrently admitted requests on the synchronous
@@ -148,7 +149,7 @@ type Options struct {
 	// (close it AFTER Server.Close so the shutdown persistence lands).
 	JobStore jobs.Store
 	// SSEHeartbeat is the idle keep-alive interval on the job event stream
-	// (GET /api/jobs/{id}/events): a comment line flushed so intermediaries
+	// (GET /api/v1/jobs/{id}/events): a comment line flushed so intermediaries
 	// do not reap a quiet connection (default 15s).
 	SSEHeartbeat time.Duration
 	// Logf receives server-side error logs that have no response channel
@@ -273,11 +274,9 @@ func (s *Server) Close(ctx context.Context) error {
 // The route label is the registered mux pattern (bounded cardinality), not
 // the raw URL.
 //
-// Every API route registers twice: canonically under /api/v1/... and as a
-// deprecated unversioned /api/... alias. Both patterns dispatch to the same
-// handler, so alias responses are byte-identical; the two registered
-// patterns are distinct (still bounded) route labels in the metrics, which
-// is also how a migration off the legacy paths can be watched.
+// API routes register under /api/v1 only. An unversioned /api/... request
+// resolves to no route and answers an enveloped 404 (ErrUnversionedPath)
+// whose details.path names the /api/v1 route.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -291,28 +290,18 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	api := []struct {
-		pattern string // method + path below /api
-		h       http.HandlerFunc
-	}{
-		{"GET /sweep", s.handleSweep},
-		{"GET /schedule", s.handleSchedule},
-		{"GET /experiments/{name}", s.handleExperiment},
-		{"POST /shard", s.handleShard},
-		{"POST /cluster/join", s.handleClusterJoin},
-		{"POST /optimize", s.handleOptimize},
-		{"GET /jobs", s.handleJobList},
-		{"GET /jobs/{id}", s.handleJobGet},
-		{"GET /jobs/{id}/events", s.handleJobEvents},
-		{"DELETE /jobs/{id}", s.handleJobCancel},
-		{"GET /debug/traces", s.handleTraceList},
-		{"GET /debug/traces/{id}", s.handleTraceGet},
-	}
-	for _, rt := range api {
-		method, path, _ := strings.Cut(rt.pattern, " ")
-		mux.HandleFunc(method+" /api/v1"+path, rt.h)
-		mux.HandleFunc(method+" /api"+path, rt.h) // deprecated alias
-	}
+	mux.HandleFunc("GET /api/v1/sweep", s.handleSweep)
+	mux.HandleFunc("GET /api/v1/schedule", s.handleSchedule)
+	mux.HandleFunc("GET /api/v1/experiments/{name}", s.handleExperiment)
+	mux.HandleFunc("POST /api/v1/shard", s.handleShard)
+	mux.HandleFunc("POST /api/v1/cluster/join", s.handleClusterJoin)
+	mux.HandleFunc("POST /api/v1/optimize", s.handleOptimize)
+	mux.HandleFunc("GET /api/v1/jobs", s.handleJobList)
+	mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleJobGet)
+	mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.handleJobEvents)
+	mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleJobCancel)
+	mux.HandleFunc("GET /api/v1/debug/traces", s.handleTraceList)
+	mux.HandleFunc("GET /api/v1/debug/traces/{id}", s.handleTraceGet)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
 		route := routeLabel(mux, r)
@@ -332,7 +321,14 @@ func (s *Server) Handler() http.Handler {
 		r = r.WithContext(ctx)
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
-		mux.ServeHTTP(sw, r)
+		if rest, ok := strings.CutPrefix(r.URL.Path, "/api/"); ok && route == "other" &&
+			rest != "v1" && !strings.HasPrefix(rest, "v1/") {
+			v1 := "/api/v1/" + rest
+			s.writeError(sw, r, http.StatusNotFound, ErrUnversionedPath, map[string]any{"path": v1},
+				"unversioned API path %s: use %s", r.URL.Path, v1)
+		} else {
+			mux.ServeHTTP(sw, r)
+		}
 		elapsed := time.Since(start)
 		status := sw.status
 		if status == 0 {
@@ -455,7 +451,7 @@ func (s *Server) checkGrid(g *sweep.Grid) *sizeViolation {
 // cache under the same key, so coordinator and single-node responses are
 // interchangeable byte for byte. The shard route itself always computes
 // locally — a worker never re-shards its shard — and single-cell grids
-// (every /api/schedule request) stay local too: a network round trip plus
+// (every /api/v1/schedule request) stay local too: a network round trip plus
 // straggler-hedging exposure buys nothing for one milliseconds-cheap cell.
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, route string, g *sweep.Grid) {
 	key := route + "|" + g.Key()
@@ -765,7 +761,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, r, "shard", g)
 }
 
-// optimizeRequest is the POST /api/optimize input. Query parameters and the
+// optimizeRequest is the POST /api/v1/optimize input. Query parameters and the
 // JSON body carry the same fields; query parameters win.
 type optimizeRequest struct {
 	// Spec is an inline tuning-constraint spec (tune.ParseSpec syntax).

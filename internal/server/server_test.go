@@ -78,7 +78,7 @@ func wantJSONError(t *testing.T, status int, body []byte, wantStatus int, fragme
 }
 
 func sweepPath(spec string) string {
-	return "/api/sweep?grid=" + url.QueryEscape(spec)
+	return "/api/v1/sweep?grid=" + url.QueryEscape(spec)
 }
 
 func TestHealthz(t *testing.T) {
@@ -160,7 +160,7 @@ func TestSweepErrors(t *testing.T) {
 		wantStatus int
 		fragment   string
 	}{
-		{"missing grid param", "/api/sweep", http.StatusBadRequest, "missing required query parameter"},
+		{"missing grid param", "/api/v1/sweep", http.StatusBadRequest, "missing required query parameter"},
 		{"malformed clause", sweepPath("model4B"), http.StatusBadRequest, "not key=value"},
 		{"unknown model", sweepPath("model=900B"), http.StatusBadRequest, "unknown model"},
 		{"unknown key", sweepPath("model=4B;flux=9"), http.StatusBadRequest, "unknown grid key"},
@@ -187,7 +187,7 @@ func TestOversizedGrid(t *testing.T) {
 
 func TestScheduleEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	status, body, _ := get(t, ts, "/api/schedule?config=4B&method=vocab-1&vocab=32768&micro=16")
+	status, body, _ := get(t, ts, "/api/v1/schedule?config=4B&method=vocab-1&vocab=32768&micro=16")
 	if status != http.StatusOK {
 		t.Fatalf("status = %d (%s)", status, body)
 	}
@@ -215,11 +215,11 @@ func TestScheduleErrors(t *testing.T) {
 		wantStatus int
 		fragment   string
 	}{
-		{"missing params", "/api/schedule", http.StatusBadRequest, "required"},
-		{"unknown config", "/api/schedule?config=2T&method=baseline", http.StatusBadRequest, "unknown config"},
-		{"unknown method", "/api/schedule?config=4B&method=warp", http.StatusBadRequest, "unknown method"},
-		{"bad seq", "/api/schedule?config=4B&method=baseline&seq=-2", http.StatusBadRequest, "bad seq"},
-		{"bad micro", "/api/schedule?config=4B&method=baseline&micro=zz", http.StatusBadRequest, "bad micro"},
+		{"missing params", "/api/v1/schedule", http.StatusBadRequest, "required"},
+		{"unknown config", "/api/v1/schedule?config=2T&method=baseline", http.StatusBadRequest, "unknown config"},
+		{"unknown method", "/api/v1/schedule?config=4B&method=warp", http.StatusBadRequest, "unknown method"},
+		{"bad seq", "/api/v1/schedule?config=4B&method=baseline&seq=-2", http.StatusBadRequest, "bad seq"},
+		{"bad micro", "/api/v1/schedule?config=4B&method=baseline&micro=zz", http.StatusBadRequest, "bad micro"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -231,7 +231,7 @@ func TestScheduleErrors(t *testing.T) {
 
 func TestUnknownExperiment(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	status, body, _ := get(t, ts, "/api/experiments/table99")
+	status, body, _ := get(t, ts, "/api/v1/experiments/table99")
 	wantJSONError(t, status, body, http.StatusNotFound, "unknown experiment")
 	// The error names the valid experiments so the client can self-correct.
 	if !strings.Contains(string(body), "table5") {
@@ -292,7 +292,7 @@ func TestCellErrorsAre200(t *testing.T) {
 
 func TestMethodNotAllowed(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	resp, err := http.Post(ts.URL+"/api/sweep", "text/plain", strings.NewReader("x"))
+	resp, err := http.Post(ts.URL+"/api/v1/sweep", "text/plain", strings.NewReader("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,12 +478,12 @@ func BenchmarkSweepCached(b *testing.B) {
 
 // --- auto-tuner job endpoints ---
 
-// pollJob polls /api/jobs/{id} until the job reaches a terminal state.
+// pollJob polls /api/v1/jobs/{id} until the job reaches a terminal state.
 func pollJob(t *testing.T, ts *httptest.Server, id string) jobs.Snapshot {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		status, body, _ := get(t, ts, "/api/jobs/"+id)
+		status, body, _ := get(t, ts, "/api/v1/jobs/"+id)
 		if status != http.StatusOK {
 			t.Fatalf("poll status = %d (%s)", status, body)
 		}
@@ -507,7 +507,7 @@ func submitOptimize(t *testing.T, ts *httptest.Server, query string, body string
 	if body != "" {
 		rd = bytes.NewReader([]byte(body))
 	}
-	resp, err := http.Post(ts.URL+"/api/optimize"+query, "application/json", rd)
+	resp, err := http.Post(ts.URL+"/api/v1/optimize"+query, "application/json", rd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +566,7 @@ func TestOptimizeRoundTrip(t *testing.T) {
 		t.Errorf("best = %+v", res.Best)
 	}
 	// The job list knows the finished job.
-	status, body, _ := get(t, ts, "/api/jobs")
+	status, body, _ := get(t, ts, "/api/v1/jobs")
 	if status != http.StatusOK || !strings.Contains(string(body), id) {
 		t.Errorf("job list (status %d) missing %s: %s", status, id, body)
 	}
@@ -612,7 +612,7 @@ func TestOptimizeErrors(t *testing.T) {
 			if tt.body != "" {
 				rd = strings.NewReader(tt.body)
 			}
-			resp, err := http.Post(ts.URL+"/api/optimize"+tt.query, "application/json", rd)
+			resp, err := http.Post(ts.URL+"/api/v1/optimize"+tt.query, "application/json", rd)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -631,7 +631,7 @@ func TestOptimizeCancel(t *testing.T) {
 	blocker := submitOptimize(t, ts, "?scenario=4b-quick&strategy=exhaustive", "")
 	queued := submitOptimize(t, ts, "?scenario=4b-quick&strategy=anneal", "")
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/jobs/"+queued, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/jobs/"+queued, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -648,7 +648,7 @@ func TestOptimizeCancel(t *testing.T) {
 		t.Errorf("blocker state = %s (error %q)", snap.State, snap.Error)
 	}
 	// Unknown job ids 404 on both verbs.
-	status, body, _ := get(t, ts, "/api/jobs/j999999")
+	status, body, _ := get(t, ts, "/api/v1/jobs/j999999")
 	wantJSONError(t, status, body, http.StatusNotFound, "unknown job")
 }
 

@@ -18,7 +18,7 @@ import (
 // postShard POSTs a shard request body and returns status, body and headers.
 func postShard(t *testing.T, ts *httptest.Server, body []byte) (int, []byte, http.Header) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/api/shard", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/api/v1/shard", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-// Server-Sent Events streaming of job progress. GET /api/jobs/{id}/events
+// Server-Sent Events streaming of job progress. GET /api/v1/jobs/{id}/events
 // replays the job's current snapshot immediately, then pushes coalesced
 // progress updates as they happen, with comment-line heartbeats keeping
 // intermediaries from reaping the idle connection. The stream terminates

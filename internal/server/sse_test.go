@@ -67,7 +67,7 @@ func TestJobEventsEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Options{JobWorkers: 1})
 	id := submitOptimize(t, ts, "?scenario=4b-quick&strategy=beam", "")
 
-	resp, err := http.Get(ts.URL + "/api/jobs/" + id + "/events")
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestJobEventsHeartbeat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(ts.URL + "/api/jobs/" + id + "/events")
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestJobEventsTerminalJob(t *testing.T) {
 	id := submitOptimize(t, ts, "?scenario=4b-quick&strategy=beam", "")
 	pollJob(t, ts, id) // wait until done
 
-	resp, err := http.Get(ts.URL + "/api/jobs/" + id + "/events")
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,14 +196,14 @@ func TestJobEventsCancelMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(ts.URL + "/api/jobs/" + id + "/events")
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	<-started
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/jobs/"+id, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/jobs/"+id, nil)
 	cres, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestJobEventsCancelMidStream(t *testing.T) {
 // TestJobEventsUnknownJob: a bad id is a JSON 404, not a hung stream.
 func TestJobEventsUnknownJob(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	status, body, _ := get(t, ts, "/api/jobs/nope/events")
+	status, body, _ := get(t, ts, "/api/v1/jobs/nope/events")
 	if status != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404", status)
 	}
@@ -244,7 +244,7 @@ func TestJobEventsActiveGauge(t *testing.T) {
 		return nil, nil
 	})
 
-	resp, err := http.Get(ts.URL + "/api/jobs/" + id + "/events")
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}

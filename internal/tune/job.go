@@ -1,5 +1,5 @@
 // Bridging the planner onto the async job queue: one adapter shared by the
-// vpserve HTTP API (POST /api/optimize) and `vpbench -tune`, so both
+// vpserve HTTP API (POST /api/v1/optimize) and `vpbench -tune`, so both
 // surfaces run the identical search lifecycle by construction.
 package tune
 

@@ -1,6 +1,6 @@
 // The tuning-constraint spec language: the sweep grid syntax extended with
 // ranges, budgets and search knobs, shared by `vpbench -tune` and
-// POST /api/optimize.
+// POST /api/v1/optimize.
 package tune
 
 import (

@@ -21,7 +21,7 @@
 // objective, the Pareto frontier over (objective score, peak memory, bubble
 // fraction) flagged, and evaluation counts so search cost is observable.
 // Long searches report progress through Options.OnProgress, which is what
-// internal/jobs snapshots for POST /api/optimize polling.
+// internal/jobs snapshots for POST /api/v1/optimize polling.
 package tune
 
 import (
@@ -49,7 +49,7 @@ const (
 )
 
 // Guard rails mirrored by the serving layer: a parsed spec past these bounds
-// fails Validate, so neither /api/optimize nor vpbench -tune can be asked to
+// fails Validate, so neither /api/v1/optimize nor vpbench -tune can be asked to
 // enumerate an unbounded space.
 const (
 	// MaxSpace bounds the full cross-product size.
@@ -236,7 +236,7 @@ func (s *Spec) candidates() []Candidate {
 }
 
 // Ranked is one evaluated candidate in a Result, JSON-shaped for the
-// /api/jobs response and `vpbench -tune -json`.
+// /api/v1/jobs response and `vpbench -tune -json`.
 type Ranked struct {
 	// Rank is 1-based among feasible candidates; 0 for infeasible ones.
 	Rank    int    `json:"rank,omitempty"`

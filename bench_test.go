@@ -122,7 +122,7 @@ func BenchmarkFig3Redistribution(b *testing.B) {
 	b.Run("redis", func(b *testing.B) {
 		var loads []layout.StageLoad
 		for i := 0; i < b.N; i++ {
-			loads = layout.Redis(cfg, 16)
+			loads, _ = layout.Redis(cfg, 16)
 		}
 		b.ReportMetric(layout.MaxComputeUnits(cfg, loads)/layout.MeanComputeUnits(cfg, loads), "max/mean")
 	})
@@ -257,7 +257,7 @@ func BenchmarkAllReduce(b *testing.B) {
 	})
 }
 
-// BenchmarkEngine compares the event-driven schedule engine (heap) against
+// BenchmarkEngine compares the event-driven schedule engine (build) against
 // the scan-based reference engine (scan) on the largest Table 5 config: 21B,
 // 32 devices, 128 microbatches, seq 4096, 256k vocabulary. The two produce
 // bit-identical timelines (see internal/schedule differential tests); this
@@ -273,7 +273,7 @@ func BenchmarkEngine(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run("heap/"+tc.name, func(b *testing.B) {
+		b.Run("build/"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := schedule.Build(spec); err != nil {

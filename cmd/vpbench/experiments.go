@@ -101,7 +101,10 @@ func fig3(w io.Writer, _ *sweep.Results) {
 	if err != nil {
 		panic(err)
 	}
-	redis := layout.Redis(cfg, 16)
+	redis, err := layout.Redis(cfg, 16)
+	if err != nil {
+		panic(err)
+	}
 	t := report.New("", "stage", "base layers", "base compute", "base params GB", "redis layers", "redis compute", "redis params GB")
 	for s := 0; s < 16; s++ {
 		t.Add(s,

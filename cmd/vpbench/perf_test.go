@@ -43,7 +43,7 @@ func TestPerfRunCLI(t *testing.T) {
 	if len(r.Cases) < 7 {
 		t.Errorf("suite emitted %d cases, want >= 7", len(r.Cases))
 	}
-	if r.Case("sweep/table5") == nil || r.Case("engine/heap/21B-seq4096-V256k-vocab-1") == nil {
+	if r.Case("sweep/table5") == nil || r.Case("engine/build/21B-seq4096-V256k-vocab-1") == nil {
 		t.Errorf("missing expected cases: %+v", r.Cases)
 	}
 }

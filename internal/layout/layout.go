@@ -68,8 +68,12 @@ func Baseline(cfg costmodel.Config, stages int) ([]StageLoad, error) {
 // is capped at its baseline share — its input layer has negligible compute
 // but large parameter memory, so production systems (and the paper's Redis
 // column, whose peak memory equals the baseline's) do not pile extra layers
-// onto it.
-func Redis(cfg costmodel.Config, stages int) []StageLoad {
+// onto it. More stages than layers is an error: that cap would be zero and
+// some stages would hold nothing.
+func Redis(cfg costmodel.Config, stages int) ([]StageLoad, error) {
+	if stages > cfg.Layers {
+		return nil, fmt.Errorf("layout: %d stages exceed %d layers", stages, cfg.Layers)
+	}
 	out := make([]StageLoad, stages)
 	out[0].InputFrac = 1
 	out[stages-1].OutputFrac = 1
@@ -90,7 +94,7 @@ func Redis(cfg costmodel.Config, stages int) []StageLoad {
 		out[best].TransformerLayers++
 		cost[best]++
 	}
-	return out
+	return out, nil
 }
 
 // Vocab places transformer layers evenly and shards both vocabulary layers

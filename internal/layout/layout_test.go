@@ -53,11 +53,35 @@ func TestBaselineIndivisible(t *testing.T) {
 	}
 }
 
+// TestRedisMoreStagesThanLayers: Redis, like Baseline's divisibility check,
+// refuses a split that leaves stages empty. At one stage per layer every
+// stage still holds a transformer layer or a vocabulary layer.
+func TestRedisMoreStagesThanLayers(t *testing.T) {
+	for _, v := range costmodel.VocabSizes {
+		c := cfg().WithVocab(v) // 32 layers
+		if _, err := Redis(c, c.Layers+1); err == nil {
+			t.Fatalf("V=%d: expected error for %d stages on %d layers", v, c.Layers+1, c.Layers)
+		}
+		loads, err := Redis(c, c.Layers)
+		if err != nil {
+			t.Fatalf("V=%d: %d stages on %d layers: %v", v, c.Layers, c.Layers, err)
+		}
+		if totalLayers(loads) != c.Layers {
+			t.Fatalf("V=%d: redis lost layers: %d", v, totalLayers(loads))
+		}
+		for i, s := range loads {
+			if s.TransformerLayers == 0 && s.InputFrac == 0 && s.OutputFrac == 0 {
+				t.Errorf("V=%d: stage %d holds nothing", v, i)
+			}
+		}
+	}
+}
+
 func TestRedisPreservesLayersAndReducesMax(t *testing.T) {
 	for _, v := range costmodel.VocabSizes {
 		c := cfg().WithVocab(v)
 		base, _ := Baseline(c, 8)
-		redis := Redis(c, 8)
+		redis, _ := Redis(c, 8)
 		if totalLayers(redis) != c.Layers {
 			t.Fatalf("V=%d: redis lost layers: %d", v, totalLayers(redis))
 		}
@@ -75,7 +99,7 @@ func TestRedisLastStageLosesLayers(t *testing.T) {
 	// With a heavy output layer the greedy must strip transformer layers off
 	// the last stage.
 	c := cfg().WithVocab(256 * 1024) // output ≈ 6.4 transformer layers
-	redis := Redis(c, 8)
+	redis, _ := Redis(c, 8)
 	if redis[7].TransformerLayers >= 4 {
 		t.Errorf("last stage kept %d layers despite heavy output layer", redis[7].TransformerLayers)
 	}
@@ -90,7 +114,7 @@ func TestRedisResidualImbalance(t *testing.T) {
 	// imbalance persists when the output layer alone exceeds the mean stage:
 	// max/mean stays well above 1 at 256k.
 	c := cfg().WithVocab(256 * 1024)
-	redis := Redis(c, 8)
+	redis, _ := Redis(c, 8)
 	ratio := MaxComputeUnits(c, redis) / MeanComputeUnits(c, redis)
 	if ratio < 1.2 {
 		t.Errorf("expected residual imbalance ≥1.2 at 256k, got %v", ratio)
@@ -99,7 +123,7 @@ func TestRedisResidualImbalance(t *testing.T) {
 	// layer granularity caps how well redistribution can do (the paper's
 	// Redis ≈ Baseline at 32k), but the ratio should stay mild.
 	c2 := cfg().WithVocab(32 * 1024)
-	redis2 := Redis(c2, 8)
+	redis2, _ := Redis(c2, 8)
 	ratio2 := MaxComputeUnits(c2, redis2) / MeanComputeUnits(c2, redis2)
 	if ratio2 > 1.25 {
 		t.Errorf("expected mild imbalance at 32k, got %v", ratio2)

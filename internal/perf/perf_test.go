@@ -211,11 +211,11 @@ func TestSuiteQuickRun(t *testing.T) {
 	cases := Suite()
 	r := RunSuite(cases, Options{})
 	for _, want := range []string{
-		"engine/heap/4B-seq4096-V256k-vocab-1",
-		"engine/heap/10B-seq4096-V256k-vocab-1",
-		"engine/heap/21B-seq4096-V256k-vocab-1",
+		"engine/build/4B-seq4096-V256k-vocab-1",
+		"engine/build/10B-seq4096-V256k-vocab-1",
+		"engine/build/21B-seq4096-V256k-vocab-1",
 		"engine/scan/21B-seq4096-V256k-vocab-1",
-		"engine/heap/30B-seq4096-V256k-vhalf-vocab-1",
+		"engine/build/30B-seq4096-V256k-vhalf-vocab-1",
 		"sweep/table5",
 		"sweep/table6",
 	} {
@@ -259,11 +259,11 @@ func TestSuiteQuickRun(t *testing.T) {
 	// The event-driven engine must beat the reference scan engine on the
 	// largest config — the tentpole's raison d'être. Quick mode is noisy,
 	// so only require parity-or-better rather than the full ~10x.
-	heap := r.Case("engine/heap/21B-seq4096-V256k-vocab-1")
+	build := r.Case("engine/build/21B-seq4096-V256k-vocab-1")
 	scan := r.Case("engine/scan/21B-seq4096-V256k-vocab-1")
-	if heap != nil && scan != nil && heap.NsPerOp > scan.NsPerOp {
-		t.Errorf("heap engine (%.3g ns/op) slower than scan engine (%.3g ns/op)",
-			heap.NsPerOp, scan.NsPerOp)
+	if build != nil && scan != nil && build.NsPerOp > scan.NsPerOp {
+		t.Errorf("event-driven engine (%.3g ns/op) slower than scan engine (%.3g ns/op)",
+			build.NsPerOp, scan.NsPerOp)
 	}
 }
 

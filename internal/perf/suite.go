@@ -25,11 +25,11 @@ import (
 
 // Suite returns the paper-scale benchmark cases the BENCH reports track:
 //
-//   - engine/heap/<cell>: event-driven schedule builds for every 1F1B table
+//   - engine/build/<cell>: event-driven schedule builds for every 1F1B table
 //     config and the largest V-Half config, at the heaviest sweep point
 //     (seq 4096, 256k vocabulary);
 //   - engine/scan/<cell>: the scan-based reference engine on the largest
-//     1F1B config, so every BENCH file also records the heap/scan ratio;
+//     1F1B config, so every BENCH file also records the build/scan ratio;
 //   - sweep/table5 and sweep/table6: full paper grids (the same constructors
 //     vpbench and vpserve use) through the concurrent sweep engine, measured
 //     as cells/sec;
@@ -65,13 +65,13 @@ func Suite() []Case {
 	}
 
 	for _, cfg := range costmodel.OneF1BConfigs() {
-		cases = append(cases, engineCase("engine/heap", heaviest(cfg), sim.Vocab1, schedule.Build))
+		cases = append(cases, engineCase("engine/build", heaviest(cfg), sim.Vocab1, schedule.Build))
 	}
 	largest := heaviest(costmodel.OneF1BConfigs()[2]) // 21B, 32 devices
 	cases = append(cases, engineCase("engine/scan", largest, sim.Vocab1, schedule.BuildScan))
 
 	vhalf := heaviest(costmodel.VHalfConfigs()[2]) // 30B, 32 devices
-	cases = append(cases, engineCase("engine/heap", vhalf, sim.VHalfVocab1, schedule.Build))
+	cases = append(cases, engineCase("engine/build", vhalf, sim.VHalfVocab1, schedule.Build))
 
 	cases = append(cases,
 		gridCase("sweep/table5", experiments.Table5Grid()),

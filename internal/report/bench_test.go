@@ -16,7 +16,7 @@ func sampleBench() *BenchReport {
 		GOARCH:        "amd64",
 		MaxProcs:      1,
 		Cases: []BenchCase{
-			{Name: "engine/heap/21B", N: 10, NsPerOp: 9.3e6, AllocsPerOp: 33000, BytesPerOp: 2e7},
+			{Name: "engine/build/21B", N: 10, NsPerOp: 9.3e6, AllocsPerOp: 33000, BytesPerOp: 2e7},
 			{Name: "sweep/table5", N: 1, NsPerOp: 5e8, AllocsPerOp: 1e6, BytesPerOp: 4e9,
 				Cells: 120, CellsPerSec: 240},
 		},

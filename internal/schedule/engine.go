@@ -3,7 +3,6 @@ package schedule
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Build constructs the timed schedule for spec. It returns an error if the
@@ -62,11 +61,11 @@ func MustBuild(spec *Spec) *Timeline {
 // bookkeeping, dispatch caches, and the committed timeline itself — is
 // carved from arenas the engine owns and recycles, so a warm engine builds
 // a schedule without allocating. Use NewEngine (or the zero value) and call
-// Build repeatedly; Reset is the explicit re-arm step Build performs first.
+// Build repeatedly.
 //
 // Reuse safety contract: the *Timeline returned by Build aliases the
-// engine's arena and is valid only until the next Build or Reset on the
-// same engine. A caller that retains a timeline past that point must call
+// engine's arena and is valid only until the next Build on the same
+// engine. A caller that retains a timeline past that point must call
 // Timeline.Detach for a compact self-owned copy (Timeline.Ephemeral reports
 // whether that is needed). The package-level Build/BuildScan helpers use a
 // throwaway engine, so their timelines are always safe to retain.
@@ -78,8 +77,8 @@ func MustBuild(spec *Spec) *Timeline {
 // structural difference (device count, chunking, readiness offsets such as
 // SendTime or the vocabulary barrier costs) falls back to a scratch build.
 // Output is bit-identical to a scratch build in every case; the
-// differential tests and FuzzDifferentialEngines pin scan, heap-scratch and
-// heap-incremental against each other.
+// differential tests and FuzzDifferentialEngines pin scan, scratch and
+// warm-incremental builds against each other.
 //
 // An Engine is not safe for concurrent use; pool engines per worker
 // (sweep.Run does this internally).
@@ -90,35 +89,18 @@ type Engine struct {
 // NewEngine returns an empty engine ready for its first Build.
 func NewEngine() *Engine { return &Engine{} }
 
-// Reset validates spec and re-arms the engine's state for it, computing the
-// reusable committed prefix against the previous completed build. Build
-// calls Reset itself; the method is exported so callers can separate
-// validation from construction.
-func (en *Engine) Reset(spec *Spec) error {
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	en.e.prepare(spec)
-	return nil
-}
-
-// Build constructs spec's schedule, reusing the engine's arenas and any
-// committed prefix shared with the previous build. The returned timeline is
-// valid until the next Build or Reset (see the type comment).
+// Build validates spec and constructs its schedule, reusing the engine's
+// arenas and any committed prefix shared with the previous build. The
+// returned timeline is valid until the next Build (see the type comment).
 func (en *Engine) Build(spec *Spec) (*Timeline, error) {
-	if err := en.Reset(spec); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	en.e.prepare(spec)
 	return en.e.run()
 }
 
 const unscheduled = -1.0
-
-// linearScanCap bounds the device count dispatched by the cached linear
-// scan; larger P uses the indexed min-heap, whose O(dirty·log P) updates
-// win once the per-commit O(P) fold dominates. A variable so differential
-// tests can force both paths.
-var linearScanCap = 64
 
 // prevBuild is the deep copy of the previous completed build's spec that
 // prefix reuse diffs the next spec against. It is a copy, not a pointer:
@@ -179,28 +161,22 @@ type engine struct {
 	// schedulable pass). All readiness inputs are write-once (fEnd/bEnd/
 	// c1End/... are set exactly once) and each kind has its own cursor, so a
 	// slot stays valid until one of its specific dependencies lands;
-	// applyState marks exactly those (device, kind) pairs in dirtyKind.
-	// slotChoice folds a device's slots in the reference enumeration order,
-	// and choiceSlot/choiceStart/choicePrio cache the fold result per
-	// device. Dispatch is a linear fold over the caches for small P, or the
-	// indexed min-heap plus near-tie refold for large P; both replay the
+	// applyState marks exactly those (device, kind) pairs in dirtyKind and
+	// queues the device on dirtyList. slotChoice folds a device's slots in
+	// the reference enumeration order, and choiceSlot/choiceStart/choicePrio
+	// cache the fold result per device (+Inf start when it has none).
+	// Dispatch is a linear fold over those caches that replays the
 	// reference scan's tolerance fold exactly.
-	evented     bool
-	useHeap     bool
 	nSlots      int       // 3*Chunks + 3
 	slotReady   []float64 // [device*nSlots+slot]; +Inf = no candidate
 	slotDur     []float64 // [device*nSlots+slot], static per build
 	slotMicro   []int     // [device*nSlots+slot], valid when ready < +Inf
 	slotPrio    []int     // [slot], static per build
-	dirtyKind   []uint16  // per device: bitmask of slots to re-enumerate
+	dirtyKind   []uint16  // per device: bitmask of slots to re-enumerate; nonzero iff queued
+	dirtyList   []int
 	choiceSlot  []int
 	choiceStart []float64
 	choicePrio  []int
-	hasChoice   []bool
-	heap        *deviceHeap
-	dirty       []bool
-	dirtyList   []int
-	nearBuf     []int
 	candBuf     [8]candidate
 }
 
@@ -208,7 +184,6 @@ type engine struct {
 // shared with the previous completed build, resets all state arenas, and
 // replays that prefix. spec must already be validated.
 func (e *engine) prepare(spec *Spec) {
-	e.evented = false
 	k := 0
 	if e.havePrev {
 		// The slab the last build filled becomes the replay source; the new
@@ -546,35 +521,28 @@ func absDiff(a, b float64) float64 {
 
 // run is the event-driven dispatch loop over cached per-device choices. A
 // commit invalidates only the devices whose dependencies it satisfied
-// (marked dirty inside applyState), so the per-commit cost is
-// O(dirty + selection) instead of the reference engine's O(P) full
-// recompute. Selection is a linear fold over the caches (bit-identical to
-// the scan fold, since a cached choice equals a fresh recompute) for
-// P <= linearScanCap, or the min-heap near-tie refold beyond.
+// (marked dirty inside applyState), so re-enumeration costs O(dirty) per
+// commit instead of the reference engine's O(P) full recompute. Selection
+// is a linear fold over the cached choices, bit-identical to the scan fold
+// since a cached choice equals a fresh recompute. The fold's O(P) per
+// commit stays cheap because every pipeline that sim builds has P <= 64:
+// its layouts need Layers % stages == 0 or stages <= Layers, and the
+// deepest model in the zoo has 64 layers.
 func (e *engine) run() (*Timeline, error) {
 	p := e.spec.P
 	e.armDispatch(p)
-	if e.useHeap {
-		return e.runHeap()
-	}
 	for e.remaining > 0 {
 		for _, d := range e.dirtyList {
-			e.dirty[d] = false
-			if m := e.dirtyKind[d]; m != 0 {
-				e.refreshSlots(d, m)
-				e.dirtyKind[d] = 0
-			}
+			e.refreshSlots(d, e.dirtyKind[d])
+			e.dirtyKind[d] = 0
 			slot, start, prio, ok := e.slotChoice(d)
-			e.hasChoice[d] = ok
-			if ok {
-				e.choiceSlot[d], e.choiceStart[d], e.choicePrio[d] = slot, start, prio
-			} else {
+			if !ok {
 				// +Inf sentinel: the fold below rejects it with a single
 				// compare (Inf is never < bestStart-tieTol, and Inf-Inf is
-				// NaN, which fails every tolerance check), so the hot fold
-				// needs no hasChoice load.
-				e.choiceStart[d] = math.Inf(1)
+				// NaN, which fails every tolerance check).
+				start = math.Inf(1)
 			}
+			e.choiceSlot[d], e.choiceStart[d], e.choicePrio[d] = slot, start, prio
 		}
 		e.dirtyList = e.dirtyList[:0]
 		// The fold below is betterCandidate unrolled against the sentinel,
@@ -616,20 +584,6 @@ func (e *engine) run() (*Timeline, error) {
 	return e.finish(), nil
 }
 
-// runHeap is the large-P dispatch loop: heap-ordered exact minimum plus the
-// near-tie neighborhood refold (see pickDevice).
-func (e *engine) runHeap() (*Timeline, error) {
-	for e.remaining > 0 {
-		e.refreshDirty()
-		d, ok := e.pickDevice()
-		if !ok {
-			return nil, fmt.Errorf("schedule: no schedulable pass with %d remaining (dependency cycle?)", e.remaining)
-		}
-		e.commitSlot(d, e.choiceSlot[d], e.choiceStart[d])
-	}
-	return e.finish(), nil
-}
-
 // runScan is the original reference loop: recompute every device's choice
 // after each commit and fold them with the tolerance comparison.
 func (e *engine) runScan() (*Timeline, error) {
@@ -665,25 +619,18 @@ func (e *engine) runScan() (*Timeline, error) {
 // are recomputed from restored state, never replayed).
 func (e *engine) armDispatch(p int) {
 	spec := e.spec
-	e.evented = true
-	e.useHeap = p > linearScanCap
 	ns := 3*spec.Chunks + 3
 	e.nSlots = ns
 	if cap(e.choiceSlot) < p {
 		e.choiceSlot = make([]int, p)
 		e.choiceStart = make([]float64, p)
 		e.choicePrio = make([]int, p)
-		e.hasChoice = make([]bool, p)
-		e.dirty = make([]bool, p)
 		e.dirtyKind = make([]uint16, p)
 		e.dirtyList = make([]int, 0, p)
-		e.nearBuf = make([]int, 0, 8)
 	}
 	e.choiceSlot = e.choiceSlot[:p]
 	e.choiceStart = e.choiceStart[:p]
 	e.choicePrio = e.choicePrio[:p]
-	e.hasChoice = e.hasChoice[:p]
-	e.dirty = e.dirty[:p]
 	e.dirtyKind = e.dirtyKind[:p]
 	e.dirtyList = e.dirtyList[:0]
 	if cap(e.slotReady) < p*ns {
@@ -726,16 +673,7 @@ func (e *engine) armDispatch(p int) {
 		if iv := spec.Interlaced; iv != nil {
 			e.slotDur[base+nc+2] = iv.VDur + iv.SyncTime
 		}
-		e.hasChoice[d] = false
-		e.dirty[d] = false
 		e.dirtyKind[d] = 0
-	}
-	if e.useHeap {
-		if e.heap == nil || len(e.heap.pos) < p {
-			e.heap = newDeviceHeap(p)
-		} else {
-			e.heap.reset()
-		}
 	}
 	all := uint16(1)<<uint(ns) - 1
 	for d := 0; d < p; d++ {
@@ -757,38 +695,13 @@ func (e *engine) finish() *Timeline {
 	return &e.timeline
 }
 
-// markKind queues slots of device d (a bitmask, bit k = slot k) for
-// re-enumeration before the next dispatch fold.
+// markKind queues slots of device d (a bitmask, bit k = slot k, never
+// empty) for re-enumeration before the next dispatch fold.
 func (e *engine) markKind(d int, bits uint16) {
-	e.dirtyKind[d] |= bits
-	if !e.dirty[d] {
-		e.dirty[d] = true
+	if e.dirtyKind[d] == 0 {
 		e.dirtyList = append(e.dirtyList, d)
 	}
-}
-
-// refreshDirty re-enumerates the marked slots and the cached choice of
-// every dirty device and fixes its heap entry (or removes it when the
-// device has nothing schedulable).
-func (e *engine) refreshDirty() {
-	for _, d := range e.dirtyList {
-		e.dirty[d] = false
-		if m := e.dirtyKind[d]; m != 0 {
-			e.refreshSlots(d, m)
-			e.dirtyKind[d] = 0
-		}
-		slot, start, prio, ok := e.slotChoice(d)
-		e.hasChoice[d] = ok
-		if !ok {
-			e.heap.remove(d)
-			continue
-		}
-		e.choiceSlot[d] = slot
-		e.choiceStart[d] = start
-		e.choicePrio[d] = prio
-		e.heap.update(d, start, prio)
-	}
-	e.dirtyList = e.dirtyList[:0]
+	e.dirtyKind[d] |= bits
 }
 
 // refreshSlots re-enumerates the masked candidate slots of device d from
@@ -1000,71 +913,6 @@ func (e *engine) commitSlot(d, slot int, start float64) {
 	e.applyState(&tp, true)
 }
 
-// pickDevice selects the next device to commit, reproducing the reference
-// scan fold exactly. The heap yields the exact minimum; pickDevice gathers
-// the τ-connected cluster around it (every device starting within tieTol of
-// a start already gathered, repeated until the set stops growing) and folds
-// the cluster in device order with the scan's tolerance comparison.
-//
-// Why the cluster decides the scan: let hi be the highest gathered start.
-// Every device outside the cluster starts more than tieTol after hi (the
-// limit's ulp slack keeps that true through the fold's rounded
-// subtractions, for the engine's non-negative starts). So an outside device
-// is neither tieTol-strictly earlier than a gathered running best nor
-// within tieTol of it: it can never replace one. And each gathered device
-// starts more than tieTol before every outside device, so the first
-// gathered device the scan meets replaces whatever outside device held the
-// running best: no outside device outlasts it. From that point the scan
-// carries exactly the state a fold over the cluster alone starts from, and
-// both see the same gathered devices in the same order. A fixed window
-// above the minimum is not enough: a strictly earlier device can replace
-// the running best and restart the priority chain, which then climbs
-// further (TestPickDeviceClimbingCluster).
-func (e *engine) pickDevice() (int, bool) {
-	minD, ok := e.heap.min()
-	if !ok {
-		return 0, false
-	}
-	hi := e.choiceStart[minD]
-	near := e.heap.within(clusterLimit(hi), e.nearBuf[:0])
-	for len(near) > 1 {
-		top := hi
-		for _, d := range near {
-			top = max(top, e.choiceStart[d])
-		}
-		if top == hi {
-			break
-		}
-		hi = top
-		near = e.heap.within(clusterLimit(hi), near[:0])
-	}
-	e.nearBuf = near
-	if len(near) == 1 {
-		return minD, true
-	}
-	sort.Ints(near)
-	bestD := -1
-	bestStart := 0.0
-	bestPrio := 0
-	for _, d := range near {
-		start, prio := e.choiceStart[d], e.choicePrio[d]
-		if betterCandidate(start, prio, d, bestD >= 0, bestStart, bestPrio, bestD) {
-			bestD = d
-			bestStart = start
-			bestPrio = prio
-		}
-	}
-	return bestD, true
-}
-
-// clusterLimit is the latest start within tieTol of hi, widened by a few
-// ulps (2⁻⁵⁰ relative) so that a device past it differs from every start
-// up to hi by more than tieTol even after the fold's rounded subtractions.
-func clusterLimit(hi float64) float64 {
-	lim := hi + tieTol
-	return lim + lim*0x1p-50
-}
-
 // deviceChoice picks device d's preferred next pass: the earliest-starting
 // candidate under the shared tolerance fold, with static pass priorities on
 // ties. (An alternation variant — prefer draining right after a forward —
@@ -1246,7 +1094,9 @@ func (e *engine) lastStageBackwardReady(i int) (float64, bool) {
 	}
 }
 
-// commit is the scan engine's commit step; the evented paths use commitSlot.
+// commit is the scan engine's commit step; the event-driven loop uses
+// commitSlot. The scan engine arms no dispatch caches, so it skips
+// invalidation.
 func (e *engine) commit(c candidate, start float64) {
 	end := start + c.duration
 	d := c.pass.Device
@@ -1255,12 +1105,13 @@ func (e *engine) commit(c candidate, start float64) {
 	e.passes = append(e.passes, tp)
 	e.byDevice[d] = append(e.byDevice[d], tp)
 	e.remaining--
-	e.applyState(&tp, e.evented)
+	e.applyState(&tp, false)
 }
 
 // applyState folds one committed pass into the engine's readiness state.
-// It is shared by live commits and prefix replay; live enables the exact
-// (device, kind) invalidation. Every cross-device readiness input is
+// It is shared by the event-driven loop's commits, the scan engine's
+// commits and prefix replay; live (the event-driven loop only) enables the
+// exact (device, kind) invalidation. Every cross-device readiness input is
 // write-once and each per-kind cursor advances in microbatch order, so the
 // waiter scans below (nextS[dd] == i, etc.) are exhaustive: a device whose
 // cursor already passed i saw this input's dependency satisfied earlier,

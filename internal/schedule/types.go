@@ -259,14 +259,14 @@ type Timeline struct {
 	Makespan float64
 
 	// arena marks a timeline whose slices alias a reusable Engine's arena
-	// and are only valid until that engine's next Build or Reset. The
-	// package-level Build/BuildScan clear it (their throwaway engine's
-	// memory is owned by the timeline); Engine.Build sets it.
+	// and are only valid until that engine's next Build. The package-level
+	// Build/BuildScan clear it (their throwaway engine's memory is owned by
+	// the timeline); Engine.Build sets it.
 	arena bool
 }
 
 // Ephemeral reports whether the timeline aliases a reusable Engine's arena
-// and must be Detach-ed before outliving the engine's next Build or Reset.
+// and must be Detach-ed before outliving the engine's next Build.
 func (tl *Timeline) Ephemeral() bool { return tl.arena }
 
 // Detach returns a compact self-owned copy of the timeline, safe to retain

@@ -277,16 +277,21 @@ func TestThunderingHerd(t *testing.T) {
 // are payload, not transport errors — matching vpbench's error records.
 func TestCellErrorsAre200(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	status, body, _ := get(t, ts, sweepPath("model=4B;method=baseline;devices=7")) // 32 % 7 != 0
-	if status != http.StatusOK {
-		t.Fatalf("status = %d, want 200 with error records", status)
-	}
-	var recs []report.Record
-	if err := json.Unmarshal(body, &recs); err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || !strings.Contains(recs[0].Error, "not divisible") {
-		t.Errorf("records = %+v, want one error record", recs)
+	for _, tc := range []struct{ grid, wantErr string }{
+		{"model=4B;method=baseline;devices=7", "not divisible"}, // 32 % 7 != 0
+		{"model=4B;method=redis;devices=64", "exceed"},          // 64 stages, 32 layers
+	} {
+		status, body, _ := get(t, ts, sweepPath(tc.grid))
+		if status != http.StatusOK {
+			t.Fatalf("%s: status = %d, want 200 with error records", tc.grid, status)
+		}
+		var recs []report.Record
+		if err := json.Unmarshal(body, &recs); err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || !strings.Contains(recs[0].Error, tc.wantErr) {
+			t.Errorf("%s: records = %+v, want one error record containing %q", tc.grid, recs, tc.wantErr)
+		}
 	}
 }
 

@@ -333,7 +333,7 @@ func build1F1BSpec(cfg costmodel.Config, m Method) (*schedule.Spec, error) {
 	case Baseline:
 		loads, err = layout.Baseline(cfg, p)
 	case Redis:
-		loads = layout.Redis(cfg, p)
+		loads, err = layout.Redis(cfg, p)
 	case Vocab1, Vocab2, Interlaced:
 		loads, err = layout.Vocab(cfg, p, p)
 	}

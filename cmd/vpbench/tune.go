@@ -1,6 +1,6 @@
 package main
 
-// Tune mode of the vpbench CLI, backed by internal/tune + internal/jobs:
+// Tune mode of the vpbench CLI, backed by internal/tune:
 //
 //	vpbench -tune SPEC [-tune-strategy beam|exhaustive|anneal] [-parallel N]
 //	        [-json] [-out FILE] [-v]
@@ -13,10 +13,9 @@ package main
 //	vpbench -tune-list
 //	    lists the named tuning scenarios.
 //
-// The search is submitted to the same async job queue vpserve uses for
-// POST /api/v1/optimize and polled to completion, so the CLI exercises the
-// exact submit → poll → result lifecycle the HTTP API exposes; -v streams
-// the job's progress snapshots to stderr.
+// The search runs in-process through tune.Search, the same search a
+// POST /api/v1/optimize job runs; -v prints a progress line per simulated
+// candidate to stderr.
 
 import (
 	"context"
@@ -24,10 +23,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"vocabpipe/internal/experiments"
-	"vocabpipe/internal/jobs"
 	"vocabpipe/internal/tune"
 )
 
@@ -53,7 +50,7 @@ func resolveTuneSpec(arg string) (*tune.Spec, error) {
 	return tune.ParseSpec(arg)
 }
 
-// runTune executes one search through the job queue and renders the result.
+// runTune executes one search and renders the result.
 func runTune(w, stderr io.Writer, specArg, strategyName string, parallel int, jsonOut, verbose bool) int {
 	spec, err := resolveTuneSpec(specArg)
 	if err != nil {
@@ -69,41 +66,15 @@ func runTune(w, stderr io.Writer, specArg, strategyName string, parallel int, js
 		}
 	}
 
-	// One worker, one job, the same tune.JobFunc adapter the server
-	// submits: the CLI runs the exact lifecycle the HTTP API exposes.
-	q := jobs.New(jobs.Options{Workers: 1, Capacity: 1})
-	defer q.Close(context.Background())
-	id, err := q.Submit("tune/"+spec.Name, tune.JobFunc(spec, strategy, tune.Options{Parallel: parallel}))
+	opt := tune.Options{Parallel: parallel}
+	if verbose {
+		opt.OnProgress = func(p tune.Progress) {
+			fmt.Fprintf(stderr, "[%d/%d] best %s\n", p.Done, p.Total, p.BestLabel)
+		}
+	}
+	res, err := tune.Search(context.Background(), spec, strategy, opt)
 	if err != nil {
 		fmt.Fprintf(stderr, "vpbench: %v\n", err)
-		return 1
-	}
-
-	var lastDone int
-	var snap jobs.Snapshot
-	for {
-		var ok bool
-		snap, ok = q.Get(id)
-		if !ok {
-			fmt.Fprintf(stderr, "vpbench: tune job vanished\n")
-			return 1
-		}
-		if verbose && snap.Progress.Done > lastDone {
-			lastDone = snap.Progress.Done
-			fmt.Fprintf(stderr, "[%d/%d] best %s\n", snap.Progress.Done, snap.Progress.Total, snap.Progress.Note)
-		}
-		if snap.State.Terminal() {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if snap.State != jobs.StateDone {
-		fmt.Fprintf(stderr, "vpbench: tune job %s: %s\n", snap.State, snap.Error)
-		return 1
-	}
-	res, ok := snap.Result.(*tune.Result)
-	if !ok {
-		fmt.Fprintf(stderr, "vpbench: tune job returned %T\n", snap.Result)
 		return 1
 	}
 

@@ -59,7 +59,7 @@ func TestTuneNamedScenario(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}
 	}
-	// -v streamed job progress snapshots.
+	// -v printed progress lines.
 	if !strings.Contains(errOut, "best") {
 		t.Errorf("verbose run produced no progress lines: %s", errOut)
 	}

@@ -1,6 +1,6 @@
 // vpserve exposes the sweep engine as an HTTP service (see internal/server):
-// the same JSON records `vpbench -json` emits, behind a sharded LRU result
-// cache with in-flight request deduplication.
+// the same JSON records `vpbench -json` emits, behind an LRU result cache
+// with in-flight request deduplication.
 //
 //	go run ./cmd/vpserve -addr :8080
 //	curl 'localhost:8080/api/v1/sweep?grid=model%3D4B%3Bmethod%3D1f1b'

@@ -9,7 +9,3 @@
 // (bench_test.go); the implementation lives under internal/ and the
 // executables under cmd/ — see README.md for the package map.
 package vocabpipe
-
-// Version is the reproduction harness version, bumped when experiment
-// output or the sweep grammar changes shape.
-const Version = "0.2.0"

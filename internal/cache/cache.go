@@ -1,4 +1,4 @@
-// Package cache is a sharded LRU result cache with in-flight request
+// Package cache is an LRU result cache with in-flight request
 // deduplication, the memory behind the vpserve HTTP API. Keys are canonical
 // grid identities (sweep.Grid.Key); values are whatever a compute function
 // produced for that key.
@@ -10,38 +10,31 @@
 // (miss). Errors are propagated to every coalesced waiter but never cached,
 // so a transient failure does not poison the key.
 //
-// The key space is split across power-of-two shards by FNV-1a hash so
-// unrelated keys do not contend on one mutex; eviction is LRU per shard.
+// One mutex guards the map and the recency list, and computations run
+// outside it, so the lock is held only for a map lookup and a list update.
+// Eviction is LRU over the whole capacity.
 package cache
 
 import (
 	"container/list"
 	"context"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 )
 
-// Cache is a sharded LRU with singleflight-style dedup. The zero value is
-// not usable; construct with New.
+// Cache is an LRU with singleflight-style dedup. The zero value is not
+// usable; construct with New.
 type Cache[V any] struct {
-	shards []*shard[V]
-	mask   uint32
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	deduped   atomic.Int64
-	evictions atomic.Int64
-}
-
-// shard is one lock domain: an LRU of cached entries plus the in-flight
-// calls currently computing keys that hash here.
-type shard[V any] struct {
 	mu       sync.Mutex
 	capacity int
 	entries  map[string]*list.Element
 	order    *list.List // front = most recently used
 	inflight map[string]*call[V]
+
+	hits      atomic.Int64
+	misses    atomic.Int64
+	deduped   atomic.Int64
+	evictions atomic.Int64
 }
 
 type entry[V any] struct {
@@ -59,59 +52,18 @@ type call[V any] struct {
 	done   chan struct{}
 	val    V
 	err    error
-	refs   int // guarded by the owning shard's mu
+	refs   int // guarded by the cache's mu
 	cancel context.CancelFunc
 }
 
-// DefaultShards is the shard count used by New.
-const DefaultShards = 16
-
-// New returns a cache holding up to capacity entries total (minimum one per
-// shard). Capacity is distributed evenly across DefaultShards shards, so a
-// single hot shard evicts at roughly capacity/DefaultShards entries.
+// New returns a cache holding up to capacity entries (minimum one).
 func New[V any](capacity int) *Cache[V] {
-	return NewSharded[V](capacity, DefaultShards)
-}
-
-// NewSharded is New with an explicit shard count (rounded up to a power of
-// two, minimum 1). A single shard makes eviction strictly LRU over the whole
-// capacity — useful for tests and tiny caches. The shard capacities always
-// sum to exactly the requested capacity: the shard count shrinks for tiny
-// caches rather than inflating the operator's memory bound.
-func NewSharded[V any](capacity, shards int) *Cache[V] {
-	if capacity < 1 {
-		capacity = 1
+	return &Cache[V]{
+		capacity: max(capacity, 1),
+		entries:  make(map[string]*list.Element),
+		order:    list.New(),
+		inflight: make(map[string]*call[V]),
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	for shards&(shards-1) != 0 {
-		shards++
-	}
-	for shards > capacity {
-		shards /= 2
-	}
-	per, extra := capacity/shards, capacity%shards
-	c := &Cache[V]{shards: make([]*shard[V], shards), mask: uint32(shards - 1)}
-	for i := range c.shards {
-		n := per
-		if i < extra {
-			n++
-		}
-		c.shards[i] = &shard[V]{
-			capacity: n,
-			entries:  make(map[string]*list.Element),
-			order:    list.New(),
-			inflight: make(map[string]*call[V]),
-		}
-	}
-	return c
-}
-
-func (c *Cache[V]) shardFor(key string) *shard[V] {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[h.Sum32()&c.mask]
 }
 
 // Outcome classifies how Do resolved a key.
@@ -130,11 +82,10 @@ const (
 // Get returns the cached value without computing, marking the entry used.
 // It does not touch the hit/miss counters — Do owns the accounting.
 func (c *Cache[V]) Get(key string) (V, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToFront(el)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.order.MoveToFront(el)
 		return el.Value.(*entry[V]).val, true
 	}
 	var zero V
@@ -147,13 +98,12 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // touches no counters — it is a pure probe, built for admission control where
 // classifying a request must not perturb cache state.
 func (c *Cache[V]) Contains(key string) bool {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[key]; ok {
 		return true
 	}
-	_, ok := s.inflight[key]
+	_, ok := c.inflight[key]
 	return ok
 }
 
@@ -178,51 +128,50 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, Outcome, error)
 // asked for can be cached.
 func (c *Cache[V]) DoCtx(ctx context.Context, key string, compute func(ctx context.Context) (V, error)) (V, Outcome, error) {
 	var zero V
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToFront(el)
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.order.MoveToFront(el)
 		v := el.Value.(*entry[V]).val
-		s.mu.Unlock()
+		c.mu.Unlock()
 		c.hits.Add(1)
 		return v, Hit, nil
 	}
-	if cl, ok := s.inflight[key]; ok {
+	if cl, ok := c.inflight[key]; ok {
 		cl.refs++
-		s.mu.Unlock()
+		c.mu.Unlock()
 		c.deduped.Add(1)
 		select {
 		case <-cl.done:
 			return cl.val, Deduped, cl.err
 		case <-ctx.Done():
-			s.abandon(key, cl)
+			c.abandon(key, cl)
 			return zero, Deduped, ctx.Err()
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		s.mu.Unlock()
+		c.mu.Unlock()
 		c.misses.Add(1)
 		return zero, Miss, err
 	}
 
 	cctx, cancel := context.WithCancel(context.Background())
 	cl := &call[V]{done: make(chan struct{}), refs: 1, cancel: cancel}
-	s.inflight[key] = cl
-	s.mu.Unlock()
+	c.inflight[key] = cl
+	c.mu.Unlock()
 	c.misses.Add(1)
 
 	go func() {
 		v, err := compute(cctx)
-		s.mu.Lock()
+		c.mu.Lock()
 		// The call may already have been abandoned (refs hit 0) and removed;
 		// only the still-registered call publishes into the cache.
-		if s.inflight[key] == cl {
-			delete(s.inflight, key)
+		if c.inflight[key] == cl {
+			delete(c.inflight, key)
 			if err == nil {
-				s.insert(key, v, &c.evictions)
+				c.insert(key, v)
 			}
 		}
-		s.mu.Unlock()
+		c.mu.Unlock()
 		cl.val, cl.err = v, err
 		cancel() // release the context's resources; compute already returned
 		close(cl.done)
@@ -232,7 +181,7 @@ func (c *Cache[V]) DoCtx(ctx context.Context, key string, compute func(ctx conte
 	case <-cl.done:
 		return cl.val, Miss, cl.err
 	case <-ctx.Done():
-		s.abandon(key, cl)
+		c.abandon(key, cl)
 		return zero, Miss, ctx.Err()
 	}
 }
@@ -240,45 +189,41 @@ func (c *Cache[V]) DoCtx(ctx context.Context, key string, compute func(ctx conte
 // abandon drops one caller's interest in an in-flight call. The last caller
 // out cancels the computation's context and unregisters the call so a fresh
 // Do can recompute the key instead of waiting on doomed work.
-func (s *shard[V]) abandon(key string, cl *call[V]) {
-	s.mu.Lock()
+func (c *Cache[V]) abandon(key string, cl *call[V]) {
+	c.mu.Lock()
 	cl.refs--
-	last := cl.refs == 0 && s.inflight[key] == cl
+	last := cl.refs == 0 && c.inflight[key] == cl
 	if last {
-		delete(s.inflight, key)
+		delete(c.inflight, key)
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	if last {
 		cl.cancel()
 	}
 }
 
 // insert stores a value, evicting the least recently used entry past
-// capacity. Caller holds s.mu.
-func (s *shard[V]) insert(key string, v V, evictions *atomic.Int64) {
-	if el, ok := s.entries[key]; ok {
+// capacity. Caller holds c.mu.
+func (c *Cache[V]) insert(key string, v V) {
+	if el, ok := c.entries[key]; ok {
 		el.Value.(*entry[V]).val = v
-		s.order.MoveToFront(el)
+		c.order.MoveToFront(el)
 		return
 	}
-	s.entries[key] = s.order.PushFront(&entry[V]{key: key, val: v})
-	for s.order.Len() > s.capacity {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.entries, oldest.Value.(*entry[V]).key)
-		evictions.Add(1)
+	c.entries[key] = c.order.PushFront(&entry[V]{key: key, val: v})
+	for c.order.Len() > c.capacity {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*entry[V]).key)
+		c.evictions.Add(1)
 	}
 }
 
 // Len returns the number of cached entries.
 func (c *Cache[V]) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }
 
 // Stats is a snapshot of the cache counters. Hits+Misses+Deduped is the
@@ -304,15 +249,12 @@ func (st Stats) HitRatePct() float64 {
 
 // Stats snapshots the counters.
 func (c *Cache[V]) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Deduped:   c.deduped.Load(),
 		Evictions: c.evictions.Load(),
 		Entries:   c.Len(),
+		Capacity:  c.capacity,
 	}
-	for _, s := range c.shards {
-		st.Capacity += s.capacity
-	}
-	return st
 }

@@ -19,7 +19,7 @@ func put(t *testing.T, c *Cache[string], key, val string) {
 	}
 }
 
-// TestEvictionOrder drives a single-shard cache through table-driven access
+// TestEvictionOrder drives a cache through table-driven access
 // sequences and checks exactly which keys survive: LRU order, with Get and
 // repeated Do both counting as use.
 func TestEvictionOrder(t *testing.T) {
@@ -61,7 +61,7 @@ func TestEvictionOrder(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			c := NewSharded[string](tt.capacity, 1)
+			c := New[string](tt.capacity)
 			for _, op := range tt.ops {
 				switch op[:4] {
 				case "put:":
@@ -90,7 +90,7 @@ func TestEvictionOrder(t *testing.T) {
 // TestHitMissAccounting locks the Stats counters to a deterministic access
 // sequence.
 func TestHitMissAccounting(t *testing.T) {
-	c := NewSharded[int](4, 1)
+	c := New[int](4)
 	do := func(key string) Outcome {
 		_, outcome, err := c.Do(key, func() (int, error) { return len(key), nil })
 		if err != nil {
@@ -196,34 +196,39 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 }
 
-// TestShardRounding pins NewSharded's power-of-two rounding and the
-// invariant that shard capacities sum to exactly the requested capacity —
-// the operator's -cache bound is honored, never inflated or shaved.
-func TestShardRounding(t *testing.T) {
-	for _, tt := range []struct{ shards, wantShards int }{
-		{0, 1}, {1, 1}, {3, 4}, {4, 4}, {5, 8}, {16, 16},
-	} {
-		c := NewSharded[int](64, tt.shards)
-		if got := len(c.shards); got != tt.wantShards {
-			t.Errorf("NewSharded(64, %d): %d shards, want %d", tt.shards, got, tt.wantShards)
+// TestCapacityIsGlobal: a cache of capacity n holds exactly its n most
+// recently used keys, whatever the keys are. In particular New(16) holding
+// k9 keeps it when k12 arrives: one capacity bounds the whole key space.
+func TestCapacityIsGlobal(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 16, 100} {
+		c := New[string](n)
+		for i := 0; i < 3*n; i++ {
+			put(t, c, fmt.Sprintf("k%d", i), "v")
+			if got, want := c.Len(), min(i+1, n); got != want {
+				t.Fatalf("New(%d) after %d puts: Len() = %d, want %d", n, i+1, got, want)
+			}
+		}
+		for i := 0; i < 3*n; i++ {
+			if _, ok := c.Get(fmt.Sprintf("k%d", i)); ok != (i >= 2*n) {
+				t.Errorf("New(%d): k%d present = %v, want %v", n, i, ok, i >= 2*n)
+			}
+		}
+		if st := c.Stats(); st.Capacity != n || st.Evictions != int64(2*n) {
+			t.Errorf("New(%d): capacity %d, evictions %d; want %d, %d", n, st.Capacity, st.Evictions, n, 2*n)
 		}
 	}
-	for _, tt := range []struct{ capacity, shards, wantShards int }{
-		{1, 4, 1},     // capacity below the shard count shrinks the shards
-		{4, 16, 4},    // vpserve -cache 4 must cache 4 grids, not 16
-		{100, 16, 16}, // non-multiple capacity is distributed, not floored
-		{64, 16, 16},
-	} {
-		c := NewSharded[int](tt.capacity, tt.shards)
-		if got := len(c.shards); got != tt.wantShards {
-			t.Errorf("NewSharded(%d, %d): %d shards, want %d", tt.capacity, tt.shards, got, tt.wantShards)
-		}
-		if st := c.Stats(); st.Capacity != tt.capacity {
-			t.Errorf("NewSharded(%d, %d): total capacity %d, want %d", tt.capacity, tt.shards, st.Capacity, tt.capacity)
-		}
+
+	c := New[string](16)
+	put(t, c, "k9", "v")
+	put(t, c, "k12", "v")
+	if _, ok := c.Get("k9"); !ok {
+		t.Fatal("New(16) evicted k9 after one more insert, with 14 slots free")
 	}
-	if st := New[int](100).Stats(); st.Capacity != 100 {
-		t.Errorf("New(100) capacity = %d, want exactly 100", st.Capacity)
+	if st := c.Stats(); st.Entries != 2 || st.Evictions != 0 {
+		t.Fatalf("New(16) after two puts: %+v, want 2 entries and no evictions", st)
+	}
+	if st := New[int](0).Stats(); st.Capacity != 1 {
+		t.Errorf("New(0) capacity = %d, want 1", st.Capacity)
 	}
 }
 

@@ -110,9 +110,6 @@ type Options struct {
 	// DisableFallback makes a shard with no healthy worker a hard error
 	// instead of evaluating it in-process.
 	DisableFallback bool
-	// Client is the HTTP client shard requests use (default a dedicated
-	// client; per-request deadlines come from the caller's context).
-	Client *http.Client
 }
 
 // Stats counts dispatcher activity since construction; the perf suite and
@@ -194,13 +191,9 @@ func New(opt Options) *Dispatcher {
 	if opt.MemberTTL == 0 {
 		opt.MemberTTL = 30 * time.Second
 	}
-	client := opt.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	d := &Dispatcher{
 		opt:     opt,
-		client:  client,
+		client:  &http.Client{},
 		sem:     make(chan struct{}, opt.MaxInFlight),
 		now:     time.Now,
 		members: make(map[string]*workerState),

@@ -206,14 +206,6 @@ func (c *Cluster) StartCoordinator(t testing.TB) {
 	c.killed = false
 }
 
-// RestartCoordinator is KillCoordinator immediately followed by
-// StartCoordinator.
-func (c *Cluster) RestartCoordinator(t testing.TB) {
-	t.Helper()
-	c.KillCoordinator(t)
-	c.StartCoordinator(t)
-}
-
 func closeServer(t testing.TB, s *server.Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -94,12 +94,6 @@ func (w *workerState) chargeSlow(threshold int, cooldown time.Duration, now time
 	}
 }
 
-func (w *workerState) load() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.inflight
-}
-
 func (w *workerState) beginRequest() {
 	w.mu.Lock()
 	w.inflight++

@@ -74,8 +74,6 @@ type Options struct {
 	// RequestTimeout caps a single request (default 30s). A hit counts as a
 	// transport error; it exists so one hung connection cannot wedge a run.
 	RequestTimeout time.Duration
-	// Client is the HTTP client (default http.DefaultClient).
-	Client *http.Client
 	// Thresholds are the SLO gates to evaluate (may be empty).
 	Thresholds []Threshold
 	// EvalEvery is the continuous-evaluation cadence (default 200ms).
@@ -279,11 +277,6 @@ func Run(ctx context.Context, url string, opt Options) (*Report, error) {
 	if opt.EvalEvery <= 0 {
 		opt.EvalEvery = 200 * time.Millisecond
 	}
-	client := opt.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-
 	led := &ledger{
 		status:   make(map[int]int),
 		errCodes: make(map[string]int),
@@ -316,7 +309,7 @@ func Run(ctx context.Context, url string, opt Options) (*Report, error) {
 	}
 
 	iterate := func(it iteration) {
-		runIteration(ctx, client, urlAt(it.seq), it.stage, opt.RequestTimeout, led)
+		runIteration(ctx, urlAt(it.seq), it.stage, opt.RequestTimeout, led)
 	}
 	var vus sync.WaitGroup
 	if opt.Scenario == nil {
@@ -401,14 +394,14 @@ func schedule(ctx context.Context, sc *Scenario, jitter float64, seed int64, sta
 }
 
 // runIteration issues one request and records its outcome.
-func runIteration(ctx context.Context, client *http.Client, url string, stage int, timeout time.Duration, led *ledger) {
+func runIteration(ctx context.Context, url string, stage int, timeout time.Duration, led *ledger) {
 	t0 := time.Now()
 	rctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodGet, url, nil)
 	if err == nil {
 		var resp *http.Response
-		resp, err = client.Do(req)
+		resp, err = http.DefaultClient.Do(req)
 		if err == nil {
 			recordResponse(resp, time.Since(t0), stage, led)
 			return

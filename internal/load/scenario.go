@@ -89,19 +89,6 @@ func (sc *Scenario) RateAt(t time.Duration) float64 {
 	return prev
 }
 
-// StageAt returns the index of the stage covering offset t (zero-duration
-// stages cover no offsets; offsets past the end belong to the last stage).
-func (sc *Scenario) StageAt(t time.Duration) int {
-	var acc time.Duration
-	for i, st := range sc.Stages {
-		if st.Duration > 0 && t < acc+st.Duration {
-			return i
-		}
-		acc += st.Duration
-	}
-	return len(sc.Stages) - 1
-}
-
 // PresetNames lists the built-in scenario shapes, alphabetically.
 func PresetNames() []string {
 	names := []string{"diurnal", "soak", "spike"}

@@ -197,9 +197,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Add adds n (counters only grow).
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
 func (c *Counter) write(w io.Writer, series string) error {
 	_, err := fmt.Fprintf(w, "%s %d\n", series, c.v.Load())
 	return err
@@ -276,19 +273,6 @@ type CounterVec struct{ f *family }
 // use. The number of values must match the registered label names.
 func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values, func() child { return &Counter{} }).(*Counter)
-}
-
-// GaugeVec is a labeled gauge family. (Unused today but completes the set.)
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.child(values, func() child { return &Gauge{} }).(*Gauge)
-}
-
-// GaugeVecOf registers a labeled gauge family.
-func (r *Registry) GaugeVecOf(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, KindGauge, labels, nil, nil)}
 }
 
 // HistogramVec is a labeled histogram family.

@@ -24,13 +24,11 @@ func (r *ring) add(td *TraceData) {
 	r.slots[i%uint64(len(r.slots))].Store(td)
 }
 
-// len reports the occupied slot count (never above capacity).
+// len reports the occupied slot count (never above capacity). It reads the
+// sequence once: a concurrent add between two reads could lift the count
+// past the capacity check.
 func (r *ring) len() int {
-	n := r.next.Load()
-	if c := uint64(len(r.slots)); n > c {
-		return int(c)
-	}
-	return int(r.next.Load())
+	return int(min(r.next.Load(), uint64(len(r.slots))))
 }
 
 // get scans newest-first for the trace with the given ID, so a reused ID

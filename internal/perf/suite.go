@@ -133,11 +133,9 @@ func metricsCase() Case {
 //     every shard should land on the member that already holds it;
 //     cache_hit_pct reports the aggregate worker-side hit rate. A placement
 //     regression that scatters repeats across members collapses this number
-//     even when req/s barely moves. CacheSize 64 = 4 entries per internal
-//     LRU shard: roomy enough that every sweep shard stays resident even if
-//     the ring lands all of them on one member (a tiny capacity puts two
-//     keys in one capacity-1 LRU slot and the hit rate collapses to
-//     eviction noise).
+//     even when req/s barely moves. CacheSize 64 keeps every sweep shard
+//     resident even if the ring lands all of them on one member, so the
+//     hit rate measures placement, not eviction.
 func clusterCase(name, spec string, cacheSize int, hitRate bool) Case {
 	g, err := sweep.ParseGrid(spec)
 	if err != nil {

@@ -8,53 +8,76 @@ import "fmt"
 // and is valid until its next call; the Timeline convenience methods use a
 // throwaway analyzer, so their results are always caller-owned.
 //
-// The peak computation needs no sorting at all: a device's release times
-// form a handful of independently monotone streams. F activations release at
-// the matching B end — B passes of a stage commit in microbatch order on a
-// sequentially-executing device, so their ends ascend — giving one stream
-// per chunk, and the vocab/interlaced transient releases (T end / V end) are
-// micro-monotone for the same reason. Each stream also releases a constant
-// amount. So the peak scan drains each stream's cursor against the
-// acquisition order (ByDevice is already time-ordered) in O(passes).
+// An acquisition is a pass that pins memory: an F pins its stage's ActBytes
+// until the same stage's B ends, a vocabulary S pins its transient until the
+// device's T of that microbatch ends, and an interlaced V pins its transient
+// until it ends itself. A stream is one kind of pinned memory on a device:
+// one per model chunk, plus one for the vocab or interlaced transient. Every
+// release is a pass on the acquiring device, and the peak walk rests on two
+// facts the engine guarantees:
+//
+//   - a device runs one pass at a time, so pass ends never decrease along
+//     ByDevice: a cursor that advances while a pass ends at or before an
+//     acquisition's start has counted exactly the releases due by then;
+//   - passes of one type run in microbatch order on each device, so a
+//     stream releases in acquisition order and its k-th release frees its
+//     k-th acquisition.
+//
+// So each device's peak is one ordered pass over its row, counting releases
+// per stream instead of storing release times.
 type Analyzer struct {
-	bEnd, tEnd []float64   // [stage*M+micro] / [device*M+micro] end times
-	relBuf     [][]float64 // per-stream monotone release times
-	relDelta   []float64   // per-stream constant release size
-	relPos     []int       // per-stream drain cursor
-	acts, mem  []float64
-	inflight   []int
+	acts, mem []float64
+	inflight  []int
 }
 
-// streams resets the analyzer to n empty release streams, reusing backing
-// arrays.
-func (a *Analyzer) streams(n int) {
-	for len(a.relBuf) < n {
-		a.relBuf = append(a.relBuf, nil)
-	}
-	a.relDelta = growF(a.relDelta, n)
-	a.relPos = growI(a.relPos, n)
-	for s := 0; s < n; s++ {
-		a.relBuf[s] = a.relBuf[s][:0]
-	}
-}
-
-// drain pops every release at or before t from the first n streams and
-// returns the summed memory released. Releases at exactly t are popped
-// before the acquisition at t, so back-to-back B(i)/F(i+1) do not
-// double-count. Appending a pass's own release before draining is safe: a
-// release time is strictly after its pass's start, and ByDevice is
-// time-ordered, so no future entry can be ≤ the current start.
-func (a *Analyzer) drain(n int, t float64) float64 {
-	freed := 0.0
-	for s := 0; s < n; s++ {
-		buf, ri := a.relBuf[s], a.relPos[s]
-		for ri < len(buf) && buf[ri] <= t {
-			freed += a.relDelta[s]
-			ri++
+// devicePeak walks one device's passes in execution order and returns the
+// largest total pinned at any acquisition's start. size[c] is what an F of
+// chunk c pins; size[chunks] is the S or V transient (Spec.Validate allows
+// at most two chunks, so three streams cover every spec). Zero-size streams
+// are skipped. A release at exactly an acquisition's start settles first, and a
+// pass never releases at its own acquisition: releases settle before the
+// acquisition is counted.
+func devicePeak(row []TimedPass, chunks int, size [3]float64) float64 {
+	var acquired, due, settled [3]int
+	cur, peak := 0.0, 0.0
+	j := 0
+	for i := range row {
+		p := &row[i]
+		s := p.Chunk
+		switch p.Type {
+		case PassF:
+		case PassS, PassV:
+			s = chunks
+		default:
+			continue
 		}
-		a.relPos[s] = ri
+		if size[s] == 0 {
+			continue
+		}
+		for ; j < len(row) && row[j].End <= p.Start; j++ {
+			switch row[j].Type {
+			case PassB:
+				due[row[j].Chunk]++
+			case PassT, PassV:
+				due[chunks]++
+			}
+		}
+		// Add released sizes one at a time, stream by stream, in a fixed
+		// order, so the float result is reproducible bit for bit.
+		freed := 0.0
+		for k := 0; k <= chunks; k++ {
+			for n := min(acquired[k], due[k]); settled[k] < n; settled[k]++ {
+				freed += size[k]
+			}
+		}
+		cur -= freed
+		cur += size[s]
+		acquired[s]++
+		if cur > peak {
+			peak = cur
+		}
 	}
-	return freed
+	return peak
 }
 
 // PeakActivationBytes returns the per-device peak activation memory measured
@@ -64,70 +87,19 @@ func (a *Analyzer) drain(n int, t float64) float64 {
 // scratch.
 func (a *Analyzer) PeakActivationBytes(tl *Timeline) []float64 {
 	spec := tl.Spec
-	M := spec.M
 	a.acts = growF(a.acts, spec.P)
-	a.bEnd = growF(a.bEnd, spec.NumStages()*M)
-	vocabAct := spec.Vocab != nil && spec.Vocab.ActBytes > 0
-	interAct := spec.Interlaced != nil && spec.Interlaced.ActBytes > 0
-	if vocabAct {
-		a.tEnd = growF(a.tEnd, spec.P*M)
+	var size [3]float64
+	switch {
+	case spec.Vocab != nil:
+		size[spec.Chunks] = spec.Vocab.ActBytes
+	case spec.Interlaced != nil:
+		size[spec.Chunks] = spec.Interlaced.ActBytes
 	}
-	for _, p := range tl.Passes {
-		switch p.Type {
-		case PassB:
-			a.bEnd[spec.StageOf(p.Device, p.Chunk)*M+p.Micro] = p.End
-		case PassT:
-			if vocabAct {
-				a.tEnd[p.Device*M+p.Micro] = p.End
-			}
-		}
-	}
-
-	// Streams 0..Chunks-1 release F activations at the matching B end;
-	// stream Chunks releases the vocab or interlaced transient (T end /
-	// V end). Acquire and release in one pass over ByDevice order.
-	vIdx := spec.Chunks
-	nStreams := vIdx + 1
-	for d := 0; d < spec.P; d++ {
-		a.streams(nStreams)
+	for d := range a.acts {
 		for c := 0; c < spec.Chunks; c++ {
-			a.relDelta[c] = spec.Stages[spec.StageOf(d, c)].ActBytes
+			size[c] = spec.Stages[spec.StageOf(d, c)].ActBytes
 		}
-		if vocabAct {
-			a.relDelta[vIdx] = spec.Vocab.ActBytes
-		} else if interAct {
-			a.relDelta[vIdx] = spec.Interlaced.ActBytes
-		}
-		cur, peak := 0.0, 0.0
-		for i := range tl.ByDevice[d] {
-			p := &tl.ByDevice[d][i]
-			var s int
-			var delta, end float64
-			switch p.Type {
-			case PassF:
-				s = p.Chunk
-				delta = a.relDelta[s]
-				end = a.bEnd[spec.StageOf(d, s)*M+p.Micro]
-			case PassS:
-				if vocabAct {
-					s, delta, end = vIdx, a.relDelta[vIdx], a.tEnd[d*M+p.Micro]
-				}
-			case PassV:
-				if interAct {
-					s, delta, end = vIdx, a.relDelta[vIdx], p.End
-				}
-			}
-			if delta == 0 {
-				continue
-			}
-			cur -= a.drain(nStreams, p.Start)
-			cur += delta
-			a.relBuf[s] = append(a.relBuf[s], end)
-			if cur > peak {
-				peak = cur
-			}
-		}
-		a.acts[d] = peak
+		a.acts[d] = devicePeak(tl.ByDevice[d], spec.Chunks, size)
 	}
 	return a.acts
 }
@@ -139,35 +111,11 @@ func (a *Analyzer) PeakActivationBytes(tl *Timeline) []float64 {
 // scratch.
 func (a *Analyzer) PeakInFlight(tl *Timeline) []int {
 	spec := tl.Spec
-	M := spec.M
 	a.inflight = growI(a.inflight, spec.P)
-	a.bEnd = growF(a.bEnd, spec.NumStages()*M)
-	for _, p := range tl.Passes {
-		if p.Type == PassB {
-			a.bEnd[spec.StageOf(p.Device, p.Chunk)*M+p.Micro] = p.End
-		}
-	}
-	// One release stream per chunk (each micro-monotone, see the type
-	// comment), each releasing one in-flight microbatch at the B end.
-	for d := 0; d < spec.P; d++ {
-		a.streams(spec.Chunks)
-		for c := 0; c < spec.Chunks; c++ {
-			a.relDelta[c] = 1
-		}
-		cur, peak := 0.0, 0.0
-		for i := range tl.ByDevice[d] {
-			p := &tl.ByDevice[d][i]
-			if p.Type != PassF {
-				continue
-			}
-			cur -= a.drain(spec.Chunks, p.Start)
-			cur++
-			a.relBuf[p.Chunk] = append(a.relBuf[p.Chunk], a.bEnd[spec.StageOf(d, p.Chunk)*M+p.Micro])
-			if cur > peak {
-				peak = cur
-			}
-		}
-		a.inflight[d] = int(peak)
+	size := [3]float64{1, 1} // each F counts one until its B ends
+	size[spec.Chunks] = 0    // the transient stream counts nothing
+	for d := range a.inflight {
+		a.inflight[d] = int(devicePeak(tl.ByDevice[d], spec.Chunks, size))
 	}
 	return a.inflight
 }

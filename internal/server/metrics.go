@@ -233,9 +233,6 @@ func (s *Server) initMetrics() {
 	}
 }
 
-// Metrics exposes the registry (tests and embedding callers).
-func (s *Server) Metrics() *metrics.Registry { return s.metrics }
-
 // handleMetrics renders the registry in the Prometheus text format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

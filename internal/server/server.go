@@ -2,7 +2,7 @@
 // queryable service. Every endpoint returns the same JSON records
 // internal/report emits for `vpbench -json` — byte-identical, so a client
 // cannot tell whether a result came from the CLI or the service — backed by
-// a sharded LRU cache with in-flight request deduplication (internal/cache),
+// an LRU cache with in-flight request deduplication (internal/cache),
 // so a thundering herd on one grid computes it once.
 //
 // Endpoints (every API route lives under /api/v1; an unversioned /api/...
@@ -120,10 +120,10 @@ type Options struct {
 	// MaxCells rejects grids that expand past this many cells with 400
 	// (default 4096) — the serving layer's oversized-request guard.
 	MaxCells int
-	// MaxMicro and MaxDevices bound the per-cell schedule size a request may
-	// ask for (defaults 4096 and 1024): cells × microbatches × devices is
-	// the real work a request buys, and cell count alone does not cap it.
-	MaxMicro   int
+	// MaxDevices bounds the per-cell device count a request may ask for
+	// (default 1024); microbatches are bounded by tune.MaxMicro (4096).
+	// Cells × microbatches × devices is the real work a request buys, and
+	// cell count alone does not cap it.
 	MaxDevices int
 	// JobWorkers and JobCapacity size the async tuner-job queue (defaults 2
 	// and 64): at most JobWorkers searches run concurrently, and past
@@ -200,9 +200,6 @@ func New(opt Options) *Server {
 	}
 	if opt.MaxCells <= 0 {
 		opt.MaxCells = 4096
-	}
-	if opt.MaxMicro <= 0 {
-		opt.MaxMicro = 4096
 	}
 	if opt.MaxDevices <= 0 {
 		opt.MaxDevices = 1024
@@ -423,10 +420,10 @@ func (s *Server) checkGrid(g *sweep.Grid) *sizeViolation {
 			map[string]any{"cells": len(cells), "limit": s.opt.MaxCells}}
 	}
 	for i := range cells {
-		if m := cells[i].Config.NumMicro; m > s.opt.MaxMicro {
+		if m := cells[i].Config.NumMicro; m > tune.MaxMicro {
 			return &sizeViolation{ErrTooManyMicro,
-				fmt.Sprintf("cell %q asks for %d microbatches, limit %d", cells[i].Label, m, s.opt.MaxMicro),
-				map[string]any{"cell": cells[i].Label, "micro": m, "limit": s.opt.MaxMicro}}
+				fmt.Sprintf("cell %q asks for %d microbatches, limit %d", cells[i].Label, m, tune.MaxMicro),
+				map[string]any{"cell": cells[i].Label, "micro": m, "limit": tune.MaxMicro}}
 		}
 		if d := cells[i].Config.Devices; d > s.opt.MaxDevices {
 			return &sizeViolation{ErrTooManyDevices,
@@ -831,7 +828,7 @@ func (s *Server) rehydrateOptimize(payload json.RawMessage) (jobs.Func, error) {
 	name := "optimize/" + spec.Name + "/" + string(strategy)
 	// Rehydrated runs trace like fresh ones; the submitting request's trace
 	// is long gone after a restart, so there is no submit_trace link.
-	return s.traceJob(name, context.Background(), tune.JobFunc(spec, strategy, s.tuneOptions())), nil
+	return s.traceJob(name, context.Background(), tuneJob(spec, strategy, s.tuneOptions())), nil
 }
 
 // jobView is the ONE canonical job representation: every job-bearing
@@ -853,21 +850,16 @@ func viewJob(snap jobs.Snapshot) jobView {
 // checkTuneSpec applies the serving-layer size guards to a tuning space,
 // mirroring checkGrid: like checkGrid inspecting expanded cells, it checks
 // the *defaulted* spec — the candidates a search will actually evaluate —
-// so an omitted axis cannot smuggle the base model's large device or
-// microbatch count past a tighter server cap.
+// so an omitted axis cannot smuggle the base model's large device count
+// past a tighter server cap. Microbatch counts need no check here:
+// spec.Validate, which handleOptimize runs first, bounds them by
+// tune.MaxMicro.
 func (s *Server) checkTuneSpec(spec *tune.Spec) *sizeViolation {
 	d := spec.Defaulted()
 	if size := d.SpaceSize(); size > s.opt.MaxCells {
 		return &sizeViolation{ErrTooManyCells,
 			fmt.Sprintf("search space has %d candidates, limit %d", size, s.opt.MaxCells),
 			map[string]any{"candidates": size, "limit": s.opt.MaxCells}}
-	}
-	for _, m := range d.Micros {
-		if m > s.opt.MaxMicro {
-			return &sizeViolation{ErrTooManyMicro,
-				fmt.Sprintf("candidate asks for %d microbatches, limit %d", m, s.opt.MaxMicro),
-				map[string]any{"micro": m, "limit": s.opt.MaxMicro}}
-		}
 	}
 	for _, dev := range d.Devices {
 		if dev > s.opt.MaxDevices {
@@ -957,7 +949,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	id, err := s.jobs.SubmitDurable(name,
 		optimizeJobKind,
 		optimizePayload{Spec: req.Spec, Scenario: req.Scenario, Strategy: string(strategy)},
-		s.traceJob(name, r.Context(), tune.JobFunc(spec, strategy, s.tuneOptions())))
+		s.traceJob(name, r.Context(), tuneJob(spec, strategy, s.tuneOptions())))
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		// writeError fills in the Retry-After floor for 429s.

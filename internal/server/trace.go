@@ -19,6 +19,7 @@ import (
 	"vocabpipe/internal/jobs"
 	"vocabpipe/internal/obs"
 	"vocabpipe/internal/trace"
+	"vocabpipe/internal/tune"
 )
 
 // traced gates which requests open a root span: the API surface, minus the
@@ -73,6 +74,26 @@ func (s *Server) traceJob(name string, submitCtx context.Context, fn jobs.Func) 
 		}
 		root.End()
 		return result, err
+	}
+}
+
+// tuneJob wraps a tuner search as a jobs.Func: progress snapshots carry the
+// best-so-far candidate label as the note, and a successful job's result is
+// the *tune.Result. The search honors the job's context, so queue
+// cancellation stops it at the next candidate boundary. opt.OnProgress is
+// overwritten by the queue's own progress reporting; the other fields
+// (Parallel, Eval — e.g. a cluster dispatcher's remote evaluator) pass
+// through.
+func tuneJob(spec *tune.Spec, strategy tune.Strategy, opt tune.Options) jobs.Func {
+	return func(ctx context.Context, report func(jobs.Progress)) (any, error) {
+		opt.OnProgress = func(p tune.Progress) {
+			report(jobs.Progress{Done: p.Done, Total: p.Total, Note: p.BestLabel})
+		}
+		res, err := tune.Search(ctx, spec, strategy, opt)
+		if err != nil {
+			return nil, err
+		}
+		return res, nil
 	}
 }
 

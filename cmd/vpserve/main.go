@@ -15,7 +15,8 @@
 // Flags:
 //
 //	-addr ADDR        listen address (default :8080)
-//	-cache N          result-cache capacity in grids (default 256)
+//	-cache N          result-cache capacity in grids, and request-identity
+//	                  index capacity in request targets (default 256)
 //	-parallel N       sweep workers per computed grid (default GOMAXPROCS)
 //	-max-cells N      reject grids larger than N cells with 400 (default 4096)
 //	-job-workers N    concurrent auto-tuner searches (default 2)
@@ -146,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	fs := flag.NewFlagSet("vpserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen `address`")
-	cacheSize := fs.Int("cache", 256, "result-cache capacity in grids")
+	cacheSize := fs.Int("cache", 256, "result-cache capacity in grids (the request-identity index holds as many request targets)")
 	parallel := fs.Int("parallel", 0, "sweep workers per computed grid (default: GOMAXPROCS)")
 	maxCells := fs.Int("max-cells", 4096, "reject grids expanding past `N` cells")
 	jobWorkers := fs.Int("job-workers", 2, "concurrent auto-tuner search jobs")

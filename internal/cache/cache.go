@@ -202,6 +202,15 @@ func (c *Cache[V]) abandon(key string, cl *call[V]) {
 	}
 }
 
+// Put stores v under key without a computation, as the most recently used
+// entry, evicting past capacity like a computed value. It touches no
+// hit/miss counters and runs on the caller's goroutine.
+func (c *Cache[V]) Put(key string, v V) {
+	c.mu.Lock()
+	c.insert(key, v)
+	c.mu.Unlock()
+}
+
 // insert stores a value, evicting the least recently used entry past
 // capacity. Caller holds c.mu.
 func (c *Cache[V]) insert(key string, v V) {

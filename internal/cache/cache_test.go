@@ -126,6 +126,30 @@ func TestHitMissAccounting(t *testing.T) {
 	}
 }
 
+// TestPutStoresWithoutCounting pins Put: it stores as the most recently used
+// entry, replaces an existing value, evicts past capacity like a computed
+// value, and leaves the hit/miss ledger alone. A later Do on a Put key hits.
+func TestPutStoresWithoutCounting(t *testing.T) {
+	c := New[string](2)
+	c.Put("a", "1")
+	c.Put("b", "2")
+	c.Put("a", "3") // replaces, and makes b the oldest
+	c.Put("c", "4") // evicts b
+	if v, ok := c.Get("a"); !ok || v != "3" {
+		t.Errorf("Get(a) = %q, %v; want 3, true", v, ok)
+	}
+	if _, ok := c.Get("b"); ok {
+		t.Error("b survived past capacity, want it evicted as the oldest")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Deduped != 0 || st.Evictions != 1 || st.Entries != 2 {
+		t.Errorf("stats = %+v, want no lookups counted, 1 eviction, 2 entries", st)
+	}
+	v, outcome, err := c.Do("c", func() (string, error) { return "recomputed", nil })
+	if err != nil || outcome != Hit || v != "4" {
+		t.Errorf("Do(c) = %q, %v, %v; want the stored 4 as a hit", v, outcome, err)
+	}
+}
+
 // TestDedupConcurrent fires many concurrent Do calls for one key and proves
 // the compute ran exactly once: one Miss, everyone else coalesced onto it.
 func TestDedupConcurrent(t *testing.T) {

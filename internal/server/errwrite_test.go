@@ -220,7 +220,8 @@ func TestEncodeFailureIsUncached500(t *testing.T) {
 	g := &sweep.Grid{Name: "nan", Cells: []sweep.Cell{{Label: "nan", Eval: nan}}}
 	for i := 1; i <= 2; i++ {
 		w := httptest.NewRecorder()
-		s.respond(w, httptest.NewRequest(http.MethodGet, "/api/v1/sweep", nil), "sweep", g)
+		s.respond(w, httptest.NewRequest(http.MethodGet, "/api/v1/sweep", nil), "sweep", cacheKey("sweep", g),
+			func() (*sweep.Grid, error) { return g, nil })
 		var env ErrorEnvelope
 		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || w.Code != http.StatusInternalServerError ||
 			env.Error.Code != ErrInternal || !strings.Contains(env.Error.Message, "encoding records") {

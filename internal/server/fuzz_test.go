@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,13 +18,17 @@ import (
 // fails to parse surfaces as a 400 with a JSON error body (never a 500 or a
 // hang); a spec that parses yields a stable canonical Key across repeated
 // parses (the property the result cache depends on), and it and every cell
-// label equal their fmt references. The accept path stops at the size
-// guards rather than running simulations, so the fuzzer stays fast.
+// label equal their fmt references. NumCells equals the expansion's length,
+// and the size guard, which never expands, refuses exactly what checking
+// every expanded cell refuses. The accept path stops at the size guards
+// rather than running simulations, so the fuzzer stays fast.
 func FuzzGridQuery(f *testing.F) {
 	f.Add("model=4B;method=baseline,vocab-1;vocab=32k;micro=16")
 	f.Add("model=4B,10B;seq=2048,4096;vocab=32k,256k;method=1f1b")
 	f.Add("model=7B;method=vhalf")
 	f.Add("model=4B;devices=7;method=baseline")
+	f.Add("model=4B,21B;seq=4096,2048;vocab=64k;method=vocab-2,1f1b")
+	f.Add("model=10B;micro=5000;devices=64")
 	f.Add("model=")
 	f.Add(";;;")
 	f.Add("model=4B;model=4B")
@@ -38,6 +43,9 @@ func FuzzGridQuery(f *testing.F) {
 	s := New(Options{MaxCells: 1})
 	s.opt.MaxCells = 0 // below any real grid; bypasses the >0 default
 	h := s.Handler()
+	// guard holds small caps, so fuzzed micro and devices values reach both
+	// per-cell rejections.
+	guard := &Server{opt: Options{MaxCells: 64, MaxDevices: 16}}
 
 	f.Fuzz(func(t *testing.T, spec string) {
 		g, parseErr := sweep.ParseGrid(spec)
@@ -71,8 +79,17 @@ func FuzzGridQuery(f *testing.F) {
 		if k1 == "" {
 			t.Fatalf("spec %q: empty canonical key", spec)
 		}
-		if cells := g.Expand(); strings.Count(k1, "|") != len(cells) {
+		cells := g.Expand()
+		if strings.Count(k1, "|") != len(cells) {
 			t.Fatalf("spec %q: key %q does not cover all %d cells", spec, k1, len(cells))
+		}
+		if n := g.NumCells(); n != len(cells) {
+			t.Fatalf("spec %q: NumCells %d, Expand built %d cells", spec, n, len(cells))
+		}
+		// The size guard counts and reads configs instead of expanding; it
+		// must refuse exactly what checking every expanded cell refused.
+		if got, want := guard.checkGrid(g), expandedCheckGrid(guard, cells); !reflect.DeepEqual(got, want) {
+			t.Fatalf("spec %q: checkGrid = %+v, expanded check = %+v", spec, got, want)
 		}
 		checkKeyAndLabels(t, "spec "+strconv.Quote(spec), g)
 		// With MaxCells forced to 0 the handler must reject even valid specs

@@ -126,6 +126,16 @@ func (s *Server) initMetrics() {
 		"Configured result-cache capacity.",
 		func() float64 { return float64(s.cache.Stats().Capacity) })
 
+	// Request-identity index (gridRoute): whether repeated GETs skip parsing.
+	// Kept out of the vpserve_cache_* families, so the result cache's ledger
+	// counts exactly the lookups it did before the index existed.
+	s.resolved = r.Counter("vpserve_request_index_resolved_total",
+		"Compute-route GETs whose cache key came from the request-identity "+
+			"index, without parsing, validating or keying their grid.")
+	r.GaugeFunc("vpserve_request_index_entries",
+		"Request targets currently held in the request-identity index.",
+		func() float64 { return float64(s.index.Len()) })
+
 	// Async job queue (POST /api/v1/optimize): depth gauges + lifecycle totals.
 	r.GaugeFunc("vpserve_jobs_queued",
 		"Jobs waiting for a worker.",

@@ -360,6 +360,8 @@ func TestMetricsExposition(t *testing.T) {
 		"vpserve_cache_evictions_total",
 		"vpserve_cache_entries",
 		"vpserve_cache_capacity",
+		"vpserve_request_index_entries",
+		"vpserve_request_index_resolved_total",
 		"vpserve_jobs_queued",
 		"vpserve_jobs_running",
 		"vpserve_jobs_submitted_total",
@@ -409,6 +411,14 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if v := fams["vpserve_cache_hits_total"].samples[0].value; v < 1 {
 		t.Errorf("cache hits = %v, want >= 1", v)
+	}
+	// The repeated sweep resolved its key through the request-identity
+	// index; the 400 left no entry.
+	if v := fams["vpserve_request_index_resolved_total"].samples[0].value; v != 1 {
+		t.Errorf("index resolved = %v, want 1", v)
+	}
+	if v := fams["vpserve_request_index_entries"].samples[0].value; v != 1 {
+		t.Errorf("index entries = %v, want 1", v)
 	}
 
 	// Second scrape under concurrent request load: counters only go up, and

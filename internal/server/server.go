@@ -3,7 +3,9 @@
 // internal/report emits for `vpbench -json` — byte-identical, so a client
 // cannot tell whether a result came from the CLI or the service — backed by
 // an LRU cache with in-flight request deduplication (internal/cache),
-// so a thundering herd on one grid computes it once.
+// so a thundering herd on one grid computes it once. A repeated GET finds
+// its cache key by its request target in a second LRU of the same size
+// (gridRoute), so a hit does not parse, expand or key its grid again.
 //
 // Endpoints (every API route lives under /api/v1; an unversioned /api/...
 // path answers an enveloped 404, code unversioned_path, naming its /api/v1
@@ -112,7 +114,8 @@ const StatusClientClosedRequest = 499
 
 // Options tunes a Server.
 type Options struct {
-	// CacheSize is the total cached grid count (default 256).
+	// CacheSize is the total cached grid count (default 256). The
+	// request-identity index in front of the cache holds as many targets.
 	CacheSize int
 	// Parallel is the sweep worker count per computed grid (default
 	// GOMAXPROCS, the sweep engine's own default).
@@ -177,6 +180,7 @@ type Options struct {
 type Server struct {
 	opt      Options
 	cache    *cache.Cache[[]byte] // encoded response bodies
+	index    *cache.Cache[string] // GET request target → canonical cache key
 	jobs     *jobs.Queue
 	cluster  *cluster.Dispatcher // non-nil in coordinator mode
 	admit    *admitter
@@ -191,6 +195,7 @@ type Server struct {
 	httpDur   *metrics.HistogramVec // route
 	sseActive *metrics.Gauge
 	admitWait *metrics.Histogram // queued time of admitted requests
+	resolved  *metrics.Counter   // GETs whose key came from the index
 }
 
 // New returns a Server with defaults applied.
@@ -222,6 +227,7 @@ func New(opt Options) *Server {
 	s := &Server{
 		opt:   opt,
 		cache: cache.New[[]byte](opt.CacheSize),
+		index: cache.New[string](opt.CacheSize),
 		admit: newAdmitter(opt.MaxInFlight, opt.AdmitQueue),
 		start: time.Now(),
 	}
@@ -287,9 +293,9 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	mux.HandleFunc("GET /api/v1/sweep", s.handleSweep)
-	mux.HandleFunc("GET /api/v1/schedule", s.handleSchedule)
-	mux.HandleFunc("GET /api/v1/experiments/{name}", s.handleExperiment)
+	mux.HandleFunc("GET /api/v1/sweep", s.gridRoute("sweep", s.sweepGrid))
+	mux.HandleFunc("GET /api/v1/schedule", s.gridRoute("schedule", s.scheduleGrid))
+	mux.HandleFunc("GET /api/v1/experiments/{name}", s.gridRoute("experiment", experimentGrid))
 	mux.HandleFunc("POST /api/v1/shard", s.handleShard)
 	mux.HandleFunc("POST /api/v1/cluster/join", s.handleClusterJoin)
 	mux.HandleFunc("POST /api/v1/optimize", s.handleOptimize)
@@ -402,43 +408,142 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeBody(w, r, http.StatusOK, "healthz", buf.Bytes())
 }
 
-// sizeViolation is a size-guard rejection: its envelope code, human message
-// and machine details. nil means the request is within bounds.
-type sizeViolation struct {
+// reqError is a request refused before any work is done for it: the status
+// and envelope fields writeError sends.
+type reqError struct {
+	status  int
 	code    ErrCode
 	msg     string
 	details map[string]any
 }
 
-// checkGrid applies the serving-layer size guards to a parsed grid,
-// returning a non-nil violation when the request must be rejected.
-func (s *Server) checkGrid(g *sweep.Grid) *sizeViolation {
-	cells := g.Expand()
-	if len(cells) > s.opt.MaxCells {
-		return &sizeViolation{ErrTooManyCells,
-			fmt.Sprintf("grid expands to %d cells, limit %d", len(cells), s.opt.MaxCells),
-			map[string]any{"cells": len(cells), "limit": s.opt.MaxCells}}
+// badRequest builds a 400 reqError.
+func badRequest(code ErrCode, details map[string]any, format string, args ...any) *reqError {
+	return &reqError{http.StatusBadRequest, code, fmt.Sprintf(format, args...), details}
+}
+
+// writeReqError answers e in the uniform envelope.
+func (s *Server) writeReqError(w http.ResponseWriter, r *http.Request, e *reqError) {
+	s.writeError(w, r, e.status, e.code, e.details, "%s", e.msg)
+}
+
+// checkGrid applies the serving-layer size guards to a parsed grid without
+// expanding it, returning a non-nil rejection when the request must be
+// refused. The cell count is Grid.NumCells, which saturates instead of
+// wrapping, so no cell of an oversized grid is ever built. The microbatch
+// and device caps are per cell, but seq, vocab and method never change a
+// cell's NumMicro or Devices: an axes grid is checked config by config, and
+// the rejection names the config's first cell, the first offending cell in
+// expansion order. Explicit-cell grids (shard bodies) are checked cell by
+// cell.
+func (s *Server) checkGrid(g *sweep.Grid) *reqError {
+	n := g.NumCells()
+	if n > s.opt.MaxCells {
+		return badRequest(ErrTooManyCells, map[string]any{"cells": n, "limit": s.opt.MaxCells},
+			"grid expands to %d cells, limit %d", n, s.opt.MaxCells)
 	}
-	for i := range cells {
-		if m := cells[i].Config.NumMicro; m > tune.MaxMicro {
-			return &sizeViolation{ErrTooManyMicro,
-				fmt.Sprintf("cell %q asks for %d microbatches, limit %d", cells[i].Label, m, tune.MaxMicro),
-				map[string]any{"cell": cells[i].Label, "micro": m, "limit": tune.MaxMicro}}
+	if n == 0 {
+		return nil
+	}
+	if len(g.Cells) > 0 {
+		for i := range g.Cells {
+			if e := s.checkCell(g.Cells[i].Label, g.Cells[i].Config); e != nil {
+				return e
+			}
 		}
-		if d := cells[i].Config.Devices; d > s.opt.MaxDevices {
-			return &sizeViolation{ErrTooManyDevices,
-				fmt.Sprintf("cell %q asks for %d devices, limit %d", cells[i].Label, d, s.opt.MaxDevices),
-				map[string]any{"cell": cells[i].Label, "devices": d, "limit": s.opt.MaxDevices}}
+		return nil
+	}
+	for _, cfg := range g.Configs {
+		if cfg.NumMicro <= tune.MaxMicro && cfg.Devices <= s.opt.MaxDevices {
+			continue
 		}
+		if len(g.Seqs) > 0 {
+			cfg = cfg.WithSeq(g.Seqs[0])
+		}
+		if len(g.Vocabs) > 0 {
+			cfg = cfg.WithVocab(g.Vocabs[0])
+		}
+		return s.checkCell(sweep.CellLabel(cfg, g.Methods[0]), cfg)
 	}
 	return nil
 }
 
-// respond computes (or recalls) the grid's records and writes them exactly
-// as `vpbench -json` would. The cache holds the encoded body, so only a miss
-// encodes; hits and deduplicated waiters write the stored bytes. The cache
-// key carries a route prefix so two routes can never alias each other's
-// entries. The request context flows into the computation: a disconnected
+// checkCell applies the per-cell microbatch and device caps to one cell.
+func (s *Server) checkCell(label string, cfg costmodel.Config) *reqError {
+	if m := cfg.NumMicro; m > tune.MaxMicro {
+		return badRequest(ErrTooManyMicro, map[string]any{"cell": label, "micro": m, "limit": tune.MaxMicro},
+			"cell %q asks for %d microbatches, limit %d", label, m, tune.MaxMicro)
+	}
+	if d := cfg.Devices; d > s.opt.MaxDevices {
+		return badRequest(ErrTooManyDevices, map[string]any{"cell": label, "devices": d, "limit": s.opt.MaxDevices},
+			"cell %q asks for %d devices, limit %d", label, d, s.opt.MaxDevices)
+	}
+	return nil
+}
+
+// gridParser turns a compute-route GET into its validated grid, or into the
+// client error that refuses it. It reads only the request target (path and
+// query), so one target always parses to the same grid or the same error.
+type gridParser func(r *http.Request) (*sweep.Grid, *reqError)
+
+// gridRoute serves a GET compute route through the request-identity index.
+// The request target — escaped path, "?", raw query — is the request's
+// identity: its canonical cache key is a pure function of it, because
+// parsing, the experiment registry and the model zoo are fixed. The path is
+// the escaped one because a decoded path can hold a '?' (sent as %3F), and
+// then two different requests could spell one target. A target seen before
+// resolves its key with one short-key index lookup and goes straight to
+// respond; its grid is parsed only inside the compute closure, when the
+// body was evicted and must be recomputed. A new target is parsed,
+// validated and keyed as before, then remembered. Entries are only ever
+// added for requests that validated, so no 4xx leaves one, and only when the
+// target is no longer than its key, so the index never holds more bytes
+// than the keys it points at: a padded target just takes the parsing path
+// every time. The index is an LRU as large as the body cache. POST
+// /api/v1/shard is never indexed — its grid is in the body, so one target
+// stands for many grids.
+func (s *Server) gridRoute(route string, parse gridParser) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		target := r.URL.EscapedPath() + "?" + r.URL.RawQuery
+		if key, ok := s.index.Get(target); ok {
+			s.resolved.Inc()
+			// The compute closure may run on the cache's goroutine after this
+			// handler returns (a coalesced waiter keeps it alive); parse reads
+			// only r's URL and path values, which nothing writes after routing.
+			s.respond(w, r, route, key, func() (*sweep.Grid, error) {
+				g, e := parse(r)
+				if e != nil {
+					// Unreachable while parsing is a pure function of the target.
+					return nil, fmt.Errorf("indexed request no longer parses: %s", e.msg)
+				}
+				return g, nil
+			})
+			return
+		}
+		g, e := parse(r)
+		if e != nil {
+			s.writeReqError(w, r, e)
+			return
+		}
+		key := cacheKey(route, g)
+		if len(target) <= len(key) {
+			s.index.Put(target, key)
+		}
+		s.respond(w, r, route, key, func() (*sweep.Grid, error) { return g, nil })
+	}
+}
+
+// cacheKey is g's result-cache key: the canonical grid key behind a route
+// prefix, so two routes can never alias each other's entries.
+func cacheKey(route string, g *sweep.Grid) string { return route + "|" + g.Key() }
+
+// respond writes the body cached under key (see cacheKey), computing it on a
+// miss from the grid that grid returns — exactly the records `vpbench -json`
+// prints for it. The cache holds the encoded body, so only a miss encodes;
+// hits and deduplicated waiters write the stored bytes. grid runs only on a
+// miss, inside the compute closure, so a request that resolved its key
+// through the index never parses its grid unless the body must be
+// recomputed. The request context flows into the computation: a disconnected
 // client cancels in-flight simulation work at the next cell boundary —
 // unless other requests are coalesced onto the same key, in which case the
 // sweep continues with their interest and a partial result is never cached.
@@ -450,9 +555,7 @@ func (s *Server) checkGrid(g *sweep.Grid) *sizeViolation {
 // locally — a worker never re-shards its shard — and single-cell grids
 // (every /api/v1/schedule request) stay local too: a network round trip plus
 // straggler-hedging exposure buys nothing for one milliseconds-cheap cell.
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, route string, g *sweep.Grid) {
-	key := route + "|" + g.Key()
-
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, route, key string, grid func() (*sweep.Grid, error)) {
 	// Admission: a resident or in-flight key is a cheap read (it costs no
 	// sweep work), admitted ahead of cold computes. The probe does not touch
 	// cache counters or LRU order; the classification is advisory — the key
@@ -498,16 +601,20 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, route string, g
 	// comes from whatever context the cache hands the compute closure.
 	lctx := obs.ContextWithSpan(r.Context(), lsp)
 
-	// The dispatch decision lives inside the compute closure so cache hits
-	// never pay for it (Shardable is a cheap scan, but the cell-count check
-	// re-expands the grid). The closure returns the encoded body, so a miss
-	// encodes once and every later hit writes the stored bytes as they are.
+	// The grid and the dispatch decision live inside the compute closure, so
+	// cache hits pay for neither. The closure returns the encoded body, so a
+	// miss encodes once and every later hit writes the stored bytes as they
+	// are.
 	compute := func(ctx context.Context) ([]byte, error) {
 		// The cache runs compute on a DETACHED context (refcounted by every
 		// coalesced caller) — bridge the two lineages: cancellation from the
 		// cache's ctx, trace parentage from this request's lookup span.
 		csp := obs.ChildSpan(lctx, "compute")
 		defer csp.End()
+		g, err := grid()
+		if err != nil {
+			return nil, err
+		}
 		recs, err := s.records(obs.ContextWithSpan(ctx, csp), route, g)
 		if err != nil {
 			return nil, err
@@ -539,7 +646,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, route string, g
 // span, which records the path taken.
 func (s *Server) records(ctx context.Context, route string, g *sweep.Grid) ([]report.Record, error) {
 	csp := obs.SpanFromContext(ctx)
-	if s.cluster != nil && route != "shard" && sweep.Shardable(g) && len(g.Expand()) > 1 {
+	if s.cluster != nil && route != "shard" && sweep.Shardable(g) && g.NumCells() > 1 {
 		csp.SetAttr("path", "cluster")
 		return s.cluster.Records(ctx, g)
 	}
@@ -598,46 +705,42 @@ func outcomeHeader(o cache.Outcome) string {
 	}
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+// sweepGrid parses GET /api/v1/sweep?grid=SPEC.
+func (s *Server) sweepGrid(r *http.Request) (*sweep.Grid, *reqError) {
 	spec := r.URL.Query().Get("grid")
 	if spec == "" {
-		s.writeError(w, r, http.StatusBadRequest, ErrMissingParameter, map[string]any{"parameter": "grid"},
+		return nil, badRequest(ErrMissingParameter, map[string]any{"parameter": "grid"},
 			"missing required query parameter %q (sweep.ParseGrid syntax, e.g. grid=model=4B;method=1f1b)", "grid")
-		return
 	}
 	g, err := sweep.ParseGrid(spec)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, ErrInvalidGrid, nil, "%v", err)
-		return
+		return nil, badRequest(ErrInvalidGrid, nil, "%v", err)
 	}
-	if v := s.checkGrid(g); v != nil {
-		s.writeError(w, r, http.StatusBadRequest, v.code, v.details, "%s", v.msg)
-		return
+	if e := s.checkGrid(g); e != nil {
+		return nil, e
 	}
-	s.respond(w, r, "sweep", g)
+	return g, nil
 }
 
-// handleSchedule serves one (config, method) cell with optional seq, vocab,
-// micro and devices overrides — the single-schedule view of the same engine.
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
+// scheduleGrid parses GET /api/v1/schedule: one (config, method) cell with
+// optional seq, vocab, micro and devices overrides — the single-schedule
+// view of the same engine.
+func (s *Server) scheduleGrid(r *http.Request) (*sweep.Grid, *reqError) {
 	q := r.URL.Query()
 	cfgName := q.Get("config")
 	methodName := q.Get("method")
 	if cfgName == "" || methodName == "" {
-		s.writeError(w, r, http.StatusBadRequest, ErrMissingParameter, nil, "config and method query parameters are required")
-		return
+		return nil, badRequest(ErrMissingParameter, nil, "config and method query parameters are required")
 	}
 	cfg, ok := costmodel.ConfigByName(cfgName)
 	if !ok {
-		s.writeError(w, r, http.StatusBadRequest, ErrInvalidParameter, map[string]any{"parameter": "config"},
+		return nil, badRequest(ErrInvalidParameter, map[string]any{"parameter": "config"},
 			"unknown config %q (want 4B, 10B, 21B, 7B, 16B or 30B)", cfgName)
-		return
 	}
 	m, ok := sim.MethodByName(methodName)
 	if !ok {
-		s.writeError(w, r, http.StatusBadRequest, ErrInvalidParameter, map[string]any{"parameter": "method"},
+		return nil, badRequest(ErrInvalidParameter, map[string]any{"parameter": "method"},
 			"unknown method %q (want one of %v)", methodName, sim.AllMethods)
-		return
 	}
 	for _, p := range []struct {
 		name  string
@@ -654,30 +757,28 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 		v, err := strconv.Atoi(raw)
 		if err != nil || v <= 0 {
-			s.writeError(w, r, http.StatusBadRequest, ErrInvalidParameter, map[string]any{"parameter": p.name},
+			return nil, badRequest(ErrInvalidParameter, map[string]any{"parameter": p.name},
 				"bad %s %q (want a positive integer)", p.name, raw)
-			return
 		}
 		p.apply(v)
 	}
 	g := &sweep.Grid{Name: "schedule", Configs: []costmodel.Config{cfg}, Methods: []sim.Method{m}}
-	if v := s.checkGrid(g); v != nil {
-		s.writeError(w, r, http.StatusBadRequest, v.code, v.details, "%s", v.msg)
-		return
+	if e := s.checkGrid(g); e != nil {
+		return nil, e
 	}
-	s.respond(w, r, "schedule", g)
+	return g, nil
 }
 
-func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
+// experimentGrid resolves GET /api/v1/experiments/{name} to its paper grid.
+func experimentGrid(r *http.Request) (*sweep.Grid, *reqError) {
 	name := r.PathValue("name")
 	gridFn, ok := experiments.Grid(name)
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound, ErrUnknownExperiment, map[string]any{"name": name},
-			"unknown experiment %q (grid-backed experiments: %s)",
-			name, strings.Join(experiments.Names(), ", "))
-		return
+		return nil, &reqError{http.StatusNotFound, ErrUnknownExperiment,
+			fmt.Sprintf("unknown experiment %q (grid-backed experiments: %s)", name, strings.Join(experiments.Names(), ", ")),
+			map[string]any{"name": name}}
 	}
-	s.respond(w, r, "experiment", gridFn())
+	return gridFn(), nil
 }
 
 // joinRequest is the POST /api/v1/cluster/join input; the url query
@@ -751,11 +852,11 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, ErrInvalidGrid, nil, "%v", err)
 		return
 	}
-	if v := s.checkGrid(g); v != nil {
-		s.writeError(w, r, http.StatusBadRequest, v.code, v.details, "%s", v.msg)
+	if e := s.checkGrid(g); e != nil {
+		s.writeReqError(w, r, e)
 		return
 	}
-	s.respond(w, r, "shard", g)
+	s.respond(w, r, "shard", cacheKey("shard", g), func() (*sweep.Grid, error) { return g, nil })
 }
 
 // optimizeRequest is the POST /api/v1/optimize input. Query parameters and the
@@ -854,18 +955,16 @@ func viewJob(snap jobs.Snapshot) jobView {
 // past a tighter server cap. Microbatch counts need no check here:
 // spec.Validate, which handleOptimize runs first, bounds them by
 // tune.MaxMicro.
-func (s *Server) checkTuneSpec(spec *tune.Spec) *sizeViolation {
+func (s *Server) checkTuneSpec(spec *tune.Spec) *reqError {
 	d := spec.Defaulted()
 	if size := d.SpaceSize(); size > s.opt.MaxCells {
-		return &sizeViolation{ErrTooManyCells,
-			fmt.Sprintf("search space has %d candidates, limit %d", size, s.opt.MaxCells),
-			map[string]any{"candidates": size, "limit": s.opt.MaxCells}}
+		return badRequest(ErrTooManyCells, map[string]any{"candidates": size, "limit": s.opt.MaxCells},
+			"search space has %d candidates, limit %d", size, s.opt.MaxCells)
 	}
 	for _, dev := range d.Devices {
 		if dev > s.opt.MaxDevices {
-			return &sizeViolation{ErrTooManyDevices,
-				fmt.Sprintf("candidate asks for %d devices, limit %d", dev, s.opt.MaxDevices),
-				map[string]any{"devices": dev, "limit": s.opt.MaxDevices}}
+			return badRequest(ErrTooManyDevices, map[string]any{"devices": dev, "limit": s.opt.MaxDevices},
+				"candidate asks for %d devices, limit %d", dev, s.opt.MaxDevices)
 		}
 	}
 	return nil
@@ -934,8 +1033,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, ErrInvalidSpec, nil, "%v", err)
 		return
 	}
-	if v := s.checkTuneSpec(spec); v != nil {
-		s.writeError(w, r, http.StatusBadRequest, v.code, v.details, "%s", v.msg)
+	if e := s.checkTuneSpec(spec); e != nil {
+		s.writeReqError(w, r, e)
 		return
 	}
 

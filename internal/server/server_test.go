@@ -462,24 +462,46 @@ func TestStartLocal(t *testing.T) {
 	}
 }
 
-func BenchmarkSweepCached(b *testing.B) {
+// benchCachedHit measures the in-process cache-hit path of one GET target:
+// the warm-up request computes and stores the body, so every timed request
+// is a repeat that resolves through the request-identity index.
+func benchCachedHit(b *testing.B, path string) {
 	s := New(Options{})
+	defer s.Close(context.Background())
 	h := s.Handler()
-	req := httptest.NewRequest(http.MethodGet, sweepPath(smallGrid), nil)
-	// Warm the cache so the loop measures the hit path.
+	req := httptest.NewRequest(http.MethodGet, path, nil)
 	h.ServeHTTP(httptest.NewRecorder(), req)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d", rec.Code)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" {
+			b.Fatalf("status %d, X-Cache %q; want 200 hit", rec.Code, rec.Header().Get("X-Cache"))
 		}
 	}
 	if b.N > 0 {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 	}
 }
+
+// BenchmarkSweepCached: the 2-cell smallGrid sweep.
+func BenchmarkSweepCached(b *testing.B) { benchCachedHit(b, sweepPath(smallGrid)) }
+
+// BenchmarkSweep20CellCached: a 20-cell sweep (4 vocabularies × the five
+// 1F1B methods).
+func BenchmarkSweep20CellCached(b *testing.B) {
+	benchCachedHit(b, sweepPath("model=4B;vocab=32k,64k,128k,256k;method=1f1b;micro=16"))
+}
+
+// BenchmarkScheduleCached: one schedule cell.
+func BenchmarkScheduleCached(b *testing.B) {
+	benchCachedHit(b, "/api/v1/schedule?config=4B&method=vocab-1&vocab=32768&micro=16")
+}
+
+// BenchmarkTable5Cached: the 120-cell table5 grid, whose canonical key is
+// over 9 KB.
+func BenchmarkTable5Cached(b *testing.B) { benchCachedHit(b, "/api/v1/experiments/table5") }
 
 // --- auto-tuner job endpoints ---
 

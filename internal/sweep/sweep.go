@@ -106,7 +106,7 @@ func (g *Grid) Expand() []Cell {
 		}
 		return cells
 	}
-	cells := make([]Cell, 0, g.axisCount())
+	cells := make([]Cell, 0, g.NumCells())
 	g.eachAxisCell(func(c costmodel.Config, m sim.Method) {
 		cells = append(cells, Cell{
 			Experiment: g.Name,
@@ -119,9 +119,26 @@ func (g *Grid) Expand() []Cell {
 	return cells
 }
 
-// axisCount is the size of the axes cross product.
-func (g *Grid) axisCount() int {
-	return len(g.Configs) * max(len(g.Seqs), 1) * max(len(g.Vocabs), 1) * len(g.Methods)
+// NumCells is the number of cells Expand returns, counted without building
+// any: len(Cells) for an explicit grid, else the size of the axes cross
+// product. A product past math.MaxInt saturates there instead of wrapping,
+// so a size guard that compares NumCells with its limit rejects an
+// oversized grid before anything is allocated for it.
+func (g *Grid) NumCells() int {
+	if len(g.Cells) > 0 {
+		return len(g.Cells)
+	}
+	if len(g.Configs) == 0 || len(g.Methods) == 0 {
+		return 0
+	}
+	n := 1
+	for _, k := range [...]int{len(g.Configs), max(len(g.Seqs), 1), max(len(g.Vocabs), 1), len(g.Methods)} {
+		if n > math.MaxInt/k {
+			return math.MaxInt
+		}
+		n *= k
+	}
+	return n
 }
 
 // eachAxisCell calls fn for every configuration × method of the axes cross
@@ -176,14 +193,12 @@ func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 1
 // Each cell contributes "|<label>;<method>;<model>;L<layers>;a<heads>;
 // h<hidden>;s<seq>;b<microbatch>;m<micro>;v<vocab>;d<devices>". The string
 // is also the cluster ring's placement hash, so its bytes must never drift.
-// Key walks the grid without expanding it: a hit recomputes the key of a
-// grid it never simulates.
+// Key walks the grid without expanding it, into one buffer sized from
+// NumCells. A server computes it for each request target it has not seen
+// before, a respelled grid whose body is cached included; a repeated target
+// finds its key in the server's request-identity index instead.
 func (g *Grid) Key() string {
-	n := len(g.Cells)
-	if n == 0 {
-		n = g.axisCount()
-	}
-	b := append(make([]byte, 0, len(g.Name)+n*keyBytesPerCell), g.Name...)
+	b := append(make([]byte, 0, len(g.Name)+g.NumCells()*keyBytesPerCell), g.Name...)
 	if len(g.Cells) > 0 {
 		for i := range g.Cells {
 			c := &g.Cells[i]

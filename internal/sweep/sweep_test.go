@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sort"
 	"strconv"
@@ -63,6 +64,46 @@ func TestExpandDefaultsAxesToConfig(t *testing.T) {
 	}
 	if cells[0].Config.Seq != 128 || cells[0].Config.Vocab != 8*1024 {
 		t.Errorf("empty axes should keep the config's seq/vocab, got %+v", cells[0].Config)
+	}
+}
+
+// TestNumCellsMatchesExpand pins NumCells to the length of Expand on the
+// grid shapes Expand distinguishes: explicit cells, defaulted axes, full
+// axes and an axis with no values.
+func TestNumCellsMatchesExpand(t *testing.T) {
+	tiny := tinyGrid()
+	for name, g := range map[string]*Grid{
+		"axes":       tiny,
+		"defaulted":  {Name: "g", Configs: []costmodel.Config{tinyConfig()}, Methods: []sim.Method{sim.Baseline}},
+		"explicit":   {Name: "e", Cells: tiny.Expand()[:3], Configs: tiny.Configs, Methods: sim.AllMethods},
+		"no methods": {Name: "m", Configs: tiny.Configs, Seqs: tiny.Seqs},
+		"no configs": {Name: "c", Methods: sim.AllMethods},
+	} {
+		if got, want := g.NumCells(), len(g.Expand()); got != want {
+			t.Errorf("%s: NumCells = %d, Expand has %d cells", name, got, want)
+		}
+	}
+}
+
+// TestNumCellsSaturates pins the overflow guard: four 65,536-entry axes
+// multiply to 2^64, which a plain int product wraps to 0 — a size guard
+// reading 0 would pass the grid and Expand would run until memory ran out.
+// NumCells must saturate at math.MaxInt instead, and an empty method axis
+// still makes the product 0 however large the other axes are.
+func TestNumCellsSaturates(t *testing.T) {
+	const n = 1 << 16
+	g := &Grid{
+		Configs: make([]costmodel.Config, n),
+		Seqs:    make([]int, n),
+		Vocabs:  make([]int, n),
+		Methods: make([]sim.Method, n),
+	}
+	if got := g.NumCells(); got != math.MaxInt {
+		t.Errorf("NumCells of four %d-entry axes = %d, want math.MaxInt (%d)", n, got, math.MaxInt)
+	}
+	g.Methods = nil
+	if got := g.NumCells(); got != 0 {
+		t.Errorf("NumCells with no methods = %d, want 0", got)
 	}
 }
 

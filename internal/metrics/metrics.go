@@ -301,13 +301,22 @@ func (f *family) child(values []string, make func() child) child {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: family %q has %d labels, got %d values", f.name, len(f.labels), len(values)))
 	}
-	key := strings.Join(values, "\xff")
+	// The key joins the values with \xff in a stack buffer; a map index by
+	// string(key) does not allocate, so finding an existing series is free.
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, '\xff')
+		}
+		key = append(key, v...)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	c, ok := f.children[key]
+	c, ok := f.children[string(key)]
 	if !ok {
 		c = make()
-		f.children[key] = c
+		f.children[string(key)] = c
 	}
 	return c
 }

@@ -194,3 +194,26 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 		t.Errorf("histogram lost observations:\n%s", out)
 	}
 }
+
+// TestWithExistingSeriesDoesNotAllocate: the request path looks its series
+// up on every request, so finding a series that already exists must not
+// allocate — neither the two-label counter lookup nor the one-label
+// histogram one.
+func TestWithExistingSeriesDoesNotAllocate(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("test_requests_total", "By route.", "route", "code")
+	h := r.HistogramVec("test_duration_seconds", "By route.", DefLatencyBuckets, "route")
+	route, code := "/api/v1/schedule", "2xx"
+	v.With(route, code).Inc()
+	h.With(route).Observe(0.001)
+	if n := testing.AllocsPerRun(100, func() { v.With(route, code).Inc() }); n != 0 {
+		t.Errorf("CounterVec.With on an existing series: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.With(route).Observe(0.001) }); n != 0 {
+		t.Errorf("HistogramVec.With on an existing series: %v allocations, want 0", n)
+	}
+	out := render(t, r)
+	if !strings.Contains(out, `test_requests_total{route="/api/v1/schedule",code="2xx"} 102`) {
+		t.Errorf("lookups did not land on the existing series:\n%s", out)
+	}
+}

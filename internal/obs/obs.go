@@ -14,26 +14,38 @@
 //   - The untraced path costs nothing. Every Span method is a no-op on a
 //     nil receiver, and ChildSpan/StartSpan on a span-less context return
 //     nil — so instrumented call sites never branch on "is tracing on".
+//   - The traced path costs one allocation. A trace records into one block
+//     that holds its first four spans and each span's first two
+//     attributes — a request-shaped trace (root, admission, cache.lookup,
+//     and compute on a miss) with every attribute vpserve sets on it.
+//     Recording does no sorting, hex encoding or per-span allocation;
+//     spans past the block cost one allocation each. Threading a span
+//     through a context costs the context value, as any context.WithValue
+//     does.
 //   - Traces complete, they are not collected. A trace is buffered while
-//     its root span is open and becomes immutable TraceData the moment the
+//     its root span is open and its block becomes immutable the moment the
 //     root ends; spans still open at that point are flushed with
 //     unfinished=true rather than lost (a detached singleflight compute
-//     that outlives its caller is the expected producer of these).
+//     that outlives its caller is the expected producer of these). The
+//     ring holds the blocks themselves; the sorted TraceData view is built
+//     when Trace or Recent reads one.
 //
 // Concurrency: span creation and mutation inside ONE trace serialize on
 // that trace's mutex (spans are born concurrently under dispatch fan-out);
-// the ring of completed traces is lock-free, so readers (the debug API,
-// metrics collectors) never contend with request hot paths.
+// the ring of completed traces is lock-free and a completed block is never
+// written again, so readers (the debug API, metrics collectors) never take
+// a trace's lock or contend with request hot paths.
 package obs
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,8 +57,12 @@ type TraceID [16]byte
 // IsZero reports the invalid all-zero ID (forbidden by the traceparent spec).
 func (t TraceID) IsZero() bool { return t == TraceID{} }
 
-// String renders the canonical lowercase-hex form.
-func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
+// String renders the canonical lowercase-hex form, with one allocation.
+func (t TraceID) String() string {
+	var buf [32]byte
+	hex.Encode(buf[:], t[:])
+	return string(buf[:])
+}
 
 // ParseTraceID decodes the 32-hex-digit form (as minted by String).
 func ParseTraceID(s string) (TraceID, error) {
@@ -69,8 +85,12 @@ type SpanID [8]byte
 // IsZero reports the invalid all-zero ID.
 func (s SpanID) IsZero() bool { return s == SpanID{} }
 
-// String renders the canonical lowercase-hex form.
-func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
+// String renders the canonical lowercase-hex form, with one allocation.
+func (s SpanID) String() string {
+	var buf [16]byte
+	hex.Encode(buf[:], s[:])
+	return string(buf[:])
+}
 
 // SpanContext is the cross-process identity a traceparent header carries:
 // which trace, and which span in it is the remote parent.
@@ -198,20 +218,29 @@ func (t *Tracer) Stats() Stats {
 }
 
 // Trace looks a completed trace up by ID (newest recording wins if an ID
-// was ever reused).
+// was ever reused). Each call builds a fresh TraceData.
 func (t *Tracer) Trace(id TraceID) (*TraceData, bool) {
 	if t == nil {
 		return nil, false
 	}
-	return t.ring.get(id)
+	rec, ok := t.ring.get(id)
+	if !ok {
+		return nil, false
+	}
+	return rec.traceData(), true
 }
 
-// Recent returns up to n completed traces, newest first.
+// Recent returns up to n completed traces, newest first, each built fresh.
 func (t *Tracer) Recent(n int) []*TraceData {
 	if t == nil {
 		return nil
 	}
-	return t.ring.recent(n)
+	recs := t.ring.recent(n)
+	out := make([]*TraceData, len(recs))
+	for i, rec := range recs {
+		out[i] = rec.traceData()
+	}
+	return out
 }
 
 // StartRoot opens a new trace and returns its root span. A valid remote
@@ -224,21 +253,18 @@ func (t *Tracer) StartRoot(name string, remote SpanContext) *Span {
 		return nil
 	}
 	now := t.opt.Now()
-	at := &activeTrace{tracer: t, start: now, open: make(map[*Span]struct{})}
-	var parent SpanID
+	rec := &record{tracer: t, nspans: 1, nlanes: 1}
+	root := &rec.spans[0]
 	if remote.Valid() {
-		at.id = remote.TraceID
-		parent = remote.SpanID
+		rec.id = remote.TraceID
+		root.parent = remote.SpanID
 	} else {
-		at.id = t.newTraceID()
+		rec.id = t.newTraceID()
 	}
-	sp := &Span{trace: at, data: SpanData{
-		Name: name, SpanID: t.newSpanID(), ParentID: parent, Start: now,
-	}}
-	at.root = sp
-	at.open[sp] = struct{}{}
-	at.lanes = [][]*Span{{sp}}
-	return sp
+	root.rec, root.name, root.id, root.start = rec, name, t.newSpanID(), now
+	root.opener, root.top = root, root
+	rec.last = root
+	return root
 }
 
 func (t *Tracer) newTraceID() TraceID {
@@ -258,63 +284,115 @@ func (t *Tracer) newSpanID() SpanID {
 	return id
 }
 
-// activeTrace buffers one in-flight trace. All mutation serializes on mu;
-// id/tracer/start are immutable after StartRoot.
-type activeTrace struct {
+// inlineSpans and inlineAttrs size a trace's block: room for a
+// request-shaped trace and the attributes vpserve sets on its spans. A span
+// past inlineSpans is one allocation of its own.
+const (
+	inlineSpans = 4
+	inlineAttrs = 2
+)
+
+// record is one trace: the block StartRoot allocates, which the ring holds
+// once the root ends. All mutation serializes on mu and stops when the root
+// ends; tracer and id are immutable after StartRoot.
+type record struct {
 	tracer *Tracer
 	id     TraceID
-	start  time.Time
 
-	mu    sync.Mutex
-	done  bool
-	spans []SpanData         // finished spans, in end order
-	open  map[*Span]struct{} // started, not yet ended
-	lanes [][]*Span          // per-lane stacks of open spans
-	root  *Span
+	mu     sync.Mutex
+	done   bool
+	nlanes int32      // lanes opened so far
+	nspans int        // spans started, root included; MaxSpans caps it
+	last   *Span      // the latest span started; Span.next links them from the root
+	extra  []spanAttr // attributes past a span's inline ones, in SetAttr order
+	spans  [inlineSpans]Span
 }
 
-// laneFor picks the export row for a child: its parent's lane when the
-// parent is that lane's innermost open span (sequential work nests), else
-// the first free lane (concurrent siblings spread out).
-func (at *activeTrace) laneFor(parent *Span) int {
-	for i, stack := range at.lanes {
-		if n := len(stack); n > 0 && stack[n-1] == parent {
-			return i
-		}
-	}
-	for i, stack := range at.lanes {
-		if len(stack) == 0 {
-			return i
-		}
-	}
-	at.lanes = append(at.lanes, nil)
-	return len(at.lanes) - 1
+// spanAttr is an attribute past its span's inline ones.
+type spanAttr struct {
+	span *Span
+	Attr
 }
 
-func (at *activeTrace) startChild(name string, parent *Span) *Span {
-	t := at.tracer
+func (rec *record) startChild(name string, parent *Span) *Span {
+	t := rec.tracer
 	now := t.opt.Now()
-	at.mu.Lock()
-	defer at.mu.Unlock()
-	if at.done || len(at.spans)+len(at.open) >= t.opt.MaxSpans {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.done || rec.nspans >= t.opt.MaxSpans {
 		t.droppedSpans.Add(1)
 		return nil
 	}
-	sp := &Span{trace: at, data: SpanData{
-		Name: name, SpanID: t.newSpanID(), ParentID: parent.data.SpanID, Start: now,
-	}}
-	sp.data.Lane = at.laneFor(parent)
-	at.lanes[sp.data.Lane] = append(at.lanes[sp.data.Lane], sp)
-	at.open[sp] = struct{}{}
+	opener := rec.laneOpener(parent)
+	var sp *Span
+	if rec.nspans < inlineSpans {
+		sp = &rec.spans[rec.nspans]
+	} else {
+		sp = new(Span)
+	}
+	rec.nspans++
+	sp.rec, sp.name, sp.id, sp.parent, sp.start = rec, name, t.newSpanID(), parent.id, now
+	rec.last.next, rec.last = sp, sp
+	if opener == nil { // sp opens a new lane
+		opener, sp.lane = sp, rec.nlanes
+		rec.nlanes++
+	}
+	sp.opener, sp.lane, sp.below = opener, opener.lane, opener.top
+	opener.top = sp
 	return sp
 }
+
+// laneOpener picks the lane for a child of parent, named by the span that
+// opened it: the parent's lane when the parent is that lane's innermost open
+// span (sequential work nests), else the first free lane (concurrent
+// siblings spread out), else nil for a new lane.
+func (rec *record) laneOpener(parent *Span) *Span {
+	if parent.opener.top == parent {
+		return parent.opener
+	}
+	for s := &rec.spans[0]; s != nil; s = s.next {
+		if s.opener == s && s.top == nil {
+			return s
+		}
+	}
+	return nil
+}
+
+// spanState is where a span is in its life.
+type spanState uint8
+
+const (
+	spanOpen spanState = iota
+	spanEnded
+	spanUnfinished // still open when the root ended
+)
 
 // Span is one timed operation inside a trace. The zero of usefulness — a
 // nil *Span — is every method's valid receiver, so untraced paths need no
 // branches.
 type Span struct {
-	trace *activeTrace
-	data  SpanData // guarded by trace.mu except the immutable identity fields
+	rec *record
+
+	// Identity, fixed when the span starts.
+	name   string
+	id     SpanID
+	parent SpanID // zero for a local root with no remote parent
+	start  time.Time
+
+	// Guarded by rec.mu until the root ends.
+	end    time.Time
+	lane   int32
+	state  spanState
+	nattrs uint8
+	attrs  [inlineAttrs]Attr
+
+	// Each lane is a stack of open spans, named by the span that opened
+	// it; guarded by rec.mu. A span that ends below its lane's top stays
+	// linked and is skipped when the spans above it end.
+	opener *Span // the span that opened this span's lane (itself if it did)
+	top    *Span // on an opener: its lane's innermost open span, nil when free
+	below  *Span // the lane's top when this span started
+	next   *Span // the next span started in the trace
 }
 
 // TraceID returns the owning trace's ID (zero for a nil span).
@@ -322,7 +400,7 @@ func (sp *Span) TraceID() TraceID {
 	if sp == nil {
 		return TraceID{}
 	}
-	return sp.trace.id
+	return sp.rec.id
 }
 
 // SpanID returns the span's own ID (zero for a nil span).
@@ -330,7 +408,7 @@ func (sp *Span) SpanID() SpanID {
 	if sp == nil {
 		return SpanID{}
 	}
-	return sp.data.SpanID
+	return sp.id
 }
 
 // SpanContext returns the identity a traceparent header would carry.
@@ -338,7 +416,7 @@ func (sp *Span) SpanContext() SpanContext {
 	if sp == nil {
 		return SpanContext{}
 	}
-	return SpanContext{TraceID: sp.trace.id, SpanID: sp.data.SpanID}
+	return SpanContext{TraceID: sp.rec.id, SpanID: sp.id}
 }
 
 // SetAttr annotates an open span; after End (or after the trace completed)
@@ -347,70 +425,97 @@ func (sp *Span) SetAttr(key, value string) {
 	if sp == nil {
 		return
 	}
-	at := sp.trace
-	at.mu.Lock()
-	defer at.mu.Unlock()
-	if at.done {
+	rec := sp.rec
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if sp.state != spanOpen {
 		return
 	}
-	if _, ok := at.open[sp]; !ok {
+	if sp.nattrs < inlineAttrs {
+		sp.attrs[sp.nattrs] = Attr{Key: key, Value: value}
+		sp.nattrs++
 		return
 	}
-	sp.data.Attrs = append(sp.data.Attrs, Attr{Key: key, Value: value})
+	rec.extra = append(rec.extra, spanAttr{sp, Attr{Key: key, Value: value}})
 }
 
 // End finishes the span. Ending the root completes the trace: any spans
 // still open are flushed with the root's end time and unfinished=true, the
-// snapshot lands in the tracer's ring, and every later mutation of the
-// trace is a counted no-op. End is idempotent.
+// record lands in the tracer's ring, and every later mutation of the trace
+// is a counted no-op. End is idempotent.
 func (sp *Span) End() {
 	if sp == nil {
 		return
 	}
-	at := sp.trace
-	t := at.tracer
+	rec := sp.rec
+	t := rec.tracer
 	now := t.opt.Now()
-	at.mu.Lock()
-	if at.done {
-		at.mu.Unlock()
+	rec.mu.Lock()
+	if sp.state != spanOpen {
+		rec.mu.Unlock()
 		return
 	}
-	if _, ok := at.open[sp]; !ok {
-		at.mu.Unlock()
+	sp.end, sp.state = now, spanEnded
+	if root := &rec.spans[0]; sp != root {
+		if o := sp.opener; o.top == sp {
+			top := sp.below
+			for top != nil && top.state != spanOpen {
+				top = top.below
+			}
+			o.top = top
+		}
+		rec.mu.Unlock()
 		return
 	}
-	delete(at.open, sp)
-	sp.data.End = now
-	at.spans = append(at.spans, sp.data)
-	stack := at.lanes[sp.data.Lane]
-	for i := len(stack) - 1; i >= 0; i-- {
-		if stack[i] == sp {
-			at.lanes[sp.data.Lane] = append(stack[:i], stack[i+1:]...)
-			break
+	for s := sp.next; s != nil; s = s.next {
+		if s.state == spanOpen {
+			s.end, s.state = now, spanUnfinished
 		}
 	}
-	if sp != at.root {
-		at.mu.Unlock()
-		return
-	}
-	at.done = true
-	for o := range at.open {
-		o.data.End = now
-		o.data.Unfinished = true
-		at.spans = append(at.spans, o.data)
-	}
-	clear(at.open)
-	td := &TraceData{ID: at.id, Service: t.opt.Service, Start: at.start, End: now}
-	td.Spans = append(td.Spans, at.spans...)
-	sort.SliceStable(td.Spans, func(i, j int) bool {
-		if !td.Spans[i].Start.Equal(td.Spans[j].Start) {
-			return td.Spans[i].Start.Before(td.Spans[j].Start)
-		}
-		return td.Spans[i].SpanID.String() < td.Spans[j].SpanID.String()
-	})
-	at.mu.Unlock()
-	t.ring.add(td)
+	rec.done = true
+	rec.mu.Unlock()
+	t.ring.add(rec)
 	t.recorded.Add(1)
+}
+
+// traceData builds the TraceData view of a completed record, spans sorted
+// by start time (ties broken by span ID). It reads without the record's
+// lock: nothing writes a record once the ring holds it.
+func (rec *record) traceData() *TraceData {
+	root := &rec.spans[0]
+	td := &TraceData{
+		ID: rec.id, Service: rec.tracer.opt.Service, Start: root.start, End: root.end,
+		Spans: make([]SpanData, 0, rec.nspans),
+	}
+	n := len(rec.extra)
+	for s := root; s != nil; s = s.next {
+		n += int(s.nattrs)
+	}
+	attrs := make([]Attr, 0, n)
+	for s := root; s != nil; s = s.next {
+		from := len(attrs)
+		attrs = append(attrs, s.attrs[:s.nattrs]...)
+		for _, a := range rec.extra {
+			if a.span == s {
+				attrs = append(attrs, a.Attr)
+			}
+		}
+		sd := SpanData{
+			Name: s.name, SpanID: s.id, ParentID: s.parent, Start: s.start, End: s.end,
+			Lane: int(s.lane), Unfinished: s.state == spanUnfinished,
+		}
+		if len(attrs) > from {
+			sd.Attrs = attrs[from:len(attrs):len(attrs)]
+		}
+		td.Spans = append(td.Spans, sd)
+	}
+	slices.SortStableFunc(td.Spans, func(a, b SpanData) int {
+		if c := a.Start.Compare(b.Start); c != 0 {
+			return c
+		}
+		return bytes.Compare(a.SpanID[:], b.SpanID[:])
+	})
+	return td
 }
 
 // ctxKey carries the current span through context.Context.
@@ -441,7 +546,7 @@ func ChildSpan(ctx context.Context, name string) *Span {
 	if parent == nil {
 		return nil
 	}
-	return parent.trace.startChild(name, parent)
+	return parent.rec.startChild(name, parent)
 }
 
 // StartSpan starts a child span and threads it through the returned

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"vocabpipe/internal/trace"
 )
@@ -285,4 +288,184 @@ func TestChromeExportRoundTripsAndIsDeterministic(t *testing.T) {
 			t.Errorf("event %d differs across identical runs: %+v vs %+v", i, events[i], again[i])
 		}
 	}
+}
+
+// requestTrace records the trace vpserve records for a cached hit: the root
+// with its route and status, admission with its class and outcome, and
+// cache.lookup with its outcome.
+func requestTrace(tr *Tracer) {
+	root := tr.StartRoot("GET /api/v1/schedule", SpanContext{})
+	root.SetAttr("route", "/api/v1/schedule")
+	ctx := ContextWithSpan(context.Background(), root)
+	adm := ChildSpan(ctx, "admission")
+	adm.SetAttr("class", "cheap")
+	adm.SetAttr("outcome", "admitted")
+	adm.End()
+	lookup := ChildSpan(ctx, "cache.lookup")
+	lookup.SetAttr("outcome", "hit")
+	lookup.End()
+	root.SetAttr("status", "200")
+	root.End()
+}
+
+// TestRequestTraceAllocs: recording a request-shaped trace costs the trace's
+// one block plus the context that carries its root, however many spans and
+// attributes fit inline.
+func TestRequestTraceAllocs(t *testing.T) {
+	tr := NewTracer(Options{Service: "test"})
+	requestTrace(tr)
+	if n := testing.AllocsPerRun(100, func() { requestTrace(tr) }); n > 2 {
+		t.Errorf("a request-shaped trace allocates %v objects, want at most 2", n)
+	}
+	td := tr.Recent(1)[0]
+	if len(td.Spans) != 3 || td.Root().Name != "GET /api/v1/schedule" {
+		t.Errorf("recorded %d spans under %q", len(td.Spans), td.Root().Name)
+	}
+}
+
+// BenchmarkRequestTrace: one request-shaped trace, recorded into the ring
+// on the real clock and entropy.
+func BenchmarkRequestTrace(b *testing.B) {
+	tr := NewTracer(Options{Service: "test"})
+	b.ReportAllocs()
+	for b.Loop() {
+		requestTrace(tr)
+	}
+}
+
+// TestClockAndEntropyCalls pins what each operation draws from the injected
+// clock and entropy: one Now per StartRoot, child start and End call (a late
+// or repeated End included), none per SetAttr; two Rand calls per fresh
+// trace ID and one per span ID, none for a refused child.
+func TestClockAndEntropyCalls(t *testing.T) {
+	var nows, rands int
+	tr := NewTracer(Options{
+		MaxSpans: 2,
+		Now:      func() time.Time { nows++; return time.Unix(0, int64(nows)) },
+		Rand:     func() uint64 { rands++; return uint64(rands) },
+	})
+	step := func(what string, wantNow, wantRand int, op func()) {
+		t.Helper()
+		n0, r0 := nows, rands
+		op()
+		if nows-n0 != wantNow || rands-r0 != wantRand {
+			t.Errorf("%s: %d Now and %d Rand calls, want %d and %d", what, nows-n0, rands-r0, wantNow, wantRand)
+		}
+	}
+	var root, child *Span
+	step("StartRoot", 1, 3, func() { root = tr.StartRoot("req", SpanContext{}) })
+	ctx := ContextWithSpan(context.Background(), root)
+	step("remote StartRoot", 1, 1, func() { tr.StartRoot("shard", root.SpanContext()) })
+	step("child", 1, 1, func() { child = ChildSpan(ctx, "a") })
+	step("child past MaxSpans", 1, 0, func() { ChildSpan(ctx, "b") })
+	step("SetAttr", 0, 0, func() { child.SetAttr("k", "v") })
+	step("End", 1, 0, func() { child.End() })
+	step("repeated End", 1, 0, func() { child.End() })
+	step("root End", 1, 0, func() { root.End() })
+	step("late End", 1, 0, func() { root.End() })
+	step("late SetAttr", 0, 0, func() { child.SetAttr("k", "v") })
+	step("late child", 1, 0, func() { ChildSpan(ctx, "c") })
+}
+
+// TestEqualStartsOrderBySpanID: spans that start on the same clock reading
+// export in span-ID order, whatever order they started in.
+func TestEqualStartsOrderBySpanID(t *testing.T) {
+	ids := []uint64{9, 0x30, 0x20, 0x10}
+	tr := NewTracer(Options{
+		Now:  func() time.Time { return time.Unix(1, 0) },
+		Rand: func() uint64 { id := ids[0]; ids = ids[1:]; return id },
+	})
+	root := tr.StartRoot("req", SpanContext{TraceID: TraceID{1}, SpanID: SpanID{1}})
+	ctx := ContextWithSpan(context.Background(), root)
+	for _, name := range []string{"c", "b", "a"} {
+		ChildSpan(ctx, name).End()
+	}
+	root.End()
+	td, _ := tr.Trace(root.TraceID())
+	var got []string
+	for _, s := range td.Spans {
+		got = append(got, s.Name)
+	}
+	if want := []string{"req", "a", "b", "c"}; !slices.Equal(got, want) {
+		t.Errorf("span order %v, want %v", got, want)
+	}
+}
+
+// TestRecordFitsRetentionBudget: the ring holds each trace's block itself,
+// so the block stays within about a kilobyte however the inline capacity is
+// tuned.
+func TestRecordFitsRetentionBudget(t *testing.T) {
+	if n := unsafe.Sizeof(record{}); n > 1024 {
+		t.Errorf("a trace's block is %d bytes, want at most 1024", n)
+	}
+}
+
+// TestConcurrentSpansAndReaders is the recorder's -race proof: goroutines
+// start, annotate and end spans of one trace (past the inline capacity),
+// one of them keeps going after the root ends, and readers build TraceData
+// from completed traces throughout.
+func TestConcurrentSpansAndReaders(t *testing.T) {
+	tr := NewTracer(Options{Capacity: 4, Service: "test"})
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, td := range tr.Recent(4) {
+					if again, ok := tr.Trace(td.ID); ok {
+						again.ChromeEvents()
+					}
+				}
+			}
+		}()
+	}
+	for round := 0; round < 20; round++ {
+		root := tr.StartRoot("req", SpanContext{})
+		ctx := ContextWithSpan(context.Background(), root)
+		var writers sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			writers.Add(1)
+			go func(w int) {
+				defer writers.Done()
+				sctx, sp := StartSpan(ctx, "shard")
+				sp.SetAttr("worker", strconv.Itoa(w))
+				for i := 0; i < 3; i++ {
+					child := ChildSpan(sctx, "attempt")
+					child.SetAttr("n", strconv.Itoa(i))
+					child.SetAttr("outcome", "ok")
+					child.SetAttr("extra", "past the inline attributes")
+					child.End()
+				}
+				sp.End()
+			}(w)
+		}
+		late := make(chan struct{})
+		go func() {
+			defer close(late)
+			_, sp := StartSpan(ctx, "detached")
+			for i := 0; i < 50; i++ {
+				sp.SetAttr("i", strconv.Itoa(i))
+			}
+			sp.End()
+		}()
+		writers.Wait()
+		root.End()
+		<-late
+		td, ok := tr.Trace(root.TraceID())
+		if !ok {
+			t.Fatal("completed trace missing")
+		}
+		if n := len(td.Spans); n < 17 || n > 18 {
+			t.Fatalf("trace has %d spans, want 17 or 18", n)
+		}
+	}
+	close(stop)
+	readers.Wait()
 }

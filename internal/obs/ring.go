@@ -8,20 +8,20 @@ import "sync/atomic"
 // allocation, no coordination with readers. Readers snapshot the sequence
 // and walk slots newest-first; a concurrent overwrite simply means the
 // reader sees the newer trace, never a torn one (pointer stores are atomic
-// and TraceData is immutable once published).
+// and a record is never written once published).
 type ring struct {
-	slots []atomic.Pointer[TraceData]
+	slots []atomic.Pointer[record]
 	next  atomic.Uint64 // total adds ever; next.Load() % len(slots) is the next slot
 }
 
 func newRing(capacity int) *ring {
-	return &ring{slots: make([]atomic.Pointer[TraceData], capacity)}
+	return &ring{slots: make([]atomic.Pointer[record], capacity)}
 }
 
 // add publishes a completed trace, overwriting the oldest entry once full.
-func (r *ring) add(td *TraceData) {
+func (r *ring) add(rec *record) {
 	i := r.next.Add(1) - 1
-	r.slots[i%uint64(len(r.slots))].Store(td)
+	r.slots[i%uint64(len(r.slots))].Store(rec)
 }
 
 // len reports the occupied slot count (never above capacity). It reads the
@@ -34,7 +34,7 @@ func (r *ring) len() int {
 // get scans newest-first for the trace with the given ID, so a reused ID
 // (only possible with an injected test Rand) resolves to its latest
 // recording.
-func (r *ring) get(id TraceID) (*TraceData, bool) {
+func (r *ring) get(id TraceID) (*record, bool) {
 	n := r.next.Load()
 	c := uint64(len(r.slots))
 	span := n
@@ -42,15 +42,15 @@ func (r *ring) get(id TraceID) (*TraceData, bool) {
 		span = c
 	}
 	for i := uint64(0); i < span; i++ {
-		if td := r.slots[(n-1-i)%c].Load(); td != nil && td.ID == id {
-			return td, true
+		if rec := r.slots[(n-1-i)%c].Load(); rec != nil && rec.id == id {
+			return rec, true
 		}
 	}
 	return nil, false
 }
 
 // recent returns up to limit traces, newest first.
-func (r *ring) recent(limit int) []*TraceData {
+func (r *ring) recent(limit int) []*record {
 	n := r.next.Load()
 	c := uint64(len(r.slots))
 	span := n
@@ -60,10 +60,10 @@ func (r *ring) recent(limit int) []*TraceData {
 	if l := uint64(limit); limit >= 0 && span > l {
 		span = l
 	}
-	out := make([]*TraceData, 0, span)
+	out := make([]*record, 0, span)
 	for i := uint64(0); i < span; i++ {
-		if td := r.slots[(n-1-i)%c].Load(); td != nil {
-			out = append(out, td)
+		if rec := r.slots[(n-1-i)%c].Load(); rec != nil {
+			out = append(out, rec)
 		}
 	}
 	return out

@@ -1,33 +1,32 @@
 package obs
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
 
-func tdWithID(n byte) *TraceData {
+func recWithID(n byte) *record {
 	var id TraceID
 	id[15] = n
 	id[0] = 1 // keep it nonzero even when n is 0
-	return &TraceData{ID: id}
+	return &record{id: id}
 }
 
 func TestRingEvictsOldestFirst(t *testing.T) {
 	r := newRing(4)
 	for i := byte(1); i <= 6; i++ {
-		r.add(tdWithID(i))
+		r.add(recWithID(i))
 	}
 	if got := r.len(); got != 4 {
 		t.Fatalf("len = %d, want 4 (capacity)", got)
 	}
 	for i := byte(1); i <= 2; i++ {
-		if _, ok := r.get(tdWithID(i).ID); ok {
+		if _, ok := r.get(recWithID(i).id); ok {
 			t.Errorf("trace %d still resident after eviction", i)
 		}
 	}
 	for i := byte(3); i <= 6; i++ {
-		if _, ok := r.get(tdWithID(i).ID); !ok {
+		if _, ok := r.get(recWithID(i).id); !ok {
 			t.Errorf("trace %d evicted while newer than capacity", i)
 		}
 	}
@@ -35,23 +34,23 @@ func TestRingEvictsOldestFirst(t *testing.T) {
 	if len(recent) != 4 {
 		t.Fatalf("recent returned %d traces, want 4", len(recent))
 	}
-	if recent[0].ID != tdWithID(6).ID || recent[3].ID != tdWithID(3).ID {
-		t.Errorf("recent not newest-first: %v ... %v", recent[0].ID, recent[3].ID)
+	if recent[0].id != recWithID(6).id || recent[3].id != recWithID(3).id {
+		t.Errorf("recent not newest-first: %v ... %v", recent[0].id, recent[3].id)
 	}
-	if got := r.recent(2); len(got) != 2 || got[0].ID != tdWithID(6).ID {
-		t.Errorf("recent(2) = %d traces, head %v", len(got), got[0].ID)
+	if got := r.recent(2); len(got) != 2 || got[0].id != recWithID(6).id {
+		t.Errorf("recent(2) = %d traces, head %v", len(got), got[0].id)
 	}
 }
 
 func TestRingReusedIDResolvesToNewest(t *testing.T) {
 	r := newRing(4)
-	first := tdWithID(7)
-	second := &TraceData{ID: first.ID, Service: "newer"}
+	first := recWithID(7)
+	second := &record{id: first.id}
 	r.add(first)
 	r.add(second)
-	got, ok := r.get(first.ID)
-	if !ok || got.Service != "newer" {
-		t.Errorf("lookup returned the older recording (ok=%v, service=%q)", ok, got.Service)
+	got, ok := r.get(first.id)
+	if !ok || got != second {
+		t.Errorf("lookup returned the older recording (ok=%v, newest=%v)", ok, got == second)
 	}
 }
 
@@ -60,17 +59,17 @@ func TestRingReusedIDResolvesToNewest(t *testing.T) {
 // race, no torn reads, every returned trace is a real published one".
 func TestRingConcurrentWritersAndReaders(t *testing.T) {
 	r := newRing(8)
-	published := make([]*TraceData, 64)
+	published := make([]*record, 64)
 	for i := range published {
 		var id TraceID
 		id[0] = 2
 		id[14] = byte(i >> 8)
 		id[15] = byte(i)
-		published[i] = &TraceData{ID: id, Service: fmt.Sprint(i)}
+		published[i] = &record{id: id}
 	}
-	valid := make(map[TraceID]string, len(published))
-	for i, td := range published {
-		valid[td.ID] = fmt.Sprint(i)
+	valid := make(map[TraceID]*record, len(published))
+	for _, rec := range published {
+		valid[rec.id] = rec
 	}
 
 	var wg sync.WaitGroup
@@ -88,13 +87,13 @@ func TestRingConcurrentWritersAndReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				for _, td := range r.recent(8) {
-					if want, ok := valid[td.ID]; !ok || td.Service != want {
-						t.Errorf("ring returned a trace never published: %+v", td)
+				for _, rec := range r.recent(8) {
+					if valid[rec.id] != rec {
+						t.Errorf("ring returned a trace never published: %v", rec.id)
 						return
 					}
 				}
-				r.get(published[i%len(published)].ID)
+				r.get(published[i%len(published)].id)
 				if n := r.len(); n < 0 || n > 8 {
 					t.Errorf("len = %d out of bounds", n)
 					return

@@ -253,27 +253,41 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// routeLabel resolves the registered mux pattern for the request — the
-// bounded-cardinality route label. The method prefix is stripped
+// routeLabel resolves the registered mux pattern for the request and, from
+// it, the bounded-cardinality route label. The method prefix is stripped
 // ("GET /api/v1/sweep" → "/api/v1/sweep"); unmatched requests collapse into
-// "other" so junk paths cannot mint unbounded series.
-func routeLabel(mux *http.ServeMux, r *http.Request) string {
-	_, pattern := mux.Handler(r)
+// "other" (with an empty pattern) so junk paths cannot mint unbounded
+// series.
+func routeLabel(mux *http.ServeMux, r *http.Request) (route, pattern string) {
+	_, pattern = mux.Handler(r)
 	if pattern == "" {
-		return "other"
+		return "other", ""
 	}
+	route = pattern
 	if i := strings.IndexByte(pattern, ' '); i >= 0 {
-		pattern = pattern[i+1:]
+		route = pattern[i+1:]
 	}
-	return pattern
+	return route, pattern
 }
 
-// statusClass buckets a status code for the code label ("2xx", "4xx", ...).
-// An unset status means the handler never wrote — net/http sent an implicit
-// 200.
+// statusClass buckets a status code for the code label ("2xx", "4xx", ...)
+// with constant strings, so labelling a request allocates nothing. An unset
+// status means the handler never wrote — net/http sent an implicit 200.
 func statusClass(status int) string {
 	if status == 0 {
 		status = http.StatusOK
+	}
+	switch status / 100 {
+	case 1:
+		return "1xx"
+	case 2:
+		return "2xx"
+	case 3:
+		return "3xx"
+	case 4:
+		return "4xx"
+	case 5:
+		return "5xx"
 	}
 	return strconv.Itoa(status/100) + "xx"
 }
@@ -284,6 +298,9 @@ func statusClass(status int) string {
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	// traceID backs the X-Trace-Id header: the header map holds a slice of
+	// it, sparing the []string Header.Set would allocate.
+	traceID [1]string
 }
 
 func (w *statusWriter) WriteHeader(code int) {

@@ -307,22 +307,26 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/debug/traces/{id}", s.handleTraceGet)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
-		route := routeLabel(mux, r)
+		route, pattern := routeLabel(mux, r)
 		ctx := context.WithValue(r.Context(), routeCtxKey{}, route)
+		sw := &statusWriter{ResponseWriter: w}
 		// API requests open the trace's root span; its ID is on the response
 		// before the handler runs, so even a shed 429 is correlatable. An
 		// incoming traceparent (a coordinator's shard attempt) adopts the
 		// remote trace so worker spans nest under it across processes.
 		var sp *obs.Span
 		if s.tracer != nil && traced(r.URL.Path) {
-			parent, _ := obs.ParseTraceParent(r.Header.Get(obs.TraceParentHeader))
-			sp = s.tracer.StartRoot(r.Method+" "+route, parent)
+			var parent obs.SpanContext
+			if v := r.Header[traceParentKey]; len(v) > 0 {
+				parent, _ = obs.ParseTraceParent(v[0])
+			}
+			sp = s.tracer.StartRoot(rootSpanName(r.Method, pattern, route), parent)
 			sp.SetAttr("route", route)
-			w.Header().Set("X-Trace-Id", sp.TraceID().String())
+			sw.traceID[0] = sp.TraceID().String()
+			w.Header()["X-Trace-Id"] = sw.traceID[:]
 			ctx = obs.ContextWithSpan(ctx, sp)
 		}
 		r = r.WithContext(ctx)
-		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		if rest, ok := strings.CutPrefix(r.URL.Path, "/api/"); ok && route == "other" &&
 			rest != "v1" && !strings.HasPrefix(rest, "v1/") {
@@ -338,7 +342,7 @@ func (s *Server) Handler() http.Handler {
 			status = http.StatusOK
 		}
 		if sp != nil {
-			sp.SetAttr("status", strconv.Itoa(status))
+			sp.SetAttr("status", statusAttr(status))
 			sp.End()
 		}
 		s.httpReqs.With(route, statusClass(sw.status)).Inc()
@@ -597,9 +601,6 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, route, key stri
 	// The lookup span covers the whole DoCtx window — on a hit it is a map
 	// lookup of the stored body, on a miss it contains the compute span.
 	lsp := obs.ChildSpan(r.Context(), "cache.lookup")
-	// lctx carries the lookup span for PARENTAGE only; cancellation still
-	// comes from whatever context the cache hands the compute closure.
-	lctx := obs.ContextWithSpan(r.Context(), lsp)
 
 	// The grid and the dispatch decision live inside the compute closure, so
 	// cache hits pay for neither. The closure returns the encoded body, so a
@@ -608,8 +609,10 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, route, key stri
 	compute := func(ctx context.Context) ([]byte, error) {
 		// The cache runs compute on a DETACHED context (refcounted by every
 		// coalesced caller) — bridge the two lineages: cancellation from the
-		// cache's ctx, trace parentage from this request's lookup span.
-		csp := obs.ChildSpan(lctx, "compute")
+		// cache's ctx, trace parentage from this request's lookup span. The
+		// context carrying the lookup span is for parentage only, so only a
+		// miss builds it.
+		csp := obs.ChildSpan(obs.ContextWithSpan(r.Context(), lsp), "compute")
 		defer csp.End()
 		g, err := grid()
 		if err != nil {

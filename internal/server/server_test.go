@@ -462,11 +462,12 @@ func TestStartLocal(t *testing.T) {
 	}
 }
 
-// benchCachedHit measures the in-process cache-hit path of one GET target:
-// the warm-up request computes and stores the body, so every timed request
-// is a repeat that resolves through the request-identity index.
-func benchCachedHit(b *testing.B, path string) {
-	s := New(Options{})
+// benchCachedHit measures the in-process cache-hit path of one GET target
+// on a server built with opt: the warm-up request computes and stores the
+// body, so every timed request is a repeat that resolves through the
+// request-identity index.
+func benchCachedHit(b *testing.B, opt Options, path string) {
+	s := New(opt)
 	defer s.Close(context.Background())
 	h := s.Handler()
 	req := httptest.NewRequest(http.MethodGet, path, nil)
@@ -486,22 +487,30 @@ func benchCachedHit(b *testing.B, path string) {
 }
 
 // BenchmarkSweepCached: the 2-cell smallGrid sweep.
-func BenchmarkSweepCached(b *testing.B) { benchCachedHit(b, sweepPath(smallGrid)) }
+func BenchmarkSweepCached(b *testing.B) { benchCachedHit(b, Options{}, sweepPath(smallGrid)) }
 
 // BenchmarkSweep20CellCached: a 20-cell sweep (4 vocabularies × the five
 // 1F1B methods).
 func BenchmarkSweep20CellCached(b *testing.B) {
-	benchCachedHit(b, sweepPath("model=4B;vocab=32k,64k,128k,256k;method=1f1b;micro=16"))
+	benchCachedHit(b, Options{}, sweepPath("model=4B;vocab=32k,64k,128k,256k;method=1f1b;micro=16"))
 }
 
+// scheduleHitPath is one schedule cell, the target of the schedule hit
+// benchmarks and the tracing allocation budget.
+const scheduleHitPath = "/api/v1/schedule?config=4B&method=vocab-1&vocab=32768&micro=16"
+
 // BenchmarkScheduleCached: one schedule cell.
-func BenchmarkScheduleCached(b *testing.B) {
-	benchCachedHit(b, "/api/v1/schedule?config=4B&method=vocab-1&vocab=32768&micro=16")
+func BenchmarkScheduleCached(b *testing.B) { benchCachedHit(b, Options{}, scheduleHitPath) }
+
+// BenchmarkScheduleCachedUntraced: the same hit with tracing disabled, so
+// the difference from BenchmarkScheduleCached is what tracing costs.
+func BenchmarkScheduleCachedUntraced(b *testing.B) {
+	benchCachedHit(b, Options{TraceCapacity: -1}, scheduleHitPath)
 }
 
 // BenchmarkTable5Cached: the 120-cell table5 grid, whose canonical key is
 // over 9 KB.
-func BenchmarkTable5Cached(b *testing.B) { benchCachedHit(b, "/api/v1/experiments/table5") }
+func BenchmarkTable5Cached(b *testing.B) { benchCachedHit(b, Options{}, "/api/v1/experiments/table5") }
 
 // --- auto-tuner job endpoints ---
 

@@ -30,6 +30,49 @@ func traced(path string) bool {
 	return strings.HasPrefix(path, "/api/") && !strings.Contains(path, "/debug/")
 }
 
+// traceParentKey is obs.TraceParentHeader in canonical form: indexing the
+// header map with it skips the canonicalization Header.Get would allocate
+// for the lowercase name.
+const traceParentKey = "Traceparent"
+
+// rootSpanName names a request's root span "METHOD route". A registered
+// route's mux pattern already reads that way whenever the request's method
+// is the pattern's, so the pattern itself is the name and costs nothing.
+func rootSpanName(method, pattern, route string) string {
+	if len(pattern) > len(method) && pattern[len(method)] == ' ' && pattern[:len(method)] == method {
+		return pattern
+	}
+	return method + " " + route
+}
+
+// statusAttr is the root span's status attribute, a constant string for
+// every status the server writes.
+func statusAttr(status int) string {
+	switch status {
+	case http.StatusOK:
+		return "200"
+	case http.StatusAccepted:
+		return "202"
+	case http.StatusBadRequest:
+		return "400"
+	case http.StatusNotFound:
+		return "404"
+	case http.StatusMethodNotAllowed:
+		return "405"
+	case http.StatusConflict:
+		return "409"
+	case http.StatusTooManyRequests:
+		return "429"
+	case StatusClientClosedRequest:
+		return "499"
+	case http.StatusInternalServerError:
+		return "500"
+	case http.StatusServiceUnavailable:
+		return "503"
+	}
+	return strconv.Itoa(status)
+}
+
 // routeCtxKey carries the resolved route label through the request context
 // so log lines deep in handlers can name the route without re-resolving it.
 type routeCtxKey struct{}

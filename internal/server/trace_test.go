@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -294,5 +296,117 @@ func TestSlowRequestLog(t *testing.T) {
 		!strings.Contains(got, "route=/api/v1/sweep") ||
 		!strings.Contains(got, "trace="+id) {
 		t.Errorf("slow-request log missing identity; log = %q", got)
+	}
+}
+
+// hitCost is what one in-process cached hit on scheduleHitPath costs a server
+// built with opt: heap objects and bytes allocated per request, averaged
+// over n requests after a warm-up that computes and stores the body.
+func hitCost(t *testing.T, opt Options, n int) (allocs, bytes float64) {
+	t.Helper()
+	s := New(opt)
+	defer s.Close(context.Background())
+	h := s.Handler()
+	req := httptest.NewRequest(http.MethodGet, scheduleHitPath, nil)
+	h.ServeHTTP(httptest.NewRecorder(), req)
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" {
+			t.Fatalf("status %d, X-Cache %q; want 200 hit", rec.Code, rec.Header().Get("X-Cache"))
+		}
+	}
+	serve()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestTracedHitAllocationBudget: every request stays traced, so tracing a
+// cached hit may cost at most 3 heap objects (the trace's block, the
+// context carrying its root, the X-Trace-Id value) and 1.4 KB over the
+// same hit with tracing disabled.
+func TestTracedHitAllocationBudget(t *testing.T) {
+	const n = 200
+	onAllocs, onBytes := hitCost(t, Options{}, n)
+	offAllocs, offBytes := hitCost(t, Options{TraceCapacity: -1}, n)
+	t.Logf("traced hit: %.1f allocs, %.0f B; untraced: %.1f allocs, %.0f B", onAllocs, onBytes, offAllocs, offBytes)
+	if d := onAllocs - offAllocs; d > 3 {
+		t.Errorf("tracing a hit costs %.1f more allocations, want at most 3", d)
+	}
+	if d := onBytes - offBytes; d > 1400 {
+		t.Errorf("tracing a hit costs %.0f more bytes, want at most 1400", d)
+	}
+}
+
+// TestRootSpanNameAndStatusAttr: the strings the middleware records per
+// request are prebuilt, and each reads exactly as the string it replaced.
+func TestRootSpanNameAndStatusAttr(t *testing.T) {
+	for _, tt := range []struct {
+		method, pattern, route, want string
+		prebuilt                     bool // the pattern is the name
+	}{
+		{"GET", "GET /api/v1/schedule", "/api/v1/schedule", "GET /api/v1/schedule", true},
+		{"POST", "POST /api/v1/shard", "/api/v1/shard", "POST /api/v1/shard", true},
+		{"HEAD", "GET /api/v1/sweep", "/api/v1/sweep", "HEAD /api/v1/sweep", false},
+		{"GET", "", "other", "GET other", false},
+	} {
+		var got string
+		allocs := testing.AllocsPerRun(10, func() { got = rootSpanName(tt.method, tt.pattern, tt.route) })
+		if got != tt.want {
+			t.Errorf("rootSpanName(%q, %q, %q) = %q, want %q", tt.method, tt.pattern, tt.route, got, tt.want)
+		}
+		if tt.prebuilt && allocs != 0 {
+			t.Errorf("naming %q allocates %v objects, want 0", tt.pattern, allocs)
+		}
+	}
+	for code := 100; code < 600; code++ {
+		if got := statusAttr(code); got != strconv.Itoa(code) {
+			t.Errorf("statusAttr(%d) = %q", code, got)
+		}
+		if got, want := statusClass(code), strconv.Itoa(code/100)+"xx"; got != want {
+			t.Errorf("statusClass(%d) = %q, want %q", code, got, want)
+		}
+	}
+	var attr, class string
+	if n := testing.AllocsPerRun(10, func() { attr, class = statusAttr(503), statusClass(503) }); n != 0 {
+		t.Errorf("status strings %q, %q cost %v allocations, want 0", attr, class, n)
+	}
+	if got := http.CanonicalHeaderKey(obs.TraceParentHeader); got != traceParentKey {
+		t.Errorf("canonical traceparent key is %q, not %q", got, traceParentKey)
+	}
+}
+
+// TestTraceParentAdoption: a well-formed traceparent makes the request's
+// root a child of the caller's span; a rejected one starts a fresh trace,
+// even when the IDs it carries are themselves well formed.
+func TestTraceParentAdoption(t *testing.T) {
+	s := New(Options{Parallel: 1})
+	defer s.Close(context.Background())
+	h := s.Handler()
+	const ids = "4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7"
+	for _, tt := range []struct {
+		header string
+		adopt  bool
+	}{
+		{"00-" + ids + "-01", true},
+		{"00-" + ids + "-XY", false},   // flags not hex
+		{"00-" + ids + "-01-x", false}, // version 00 carries no suffix
+		{"00-" + strings.ToUpper(ids) + "-01", false},
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/jobs", nil)
+		req.Header.Set(obs.TraceParentHeader, tt.header)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		tid := rec.Header().Get("X-Trace-Id")
+		if adopted := tid == ids[:32]; adopted != tt.adopt {
+			t.Errorf("traceparent %q: X-Trace-Id %s, adopted=%v, want %v", tt.header, tid, adopted, tt.adopt)
+		}
 	}
 }

@@ -25,14 +25,6 @@
 //	                      e.g. -tune 'model=4B;devices=8..32;micro=32..128'
 //	-tune-strategy NAME   beam (default), exhaustive or anneal
 //	-tune-list            list the named tuning scenarios
-//
-// Perf modes (see perf.go and internal/perf):
-//
-//	-perf                  run the perf suite, emit a BENCH report (JSON)
-//	-perf-time D           measuring time per perf case (0 = one iteration)
-//	-perf-compare OLD NEW  diff two BENCH reports; exit 3 past tolerance
-//	-perf-tolerance X        allowed relative ns/op growth (default 3)
-//	-perf-alloc-tolerance X  allowed relative allocs/op growth (default 0.5)
 package main
 
 import (
@@ -42,7 +34,6 @@ import (
 	"os"
 	"sync"
 
-	"vocabpipe/internal/perf"
 	"vocabpipe/internal/report"
 	"vocabpipe/internal/sweep"
 )
@@ -79,11 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tuneSpec := fs.String("tune", "", "run the auto-tuner on a named scenario or inline `SPEC` (tune.ParseSpec syntax)")
 	tuneStrategy := fs.String("tune-strategy", "", "search strategy for -tune: beam (default), exhaustive or anneal")
 	tuneList := fs.Bool("tune-list", false, "list the named tuning scenarios and exit")
-	perfRun := fs.Bool("perf", false, "run the perf suite and emit a BENCH report (JSON)")
-	perfCompare := fs.Bool("perf-compare", false, "compare two BENCH files given as arguments (old new)")
-	perfTime := fs.Duration("perf-time", 0, "target measuring time per perf case (0 = single iteration)")
-	perfTol := fs.Float64("perf-tolerance", perf.DefaultTolerance.Time, "allowed relative ns/op growth before -perf-compare fails")
-	perfAllocTol := fs.Float64("perf-alloc-tolerance", perf.DefaultTolerance.Allocs, "allowed relative allocs/op growth before -perf-compare fails")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -95,20 +81,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// ignoring them (a dropped flag makes the user believe it took effect).
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if !*perfRun && explicit["perf-time"] {
-		fmt.Fprintln(stderr, "vpbench: -perf-time only applies to -perf")
-		return 2
-	}
-	if !*perfCompare && (explicit["perf-tolerance"] || explicit["perf-alloc-tolerance"]) {
-		fmt.Fprintln(stderr, "vpbench: -perf-tolerance/-perf-alloc-tolerance only apply to -perf-compare")
-		return 2
-	}
 	if *tuneSpec == "" && explicit["tune-strategy"] {
 		fmt.Fprintln(stderr, "vpbench: -tune-strategy only applies to -tune")
 		return 2
 	}
 	if *tuneList {
-		if *tuneSpec != "" || *perfRun || *perfCompare || *gridSpec != "" || len(fs.Args()) > 0 {
+		if *tuneSpec != "" || *gridSpec != "" || explicit["parallel"] || explicit["v"] || len(fs.Args()) > 0 {
 			fmt.Fprintln(stderr, "vpbench: -tune-list takes no other modes or arguments")
 			return 2
 		}
@@ -132,10 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return rc
 	}
 	if *tuneSpec != "" {
-		if *perfRun || *perfCompare {
-			fmt.Fprintln(stderr, "vpbench: -tune and the perf modes are mutually exclusive")
-			return 2
-		}
 		if *gridSpec != "" || len(fs.Args()) > 0 {
 			fmt.Fprintln(stderr, "vpbench: -tune runs alone (drop -grid and experiment names)")
 			return 2
@@ -149,51 +123,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return code
 		}
 		rc := runTune(w, stderr, *tuneSpec, *tuneStrategy, *parallel, *jsonOut, *verbose)
-		if outF != nil {
-			if err := outF.Close(); err != nil {
-				fmt.Fprintf(stderr, "vpbench: %v\n", err)
-				if rc == 0 {
-					rc = 1
-				}
-			}
-		}
-		return rc
-	}
-	if *perfRun || *perfCompare {
-		if *perfRun && *perfCompare {
-			fmt.Fprintln(stderr, "vpbench: -perf and -perf-compare are mutually exclusive")
-			return 2
-		}
-		if *jsonOut || *csvOut {
-			fmt.Fprintln(stderr, "vpbench: perf modes have a fixed output format (drop -json/-csv)")
-			return 2
-		}
-		if *gridSpec != "" || *parallel != 0 {
-			fmt.Fprintln(stderr, "vpbench: -grid and -parallel do not apply to perf modes")
-			return 2
-		}
-		if *perfRun && len(fs.Args()) > 0 {
-			fmt.Fprintf(stderr, "vpbench: -perf runs the whole suite and takes no experiment names (got %q)\n", fs.Args())
-			return 2
-		}
-		// Validate -perf-compare arguments before openOut truncates -out.
-		if *perfCompare && len(fs.Args()) != 2 {
-			fmt.Fprintln(stderr, "vpbench: -perf-compare takes exactly two BENCH files (old new)")
-			return 2
-		}
-		w, outF, code := openOut(*outFile, stdout, stderr)
-		if code != 0 {
-			return code
-		}
-		var rc int
-		if *perfRun {
-			rc = runPerf(w, stderr, *perfTime, *verbose)
-		} else {
-			tol := perf.Tolerance{Time: *perfTol, Allocs: *perfAllocTol,
-				AllocSlack:    perf.DefaultTolerance.AllocSlack,
-				QualityPoints: perf.DefaultTolerance.QualityPoints}
-			rc = runPerfCompare(w, stderr, fs.Args(), tol)
-		}
 		if outF != nil {
 			if err := outF.Close(); err != nil {
 				fmt.Fprintf(stderr, "vpbench: %v\n", err)

@@ -88,9 +88,10 @@ func TestTuneFlagValidation(t *testing.T) {
 		{"strategy without tune", []string{"-tune-strategy", "beam"}, "only applies to -tune"},
 		{"tune with experiment", []string{"-tune", "4b-quick", "table5"}, "runs alone"},
 		{"tune with grid", []string{"-tune", "4b-quick", "-grid", "model=4B"}, "runs alone"},
-		{"tune with perf", []string{"-tune", "4b-quick", "-perf"}, "mutually exclusive"},
 		{"tune with csv", []string{"-tune", "4b-quick", "-csv"}, "not CSV"},
 		{"tune-list with args", []string{"-tune-list", "table5"}, "no other modes"},
+		{"tune-list with parallel", []string{"-tune-list", "-parallel", "8"}, "no other modes"},
+		{"tune-list with verbose", []string{"-tune-list", "-v"}, "no other modes"},
 		{"unknown scenario", []string{"-tune", "warp9"}, "unknown tuning scenario"},
 		{"bad inline spec", []string{"-tune", "model=900B"}, "unknown model"},
 		{"unknown strategy", []string{"-tune", "4b-quick", "-tune-strategy", "warp"}, "unknown strategy"},

@@ -112,8 +112,8 @@ type Options struct {
 	DisableFallback bool
 }
 
-// Stats counts dispatcher activity since construction; the perf suite and
-// tests read it to prove the retry/hedge paths actually ran.
+// Stats counts dispatcher activity since construction; /healthz reports it
+// and tests read it to prove the retry/hedge paths actually ran.
 type Stats struct {
 	Shards    int64 `json:"shards"`     // shard requests resolved (any path)
 	Remote    int64 `json:"remote"`     // shards answered by a worker

@@ -1,6 +1,6 @@
 // Named tuning scenarios: curated tune.Spec constructors shared by
 // `vpbench -tune`, POST /api/v1/optimize (scenario=NAME), the differential
-// tests and the perf suite — the same registry pattern the sweep grids use.
+// tests and perfbench — the same registry pattern the sweep grids use.
 package experiments
 
 import (
@@ -42,7 +42,7 @@ func TuneNames() []string {
 // Tune4BQuick is the small differential scenario: the 4B model across the
 // divisible device counts and a short microbatch axis, 1F1B methods only —
 // 45 candidates, cheap enough that exhaustive is the test oracle against
-// which beam's top-1 must agree (and the perf suite's quality reference).
+// which beam's top-1 must agree.
 func Tune4BQuick() *tune.Spec {
 	cfg, _ := costmodel.ConfigByName("4B")
 	return &tune.Spec{

@@ -1,6 +1,6 @@
-// Package report formats experiment results as aligned text tables and CSV,
-// including side-by-side paper-vs-measured comparisons used to generate
-// EXPERIMENTS.md.
+// Package report renders experiment results: aligned text tables with
+// side-by-side paper-vs-measured cells for vpbench's text output, and the
+// per-cell JSON and CSV records that vpbench -json/-csv and vpserve emit.
 package report
 
 import (
@@ -70,32 +70,6 @@ func (t *Table) String() string {
 	writeRow(sep)
 	for _, row := range t.Rows {
 		writeRow(row)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Header, ","))
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Markdown renders the table as a GitHub-flavored markdown table.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "### %s\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.Header, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(t.Header)) + "\n")
-	for _, row := range t.Rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
 	}
 	return b.String()
 }

@@ -31,24 +31,6 @@ func TestStringAlignment(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	out := sample().CSV()
-	want := "name,mfu,mem\nbaseline,46.16,14.86\nvocab-2,50.23,14.83\n"
-	if out != want {
-		t.Fatalf("CSV = %q, want %q", out, want)
-	}
-}
-
-func TestMarkdown(t *testing.T) {
-	out := sample().Markdown()
-	if !strings.Contains(out, "| name | mfu | mem |") {
-		t.Fatalf("markdown header missing:\n%s", out)
-	}
-	if !strings.Contains(out, "|---|---|---|") {
-		t.Fatalf("markdown separator missing:\n%s", out)
-	}
-}
-
 func TestNoTitle(t *testing.T) {
 	tbl := New("", "a")
 	tbl.Add(1)

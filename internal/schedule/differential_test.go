@@ -220,6 +220,16 @@ func TestDifferentialRandomSpecs(t *testing.T) {
 // families at deterministic sizes, independent of the random distribution.
 // The sizes run up to the 64 devices sim builds at most; V-Half stops at 32,
 // the most it reaches (it splits the model into 2P stages).
+//
+// It also pins the engine's dispatch work: a commit re-enumerates only the
+// devices whose inputs it produced, where the scan oracle recomputes all P.
+// That is the committing device and at most one neighbour, except that a
+// last-stage forward and a C1 barrier can release a pass on every device.
+// Those fan-outs happen at most twice per microbatch, which commits at least
+// 3P passes. With the P initial enumerations, a build re-enumerates at most
+// 2.5·passes + P devices; the test allows 3·passes + P. An engine that
+// rescans every device per commit does P·passes, over the bound from P = 4.
+// Measured: 1.59–1.99 re-enumerations per pass on every shape with P >= 8.
 func TestDifferentialCanonicalShapes(t *testing.T) {
 	var specs []*Spec
 	for _, pm := range [][2]int{{1, 1}, {1, 6}, {2, 4}, {4, 8}, {6, 18}, {8, 24}, {16, 32}, {32, 64}, {64, 64}} {
@@ -247,11 +257,16 @@ func TestDifferentialCanonicalShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: scan build failed: %v", spec.Describe(), err)
 		}
-		got, err := Build(spec)
+		eng := NewEngine() // cold: no prefix replay, so run commits every pass
+		got, err := eng.Build(spec)
 		if err != nil {
 			t.Fatalf("%s: event build failed: %v", spec.Describe(), err)
 		}
 		assertTimelinesIdentical(t, spec, want, got)
+		if n := len(got.Passes); eng.e.refreshes > 3*n+spec.P {
+			t.Errorf("%s: %d device re-enumerations for %d passes, want at most 3·passes + P = %d",
+				spec.Describe(), eng.e.refreshes, n, 3*n+spec.P)
+		}
 	}
 }
 

@@ -178,6 +178,10 @@ type engine struct {
 	choiceStart []float64
 	choicePrio  []int
 	candBuf     [8]candidate
+
+	// refreshes counts the per-device slot re-enumerations of the last run:
+	// O(dirty) per commit, where the scan oracle recomputes all P devices.
+	refreshes int
 }
 
 // prepare re-arms the engine for spec: it computes the committed prefix
@@ -531,7 +535,9 @@ func absDiff(a, b float64) float64 {
 func (e *engine) run() (*Timeline, error) {
 	p := e.spec.P
 	e.armDispatch(p)
+	e.refreshes = 0
 	for e.remaining > 0 {
+		e.refreshes += len(e.dirtyList)
 		for _, d := range e.dirtyList {
 			e.refreshSlots(d, e.dirtyKind[d])
 			e.dirtyKind[d] = 0

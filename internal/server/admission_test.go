@@ -49,9 +49,15 @@ func TestAdmitImmediateAndShed(t *testing.T) {
 	}
 
 	// Slots full, queue size 0: immediate shed with a positive Retry-After.
-	_, ok, _, retry := a.admit(context.Background(), classCheap)
+	// The deadline turns an admitter that queues instead into a failure.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	_, ok, _, retry := a.admit(ctx, classCheap)
 	if ok {
 		t.Fatal("admit succeeded past maxInFlight with no queue")
+	}
+	if retry == 0 {
+		t.Fatal("no shed: admit waited for a slot until its deadline with no queue")
 	}
 	if retry < 1 || retry > 60 {
 		t.Fatalf("Retry-After %d outside [1,60]", retry)

@@ -23,7 +23,11 @@ func doReq(t *testing.T, ts *httptest.Server, method, path, body string) (int, [
 	if body != "" {
 		rd = strings.NewReader(body)
 	}
-	req, err := http.NewRequest(method, ts.URL+path, rd)
+	// Every case answers at once. The deadline turns a request that waits
+	// instead, such as one queued past a full admitter, into a failure.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, ts.URL+path, rd)
 	if err != nil {
 		t.Fatal(err)
 	}

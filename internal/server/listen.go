@@ -9,7 +9,7 @@ import (
 
 // StartLocal serves the handler on an ephemeral loopback port and returns
 // the base URL plus a stop function that gracefully drains the listener.
-// It backs `vpserve -selftest` and the perf suite's server-throughput case;
+// It backs `vpserve -selftest`, the perfbench workloads and the examples;
 // production serving goes through cmd/vpserve's http.Server with signal
 // handling.
 func StartLocal(s *Server) (baseURL string, stop func(), err error) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -318,6 +319,32 @@ func scrape(t *testing.T, ts *httptest.Server) (string, map[string]*expoFamily) 
 		t.Fatal(err)
 	}
 	return string(raw), parseExposition(t, string(raw))
+}
+
+// TestMetricsScrapeAllocationBudget pins the cost of the observability
+// spine's most expensive operation: rendering every family on a server that
+// has served one sweep and one /healthz. Measured: 846 allocations per
+// scrape, 953–968 under -race, where sync.Pool drops some of the buffers it
+// is handed.
+func TestMetricsScrapeAllocationBudget(t *testing.T) {
+	const budget = 1110
+	s := New(Options{CacheSize: 16, Parallel: 1})
+	defer s.Close(context.Background())
+	h := s.Handler()
+	serve := func(target string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", target, rec.Code)
+		}
+	}
+	serve(sweepPath("model=4B;method=baseline;vocab=32k;micro=16"))
+	serve("/healthz")
+	allocs := testing.AllocsPerRun(20, func() { serve("/metrics") })
+	t.Logf("/metrics scrape: %v allocations", allocs)
+	if allocs > budget {
+		t.Errorf("a /metrics scrape made %v allocations, budget %d", allocs, budget)
+	}
 }
 
 // TestMetricsExposition is the conformance test: traffic on several routes,

@@ -355,7 +355,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // CacheStats snapshots the result cache counters (exported for the load
-// harness and the perf suite).
+// harness and perfbench).
 func (s *Server) CacheStats() cache.Stats { return s.cache.Stats() }
 
 // Health is the /healthz response body.

@@ -54,3 +54,29 @@ func TestNamedScenarioGolden(t *testing.T) {
 		t.Fatalf("named scenario results deviate from %s (rerun with -update if the change is intended)", golden)
 	}
 }
+
+// TestSearchAllocationBudget pins what the quick scenario's beam search and
+// its exhaustive oracle allocate on one sweep worker: candidate ranking plus
+// each simulated cell's Result, with the engine and analyzer warm across
+// cells. Measured: beam 432 allocations and exhaustive 658 (498–538 and
+// 761–792 under -race, where sync.Pool drops some warm runners).
+func TestSearchAllocationBudget(t *testing.T) {
+	spec, _ := experiments.TuneSpec("4b-quick")
+	for _, tt := range []struct {
+		strategy tune.Strategy
+		budget   float64
+	}{
+		{tune.StrategyBeam, 620},
+		{tune.StrategyExhaustive, 905},
+	} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := tune.Search(context.Background(), spec, tt.strategy, tune.Options{Parallel: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("4b-quick/%s: %v allocations", tt.strategy, allocs)
+		if allocs > tt.budget {
+			t.Errorf("4b-quick/%s made %v allocations, budget %v", tt.strategy, allocs, tt.budget)
+		}
+	}
+}

@@ -467,7 +467,7 @@ func WriteTable(w io.Writer, r *Result) error {
 }
 
 // QualityRatio compares two searches' best scores (this/oracle), the metric
-// the perf suite tracks as quality_pct: how close a budgeted search lands to
+// perfbench reports as tune.quality_pct: how close a budgeted search lands to
 // the exhaustive optimum. Returns NaN when either search found nothing.
 func QualityRatio(got, oracle *Result) float64 {
 	if got.Best == nil || oracle.Best == nil || oracle.Best.Score == 0 {

@@ -18,54 +18,46 @@ func runVpbench(t *testing.T, args ...string) (string, string, int) {
 	return stdout.String(), stderr.String(), code
 }
 
-// TestTable5JSONGolden asserts `vpbench -json table5` output is byte-stable:
-// identical across worker counts and identical to the checked-in golden
-// file. Regenerate with `go test ./cmd/vpbench -run Golden -update`.
-func TestTable5JSONGolden(t *testing.T) {
-	serial, _, code := runVpbench(t, "-parallel", "1", "-json", "table5")
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	parallel, _, code := runVpbench(t, "-parallel", "7", "-json", "table5")
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	if serial != parallel {
-		t.Fatalf("-json table5 differs between -parallel 1 and -parallel 7")
-	}
-
-	golden := filepath.Join("testdata", "table5.golden.json")
-	if *update {
-		if err := os.WriteFile(golden, []byte(serial), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial != string(want) {
-		t.Fatalf("-json table5 deviates from %s (rerun with -update if the change is intended)", golden)
-	}
-}
-
-// TestTable5TextParallelInvariant asserts the human-readable rendering is
-// identical regardless of -parallel — the property that lets `-parallel 8
-// all` reproduce the serial paper tables exactly.
-func TestTable5TextParallelInvariant(t *testing.T) {
-	serial, _, code := runVpbench(t, "-parallel", "1", "table5")
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	parallel, _, code := runVpbench(t, "-parallel", "5", "table5")
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	if serial != parallel {
-		t.Fatal("table5 text output differs between -parallel 1 and -parallel 5")
-	}
-	if !strings.Contains(serial, "Table 5 / Figures 11-12") {
-		t.Errorf("missing table5 header in output")
+// TestGolden pins every experiment's output byte for byte: the table5
+// records, and the full suite as text and as JSON records. Each output must
+// also be identical across worker counts, the property that lets
+// `-parallel 8 all` reproduce the serial paper tables exactly. Regenerate
+// with `go test ./cmd/vpbench -run Golden -update`.
+func TestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		args []string
+	}{
+		{"table5.golden.json", []string{"-json", "table5"}},
+		{"all.golden.txt", []string{"all"}},
+		{"all.golden.json", []string{"-json", "all"}},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			serial, _, code := runVpbench(t, append([]string{"-parallel", "1"}, tc.args...)...)
+			if code != 0 {
+				t.Fatalf("exit %d", code)
+			}
+			parallel, _, code := runVpbench(t, append([]string{"-parallel", "7"}, tc.args...)...)
+			if code != 0 {
+				t.Fatalf("exit %d", code)
+			}
+			if serial != parallel {
+				t.Fatalf("%v output differs between -parallel 1 and -parallel 7", tc.args)
+			}
+			golden := filepath.Join("testdata", tc.file)
+			if *update {
+				if err := os.WriteFile(golden, []byte(serial), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serial != string(want) {
+				t.Fatalf("%v output deviates from %s (rerun with -update if the change is intended)", tc.args, golden)
+			}
+		})
 	}
 }
 

@@ -2,10 +2,10 @@ package schedule
 
 import "fmt"
 
-// Analyzer computes timeline memory metrics with reusable scratch, so a hot
-// sweep loop (sim.Runner) measures thousands of timelines without
-// allocating. Each method's returned slice aliases the analyzer's scratch
-// and is valid until its next call; the Timeline convenience methods use a
+// Analyzer computes timeline metrics with reusable scratch, so a hot sweep
+// loop (sim.Runner) measures thousands of timelines without allocating.
+// Each method's returned slices alias the analyzer's scratch and are valid
+// until the analyzer's next call; the Timeline convenience methods use a
 // throwaway analyzer, so their results are always caller-owned.
 //
 // An acquisition is a pass that pins memory: an F pins its stage's ActBytes
@@ -23,35 +23,46 @@ import "fmt"
 //     stream releases in acquisition order and its k-th release frees its
 //     k-th acquisition.
 //
-// So each device's peak is one ordered pass over its row, counting releases
-// per stream instead of storing release times.
+// So each device's metrics come from one ordered pass over its row,
+// counting releases per stream instead of storing release times.
 type Analyzer struct {
 	acts, mem []float64
 	inflight  []int
 }
 
-// devicePeak walks one device's passes in execution order and returns the
-// largest total pinned at any acquisition's start. size[c] is what an F of
-// chunk c pins; size[chunks] is the S or V transient (Spec.Validate allows
-// at most two chunks, so three streams cover every spec). Zero-size streams
-// are skipped. A release at exactly an acquisition's start settles first, and a
-// pass never releases at its own acquisition: releases settle before the
-// acquisition is counted.
-func devicePeak(row []TimedPass, chunks int, size [3]float64) float64 {
+// walkRow walks one device's passes in execution order, once, and returns
+// three metrics of the row:
+//
+//   - peak: the largest total pinned at any acquisition's start. size[c] is
+//     what an F of chunk c pins and size[chunks] is the S or V transient
+//     (Spec.Validate allows at most two chunks, so three streams cover every
+//     spec). Zero-size acquisitions are skipped, so they never settle
+//     releases early. A release at exactly an acquisition's start settles
+//     first, and a pass never releases at its own acquisition: releases
+//     settle before the acquisition is counted. Released sizes are added one
+//     at a time, stream by stream, in a fixed order, so the float result is
+//     reproducible bit for bit.
+//   - peakIF: the largest number of in-flight microbatches (F started, B not
+//     ended) at any F's start, counting that F, summed across chunks.
+//   - busy: the sum of the row's pass durations, added in row order as
+//     Timeline.DeviceBusy adds them.
+func walkRow(row []TimedPass, chunks int, size [3]float64) (peak float64, peakIF int, busy float64) {
 	var acquired, due, settled [3]int
-	cur, peak := 0.0, 0.0
+	var started [2]int // F passes per chunk, whatever their size
+	cur := 0.0
 	j := 0
 	for i := range row {
 		p := &row[i]
+		busy += p.End - p.Start
 		s := p.Chunk
 		switch p.Type {
 		case PassF:
 		case PassS, PassV:
 			s = chunks
+			if size[s] == 0 {
+				continue
+			}
 		default:
-			continue
-		}
-		if size[s] == 0 {
 			continue
 		}
 		for ; j < len(row) && row[j].End <= p.Start; j++ {
@@ -62,8 +73,17 @@ func devicePeak(row []TimedPass, chunks int, size [3]float64) float64 {
 				due[chunks]++
 			}
 		}
-		// Add released sizes one at a time, stream by stream, in a fixed
-		// order, so the float result is reproducible bit for bit.
+		if p.Type == PassF {
+			n := 1
+			for k := 0; k < chunks; k++ {
+				n += started[k] - min(started[k], due[k])
+			}
+			started[s]++
+			peakIF = max(peakIF, n)
+		}
+		if size[s] == 0 {
+			continue
+		}
 		freed := 0.0
 		for k := 0; k <= chunks; k++ {
 			for n := min(acquired[k], due[k]); settled[k] < n; settled[k]++ {
@@ -77,7 +97,43 @@ func devicePeak(row []TimedPass, chunks int, size [3]float64) float64 {
 			peak = cur
 		}
 	}
-	return peak
+	return peak, peakIF, busy
+}
+
+// walk measures every device row of tl once: it fills a.acts with peak
+// activation bytes and a.inflight with peak in-flight counts, and returns
+// the worst per-device bubble ratio (Timeline.MaxBubbleRatio).
+func (a *Analyzer) walk(tl *Timeline) float64 {
+	spec := tl.Spec
+	a.acts = growF(a.acts, spec.P)
+	a.inflight = growI(a.inflight, spec.P)
+	var size [3]float64
+	switch {
+	case spec.Vocab != nil:
+		size[spec.Chunks] = spec.Vocab.ActBytes
+	case spec.Interlaced != nil:
+		size[spec.Chunks] = spec.Interlaced.ActBytes
+	}
+	worst := 0.0
+	for d := range a.acts {
+		for c := 0; c < spec.Chunks; c++ {
+			size[c] = spec.Stages[spec.StageOf(d, c)].ActBytes
+		}
+		var busy float64
+		a.acts[d], a.inflight[d], busy = walkRow(tl.ByDevice[d], spec.Chunks, size)
+		if r := bubbleRatio(busy, tl.Makespan); r > worst {
+			worst = r
+		}
+	}
+	return worst
+}
+
+// Measure is PeakMemoryBytes, PeakInFlight and Timeline.MaxBubbleRatio
+// from one walk over each device row, with results equal to theirs bit for
+// bit. Both slices alias the analyzer's scratch.
+func (a *Analyzer) Measure(tl *Timeline, overhead float64) (mem []float64, inflight []int, worstBubble float64) {
+	worstBubble = a.walk(tl)
+	return a.memory(tl, overhead), a.inflight, worstBubble
 }
 
 // PeakActivationBytes returns the per-device peak activation memory measured
@@ -86,21 +142,7 @@ func devicePeak(row []TimedPass, chunks int, size [3]float64) float64 {
 // from S (or V) start to T (or V) end. The result aliases the analyzer's
 // scratch.
 func (a *Analyzer) PeakActivationBytes(tl *Timeline) []float64 {
-	spec := tl.Spec
-	a.acts = growF(a.acts, spec.P)
-	var size [3]float64
-	switch {
-	case spec.Vocab != nil:
-		size[spec.Chunks] = spec.Vocab.ActBytes
-	case spec.Interlaced != nil:
-		size[spec.Chunks] = spec.Interlaced.ActBytes
-	}
-	for d := range a.acts {
-		for c := 0; c < spec.Chunks; c++ {
-			size[c] = spec.Stages[spec.StageOf(d, c)].ActBytes
-		}
-		a.acts[d] = devicePeak(tl.ByDevice[d], spec.Chunks, size)
-	}
+	a.walk(tl)
 	return a.acts
 }
 
@@ -110,13 +152,7 @@ func (a *Analyzer) PeakActivationBytes(tl *Timeline) []float64 {
 // and p+1 for Algorithm 2 on device 0. The result aliases the analyzer's
 // scratch.
 func (a *Analyzer) PeakInFlight(tl *Timeline) []int {
-	spec := tl.Spec
-	a.inflight = growI(a.inflight, spec.P)
-	size := [3]float64{1, 1} // each F counts one until its B ends
-	size[spec.Chunks] = 0    // the transient stream counts nothing
-	for d := range a.inflight {
-		a.inflight[d] = int(devicePeak(tl.ByDevice[d], spec.Chunks, size))
-	}
+	a.walk(tl)
 	return a.inflight
 }
 
@@ -124,10 +160,15 @@ func (a *Analyzer) PeakInFlight(tl *Timeline) []int {
 // activations + static extras + the supplied constant overhead. The result
 // aliases the analyzer's scratch.
 func (a *Analyzer) PeakMemoryBytes(tl *Timeline, overhead float64) []float64 {
-	acts := a.PeakActivationBytes(tl)
+	a.walk(tl)
+	return a.memory(tl, overhead)
+}
+
+// memory turns the walked peak activations into per-device peak memory.
+func (a *Analyzer) memory(tl *Timeline, overhead float64) []float64 {
 	a.mem = growF(a.mem, tl.Spec.P)
 	for d := range a.mem {
-		a.mem[d] = tl.DeviceParamBytes(d) + acts[d] + tl.DeviceExtraActBytes(d) + overhead
+		a.mem[d] = tl.DeviceParamBytes(d) + a.acts[d] + tl.DeviceExtraActBytes(d) + overhead
 	}
 	return a.mem
 }

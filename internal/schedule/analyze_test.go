@@ -67,20 +67,36 @@ func referencePeaks(tl *schedule.Timeline) ([]float64, []int) {
 
 // checkAgainstReference compares both analyzer peaks with the oracle. Every
 // size in spec must be a small integer, so any summation order is exact and
-// the comparison is bit for bit.
+// the comparison is bit for bit. It also checks the one-walk Measure against
+// the separate calls it stands in for, bit for bit: PeakMemoryBytes,
+// PeakInFlight and Timeline.MaxBubbleRatio.
 func checkAgainstReference(t *testing.T, an *schedule.Analyzer, tl *schedule.Timeline) {
 	t.Helper()
+	const overhead = 2
+	name := tl.Spec.Describe()
+	mem, inflight, bubble := an.Measure(tl, overhead)
+	wantMem, wantInFlight := tl.PeakMemoryBytes(overhead), tl.PeakInFlight()
+	if want := tl.MaxBubbleRatio(); math.Float64bits(bubble) != math.Float64bits(want) {
+		t.Fatalf("%s: Measure worst bubble %v, MaxBubbleRatio %v", name, bubble, want)
+	}
+	for d := range wantMem {
+		if math.Float64bits(mem[d]) != math.Float64bits(wantMem[d]) || inflight[d] != wantInFlight[d] {
+			t.Fatalf("%s: device %d Measure peak memory %v, in-flight %d; PeakMemoryBytes %v, PeakInFlight %d",
+				name, d, mem[d], inflight[d], wantMem[d], wantInFlight[d])
+		}
+	}
+
 	wantActs, wantIF := referencePeaks(tl)
 	acts := an.PeakActivationBytes(tl)
 	for d := range wantActs {
 		if math.Float64bits(acts[d]) != math.Float64bits(wantActs[d]) {
-			t.Fatalf("%s: device %d peak activation %v, reference %v", tl.Spec.Describe(), d, acts[d], wantActs[d])
+			t.Fatalf("%s: device %d peak activation %v, reference %v", name, d, acts[d], wantActs[d])
 		}
 	}
-	inflight := an.PeakInFlight(tl)
+	inflight = an.PeakInFlight(tl)
 	for d := range wantIF {
 		if inflight[d] != wantIF[d] {
-			t.Fatalf("%s: device %d peak in-flight %d, reference %d", tl.Spec.Describe(), d, inflight[d], wantIF[d])
+			t.Fatalf("%s: device %d peak in-flight %d, reference %d", name, d, inflight[d], wantIF[d])
 		}
 	}
 }

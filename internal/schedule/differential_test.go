@@ -230,6 +230,13 @@ func TestDifferentialRandomSpecs(t *testing.T) {
 // 2.5·passes + P devices; the test allows 3·passes + P. An engine that
 // rescans every device per commit does P·passes, over the bound from P = 4.
 // Measured: 1.59–1.99 re-enumerations per pass on every shape with P >= 8.
+//
+// And it pins the dispatch fold's work: each fold resumes at the block of
+// the lowest device whose choice changed, which sits near the middle of the
+// pipeline on average. Measured visits per pass: 0.77–0.80·P at P = 8,
+// 0.64–0.66·P at 16, 0.57–0.58·P at 32 and 0.54·P at 64. The test allows
+// P/2 + foldBlock per pass. A fold that always starts at device 0 visits
+// P per pass, over the bound from P = 16.
 func TestDifferentialCanonicalShapes(t *testing.T) {
 	var specs []*Spec
 	for _, pm := range [][2]int{{1, 1}, {1, 6}, {2, 4}, {4, 8}, {6, 18}, {8, 24}, {16, 32}, {32, 64}, {64, 64}} {
@@ -263,9 +270,14 @@ func TestDifferentialCanonicalShapes(t *testing.T) {
 			t.Fatalf("%s: event build failed: %v", spec.Describe(), err)
 		}
 		assertTimelinesIdentical(t, spec, want, got)
-		if n := len(got.Passes); eng.e.refreshes > 3*n+spec.P {
+		n := len(got.Passes)
+		if eng.e.refreshes > 3*n+spec.P {
 			t.Errorf("%s: %d device re-enumerations for %d passes, want at most 3·passes + P = %d",
 				spec.Describe(), eng.e.refreshes, n, 3*n+spec.P)
+		}
+		if limit := (spec.P + 2*foldBlock) * n / 2; eng.e.foldVisits > limit {
+			t.Errorf("%s: dispatch folds visited %d devices for %d passes, want at most (P/2 + %d)·passes = %d",
+				spec.Describe(), eng.e.foldVisits, n, foldBlock, limit)
 		}
 	}
 }

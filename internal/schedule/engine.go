@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Build constructs the timed schedule for spec. It returns an error if the
@@ -155,33 +156,56 @@ type engine struct {
 	prev     prevBuild
 	havePrev bool
 
-	// Event-driven dispatch state (unused by the reference scan engine).
-	// Each device caches one slot per candidate kind — per chunk F, B, W,
-	// then S, T, V — holding the kind's next readiness (+Inf when it has no
-	// schedulable pass). All readiness inputs are write-once (fEnd/bEnd/
-	// c1End/... are set exactly once) and each kind has its own cursor, so a
-	// slot stays valid until one of its specific dependencies lands;
-	// applyState marks exactly those (device, kind) pairs in dirtyKind and
-	// queues the device on dirtyList. slotChoice folds a device's slots in
-	// the reference enumeration order, and choiceSlot/choiceStart/choicePrio
-	// cache the fold result per device (+Inf start when it has none).
-	// Dispatch is a linear fold over those caches that replays the
-	// reference scan's tolerance fold exactly.
+	// Event-driven dispatch state (unused by the reference scan engine),
+	// carved by armDispatch from one slab per element type (dispF, dispI,
+	// dispU). Each device caches one slot per candidate kind — per chunk F,
+	// B, W, then S, T, V — holding the kind's next readiness (+Inf when it
+	// has no schedulable pass). All readiness inputs are write-once
+	// (fEnd/bEnd/c1End/... are set exactly once) and each kind has its own
+	// cursor, so a slot stays valid until one of its specific dependencies
+	// lands; applyState marks exactly those (device, kind) pairs in
+	// dirtyKind and queues the device on dirtyList. slotChoice folds a
+	// device's live slots in the reference enumeration order, and
+	// choiceSlot/choiceStart/choicePrio cache the fold result per device
+	// (+Inf start when it has none). Dispatch is a linear fold over those
+	// caches that replays the reference scan's tolerance fold exactly,
+	// resumed at the block of the lowest device whose choice changed.
 	nSlots      int       // 3*Chunks + 3
 	slotReady   []float64 // [device*nSlots+slot]; +Inf = no candidate
 	slotDur     []float64 // [device*nSlots+slot], static per build
 	slotMicro   []int     // [device*nSlots+slot], valid when ready < +Inf
 	slotPrio    []int     // [slot], static per build
+	wSlots      uint16    // bitmask of the W slots, static per build
+	liveSlots   []uint16  // per device: bitmask of slots with finite readiness
 	dirtyKind   []uint16  // per device: bitmask of slots to re-enumerate; nonzero iff queued
 	dirtyList   []int
 	choiceSlot  []int
 	choiceStart []float64
 	choicePrio  []int
+	foldBest    []int // [block]: the fold's best device before device block*foldBlock (-1: none)
 	candBuf     [8]candidate
+
+	dispF []float64
+	dispI []int
+	dispU []uint16
 
 	// refreshes counts the per-device slot re-enumerations of the last run:
 	// O(dirty) per commit, where the scan oracle recomputes all P devices.
-	refreshes int
+	// foldVisits counts the devices its dispatch folds visited: P·passes for
+	// a fold that always starts at device 0.
+	refreshes  int
+	foldVisits int
+}
+
+// foldBlock is how many devices apart run stores dispatch-fold checkpoints.
+const foldBlock = 4
+
+// carve returns the next n elements of *slab as a slice of capacity n and
+// advances *slab past them.
+func carve[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 // prepare re-arms the engine for spec: it computes the committed prefix
@@ -302,25 +326,20 @@ func (e *engine) reset(spec *Spec) {
 		e.fArena = make([]float64, nf)
 	}
 	fa := e.fArena[:nf]
-	fOff := 0
-	takeF := func(n int) []float64 {
-		s := fa[fOff : fOff+n : fOff+n]
-		fOff += n
-		return s
-	}
-	e.fEnd = takeF(e.nStage * M)
-	e.bEnd = takeF(e.nStage * M)
-	e.sEnd = takeF(P * M)
-	e.tEnd = takeF(P * M)
-	e.vEnd = takeF(P * M)
-	e.c1End = takeF(M)
-	e.c2End = takeF(M)
-	e.vBarrier = takeF(M)
-	e.stageF = takeF(e.nStage)
-	e.stageB = takeF(e.nStage)
-	e.stageW = takeF(e.nStage)
-	e.freeAt = takeF(P)
-	for i := 0; i < fOff-3*e.nStage-P; i++ {
+	fs := fa
+	e.fEnd = carve(&fs, e.nStage*M)
+	e.bEnd = carve(&fs, e.nStage*M)
+	e.sEnd = carve(&fs, P*M)
+	e.tEnd = carve(&fs, P*M)
+	e.vEnd = carve(&fs, P*M)
+	e.c1End = carve(&fs, M)
+	e.c2End = carve(&fs, M)
+	e.vBarrier = carve(&fs, M)
+	e.stageF = carve(&fs, e.nStage)
+	e.stageB = carve(&fs, e.nStage)
+	e.stageW = carve(&fs, e.nStage)
+	e.freeAt = carve(&fs, P)
+	for i := 0; i < nf-3*e.nStage-P; i++ {
 		fa[i] = unscheduled
 	}
 	for st := 0; st < e.nStage; st++ {
@@ -338,23 +357,18 @@ func (e *engine) reset(spec *Spec) {
 		e.iArena = make([]int, ni)
 	}
 	ia := e.iArena[:ni]
-	iOff := 0
-	takeI := func(n int) []int {
-		s := ia[iOff : iOff+n : iOff+n]
-		iOff += n
-		return s
-	}
-	e.sRemaining = takeI(M)
-	e.tRemaining = takeI(M)
-	e.vRemaining = takeI(M)
-	e.nextF = takeI(P * C)
-	e.nextB = takeI(P * C)
-	e.nextW = takeI(P * C)
-	e.nextS = takeI(P)
-	e.nextT = takeI(P)
-	e.nextV = takeI(P)
-	e.inFlight = takeI(P * C)
-	e.capIF = takeI(P * C)
+	is := ia
+	e.sRemaining = carve(&is, M)
+	e.tRemaining = carve(&is, M)
+	e.vRemaining = carve(&is, M)
+	e.nextF = carve(&is, P*C)
+	e.nextB = carve(&is, P*C)
+	e.nextW = carve(&is, P*C)
+	e.nextS = carve(&is, P)
+	e.nextT = carve(&is, P)
+	e.nextV = carve(&is, P)
+	e.inFlight = carve(&is, P*C)
+	e.capIF = carve(&is, P*C)
 	for i := 0; i < 3*M; i++ {
 		ia[i] = P
 	}
@@ -528,16 +542,26 @@ func absDiff(a, b float64) float64 {
 // (marked dirty inside applyState), so re-enumeration costs O(dirty) per
 // commit instead of the reference engine's O(P) full recompute. Selection
 // is a linear fold over the cached choices, bit-identical to the scan fold
-// since a cached choice equals a fresh recompute. The fold's O(P) per
-// commit stays cheap because every pipeline that sim builds has P <= 64:
-// its layouts need Layers % stages == 0 or stages <= Layers, and the
-// deepest model in the zoo has 64 layers.
+// since a cached choice equals a fresh recompute. The fold stays O(P) per
+// commit, which is cheap because every pipeline that sim builds has
+// P <= 64: its layouts need Layers % stages == 0 or stages <= Layers, and
+// the deepest model in the zoo has 64 layers.
+//
+// The fold is also resumed rather than restarted. Its state after devices
+// 0..k-1 depends on their cached choices only, and between commits only
+// the dirty devices' choices change. So the fold records its best device at
+// every foldBlock-th device (foldBest), and the next fold restarts from the
+// checkpoint of the block holding the lowest dirty device: every device
+// before it would fold the same inputs again. The checkpoint's start and
+// priority are read back from that device's unchanged cache.
 func (e *engine) run() (*Timeline, error) {
 	p := e.spec.P
 	e.armDispatch(p)
 	e.refreshes = 0
+	e.foldVisits = 0
 	for e.remaining > 0 {
 		e.refreshes += len(e.dirtyList)
+		lo := p - 1 // the lowest device whose cached choice may have changed
 		for _, d := range e.dirtyList {
 			e.refreshSlots(d, e.dirtyKind[d])
 			e.dirtyKind[d] = 0
@@ -549,6 +573,7 @@ func (e *engine) run() (*Timeline, error) {
 				start = math.Inf(1)
 			}
 			e.choiceSlot[d], e.choiceStart[d], e.choicePrio[d] = slot, start, prio
+			lo = min(lo, d)
 		}
 		e.dirtyList = e.dirtyList[:0]
 		// The fold below is betterCandidate unrolled against the sentinel,
@@ -563,22 +588,30 @@ func (e *engine) run() (*Timeline, error) {
 		// implies s > bestStart, where absDiff is that same s-bestStart.
 		// For survivors, -diff <= tieTol is absDiff <= tieTol exactly (IEEE
 		// negation is exact).
-		bestD := -1
+		starts, prios := e.choiceStart[:p], e.choicePrio[:p]
+		first := lo - lo%foldBlock
+		bestD := e.foldBest[first/foldBlock]
 		bestStart := math.Inf(1)
 		bestPrio := 0
-		lim := math.Inf(1)
-		starts := e.choiceStart[:p]
-		for d := 0; d < len(starts); d++ {
+		if bestD >= 0 {
+			bestStart, bestPrio = starts[bestD], prios[bestD]
+		}
+		lim := bestStart - tieTol
+		e.foldVisits += p - first
+		for d := first; d < len(starts); d++ {
+			if d%foldBlock == 0 {
+				e.foldBest[d/foldBlock] = bestD
+			}
 			s := starts[d]
 			diff := s - bestStart
 			if diff > tieTol {
 				continue
 			}
 			if s < lim {
-				bestD, bestStart, bestPrio = d, s, e.choicePrio[d]
+				bestD, bestStart, bestPrio = d, s, prios[d]
 				lim = bestStart - tieTol
-			} else if -diff <= tieTol && e.choicePrio[d] < bestPrio {
-				bestD, bestStart, bestPrio = d, s, e.choicePrio[d]
+			} else if -diff <= tieTol && prios[d] < bestPrio {
+				bestD, bestStart, bestPrio = d, s, prios[d]
 				lim = bestStart - tieTol
 			}
 		}
@@ -622,40 +655,36 @@ func (e *engine) runScan() (*Timeline, error) {
 // armDispatch sizes the dispatch caches, fills the static per-slot tables
 // (priority, duration) and marks every slot of every device dirty — both
 // the scratch entry point and the post-replay recovery step (cached choices
-// are recomputed from restored state, never replayed).
+// are recomputed from restored state, never replayed). Every device being
+// dirty makes the first fold start at device 0, whatever foldBest holds.
 func (e *engine) armDispatch(p int) {
 	spec := e.spec
 	ns := 3*spec.Chunks + 3
+	nb := (p + foldBlock - 1) / foldBlock
 	e.nSlots = ns
-	if cap(e.choiceSlot) < p {
-		e.choiceSlot = make([]int, p)
-		e.choiceStart = make([]float64, p)
-		e.choicePrio = make([]int, p)
-		e.dirtyKind = make([]uint16, p)
-		e.dirtyList = make([]int, 0, p)
+	nf, ni, nu := p*(2*ns+1), p*(ns+3)+nb+ns, 2*p
+	if cap(e.dispF) < nf {
+		e.dispF = make([]float64, nf)
 	}
-	e.choiceSlot = e.choiceSlot[:p]
-	e.choiceStart = e.choiceStart[:p]
-	e.choicePrio = e.choicePrio[:p]
-	e.dirtyKind = e.dirtyKind[:p]
-	e.dirtyList = e.dirtyList[:0]
-	if cap(e.slotReady) < p*ns {
-		e.slotReady = make([]float64, p*ns)
-		e.slotDur = make([]float64, p*ns)
-		e.slotMicro = make([]int, p*ns)
+	if cap(e.dispI) < ni {
+		e.dispI = make([]int, ni)
 	}
-	e.slotReady = e.slotReady[:p*ns]
-	e.slotDur = e.slotDur[:p*ns]
-	e.slotMicro = e.slotMicro[:p*ns]
-	if cap(e.slotPrio) < ns {
-		e.slotPrio = make([]int, ns)
+	if cap(e.dispU) < nu {
+		e.dispU = make([]uint16, nu)
 	}
-	e.slotPrio = e.slotPrio[:ns]
+	fs, is, us := e.dispF[:nf], e.dispI[:ni], e.dispU[:nu]
+	e.choiceStart, e.slotReady, e.slotDur = carve(&fs, p), carve(&fs, p*ns), carve(&fs, p*ns)
+	e.choiceSlot, e.choicePrio, e.foldBest = carve(&is, p), carve(&is, p), carve(&is, nb)
+	e.slotMicro, e.slotPrio = carve(&is, p*ns), carve(&is, ns)
+	e.dirtyList = carve(&is, p)[:0]
+	e.dirtyKind, e.liveSlots = carve(&us, p), carve(&us, p)
 	nc := 3 * spec.Chunks
+	e.wSlots = 0
 	for c := 0; c < spec.Chunks; c++ {
 		e.slotPrio[3*c] = prioF
 		e.slotPrio[3*c+1] = prioB
 		e.slotPrio[3*c+2] = prioW
+		e.wSlots |= 4 << uint(3*c)
 	}
 	e.slotPrio[nc] = prioS
 	e.slotPrio[nc+1] = prioT
@@ -680,7 +709,9 @@ func (e *engine) armDispatch(p int) {
 			e.slotDur[base+nc+2] = iv.VDur + iv.SyncTime
 		}
 		e.dirtyKind[d] = 0
+		e.liveSlots[d] = 0
 	}
+	e.foldBest[0] = -1
 	all := uint16(1)<<uint(ns) - 1
 	for d := 0; d < p; d++ {
 		e.markKind(d, all)
@@ -703,11 +734,23 @@ func (e *engine) finish() *Timeline {
 
 // markKind queues slots of device d (a bitmask, bit k = slot k, never
 // empty) for re-enumeration before the next dispatch fold.
-func (e *engine) markKind(d int, bits uint16) {
+func (e *engine) markKind(d int, mask uint16) {
 	if e.dirtyKind[d] == 0 {
 		e.dirtyList = append(e.dirtyList, d)
 	}
-	e.dirtyKind[d] |= bits
+	e.dirtyKind[d] |= mask
+}
+
+// setSlot stores the readiness of device d's slot k (at index base+k) and
+// keeps the device's live mask in step: a slot is live iff its readiness is
+// finite.
+func (e *engine) setSlot(d, base, k int, ready float64) {
+	e.slotReady[base+k] = ready
+	if ready < math.Inf(1) {
+		e.liveSlots[d] |= 1 << uint(k)
+	} else {
+		e.liveSlots[d] &^= 1 << uint(k)
+	}
 }
 
 // refreshSlots re-enumerates the masked candidate slots of device d from
@@ -739,7 +782,7 @@ func (e *engine) refreshSlots(d int, mask uint16) {
 				}
 				e.slotMicro[base+3*c] = i
 			}
-			e.slotReady[base+3*c] = ready
+			e.setSlot(d, base, 3*c, ready)
 		}
 
 		// Backward.
@@ -770,7 +813,7 @@ func (e *engine) refreshSlots(d int, mask uint16) {
 					}
 				}
 			}
-			e.slotReady[base+3*c+1] = ready
+			e.setSlot(d, base, 3*c+1, ready)
 		}
 
 		// Weight gradient (split backward).
@@ -784,7 +827,7 @@ func (e *engine) refreshSlots(d int, mask uint16) {
 					}
 				}
 			}
-			e.slotReady[base+3*c+2] = ready
+			e.setSlot(d, base, 3*c+2, ready)
 		}
 	}
 
@@ -802,7 +845,7 @@ func (e *engine) refreshSlots(d int, mask uint16) {
 					e.slotMicro[base+nc] = i
 				}
 			}
-			e.slotReady[base+nc] = ready
+			e.setSlot(d, base, nc, ready)
 		}
 		if mask&(1<<uint(nc+1)) != 0 {
 			ready := inf
@@ -812,7 +855,7 @@ func (e *engine) refreshSlots(d int, mask uint16) {
 					e.slotMicro[base+nc+1] = i
 				}
 			}
-			e.slotReady[base+nc+1] = ready
+			e.setSlot(d, base, nc+1, ready)
 		}
 	}
 	if iv := spec.Interlaced; iv != nil {
@@ -824,49 +867,44 @@ func (e *engine) refreshSlots(d int, mask uint16) {
 					e.slotMicro[base+nc+2] = i
 				}
 			}
-			e.slotReady[base+nc+2] = ready
+			e.setSlot(d, base, nc+2, ready)
 		}
 	}
 }
 
-// slotChoice folds device d's cached slots in the reference enumeration
+// slotChoice folds device d's live slots in the reference enumeration
 // order (slot index order is per chunk F, B, W; then S, T, V), reproducing
 // deviceChoice's fold and W admission exactly over the cached readiness.
+// Slots parked at +Inf never enter a fold, so it walks the live mask only.
 func (e *engine) slotChoice(d int) (int, float64, int, bool) {
+	live := e.liveSlots[d]
 	ns := e.nSlots
 	base := d * ns
 	ready := e.slotReady[base : base+ns]
 	free := e.freeAt[d]
-	nc := ns - 3
-	// W admission bound: minimum readiness among non-W slots (max-with-free
-	// distributes over min), +Inf slots never winning the min.
-	minOther := math.Inf(1)
-	for k := 0; k < nc; k += 3 {
-		if r := ready[k]; r < minOther {
-			minOther = r
+	// W admission bound, needed only when a W slot is live: the minimum
+	// readiness among live non-W slots (max-with-free distributes over min).
+	haveOther := false
+	earliestOther := 0.0
+	if other := live &^ e.wSlots; live&e.wSlots != 0 && other != 0 {
+		minOther := math.Inf(1)
+		for m := other; m != 0; m &= m - 1 {
+			if r := ready[bits.TrailingZeros16(m)]; r < minOther {
+				minOther = r
+			}
 		}
-		if r := ready[k+1]; r < minOther {
-			minOther = r
+		haveOther = true
+		earliestOther = minOther
+		if free > earliestOther {
+			earliestOther = free
 		}
-	}
-	for k := nc; k < ns; k++ {
-		if r := ready[k]; r < minOther {
-			minOther = r
-		}
-	}
-	haveOther := !math.IsInf(minOther, 1)
-	earliestOther := minOther
-	if free > earliestOther {
-		earliestOther = free
 	}
 	bestSlot := -1
 	bestStart := 0.0
 	bestPrio := 0
-	for k := 0; k < ns; k++ {
+	for m := live; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros16(m)
 		r := ready[k]
-		if math.IsInf(r, 1) {
-			continue
-		}
 		start := free
 		if r > start {
 			start = r

@@ -306,10 +306,15 @@ func (tl *Timeline) DeviceBusy(d int) float64 {
 
 // BubbleRatio returns 1 - busy/makespan for a device.
 func (tl *Timeline) BubbleRatio(d int) float64 {
-	if tl.Makespan == 0 {
+	return bubbleRatio(tl.DeviceBusy(d), tl.Makespan)
+}
+
+// bubbleRatio is 1 - busy/makespan, or 0 for an empty timeline.
+func bubbleRatio(busy, makespan float64) float64 {
+	if makespan == 0 {
 		return 0
 	}
-	return 1 - tl.DeviceBusy(d)/tl.Makespan
+	return 1 - busy/makespan
 }
 
 // MaxBubbleRatio returns the worst bubble ratio across devices.

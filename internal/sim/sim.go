@@ -157,15 +157,15 @@ func FromTimeline(cfg costmodel.Config, m Method, tl *schedule.Timeline) *Result
 // are owned copies (an's scratch is reused across calls). The Timeline
 // field is left nil for the caller to decide.
 func measure(an *schedule.Analyzer, cfg costmodel.Config, m Method, tl *schedule.Timeline) *Result {
-	mem := an.PeakMemoryBytes(tl, costmodel.RuntimeOverheadBytes)
+	mem, inflight, bubble := an.Measure(tl, costmodel.RuntimeOverheadBytes)
 	res := &Result{
 		Config:   cfg,
 		Method:   m,
 		IterTime: tl.Makespan,
 		MFU:      cfg.MFU(tl.Makespan),
 		PeakMem:  append([]float64(nil), mem...),
-		Bubble:   tl.MaxBubbleRatio(),
-		InFlight: append([]int(nil), an.PeakInFlight(tl)...),
+		Bubble:   bubble,
+		InFlight: append([]int(nil), inflight...),
 	}
 	res.MinMem = math.Inf(1)
 	for _, b := range mem {

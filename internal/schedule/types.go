@@ -253,9 +253,17 @@ func (s *Spec) StageOf(device, chunk int) int {
 
 // Timeline is the committed schedule.
 type Timeline struct {
-	Spec     *Spec
-	Passes   []TimedPass   // in commit order (globally non-decreasing start)
-	ByDevice [][]TimedPass // per-device execution order
+	Spec *Spec
+	// Passes is in commit order, which is start order only up to the
+	// dispatch tie tolerance (tieTol, 1e-15 s). Starts within tieTol of each
+	// other tie, and the tie goes to the higher-priority pass even when it
+	// starts a little later, so a later commit can start a few tieTol
+	// earlier than the one before it. Over the Table 5 and 6 cells, starts
+	// drop by up to 1.78e-15 s, in 83 of 168 cells.
+	Passes []TimedPass
+	// ByDevice is each device's execution order: a pass starts no earlier
+	// than the previous one ends, so starts and ends never decrease.
+	ByDevice [][]TimedPass
 	Makespan float64
 
 	// arena marks a timeline whose slices alias a reusable Engine's arena

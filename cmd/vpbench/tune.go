@@ -57,13 +57,10 @@ func runTune(w, stderr io.Writer, specArg, strategyName string, parallel int, js
 		fmt.Fprintf(stderr, "vpbench: %v\n", err)
 		return 2
 	}
-	strategy := tune.StrategyBeam
-	if strategyName != "" {
-		var ok bool
-		if strategy, ok = tune.StrategyByName(strategyName); !ok {
-			fmt.Fprintf(stderr, "vpbench: unknown strategy %q (want one of %v)\n", strategyName, tune.Strategies())
-			return 2
-		}
+	strategy, ok := tune.StrategyByName(strategyName)
+	if !ok {
+		fmt.Fprintf(stderr, "vpbench: unknown strategy %q (want one of %v)\n", strategyName, tune.Strategies())
+		return 2
 	}
 
 	opt := tune.Options{Parallel: parallel}

@@ -100,10 +100,16 @@
 // The URL may carry one {i} or {OFF+i%MOD} placeholder, expanded per
 // iteration to sweep distinct (cold) cache keys.
 //
-// Admission control (serving modes): -max-inflight bounds concurrently
-// admitted compute requests, -admit-queue bounds how many more may wait
-// (negative: shed immediately); past both the server sheds with 429 +
-// Retry-After.
+// Admission control (serving modes): -max-inflight bounds the computes
+// (cache misses that run a sweep) in flight at once, -admit-queue bounds how
+// many more may wait (negative: shed immediately); past both the server
+// sheds the compute with 429 + Retry-After. Cache hits and requests
+// coalesced onto an in-flight compute take no slot, so they are never
+// queued or shed.
+//
+// A numeric flag refuses, with exit 2, a value its help gives no meaning:
+// any negative but -admit-queue's, and zero unless the help names zero a
+// default or "off".
 //
 // Observability: every serving vpserve exposes Prometheus metrics at
 // GET /metrics, streams job progress over SSE at GET /api/v1/jobs/{id}/events,
@@ -179,8 +185,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	ltJitter := fs.Float64("loadtest-jitter", 0, "open-loop inter-arrival jitter fraction (0.1 = ±10%)")
 	ltSeed := fs.Int64("loadtest-seed", 1, "open-loop jitter PRNG seed")
 	ltThresholds := fs.String("loadtest-thresholds", "", "comma-separated SLO `gates` (p99<50ms,error_rate<0.1%,...); any breach exits 4")
-	maxInFlight := fs.Int("max-inflight", 0, "admitted compute requests in flight before queueing (default 64)")
-	admitQueue := fs.Int("admit-queue", 0, "accept-queue depth before shedding 429s (default 4×max-inflight; negative: shed immediately)")
+	maxInFlight := fs.Int("max-inflight", 0, "computes running at once before more queue; cache hits take no slot (default 64)")
+	admitQueue := fs.Int("admit-queue", 0, "computes queued for a slot before more are shed with 429 (default 4×max-inflight; negative: shed immediately)")
 	debug := fs.Bool("debug", false, "mount the net/http/pprof profiling endpoints under /debug/pprof/ (serving modes)")
 	slowRequest := fs.Duration("slow-request", time.Second, "log API requests slower than this, with route and trace ID (0 disables)")
 	traceRing := fs.Int("trace-ring", 256, "completed request traces kept for GET /api/v1/debug/traces (0 disables tracing)")
@@ -190,6 +196,47 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	if len(fs.Args()) > 0 {
 		fmt.Fprintf(stderr, "vpserve: unexpected arguments %q\n", fs.Args())
 		return 2
+	}
+	// A value the flag's help gives no meaning is refused, not replaced by
+	// the default: no flag takes a negative but -admit-queue ("shed
+	// immediately"), and zero only where the help names it a default or
+	// "off". The seed is any int64, so it is not checked.
+	for _, f := range []struct {
+		name   string
+		v      float64
+		zeroOK bool
+	}{
+		{"cache", float64(*cacheSize), false},
+		{"max-cells", float64(*maxCells), false},
+		{"job-workers", float64(*jobWorkers), false},
+		{"job-queue", float64(*jobQueue), false},
+		{"shutdown-timeout", float64(*shutdownTimeout), false},
+		{"selftest-concurrency", float64(*stConc), false},
+		{"selftest-duration", float64(*stDur), false},
+		{"loadtest-concurrency", float64(*ltConc), false},
+		{"loadtest-max-vus", float64(*ltMaxVUs), false},
+		{"loadtest-duration", float64(*ltDur), false},
+		{"parallel", float64(*parallel), true},
+		{"max-inflight", float64(*maxInFlight), true},
+		{"trace-ring", float64(*traceRing), true},
+		{"slow-request", float64(*slowRequest), true},
+		{"probe-every", float64(*probeEvery), true},
+		{"member-ttl", float64(*memberTTL), true},
+		{"hedge-after", float64(*hedgeAfter), true},
+		{"heartbeat-every", float64(*heartbeatEvery), true},
+		{"selftest-min-rps", *stMinRPS, true},
+		{"loadtest-rate", *ltRate, false},
+		{"loadtest-peak", *ltPeak, true},
+		{"loadtest-jitter", *ltJitter, true},
+	} {
+		if f.v < 0 || (f.v == 0 && !f.zeroOK) {
+			want := "must be positive"
+			if f.zeroOK {
+				want = "must not be negative"
+			}
+			fmt.Fprintf(stderr, "vpserve: -%s %s, got %s\n", f.name, want, fs.Lookup(f.name).Value)
+			return 2
+		}
 	}
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })

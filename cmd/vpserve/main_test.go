@@ -288,7 +288,9 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestClusterFlagValidation pins the -role/-workers flag contract.
+// TestClusterFlagValidation pins the -role/-workers flag contract, and the
+// numeric flags' ranges: a value the help gives no meaning exits 2 before
+// anything runs, where it used to run with the flag's default.
 func TestClusterFlagValidation(t *testing.T) {
 	tests := []struct {
 		name     string
@@ -313,6 +315,32 @@ func TestClusterFlagValidation(t *testing.T) {
 		{"heartbeat without join", []string{"-role", "worker", "-heartbeat-every", "1s"}, "requires -join"},
 		{"bad advertise URL", []string{"-role", "worker", "-join", "h:1", "-advertise", "ftp://h:2"}, "-advertise:"},
 		{"state-dir in selftest mode", []string{"-selftest", "-state-dir", "/tmp/x"}, "serving modes"},
+		{"zero selftest concurrency", []string{"-selftest", "-selftest-concurrency", "0"}, "-selftest-concurrency must be positive, got 0"},
+		{"negative selftest concurrency", []string{"-selftest", "-selftest-concurrency", "-2"}, "-selftest-concurrency must be positive, got -2"},
+		{"zero selftest duration", []string{"-selftest", "-selftest-duration", "0"}, "-selftest-duration must be positive, got 0s"},
+		{"negative selftest duration", []string{"-selftest", "-selftest-duration", "-1s"}, "-selftest-duration must be positive, got -1s"},
+		{"negative selftest floor", []string{"-selftest", "-selftest-min-rps", "-1"}, "-selftest-min-rps must not be negative"},
+		{"negative cache", []string{"-cache", "-5"}, "-cache must be positive, got -5"},
+		{"zero cache", []string{"-cache", "0"}, "-cache must be positive, got 0"},
+		{"negative max-cells", []string{"-max-cells", "-1"}, "-max-cells must be positive, got -1"},
+		{"zero max-cells", []string{"-max-cells", "0"}, "-max-cells must be positive, got 0"},
+		{"negative max-inflight", []string{"-max-inflight", "-7"}, "-max-inflight must not be negative, got -7"},
+		{"negative job-workers", []string{"-job-workers", "-1"}, "-job-workers must be positive, got -1"},
+		{"zero job-workers", []string{"-job-workers", "0"}, "-job-workers must be positive, got 0"},
+		{"zero job-queue", []string{"-job-queue", "0"}, "-job-queue must be positive, got 0"},
+		{"negative parallel", []string{"-parallel", "-4"}, "-parallel must not be negative, got -4"},
+		{"zero shutdown-timeout", []string{"-shutdown-timeout", "0"}, "-shutdown-timeout must be positive, got 0s"},
+		{"negative trace-ring", []string{"-trace-ring", "-1"}, "-trace-ring must not be negative, got -1"},
+		{"negative slow-request", []string{"-slow-request", "-1s"}, "-slow-request must not be negative"},
+		{"negative hedge-after", []string{"-role", "coordinator", "-hedge-after", "-1s"}, "-hedge-after must not be negative"},
+		{"negative probe-every", []string{"-role", "coordinator", "-probe-every", "-1s"}, "-probe-every must not be negative"},
+		{"negative member-ttl", []string{"-role", "coordinator", "-member-ttl", "-1s"}, "-member-ttl must not be negative"},
+		{"negative heartbeat", []string{"-role", "worker", "-join", "h:1", "-heartbeat-every", "-1s"}, "-heartbeat-every must not be negative"},
+		{"zero loadtest concurrency", []string{"-loadtest", "http://x", "-loadtest-concurrency", "0"}, "-loadtest-concurrency must be positive, got 0"},
+		{"zero loadtest duration", []string{"-loadtest", "http://x", "-loadtest-duration", "0"}, "-loadtest-duration must be positive, got 0s"},
+		{"zero loadtest VUs", []string{"-loadtest", "http://x", "-loadtest-scenario", "soak", "-loadtest-max-vus", "0"}, "-loadtest-max-vus must be positive, got 0"},
+		{"zero loadtest rate", []string{"-loadtest", "http://x", "-loadtest-scenario", "soak", "-loadtest-rate", "0"}, "-loadtest-rate must be positive, got 0"},
+		{"negative loadtest jitter", []string{"-loadtest", "http://x", "-loadtest-scenario", "soak", "-loadtest-jitter", "-0.1"}, "-loadtest-jitter must not be negative"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -320,6 +348,16 @@ func TestClusterFlagValidation(t *testing.T) {
 				t.Errorf("code=%d stderr=%q, want exit 2 mentioning %q", code, stderr, tt.fragment)
 			}
 		})
+	}
+}
+
+// TestDocumentedZerosAccepted: the zeros and the negative -admit-queue that
+// the flags' help gives a meaning still run.
+func TestDocumentedZerosAccepted(t *testing.T) {
+	_, stderr, code := runVpserve("-selftest", "-selftest-duration", "100ms", "-selftest-concurrency", "1",
+		"-parallel", "0", "-max-inflight", "0", "-admit-queue", "-1", "-trace-ring", "0", "-slow-request", "0")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0 (stderr %q)", code, stderr)
 	}
 }
 

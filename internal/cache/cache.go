@@ -3,12 +3,14 @@
 // grid identities (sweep.Grid.Key); values are whatever a compute function
 // produced for that key.
 //
-// Do is the single entry point: a cached key returns immediately (hit), a
-// key someone else is already computing blocks until that computation
-// finishes and shares its value (dedup — a thundering herd on one grid
-// computes it once), and otherwise the caller computes, stores and returns
-// (miss). Errors are propagated to every coalesced waiter but never cached,
-// so a transient failure does not poison the key.
+// Do (and DoCtx, its cancellable form) is the counted entry point: a cached
+// key returns immediately (hit), a key someone else is already computing
+// blocks until that computation finishes and shares its value (dedup — a
+// thundering herd on one grid computes it once), and otherwise the caller
+// computes, stores and returns (miss). Errors are propagated to every
+// coalesced waiter but never cached, so a transient failure does not poison
+// the key. Get and Put read and store an entry directly, without a
+// computation and without touching the counters.
 //
 // One mutex guards the map and the recency list, and computations run
 // outside it, so the lock is held only for a map lookup and a list update.
@@ -90,21 +92,6 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	}
 	var zero V
 	return zero, false
-}
-
-// Contains reports whether key would resolve without a cold computation:
-// either cached or already being computed (a new caller would dedup onto the
-// in-flight leader). Unlike Get it does not promote the entry in the LRU and
-// touches no counters — it is a pure probe, built for admission control where
-// classifying a request must not perturb cache state.
-func (c *Cache[V]) Contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return true
-	}
-	_, ok := c.inflight[key]
-	return ok
 }
 
 // Do returns the value for key, computing it with compute on a miss. Only

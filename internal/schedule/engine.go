@@ -192,9 +192,12 @@ type engine struct {
 	// refreshes counts the per-device slot re-enumerations of the last run:
 	// O(dirty) per commit, where the scan oracle recomputes all P devices.
 	// foldVisits counts the devices its dispatch folds visited: P·passes for
-	// a fold that always starts at device 0.
+	// a fold that always starts at device 0. replayed counts the commits the
+	// last Build copied from the previous build's prefix instead of
+	// dispatching them.
 	refreshes  int
 	foldVisits int
+	replayed   int
 }
 
 // foldBlock is how many devices apart run stores dispatch-fold checkpoints.
@@ -224,6 +227,7 @@ func (e *engine) prepare(spec *Spec) {
 	if k > 0 {
 		e.replay(k)
 	}
+	e.replayed = k
 	e.snapshotSpec(spec)
 }
 

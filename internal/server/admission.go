@@ -2,56 +2,37 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"time"
 )
 
-// admitClass is the two-class admission priority. Cheap requests — the key
-// is already cached or being computed, so serving them costs microseconds
-// and no sweep work — are admitted ahead of cold computes. Under overload
-// that keeps the cache serving reads at full speed while the expensive
-// traffic queues and sheds, instead of cheap hits starving behind a convoy
-// of cold sweeps.
-type admitClass int
-
-const (
-	classCheap   admitClass = iota // cache hit or dedup join
-	classCompute                   // cold compute
-	numClasses
-)
-
-func (c admitClass) String() string {
-	if c == classCheap {
-		return "cheap"
-	}
-	return "compute"
-}
-
-// admitWaiter is one request parked in the accept queue.
+// admitWaiter is one compute parked in the accept queue.
 type admitWaiter struct {
 	ch      chan struct{}
 	granted bool
 }
 
 // admitter is the server's admission controller: a bounded in-flight
-// semaphore plus a bounded two-class FIFO accept queue. A request that finds
-// a free slot proceeds; otherwise it waits in its class queue (cheap drains
-// first); when the queue itself is full the request is shed — the caller
-// answers 429 with a Retry-After derived from the EWMA service time, so the
-// client learns roughly when a queue slot will have drained.
+// semaphore over computes plus a bounded FIFO accept queue. Only a request
+// that runs a sweep reaches it — respond admits inside the cache's compute
+// closure, so hits and coalesced waiters never take a slot. A compute that
+// finds a free slot proceeds; otherwise it waits in the queue; when the
+// queue itself is full it is shed with a Retry-After derived from the EWMA
+// service time, so the client learns roughly when a queue slot will have
+// drained.
 //
-// The whole structure is one mutex; every operation is O(1) bookkeeping, so
-// contention is negligible next to even a cache-hit request.
+// The whole structure is one mutex; every operation is O(1) bookkeeping
+// except unlinking a cancelled waiter, which scans the bounded queue.
 type admitter struct {
 	mu          sync.Mutex
 	maxInFlight int
 	maxQueue    int
 	inFlight    int
-	queued      int
-	queues      [numClasses][]*admitWaiter
-	admitted    [numClasses]int64
-	shed        [numClasses]int64
+	queue       []*admitWaiter
+	admitted    int64
+	shed        int64
 	ewmaNs      float64 // EWMA of service time (admit→release)
 }
 
@@ -59,37 +40,48 @@ func newAdmitter(maxInFlight, maxQueue int) *admitter {
 	return &admitter{maxInFlight: maxInFlight, maxQueue: maxQueue}
 }
 
-// admit blocks until the request may proceed, the queue sheds it, or ctx is
-// cancelled. On ok, release MUST be called when the request finishes. On
-// !ok, retryAfterS > 0 means shed (answer 429); retryAfterS == 0 means the
-// caller's context died while queued.
-func (a *admitter) admit(ctx context.Context, class admitClass) (release func(), ok bool, waited time.Duration, retryAfterS int) {
+// shedError is the error of a compute the admitter shed: the Retry-After
+// estimate and the controller's state at the shed, which respond answers as
+// the enveloped 429. The cache never stores an error, so every waiter
+// coalesced on the key gets the 429 and the key stays computable.
+type shedError struct {
+	retryAfterS                     int
+	inFlight, queued, queueCapacity int
+}
+
+func (e *shedError) Error() string {
+	return fmt.Sprintf("server overloaded: %d computes in flight and the accept queue is full", e.inFlight)
+}
+
+// admit blocks until the compute may proceed, the queue sheds it, or ctx is
+// cancelled. On success release MUST be called when the compute finishes,
+// and waited is the time spent queued. Otherwise err is a *shedError, or
+// ctx's error when ctx died while queued.
+func (a *admitter) admit(ctx context.Context) (release func(), waited time.Duration, err error) {
 	start := time.Now()
 	a.mu.Lock()
 	if a.inFlight < a.maxInFlight {
 		a.inFlight++
-		a.admitted[class]++
+		a.admitted++
 		a.mu.Unlock()
-		return a.releaseFunc(start), true, 0, 0
+		return a.releaseFunc(start), 0, nil
 	}
-	if a.queued >= a.maxQueue {
-		a.shed[class]++
-		retry := a.retryAfterLocked()
+	if len(a.queue) >= a.maxQueue {
+		a.shed++
+		e := &shedError{a.retryAfterLocked(), a.inFlight, len(a.queue), a.maxQueue}
 		a.mu.Unlock()
-		return nil, false, 0, retry
+		return nil, 0, e
 	}
 	w := &admitWaiter{ch: make(chan struct{})}
-	a.queues[class] = append(a.queues[class], w)
-	a.queued++
+	a.queue = append(a.queue, w)
 	a.mu.Unlock()
 
 	select {
 	case <-w.ch:
-		waited = time.Since(start)
 		a.mu.Lock()
-		a.admitted[class]++
+		a.admitted++
 		a.mu.Unlock()
-		return a.releaseFunc(start), true, waited, 0
+		return a.releaseFunc(start), time.Since(start), nil
 	case <-ctx.Done():
 		a.mu.Lock()
 		if w.granted {
@@ -97,28 +89,21 @@ func (a *admitter) admit(ctx context.Context, class admitClass) (release func(),
 			// ours, so hand it straight to the next waiter.
 			a.inFlight--
 			a.grantLocked()
-			a.mu.Unlock()
-			return nil, false, time.Since(start), 0
-		}
-		// Still queued: unlink.
-		for i := range a.queues {
-			q := a.queues[i]
-			for j, cand := range q {
+		} else {
+			for i, cand := range a.queue {
 				if cand == w {
-					a.queues[i] = append(q[:j:j], q[j+1:]...)
-					a.queued--
-					a.mu.Unlock()
-					return nil, false, time.Since(start), 0
+					a.queue = append(a.queue[:i:i], a.queue[i+1:]...)
+					break
 				}
 			}
 		}
-		a.mu.Unlock() // unreachable: a waiter is granted or queued
-		return nil, false, time.Since(start), 0
+		a.mu.Unlock()
+		return nil, 0, ctx.Err()
 	}
 }
 
 // releaseFunc returns the closure that frees the slot, feeding the service
-// time into the Retry-After EWMA and waking the next waiter (cheap first).
+// time into the Retry-After EWMA and waking the next waiter.
 func (a *admitter) releaseFunc(admittedAt time.Time) func() {
 	return func() {
 		service := float64(time.Since(admittedAt))
@@ -135,23 +120,16 @@ func (a *admitter) releaseFunc(admittedAt time.Time) func() {
 	}
 }
 
-// grantLocked hands a free slot to the head of the highest-priority
-// non-empty queue. Caller holds a.mu.
+// grantLocked hands a free slot to the head of the queue. Caller holds a.mu.
 func (a *admitter) grantLocked() {
-	if a.inFlight >= a.maxInFlight {
+	if a.inFlight >= a.maxInFlight || len(a.queue) == 0 {
 		return
 	}
-	for c := range a.queues {
-		if q := a.queues[c]; len(q) > 0 {
-			w := q[0]
-			a.queues[c] = q[1:]
-			a.queued--
-			a.inFlight++
-			w.granted = true
-			close(w.ch)
-			return
-		}
-	}
+	w := a.queue[0]
+	a.queue = a.queue[1:]
+	a.inFlight++
+	w.granted = true
+	close(w.ch)
 }
 
 // retryAfterLocked estimates, in whole seconds, when a shed client should
@@ -159,7 +137,7 @@ func (a *admitter) grantLocked() {
 // maxInFlight slots at the EWMA service time, clamped to [1, 60]. Caller
 // holds a.mu.
 func (a *admitter) retryAfterLocked() int {
-	est := a.ewmaNs * float64(a.queued+1) / float64(a.maxInFlight)
+	est := a.ewmaNs * float64(len(a.queue)+1) / float64(a.maxInFlight)
 	sec := int(math.Ceil(est / float64(time.Second)))
 	if sec < 1 {
 		sec = 1
@@ -170,18 +148,16 @@ func (a *admitter) retryAfterLocked() int {
 	return sec
 }
 
-// AdmissionStats is the admission controller's /healthz view.
+// AdmissionStats is the admission controller's /healthz view. Admitted and
+// Shed count computes: cache hits and coalesced waiters never reach the
+// controller.
 type AdmissionStats struct {
 	InFlight      int   `json:"in_flight"`
 	MaxInFlight   int   `json:"max_in_flight"`
 	Queued        int   `json:"queued"`
 	QueueCapacity int   `json:"queue_capacity"`
 	Admitted      int64 `json:"admitted"`
-	// AdmittedCheap counts admissions classified as cheap reads (cached or
-	// deduped keys); Admitted - AdmittedCheap were cold computes.
-	AdmittedCheap int64 `json:"admitted_cheap"`
 	Shed          int64 `json:"shed"`
-	ShedCheap     int64 `json:"shed_cheap"`
 }
 
 func (a *admitter) stats() AdmissionStats {
@@ -190,11 +166,9 @@ func (a *admitter) stats() AdmissionStats {
 	return AdmissionStats{
 		InFlight:      a.inFlight,
 		MaxInFlight:   a.maxInFlight,
-		Queued:        a.queued,
+		Queued:        len(a.queue),
 		QueueCapacity: a.maxQueue,
-		Admitted:      a.admitted[classCheap] + a.admitted[classCompute],
-		AdmittedCheap: a.admitted[classCheap],
-		Shed:          a.shed[classCheap] + a.shed[classCompute],
-		ShedCheap:     a.shed[classCheap],
+		Admitted:      a.admitted,
+		Shed:          a.shed,
 	}
 }

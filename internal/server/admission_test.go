@@ -2,6 +2,10 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,15 +14,14 @@ import (
 // admitAsync parks a goroutine in admit and reports the outcome on a channel.
 type admitOutcome struct {
 	release func()
-	ok      bool
-	retry   int
+	err     error
 }
 
-func admitAsync(a *admitter, ctx context.Context, class admitClass) <-chan admitOutcome {
+func admitAsync(a *admitter, ctx context.Context) <-chan admitOutcome {
 	ch := make(chan admitOutcome, 1)
 	go func() {
-		release, ok, _, retry := a.admit(ctx, class)
-		ch <- admitOutcome{release, ok, retry}
+		release, _, err := a.admit(ctx)
+		ch <- admitOutcome{release, err}
 	}()
 	return ch
 }
@@ -39,32 +42,33 @@ func waitQueued(t *testing.T, a *admitter, n int) {
 func TestAdmitImmediateAndShed(t *testing.T) {
 	a := newAdmitter(2, 0) // 2 slots, no queue
 
-	r1, ok, waited, _ := a.admit(context.Background(), classCompute)
-	if !ok || waited != 0 {
-		t.Fatalf("first admit: ok=%v waited=%s", ok, waited)
+	r1, waited, err := a.admit(context.Background())
+	if err != nil || waited != 0 {
+		t.Fatalf("first admit: err=%v waited=%s", err, waited)
 	}
-	r2, ok, _, _ := a.admit(context.Background(), classCompute)
-	if !ok {
-		t.Fatal("second admit blocked below maxInFlight")
+	r2, _, err := a.admit(context.Background())
+	if err != nil {
+		t.Fatalf("second admit refused below maxInFlight: %v", err)
 	}
 
 	// Slots full, queue size 0: immediate shed with a positive Retry-After.
 	// The deadline turns an admitter that queues instead into a failure.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	_, ok, _, retry := a.admit(ctx, classCheap)
-	if ok {
-		t.Fatal("admit succeeded past maxInFlight with no queue")
+	_, _, err = a.admit(ctx)
+	var shed *shedError
+	if !errors.As(err, &shed) {
+		t.Fatalf("admit past maxInFlight with no queue: err=%v, want a shed", err)
 	}
-	if retry == 0 {
-		t.Fatal("no shed: admit waited for a slot until its deadline with no queue")
+	if shed.retryAfterS < 1 || shed.retryAfterS > 60 {
+		t.Fatalf("Retry-After %d outside [1,60]", shed.retryAfterS)
 	}
-	if retry < 1 || retry > 60 {
-		t.Fatalf("Retry-After %d outside [1,60]", retry)
+	if shed.inFlight != 2 || shed.queued != 0 || shed.queueCapacity != 0 {
+		t.Fatalf("shed state = %+v, want 2 in flight and an empty 0-deep queue", shed)
 	}
 
 	st := a.stats()
-	if st.InFlight != 2 || st.Admitted != 2 || st.Shed != 1 || st.ShedCheap != 1 {
+	if st.InFlight != 2 || st.Admitted != 2 || st.Shed != 1 {
 		t.Fatalf("stats after shed: %+v", st)
 	}
 
@@ -74,27 +78,27 @@ func TestAdmitImmediateAndShed(t *testing.T) {
 		t.Fatalf("in-flight %d after releases", st.InFlight)
 	}
 	// A freed slot admits again.
-	if _, ok, _, _ := a.admit(context.Background(), classCompute); !ok {
-		t.Fatal("admit failed after release")
+	if _, _, err := a.admit(context.Background()); err != nil {
+		t.Fatalf("admit failed after release: %v", err)
 	}
 }
 
 func TestAdmitQueueFIFO(t *testing.T) {
 	a := newAdmitter(1, 4)
-	hold, ok, _, _ := a.admit(context.Background(), classCompute)
-	if !ok {
-		t.Fatal("holder not admitted")
+	hold, _, err := a.admit(context.Background())
+	if err != nil {
+		t.Fatalf("holder not admitted: %v", err)
 	}
 
-	first := admitAsync(a, context.Background(), classCompute)
+	first := admitAsync(a, context.Background())
 	waitQueued(t, a, 1)
-	second := admitAsync(a, context.Background(), classCompute)
+	second := admitAsync(a, context.Background())
 	waitQueued(t, a, 2)
 
 	hold()
 	got := <-first
-	if !got.ok {
-		t.Fatal("first waiter not admitted after release")
+	if got.err != nil {
+		t.Fatalf("first waiter not admitted after release: %v", got.err)
 	}
 	select {
 	case <-second:
@@ -102,47 +106,10 @@ func TestAdmitQueueFIFO(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 	got.release()
-	if got2 := <-second; !got2.ok {
-		t.Fatal("second waiter not admitted")
+	if got2 := <-second; got2.err != nil {
+		t.Fatalf("second waiter not admitted: %v", got2.err)
 	} else {
 		got2.release()
-	}
-}
-
-// TestAdmitCheapPriority: with a compute request queued ahead in wall-clock
-// time, a later cheap request still gets the next free slot.
-func TestAdmitCheapPriority(t *testing.T) {
-	a := newAdmitter(1, 4)
-	hold, ok, _, _ := a.admit(context.Background(), classCompute)
-	if !ok {
-		t.Fatal("holder not admitted")
-	}
-
-	compute := admitAsync(a, context.Background(), classCompute)
-	waitQueued(t, a, 1)
-	cheap := admitAsync(a, context.Background(), classCheap)
-	waitQueued(t, a, 2)
-
-	hold()
-	got := <-cheap
-	if !got.ok {
-		t.Fatal("cheap waiter not admitted first")
-	}
-	select {
-	case <-compute:
-		t.Fatal("compute waiter admitted while the cheap one held the only slot")
-	case <-time.After(50 * time.Millisecond):
-	}
-	got.release()
-	if got2 := <-compute; !got2.ok {
-		t.Fatal("compute waiter starved after cheap release")
-	} else {
-		got2.release()
-	}
-
-	st := a.stats()
-	if st.AdmittedCheap != 1 || st.Admitted != 3 {
-		t.Fatalf("stats: %+v", st)
 	}
 }
 
@@ -150,67 +117,59 @@ func TestAdmitCheapPriority(t *testing.T) {
 // later release grants the remaining waiter, not the dead one.
 func TestAdmitCtxCancelWhileQueued(t *testing.T) {
 	a := newAdmitter(1, 4)
-	hold, _, _, _ := a.admit(context.Background(), classCompute)
+	hold, _, _ := a.admit(context.Background())
 
 	ctx, cancel := context.WithCancel(context.Background())
-	dead := admitAsync(a, ctx, classCompute)
+	dead := admitAsync(a, ctx)
 	waitQueued(t, a, 1)
-	live := admitAsync(a, context.Background(), classCompute)
+	live := admitAsync(a, context.Background())
 	waitQueued(t, a, 2)
 
 	cancel()
-	got := <-dead
-	if got.ok {
-		t.Fatal("cancelled waiter reported admitted")
-	}
-	if got.retry != 0 {
-		t.Fatalf("cancelled waiter got Retry-After %d, want 0 (not a shed)", got.retry)
+	if got := <-dead; !errors.Is(got.err, context.Canceled) {
+		t.Fatalf("cancelled waiter: err=%v, want context.Canceled (not a shed)", got.err)
 	}
 	waitQueued(t, a, 1)
 
 	hold()
-	if got2 := <-live; !got2.ok {
-		t.Fatal("surviving waiter not admitted after release")
+	if got2 := <-live; got2.err != nil {
+		t.Fatalf("surviving waiter not admitted after release: %v", got2.err)
 	} else {
 		got2.release()
 	}
 	st := a.stats()
-	if st.InFlight != 0 || st.Queued != 0 {
+	if st.InFlight != 0 || st.Queued != 0 || st.Shed != 0 {
 		t.Fatalf("leaked state: %+v", st)
 	}
 }
 
 // TestAdmitStress: many concurrent admits against a tiny controller — run
 // under -race this is the lock-discipline check; the invariant is that every
-// admitted request releases and the final state is empty.
+// admitted compute releases and the final state is empty.
 func TestAdmitStress(t *testing.T) {
 	a := newAdmitter(4, 8)
 	var wg sync.WaitGroup
-	var admitted, shed int64
+	var admitted, rejected int64
 	var mu sync.Mutex
 	for i := 0; i < 200; i++ {
 		wg.Add(1)
-		class := classCompute
-		if i%3 == 0 {
-			class = classCheap
-		}
-		go func(class admitClass) {
+		go func() {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			defer cancel()
-			release, ok, _, _ := a.admit(ctx, class)
+			release, _, err := a.admit(ctx)
 			mu.Lock()
-			if ok {
+			if err == nil {
 				admitted++
 			} else {
-				shed++
+				rejected++
 			}
 			mu.Unlock()
-			if ok {
+			if err == nil {
 				time.Sleep(time.Millisecond)
 				release()
 			}
-		}(class)
+		}()
 	}
 	wg.Wait()
 	st := a.stats()
@@ -220,12 +179,81 @@ func TestAdmitStress(t *testing.T) {
 	if admitted == 0 {
 		t.Fatal("nothing admitted")
 	}
-	if admitted+shed != 200 {
-		t.Fatalf("lost outcomes: %d admitted + %d rejected != 200", admitted, shed)
+	if admitted+rejected != 200 {
+		t.Fatalf("lost outcomes: %d admitted + %d rejected != 200", admitted, rejected)
 	}
 	// st.Shed may undercount the local rejections (ctx expiry while queued is
 	// a rejection but not a shed), never overcount.
-	if st.Admitted != admitted || st.Shed > shed {
-		t.Fatalf("ledger mismatch: saw %d admitted %d rejected, stats %+v", admitted, shed, st)
+	if st.Admitted != admitted || st.Shed > rejected {
+		t.Fatalf("ledger mismatch: saw %d admitted %d rejected, stats %+v", admitted, rejected, st)
+	}
+}
+
+// TestCachedHitBypassesAdmission: with every compute slot held and the accept
+// queue full — or disabled — a cached key still answers 200 hit and leaves
+// the admission counters where they were, while a cold key is shed with the
+// enveloped 429 and Retry-After. The shed is not cached: once a slot frees,
+// the cold key computes.
+func TestCachedHitBypassesAdmission(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		queue int // Options.AdmitQueue; a positive depth is filled by parked waiters
+	}{{"queue full", 1}, {"queue disabled", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Options{MaxInFlight: 1, AdmitQueue: tc.queue})
+			warm := sweepPath(smallGrid)
+			if status, body, _ := doReq(t, ts, "GET", warm, ""); status != http.StatusOK {
+				t.Fatalf("warm-up: status %d (%s)", status, body)
+			}
+
+			hold, _, err := s.admit.admit(context.Background())
+			if err != nil {
+				t.Fatalf("could not occupy the admission slot: %v", err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			var parked []<-chan admitOutcome
+			for i := 0; i < tc.queue; i++ {
+				parked = append(parked, admitAsync(s.admit, ctx))
+				waitQueued(t, s.admit, i+1)
+			}
+			before := s.admit.stats()
+
+			status, body, hdr := doReq(t, ts, "GET", warm, "")
+			if status != http.StatusOK || hdr.Get("X-Cache") != "hit" {
+				t.Fatalf("cached key under full admission: status %d, X-Cache %q (%s); want 200 hit",
+					status, hdr.Get("X-Cache"), body)
+			}
+			if after := s.admit.stats(); after != before {
+				t.Fatalf("a hit moved the admitter: %+v -> %+v", before, after)
+			}
+
+			cold := sweepPath("model=4B;method=vocab-1;vocab=32k;micro=24")
+			status, body, hdr = doReq(t, ts, "GET", cold, "")
+			checkEnvelope(t, status, body, hdr, http.StatusTooManyRequests, ErrShedOverload)
+			var env ErrorEnvelope
+			if err := json.Unmarshal(body, &env); err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]any{"in_flight": 1.0, "queued": float64(max(tc.queue, 0)),
+				"queue_capacity": float64(max(tc.queue, 0))}
+			if !reflect.DeepEqual(env.Error.Details, want) {
+				t.Errorf("shed details = %v, want %v", env.Error.Details, want)
+			}
+			if st := s.admit.stats(); st.Shed != before.Shed+1 || st.Admitted != before.Admitted {
+				t.Errorf("cold shed: admission %+v -> %+v, want one more shed and no admission", before, st)
+			}
+
+			cancel()
+			for _, ch := range parked {
+				if got := <-ch; got.err == nil {
+					got.release()
+				}
+			}
+			hold()
+			if status, body, hdr := doReq(t, ts, "GET", cold, ""); status != http.StatusOK || hdr.Get("X-Cache") != "miss" {
+				t.Fatalf("cold key after the slot freed: status %d, X-Cache %q (%s); want 200 miss",
+					status, hdr.Get("X-Cache"), body)
+			}
+		})
 	}
 }

@@ -93,7 +93,7 @@ func TestIndexEntryOutlivesBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.cache.Contains(cacheKey("sweep", ga)) {
+	if _, ok := s.cache.Get(cacheKey("sweep", ga)); ok {
 		t.Fatal("A's body survived a capacity-1 cache after B, want it evicted")
 	}
 	if entries, _ := indexStats(t, ts); entries != 1 {

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"testing"
@@ -15,10 +17,17 @@ import (
 // takes a 20× overload spike from the open-loop engine and must degrade by
 // shedding — fast enveloped 429s with Retry-After — while every response it
 // does serve stays fast, nothing errors at the transport level, and the
-// ledgers on both sides reconcile exactly. Run under -race in CI, this is
-// also the admission controller's concurrency proof against real traffic.
+// ledgers on both sides reconcile exactly. Throughout the spike a prober
+// GETs a warmed key every 2 ms, and every probe must answer 200 hit: only
+// computes are admitted, so the cold overload cannot shed a cached read. Run
+// under -race in CI, this is also the admission controller's concurrency
+// proof against real traffic.
 func TestOpenLoopSpikeDegradesGracefully(t *testing.T) {
 	s, ts := newTestServer(t, Options{MaxInFlight: 1, AdmitQueue: 2, Parallel: 1})
+	warm := sweepPath(smallGrid)
+	if status, body, _ := get(t, ts, warm); status != http.StatusOK {
+		t.Fatalf("warm-up: status %d (%s)", status, body)
+	}
 
 	// Cold grids: micro sweeps 64..562, so nearly every arrival is a
 	// distinct cache key and must queue for the one compute slot. Seven
@@ -38,6 +47,9 @@ func TestOpenLoopSpikeDegradesGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.requests.Load()
+	stopProbe := make(chan struct{})
+	probed := make(chan probeLedger, 1)
+	go func() { probed <- probeHits(ts.URL+warm, 2*time.Millisecond, stopProbe) }()
 	rep, err := load.Run(context.Background(), urlTmpl, load.Options{
 		Scenario:   sc,
 		VUs:        32,
@@ -45,10 +57,21 @@ func TestOpenLoopSpikeDegradesGracefully(t *testing.T) {
 		Thresholds: th,
 		EvalEvery:  50 * time.Millisecond,
 	})
+	close(stopProbe)
+	probes := <-probed
 	if err != nil {
 		t.Fatal(err)
 	}
-	served := s.requests.Load() - before
+	served := s.requests.Load() - before - int64(probes.n)
+
+	t.Logf("spike: %d attempts, %d shed; %d probes of the warmed key", rep.Attempts, rep.StatusCodes["429"], probes.n)
+	// Every probe of the warmed key was a fast-path hit, none shed.
+	if len(probes.bad) > 0 {
+		t.Errorf("%d of %d probes of a cached key were not 200 hit: %v", len(probes.bad), probes.n, probes.bad)
+	}
+	if probes.n < 10 {
+		t.Errorf("the prober made only %d probes during the spike", probes.n)
+	}
 
 	// Ledger identities, and the client's attempts reconcile exactly with
 	// what the server's own middleware counted — shed responses included.
@@ -98,7 +121,39 @@ func TestOpenLoopSpikeDegradesGracefully(t *testing.T) {
 	if status, body, _ := get(t, ts, "/healthz"); status != http.StatusOK {
 		t.Fatalf("healthz after spike: %d (%s)", status, body)
 	}
-	if status, _, _ := get(t, ts, sweepPath(smallGrid)); status != http.StatusOK {
+	if status, _, _ := get(t, ts, warm); status != http.StatusOK {
 		t.Fatalf("sweep after spike: %d", status)
+	}
+}
+
+// probeLedger is what probeHits saw: how many GETs it sent, and a
+// description of each that did not answer 200 with X-Cache: hit.
+type probeLedger struct {
+	n   int
+	bad []string
+}
+
+// probeHits GETs target every interval until stop closes.
+func probeHits(target string, every time.Duration, stop <-chan struct{}) probeLedger {
+	var l probeLedger
+	tick := time.NewTicker(every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-stop:
+			return l
+		case <-tick.C:
+		}
+		l.n++
+		resp, err := http.Get(target)
+		if err != nil {
+			l.bad = append(l.bad, err.Error())
+			continue
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
+			l.bad = append(l.bad, fmt.Sprintf("%d %q", resp.StatusCode, resp.Header.Get("X-Cache")))
+		}
 	}
 }

@@ -69,41 +69,26 @@ func (s *Server) initMetrics() {
 			func() float64 { return float64(tr.Stats().RingCapacity) })
 	}
 
-	// Admission control (admission.go): depth gauges read the controller's
-	// own counters at scrape time; the wait histogram is observed inline on
-	// every admitted compute-endpoint request.
+	// Admission control (admission.go): gauges and counters read the
+	// controller's own state at scrape time; the wait histogram is observed
+	// inline on every admitted compute.
 	r.GaugeFunc("vpserve_admission_inflight",
-		"Requests holding an admission slot on the compute endpoints.",
+		"Computes holding an admission slot.",
 		func() float64 { return float64(s.admit.stats().InFlight) })
 	r.GaugeFunc("vpserve_admission_queue_depth",
-		"Requests waiting in the bounded accept queue.",
+		"Computes waiting in the bounded accept queue.",
 		func() float64 { return float64(s.admit.stats().Queued) })
 	r.GaugeFunc("vpserve_admission_queue_capacity",
 		"Configured accept-queue capacity.",
 		func() float64 { return float64(s.admit.stats().QueueCapacity) })
-	admitClasses := []string{"class"}
-	r.CounterSamples("vpserve_admission_admitted_total",
-		"Requests admitted to the compute endpoints, by class (cheap = cache "+
-			"hit or in-flight dedup, compute = cold).", admitClasses,
-		func() []metrics.Sample {
-			st := s.admit.stats()
-			return []metrics.Sample{
-				{Labels: []string{"cheap"}, Value: float64(st.AdmittedCheap)},
-				{Labels: []string{"compute"}, Value: float64(st.Admitted - st.AdmittedCheap)},
-			}
-		})
-	r.CounterSamples("vpserve_admission_shed_total",
-		"Requests shed with 429 because the accept queue was full, by class.",
-		admitClasses,
-		func() []metrics.Sample {
-			st := s.admit.stats()
-			return []metrics.Sample{
-				{Labels: []string{"cheap"}, Value: float64(st.ShedCheap)},
-				{Labels: []string{"compute"}, Value: float64(st.Shed - st.ShedCheap)},
-			}
-		})
+	r.CounterFunc("vpserve_admission_admitted_total",
+		"Computes admitted to an admission slot.",
+		func() float64 { return float64(s.admit.stats().Admitted) })
+	r.CounterFunc("vpserve_admission_shed_total",
+		"Computes shed with 429 because the accept queue was full.",
+		func() float64 { return float64(s.admit.stats().Shed) })
 	s.admitWait = r.Histogram("vpserve_admission_wait_seconds",
-		"Time admitted requests spent queued before getting a slot.",
+		"Time admitted computes spent queued before getting a slot.",
 		metrics.DefLatencyBuckets)
 
 	// Result cache: scrape-time reads of the cache's own atomic counters.

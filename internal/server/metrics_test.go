@@ -323,8 +323,8 @@ func scrape(t *testing.T, ts *httptest.Server) (string, map[string]*expoFamily) 
 
 // TestMetricsScrapeAllocationBudget pins the cost of the observability
 // spine's most expensive operation: rendering every family on a server that
-// has served one sweep and one /healthz. Measured: 846 allocations per
-// scrape, 953–968 under -race, where sync.Pool drops some of the buffers it
+// has served one sweep and one /healthz. Measured: 819 allocations per
+// scrape, 934–937 under -race, where sync.Pool drops some of the buffers it
 // is handed.
 func TestMetricsScrapeAllocationBudget(t *testing.T) {
 	const budget = 1110

@@ -34,25 +34,28 @@
 //	GET /dashboard                    embedded zero-dependency live dashboard
 //
 // Tracing (internal/obs): every /api request runs under a root span whose
-// trace ID is returned in the X-Trace-Id response header; admission wait,
-// cache lookup, compute, cluster dispatch and per-shard attempts are child
-// spans, and shard requests carry a traceparent header so worker-side spans
-// parent under the coordinator's attempt across processes. Completed traces
-// sit in a bounded ring buffer exported by the debug endpoints. With
-// Options.Debug, net/http/pprof mounts at /debug/pprof/.
+// trace ID is returned in the X-Trace-Id response header; cache lookup,
+// compute (on a miss, with its admission wait inside it), cluster dispatch
+// and per-shard attempts are child spans, and shard requests carry a
+// traceparent header so worker-side spans parent under the coordinator's
+// attempt across processes. Completed traces sit in a bounded ring buffer
+// exported by the debug endpoints. With Options.Debug, net/http/pprof
+// mounts at /debug/pprof/.
 //
 // Every job-bearing response — the jobs list, a job poll, the optimize 202
 // body and each SSE data frame — serializes the one canonical job schema
 // (jobView): the jobs.Snapshot fields plus poll/events URLs.
 //
-// Admission control: the synchronous compute endpoints (sweep, schedule,
-// experiments, shard) pass through a bounded in-flight semaphore with a
-// bounded two-class accept queue (admission.go). Requests whose cache key is
-// already resident or in flight are "cheap" and admitted ahead of cold
-// computes; when the queue is full the request is shed with 429 +
-// Retry-After. /healthz, /metrics and the job endpoints bypass admission —
-// observability and queue management must keep answering precisely when the
-// server is saturated.
+// Admission control: on the synchronous compute endpoints (sweep, schedule,
+// experiments, shard), every sweep the cache has to run takes a slot of a
+// bounded in-flight semaphore, waiting in a bounded FIFO accept queue when
+// the slots are full (admission.go). Admission happens inside the cache's
+// compute, so a cache hit or a request coalesced onto an in-flight compute
+// never touches it: a warmed key stays fast during an overload of cold
+// traffic. When the queue is full the compute is shed and its requests get
+// 429 + Retry-After. /healthz, /metrics and the job endpoints bypass
+// admission too — observability and queue management must keep answering
+// precisely when the server is saturated.
 //
 // Distributed mode: when Options.Cluster names seed workers (or allows
 // dynamic join-only membership), the server is a coordinator — shardable
@@ -133,11 +136,12 @@ type Options struct {
 	// JobCapacity pending submissions POST /api/v1/optimize answers 429.
 	JobWorkers  int
 	JobCapacity int
-	// MaxInFlight bounds concurrently admitted requests on the synchronous
-	// compute endpoints (default 64). AdmitQueue bounds how many more may
-	// wait for a slot (default 4×MaxInFlight; negative disables waiting —
-	// every overflow sheds immediately). Past both, requests are shed with
-	// 429 + Retry-After.
+	// MaxInFlight bounds the computes running at once for the synchronous
+	// compute endpoints (default 64); cache hits and coalesced requests take
+	// no slot. AdmitQueue bounds how many more computes may wait for a slot
+	// (default 4×MaxInFlight; negative disables waiting — every overflow
+	// sheds immediately). Past both, the compute is shed and its requests
+	// get 429 + Retry-After.
 	MaxInFlight int
 	AdmitQueue  int
 	// Cluster configures coordinator mode: when Cluster.Workers names seed
@@ -552,6 +556,14 @@ func cacheKey(route string, g *sweep.Grid) string { return route + "|" + g.Key()
 // unless other requests are coalesced onto the same key, in which case the
 // sweep continues with their interest and a partial result is never cached.
 //
+// Admission control guards computes, not requests: the compute closure takes
+// an admission slot before it sweeps, so only the leader of a miss waits in
+// the accept queue or is shed. A hit or a coalesced waiter answers from the
+// cache without touching the admitter, so a warmed key stays fast through an
+// overload of cold traffic. A shed is the compute's error; respond answers
+// it, for the leader and every coalesced waiter alike, with 429 +
+// Retry-After.
+//
 // In coordinator mode, shardable multi-cell grids compute across the
 // worker pool instead of in-process; the merged records encode into the same
 // cache under the same key, so coordinator and single-node responses are
@@ -560,52 +572,14 @@ func cacheKey(route string, g *sweep.Grid) string { return route + "|" + g.Key()
 // (every /api/v1/schedule request) stay local too: a network round trip plus
 // straggler-hedging exposure buys nothing for one milliseconds-cheap cell.
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, route, key string, grid func() (*sweep.Grid, error)) {
-	// Admission: a resident or in-flight key is a cheap read (it costs no
-	// sweep work), admitted ahead of cold computes. The probe does not touch
-	// cache counters or LRU order; the classification is advisory — the key
-	// could be evicted between probe and DoCtx — so a misclassified request
-	// merely waits in the wrong queue, it is never double-computed.
-	class := classCompute
-	if s.cache.Contains(key) {
-		class = classCheap
-	}
-	asp := obs.ChildSpan(r.Context(), "admission")
-	if class == classCheap {
-		asp.SetAttr("class", "cheap")
-	} else {
-		asp.SetAttr("class", "compute")
-	}
-	release, ok, waited, retryAfter := s.admit.admit(r.Context(), class)
-	if !ok {
-		if r.Context().Err() != nil {
-			asp.SetAttr("outcome", "client_gone")
-			asp.End()
-			// The client vanished while queued; nobody reads this response.
-			w.WriteHeader(StatusClientClosedRequest)
-			return
-		}
-		asp.SetAttr("outcome", "shed")
-		asp.End()
-		st := s.admit.stats()
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		s.writeError(w, r, http.StatusTooManyRequests, ErrShedOverload,
-			map[string]any{"in_flight": st.InFlight, "queued": st.Queued, "queue_capacity": st.QueueCapacity},
-			"server overloaded: %d requests in flight and the accept queue is full", st.InFlight)
-		return
-	}
-	defer release()
-	asp.SetAttr("outcome", "admitted")
-	asp.End()
-	s.admitWait.Observe(waited.Seconds())
-
 	// The lookup span covers the whole DoCtx window — on a hit it is a map
 	// lookup of the stored body, on a miss it contains the compute span.
 	lsp := obs.ChildSpan(r.Context(), "cache.lookup")
 
-	// The grid and the dispatch decision live inside the compute closure, so
-	// cache hits pay for neither. The closure returns the encoded body, so a
-	// miss encodes once and every later hit writes the stored bytes as they
-	// are.
+	// Admission, the grid and the dispatch decision live inside the compute
+	// closure, so cache hits pay for none of them. The closure returns the
+	// encoded body, so a miss encodes once and every later hit writes the
+	// stored bytes as they are.
 	compute := func(ctx context.Context) ([]byte, error) {
 		// The cache runs compute on a DETACHED context (refcounted by every
 		// coalesced caller) — bridge the two lineages: cancellation from the
@@ -614,11 +588,19 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, route, key stri
 		// miss builds it.
 		csp := obs.ChildSpan(obs.ContextWithSpan(r.Context(), lsp), "compute")
 		defer csp.End()
+		ctx = obs.ContextWithSpan(ctx, csp)
+		// The queue wait uses the detached context too, so a queued compute
+		// is abandoned only when its last waiter leaves.
+		release, err := s.admitCompute(ctx)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
 		g, err := grid()
 		if err != nil {
 			return nil, err
 		}
-		recs, err := s.records(obs.ContextWithSpan(ctx, csp), route, g)
+		recs, err := s.records(ctx, route, g)
 		if err != nil {
 			return nil, err
 		}
@@ -631,17 +613,45 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, route, key stri
 	}
 	lsp.End()
 	if err != nil {
-		if r.Context().Err() != nil || errors.Is(err, context.Canceled) {
+		var shed *shedError
+		switch {
+		case r.Context().Err() != nil || errors.Is(err, context.Canceled):
 			// The client is gone; nobody reads this response. Record the
 			// outcome for logs/tests and stop.
 			w.WriteHeader(StatusClientClosedRequest)
-			return
+		case errors.As(err, &shed):
+			w.Header().Set("Retry-After", strconv.Itoa(shed.retryAfterS))
+			s.writeError(w, r, http.StatusTooManyRequests, ErrShedOverload,
+				map[string]any{"in_flight": shed.inFlight, "queued": shed.queued, "queue_capacity": shed.queueCapacity},
+				"%s", shed.Error())
+		default:
+			s.writeError(w, r, http.StatusInternalServerError, ErrInternal, nil, "%v", err)
 		}
-		s.writeError(w, r, http.StatusInternalServerError, ErrInternal, nil, "%v", err)
 		return
 	}
 	w.Header().Set("X-Cache", outcomeHeader(outcome))
 	s.writeBody(w, r, http.StatusOK, route, body)
+}
+
+// admitCompute takes an admission slot for the compute running under ctx,
+// recording the wait as an admission span under ctx's compute span. It
+// returns the slot's release, or the admitter's error: a *shedError, or
+// ctx's error when every waiter left while the compute queued.
+func (s *Server) admitCompute(ctx context.Context) (func(), error) {
+	asp := obs.ChildSpan(ctx, "admission")
+	defer asp.End()
+	release, waited, err := s.admit.admit(ctx)
+	var shed *shedError
+	switch {
+	case err == nil:
+		asp.SetAttr("outcome", "admitted")
+		s.admitWait.Observe(waited.Seconds())
+	case errors.As(err, &shed):
+		asp.SetAttr("outcome", "shed")
+	default:
+		asp.SetAttr("outcome", "client_gone")
+	}
+	return release, err
 }
 
 // records computes g's records: across the worker pool for a coordinator's
@@ -862,8 +872,13 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, r, "shard", cacheKey("shard", g), func() (*sweep.Grid, error) { return g, nil })
 }
 
-// optimizeRequest is the POST /api/v1/optimize input. Query parameters and the
-// JSON body carry the same fields; query parameters win.
+// optimizeRequest is an optimize submission. It is the POST
+// /api/v1/optimize input — query parameters and the JSON body carry the
+// same fields; query parameters win — and, with the strategy resolved, the
+// durable payload a restarted server rebuilds the search from. The raw spec
+// string (not the parsed structure) is persisted: re-parsing it is exactly
+// how the original submission built the search, so the re-run is the same
+// search.
 type optimizeRequest struct {
 	// Spec is an inline tuning-constraint spec (tune.ParseSpec syntax).
 	Spec string `json:"spec,omitempty"`
@@ -876,63 +891,74 @@ type optimizeRequest struct {
 // optimizeJobKind keys optimize submissions in the durable job store.
 const optimizeJobKind = "optimize"
 
-// optimizePayload is the durable form of an optimize submission — the
-// validated request fields, enough for a restarted server to rebuild the
-// search. The raw spec string (not the parsed structure) is persisted:
-// re-parsing it is exactly how the original submission built the search,
-// so the re-run is the same search.
-type optimizePayload struct {
-	Spec     string `json:"spec,omitempty"`
-	Scenario string `json:"scenario,omitempty"`
-	Strategy string `json:"strategy,omitempty"`
+// resolve turns a submission into its validated search: the spec (inline,
+// or the named scenario's) and the strategy (tune's default when none is
+// named). A refusal carries the envelope a fresh submission is answered
+// with; a rehydrated one fails its job with the message.
+func (req optimizeRequest) resolve() (*tune.Spec, tune.Strategy, *reqError) {
+	var spec *tune.Spec
+	switch {
+	case req.Spec != "" && req.Scenario != "":
+		return nil, "", badRequest(ErrInvalidParameter, nil, "spec and scenario are mutually exclusive")
+	case req.Spec != "":
+		var err error
+		if spec, err = tune.ParseSpec(req.Spec); err != nil {
+			return nil, "", badRequest(ErrInvalidSpec, nil, "%v", err)
+		}
+	case req.Scenario != "":
+		var ok bool
+		if spec, ok = experiments.TuneSpec(req.Scenario); !ok {
+			return nil, "", badRequest(ErrInvalidParameter, map[string]any{"parameter": "scenario"},
+				"unknown scenario %q (want one of %s)", req.Scenario, strings.Join(experiments.TuneNames(), ", "))
+		}
+	default:
+		return nil, "", badRequest(ErrMissingParameter, nil,
+			"provide spec=... (tune.ParseSpec syntax) or scenario=... (named scenarios: %s)",
+			strings.Join(experiments.TuneNames(), ", "))
+	}
+	strategy, ok := tune.StrategyByName(req.Strategy)
+	if !ok {
+		return nil, "", badRequest(ErrInvalidParameter, map[string]any{"parameter": "strategy"},
+			"unknown strategy %q (want one of %v)", req.Strategy, tune.Strategies())
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, "", badRequest(ErrInvalidSpec, nil, "%v", err)
+	}
+	return spec, strategy, nil
 }
 
-// tuneOptions is the search configuration every optimize job runs with —
-// fresh and rehydrated submissions alike: in coordinator mode candidate
-// evaluations farm out through the cluster's EvalCell seam.
-func (s *Server) tuneOptions() tune.Options {
+// optimizeJob is the traced search job a resolved submission runs, and its
+// name. Fresh and rehydrated submissions alike run this configuration: in
+// coordinator mode candidate evaluations farm out through the cluster's
+// EvalCell seam. submitCtx is the submitting request's context, which links
+// the job's trace back to it.
+func (s *Server) optimizeJob(submitCtx context.Context, spec *tune.Spec, strategy tune.Strategy) (string, jobs.Func) {
 	topt := tune.Options{Parallel: s.opt.Parallel}
 	if s.cluster != nil {
 		topt.Eval = s.cluster.EvalCell
 	}
-	return topt
+	name := "optimize/" + spec.Name + "/" + string(strategy)
+	return name, s.traceJob(name, submitCtx, tuneJob(spec, strategy, topt))
 }
 
 // rehydrateOptimize rebuilds an optimize job's search function from its
-// persisted payload after a restart. The payload was validated at submit
-// time, so failures here mean the durable state predates a breaking change
-// (or was tampered with) — the job settles as failed with the reason.
+// persisted payload after a restart, through the resolver a fresh
+// submission takes. The payload was validated at submit time, so failures
+// here mean the durable state predates a breaking change (or was tampered
+// with) — the job settles as failed with the reason.
 func (s *Server) rehydrateOptimize(payload json.RawMessage) (jobs.Func, error) {
-	var p optimizePayload
-	if err := json.Unmarshal(payload, &p); err != nil {
+	var req optimizeRequest
+	if err := json.Unmarshal(payload, &req); err != nil {
 		return nil, fmt.Errorf("bad optimize payload: %w", err)
 	}
-	var spec *tune.Spec
-	switch {
-	case p.Spec != "":
-		var err error
-		if spec, err = tune.ParseSpec(p.Spec); err != nil {
-			return nil, err
-		}
-	case p.Scenario != "":
-		var ok bool
-		if spec, ok = experiments.TuneSpec(p.Scenario); !ok {
-			return nil, fmt.Errorf("unknown scenario %q", p.Scenario)
-		}
-	default:
-		return nil, errors.New("optimize payload names neither spec nor scenario")
+	spec, strategy, e := req.resolve()
+	if e != nil {
+		return nil, errors.New(e.msg)
 	}
-	strategy := tune.StrategyBeam
-	if p.Strategy != "" {
-		var ok bool
-		if strategy, ok = tune.StrategyByName(p.Strategy); !ok {
-			return nil, fmt.Errorf("unknown strategy %q", p.Strategy)
-		}
-	}
-	name := "optimize/" + spec.Name + "/" + string(strategy)
 	// Rehydrated runs trace like fresh ones; the submitting request's trace
 	// is long gone after a restart, so there is no submit_trace link.
-	return s.traceJob(name, context.Background(), tuneJob(spec, strategy, s.tuneOptions())), nil
+	_, fn := s.optimizeJob(context.Background(), spec, strategy)
+	return fn, nil
 }
 
 // jobView is the ONE canonical job representation: every job-bearing
@@ -997,43 +1023,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	var spec *tune.Spec
-	switch {
-	case req.Spec != "" && req.Scenario != "":
-		s.writeError(w, r, http.StatusBadRequest, ErrInvalidParameter, nil, "spec and scenario are mutually exclusive")
-		return
-	case req.Spec != "":
-		var err error
-		if spec, err = tune.ParseSpec(req.Spec); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, ErrInvalidSpec, nil, "%v", err)
-			return
-		}
-	case req.Scenario != "":
-		var ok bool
-		if spec, ok = experiments.TuneSpec(req.Scenario); !ok {
-			s.writeError(w, r, http.StatusBadRequest, ErrInvalidParameter, map[string]any{"parameter": "scenario"},
-				"unknown scenario %q (want one of %s)",
-				req.Scenario, strings.Join(experiments.TuneNames(), ", "))
-			return
-		}
-	default:
-		s.writeError(w, r, http.StatusBadRequest, ErrMissingParameter, nil,
-			"provide spec=... (tune.ParseSpec syntax) or scenario=... (named scenarios: %s)",
-			strings.Join(experiments.TuneNames(), ", "))
-		return
-	}
-
-	strategy := tune.StrategyBeam
-	if req.Strategy != "" {
-		var ok bool
-		if strategy, ok = tune.StrategyByName(req.Strategy); !ok {
-			s.writeError(w, r, http.StatusBadRequest, ErrInvalidParameter, map[string]any{"parameter": "strategy"},
-				"unknown strategy %q (want one of %v)", req.Strategy, tune.Strategies())
-			return
-		}
-	}
-	if err := spec.Validate(); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, ErrInvalidSpec, nil, "%v", err)
+	spec, strategy, e := req.resolve()
+	if e != nil {
+		s.writeReqError(w, r, e)
 		return
 	}
 	if e := s.checkTuneSpec(spec); e != nil {
@@ -1047,11 +1039,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// worker pool cell by cell (retry/hedging/fallback included). Durable
 	// submission: with a JobStore configured, this job — and its result —
 	// survives a coordinator restart.
-	name := "optimize/" + spec.Name + "/" + string(strategy)
-	id, err := s.jobs.SubmitDurable(name,
-		optimizeJobKind,
-		optimizePayload{Spec: req.Spec, Scenario: req.Scenario, Strategy: string(strategy)},
-		s.traceJob(name, r.Context(), tuneJob(spec, strategy, s.tuneOptions())))
+	name, fn := s.optimizeJob(r.Context(), spec, strategy)
+	id, err := s.jobs.SubmitDurable(name, optimizeJobKind,
+		optimizeRequest{Spec: req.Spec, Scenario: req.Scenario, Strategy: string(strategy)}, fn)
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		// writeError fills in the Retry-After floor for 429s.

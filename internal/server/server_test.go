@@ -622,6 +622,42 @@ func TestOptimizeInlineSpec(t *testing.T) {
 	}
 }
 
+// TestOptimizeRehydratesStoredPayloads: a restarted server resumes queued
+// optimize jobs from payloads as the store holds them — a scenario or an
+// inline spec, a strategy or none (the default) — through the resolver a
+// fresh submission takes, and fails a job whose payload no longer resolves
+// with the reason.
+func TestOptimizeRehydratesStoredPayloads(t *testing.T) {
+	store := jobs.NewMemStore()
+	for i, payload := range []string{
+		`{"scenario":"4b-quick","strategy":"beam"}`,
+		`{"spec":"model=4B;devices=8;micro=32,64;method=vocab-1,vocab-2","strategy":"exhaustive"}`,
+		`{"scenario":"4b-quick"}`,
+		`{"scenario":"no-such-scenario","strategy":"beam"}`,
+	} {
+		if err := store.Put(jobs.Record{ID: fmt.Sprintf("j%d", i+1), Name: "optimize", Kind: optimizeJobKind,
+			State: jobs.StateQueued, Payload: json.RawMessage(payload), CreatedAt: time.Unix(2000, 0).UTC()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, ts := newTestServer(t, Options{JobStore: store, Parallel: 1})
+	for _, want := range []struct {
+		id       string
+		strategy tune.Strategy
+	}{{"j1", tune.StrategyBeam}, {"j2", tune.StrategyExhaustive}, {"j3", tune.StrategyBeam}} {
+		snap := pollJob(t, ts, want.id)
+		if snap.State != jobs.StateDone {
+			t.Fatalf("%s: state = %s (error %q)", want.id, snap.State, snap.Error)
+		}
+		if res := decodeTuneResult(t, snap); res.Strategy != want.strategy || res.Best == nil {
+			t.Errorf("%s: strategy %s, best %v; want %s with a best candidate", want.id, res.Strategy, res.Best, want.strategy)
+		}
+	}
+	if snap := pollJob(t, ts, "j4"); snap.State != jobs.StateFailed || !strings.Contains(snap.Error, `unknown scenario "no-such-scenario"`) {
+		t.Errorf("j4: state %s, error %q; want failed naming the unknown scenario", snap.State, snap.Error)
+	}
+}
+
 func TestOptimizeErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxDevices: 16})
 	tests := []struct {

@@ -85,9 +85,9 @@ func mustEvent(t *testing.T, events []trace.Event, name string) *trace.Event {
 }
 
 // TestTraceExportSingleNode: one miss-then-hit request pair; the miss's
-// trace shows the full request→admission→cache.lookup→compute chain, the
-// hit's trace has no compute span, and both wear the IDs their X-Trace-Id
-// headers promised.
+// trace shows the full request→cache.lookup→compute→admission chain, the
+// hit's trace is the root and its lookup alone — no compute, no admission —
+// and both wear the IDs their X-Trace-Id headers promised.
 func TestTraceExportSingleNode(t *testing.T) {
 	s := New(Options{Parallel: 1, Tracer: detTracer("vpserve", 0)})
 	defer s.Close(context.Background())
@@ -128,10 +128,16 @@ func TestTraceExportSingleNode(t *testing.T) {
 	if got := mustEvent(t, miss, "cache.lookup").Args["outcome"]; got != "miss" {
 		t.Errorf("lookup outcome = %q", got)
 	}
+	adm, cmp := mustEvent(t, miss, "admission"), mustEvent(t, miss, "compute")
+	if adm.Args["parent_id"] != cmp.Args["span_id"] || adm.Args["outcome"] != "admitted" {
+		t.Errorf("admission span parent %q outcome %q; want a child of compute %q, admitted",
+			adm.Args["parent_id"], adm.Args["outcome"], cmp.Args["span_id"])
+	}
 
 	hit := fetchTrace(t, ts.URL+"/api/v1/debug/traces/"+hitID)
-	if eventByName(hit, "compute") != nil {
-		t.Error("cache hit ran a compute span")
+	if names := spanNames(hit); len(names) != 2 || eventByName(hit, "GET /api/v1/sweep") == nil ||
+		eventByName(hit, "cache.lookup") == nil {
+		t.Errorf("cache hit spans = %v, want exactly the root and cache.lookup", names)
 	}
 	if got := mustEvent(t, hit, "cache.lookup").Args["outcome"]; got != "hit" {
 		t.Errorf("hit lookup outcome = %q", got)
@@ -335,7 +341,7 @@ func hitCost(t *testing.T, opt Options, n int) (allocs, bytes float64) {
 // cached hit may cost at most 3 heap objects (the trace's block, the
 // context carrying its root, the X-Trace-Id value) and 1.4 KB over the
 // same hit with tracing disabled. The hit itself writes the stored body as
-// it is: measured 23 allocations traced and 20 untraced (24 and 21 under
+// it is: measured 22 allocations traced and 19 untraced (23 and 20 under
 // -race), most of them net/http's request and header plumbing. A hit that
 // re-encoded its body would cost dozens more.
 func TestTracedHitAllocationBudget(t *testing.T) {

@@ -34,8 +34,12 @@ func Strategies() []Strategy {
 	return []Strategy{StrategyBeam, StrategyExhaustive, StrategyAnneal}
 }
 
-// StrategyByName resolves a strategy name.
+// StrategyByName resolves a strategy name. The empty name resolves to the
+// default strategy, beam.
 func StrategyByName(name string) (Strategy, bool) {
+	if name == "" {
+		return StrategyBeam, true
+	}
 	for _, s := range Strategies() {
 		if string(s) == name {
 			return s, true

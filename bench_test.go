@@ -1,6 +1,7 @@
 // Package vocabpipe's root benchmark harness: one testing.B benchmark per
 // table and figure of the paper, plus micro-benchmarks of the numeric core
-// and ablations of the design choices called out in DESIGN.md. Run with
+// and two ablations: Appendix B.2's interlaced schedule with and without
+// its synchronous all-reduces, and the communication barrier count. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -175,9 +176,9 @@ func BenchmarkAblationB2(b *testing.B) {
 	}
 }
 
-// BenchmarkBarrierCountAblation sweeps the number of communication barriers
-// (DESIGN.md ablation 1): the in-flight activation overhead equals the
-// barrier count, and the makespan improves as barriers are removed.
+// BenchmarkBarrierCountAblation sweeps the number of communication
+// barriers: the in-flight activation overhead equals the barrier count, and
+// the makespan improves as barriers are removed.
 func BenchmarkBarrierCountAblation(b *testing.B) {
 	cfg, _ := costmodel.ConfigByName("4B")
 	cfg = cfg.WithVocab(256 * 1024)

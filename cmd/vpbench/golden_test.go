@@ -71,6 +71,20 @@ func TestCLIErrors(t *testing.T) {
 	if _, stderr, code := runVpbench(t, "-grid", "model=unknown"); code != 2 || !strings.Contains(stderr, "unknown model") {
 		t.Errorf("bad grid: code=%d stderr=%q", code, stderr)
 	}
+	// A negative worker count is refused on both paths; zero keeps its
+	// GOMAXPROCS meaning.
+	for _, args := range [][]string{
+		{"-parallel", "-3", "table4"},
+		{"-parallel", "-1", "-grid", "model=4B;method=baseline;vocab=32k;micro=16"},
+		{"-parallel", "-3", "-tune", "4b-quick"},
+	} {
+		if _, stderr, code := runVpbench(t, args...); code != 2 || !strings.Contains(stderr, "-parallel must not be negative") {
+			t.Errorf("%v: code=%d stderr=%q", args, code, stderr)
+		}
+	}
+	if _, stderr, code := runVpbench(t, "-parallel", "0", "table4"); code != 0 {
+		t.Errorf("-parallel 0: code=%d stderr=%q", code, stderr)
+	}
 }
 
 // TestFailedCellsExitNonzero proves per-cell failures still fail the

@@ -73,6 +73,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *parallel < 0 {
+		// Zero is the documented GOMAXPROCS default; a negative count has
+		// no meaning, so it is refused rather than read as the default.
+		fmt.Fprintf(stderr, "vpbench: -parallel must not be negative, got %d\n", *parallel)
+		return 2
+	}
 	if *jsonOut && *csvOut {
 		fmt.Fprintln(stderr, "vpbench: -json and -csv are mutually exclusive")
 		return 2

@@ -60,42 +60,32 @@
 //	-probe-every D    member /healthz probe interval — also drives expiry
 //	                  (default 5s; 0 disables; coordinator only)
 //
-// Both load modes below run the one load engine (internal/load) and print
-// its one JSON report on stdout: the attempt ledger, OK-only latency
+// Load-test mode drives the one load engine (internal/load) against a URL —
+// an already-running vpserve (or anything speaking HTTP) — and prints its
+// one JSON report on stdout: the attempt ledger, OK-only latency
 // percentiles, status and envelope-code counts, per-stage rows and the SLO
-// verdicts.
-//
-// Self-test mode starts an ephemeral server and drives a closed loop against
-// it; its report also carries the server's cache hit rate
-// (cache_hit_rate_pct):
-//
-//	vpserve -selftest [-selftest-duration 2s] [-selftest-concurrency 8]
-//	        [-selftest-grid SPEC] [-selftest-min-rps 100]
-//
-// -selftest-min-rps makes the run a gate: exit 1 when the warmed-cache
-// attempts/s (scheduled_rps) fall below the floor (the CI smoke step uses
-// 100).
-//
-// Load-test mode drives the engine against an EXTERNAL URL — an
-// already-running vpserve (or anything speaking HTTP). The CI smoke step
-// uses it to cross-check the client-side attempt count against the server's
-// own /metrics request counters.
+// verdicts. The CI smoke step uses it to cross-check the client-side
+// attempt count against the server's own /metrics request counters.
 //
 // By default it runs a CLOSED LOOP (N workers issuing requests back to back):
 //
 //	vpserve -loadtest 'http://127.0.0.1:8080/api/v1/sweep?grid=...' \
-//	        [-loadtest-duration 2s] [-loadtest-concurrency 8]
+//	        [-loadtest-duration 2s] [-loadtest-concurrency 8] \
+//	        [-loadtest-thresholds 'ok_rps>=100,error_rate<=0']
 //
 // Passing -loadtest-scenario (a preset: spike, soak, diurnal) or
 // -loadtest-stages (custom "[start=RATE,]TARGET:DURATION,..." legs) switches
 // to an OPEN LOOP: injection follows the staged rate curve regardless of
-// server speed, a bounded VU pool turns client-side saturation into counted
-// drops, and declarative SLO gates decide pass/fail (exit 4 on breach):
+// server speed, and a bounded VU pool turns client-side saturation into
+// counted drops:
 //
 //	vpserve -loadtest 'http://127.0.0.1:8080/api/v1/sweep?grid=...micro%3D{64+i%499}' \
 //	        -loadtest-scenario spike -loadtest-rate 50 -loadtest-peak 500 \
 //	        -loadtest-duration 5s -loadtest-max-vus 64 \
 //	        -loadtest-thresholds 'p99<250ms,error_rate<0.1%'
+//
+// In either loop, -loadtest-thresholds makes declarative SLO gates decide
+// pass/fail: exit 4 on a breach.
 //
 // The URL may carry one {i} or {OFF+i%MOD} placeholder, expanded per
 // iteration to sweep distinct (cold) cache keys.
@@ -122,14 +112,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	neturl "net/url"
 	"os"
 	"os/signal"
 	"strings"
@@ -168,12 +156,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	join := fs.String("join", "", "coordinator base `URL` to register with and heartbeat (requires -role worker)")
 	advertise := fs.String("advertise", "", "base `URL` to register under with -join (default http://127.0.0.1:<bound port>)")
 	heartbeatEvery := fs.Duration("heartbeat-every", 10*time.Second, "join re-registration interval (0 registers once; requires -join)")
-	selftest := fs.Bool("selftest", false, "start an ephemeral server, drive the load harness against it, report and exit")
-	stGrid := fs.String("selftest-grid", "model=4B;method=baseline,vocab-1;vocab=32k;micro=16",
-		"grid `SPEC` the self-test sweeps")
-	stConc := fs.Int("selftest-concurrency", 8, "self-test worker count")
-	stDur := fs.Duration("selftest-duration", 2*time.Second, "self-test load duration")
-	stMinRPS := fs.Float64("selftest-min-rps", 0, "fail (exit 1) when self-test throughput is below this floor; 0 disables")
 	loadtest := fs.String("loadtest", "", "drive the load harness against this external `URL`, print the JSON report and exit")
 	ltConc := fs.Int("loadtest-concurrency", 8, "closed-loop load-test worker count")
 	ltDur := fs.Duration("loadtest-duration", 2*time.Second, "load-test duration")
@@ -211,8 +193,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		{"job-workers", float64(*jobWorkers), false},
 		{"job-queue", float64(*jobQueue), false},
 		{"shutdown-timeout", float64(*shutdownTimeout), false},
-		{"selftest-concurrency", float64(*stConc), false},
-		{"selftest-duration", float64(*stDur), false},
 		{"loadtest-concurrency", float64(*ltConc), false},
 		{"loadtest-max-vus", float64(*ltMaxVUs), false},
 		{"loadtest-duration", float64(*ltDur), false},
@@ -224,7 +204,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		{"member-ttl", float64(*memberTTL), true},
 		{"hedge-after", float64(*hedgeAfter), true},
 		{"heartbeat-every", float64(*heartbeatEvery), true},
-		{"selftest-min-rps", *stMinRPS, true},
 		{"loadtest-rate", *ltRate, false},
 		{"loadtest-peak", *ltPeak, true},
 		{"loadtest-jitter", *ltJitter, true},
@@ -240,14 +219,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if !*selftest {
-		for _, name := range []string{"selftest-grid", "selftest-concurrency", "selftest-duration", "selftest-min-rps"} {
-			if explicit[name] {
-				fmt.Fprintf(stderr, "vpserve: -%s only applies to -selftest\n", name)
-				return 2
-			}
-		}
-	}
 	if *loadtest == "" {
 		for _, name := range []string{"loadtest-concurrency", "loadtest-duration",
 			"loadtest-scenario", "loadtest-stages", "loadtest-rate", "loadtest-peak",
@@ -257,9 +228,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 				return 2
 			}
 		}
-	} else if *selftest {
-		fmt.Fprintf(stderr, "vpserve: -selftest and -loadtest are mutually exclusive\n")
-		return 2
 	}
 	openLoop := *ltScenario != "" || *ltStages != ""
 	if *ltScenario != "" && *ltStages != "" {
@@ -268,7 +236,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 	if !openLoop {
 		for _, name := range []string{"loadtest-rate", "loadtest-peak", "loadtest-max-vus",
-			"loadtest-jitter", "loadtest-seed", "loadtest-thresholds"} {
+			"loadtest-jitter", "loadtest-seed"} {
 			if explicit[name] {
 				fmt.Fprintf(stderr, "vpserve: -%s needs an open-loop plan (-loadtest-scenario or -loadtest-stages)\n", name)
 				return 2
@@ -309,10 +277,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		}
 		// An empty seed list is fine: membership is dynamic, workers join
 		// through POST /api/v1/cluster/join (or their -join flag).
-		if *selftest {
-			fmt.Fprintf(stderr, "vpserve: -selftest runs single-node; start workers separately to test coordinator mode\n")
-			return 2
-		}
 	default:
 		fmt.Fprintf(stderr, "vpserve: unknown -role %q (want single, coordinator or worker)\n", *role)
 		return 2
@@ -349,7 +313,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		}
 		*advertise = u
 	}
-	if *stateDir != "" && (*selftest || *loadtest != "") {
+	if *stateDir != "" && *loadtest != "" {
 		fmt.Fprintf(stderr, "vpserve: -state-dir only applies to serving modes\n")
 		return 2
 	}
@@ -425,11 +389,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		defer store.Close()
 		opts.JobStore = store
 	}
-	srv := server.New(opts)
-	if *selftest {
-		return runSelftest(srv, stdout, stderr, *stGrid, *stConc, *stDur, *stMinRPS)
-	}
-	return serve(srv, stderr, serveConfig{
+	return serve(server.New(opts), stderr, serveConfig{
 		addr:            *addr,
 		role:            *role,
 		probeEvery:      *probeEvery,
@@ -645,72 +605,6 @@ func runLoadtest(stdout, stderr io.Writer, url string, plan loadPlan) int {
 	fmt.Fprintf(stderr, "vpserve: loadtest %s\n", rep.Summary())
 	if !rep.ThresholdsOK {
 		return 4
-	}
-	return 0
-}
-
-// runSelftest boots an ephemeral server, warms the cache with one request,
-// measures a load run against the warmed sweep endpoint and reports. The
-// warm request makes the measured window the cache-hit serving path — the
-// steady state a repeated production query sees.
-func runSelftest(srv *server.Server, stdout, stderr io.Writer, gridSpec string, conc int, dur time.Duration, minRPS float64) int {
-	baseURL, stopSrv, err := server.StartLocal(srv)
-	if err != nil {
-		fmt.Fprintf(stderr, "vpserve: %v\n", err)
-		return 1
-	}
-	defer stopSrv()
-	defer srv.Close(context.Background())
-	// Grid specs must be percent-encoded: since Go 1.17 net/url rejects a
-	// raw ";" query separator, so an unescaped spec would be cut at the
-	// first semicolon server-side.
-	url := baseURL + "/api/v1/sweep?grid=" + neturl.QueryEscape(gridSpec)
-
-	warm, err := http.Get(url)
-	if err != nil {
-		fmt.Fprintf(stderr, "vpserve: selftest warmup: %v\n", err)
-		return 1
-	}
-	io.Copy(io.Discard, warm.Body)
-	warm.Body.Close()
-	if warm.StatusCode != http.StatusOK {
-		fmt.Fprintf(stderr, "vpserve: selftest warmup: %s returned %d (bad -selftest-grid?)\n", url, warm.StatusCode)
-		return 1
-	}
-
-	before := srv.CacheStats()
-	rep, err := load.Run(context.Background(), url, load.Options{VUs: conc, Duration: dur})
-	if err != nil {
-		fmt.Fprintf(stderr, "vpserve: selftest: %v\n", err)
-		return 1
-	}
-	after := srv.CacheStats()
-	// The load report plus the server-side cache hit rate over the run
-	// (negative: unknown, no lookups).
-	out := struct {
-		*load.Report
-		CacheHitRatePct float64 `json:"cache_hit_rate_pct"`
-	}{rep, -1}
-	if lookups := (after.Hits + after.Misses + after.Deduped) - (before.Hits + before.Misses + before.Deduped); lookups > 0 {
-		hits := (after.Hits + after.Deduped) - (before.Hits + before.Deduped)
-		out.CacheHitRatePct = 100 * float64(hits) / float64(lookups)
-	}
-
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintf(stderr, "vpserve: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stderr, "vpserve: selftest %s; cache hit %.1f%%\n", rep.Summary(), out.CacheHitRatePct)
-	if rep.Errors > 0 || rep.NonOK > 0 {
-		fmt.Fprintf(stderr, "vpserve: selftest saw %d transport errors and %d non-200 responses\n", rep.Errors, rep.NonOK)
-		return 1
-	}
-	if minRPS > 0 && rep.ScheduledRPS < minRPS {
-		fmt.Fprintf(stderr, "vpserve: selftest throughput %.0f req/s is below the -selftest-min-rps floor %.0f\n",
-			rep.ScheduledRPS, minRPS)
-		return 1
 	}
 	return 0
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,63 +25,64 @@ func runVpserve(args ...string) (string, string, int) {
 	return stdout.String(), stderr.String(), code
 }
 
+// startServe boots run in serve mode on an ephemeral loopback port and
+// returns the bound address, the channel its exit code arrives on, and its
+// stderr (read it once the exit code has arrived).
+func startServe(t *testing.T, args ...string) (addr string, done chan int, stderr *bytes.Buffer) {
+	t.Helper()
+	ready := make(chan string, 1)
+	stderr = &bytes.Buffer{}
+	done = make(chan int, 1)
+	args = append([]string{"-addr", "127.0.0.1:0"}, args...)
+	go func() { done <- run(args, io.Discard, stderr, ready) }()
+	select {
+	case addr = <-ready:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("server never became ready (stderr %q)", stderr.String())
+	}
+	return addr, done, stderr
+}
+
+// stopServe delivers SIGTERM, which reaches every serve loop in the
+// process, and requires each to drain and exit 0.
+func stopServe(t *testing.T, dones ...chan int) {
+	t.Helper()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	for _, done := range dones {
+		select {
+		case code := <-done:
+			if code != 0 {
+				t.Fatalf("exit %d", code)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("server did not shut down after SIGTERM")
+		}
+	}
+}
+
+// fetch GETs base+path and requires a 200.
+func fetch(t *testing.T, base, path string) []byte {
+	t.Helper()
+	resp, err := http.Get("http://" + base + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d (%s)", path, resp.StatusCode, body)
+	}
+	return body
+}
+
 func TestCLIErrors(t *testing.T) {
 	if _, stderr, code := runVpserve("extra"); code != 2 || !strings.Contains(stderr, "unexpected arguments") {
 		t.Errorf("extra args: code=%d stderr=%q", code, stderr)
 	}
 	if _, stderr, code := runVpserve("-nope"); code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
 		t.Errorf("unknown flag: code=%d stderr=%q", code, stderr)
-	}
-	if _, stderr, code := runVpserve("-selftest-min-rps", "5"); code != 2 || !strings.Contains(stderr, "only applies to -selftest") {
-		t.Errorf("selftest flag outside selftest: code=%d stderr=%q", code, stderr)
-	}
-}
-
-// TestSelftest runs the built-in load harness end to end on an ephemeral
-// server and checks the machine-readable report: requests flowed, nothing
-// failed, and the warmed cache absorbed the load.
-func TestSelftest(t *testing.T) {
-	stdout, stderr, code := runVpserve("-selftest",
-		"-selftest-duration", "200ms", "-selftest-concurrency", "2")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr %q", code, stderr)
-	}
-	var rep struct {
-		load.Report
-		CacheHitRatePct float64 `json:"cache_hit_rate_pct"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatalf("stdout is not a load report: %v (%s)", err, stdout)
-	}
-	if rep.OK == 0 || rep.Errors != 0 || rep.NonOK != 0 || rep.Scenario != "closed-loop" || rep.MaxVUs != 2 {
-		t.Errorf("report = %+v", rep.Report)
-	}
-	if rep.ScheduledRPS <= 0 || rep.Scheduled != rep.Attempts {
-		t.Errorf("attempts/s %v, scheduled %d, attempts %d", rep.ScheduledRPS, rep.Scheduled, rep.Attempts)
-	}
-	if rep.CacheHitRatePct < 99 {
-		t.Errorf("cache hit rate %.1f%%, want ~100%% on a warmed single-URL run", rep.CacheHitRatePct)
-	}
-	if !strings.Contains(stderr, "req/s") {
-		t.Errorf("missing summary on stderr: %q", stderr)
-	}
-}
-
-// TestSelftestMinRPSGate proves the throughput floor turns the report into
-// an exit-code gate.
-func TestSelftestMinRPSGate(t *testing.T) {
-	_, stderr, code := runVpserve("-selftest",
-		"-selftest-duration", "100ms", "-selftest-concurrency", "1",
-		"-selftest-min-rps", "1e12")
-	if code != 1 || !strings.Contains(stderr, "below the -selftest-min-rps floor") {
-		t.Errorf("code=%d stderr=%q, want gated exit 1", code, stderr)
-	}
-}
-
-func TestSelftestBadGrid(t *testing.T) {
-	_, stderr, code := runVpserve("-selftest", "-selftest-grid", "model=900B")
-	if code != 1 || !strings.Contains(stderr, "bad -selftest-grid") {
-		t.Errorf("code=%d stderr=%q", code, stderr)
 	}
 }
 
@@ -107,9 +109,6 @@ func TestLoadtestMode(t *testing.T) {
 	if rep.Scenario != "closed-loop" || rep.MaxVUs != 2 || rep.Dropped != 0 {
 		t.Errorf("closed-loop report = %+v", rep)
 	}
-	if strings.Contains(stdout, "cache_hit_rate_pct") {
-		t.Errorf("the cache hit rate is -selftest output only: %s", stdout)
-	}
 	if !strings.Contains(stderr, "loadtest") {
 		t.Errorf("missing summary on stderr: %q", stderr)
 	}
@@ -119,13 +118,99 @@ func TestLoadtestFlagValidation(t *testing.T) {
 	if _, stderr, code := runVpserve("-loadtest-duration", "1s"); code != 2 || !strings.Contains(stderr, "only applies to -loadtest") {
 		t.Errorf("loadtest flag without -loadtest: code=%d stderr=%q", code, stderr)
 	}
-	if _, stderr, code := runVpserve("-selftest", "-loadtest", "http://x"); code != 2 || !strings.Contains(stderr, "mutually exclusive") {
-		t.Errorf("selftest+loadtest: code=%d stderr=%q", code, stderr)
-	}
 	if _, stderr, code := runVpserve("-loadtest", "not-a-url", "-loadtest-duration", "50ms"); code != 0 || stderr == "" {
 		// A bad URL yields errored attempts, not a refusal: the ledger still
 		// reports what happened and CI owns the policy.
 		t.Errorf("bad URL: code=%d stderr=%q, want report with errors", code, stderr)
+	}
+}
+
+// TestClosedLoopThresholds: -loadtest-thresholds gates a closed loop as it
+// gates an open one — exit 0 when every gate holds, 4 on a breach — and the
+// report carries the verdicts either way.
+func TestClosedLoopThresholds(t *testing.T) {
+	ok := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("ok"))
+	}))
+	defer ok.Close()
+	shedding := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusTooManyRequests)
+	}))
+	defer shedding.Close()
+
+	for _, tc := range []struct {
+		name       string
+		url        string
+		thresholds string
+		wantCode   int
+		wantOK     bool
+	}{
+		{"gates hold", ok.URL, "ok_rps>=1,error_rate<=0,non_ok_rate<=0", 0, true},
+		{"throughput floor breached", ok.URL, "ok_rps>=1e12", 4, false},
+		{"non-OK gate breached", shedding.URL, "non_ok_rate<1%", 4, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stdout, stderr, code := runVpserve("-loadtest", tc.url,
+				"-loadtest-duration", "100ms", "-loadtest-concurrency", "2",
+				"-loadtest-thresholds", tc.thresholds)
+			if code != tc.wantCode {
+				t.Fatalf("exit %d, want %d (stderr %q)", code, tc.wantCode, stderr)
+			}
+			var rep load.Report
+			if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+				t.Fatalf("stdout is not a load report: %v (%s)", err, stdout)
+			}
+			if rep.Scenario != "closed-loop" || rep.ThresholdsOK != tc.wantOK ||
+				len(rep.Thresholds) != len(strings.Split(tc.thresholds, ",")) {
+				t.Errorf("report: scenario %q, thresholds_ok %v, thresholds %+v", rep.Scenario, rep.ThresholdsOK, rep.Thresholds)
+			}
+		})
+	}
+}
+
+// TestLoadtestGatesWarmedServe is the load gate end to end: boot serve
+// mode, warm one sweep, then a closed-loop -loadtest against it must pass
+// the throughput floor with no errors or non-OK answers, served from the
+// cache: the server's own /metrics counters show at least 99% hits over
+// the run.
+func TestLoadtestGatesWarmedServe(t *testing.T) {
+	addr, done, _ := startServe(t)
+	defer stopServe(t, done)
+	const path = "/api/v1/sweep?grid=model%3D4B%3Bmethod%3Dbaseline%2Cvocab-1%3Bvocab%3D32k%3Bmicro%3D16"
+	fetch(t, addr, path)
+
+	lookups := func() (hits, all float64) {
+		t.Helper()
+		count := map[string]float64{}
+		for _, line := range strings.Split(string(fetch(t, addr, "/metrics")), "\n") {
+			if f := strings.Fields(line); len(f) == 2 && strings.HasPrefix(f[0], "vpserve_cache_") {
+				v, err := strconv.ParseFloat(f[1], 64)
+				if err != nil {
+					t.Fatalf("metrics line %q: %v", line, err)
+				}
+				count[f[0]] = v
+			}
+		}
+		hits = count["vpserve_cache_hits_total"] + count["vpserve_cache_dedup_total"]
+		return hits, hits + count["vpserve_cache_misses_total"]
+	}
+	hits0, all0 := lookups()
+	stdout, stderr, code := runVpserve("-loadtest", "http://"+addr+path,
+		"-loadtest-duration", "500ms", "-loadtest-concurrency", "4",
+		"-loadtest-thresholds", "ok_rps>=100,error_rate<=0,non_ok_rate<=0")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0 (stderr %q, report %s)", code, stderr, stdout)
+	}
+	hits1, all1 := lookups()
+	var rep load.Report
+	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+		t.Fatalf("stdout is not a load report: %v (%s)", err, stdout)
+	}
+	if all1-all0 < float64(rep.Attempts) {
+		t.Errorf("%v cache lookups over the run for %d attempts", all1-all0, rep.Attempts)
+	}
+	if rate := 100 * (hits1 - hits0) / (all1 - all0); rate < 99 {
+		t.Errorf("cache hit rate %.2f%% over the run, want >= 99%% on a warmed sweep", rate)
 	}
 }
 
@@ -249,40 +334,9 @@ func TestOpenLoopFlagValidation(t *testing.T) {
 // TestServeGracefulShutdown boots the real serve loop on an ephemeral port,
 // queries it over HTTP, then delivers SIGTERM and expects a clean drain.
 func TestServeGracefulShutdown(t *testing.T) {
-	ready := make(chan string, 1)
-	var stderr bytes.Buffer
-	done := make(chan int, 1)
-	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0"}, io.Discard, &stderr, ready)
-	}()
-
-	var addr string
-	select {
-	case addr = <-ready:
-	case <-time.After(5 * time.Second):
-		t.Fatal("server never became ready")
-	}
-	resp, err := http.Get("http://" + addr + "/healthz")
-	if err != nil {
-		t.Fatalf("healthz: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status %d", resp.StatusCode)
-	}
-
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case code := <-done:
-		if code != 0 {
-			t.Fatalf("exit %d, stderr %q", code, stderr.String())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("server did not shut down after SIGTERM")
-	}
+	addr, done, stderr := startServe(t)
+	fetch(t, addr, "/healthz")
+	stopServe(t, done)
 	if out := stderr.String(); !strings.Contains(out, "shutting down") || !strings.Contains(out, "bye") {
 		t.Errorf("shutdown log missing: %q", out)
 	}
@@ -303,7 +357,6 @@ func TestClusterFlagValidation(t *testing.T) {
 		{"hedge outside coordinator", []string{"-hedge-after", "1s"}, "requires -role coordinator"},
 		{"probe outside coordinator", []string{"-probe-every", "1s"}, "requires -role coordinator"},
 		{"member-ttl outside coordinator", []string{"-member-ttl", "1s"}, "requires -role coordinator"},
-		{"selftest as coordinator", []string{"-selftest", "-role", "coordinator", "-workers", "h:1"}, "runs single-node"},
 		// Satellite: seed URLs are validated at startup, not at first dispatch.
 		{"workers URL with a path", []string{"-role", "coordinator", "-workers", "http://h:1/api"}, `-workers entry "http://h:1/api"`},
 		{"workers URL without a host", []string{"-role", "coordinator", "-workers", "http://"}, "-workers entry"},
@@ -314,12 +367,7 @@ func TestClusterFlagValidation(t *testing.T) {
 		{"advertise without join", []string{"-role", "worker", "-advertise", "h:2"}, "requires -join"},
 		{"heartbeat without join", []string{"-role", "worker", "-heartbeat-every", "1s"}, "requires -join"},
 		{"bad advertise URL", []string{"-role", "worker", "-join", "h:1", "-advertise", "ftp://h:2"}, "-advertise:"},
-		{"state-dir in selftest mode", []string{"-selftest", "-state-dir", "/tmp/x"}, "serving modes"},
-		{"zero selftest concurrency", []string{"-selftest", "-selftest-concurrency", "0"}, "-selftest-concurrency must be positive, got 0"},
-		{"negative selftest concurrency", []string{"-selftest", "-selftest-concurrency", "-2"}, "-selftest-concurrency must be positive, got -2"},
-		{"zero selftest duration", []string{"-selftest", "-selftest-duration", "0"}, "-selftest-duration must be positive, got 0s"},
-		{"negative selftest duration", []string{"-selftest", "-selftest-duration", "-1s"}, "-selftest-duration must be positive, got -1s"},
-		{"negative selftest floor", []string{"-selftest", "-selftest-min-rps", "-1"}, "-selftest-min-rps must not be negative"},
+		{"state-dir in loadtest mode", []string{"-loadtest", "http://x", "-state-dir", "/tmp/x"}, "serving modes"},
 		{"negative cache", []string{"-cache", "-5"}, "-cache must be positive, got -5"},
 		{"zero cache", []string{"-cache", "0"}, "-cache must be positive, got 0"},
 		{"negative max-cells", []string{"-max-cells", "-1"}, "-max-cells must be positive, got -1"},
@@ -352,13 +400,12 @@ func TestClusterFlagValidation(t *testing.T) {
 }
 
 // TestDocumentedZerosAccepted: the zeros and the negative -admit-queue that
-// the flags' help gives a meaning still run.
+// the flags' help gives a meaning still boot a server that answers.
 func TestDocumentedZerosAccepted(t *testing.T) {
-	_, stderr, code := runVpserve("-selftest", "-selftest-duration", "100ms", "-selftest-concurrency", "1",
-		"-parallel", "0", "-max-inflight", "0", "-admit-queue", "-1", "-trace-ring", "0", "-slow-request", "0")
-	if code != 0 {
-		t.Fatalf("exit %d, want 0 (stderr %q)", code, stderr)
-	}
+	addr, done, _ := startServe(t, "-parallel", "0", "-max-inflight", "0", "-admit-queue", "-1",
+		"-trace-ring", "0", "-slow-request", "0")
+	fetch(t, addr, "/api/v1/sweep?grid=model%3D4B%3Bmethod%3Dbaseline%3Bvocab%3D32k%3Bmicro%3D16")
+	stopServe(t, done)
 }
 
 // TestCoordinatorDynamicSeeds pins two halves of the v2 membership
@@ -366,19 +413,6 @@ func TestDocumentedZerosAccepted(t *testing.T) {
 // join at runtime), and duplicate spellings of one seed collapse to a
 // single member instead of getting double placement weight.
 func TestCoordinatorDynamicSeeds(t *testing.T) {
-	startServe := func(args ...string) (addr string, done chan int, stderr *bytes.Buffer) {
-		t.Helper()
-		ready := make(chan string, 1)
-		stderr = &bytes.Buffer{}
-		done = make(chan int, 1)
-		go func() { done <- run(args, io.Discard, stderr, ready) }()
-		select {
-		case addr = <-ready:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("server never became ready (stderr %q)", stderr.String())
-		}
-		return addr, done, stderr
-	}
 	healthz := func(addr string) (h struct {
 		Role    string `json:"role"`
 		Workers []struct {
@@ -386,79 +420,33 @@ func TestCoordinatorDynamicSeeds(t *testing.T) {
 		} `json:"workers"`
 	}) {
 		t.Helper()
-		resp, err := http.Get("http://" + addr + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		if err := json.Unmarshal(fetch(t, addr, "/healthz"), &h); err != nil {
 			t.Fatal(err)
 		}
 		return h
 	}
 
-	workerAddr, workerDone, _ := startServe("-addr", "127.0.0.1:0", "-role", "worker")
+	workerAddr, workerDone, _ := startServe(t, "-role", "worker")
 	// Three spellings of the same worker → one member.
 	seeds := workerAddr + " , http://" + workerAddr + ",http://" + workerAddr + "/"
-	coordAddr, coordDone, _ := startServe("-addr", "127.0.0.1:0",
-		"-role", "coordinator", "-workers", seeds)
+	coordAddr, coordDone, _ := startServe(t, "-role", "coordinator", "-workers", seeds)
 	if h := healthz(coordAddr); h.Role != "coordinator" || len(h.Workers) != 1 {
 		t.Errorf("deduped coordinator healthz = %+v, want 1 member", h)
 	}
 	// No seeds at all is a valid coordinator now — membership is dynamic.
-	bareAddr, bareDone, _ := startServe("-addr", "127.0.0.1:0", "-role", "coordinator")
+	bareAddr, bareDone, _ := startServe(t, "-role", "coordinator")
 	if h := healthz(bareAddr); h.Role != "coordinator" || len(h.Workers) != 0 {
 		t.Errorf("seedless coordinator healthz = %+v, want empty member list", h)
 	}
-
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	for _, done := range []chan int{workerDone, coordDone, bareDone} {
-		select {
-		case code := <-done:
-			if code != 0 {
-				t.Fatalf("exit %d", code)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("server did not shut down after SIGTERM")
-		}
-	}
+	stopServe(t, workerDone, coordDone, bareDone)
 }
 
 // TestWorkerJoinHeartbeat boots a seedless coordinator and a worker started
 // with -join, and proves the worker registers itself, serves sharded
 // traffic byte-identically, and logs the registration once.
 func TestWorkerJoinHeartbeat(t *testing.T) {
-	startServe := func(args ...string) (addr string, done chan int, stderr *bytes.Buffer) {
-		t.Helper()
-		ready := make(chan string, 1)
-		stderr = &bytes.Buffer{}
-		done = make(chan int, 1)
-		go func() { done <- run(args, io.Discard, stderr, ready) }()
-		select {
-		case addr = <-ready:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("server never became ready (stderr %q)", stderr.String())
-		}
-		return addr, done, stderr
-	}
-	fetch := func(base, path string) []byte {
-		t.Helper()
-		resp, err := http.Get("http://" + base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d (%s)", path, resp.StatusCode, body)
-		}
-		return body
-	}
-
-	coordAddr, coordDone, _ := startServe("-addr", "127.0.0.1:0", "-role", "coordinator")
-	workerAddr, workerDone, workerErr := startServe("-addr", "127.0.0.1:0",
+	coordAddr, coordDone, _ := startServe(t, "-role", "coordinator")
+	workerAddr, workerDone, workerErr := startServe(t,
 		"-role", "worker", "-join", coordAddr, "-heartbeat-every", "25ms")
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -468,7 +456,7 @@ func TestWorkerJoinHeartbeat(t *testing.T) {
 				URL string `json:"url"`
 			} `json:"workers"`
 		}
-		if err := json.Unmarshal(fetch(coordAddr, "/healthz"), &h); err != nil {
+		if err := json.Unmarshal(fetch(t, coordAddr, "/healthz"), &h); err != nil {
 			t.Fatal(err)
 		}
 		if len(h.Workers) == 1 && h.Workers[0].URL == "http://"+workerAddr {
@@ -481,23 +469,11 @@ func TestWorkerJoinHeartbeat(t *testing.T) {
 	}
 
 	const path = "/api/v1/sweep?grid=model%3D4B%3Bmethod%3Dbaseline%2Cvocab-1%3Bvocab%3D32k%3Bmicro%3D16"
-	if sharded, direct := fetch(coordAddr, path), fetch(workerAddr, path); string(sharded) != string(direct) {
+	if sharded, direct := fetch(t, coordAddr, path), fetch(t, workerAddr, path); string(sharded) != string(direct) {
 		t.Error("coordinator response through a joined worker differs from the worker's own")
 	}
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	for _, done := range []chan int{workerDone, coordDone} {
-		select {
-		case code := <-done:
-			if code != 0 {
-				t.Fatalf("exit %d", code)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("server did not shut down after SIGTERM")
-		}
-	}
+	stopServe(t, workerDone, coordDone)
 	if logs := workerErr.String(); strings.Count(logs, "registered with coordinator") != 1 {
 		t.Errorf("want exactly one registration log line, got: %q", logs)
 	}
@@ -507,40 +483,13 @@ func TestWorkerJoinHeartbeat(t *testing.T) {
 // serve loop and proves a sweep on the coordinator is sharded to the
 // worker and byte-identical to the worker's own answer.
 func TestServeCoordinator(t *testing.T) {
-	startServe := func(args ...string) (addr string, done chan int, stderr *bytes.Buffer) {
-		t.Helper()
-		ready := make(chan string, 1)
-		stderr = &bytes.Buffer{}
-		done = make(chan int, 1)
-		go func() { done <- run(args, io.Discard, stderr, ready) }()
-		select {
-		case addr = <-ready:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("server never became ready (stderr %q)", stderr.String())
-		}
-		return addr, done, stderr
-	}
-	fetch := func(base, path string) []byte {
-		t.Helper()
-		resp, err := http.Get("http://" + base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d (%s)", path, resp.StatusCode, body)
-		}
-		return body
-	}
-
-	workerAddr, workerDone, _ := startServe("-addr", "127.0.0.1:0", "-role", "worker")
-	coordAddr, coordDone, coordErr := startServe("-addr", "127.0.0.1:0",
+	workerAddr, workerDone, _ := startServe(t, "-role", "worker")
+	coordAddr, coordDone, coordErr := startServe(t,
 		"-role", "coordinator", "-workers", workerAddr, "-probe-every", "50ms")
 
 	const path = "/api/v1/sweep?grid=model%3D4B%3Bmethod%3Dbaseline%2Cvocab-1%3Bvocab%3D32k%3Bmicro%3D16"
-	sharded := fetch(coordAddr, path)
-	direct := fetch(workerAddr, path)
+	sharded := fetch(t, coordAddr, path)
+	direct := fetch(t, workerAddr, path)
 	if string(sharded) != string(direct) {
 		t.Error("coordinator response differs from the worker's own")
 	}
@@ -550,7 +499,7 @@ func TestServeCoordinator(t *testing.T) {
 			Remote int64 `json:"remote"`
 		} `json:"dispatch"`
 	}
-	if err := json.Unmarshal(fetch(coordAddr, "/healthz"), &h); err != nil {
+	if err := json.Unmarshal(fetch(t, coordAddr, "/healthz"), &h); err != nil {
 		t.Fatal(err)
 	}
 	if h.Role != "coordinator" || h.Dispatch == nil || h.Dispatch.Remote == 0 {
@@ -558,19 +507,7 @@ func TestServeCoordinator(t *testing.T) {
 	}
 
 	// One SIGTERM reaches both in-process serve loops; both must drain.
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	for _, done := range []chan int{workerDone, coordDone} {
-		select {
-		case code := <-done:
-			if code != 0 {
-				t.Fatalf("exit %d (coordinator stderr %q)", code, coordErr.String())
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("server did not shut down after SIGTERM")
-		}
-	}
+	stopServe(t, workerDone, coordDone)
 	if !strings.Contains(coordErr.String(), "role coordinator") {
 		t.Errorf("coordinator log missing role: %q", coordErr.String())
 	}

@@ -484,11 +484,22 @@ func (d *Dispatcher) attempt(ctx context.Context, primary *workerState, key stri
 	return nil, lastErr
 }
 
-// post sends one shard request to one worker and decodes the records.
-// Outcomes feed the worker's circuit state; attempts aborted by the
-// caller's own cancellation (client gone, hedge lost) are neutral — a
-// cancelled caller says nothing about worker health — but an attempt that
-// hits AttemptTimeout is a failure like any other.
+// recordBytes bounds one shard record's JSON beyond its cell's label. A
+// worker answers a shard with one record per cell; a record echoes the
+// label, which the request body already holds, and adds the grid's name
+// (one the code defines, never client input), a model and a method name,
+// nine numbers and a simulation error message, indented: all well inside
+// 4 KiB. So a response longer than the body plus recordBytes per cell is no
+// shard response, and post stops reading there instead of buffering
+// whatever an unauthenticated joiner streams until the attempt times out.
+const recordBytes = 4 << 10
+
+// post sends one shard request to one worker and decodes the records, at
+// most body plus recordBytes per cell of them. Outcomes feed the worker's
+// circuit state; attempts aborted by the caller's own cancellation (client
+// gone, hedge lost) are neutral — a cancelled caller says nothing about
+// worker health — but an attempt that hits AttemptTimeout is a failure like
+// any other.
 func (d *Dispatcher) post(ctx context.Context, w *workerState, body []byte, wantLen int) ([]report.Record, error) {
 	caller := ctx
 	if d.opt.AttemptTimeout > 0 {
@@ -514,7 +525,12 @@ func (d *Dispatcher) post(ctx context.Context, w *workerState, body []byte, want
 			return nil, fmt.Errorf("cluster: worker %s: HTTP %d: %s", w.url, resp.StatusCode, bytes.TrimSpace(msg))
 		}
 		var recs []report.Record
-		if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
+		limit := int64(len(body)) + int64(wantLen)*recordBytes
+		lr := &io.LimitedReader{R: resp.Body, N: limit + 1}
+		if err := json.NewDecoder(lr).Decode(&recs); err != nil {
+			if lr.N == 0 {
+				return nil, fmt.Errorf("cluster: worker %s: shard response exceeds %d bytes", w.url, limit)
+			}
 			return nil, fmt.Errorf("cluster: worker %s: bad shard response: %w", w.url, err)
 		}
 		if len(recs) != wantLen {

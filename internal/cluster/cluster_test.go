@@ -516,3 +516,46 @@ func TestAttemptTimeoutUnwedgesStalledPool(t *testing.T) {
 		t.Errorf("stalled worker health = %+v, want recorded failures", h[0])
 	}
 }
+
+// TestEndlessShardBodyFallsBack: a member that answers 200 and then streams
+// a body with no end — 16 MiB of one JSON string, far past any shard
+// response, and then silence — must fail its attempt as soon as the
+// coordinator has read what a real response could hold, at the default
+// two-minute AttemptTimeout. The shard falls back to byte-identical local
+// records and the member is charged the failure.
+func TestEndlessShardBodyFallsBack(t *testing.T) {
+	g := testGrid(t)
+	chunk := []byte(strings.Repeat("x", 64<<10))
+	endless := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // so net/http cancels r.Context() when the client leaves
+		rw.Write([]byte(`[{"label":"`))
+		for sent := 0; sent < 16<<20; sent += len(chunk) {
+			if _, err := rw.Write(chunk); err != nil {
+				return
+			}
+		}
+		<-r.Context().Done()
+	}))
+	defer endless.Close()
+	d := New(Options{Workers: []string{endless.URL}, HedgeAfter: -1})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	got, err := d.Records(ctx, g)
+	if err != nil {
+		t.Fatalf("Records: %v (after %v)", err, time.Since(start))
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("dispatch took %v; the endless body was read past any shard response's size", elapsed)
+	}
+	if !reflect.DeepEqual(got, localRecords(g)) {
+		t.Error("fallback records differ from local sweep")
+	}
+	if st := d.Stats(); st.Fallbacks == 0 || st.Remote != 0 {
+		t.Errorf("stats = %+v, want fallbacks and no remote answers", st)
+	}
+	if h := d.Health(); h[0].Failures == 0 {
+		t.Errorf("endless worker health = %+v, want recorded failures", h[0])
+	}
+}

@@ -5,7 +5,7 @@
 // Table 3 that captures the sub-linear scaling of partitioned vocabulary
 // kernels.
 //
-// Substitution note (see DESIGN.md): absolute GPU timings are testbed
+// Substitution note: absolute GPU timings are testbed
 // properties we cannot measure; the model's constants are calibrated to the
 // paper's published A100 numbers so that the simulator reproduces the shape
 // of every table and figure. All calibration constants are named and

@@ -1,8 +1,9 @@
 // Package jobs is a generic in-process async job queue: submit a function,
 // poll its progress, fetch its result or cancel it. It is the machinery
 // behind POST /api/v1/optimize (long-running tuner searches must not hold an
-// HTTP request open) and `vpbench -tune`'s progress reporting, but knows
-// nothing about either — a job is any func(ctx, report) (any, error).
+// HTTP request open), but knows nothing about tuning — a job is any
+// func(ctx, report) (any, error), submitted with the payload that rebuilds
+// it after a restart.
 //
 // Properties:
 //
@@ -15,10 +16,11 @@
 //     point-in-time Snapshot at any moment of the lifecycle;
 //   - bounded history: finished jobs are retained for polling but the oldest
 //     are pruned past a cap, so a long-lived server cannot leak jobs;
-//   - durability (optional): jobs submitted through SubmitDurable write
-//     through to Options.Store on every lifecycle transition, and a new
-//     queue replays the store — queued jobs resume, jobs that died mid-run
-//     re-run, finished results are still servable (see store.go).
+//   - durability (optional): with Options.Store set, every job writes
+//     through to the store on each lifecycle transition, and a new queue
+//     replays it — queued jobs resume through Options.Rehydrate, jobs that
+//     died mid-run re-run, finished results are still servable (see
+//     store.go).
 //
 // Lifecycle: queued → running → done | failed | cancelled. A panic in a job
 // function is captured as a failure; it never kills a worker.
@@ -85,20 +87,12 @@ var (
 	ErrClosed = errors.New("jobs: queue closed")
 )
 
-// Rehydrator rebuilds a durable job's Func from its persisted payload
-// after a restart — the closure itself cannot cross a process boundary, so
-// durable submissions carry a (kind, payload) pair and the new process
-// registers a Rehydrator per kind (Options.Rehydrate).
-type Rehydrator func(payload json.RawMessage) (Func, error)
-
 // job is the internal record; mu guards everything mutable.
 type job struct {
 	id        string
 	name      string
 	fn        Func
-	durable   bool
-	kind      string
-	payload   json.RawMessage
+	payload   json.RawMessage // Submit's payload, encoded only when a store is set
 	mu        sync.Mutex
 	state     State
 	progress  Progress
@@ -183,10 +177,8 @@ type Queue struct {
 	baseCtx context.Context
 	stopAll context.CancelFunc
 
-	store     Store
-	rehydrate map[string]Rehydrator
-
-	now func() time.Time // injectable clock for tests
+	store     *FileStore
+	rehydrate func(payload json.RawMessage) (Func, error)
 }
 
 // Options tunes a Queue.
@@ -198,13 +190,14 @@ type Options struct {
 	// KeepFinished bounds how many terminal jobs are retained for polling
 	// (default 256); the oldest are pruned first.
 	KeepFinished int
-	// Store, when non-nil, persists durable jobs (SubmitDurable) and is
-	// replayed at construction. Plain Submit jobs stay memory-only.
-	Store Store
-	// Rehydrate maps a durable job kind to the function that rebuilds its
-	// Func from the persisted payload. A replayed non-terminal job whose
-	// kind has no rehydrator settles as failed instead of resuming.
-	Rehydrate map[string]Rehydrator
+	// Store, when non-nil, persists every job on each lifecycle transition
+	// and is replayed at construction.
+	Store *FileStore
+	// Rehydrate rebuilds a replayed job's Func from the payload it was
+	// submitted with: the closure itself cannot cross a process boundary.
+	// A replayed non-terminal job it refuses (or that finds no Rehydrate)
+	// settles as failed instead of resuming.
+	Rehydrate func(payload json.RawMessage) (Func, error)
 }
 
 // New starts a queue with the given options.
@@ -227,7 +220,6 @@ func New(opt Options) *Queue {
 		stopAll:   cancel,
 		store:     opt.Store,
 		rehydrate: opt.Rehydrate,
-		now:       time.Now,
 	}
 	q.cond = sync.NewCond(&q.mu)
 	q.restore()
@@ -252,15 +244,13 @@ func (q *Queue) restore() {
 	if err != nil {
 		// The WAL was readable moments ago when the store opened (or it
 		// would not exist); treat an unreadable replay as an empty history
-		// rather than refusing to serve — new durable writes still land.
+		// rather than refusing to serve — new writes still land.
 		return
 	}
 	for _, rec := range recs {
 		j := &job{
 			id:       rec.ID,
 			name:     rec.Name,
-			durable:  true,
-			kind:     rec.Kind,
 			payload:  rec.Payload,
 			state:    rec.State,
 			progress: rec.Progress,
@@ -288,7 +278,7 @@ func (q *Queue) restore() {
 			if ferr != nil {
 				j.state = StateFailed
 				j.err = ferr
-				j.finished = q.now()
+				j.finished = time.Now()
 				q.persistLocked(j, StateFailed)
 			} else {
 				j.fn = fn
@@ -309,34 +299,32 @@ func (q *Queue) restore() {
 	}
 }
 
-// rehydrateFunc resolves a replayed job's kind to a fresh Func.
+// rehydrateFunc rebuilds a replayed job's Func from its payload.
 func (q *Queue) rehydrateFunc(rec Record) (Func, error) {
-	r := q.rehydrate[rec.Kind]
-	if r == nil {
-		return nil, fmt.Errorf("jobs: no rehydrator for job kind %q", rec.Kind)
+	if q.rehydrate == nil {
+		return nil, fmt.Errorf("jobs: no rehydrator for job %s", rec.ID)
 	}
-	fn, err := r(rec.Payload)
+	fn, err := q.rehydrate(rec.Payload)
 	if err != nil {
-		return nil, fmt.Errorf("jobs: rehydrating %s job %s: %w", rec.Kind, rec.ID, err)
+		return nil, fmt.Errorf("jobs: rehydrating job %s: %w", rec.ID, err)
 	}
 	return fn, nil
 }
 
-// persistLocked writes a durable job through to the store with the given
-// persisted state — usually the job's own state, but a shutdown-cancelled
-// durable job persists as queued: the process is going away, the work is
-// not. Write errors are deliberately dropped: a closed store is how the
-// harness models a killed process, and a dying process's writes not
-// landing is exactly the semantics the replay is built for. Caller holds
-// j.mu (or has exclusive access to j).
+// persistLocked writes a job through to the store with the given persisted
+// state — usually the job's own state, but a shutdown-cancelled job
+// persists as queued: the process is going away, the work is not. Write
+// errors are deliberately dropped: a closed store is how the harness
+// models a killed process, and a dying process's writes not landing is
+// exactly the semantics the replay is built for. Caller holds j.mu (or has
+// exclusive access to j).
 func (q *Queue) persistLocked(j *job, state State) {
-	if q.store == nil || !j.durable {
+	if q.store == nil {
 		return
 	}
 	rec := Record{
 		ID:        j.id,
 		Name:      j.name,
-		Kind:      j.kind,
 		Payload:   j.payload,
 		State:     state,
 		Progress:  j.progress,
@@ -369,25 +357,19 @@ func (q *Queue) persistLocked(j *job, state State) {
 }
 
 // Submit enqueues fn and returns the new job's id. It never blocks: a full
-// queue fails with ErrQueueFull, a closed queue with ErrClosed. The job is
-// memory-only; use SubmitDurable for jobs that must survive a restart.
-func (q *Queue) Submit(name string, fn Func) (string, error) {
-	return q.submit(&job{name: name, fn: fn})
-}
-
-// SubmitDurable enqueues a job that writes through to Options.Store on
-// every lifecycle transition. kind selects the Rehydrator a restarted
-// queue uses to rebuild fn, and payload (anything JSON-serializable) is
-// what that Rehydrator receives. With a nil Store this is just Submit.
-func (q *Queue) SubmitDurable(name, kind string, payload any, fn Func) (string, error) {
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return "", fmt.Errorf("jobs: encoding %s payload: %w", kind, err)
+// queue fails with ErrQueueFull, a closed queue with ErrClosed. With a
+// store set, the job writes through to it, and payload (anything
+// JSON-serializable) is what Options.Rehydrate receives to rebuild fn after
+// a restart; without one, payload is not encoded.
+func (q *Queue) Submit(name string, payload any, fn Func) (string, error) {
+	j := &job{name: name, fn: fn}
+	if q.store != nil {
+		raw, err := json.Marshal(payload)
+		if err != nil {
+			return "", fmt.Errorf("jobs: encoding %s payload: %w", name, err)
+		}
+		j.payload = raw
 	}
-	return q.submit(&job{name: name, fn: fn, durable: true, kind: kind, payload: raw})
-}
-
-func (q *Queue) submit(j *job) (string, error) {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -400,7 +382,7 @@ func (q *Queue) submit(j *job) (string, error) {
 	q.nextID++
 	j.id = fmt.Sprintf("j%d", q.nextID)
 	j.state = StateQueued
-	j.created = q.now()
+	j.created = time.Now()
 	q.pending = append(q.pending, j)
 	q.jobs[j.id] = j
 	q.order = append(q.order, j.id)
@@ -501,7 +483,7 @@ func (q *Queue) pruneLocked() {
 		j := q.jobs[id]
 		if j != nil && finished > q.keep && j.snapshot().State.Terminal() {
 			delete(q.jobs, id)
-			if j.durable && q.store != nil {
+			if q.store != nil {
 				// Retention is one policy, not two: a job pruned from
 				// memory is pruned from the store, or a restart would
 				// resurrect history the running server already forgot.
@@ -563,7 +545,7 @@ func (q *Queue) Cancel(id string) (Snapshot, bool) {
 	case StateQueued:
 		j.state = StateCancelled
 		j.err = context.Canceled
-		j.finished = q.now()
+		j.finished = time.Now()
 		q.cancelled.Add(1)
 		q.persistLocked(j, StateCancelled)
 		j.notifyLocked()
@@ -642,7 +624,7 @@ func (q *Queue) runOne(j *job) {
 	}
 	ctx, cancel := context.WithCancel(q.baseCtx)
 	j.state = StateRunning
-	j.started = q.now()
+	j.started = time.Now()
 	j.cancel = cancel
 	if j.cancelReq { // cancelled in the gap before the worker picked it up
 		cancel()
@@ -677,7 +659,7 @@ func (q *Queue) runOne(j *job) {
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.finished = q.now()
+	j.finished = time.Now()
 	j.cancel = nil
 	switch {
 	case err == nil:

@@ -45,7 +45,7 @@ func newQueue(t *testing.T, opt Options) *Queue {
 
 func TestSubmitPollResult(t *testing.T) {
 	q := newQueue(t, Options{})
-	id, err := q.Submit("double", func(ctx context.Context, report func(Progress)) (any, error) {
+	id, err := q.Submit("double", nil, func(ctx context.Context, report func(Progress)) (any, error) {
 		report(Progress{Done: 1, Total: 2})
 		report(Progress{Done: 2, Total: 2, Note: "finishing"})
 		return 42, nil
@@ -76,10 +76,10 @@ func TestSubmitPollResult(t *testing.T) {
 
 func TestFailureAndPanicCapture(t *testing.T) {
 	q := newQueue(t, Options{})
-	fid, _ := q.Submit("fails", func(context.Context, func(Progress)) (any, error) {
+	fid, _ := q.Submit("fails", nil, func(context.Context, func(Progress)) (any, error) {
 		return nil, errors.New("boom")
 	})
-	pid, _ := q.Submit("panics", func(context.Context, func(Progress)) (any, error) {
+	pid, _ := q.Submit("panics", nil, func(context.Context, func(Progress)) (any, error) {
 		panic("kaboom")
 	})
 	if s := waitState(t, q, fid, StateFailed); s.Error != "boom" {
@@ -90,14 +90,14 @@ func TestFailureAndPanicCapture(t *testing.T) {
 		t.Errorf("panic snapshot = %+v", s)
 	}
 	// The worker survived the panic and still runs jobs.
-	id, _ := q.Submit("after", func(context.Context, func(Progress)) (any, error) { return "ok", nil })
+	id, _ := q.Submit("after", nil, func(context.Context, func(Progress)) (any, error) { return "ok", nil })
 	waitState(t, q, id, StateDone)
 }
 
 func TestCancelRunning(t *testing.T) {
 	q := newQueue(t, Options{Workers: 1})
 	started := make(chan struct{})
-	id, _ := q.Submit("slow", func(ctx context.Context, report func(Progress)) (any, error) {
+	id, _ := q.Submit("slow", nil, func(ctx context.Context, report func(Progress)) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -115,7 +115,7 @@ func TestCancelRunning(t *testing.T) {
 func TestCancelQueued(t *testing.T) {
 	q := newQueue(t, Options{Workers: 1})
 	release := make(chan struct{})
-	blocker, _ := q.Submit("blocker", func(ctx context.Context, _ func(Progress)) (any, error) {
+	blocker, _ := q.Submit("blocker", nil, func(ctx context.Context, _ func(Progress)) (any, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -123,7 +123,7 @@ func TestCancelQueued(t *testing.T) {
 		return nil, nil
 	})
 	waitState(t, q, blocker, StateRunning)
-	queued, _ := q.Submit("queued", func(context.Context, func(Progress)) (any, error) {
+	queued, _ := q.Submit("queued", nil, func(context.Context, func(Progress)) (any, error) {
 		t.Error("cancelled queued job must never run")
 		return nil, nil
 	})
@@ -141,7 +141,9 @@ func TestCancelQueued(t *testing.T) {
 
 func TestQueueFullBackpressure(t *testing.T) {
 	q := newQueue(t, Options{Workers: 1, Capacity: 1})
-	started := make(chan struct{})
+	// Buffered: the worker may start the first blocker before the test
+	// reaches <-started, and its non-blocking send must still land.
+	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	blocker := func(ctx context.Context, _ func(Progress)) (any, error) {
 		select {
@@ -154,12 +156,12 @@ func TestQueueFullBackpressure(t *testing.T) {
 		}
 		return nil, nil
 	}
-	first, _ := q.Submit("running", blocker)
+	first, _ := q.Submit("running", nil, blocker)
 	<-started
-	if _, err := q.Submit("pending", blocker); err != nil {
+	if _, err := q.Submit("pending", nil, blocker); err != nil {
 		t.Fatalf("capacity-1 queue rejected its first pending job: %v", err)
 	}
-	if _, err := q.Submit("overflow", blocker); !errors.Is(err, ErrQueueFull) {
+	if _, err := q.Submit("overflow", nil, blocker); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("Submit on full queue = %v, want ErrQueueFull", err)
 	}
 	close(release)
@@ -173,7 +175,7 @@ func TestCancelQueuedFreesCapacity(t *testing.T) {
 	q := newQueue(t, Options{Workers: 1, Capacity: 1})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	blocker, _ := q.Submit("running", func(ctx context.Context, _ func(Progress)) (any, error) {
+	blocker, _ := q.Submit("running", nil, func(ctx context.Context, _ func(Progress)) (any, error) {
 		close(started)
 		select {
 		case <-release:
@@ -183,18 +185,18 @@ func TestCancelQueuedFreesCapacity(t *testing.T) {
 	})
 	<-started
 	idle := func(context.Context, func(Progress)) (any, error) { return nil, nil }
-	pending, err := q.Submit("pending", idle)
+	pending, err := q.Submit("pending", nil, idle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Submit("overflow", idle); !errors.Is(err, ErrQueueFull) {
+	if _, err := q.Submit("overflow", nil, idle); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("queue not full: %v", err)
 	}
 	if s, ok := q.Cancel(pending); !ok || s.State != StateCancelled {
 		t.Fatalf("Cancel = %+v, %v", s, ok)
 	}
 	// The slot is free right now — the worker is still blocked.
-	replacement, err := q.Submit("replacement", idle)
+	replacement, err := q.Submit("replacement", nil, idle)
 	if err != nil {
 		t.Fatalf("Submit after cancelling the queued job = %v, want success", err)
 	}
@@ -211,7 +213,7 @@ func TestSubmitAfterClose(t *testing.T) {
 	if err := q.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Submit("late", func(context.Context, func(Progress)) (any, error) { return nil, nil }); !errors.Is(err, ErrClosed) {
+	if _, err := q.Submit("late", nil, func(context.Context, func(Progress)) (any, error) { return nil, nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
 	// Close is idempotent.
@@ -223,7 +225,7 @@ func TestSubmitAfterClose(t *testing.T) {
 func TestCloseCancelsRunning(t *testing.T) {
 	q := New(Options{Workers: 1})
 	started := make(chan struct{})
-	id, _ := q.Submit("hang", func(ctx context.Context, _ func(Progress)) (any, error) {
+	id, _ := q.Submit("hang", nil, func(ctx context.Context, _ func(Progress)) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -243,7 +245,7 @@ func TestHistoryPruning(t *testing.T) {
 	q := newQueue(t, Options{Workers: 2, KeepFinished: 3})
 	var ids []string
 	for i := 0; i < 8; i++ {
-		id, err := q.Submit(fmt.Sprintf("job-%d", i), func(context.Context, func(Progress)) (any, error) {
+		id, err := q.Submit(fmt.Sprintf("job-%d", i), nil, func(context.Context, func(Progress)) (any, error) {
 			return nil, nil
 		})
 		if err != nil {
@@ -284,7 +286,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			id, err := q.Submit("n", func(ctx context.Context, report func(Progress)) (any, error) {
+			id, err := q.Submit("n", nil, func(ctx context.Context, report func(Progress)) (any, error) {
 				report(Progress{Done: i, Total: len(ids)})
 				return i, nil
 			})
@@ -336,7 +338,7 @@ func TestChurnStress(t *testing.T) {
 				// are routinely pruned before their submitter polls — only
 				// a job that was still live when it vanished is a bug).
 				completed := make(chan struct{})
-				id, err := q.Submit(fmt.Sprintf("churn-%d-%d", g, i),
+				id, err := q.Submit(fmt.Sprintf("churn-%d-%d", g, i), nil,
 					func(ctx context.Context, report func(Progress)) (any, error) {
 						defer close(completed)
 						report(Progress{Done: 1, Total: 1})
@@ -409,7 +411,7 @@ func TestChurnStress(t *testing.T) {
 	var blockers []string
 	deadline := time.Now().Add(30 * time.Second)
 	for len(blockers) < workers+capacity {
-		id, err := q.Submit("refill", blocker)
+		id, err := q.Submit("refill", nil, blocker)
 		if errors.Is(err, ErrQueueFull) {
 			// Workers may not have picked up earlier blockers yet; give the
 			// scheduler a beat rather than failing spuriously.
@@ -425,7 +427,7 @@ func TestChurnStress(t *testing.T) {
 		blockers = append(blockers, id)
 	}
 	// With workers busy and the pending queue full, one more must bounce.
-	if _, err := q.Submit("overflow", blocker); !errors.Is(err, ErrQueueFull) {
+	if _, err := q.Submit("overflow", nil, blocker); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit error = %v, want ErrQueueFull", err)
 	}
 	// Cancelling the queued blockers frees their slots immediately...
@@ -433,7 +435,7 @@ func TestChurnStress(t *testing.T) {
 		q.Cancel(id)
 	}
 	for i := 0; i < capacity; i++ {
-		if _, err := q.Submit("reclaimed", blocker); err != nil {
+		if _, err := q.Submit("reclaimed", nil, blocker); err != nil {
 			t.Fatalf("slot %d not reclaimed after cancel: %v", i, err)
 		}
 	}

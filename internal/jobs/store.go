@@ -1,15 +1,11 @@
-// Durable job state: the repository seam that lets a restarted coordinator
-// remember what it was doing. A Store persists the durable subset of the
-// queue's jobs — submissions, progress, results — as flat Records; the
-// queue writes through on every lifecycle transition and replays the store
-// at construction, so queued jobs resume, jobs that were mid-run re-run
-// from scratch (job functions are deterministic searches, not ledgers),
-// and finished results are still servable after a crash.
-//
-// Two implementations: MemStore (the default wiring in tests — same code
-// path, no disk) and FileStore, an append-only JSON write-ahead log with
-// last-wins replay and open-time compaction, which is what `-state-dir`
-// selects in vpserve.
+// Durable job state: the store that lets a restarted coordinator remember
+// what it was doing. A FileStore persists the queue's jobs — submissions,
+// progress, results — as flat Records; the queue writes through on every
+// lifecycle transition and replays the store at construction, so queued
+// jobs resume, jobs that were mid-run re-run from scratch (job functions
+// are deterministic searches, not ledgers), and finished results are still
+// servable after a crash. The log is append-only JSON with last-wins
+// replay and open-time compaction; `-state-dir` selects it in vpserve.
 package jobs
 
 import (
@@ -25,13 +21,14 @@ import (
 )
 
 // Record is the durable form of one job. Payload is the job's rehydration
-// input — enough for a Rehydrator to rebuild the Func after a restart —
-// and Result is the finished job's return value, pre-encoded so a restored
-// job serves the identical JSON it would have served before the crash.
+// input — enough for Options.Rehydrate to rebuild the Func after a restart
+// — and Result is the finished job's return value, pre-encoded so a
+// restored job serves the identical JSON it would have served before the
+// crash. Logs written before the job kind was dropped carry a "kind" field
+// per record; decoding ignores it, so they still replay.
 type Record struct {
 	ID         string          `json:"id"`
 	Name       string          `json:"name"`
-	Kind       string          `json:"kind"`
 	Payload    json.RawMessage `json:"payload,omitempty"`
 	State      State           `json:"state"`
 	Progress   Progress        `json:"progress"`
@@ -42,71 +39,8 @@ type Record struct {
 	FinishedAt *time.Time      `json:"finished_at,omitempty"`
 }
 
-// Store persists job records. Implementations must be safe for concurrent
-// use; Put and Delete are write-through (last write wins per ID), Load
-// returns every live record, and Close makes every later write an error —
-// the queue ignores write errors, so a closed store silently drops the
-// zombie writes of a coordinator being torn down.
-type Store interface {
-	Put(rec Record) error
-	Delete(id string) error
-	Load() ([]Record, error)
-	Close() error
-}
-
 // ErrStoreClosed is returned by writes to a closed store.
 var ErrStoreClosed = errors.New("jobs: store closed")
-
-// MemStore is an in-memory Store: the persistence code path without the
-// disk. Useful in tests and as the explicit "no durability" wiring.
-type MemStore struct {
-	mu     sync.Mutex
-	recs   map[string]Record
-	closed bool
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{recs: make(map[string]Record)}
-}
-
-func (s *MemStore) Put(rec Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
-	}
-	s.recs[rec.ID] = rec
-	return nil
-}
-
-func (s *MemStore) Delete(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
-	}
-	delete(s.recs, id)
-	return nil
-}
-
-func (s *MemStore) Load() ([]Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Record, 0, len(s.recs))
-	for _, r := range s.recs {
-		out = append(out, r)
-	}
-	sortRecords(out)
-	return out, nil
-}
-
-func (s *MemStore) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	return nil
-}
 
 // walOp is one line of the FileStore log.
 type walOp struct {
@@ -115,12 +49,12 @@ type walOp struct {
 	Rec *Record `json:"rec,omitempty"`
 }
 
-// FileStore is an append-only JSON-lines write-ahead log. Every Put and
-// Delete appends one line and fsyncs; replay is last-wins per job ID, a
-// truncated final line (torn write at crash) is discarded, and opening
-// compacts the log — the replayed state is rewritten as pure puts and
-// atomically renamed over the old file, so the log's size tracks the live
-// job count, not the queue's lifetime churn.
+// FileStore is an append-only JSON-lines write-ahead log, safe for
+// concurrent use. Every Put and Delete appends one line and fsyncs; replay
+// is last-wins per job ID, a truncated final line (torn write at crash) is
+// discarded, and opening compacts the log — the replayed state is
+// rewritten as pure puts and atomically renamed over the old file, so the
+// log's size tracks the live job count, not the queue's lifetime churn.
 type FileStore struct {
 	mu     sync.Mutex
 	path   string
@@ -237,10 +171,12 @@ func (s *FileStore) append(op walOp) error {
 	return s.f.Sync()
 }
 
+// Put writes rec through; the last Put per ID wins at replay.
 func (s *FileStore) Put(rec Record) error {
 	return s.append(walOp{Op: "put", Rec: &rec})
 }
 
+// Delete drops the record with this ID from the live set.
 func (s *FileStore) Delete(id string) error {
 	return s.append(walOp{Op: "delete", ID: id})
 }
@@ -267,10 +203,14 @@ func (s *FileStore) Close() error {
 }
 
 // sortRecords orders by the numeric job ID ("j17" → 17), so replayed
-// submissions re-enter the queue in their original order.
+// submissions re-enter the queue in their original order. Equal numbers
+// ("j7" and "j07", or malformed IDs) fall back to the ID text: the live set
+// comes out of a map, and without the tie-break a replay's order would
+// change from one open to the next.
 func sortRecords(recs []Record) {
 	sort.Slice(recs, func(i, j int) bool {
-		return jobIDNum(recs[i].ID) < jobIDNum(recs[j].ID)
+		ni, nj := jobIDNum(recs[i].ID), jobIDNum(recs[j].ID)
+		return ni < nj || (ni == nj && recs[i].ID < recs[j].ID)
 	})
 }
 

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,7 +21,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	now := time.Unix(1000, 0).UTC()
 	put := func(id string, state State) {
 		t.Helper()
-		if err := s.Put(Record{ID: id, Name: "n-" + id, Kind: "k", State: state,
+		if err := s.Put(Record{ID: id, Name: "n-" + id, State: state,
 			Payload: json.RawMessage(`{"x":1}`), CreatedAt: now}); err != nil {
 			t.Fatal(err)
 		}
@@ -91,32 +92,45 @@ func TestFileStoreTornTail(t *testing.T) {
 	}
 }
 
+// openStore opens a FileStore in a fresh temp dir, closed at cleanup.
+func openStore(t testing.TB) *FileStore {
+	t.Helper()
+	s, err := OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 // TestQueueRestore: a queue over a replayed store serves finished results,
-// resumes queued jobs, and re-runs jobs that were mid-run at the crash.
+// resumes queued jobs, re-runs jobs that were mid-run at the crash, and
+// fails a job whose payload the rehydrator refuses.
 func TestQueueRestore(t *testing.T) {
-	store := NewMemStore()
+	store := openStore(t)
 	ran := make(chan string, 8)
-	rehydrate := map[string]Rehydrator{
-		"echo": func(payload json.RawMessage) (Func, error) {
-			return func(ctx context.Context, report func(Progress)) (any, error) {
-				var v map[string]int
-				json.Unmarshal(payload, &v)
-				ran <- string(payload)
-				return v, nil
-			}, nil
-		},
+	rehydrate := func(payload json.RawMessage) (Func, error) {
+		var v map[string]int
+		if err := json.Unmarshal(payload, &v); err != nil {
+			return nil, err
+		}
+		return func(ctx context.Context, report func(Progress)) (any, error) {
+			ran <- string(payload)
+			return v, nil
+		}, nil
 	}
 	// Seed the store as a dead coordinator would have left it: one finished
-	// job, one queued, one caught mid-run, one of an unknown kind.
+	// job, one queued, one caught mid-run, one whose payload no longer
+	// rehydrates.
 	now := time.Unix(2000, 0).UTC()
-	store.Put(Record{ID: "j1", Name: "finished", Kind: "echo", State: StateDone,
+	store.Put(Record{ID: "j1", Name: "finished", State: StateDone,
 		Result: json.RawMessage(`{"best":42}`), CreatedAt: now})
-	store.Put(Record{ID: "j2", Name: "queued", Kind: "echo", State: StateQueued,
+	store.Put(Record{ID: "j2", Name: "queued", State: StateQueued,
 		Payload: json.RawMessage(`{"a":1}`), CreatedAt: now})
-	store.Put(Record{ID: "j3", Name: "mid-run", Kind: "echo", State: StateRunning,
+	store.Put(Record{ID: "j3", Name: "mid-run", State: StateRunning,
 		Payload: json.RawMessage(`{"b":2}`), CreatedAt: now})
-	store.Put(Record{ID: "j4", Name: "orphan", Kind: "mystery", State: StateQueued,
-		CreatedAt: now})
+	store.Put(Record{ID: "j4", Name: "orphan", State: StateQueued,
+		Payload: json.RawMessage(`"not an object"`), CreatedAt: now})
 
 	q := New(Options{Workers: 1, Store: store, Rehydrate: rehydrate})
 	defer q.Close(context.Background())
@@ -139,13 +153,13 @@ func TestQueueRestore(t *testing.T) {
 	if !reran[`{"a":1}`] || !reran[`{"b":2}`] {
 		t.Errorf("resumed payloads = %v, want both the queued and the mid-run job", reran)
 	}
-	// The unknown kind settles as failed, with the reason in the error.
+	// The refused payload settles as failed, with the reason in the error.
 	s4, _ := q.Get("j4")
-	if s4.State != StateFailed || !strings.Contains(s4.Error, "no rehydrator") {
-		t.Errorf("orphan job = %+v, want failed with a rehydrator error", s4)
+	if s4.State != StateFailed || !strings.Contains(s4.Error, "rehydrating job j4") {
+		t.Errorf("orphan job = %+v, want failed with a rehydration error", s4)
 	}
 	// New submissions continue the ID sequence instead of colliding.
-	id, err := q.Submit("fresh", func(ctx context.Context, report func(Progress)) (any, error) {
+	id, err := q.Submit("fresh", nil, func(ctx context.Context, report func(Progress)) (any, error) {
 		return nil, nil
 	})
 	if err != nil || id != "j5" {
@@ -153,15 +167,15 @@ func TestQueueRestore(t *testing.T) {
 	}
 }
 
-// TestDurableLifecyclePersists: every transition of a durable job lands in
-// the store, a user cancel persists as cancelled, and a shutdown persists
-// a running durable job as queued — the resume intent.
+// TestDurableLifecyclePersists: every transition of a job lands in the
+// store, a user cancel persists as cancelled, and a shutdown persists a
+// running job as queued — the resume intent.
 func TestDurableLifecyclePersists(t *testing.T) {
-	store := NewMemStore()
+	store := openStore(t)
 	q := New(Options{Workers: 1, Store: store})
 
 	// Done path.
-	id, err := q.SubmitDurable("search", "echo", map[string]int{"n": 1},
+	id, err := q.Submit("search", map[string]int{"n": 1},
 		func(ctx context.Context, report func(Progress)) (any, error) {
 			report(Progress{Done: 1, Total: 2, Note: "half"})
 			return "answer", nil
@@ -174,22 +188,13 @@ func TestDurableLifecyclePersists(t *testing.T) {
 	if len(recs) != 1 || recs[0].State != StateDone || string(recs[0].Result) != `"answer"` {
 		t.Fatalf("store after done = %+v", recs)
 	}
-	if recs[0].Progress.Note != "half" {
-		t.Errorf("progress not persisted: %+v", recs[0].Progress)
+	if recs[0].Progress.Note != "half" || string(recs[0].Payload) != `{"n":1}` {
+		t.Errorf("progress or payload not persisted: %+v", recs[0])
 	}
 
-	// A memory-only job must never touch the store.
-	mid, _ := q.Submit("ephemeral", func(ctx context.Context, report func(Progress)) (any, error) {
-		return nil, nil
-	})
-	waitState(t, q, mid, StateDone)
-	if recs, _ := store.Load(); len(recs) != 1 {
-		t.Fatalf("plain Submit leaked into the store: %+v", recs)
-	}
-
-	// User cancel of a running durable job persists cancelled.
+	// User cancel of a running job persists cancelled.
 	block := make(chan struct{})
-	cid, _ := q.SubmitDurable("cancel-me", "echo", nil,
+	cid, _ := q.Submit("cancel-me", nil,
 		func(ctx context.Context, report func(Progress)) (any, error) {
 			close(block)
 			<-ctx.Done()
@@ -212,10 +217,10 @@ func TestDurableLifecyclePersists(t *testing.T) {
 		t.Fatalf("cancelled job missing from store: %+v", recs)
 	}
 
-	// Shutdown while a durable job runs: memory says cancelled (this
-	// process's truth), the store says queued (the successor's orders).
+	// Shutdown while a job runs: memory says cancelled (this process's
+	// truth), the store says queued (the successor's orders).
 	block2 := make(chan struct{})
-	sid, _ := q.SubmitDurable("survive-me", "echo", map[string]int{"n": 2},
+	sid, _ := q.Submit("survive-me", map[string]int{"n": 2},
 		func(ctx context.Context, report func(Progress)) (any, error) {
 			close(block2)
 			<-ctx.Done()
@@ -232,7 +237,7 @@ func TestDurableLifecyclePersists(t *testing.T) {
 	for _, r := range recs {
 		if r.ID == sid {
 			if r.State != StateQueued {
-				t.Errorf("shutdown-cancelled durable job persisted as %q, want queued", r.State)
+				t.Errorf("shutdown-cancelled job persisted as %q, want queued", r.State)
 			}
 			if r.Error != "" || r.FinishedAt != nil {
 				t.Errorf("resume-intent record carries terminal residue: %+v", r)
@@ -243,15 +248,40 @@ func TestDurableLifecyclePersists(t *testing.T) {
 	t.Fatalf("job %s missing from store after shutdown: %+v", sid, recs)
 }
 
+// TestSubmitEncodesPayloadOnlyWithStore: the payload is the rehydration
+// input, so a queue without a store never encodes it, and one with a store
+// refuses a payload it cannot persist.
+func TestSubmitEncodesPayloadOnlyWithStore(t *testing.T) {
+	noop := func(ctx context.Context, report func(Progress)) (any, error) { return nil, nil }
+	unencodable := make(chan int)
+
+	q := New(Options{Workers: 1})
+	defer q.Close(context.Background())
+	id, err := q.Submit("memory", unencodable, noop)
+	if err != nil {
+		t.Fatalf("Submit without a store = %v, want the payload ignored", err)
+	}
+	waitState(t, q, id, StateDone)
+
+	dq := New(Options{Workers: 1, Store: openStore(t)})
+	defer dq.Close(context.Background())
+	if _, err := dq.Submit("durable", unencodable, noop); err == nil || !strings.Contains(err.Error(), "encoding durable payload") {
+		t.Fatalf("Submit with a store = %v, want a payload encoding error", err)
+	}
+	if st := dq.Stats(); st.Submitted != 0 || st.Queued != 0 {
+		t.Errorf("a refused payload was still enqueued: %+v", st)
+	}
+}
+
 // TestPruneDeletesFromStore: the retention cap applies to the store too.
 func TestPruneDeletesFromStore(t *testing.T) {
-	store := NewMemStore()
+	store := openStore(t)
 	q := New(Options{Workers: 1, KeepFinished: 2, Store: store})
 	defer q.Close(context.Background())
 	noop := func(ctx context.Context, report func(Progress)) (any, error) { return nil, nil }
 	var last string
 	for i := 0; i < 5; i++ {
-		id, err := q.SubmitDurable("n", "echo", nil, noop)
+		id, err := q.Submit("n", nil, noop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +289,7 @@ func TestPruneDeletesFromStore(t *testing.T) {
 		waitState(t, q, id, StateDone)
 	}
 	// One more submission triggers pruning of the overflow.
-	if _, err := q.SubmitDurable("n", "echo", nil, noop); err != nil {
+	if _, err := q.Submit("n", nil, noop); err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, q, last, StateDone)
@@ -277,4 +307,112 @@ func TestPruneDeletesFromStore(t *testing.T) {
 			t.Errorf("store record %s has no in-memory job", r.ID)
 		}
 	}
+}
+
+// FuzzFileStoreReplay feeds arbitrary bytes to a store as its jobs.wal.
+// Opening either fails or yields a live set sorted by job number; a reopen
+// after the open-time compaction yields the same records; and a queue
+// restored over the store never panics: every job it restores is terminal
+// or queued (or running on its one worker), and each non-terminal record
+// either resumed or, refused by the rehydrator, failed.
+func FuzzFileStoreReplay(f *testing.F) {
+	t0 := time.Unix(2000, 0).UTC()
+	var seed []byte
+	for _, op := range []walOp{
+		{Op: "put", Rec: &Record{ID: "j1", Name: "done", State: StateDone, Result: json.RawMessage(`{"best":1}`), CreatedAt: t0}},
+		{Op: "put", Rec: &Record{ID: "j2", Name: "queued", State: StateQueued, Payload: json.RawMessage(`{"a":1}`), CreatedAt: t0}},
+		{Op: "put", Rec: &Record{ID: "j3", Name: "running", State: StateRunning, Payload: json.RawMessage(`[1]`), CreatedAt: t0}},
+		{Op: "delete", ID: "j1"},
+	} {
+		line, err := json.Marshal(op)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed = append(append(seed, line...), '\n')
+	}
+	f.Add(seed)
+	// A record as logs before the job kind was dropped wrote it.
+	f.Add([]byte(`{"op":"put","rec":{"id":"j7","name":"optimize/4b-quick/beam","kind":"optimize","payload":{"scenario":"4b-quick","strategy":"beam"},"state":"running","progress":{"done":0,"total":0},"created_at":"2026-01-01T00:00:00Z"}}` + "\n"))
+	f.Add(append(seed, `{"op":"put","rec":{"id":"j4","st`...))
+	f.Add([]byte(`{"op":"put","rec":{"id":"x","state":"bogus"}}` + "\n" + `{"op":"put","rec":{"id":"","state":"queued"}}` + "\n"))
+
+	f.Fuzz(func(t *testing.T, wal []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenFileStore(dir)
+		if err != nil {
+			return // refusing the log is allowed; panicking or misreading it is not
+		}
+		recs, err := s.Load()
+		s.Close()
+		if err != nil {
+			t.Fatalf("Load after a successful open: %v", err)
+		}
+		for i := 1; i < len(recs); i++ {
+			if jobIDNum(recs[i-1].ID) > jobIDNum(recs[i].ID) {
+				t.Fatalf("Load out of job order: %q before %q", recs[i-1].ID, recs[i].ID)
+			}
+		}
+		store, err := OpenFileStore(dir)
+		if err != nil {
+			t.Fatalf("reopening the compacted log: %v", err)
+		}
+		defer store.Close()
+		again, err := store.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(recs)
+		got, _ := json.Marshal(again)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("reopen after compaction changed the records:\n got %s\nwant %s", got, want)
+		}
+
+		// Objects rehydrate into a job that holds its worker until shutdown;
+		// any other payload is refused.
+		rehydrate := func(payload json.RawMessage) (Func, error) {
+			if !bytes.HasPrefix(payload, []byte("{")) {
+				return nil, errors.New("not an object")
+			}
+			return func(ctx context.Context, _ func(Progress)) (any, error) {
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}, nil
+		}
+		q := New(Options{Workers: 1, Store: store, Rehydrate: rehydrate})
+		snaps := map[string]Snapshot{}
+		for _, s := range q.List() {
+			snaps[s.ID] = s
+		}
+		running := 0
+		for _, rec := range again {
+			s, ok := snaps[rec.ID]
+			switch {
+			case !ok:
+				t.Errorf("record %q was not restored", rec.ID)
+			case rec.State.Terminal():
+				if s.State != rec.State {
+					t.Errorf("terminal record %q restored as %s, want %s", rec.ID, s.State, rec.State)
+				}
+			case !bytes.HasPrefix(rec.Payload, []byte("{")):
+				if s.State != StateFailed {
+					t.Errorf("refused record %q restored as %s, want failed", rec.ID, s.State)
+				}
+			case s.State == StateRunning:
+				running++
+			case s.State != StateQueued:
+				t.Errorf("resumable record %q (state %q) restored as %s", rec.ID, rec.State, s.State)
+			}
+		}
+		if running > 1 {
+			t.Errorf("%d restored jobs running on one worker", running)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := q.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

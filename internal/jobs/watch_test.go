@@ -24,7 +24,7 @@ func TestWatchLifecycle(t *testing.T) {
 	defer q.Close(context.Background())
 
 	release := make(chan struct{})
-	id, err := q.Submit("watched", func(ctx context.Context, report func(Progress)) (any, error) {
+	id, err := q.Submit("watched", nil, func(ctx context.Context, report func(Progress)) (any, error) {
 		report(Progress{Done: 1, Total: 2, Note: "halfway"})
 		<-release
 		report(Progress{Done: 2, Total: 2})
@@ -84,7 +84,7 @@ func TestWatchLifecycle(t *testing.T) {
 func TestWatchTerminalJobClosesImmediately(t *testing.T) {
 	q := New(Options{Workers: 1})
 	defer q.Close(context.Background())
-	id, _ := q.Submit("instant", func(context.Context, func(Progress)) (any, error) { return 7, nil })
+	id, _ := q.Submit("instant", nil, func(context.Context, func(Progress)) (any, error) { return 7, nil })
 	waitState(t, q, id, StateDone)
 
 	ch, stop, ok := q.Watch(id)
@@ -105,7 +105,7 @@ func TestWatchCancelledJobTerminates(t *testing.T) {
 	q := New(Options{Workers: 1})
 	defer q.Close(context.Background())
 	started := make(chan struct{})
-	id, _ := q.Submit("cancel-me", func(ctx context.Context, _ func(Progress)) (any, error) {
+	id, _ := q.Submit("cancel-me", nil, func(ctx context.Context, _ func(Progress)) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -135,7 +135,7 @@ func TestWatchDetachIsIdempotent(t *testing.T) {
 	q := New(Options{Workers: 1})
 	defer q.Close(context.Background())
 	release := make(chan struct{})
-	id, _ := q.Submit("detach", func(ctx context.Context, _ func(Progress)) (any, error) {
+	id, _ := q.Submit("detach", nil, func(ctx context.Context, _ func(Progress)) (any, error) {
 		<-release
 		return nil, nil
 	})
@@ -175,8 +175,8 @@ func TestStatsLifecycleCounters(t *testing.T) {
 		t.Fatalf("fresh queue stats = %+v, want zero", st)
 	}
 
-	okID, _ := q.Submit("ok", func(context.Context, func(Progress)) (any, error) { return nil, nil })
-	failID, _ := q.Submit("fail", func(context.Context, func(Progress)) (any, error) {
+	okID, _ := q.Submit("ok", nil, func(context.Context, func(Progress)) (any, error) { return nil, nil })
+	failID, _ := q.Submit("fail", nil, func(context.Context, func(Progress)) (any, error) {
 		return nil, context.DeadlineExceeded
 	})
 	waitState(t, q, okID, StateDone)
@@ -184,11 +184,11 @@ func TestStatsLifecycleCounters(t *testing.T) {
 
 	// A queued job cancelled before running counts as cancelled.
 	block := make(chan struct{})
-	q.Submit("blocker", func(ctx context.Context, _ func(Progress)) (any, error) {
+	q.Submit("blocker", nil, func(ctx context.Context, _ func(Progress)) (any, error) {
 		<-block
 		return nil, nil
 	})
-	queuedID, _ := q.Submit("queued-cancel", func(context.Context, func(Progress)) (any, error) { return nil, nil })
+	queuedID, _ := q.Submit("queued-cancel", nil, func(context.Context, func(Progress)) (any, error) { return nil, nil })
 	q.Cancel(queuedID)
 	close(block)
 

@@ -5,8 +5,7 @@
 //
 //   - Closed loop (Options.Scenario nil): VUs workers issue requests back to
 //     back until Duration, a new request starting only when the worker's
-//     previous one finished. `vpserve -selftest` and a plain `-loadtest`
-//     run it.
+//     previous one finished. A plain `vpserve -loadtest` runs it.
 //   - Open loop (Options.Scenario set): arrivals follow the scenario's
 //     staged rate curve on the wall clock regardless of how many requests
 //     are in flight, so a stalled server cannot quietly throttle its own

@@ -33,7 +33,7 @@ type admitter struct {
 	queue       []*admitWaiter
 	admitted    int64
 	shed        int64
-	ewmaNs      float64 // EWMA of service time (admit→release)
+	ewmaNs      float64 // EWMA of service time (slot grant→release)
 }
 
 func newAdmitter(maxInFlight, maxQueue int) *admitter {
@@ -78,10 +78,15 @@ func (a *admitter) admit(ctx context.Context) (release func(), waited time.Durat
 
 	select {
 	case <-w.ch:
+		// Service time runs from the grant, not the arrival: the EWMA is
+		// how long a compute holds a slot, and Retry-After multiplies it by
+		// the queue ahead, so counting the wait here too would overstate
+		// the drain time by a factor of 1 + queue/slots.
+		granted := time.Now()
 		a.mu.Lock()
 		a.admitted++
 		a.mu.Unlock()
-		return a.releaseFunc(start), time.Since(start), nil
+		return a.releaseFunc(granted), granted.Sub(start), nil
 	case <-ctx.Done():
 		a.mu.Lock()
 		if w.granted {

@@ -113,6 +113,39 @@ func TestAdmitQueueFIFO(t *testing.T) {
 	}
 }
 
+// TestRetryAfterEWMAMeasuresService: the Retry-After estimate scales the
+// EWMA of service time, slot grant to release, by the queue ahead. A
+// compute that queued behind a slot held for 250 ms and released the
+// moment it was granted served for almost nothing, so its release must pull
+// the EWMA down (to about 0.8 of the holder's 250 ms), not feed its queue
+// wait back in as service.
+func TestRetryAfterEWMAMeasuresService(t *testing.T) {
+	a := newAdmitter(1, 4)
+	ewma := func() float64 {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return a.ewmaNs
+	}
+	hold, _, err := a.admit(context.Background())
+	if err != nil {
+		t.Fatalf("holder not admitted: %v", err)
+	}
+	queued := admitAsync(a, context.Background())
+	waitQueued(t, a, 1)
+	time.Sleep(250 * time.Millisecond)
+	hold()
+	held := ewma()
+	got := <-queued
+	if got.err != nil {
+		t.Fatalf("queued compute not admitted: %v", got.err)
+	}
+	got.release()
+	if after := ewma(); after >= 0.9*held {
+		t.Errorf("EWMA %.1f ms after the queued compute's instant release, want below 0.9 × the holder's %.1f ms",
+			after/1e6, held/1e6)
+	}
+}
+
 // TestAdmitCtxCancelWhileQueued: a cancelled waiter unlinks cleanly and a
 // later release grants the remaining waiter, not the dead one.
 func TestAdmitCtxCancelWhileQueued(t *testing.T) {

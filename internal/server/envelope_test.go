@@ -167,7 +167,7 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 						return nil, nil
 					}
 				}
-				if _, err := s.jobs.Submit("blocker", hang); err != nil {
+				if _, err := s.jobs.Submit("blocker", nil, hang); err != nil {
 					t.Fatal(err)
 				}
 				deadline := time.Now().Add(2 * time.Second)
@@ -177,7 +177,7 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 					}
 					time.Sleep(time.Millisecond)
 				}
-				if _, err := s.jobs.Submit("filler", hang); err != nil {
+				if _, err := s.jobs.Submit("filler", nil, hang); err != nil {
 					t.Fatal(err)
 				}
 			},

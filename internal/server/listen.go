@@ -9,9 +9,8 @@ import (
 
 // StartLocal serves the handler on an ephemeral loopback port and returns
 // the base URL plus a stop function that gracefully drains the listener.
-// It backs `vpserve -selftest`, the perfbench workloads and the examples;
-// production serving goes through cmd/vpserve's http.Server with signal
-// handling.
+// It backs the perfbench workloads and the examples; production serving
+// goes through cmd/vpserve's http.Server with signal handling.
 func StartLocal(s *Server) (baseURL string, stop func(), err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -154,7 +154,7 @@ type Options struct {
 	// same store resumes queued jobs, re-runs ones that died mid-run and
 	// still serves finished results. The caller owns the store's lifecycle
 	// (close it AFTER Server.Close so the shutdown persistence lands).
-	JobStore jobs.Store
+	JobStore *jobs.FileStore
 	// SSEHeartbeat is the idle keep-alive interval on the job event stream
 	// (GET /api/v1/jobs/{id}/events): a comment line flushed so intermediaries
 	// do not reap a quiet connection (default 15s).
@@ -253,12 +253,10 @@ func New(opt Options) *Server {
 	// optimize jobs immediately, and their rehydrated search functions must
 	// see the coordinator's EvalCell seam, not a nil cluster.
 	s.jobs = jobs.New(jobs.Options{
-		Workers:  opt.JobWorkers,
-		Capacity: opt.JobCapacity,
-		Store:    opt.JobStore,
-		Rehydrate: map[string]jobs.Rehydrator{
-			optimizeJobKind: s.rehydrateOptimize,
-		},
+		Workers:   opt.JobWorkers,
+		Capacity:  opt.JobCapacity,
+		Store:     opt.JobStore,
+		Rehydrate: s.rehydrateOptimize,
 	})
 	s.initMetrics()
 	return s
@@ -888,9 +886,6 @@ type optimizeRequest struct {
 	Strategy string `json:"strategy,omitempty"`
 }
 
-// optimizeJobKind keys optimize submissions in the durable job store.
-const optimizeJobKind = "optimize"
-
 // resolve turns a submission into its validated search: the spec (inline,
 // or the named scenario's) and the strategy (tune's default when none is
 // named). A refusal carries the envelope a fresh submission is answered
@@ -1036,11 +1031,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// The job runs detached from the submitting request on purpose: the
 	// whole point of the queue is that the client disconnects and polls.
 	// A coordinator farms the search's candidate simulations out to its
-	// worker pool cell by cell (retry/hedging/fallback included). Durable
-	// submission: with a JobStore configured, this job — and its result —
-	// survives a coordinator restart.
+	// worker pool cell by cell (retry/hedging/fallback included). With a
+	// JobStore configured, this job — and its result — survives a
+	// coordinator restart: the request is its rehydration payload.
 	name, fn := s.optimizeJob(r.Context(), spec, strategy)
-	id, err := s.jobs.SubmitDurable(name, optimizeJobKind,
+	id, err := s.jobs.Submit(name,
 		optimizeRequest{Spec: req.Spec, Scenario: req.Scenario, Strategy: string(strategy)}, fn)
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -622,20 +624,32 @@ func TestOptimizeInlineSpec(t *testing.T) {
 	}
 }
 
+// openJobStore opens a job WAL in dir, closed after the test's servers
+// (cleanups run last-registered first, so open it before newTestServer).
+func openJobStore(t *testing.T, dir string) *jobs.FileStore {
+	t.Helper()
+	store, err := jobs.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store
+}
+
 // TestOptimizeRehydratesStoredPayloads: a restarted server resumes queued
 // optimize jobs from payloads as the store holds them — a scenario or an
 // inline spec, a strategy or none (the default) — through the resolver a
 // fresh submission takes, and fails a job whose payload no longer resolves
 // with the reason.
 func TestOptimizeRehydratesStoredPayloads(t *testing.T) {
-	store := jobs.NewMemStore()
+	store := openJobStore(t, t.TempDir())
 	for i, payload := range []string{
 		`{"scenario":"4b-quick","strategy":"beam"}`,
 		`{"spec":"model=4B;devices=8;micro=32,64;method=vocab-1,vocab-2","strategy":"exhaustive"}`,
 		`{"scenario":"4b-quick"}`,
 		`{"scenario":"no-such-scenario","strategy":"beam"}`,
 	} {
-		if err := store.Put(jobs.Record{ID: fmt.Sprintf("j%d", i+1), Name: "optimize", Kind: optimizeJobKind,
+		if err := store.Put(jobs.Record{ID: fmt.Sprintf("j%d", i+1), Name: "optimize",
 			State: jobs.StateQueued, Payload: json.RawMessage(payload), CreatedAt: time.Unix(2000, 0).UTC()}); err != nil {
 			t.Fatal(err)
 		}
@@ -655,6 +669,32 @@ func TestOptimizeRehydratesStoredPayloads(t *testing.T) {
 	}
 	if snap := pollJob(t, ts, "j4"); snap.State != jobs.StateFailed || !strings.Contains(snap.Error, `unknown scenario "no-such-scenario"`) {
 		t.Errorf("j4: state %s, error %q; want failed naming the unknown scenario", snap.State, snap.Error)
+	}
+}
+
+// TestOptimizeResumesKindTaggedWAL: a jobs.wal written before the job kind
+// was dropped — every record tagged "kind":"optimize" — still resumes. The
+// job caught mid-run and the queued one both finish with the strategies
+// their payloads recorded.
+func TestOptimizeResumesKindTaggedWAL(t *testing.T) {
+	dir := t.TempDir()
+	wal := `{"op":"put","rec":{"id":"j1","name":"optimize/4b-quick/exhaustive","kind":"optimize","payload":{"scenario":"4b-quick","strategy":"exhaustive"},"state":"queued","progress":{"done":0,"total":0},"created_at":"2026-10-17T12:00:00Z"}}
+{"op":"put","rec":{"id":"j2","name":"optimize/4b-quick/anneal","kind":"optimize","payload":{"scenario":"4b-quick","strategy":"anneal"},"state":"queued","progress":{"done":0,"total":0},"created_at":"2026-10-17T12:00:01Z"}}
+{"op":"put","rec":{"id":"j1","name":"optimize/4b-quick/exhaustive","kind":"optimize","payload":{"scenario":"4b-quick","strategy":"exhaustive"},"state":"running","progress":{"done":3,"total":12,"note":"4B/seq2048/V256k/vocab-1"},"created_at":"2026-10-17T12:00:00Z","started_at":"2026-10-17T12:00:02Z"}}
+`
+	if err := os.WriteFile(filepath.Join(dir, "jobs.wal"), []byte(wal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store := openJobStore(t, dir)
+	_, ts := newTestServer(t, Options{JobStore: store, Parallel: 1})
+	for id, strategy := range map[string]tune.Strategy{"j1": tune.StrategyExhaustive, "j2": tune.StrategyAnneal} {
+		snap := pollJob(t, ts, id)
+		if snap.State != jobs.StateDone {
+			t.Fatalf("%s: state = %s (error %q)", id, snap.State, snap.Error)
+		}
+		if res := decodeTuneResult(t, snap); res.Strategy != strategy || res.Best == nil {
+			t.Errorf("%s: strategy %s, best %v; want %s with a best candidate", id, res.Strategy, res.Best, strategy)
+		}
 	}
 }
 

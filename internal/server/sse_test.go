@@ -125,7 +125,7 @@ func TestJobEventsHeartbeat(t *testing.T) {
 
 	release := make(chan struct{})
 	defer close(release)
-	id, err := s.jobs.Submit("blocker", func(ctx context.Context, _ func(jobs.Progress)) (any, error) {
+	id, err := s.jobs.Submit("blocker", nil, func(ctx context.Context, _ func(jobs.Progress)) (any, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -187,7 +187,7 @@ func TestJobEventsTerminalJob(t *testing.T) {
 func TestJobEventsCancelMidStream(t *testing.T) {
 	s, ts := newTestServer(t, Options{JobWorkers: 1})
 	started := make(chan struct{})
-	id, err := s.jobs.Submit("cancel-me", func(ctx context.Context, _ func(jobs.Progress)) (any, error) {
+	id, err := s.jobs.Submit("cancel-me", nil, func(ctx context.Context, _ func(jobs.Progress)) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -236,7 +236,7 @@ func TestJobEventsActiveGauge(t *testing.T) {
 	s, ts := newTestServer(t, Options{JobWorkers: 1})
 	release := make(chan struct{})
 	defer close(release)
-	id, _ := s.jobs.Submit("hold", func(ctx context.Context, _ func(jobs.Progress)) (any, error) {
+	id, _ := s.jobs.Submit("hold", nil, func(ctx context.Context, _ func(jobs.Progress)) (any, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():

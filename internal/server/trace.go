@@ -10,6 +10,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -233,6 +234,14 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, "debug/traces "+raw, events)
 }
 
+// remoteTraceBytes bounds one worker's half of a merged trace. A worker
+// exports the spans of one trace, at most its tracer's MaxSpans: obs's
+// default 512, which vpserve runs with. An event is a span name, three IDs,
+// a start and duration and a few attributes, the longest an error message
+// that quotes at most 4 KiB of a worker's reply, so 16 KiB per event
+// covers it. An export past the bound is dropped like any unreadable one.
+const remoteTraceBytes = 512 * 16 << 10
+
 // remoteTraceEvents asks every active worker for its half of the trace.
 // Strictly best-effort with a short deadline: a worker that is down, has
 // evicted the trace (404), or never saw it contributes nothing — the
@@ -256,7 +265,7 @@ func (s *Server) remoteTraceEvents(ctx context.Context, id obs.TraceID) []trace.
 			resp.Body.Close()
 			continue
 		}
-		events, err := trace.ReadChromeTrace(resp.Body)
+		events, err := trace.ReadChromeTrace(io.LimitReader(resp.Body, remoteTraceBytes))
 		resp.Body.Close()
 		if err != nil {
 			continue

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"vocabpipe/internal/cluster"
 	"vocabpipe/internal/obs"
 	"vocabpipe/internal/trace"
 )
@@ -141,6 +142,58 @@ func TestTraceExportSingleNode(t *testing.T) {
 	}
 	if got := mustEvent(t, hit, "cache.lookup").Args["outcome"]; got != "hit" {
 		t.Errorf("hit lookup outcome = %q", got)
+	}
+}
+
+// TestRemoteTraceReadIsBounded: on a coordinator whose one member answers
+// the trace fetch with a body that never ends — 16 MiB of one JSON string,
+// far past any trace export, then silence — the merged export stops reading
+// at the bound, drops that member's half and answers with the
+// coordinator's own spans well inside the fetch's 2-s deadline.
+func TestRemoteTraceReadIsBounded(t *testing.T) {
+	chunk := []byte(strings.Repeat("x", 64<<10))
+	endless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasPrefix(r.URL.Path, "/api/v1/debug/traces/") {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write([]byte(`[{"name":"`))
+		for sent := 0; sent < 16<<20; sent += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+		<-r.Context().Done()
+	}))
+	defer endless.Close()
+	s := New(Options{Parallel: 1, Tracer: detTracer("vpserve", 0),
+		Cluster: cluster.Options{Workers: []string{endless.URL}, HedgeAfter: -1}})
+	defer s.Close(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// One schedule cell computes in-process, so the trace is the
+	// coordinator's alone.
+	resp, err := http.Get(ts.URL + "/api/v1/schedule?config=4B&method=vocab-1&micro=16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	id := resp.Header.Get("X-Trace-Id")
+	if resp.StatusCode != http.StatusOK || id == "" {
+		t.Fatalf("schedule: HTTP %d, trace %q", resp.StatusCode, id)
+	}
+	start := time.Now()
+	events := fetchTrace(t, ts.URL+"/api/v1/debug/traces/"+id)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("merged export took %v; the member's endless body was read past any export's size", elapsed)
+	}
+	mustEvent(t, events, "GET /api/v1/schedule")
+	for _, e := range events {
+		if e.Pid != 0 {
+			t.Errorf("event %q from process %d; the endless member must contribute nothing", e.Name, e.Pid)
+		}
 	}
 }
 

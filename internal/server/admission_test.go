@@ -130,16 +130,23 @@ func TestRetryAfterEWMAMeasuresService(t *testing.T) {
 	if err != nil {
 		t.Fatalf("holder not admitted: %v", err)
 	}
-	queued := admitAsync(a, context.Background())
+	// The queued compute releases on its own goroutine the moment it is
+	// granted, so its service time is that goroutine's next few lines.
+	queued := make(chan error, 1)
+	go func() {
+		release, _, err := a.admit(context.Background())
+		if err == nil {
+			release()
+		}
+		queued <- err
+	}()
 	waitQueued(t, a, 1)
 	time.Sleep(250 * time.Millisecond)
 	hold()
 	held := ewma()
-	got := <-queued
-	if got.err != nil {
-		t.Fatalf("queued compute not admitted: %v", got.err)
+	if err := <-queued; err != nil {
+		t.Fatalf("queued compute not admitted: %v", err)
 	}
-	got.release()
 	if after := ewma(); after >= 0.9*held {
 		t.Errorf("EWMA %.1f ms after the queued compute's instant release, want below 0.9 × the holder's %.1f ms",
 			after/1e6, held/1e6)

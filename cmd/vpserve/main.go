@@ -73,19 +73,20 @@
 //	        [-loadtest-duration 2s] [-loadtest-concurrency 8] \
 //	        [-loadtest-thresholds 'ok_rps>=100,error_rate<=0']
 //
-// Passing -loadtest-scenario (a preset: spike, soak, diurnal) or
-// -loadtest-stages (custom "[start=RATE,]TARGET:DURATION,..." legs) switches
-// to an OPEN LOOP: injection follows the staged rate curve regardless of
-// server speed, and a bounded VU pool turns client-side saturation into
-// counted drops:
+// Passing -loadtest-stages ("[start=RATE,]TARGET:DURATION,..." legs, each a
+// linear ramp to TARGET req/s; a zero DURATION is a cliff) switches to an
+// OPEN LOOP: injection follows the staged rate curve regardless of server
+// speed, the stages set the run's length, and a bounded VU pool turns
+// client-side saturation into counted drops. A 10× spike:
 //
 //	vpserve -loadtest 'http://127.0.0.1:8080/api/v1/sweep?grid=...micro%3D{64+i%499}' \
-//	        -loadtest-scenario spike -loadtest-rate 50 -loadtest-peak 500 \
-//	        -loadtest-duration 5s -loadtest-max-vus 64 \
-//	        -loadtest-thresholds 'p99<250ms,error_rate<0.1%'
+//	        -loadtest-stages 'start=50,50:1750ms,500:0s,500:1500ms,50:0s,50:1750ms' \
+//	        -loadtest-max-vus 64 -loadtest-thresholds 'p99<250ms,error_rate<0.1%'
 //
-// In either loop, -loadtest-thresholds makes declarative SLO gates decide
-// pass/fail: exit 4 on a breach.
+// -loadtest-duration and -loadtest-concurrency are closed-loop knobs, and
+// -loadtest-max-vus an open-loop one; each is refused in the other loop. In
+// either loop, -loadtest-thresholds makes declarative SLO gates decide
+// pass/fail, judged once on the settled ledger: exit 4 on a breach.
 //
 // The URL may carry one {i} or {OFF+i%MOD} placeholder, expanded per
 // iteration to sweep distinct (cold) cache keys.
@@ -158,14 +159,9 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	heartbeatEvery := fs.Duration("heartbeat-every", 10*time.Second, "join re-registration interval (0 registers once; requires -join)")
 	loadtest := fs.String("loadtest", "", "drive the load harness against this external `URL`, print the JSON report and exit")
 	ltConc := fs.Int("loadtest-concurrency", 8, "closed-loop load-test worker count")
-	ltDur := fs.Duration("loadtest-duration", 2*time.Second, "load-test duration")
-	ltScenario := fs.String("loadtest-scenario", "", "open-loop scenario `preset`: "+strings.Join(load.PresetNames(), ", "))
-	ltStages := fs.String("loadtest-stages", "", "open-loop custom stages `SPEC`: [start=RATE,]TARGET:DURATION,...")
-	ltRate := fs.Float64("loadtest-rate", 100, "open-loop base arrival rate, req/s")
-	ltPeak := fs.Float64("loadtest-peak", 0, "open-loop peak arrival rate, req/s (default 2×base)")
+	ltDur := fs.Duration("loadtest-duration", 2*time.Second, "closed-loop load-test duration")
+	ltStages := fs.String("loadtest-stages", "", "run an open loop along these stages `SPEC`: [start=RATE,]TARGET:DURATION,...")
 	ltMaxVUs := fs.Int("loadtest-max-vus", 64, "open-loop VU pool bound; arrivals past it are counted drops")
-	ltJitter := fs.Float64("loadtest-jitter", 0, "open-loop inter-arrival jitter fraction (0.1 = ±10%)")
-	ltSeed := fs.Int64("loadtest-seed", 1, "open-loop jitter PRNG seed")
 	ltThresholds := fs.String("loadtest-thresholds", "", "comma-separated SLO `gates` (p99<50ms,error_rate<0.1%,...); any breach exits 4")
 	maxInFlight := fs.Int("max-inflight", 0, "computes running at once before more queue; cache hits take no slot (default 64)")
 	admitQueue := fs.Int("admit-queue", 0, "computes queued for a slot before more are shed with 429 (default 4×max-inflight; negative: shed immediately)")
@@ -182,7 +178,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	// A value the flag's help gives no meaning is refused, not replaced by
 	// the default: no flag takes a negative but -admit-queue ("shed
 	// immediately"), and zero only where the help names it a default or
-	// "off". The seed is any int64, so it is not checked.
+	// "off".
 	for _, f := range []struct {
 		name   string
 		v      float64
@@ -204,9 +200,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		{"member-ttl", float64(*memberTTL), true},
 		{"hedge-after", float64(*hedgeAfter), true},
 		{"heartbeat-every", float64(*heartbeatEvery), true},
-		{"loadtest-rate", *ltRate, false},
-		{"loadtest-peak", *ltPeak, true},
-		{"loadtest-jitter", *ltJitter, true},
 	} {
 		if f.v < 0 || (f.v == 0 && !f.zeroOK) {
 			want := "must be positive"
@@ -221,30 +214,23 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if *loadtest == "" {
 		for _, name := range []string{"loadtest-concurrency", "loadtest-duration",
-			"loadtest-scenario", "loadtest-stages", "loadtest-rate", "loadtest-peak",
-			"loadtest-max-vus", "loadtest-jitter", "loadtest-seed", "loadtest-thresholds"} {
+			"loadtest-stages", "loadtest-max-vus", "loadtest-thresholds"} {
 			if explicit[name] {
 				fmt.Fprintf(stderr, "vpserve: -%s only applies to -loadtest\n", name)
 				return 2
 			}
 		}
 	}
-	openLoop := *ltScenario != "" || *ltStages != ""
-	if *ltScenario != "" && *ltStages != "" {
-		fmt.Fprintf(stderr, "vpserve: -loadtest-scenario and -loadtest-stages are mutually exclusive\n")
+	openLoop := *ltStages != ""
+	if !openLoop && explicit["loadtest-max-vus"] {
+		fmt.Fprintf(stderr, "vpserve: -loadtest-max-vus needs an open-loop plan (-loadtest-stages)\n")
 		return 2
 	}
-	if !openLoop {
-		for _, name := range []string{"loadtest-rate", "loadtest-peak", "loadtest-max-vus",
-			"loadtest-jitter", "loadtest-seed"} {
-			if explicit[name] {
-				fmt.Fprintf(stderr, "vpserve: -%s needs an open-loop plan (-loadtest-scenario or -loadtest-stages)\n", name)
-				return 2
-			}
+	for _, name := range []string{"loadtest-concurrency", "loadtest-duration"} {
+		if openLoop && explicit[name] {
+			fmt.Fprintf(stderr, "vpserve: -%s is a closed-loop knob; an open loop runs as long as its -loadtest-stages, with -loadtest-max-vus VUs\n", name)
+			return 2
 		}
-	} else if explicit["loadtest-concurrency"] {
-		fmt.Fprintf(stderr, "vpserve: -loadtest-concurrency is the closed-loop knob; open-loop runs bound VUs with -loadtest-max-vus\n")
-		return 2
 	}
 	var workerURLs []string
 	switch *role {
@@ -336,21 +322,11 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 				return 2
 			}
 		}
-		plan := loadPlan{
-			scenario:   *ltScenario,
-			stages:     *ltStages,
-			rate:       *ltRate,
-			peak:       *ltPeak,
-			duration:   *ltDur,
-			vus:        *ltConc,
-			jitter:     *ltJitter,
-			seed:       *ltSeed,
-			thresholds: *ltThresholds,
-		}
+		opt := load.Options{VUs: *ltConc, Duration: *ltDur}
 		if openLoop {
-			plan.vus = *ltMaxVUs
+			opt.VUs = *ltMaxVUs
 		}
-		return runLoadtest(stdout, stderr, *loadtest, plan)
+		return runLoadtest(stdout, stderr, *loadtest, *ltStages, *ltThresholds, opt)
 	}
 
 	// The flag's conventional zero means "no tracing"; a zero
@@ -409,6 +385,14 @@ type serveConfig struct {
 	advertise       string // URL to register under ("" = derive from the listener)
 	heartbeatEvery  time.Duration
 }
+
+// readHeaderTimeout bounds how long an accepted connection may take to send
+// its first request's headers. Without it a connection that sends nothing
+// holds a goroutine and a socket for as long as its client likes, and holds
+// the graceful drain too: net/http's Shutdown counts a connection that has
+// sent no request as idle only once it is 5 s old. It does not shorten
+// keep-alive idle time, which falls back to ReadTimeout, not to it.
+const readHeaderTimeout = time.Second
 
 // serve runs the HTTP server until SIGINT/SIGTERM, then drains gracefully.
 // A coordinator also probes its members' /healthz on a ticker — the probe
@@ -471,7 +455,7 @@ func serve(srv *server.Server, stderr io.Writer, cfg serveConfig, ready chan<- s
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
@@ -558,36 +542,20 @@ func heartbeat(ctx context.Context, stderr io.Writer, joinURL, advertise string,
 	}
 }
 
-// loadPlan bundles the load-test flags into one argument. A plan with
-// neither a scenario nor stages runs the closed loop.
-type loadPlan struct {
-	scenario   string // preset name, or ""
-	stages     string // custom stages spec, or ""
-	rate, peak float64
-	duration   time.Duration
-	vus        int
-	jitter     float64
-	seed       int64
-	thresholds string
-}
-
-// runLoadtest drives the load engine against an external URL and prints the
+// runLoadtest drives the load engine against an external URL — an open
+// loop along stages, or a closed loop when stages is empty — and prints the
 // JSON report, which carries the full ledger CI asserts on. Exit codes: 0
 // pass, 1 unusable inputs or broken run, 4 an SLO threshold breached on the
-// final ledger — distinct so CI can tell "could not test" from "tested and
+// settled ledger — distinct so CI can tell "could not test" from "tested and
 // failed the gate". Errored attempts alone do not fail a run: the caller
 // owns that policy.
-func runLoadtest(stdout, stderr io.Writer, url string, plan loadPlan) int {
-	opt := load.Options{VUs: plan.vus, Duration: plan.duration, Jitter: plan.jitter, Seed: plan.seed}
+func runLoadtest(stdout, stderr io.Writer, url, stages, thresholds string, opt load.Options) int {
 	var err error
-	switch {
-	case plan.stages != "":
-		opt.Scenario, err = load.ParseStages(plan.stages)
-	case plan.scenario != "":
-		opt.Scenario, err = load.Preset(plan.scenario, plan.rate, plan.peak, plan.duration)
+	if stages != "" {
+		opt.Scenario, err = load.ParseStages(stages)
 	}
-	if err == nil && plan.thresholds != "" {
-		opt.Thresholds, err = load.ParseThresholds(plan.thresholds)
+	if err == nil && thresholds != "" {
+		opt.Thresholds, err = load.ParseThresholds(thresholds)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "vpserve: loadtest: %v\n", err)

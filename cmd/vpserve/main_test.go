@@ -215,7 +215,7 @@ func TestLoadtestGatesWarmedServe(t *testing.T) {
 }
 
 // TestOpenLoopLoadtestMode switches -loadtest to the open-loop engine via
-// -loadtest-scenario and checks the open-loop report ledger on stdout.
+// -loadtest-stages and checks the open-loop report ledger on stdout.
 func TestOpenLoopLoadtestMode(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok"))
@@ -223,8 +223,7 @@ func TestOpenLoopLoadtestMode(t *testing.T) {
 	defer ts.Close()
 
 	stdout, stderr, code := runVpserve("-loadtest", ts.URL+"/?i={i}",
-		"-loadtest-scenario", "soak", "-loadtest-rate", "200",
-		"-loadtest-duration", "200ms", "-loadtest-max-vus", "8",
+		"-loadtest-stages", "200:200ms", "-loadtest-max-vus", "8",
 		"-loadtest-thresholds", "error_rate<0.1%,p99<10s")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
@@ -235,6 +234,9 @@ func TestOpenLoopLoadtestMode(t *testing.T) {
 	}
 	if rep.Scheduled == 0 || rep.Scheduled != rep.Attempts+rep.Dropped {
 		t.Errorf("ledger broken: %+v", rep)
+	}
+	if rep.Scenario != "open-loop" || rep.MaxVUs != 8 || len(rep.Stages) != 1 || rep.Stages[0].Target != 200 {
+		t.Errorf("open-loop shape: scenario %q, VUs %d, stages %+v", rep.Scenario, rep.MaxVUs, rep.Stages)
 	}
 	if !rep.ThresholdsOK || len(rep.Thresholds) != 2 {
 		t.Errorf("thresholds: ok=%v %+v", rep.ThresholdsOK, rep.Thresholds)
@@ -252,7 +254,7 @@ func TestOpenLoopLoadtestMode(t *testing.T) {
 			t.Errorf("open-loop report lacks %q: %s", k, stdout)
 		}
 	}
-	if !strings.Contains(stderr, "soak, 8 VUs") {
+	if !strings.Contains(stderr, "open-loop, 8 VUs") {
 		t.Errorf("missing summary on stderr: %q", stderr)
 	}
 }
@@ -280,54 +282,80 @@ func TestOpenLoopThresholdGate(t *testing.T) {
 	}
 }
 
+// TestOpenLoopFlagValidation: misused load-test flags exit 2 before any
+// request is sent; a stage list or threshold that does not parse exits 1.
 func TestOpenLoopFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		args     []string
+		code     int
 		fragment string
 	}{
 		{"open-loop knob without a plan",
-			[]string{"-loadtest", "http://x", "-loadtest-rate", "50"},
-			"needs an open-loop plan"},
-		{"scenario and stages together",
-			[]string{"-loadtest", "http://x", "-loadtest-scenario", "soak", "-loadtest-stages", "5:1s"},
-			"mutually exclusive"},
+			[]string{"-loadtest", "http://x", "-loadtest-max-vus", "8"},
+			2, "needs an open-loop plan"},
 		{"concurrency on an open-loop run",
-			[]string{"-loadtest", "http://x", "-loadtest-scenario", "soak", "-loadtest-concurrency", "4"},
-			"closed-loop knob"},
+			[]string{"-loadtest", "http://x", "-loadtest-stages", "5:1s", "-loadtest-concurrency", "4"},
+			2, "-loadtest-concurrency is a closed-loop knob"},
+		// The stages set an open loop's length; before, -loadtest-duration
+		// was silently ignored beside them.
+		{"duration on an open-loop run",
+			[]string{"-loadtest", "http://x", "-loadtest-stages", "50:300ms", "-loadtest-duration", "5s"},
+			2, "-loadtest-duration is a closed-loop knob"},
 		{"admission knob in loadtest mode",
 			[]string{"-loadtest", "http://x", "-max-inflight", "4"},
-			"does not apply to -loadtest"},
+			2, "does not apply to -loadtest"},
 		{"debug knob in loadtest mode",
 			[]string{"-loadtest", "http://x", "-debug"},
-			"does not apply to -loadtest"},
+			2, "does not apply to -loadtest"},
 		{"trace knob in loadtest mode",
 			[]string{"-loadtest", "http://x", "-trace-ring", "16"},
-			"does not apply to -loadtest"},
+			2, "does not apply to -loadtest"},
 		{"slow-request knob in loadtest mode",
 			[]string{"-loadtest", "http://x", "-slow-request", "100ms"},
-			"does not apply to -loadtest"},
+			2, "does not apply to -loadtest"},
 		{"open-loop flag without -loadtest",
-			[]string{"-loadtest-scenario", "soak"},
-			"only applies to -loadtest"},
-		{"unknown preset",
-			[]string{"-loadtest", "http://x", "-loadtest-scenario", "warp"},
-			"unknown scenario preset"},
+			[]string{"-loadtest-stages", "5:1s"},
+			2, "only applies to -loadtest"},
 		{"bad stages",
 			[]string{"-loadtest", "http://x", "-loadtest-stages", "nope"},
-			"not TARGET:DURATION"},
+			1, "not TARGET:DURATION"},
 		{"bad threshold",
-			[]string{"-loadtest", "http://x", "-loadtest-scenario", "soak", "-loadtest-thresholds", "bogus<5"},
-			"unknown metric"},
+			[]string{"-loadtest", "http://x", "-loadtest-stages", "5:1s", "-loadtest-thresholds", "bogus<5"},
+			1, "unknown metric"},
 	} {
 		_, stderr, code := runVpserve(tc.args...)
-		if code != 2 && code != 1 {
-			t.Errorf("%s: exit %d, want a refusal (stderr %q)", tc.name, code, stderr)
+		if code != tc.code {
+			t.Errorf("%s: exit %d, want %d (stderr %q)", tc.name, code, tc.code, stderr)
 			continue
 		}
 		if !strings.Contains(stderr, tc.fragment) {
 			t.Errorf("%s: stderr %q missing %q", tc.name, stderr, tc.fragment)
 		}
+	}
+}
+
+// TestSilentConnectionIsClosed: a client that connects and sends nothing is
+// hung up on once the header timeout passes, instead of holding a goroutine,
+// a socket and any graceful drain for as long as it likes. The read's 10-s
+// deadline is only a backstop; the server must close the connection first.
+func TestSilentConnectionIsClosed(t *testing.T) {
+	addr, done, _ := startServe(t)
+	defer stopServe(t, done)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("the server kept a silent connection open until the client's deadline")
+	}
+	if err == nil {
+		t.Fatalf("the server wrote %d bytes to a client that sent nothing", n)
 	}
 }
 
@@ -386,9 +414,7 @@ func TestClusterFlagValidation(t *testing.T) {
 		{"negative heartbeat", []string{"-role", "worker", "-join", "h:1", "-heartbeat-every", "-1s"}, "-heartbeat-every must not be negative"},
 		{"zero loadtest concurrency", []string{"-loadtest", "http://x", "-loadtest-concurrency", "0"}, "-loadtest-concurrency must be positive, got 0"},
 		{"zero loadtest duration", []string{"-loadtest", "http://x", "-loadtest-duration", "0"}, "-loadtest-duration must be positive, got 0s"},
-		{"zero loadtest VUs", []string{"-loadtest", "http://x", "-loadtest-scenario", "soak", "-loadtest-max-vus", "0"}, "-loadtest-max-vus must be positive, got 0"},
-		{"zero loadtest rate", []string{"-loadtest", "http://x", "-loadtest-scenario", "soak", "-loadtest-rate", "0"}, "-loadtest-rate must be positive, got 0"},
-		{"negative loadtest jitter", []string{"-loadtest", "http://x", "-loadtest-scenario", "soak", "-loadtest-jitter", "-0.1"}, "-loadtest-jitter must not be negative"},
+		{"zero loadtest VUs", []string{"-loadtest", "http://x", "-loadtest-stages", "5:1s", "-loadtest-max-vus", "0"}, "-loadtest-max-vus must be positive, got 0"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"vocabpipe/internal/costmodel"
 	"vocabpipe/internal/report"
 	"vocabpipe/internal/sweep"
 	"vocabpipe/internal/tune"
@@ -123,22 +124,42 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 func TestWireRejects(t *testing.T) {
+	zoo4B, _ := costmodel.ConfigByName("4B")
+	unknownModel := zoo4B
+	unknownModel.Name = "5B"
+	deep4B := zoo4B
+	deep4B.Layers, deep4B.Devices = 1024, 1024
+	wide4B := zoo4B
+	wide4B.Hidden *= 2
+	one := sweep.Range{Start: 0, End: 1}
+	if _, err := (&ShardRequest{Grid: "g", Range: one,
+		Cells: []WireCell{{Label: "a", Config: zoo4B, Method: "baseline"}}}).ToGrid(); err != nil {
+		t.Fatalf("a zoo cell was refused: %v", err)
+	}
 	tests := []struct {
-		name string
-		req  ShardRequest
+		name     string
+		req      ShardRequest
+		fragment string
 	}{
-		{"no cells", ShardRequest{Grid: "g"}},
+		{"no cells", ShardRequest{Grid: "g"}, "no cells"},
 		{"range mismatch", ShardRequest{Grid: "g", Range: sweep.Range{Start: 0, End: 2},
-			Cells: []WireCell{{Label: "a", Method: "baseline"}}}},
-		{"missing label", ShardRequest{Grid: "g", Range: sweep.Range{Start: 0, End: 1},
-			Cells: []WireCell{{Method: "baseline"}}}},
-		{"unknown method", ShardRequest{Grid: "g", Range: sweep.Range{Start: 0, End: 1},
-			Cells: []WireCell{{Label: "a", Method: "warp"}}}},
+			Cells: []WireCell{{Label: "a", Config: zoo4B, Method: "baseline"}}}, "does not match"},
+		{"missing label", ShardRequest{Grid: "g", Range: one,
+			Cells: []WireCell{{Config: zoo4B, Method: "baseline"}}}, "no label"},
+		{"unknown method", ShardRequest{Grid: "g", Range: one,
+			Cells: []WireCell{{Label: "a", Config: zoo4B, Method: "warp"}}}, "unknown method"},
+		{"unknown model", ShardRequest{Grid: "g", Range: one,
+			Cells: []WireCell{{Label: "a", Config: unknownModel, Method: "baseline"}}}, `unknown model "5B"`},
+		{"1,024 layers", ShardRequest{Grid: "g", Range: one,
+			Cells: []WireCell{{Label: "a", Config: deep4B, Method: "baseline"}}}, "not model 4B's shape (layers 32,"},
+		{"one cell of two off the zoo", ShardRequest{Grid: "g", Range: sweep.Range{Start: 0, End: 2},
+			Cells: []WireCell{{Label: "a", Config: zoo4B, Method: "baseline"}, {Label: "b", Config: wide4B, Method: "baseline"}}},
+			`cell "b" is not model 4B's shape`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := tt.req.ToGrid(); err == nil {
-				t.Error("want error, got nil")
+			if _, err := tt.req.ToGrid(); err == nil || !strings.Contains(err.Error(), tt.fragment) {
+				t.Errorf("err = %v, want one mentioning %q", err, tt.fragment)
 			}
 		})
 	}

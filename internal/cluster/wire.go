@@ -2,8 +2,9 @@
 // Cells travel fully materialized (label + config + method name) rather
 // than as a grid spec, so any shardable grid — named experiments, parsed
 // specs, tuner candidate batches — uses one protocol and the worker needs
-// no registry lookup or re-expansion to agree with the coordinator about
-// what the cells are.
+// no re-expansion to agree with the coordinator about what the cells are.
+// It does check each cell's model shape against the zoo, because the body
+// comes from any client that can reach the worker.
 package cluster
 
 import (
@@ -44,7 +45,12 @@ func NewShardRequest(g *sweep.Grid, cells []sweep.Cell, r sweep.Range) ShardRequ
 }
 
 // ToGrid reconstructs the sub-grid a worker evaluates. Every cell must
-// carry a label and a known method name; the grid's canonical Key() then
+// carry a label, a known method name and a zoo model's shape: its name, and
+// that model's layers, heads, hidden size and microbatch size. A
+// coordinator's cells all derive from a zoo model, overriding at most the
+// sequence length, vocabulary, microbatch count and device count, so this
+// refuses only hand-made bodies — such as a 1,024-layer "4B", which would
+// let a layout place 1,024 pipeline stages. The grid's canonical Key() then
 // serves as the worker-side cache key, so identical shards from any
 // coordinator coalesce.
 func (r *ShardRequest) ToGrid() (*sweep.Grid, error) {
@@ -65,6 +71,15 @@ func (r *ShardRequest) ToGrid() (*sweep.Grid, error) {
 		m, ok := sim.MethodByName(wc.Method)
 		if !ok {
 			return nil, fmt.Errorf("cluster: shard cell %q has unknown method %q", wc.Label, wc.Method)
+		}
+		c := wc.Config
+		z, ok := costmodel.ConfigByName(c.Name)
+		if !ok {
+			return nil, fmt.Errorf("cluster: shard cell %q has unknown model %q", wc.Label, c.Name)
+		}
+		if c.Layers != z.Layers || c.Heads != z.Heads || c.Hidden != z.Hidden || c.MicroBatch != z.MicroBatch {
+			return nil, fmt.Errorf("cluster: shard cell %q is not model %s's shape (layers %d, heads %d, hidden %d, microbatch %d)",
+				wc.Label, z.Name, z.Layers, z.Heads, z.Hidden, z.MicroBatch)
 		}
 		g.Cells = append(g.Cells, sweep.Cell{Label: wc.Label, Config: wc.Config, Method: m})
 	}

@@ -8,37 +8,36 @@ var VocabSizes = []int{32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024}
 // SeqLengths are the two sequence lengths swept in every experiment.
 var SeqLengths = []int{2048, 4096}
 
+// zoo holds the paper's evaluated models: Table 1's three, then Table 2's.
+var zoo = [...]Config{
+	{Name: "4B", Devices: 8, Layers: 32, Heads: 24, Hidden: 3072,
+		Seq: 2048, MicroBatch: 1, NumMicro: 128, Vocab: 32 * 1024},
+	{Name: "10B", Devices: 16, Layers: 48, Heads: 32, Hidden: 4096,
+		Seq: 2048, MicroBatch: 1, NumMicro: 128, Vocab: 32 * 1024},
+	{Name: "21B", Devices: 32, Layers: 64, Heads: 40, Hidden: 5120,
+		Seq: 2048, MicroBatch: 1, NumMicro: 128, Vocab: 32 * 1024},
+	{Name: "7B", Devices: 16, Layers: 32, Heads: 32, Hidden: 4096,
+		Seq: 2048, MicroBatch: 1, NumMicro: 128, Vocab: 32 * 1024},
+	{Name: "16B", Devices: 24, Layers: 48, Heads: 40, Hidden: 5120,
+		Seq: 2048, MicroBatch: 1, NumMicro: 128, Vocab: 32 * 1024},
+	{Name: "30B", Devices: 32, Layers: 64, Heads: 48, Hidden: 6144,
+		Seq: 2048, MicroBatch: 1, NumMicro: 128, Vocab: 32 * 1024},
+}
+
 // OneF1BConfigs returns the Table 1 configurations (1F1B experiments).
 // Vocabulary and sequence length default to the first sweep point; use
 // WithVocab/WithSeq to move along the sweep.
-func OneF1BConfigs() []Config {
-	return []Config{
-		{Name: "4B", Devices: 8, Layers: 32, Heads: 24, Hidden: 3072,
-			Seq: 2048, MicroBatch: 1, NumMicro: 128, Vocab: 32 * 1024},
-		{Name: "10B", Devices: 16, Layers: 48, Heads: 32, Hidden: 4096,
-			Seq: 2048, MicroBatch: 1, NumMicro: 128, Vocab: 32 * 1024},
-		{Name: "21B", Devices: 32, Layers: 64, Heads: 40, Hidden: 5120,
-			Seq: 2048, MicroBatch: 1, NumMicro: 128, Vocab: 32 * 1024},
-	}
-}
+func OneF1BConfigs() []Config { return append([]Config(nil), zoo[:3]...) }
 
 // VHalfConfigs returns the Table 2 configurations (V-Half experiments).
-func VHalfConfigs() []Config {
-	return []Config{
-		{Name: "7B", Devices: 16, Layers: 32, Heads: 32, Hidden: 4096,
-			Seq: 2048, MicroBatch: 1, NumMicro: 128, Vocab: 32 * 1024},
-		{Name: "16B", Devices: 24, Layers: 48, Heads: 40, Hidden: 5120,
-			Seq: 2048, MicroBatch: 1, NumMicro: 128, Vocab: 32 * 1024},
-		{Name: "30B", Devices: 32, Layers: 64, Heads: 48, Hidden: 6144,
-			Seq: 2048, MicroBatch: 1, NumMicro: 128, Vocab: 32 * 1024},
-	}
-}
+func VHalfConfigs() []Config { return append([]Config(nil), zoo[3:]...) }
 
 // ConfigByName looks up a zoo entry ("4B", "10B", "21B", "7B", "16B", "30B").
+// It does not allocate.
 func ConfigByName(name string) (Config, bool) {
-	for _, c := range append(OneF1BConfigs(), VHalfConfigs()...) {
-		if c.Name == name {
-			return c, true
+	for i := range zoo {
+		if zoo[i].Name == name {
+			return zoo[i], true
 		}
 	}
 	return Config{}, false

@@ -10,9 +10,11 @@ package jobs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -111,7 +113,8 @@ func OpenFileStore(dir string) (*FileStore, error) {
 }
 
 // replayWAL reads the log into the last-wins live set, sorted by job ID.
-// A missing file is an empty store; a torn final line is dropped.
+// A missing file is an empty store; a torn final line is dropped. Lines are
+// read whole, however long: whatever Put appended replays.
 func replayWAL(path string) ([]Record, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -122,15 +125,15 @@ func replayWAL(path string) ([]Record, error) {
 	}
 	defer f.Close()
 	live := make(map[string]Record)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20) // results can be large
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	rd := bufio.NewReader(f)
+	for {
+		line, err := rd.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("jobs: reading store: %w", err)
 		}
-		var op walOp
-		if err := json.Unmarshal(line, &op); err != nil {
+		line = bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r"))
+		var op walOp // an empty line leaves it zero: no op
+		if len(line) > 0 && json.Unmarshal(line, &op) != nil {
 			// A torn tail from a crash mid-append; everything before it is
 			// intact, so stop here rather than fail the whole store.
 			break
@@ -143,9 +146,9 @@ func replayWAL(path string) ([]Record, error) {
 		case "delete":
 			delete(live, op.ID)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("jobs: reading store: %w", err)
+		if err == io.EOF {
+			break
+		}
 	}
 	out := make([]Record, 0, len(live))
 	for _, r := range live {

@@ -92,6 +92,41 @@ func TestFileStoreTornTail(t *testing.T) {
 	}
 }
 
+// TestFileStoreReplaysLargeRecord: a record Put accepts replays, however
+// long its line. A 17 MiB result is past the 16 MiB line cap replay once
+// had, which made the store unopenable over its own log.
+func TestFileStoreReplaysLargeRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := json.RawMessage(`"` + strings.Repeat("r", 17<<20) + `"`)
+	if err := s.Put(Record{ID: "j1", State: StateDone, Result: result}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(Record{ID: "j2", State: StateQueued}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatalf("reopening a store holding a 17 MiB record: %v", err)
+	}
+	defer s2.Close()
+	recs, err := s2.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].ID != "j1" || recs[1].ID != "j2" {
+		t.Fatalf("replayed %d records, want j1 and j2", len(recs))
+	}
+	if !bytes.Equal(recs[0].Result, result) {
+		t.Fatalf("the 17 MiB result came back as %d different bytes", len(recs[0].Result))
+	}
+}
+
 // openStore opens a FileStore in a fresh temp dir, closed at cleanup.
 func openStore(t testing.TB) *FileStore {
 	t.Helper()

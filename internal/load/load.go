@@ -1,17 +1,18 @@
 // Package load is vpserve's built-in load generator: one engine that drives
-// GET requests against a URL and feeds one ledger, one threshold evaluator
-// and one report — the k6 shape of several executors feeding a single
-// metrics pipeline. Only how iterations start differs:
+// GET requests against a URL and feeds one ledger and one report — the k6
+// shape of several executors feeding a single metrics pipeline. Only how
+// iterations start differs:
 //
 //   - Closed loop (Options.Scenario nil): VUs workers issue requests back to
 //     back until Duration, a new request starting only when the worker's
 //     previous one finished. A plain `vpserve -loadtest` runs it.
-//   - Open loop (Options.Scenario set): arrivals follow the scenario's
-//     staged rate curve on the wall clock regardless of how many requests
-//     are in flight, so a stalled server cannot quietly throttle its own
-//     load generator. A bounded VU pool caps client-side concurrency; an
-//     arrival that finds every VU busy is DROPPED and counted, never
-//     silently deferred, which makes queueing collapse visible.
+//   - Open loop (Options.Scenario set, a stage list from ParseStages):
+//     arrivals follow the staged rate curve on the wall clock regardless of
+//     how many requests are in flight, so a stalled server cannot quietly
+//     throttle its own load generator. A bounded VU pool caps client-side
+//     concurrency; an arrival that finds every VU busy is DROPPED and
+//     counted, never silently deferred, which makes queueing collapse
+//     visible.
 //
 // Accounting rules (the honest version) keep the ledger identities
 //
@@ -33,9 +34,9 @@
 //     and are counted, so the client-side totals reconcile with the server's
 //     own request counters (the CI smoke step cross-checks this against
 //     /metrics).
-//   - Declarative thresholds (threshold.go), when given, are evaluated
-//     continuously against the live ledger, so a report carries both final
-//     verdicts and first-breach offsets.
+//   - Declarative thresholds (threshold.go), when given, are judged once,
+//     on the settled ledger after the last request finished; the per-stage
+//     report rows show which stage's latency or errors rose.
 package load
 
 import (
@@ -65,18 +66,12 @@ type Options struct {
 	// 2s); a scenario sets an open loop's length. In-flight requests at the
 	// deadline complete and are counted, so a run can end slightly late.
 	Duration time.Duration
-	// Jitter perturbs each open-loop inter-arrival gap by ±Jitter (fraction;
-	// 0.1 = ±10%). Zero means a perfectly regular schedule.
-	Jitter float64
-	// Seed makes the jittered schedule reproducible (default 1).
-	Seed int64
 	// RequestTimeout caps a single request (default 30s). A hit counts as a
 	// transport error; it exists so one hung connection cannot wedge a run.
 	RequestTimeout time.Duration
-	// Thresholds are the SLO gates to evaluate (may be empty).
+	// Thresholds are the SLO gates to judge on the settled ledger (may be
+	// empty).
 	Thresholds []Threshold
-	// EvalEvery is the continuous-evaluation cadence (default 200ms).
-	EvalEvery time.Duration
 }
 
 // StageReport is one stage's slice of the ledger. A closed-loop run is one
@@ -101,8 +96,8 @@ type StageReport struct {
 // Report is the measured outcome of a run.
 type Report struct {
 	URL string `json:"url"`
-	// Scenario names the arrival plan; a closed-loop run reports
-	// "closed-loop".
+	// Scenario names the arrival plan: "closed-loop", or the open loop's
+	// Scenario.Name ("open-loop" for a ParseStages plan).
 	Scenario  string  `json:"scenario"`
 	MaxVUs    int     `json:"max_vus"`
 	DurationS float64 `json:"duration_s"`
@@ -138,9 +133,8 @@ type Report struct {
 	ThresholdsOK bool `json:"thresholds_ok"`
 }
 
-// ledger is the run's single source of truth, shared by VUs, the open-loop
-// scheduler and the threshold evaluator. A mutex (not per-worker slices) so
-// the evaluator can snapshot mid-run.
+// ledger is the run's single source of truth, shared by the VUs and the
+// open-loop scheduler under one mutex.
 type ledger struct {
 	mu        sync.Mutex
 	scheduled int
@@ -171,22 +165,22 @@ func (l *ledger) schedule(stage int) int {
 	return l.scheduled - 1
 }
 
-// counts snapshots the ledger into the threshold evaluator's view. The OK
-// latency slice is copied and sorted outside the lock.
+// counts reads the settled ledger — every VU has returned — into the view
+// thresholds evaluate against, sorting the OK latencies in place.
 func (l *ledger) counts(elapsed time.Duration) Counts {
 	l.mu.Lock()
-	ok := append([]time.Duration(nil), l.okLat...)
+	defer l.mu.Unlock()
+	ok := l.okLat
 	c := Counts{
 		Scheduled: l.scheduled,
 		Dropped:   l.dropped,
 		Attempts:  l.attempts,
 		Errors:    l.errors,
-		OK:        len(l.okLat),
+		OK:        len(ok),
 		NonOK:     l.nonOK,
 		Shed:      l.status[http.StatusTooManyRequests],
 		ElapsedS:  elapsed.Seconds(),
 	}
-	l.mu.Unlock()
 	sort.Slice(ok, func(i, j int) bool { return ok[i] < ok[j] })
 	if len(ok) > 0 {
 		c.OKP50Ms = ms(Percentile(ok, 0.50))
@@ -267,45 +261,15 @@ func Run(ctx context.Context, url string, opt Options) (*Report, error) {
 			opt.VUs = 4
 		}
 	}
-	if opt.Seed == 0 {
-		opt.Seed = 1
-	}
 	if opt.RequestTimeout <= 0 {
 		opt.RequestTimeout = 30 * time.Second
-	}
-	if opt.EvalEvery <= 0 {
-		opt.EvalEvery = 200 * time.Millisecond
 	}
 	led := &ledger{
 		status:   make(map[int]int),
 		errCodes: make(map[string]int),
 		perStage: make([]stageTally, len(sc.Stages)),
 	}
-	tracker := newThresholdTracker(opt.Thresholds)
 	start := time.Now()
-
-	// Continuous threshold evaluation against the live ledger. Each sample
-	// copies and sorts every OK latency, so it runs only when there is a
-	// gate to evaluate.
-	var eval sync.WaitGroup
-	evalStop := make(chan struct{})
-	if len(opt.Thresholds) > 0 {
-		eval.Add(1)
-		go func() {
-			defer eval.Done()
-			tick := time.NewTicker(opt.EvalEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					el := time.Since(start)
-					tracker.observe(led.counts(el), el)
-				case <-evalStop:
-					return
-				}
-			}
-		}()
-	}
 
 	iterate := func(it iteration) {
 		runIteration(ctx, urlAt(it.seq), it.stage, opt.RequestTimeout, led)
@@ -339,18 +303,11 @@ func Run(ctx context.Context, url string, opt Options) (*Report, error) {
 				}
 			}()
 		}
-		schedule(ctx, sc, opt.Jitter, opt.Seed, start, tokens, led)
+		schedule(ctx, sc, start, tokens, led)
 		close(tokens)
 	}
 	vus.Wait() // in-flight requests complete and are counted
-	close(evalStop)
-	eval.Wait()
-	elapsed := time.Since(start)
-
-	// Final continuous-eval sample on the settled ledger, then the verdicts.
-	final := led.counts(elapsed)
-	tracker.observe(final, elapsed)
-	return buildReport(url, sc, opt.VUs, led, tracker, final, elapsed), nil
+	return buildReport(url, sc, opt.VUs, led, opt.Thresholds, time.Since(start)), nil
 }
 
 // schedule walks the open-loop arrival schedule on absolute offsets,
@@ -358,8 +315,8 @@ func Run(ctx context.Context, url string, opt Options) (*Report, error) {
 // (timer overshoot, bursty catch-up) does not compound — the next arrival
 // is always start+offset, so late injections fire back to back and the
 // average rate holds.
-func schedule(ctx context.Context, sc *Scenario, jitter float64, seed int64, start time.Time, tokens chan<- iteration, led *ledger) {
-	gen := newArrivalGen(sc, jitter, seed)
+func schedule(ctx context.Context, sc *Scenario, start time.Time, tokens chan<- iteration, led *ledger) {
+	gen := &arrivalGen{sc: sc}
 	timer := time.NewTimer(0)
 	if !timer.Stop() {
 		<-timer.C
@@ -460,7 +417,9 @@ func recordResponse(resp *http.Response, lat time.Duration, stage int, led *ledg
 	}
 }
 
-func buildReport(url string, sc *Scenario, vus int, led *ledger, tracker *thresholdTracker, final Counts, elapsed time.Duration) *Report {
+// buildReport renders the settled ledger and judges the thresholds on it.
+func buildReport(url string, sc *Scenario, vus int, led *ledger, thresholds []Threshold, elapsed time.Duration) *Report {
+	final := led.counts(elapsed)
 	rep := &Report{
 		URL:       url,
 		Scenario:  sc.Name,
@@ -520,7 +479,12 @@ func buildReport(url string, sc *Scenario, vus int, led *ledger, tracker *thresh
 		rep.Stages = append(rep.Stages, sr)
 	}
 	led.mu.Unlock()
-	rep.Thresholds, rep.ThresholdsOK = tracker.results(final)
+	rep.ThresholdsOK = true
+	for _, th := range thresholds {
+		v, ok := th.Eval(final)
+		rep.Thresholds = append(rep.Thresholds, ThresholdResult{Spec: th.Spec, Metric: th.Metric, Value: v, OK: ok})
+		rep.ThresholdsOK = rep.ThresholdsOK && ok
+	}
 	return rep
 }
 

@@ -63,9 +63,7 @@ func TestRunOpenLoopInvariants(t *testing.T) {
 	rep, err := Run(context.Background(), srv.URL+"/?i={i}", Options{
 		Scenario:   sc,
 		VUs:        2, // 2 VUs × 50/s each ≪ 400/s offered → guaranteed drops
-		Seed:       1,
 		Thresholds: th,
-		EvalEvery:  50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,9 +113,6 @@ func TestRunOpenLoopInvariants(t *testing.T) {
 	if byMetric["dropped_rate"].OK {
 		t.Fatalf("dropped_rate gate passed at %g%%", byMetric["dropped_rate"].Value)
 	}
-	if !byMetric["dropped_rate"].Breached {
-		t.Fatal("failing gate not marked breached")
-	}
 	if !byMetric["p50"].OK {
 		t.Fatalf("p50<10s gate failed: %+v", byMetric["p50"])
 	}
@@ -142,7 +137,7 @@ func TestRunOpenLoopSheddingClassification(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	sc, err := Preset("soak", 100, 0, 300*time.Millisecond)
+	sc, err := ParseStages("100:300ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +173,7 @@ func TestRunOpenLoopCancel(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	sc, err := Preset("soak", 50, 0, 10*time.Second)
+	sc, err := ParseStages("50:10s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +196,7 @@ func TestRunOpenLoopBadInputs(t *testing.T) {
 	if _, err := Run(context.Background(), "http://x", Options{Scenario: &Scenario{Name: "empty"}}); err == nil {
 		t.Fatal("scenario without stages accepted")
 	}
-	sc, _ := Preset("soak", 10, 0, time.Second)
+	sc, _ := ParseStages("10:1s")
 	if _, err := Run(context.Background(), "http://x/{oops", Options{Scenario: sc}); err == nil {
 		t.Fatal("bad URL template accepted")
 	}

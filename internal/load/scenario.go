@@ -3,8 +3,6 @@ package load
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -14,7 +12,7 @@ import (
 // from the previous stage's target (or the scenario's StartRate for the first
 // stage) to Target over Duration. A zero Duration is an instant step — the
 // rate jumps to Target and the stage contributes no wall time, which is how
-// the spike preset models a cliff-edge rather than a ramp.
+// a spike models a cliff edge rather than a ramp.
 type Stage struct {
 	// Target is the arrival rate, in requests per second, reached at the END
 	// of the stage.
@@ -72,84 +70,16 @@ func (sc *Scenario) TotalDuration() time.Duration {
 	return total
 }
 
-// RateAt returns the target arrival rate at offset t from the start of the
-// run: linear interpolation within the active stage, the final target beyond
-// the end.
-func (sc *Scenario) RateAt(t time.Duration) float64 {
-	prev := sc.StartRate
-	var acc time.Duration
-	for _, st := range sc.Stages {
-		if st.Duration > 0 && t < acc+st.Duration {
-			frac := float64(t-acc) / float64(st.Duration)
-			return prev + (st.Target-prev)*frac
-		}
-		acc += st.Duration
-		prev = st.Target
-	}
-	return prev
-}
-
-// PresetNames lists the built-in scenario shapes, alphabetically.
-func PresetNames() []string {
-	names := []string{"diurnal", "soak", "spike"}
-	sort.Strings(names)
-	return names
-}
-
-// Preset builds a named scenario shape over the given total duration.
-//
-//   - "soak": constant load at base for the whole run — the boring baseline
-//     that catches slow leaks and drift.
-//   - "spike": base load, an instant step to peak for the middle ~30% of the
-//     run, then an instant step back — the overload-and-recover shape the CI
-//     gate drives against the real binary.
-//   - "diurnal": a compressed day — ramp from base up to peak, hold, sink to
-//     a quarter of base (the overnight trough), climb back to base.
-//
-// peak defaults to 2×base when zero or negative.
-func Preset(name string, base, peak float64, total time.Duration) (*Scenario, error) {
-	if base <= 0 {
-		return nil, fmt.Errorf("preset %q: base rate must be positive, got %g", name, base)
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("preset %q: total duration must be positive, got %s", name, total)
-	}
-	if peak <= 0 {
-		peak = 2 * base
-	}
-	frac := func(f float64) time.Duration { return time.Duration(f * float64(total)) }
-	switch name {
-	case "soak", "constant":
-		return &Scenario{Name: "soak", StartRate: base, Stages: []Stage{
-			{Target: base, Duration: total},
-		}}, nil
-	case "spike":
-		return &Scenario{Name: "spike", StartRate: base, Stages: []Stage{
-			{Target: base, Duration: frac(0.35)},
-			{Target: peak, Duration: 0}, // cliff up
-			{Target: peak, Duration: frac(0.30)},
-			{Target: base, Duration: 0}, // cliff down
-			{Target: base, Duration: frac(0.35)},
-		}}, nil
-	case "diurnal":
-		return &Scenario{Name: "diurnal", StartRate: base, Stages: []Stage{
-			{Target: peak, Duration: frac(0.30)},
-			{Target: peak, Duration: frac(0.15)},
-			{Target: base / 4, Duration: frac(0.30)},
-			{Target: base, Duration: frac(0.25)},
-		}}, nil
-	}
-	return nil, fmt.Errorf("unknown scenario preset %q (have: %s)", name, strings.Join(PresetNames(), ", "))
-}
-
-// ParseStages builds a custom scenario from a compact spec:
+// ParseStages builds the open-loop scenario of a compact spec:
 //
 //	[start=RATE,]TARGET:DURATION[,TARGET:DURATION...]
 //
 // e.g. "start=0,200:5s,200:30s" ramps 0→200 req/s over 5s then holds for
-// 30s. Without start=, the first stage is flat (StartRate = first target).
+// 30s, and "start=50,50:700ms,1000:0s,1000:600ms,50:0s,50:700ms" is a 20×
+// spike: 50 req/s, a cliff to 1000 req/s for the middle 600ms, and back.
+// Without start=, the first stage is flat (StartRate = first target).
 func ParseStages(spec string) (*Scenario, error) {
-	sc := &Scenario{Name: "custom", StartRate: -1}
+	sc := &Scenario{Name: "open-loop", StartRate: -1}
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -191,23 +121,15 @@ func ParseStages(spec string) (*Scenario, error) {
 
 // arrivalGen yields the absolute injection schedule for a scenario by
 // inverting the cumulative arrival curve exactly: each arrival consumes one
-// unit of arrival "mass" (∫rate dt), optionally jittered by ±jitter (a
-// fraction, e.g. 0.1 for ±10%) with a seeded PRNG so runs are reproducible.
-// Within a stage the rate is linear, so the cumulative mass is a quadratic
-// whose inverse has a closed form — ramps through (or starting at) rate zero
-// schedule correctly instead of degenerating the way a naive 1/rate(t) step
-// would.
+// unit of arrival "mass" (∫rate dt). Within a stage the rate is linear, so
+// the cumulative mass is a quadratic whose inverse has a closed form — ramps
+// through (or starting at) rate zero schedule correctly instead of
+// degenerating the way a naive 1/rate(t) step would.
 type arrivalGen struct {
 	sc         *Scenario
-	jitter     float64
-	rng        *rand.Rand
 	stage      int           // current stage index
 	stageStart time.Duration // absolute offset where the current stage begins
 	s          float64       // seconds into the current stage of the last arrival
-}
-
-func newArrivalGen(sc *Scenario, jitter float64, seed int64) *arrivalGen {
-	return &arrivalGen{sc: sc, jitter: jitter, rng: rand.New(rand.NewSource(seed))}
 }
 
 // rates returns the start and end rate of stage i.
@@ -223,9 +145,6 @@ func (g *arrivalGen) rates(i int) (r0, r1 float64) {
 // or ok=false when the scenario is over.
 func (g *arrivalGen) next() (offset time.Duration, stage int, ok bool) {
 	gap := 1.0 // arrival mass to consume before the next injection
-	if g.jitter > 0 {
-		gap *= 1 + g.jitter*(2*g.rng.Float64()-1)
-	}
 	for g.stage < len(g.sc.Stages) {
 		st := g.sc.Stages[g.stage]
 		D := st.Duration.Seconds()

@@ -6,47 +6,6 @@ import (
 	"time"
 )
 
-func TestPresetShapes(t *testing.T) {
-	for _, name := range PresetNames() {
-		sc, err := Preset(name, 100, 0, 10*time.Second)
-		if err != nil {
-			t.Fatalf("Preset(%q): %v", name, err)
-		}
-		if err := sc.Validate(); err != nil {
-			t.Fatalf("preset %q does not validate: %v", name, err)
-		}
-		total := sc.TotalDuration()
-		if total <= 0 || total > 10*time.Second {
-			t.Fatalf("preset %q: total duration %s out of range", name, total)
-		}
-	}
-
-	// Spike: peak defaults to 2×base and covers the middle of the run.
-	sc, err := Preset("spike", 50, 0, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sc.RateAt(0); got != 50 {
-		t.Fatalf("spike rate at start = %g, want 50", got)
-	}
-	if got := sc.RateAt(5 * time.Second); got != 100 {
-		t.Fatalf("spike rate mid-run = %g, want peak 100", got)
-	}
-	if got := sc.RateAt(9 * time.Second); got != 50 {
-		t.Fatalf("spike rate near end = %g, want 50", got)
-	}
-
-	if _, err := Preset("nope", 100, 0, time.Second); err == nil {
-		t.Fatal("unknown preset accepted")
-	}
-	if _, err := Preset("soak", 0, 0, time.Second); err == nil {
-		t.Fatal("zero base rate accepted")
-	}
-	if _, err := Preset("soak", 100, 0, 0); err == nil {
-		t.Fatal("zero duration accepted")
-	}
-}
-
 func TestParseStages(t *testing.T) {
 	sc, err := ParseStages("start=0,200:5s,200:30s")
 	if err != nil {
@@ -58,8 +17,11 @@ func TestParseStages(t *testing.T) {
 	if sc.Stages[0] != (Stage{Target: 200, Duration: 5 * time.Second}) {
 		t.Fatalf("stage 0 = %+v", sc.Stages[0])
 	}
-	if got := sc.RateAt(2500 * time.Millisecond); got != 100 {
-		t.Fatalf("mid-ramp rate = %g, want 100", got)
+	if sc.Stages[1] != (Stage{Target: 200, Duration: 30 * time.Second}) {
+		t.Fatalf("stage 1 = %+v", sc.Stages[1])
+	}
+	if sc.Name != "open-loop" || sc.TotalDuration() != 35*time.Second {
+		t.Fatalf("scenario %q lasts %s, want open-loop over 35s", sc.Name, sc.TotalDuration())
 	}
 
 	// Without start=, the first stage is flat at its own target.
@@ -100,9 +62,9 @@ func TestScenarioValidate(t *testing.T) {
 
 // drain walks the full arrival schedule, checking monotonicity and stage
 // bounds, and returns the per-stage arrival counts.
-func drain(t *testing.T, sc *Scenario, jitter float64, seed int64) []int {
+func drain(t *testing.T, sc *Scenario) []int {
 	t.Helper()
-	gen := newArrivalGen(sc, jitter, seed)
+	gen := &arrivalGen{sc: sc}
 	counts := make([]int, len(sc.Stages))
 	last := time.Duration(-1)
 	total := sc.TotalDuration()
@@ -140,7 +102,7 @@ func TestArrivalCounts(t *testing.T) {
 	flat := &Scenario{Name: "flat", StartRate: 100, Stages: []Stage{
 		{Target: 100, Duration: 2 * time.Second},
 	}}
-	counts := drain(t, flat, 0, 1)
+	counts := drain(t, flat)
 	if got := sum(counts); math.Abs(float64(got-200)) > 1 {
 		t.Fatalf("flat 100/s × 2s: %d arrivals, want ~200", got)
 	}
@@ -150,7 +112,7 @@ func TestArrivalCounts(t *testing.T) {
 	ramp := &Scenario{Name: "ramp", StartRate: 0, Stages: []Stage{
 		{Target: 200, Duration: 2 * time.Second},
 	}}
-	counts = drain(t, ramp, 0, 1)
+	counts = drain(t, ramp)
 	if got := sum(counts); math.Abs(float64(got-200)) > 1 {
 		t.Fatalf("0→200 ramp over 2s: %d arrivals, want ~200", got)
 	}
@@ -164,55 +126,11 @@ func TestArrivalCounts(t *testing.T) {
 		{Target: 10, Duration: 0},                // cliff
 		{Target: 10, Duration: 1 * time.Second},  // 10
 	}}
-	counts = drain(t, spike, 0, 1)
+	counts = drain(t, spike)
 	want := []int{10, 0, 100, 0, 10}
 	for i := range want {
 		if math.Abs(float64(counts[i]-want[i])) > 1 {
 			t.Fatalf("spike stage %d: %d arrivals, want ~%d (all: %v)", i, counts[i], want[i], counts)
 		}
-	}
-}
-
-func TestArrivalJitterDeterminism(t *testing.T) {
-	sc := &Scenario{Name: "flat", StartRate: 500, Stages: []Stage{
-		{Target: 500, Duration: time.Second},
-	}}
-	offsets := func(seed int64) []time.Duration {
-		gen := newArrivalGen(sc, 0.2, seed)
-		var out []time.Duration
-		for {
-			off, _, ok := gen.next()
-			if !ok {
-				return out
-			}
-			out = append(out, off)
-		}
-	}
-	a, b := offsets(7), offsets(7)
-	if len(a) != len(b) {
-		t.Fatalf("same seed, different counts: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverges at arrival %d: %s vs %s", i, a[i], b[i])
-		}
-	}
-	c := offsets(8)
-	same := len(a) == len(c)
-	if same {
-		for i := range a {
-			if a[i] != c[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced an identical jittered schedule")
-	}
-	// Jitter perturbs the schedule but conserves average rate: still ~500
-	// arrivals in the second.
-	if math.Abs(float64(len(a)-500)) > 25 {
-		t.Fatalf("jittered flat 500/s × 1s: %d arrivals, want ~500", len(a))
 	}
 }

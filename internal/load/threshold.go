@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Threshold is one declarative SLO gate — `p99<50ms`, `error_rate<0.1%`,
-// `dropped_rate<1%` — parsed once and evaluated repeatedly against a run's
-// live counts. The canonical unit is milliseconds for latency metrics,
+// `dropped_rate<1%` — parsed once and evaluated once, against the run's
+// settled ledger. The canonical unit is milliseconds for latency metrics,
 // percent for rate metrics and req/s for ok_rps.
 type Threshold struct {
 	Spec   string  `json:"spec"`   // the original text, for reports
@@ -147,59 +146,11 @@ func (t Threshold) Eval(c Counts) (value float64, ok bool) {
 	return value, ok
 }
 
-// ThresholdResult is one gate's verdict in the final report. Breached
-// records whether the gate EVER failed during the run (with the first breach
-// offset); OK is the verdict on the final ledger. A gate can breach
-// transiently and still end OK — e.g. p99 spiking during an overload stage
-// the server then sheds its way out of — and the report shows both.
+// ThresholdResult is one gate's verdict in the report: the metric's value on
+// the settled ledger and whether the gate holds there.
 type ThresholdResult struct {
-	Spec         string  `json:"spec"`
-	Metric       string  `json:"metric"`
-	Value        float64 `json:"value"` // final value of the metric
-	OK           bool    `json:"ok"`
-	Breached     bool    `json:"breached,omitempty"`
-	FirstBreachS float64 `json:"first_breach_s,omitempty"`
-}
-
-// thresholdTracker evaluates a threshold set continuously against ledger
-// snapshots, remembering the first breach time per gate.
-type thresholdTracker struct {
-	thresholds []Threshold
-	breachedAt []time.Duration // -1 = never
-}
-
-func newThresholdTracker(ts []Threshold) *thresholdTracker {
-	at := make([]time.Duration, len(ts))
-	for i := range at {
-		at[i] = -1
-	}
-	return &thresholdTracker{thresholds: ts, breachedAt: at}
-}
-
-// observe evaluates every gate against c, recording first breaches at run
-// offset t.
-func (tt *thresholdTracker) observe(c Counts, t time.Duration) {
-	for i, th := range tt.thresholds {
-		if _, ok := th.Eval(c); !ok && tt.breachedAt[i] < 0 {
-			tt.breachedAt[i] = t
-		}
-	}
-}
-
-// results renders the final verdicts against the end-of-run ledger.
-func (tt *thresholdTracker) results(final Counts) (out []ThresholdResult, allOK bool) {
-	allOK = true
-	for i, th := range tt.thresholds {
-		v, ok := th.Eval(final)
-		res := ThresholdResult{Spec: th.Spec, Metric: th.Metric, Value: v, OK: ok}
-		if tt.breachedAt[i] >= 0 {
-			res.Breached = true
-			res.FirstBreachS = tt.breachedAt[i].Seconds()
-		}
-		if !ok {
-			allOK = false
-		}
-		out = append(out, res)
-	}
-	return out, allOK
+	Spec   string  `json:"spec"`
+	Metric string  `json:"metric"`
+	Value  float64 `json:"value"`
+	OK     bool    `json:"ok"`
 }

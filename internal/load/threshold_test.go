@@ -2,7 +2,6 @@ package load
 
 import (
 	"testing"
-	"time"
 )
 
 func TestParseThreshold(t *testing.T) {
@@ -97,37 +96,5 @@ func TestThresholdEval(t *testing.T) {
 		if v, ok := th.Eval(empty); v != 0 || ok != wantOK {
 			t.Errorf("empty run %q: (%g, %v), want (0, %v)", spec, v, ok, wantOK)
 		}
-	}
-}
-
-// TestThresholdTracker: a gate that breaches mid-run but recovers by the end
-// reports Breached (with the first offset) while still finishing OK.
-func TestThresholdTracker(t *testing.T) {
-	th, err := ParseThreshold("p99<50ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt := newThresholdTracker([]Threshold{th})
-	tt.observe(Counts{OK: 1, OKP99Ms: 10}, 1*time.Second)
-	tt.observe(Counts{OK: 2, OKP99Ms: 80}, 2*time.Second) // transient breach
-	final := Counts{OK: 3, OKP99Ms: 30}
-	tt.observe(final, 3*time.Second)
-
-	res, allOK := tt.results(final)
-	if !allOK || len(res) != 1 {
-		t.Fatalf("allOK=%v res=%+v", allOK, res)
-	}
-	r := res[0]
-	if !r.OK || !r.Breached || r.FirstBreachS != 2 || r.Value != 30 {
-		t.Fatalf("result = %+v, want OK+Breached at 2s with final value 30", r)
-	}
-
-	// And a gate that fails on the final ledger flips the run verdict.
-	tt2 := newThresholdTracker([]Threshold{th})
-	bad := Counts{OK: 1, OKP99Ms: 99}
-	tt2.observe(bad, time.Second)
-	res, allOK = tt2.results(bad)
-	if allOK || res[0].OK || !res[0].Breached {
-		t.Fatalf("failing gate reported OK: %+v", res)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -10,7 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"vocabpipe/internal/cluster"
+	"vocabpipe/internal/costmodel"
 	"vocabpipe/internal/sweep"
+	"vocabpipe/internal/tune"
 )
 
 // FuzzGridQuery drives arbitrary grid specs down the HTTP query →
@@ -96,6 +100,74 @@ func FuzzGridQuery(f *testing.F) {
 		// at the size guard — still a clean JSON 400.
 		if rec.Code != http.StatusBadRequest {
 			t.Fatalf("spec %q: want size-guard 400, got %d", spec, rec.Code)
+		}
+	})
+}
+
+// FuzzShardRequest drives arbitrary bytes down the POST /api/v1/shard
+// decode path: JSON into a cluster.ShardRequest, ToGrid, then the size
+// guards. Invariants: nothing panics; an input is refused, or every cell it
+// yields carries a label and is a zoo model's shape (name, layers, heads,
+// hidden, microbatch size) within the per-cell microbatch and device caps,
+// one cell per wire cell and no more than MaxCells. The handler itself, with
+// MaxCells forced to 0, answers every input with an enveloped 400 and never
+// simulates.
+func FuzzShardRequest(f *testing.F) {
+	g, err := sweep.ParseGrid(smallGrid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := json.Marshal(cluster.NewShardRequest(g, g.Expand(), sweep.Range{Start: 0, End: 2}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`{"grid":"g","range":{"start":0,"end":1},"cells":[{"label":"a","method":"vocab-1","config":` +
+		`{"Name":"4B","Layers":1024,"Heads":24,"Hidden":3072,"Seq":2048,"MicroBatch":1,"NumMicro":256,"Vocab":32768,"Devices":1024}}]}`))
+	f.Add([]byte(`{"grid":"g","range":{"start":0,"end":1},"cells":[{"label":"a","method":"baseline","config":` +
+		`{"Name":"5B","Layers":32,"Heads":24,"Hidden":3072,"Seq":2048,"MicroBatch":1,"NumMicro":16,"Vocab":32768,"Devices":8}}]}`))
+	f.Add([]byte(`{"grid":"g","range":{"start":0,"end":1},"cells":[{"label":"a","method":"1f1b","config":` +
+		`{"Name":"21B","Layers":64,"Heads":40,"Hidden":5120,"Seq":4096,"MicroBatch":1,"NumMicro":5000,"Vocab":262144,"Devices":64}}]}`))
+	f.Add([]byte(`{"grid":"g","range":{"start":0,"end":5},"cells":[{"label":"a","method":"baseline"}]}`))
+	f.Add([]byte(`{"grid":"g","cells":[]}`))
+	f.Add([]byte(`{nope`))
+	f.Add([]byte(`null`))
+
+	guard := &Server{opt: Options{MaxCells: 64, MaxDevices: 16}}
+	s := New(Options{MaxCells: 1})
+	s.opt.MaxCells = 0 // every grid that decodes is refused at the size guard
+	h := s.Handler()
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/shard", bytes.NewReader(body)))
+		var e ErrorEnvelope
+		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error.Code == "" {
+			t.Fatalf("body %q: HTTP %d %s, want an enveloped 400", body, rec.Code, rec.Body.Bytes())
+		}
+
+		var req cluster.ShardRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil {
+			return
+		}
+		g, err := req.ToGrid()
+		if err != nil || guard.checkGrid(g) != nil {
+			return
+		}
+		if len(g.Cells) != len(req.Cells) || len(g.Cells) > guard.opt.MaxCells {
+			t.Fatalf("body %q: %d cells from %d on the wire, limit %d", body, len(g.Cells), len(req.Cells), guard.opt.MaxCells)
+		}
+		for _, c := range g.Cells {
+			z, ok := costmodel.ConfigByName(c.Config.Name)
+			if !ok || c.Label == "" {
+				t.Fatalf("body %q: accepted cell %q of model %q", body, c.Label, c.Config.Name)
+			}
+			if c.Config.Layers != z.Layers || c.Config.Heads != z.Heads || c.Config.Hidden != z.Hidden || c.Config.MicroBatch != z.MicroBatch {
+				t.Fatalf("body %q: accepted cell %q of shape %+v, not %s's", body, c.Label, c.Config, z.Name)
+			}
+			if c.Config.NumMicro > tune.MaxMicro || c.Config.Devices > guard.opt.MaxDevices {
+				t.Fatalf("body %q: accepted cell %q past the caps: %+v", body, c.Label, c.Config)
+			}
 		}
 	})
 }

@@ -38,7 +38,9 @@ func TestOpenLoopSpikeDegradesGracefully(t *testing.T) {
 	urlTmpl := ts.URL + "/api/v1/sweep?grid=" +
 		url.QueryEscape("model=10B;method=all;vocab=256k;micro=") + "{64+i%499}"
 
-	sc, err := load.Preset("spike", 50, 1000, 600*time.Millisecond)
+	// 50 req/s, a cliff to 1000 req/s for the middle 180 ms, and back: 200
+	// arrivals over 600 ms.
+	sc, err := load.ParseStages("start=50,50:210ms,1000:0s,1000:180ms,50:0s,50:210ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +55,7 @@ func TestOpenLoopSpikeDegradesGracefully(t *testing.T) {
 	rep, err := load.Run(context.Background(), urlTmpl, load.Options{
 		Scenario:   sc,
 		VUs:        32,
-		Seed:       1,
 		Thresholds: th,
-		EvalEvery:  50 * time.Millisecond,
 	})
 	close(stopProbe)
 	probes := <-probed

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"vocabpipe/internal/cluster"
+	"vocabpipe/internal/costmodel"
 	"vocabpipe/internal/report"
 	"vocabpipe/internal/sweep"
 )
@@ -98,6 +99,42 @@ func TestShardEndpointErrors(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			status, raw, _ := postShard(t, ts, []byte(tt.body))
 			wantJSONError(t, status, raw, tt.wantStatus, tt.fragment)
+		})
+	}
+}
+
+// TestShardRefusesNonZooShapes: a shard cell must be a zoo model's shape.
+// Before, a hand-made one-cell body of 4B with 1,024 layers on 1,024
+// devices passed every cap and was simulated (200 after ~0.7 s), past the
+// 64 devices any zoo layout reaches.
+func TestShardRefusesNonZooShapes(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	cfg, _ := costmodel.ConfigByName("4B")
+	deep := cfg
+	deep.Layers, deep.Devices, deep.NumMicro = 1024, 1024, 256
+	unknown := cfg
+	unknown.Name = "4B-custom"
+	for _, tc := range []struct {
+		name     string
+		cfg      costmodel.Config
+		fragment string
+	}{
+		{"1,024 layers", deep, "is not model 4B's shape"},
+		{"unknown model", unknown, `unknown model "4B-custom"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body, err := json.Marshal(cluster.ShardRequest{Grid: "g", Range: sweep.Range{Start: 0, End: 1},
+				Cells: []cluster.WireCell{{Label: "a", Config: tc.cfg, Method: "baseline"}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			status, raw, _ := postShard(t, ts, body)
+			wantJSONError(t, status, raw, http.StatusBadRequest, tc.fragment)
+			var e ErrorEnvelope
+			json.Unmarshal(raw, &e)
+			if e.Error.Code != ErrInvalidGrid {
+				t.Errorf("code = %q, want %q", e.Error.Code, ErrInvalidGrid)
+			}
 		})
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -351,7 +352,8 @@ func TestSilentConnectionIsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, err := conn.Read(make([]byte, 1))
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
 		t.Fatal("the server kept a silent connection open until the client's deadline")
 	}
 	if err == nil {

@@ -29,12 +29,12 @@
 //	-debug            mount net/http/pprof under /debug/pprof/
 //
 // Distributed mode (see internal/cluster): a coordinator shards grids
-// across worker vpserve instances with cache-affine consistent-hash
+// across worker vpserve instances with cache-affine rendezvous-hash
 // placement and merges the records back in deterministic order,
 // byte-identical to a single-node response. Membership is dynamic:
 // `-workers` is only the seed list (it may be empty), workers register and
 // heartbeat through POST /api/v1/cluster/join (`-join` automates it), and
-// members silent past `-member-ttl` are expired off the placement ring.
+// members silent past `-member-ttl` are expired out of placement.
 //
 //	vpserve -addr :8081 -role worker -join 127.0.0.1:8080
 //	vpserve -addr :8082 -role worker -join 127.0.0.1:8080

@@ -112,9 +112,9 @@ func main() {
 	fmt.Printf("byte-identical to the single-node response: %v\n\n", string(sharded) == string(local))
 
 	// 2. Join at runtime: a fresh worker registers through the public API
-	// and the very next sweep can place shards on it — consistent hashing
-	// moves only the ring segment adjacent to the newcomer, so the seed's
-	// warm cache entries keep getting hit.
+	// and the very next sweep can place shards on it — rendezvous placement
+	// moves only the shards the newcomer now outranks the seed for, so the
+	// seed's warm cache entries for the rest keep getting hit.
 	joinedURL, stopJoined := newWorker()
 	resp, err := http.Post(coordURL+"/api/v1/cluster/join", "application/json",
 		strings.NewReader(fmt.Sprintf(`{"url":%q}`, joinedURL)))

@@ -9,14 +9,17 @@
 // Membership is dynamic (membership.go): Options.Workers is only the seed
 // list. Workers join (and heartbeat) at runtime through Dispatcher.Join,
 // the prober expires members silent past Options.MemberTTL, and expired
-// members leave the placement ring entirely — selection never proposes
+// members leave the placement ranking entirely — selection never proposes
 // them again until they rejoin.
 //
-// Placement is cache-affine (ring.go): each shard's sub-grid key — the
-// very identity the worker's result cache stores it under — hashes onto a
-// consistent ring over the active members, so repeated and overlapping
-// sweeps land each shard on the member whose cache is already warm, and a
-// membership change remaps only the shards adjacent to the change.
+// Placement is cache-affine (membership.go): each shard's sub-grid key —
+// the very identity the worker's result cache stores it under — ranks the
+// active members by rendezvous hashing, so repeated and overlapping sweeps
+// land each shard on the member whose cache is already warm, keys spread
+// evenly over the members, and a membership change moves only the shards
+// the joining or leaving member gains or loses. Placement is advisory:
+// merged records are placed by cell range, so a response is byte-identical
+// whichever worker computes each shard.
 //
 // Fault model:
 //
@@ -79,7 +82,7 @@ type Options struct {
 	// MemberTTL expires a member whose last sign of life — join/heartbeat,
 	// successful probe or successful request — is older than this, checked
 	// on every Probe pass (default 30s; negative disables expiry). An
-	// expired member leaves the placement ring entirely: shard selection
+	// expired member leaves the placement ranking entirely: shard selection
 	// never proposes it again until it rejoins.
 	MemberTTL time.Duration
 	// ShardsPerWorker scales shard granularity: a grid splits into
@@ -139,13 +142,12 @@ type Dispatcher struct {
 	sem chan struct{}
 	now func() time.Time
 
-	// mu guards the membership registry and the placement ring (see
-	// membership.go and ring.go). members is the active pool; dormant holds
-	// expired seeds the prober keeps watching.
+	// mu guards the membership registry (see membership.go). members is
+	// the active pool; dormant holds expired seeds the prober keeps
+	// watching.
 	mu      sync.RWMutex
 	members map[string]*workerState
 	dormant map[string]*workerState
-	ring    *hashRing
 
 	shards    atomic.Int64
 	remote    atomic.Int64
@@ -212,7 +214,6 @@ func New(opt Options) *Dispatcher {
 		w.touch(now)
 		d.members[u] = w
 	}
-	d.rebuildLocked() // no concurrency yet; the lock is not needed
 	return d
 }
 
@@ -346,7 +347,7 @@ func (d *Dispatcher) localRecords(ctx context.Context, g *sweep.Grid) ([]report.
 	return res.Records(), nil
 }
 
-// runShard resolves one shard: try members in ring order (each at most
+// runShard resolves one shard: try members in placement order (each at most
 // once, hedging stragglers) until one answers, then fall back to local
 // evaluation. The placement key is the shard sub-grid's canonical Key() —
 // exactly the identity the worker's result cache stores the shard under —
@@ -407,8 +408,8 @@ func (d *Dispatcher) runShard(ctx context.Context, g *sweep.Grid, cells []sweep.
 }
 
 // attempt posts the shard to primary; if HedgeAfter elapses without an
-// answer, a duplicate goes to the next untried member in ring order and
-// the first success wins (the loser's request is cancelled). Workers the
+// answer, a duplicate goes to the next untried member in placement order
+// and the first success wins (the loser's request is cancelled). Workers the
 // hedge consumes are added to tried.
 func (d *Dispatcher) attempt(ctx context.Context, primary *workerState, key string, tried map[*workerState]bool, body []byte, wantLen int) ([]report.Record, error) {
 	actx, cancel := context.WithCancel(ctx)
@@ -550,34 +551,22 @@ func (d *Dispatcher) post(ctx context.Context, w *workerState, body []byte, want
 }
 
 // next chooses the next worker for a shard: the first member in the key's
-// ring order — owner, then successors — that has not been tried and whose
-// circuit admits a request (closed, or open-with-expired-cooldown handing
-// out its single half-open trial). Affinity deliberately outranks load
-// here: routing a shard to its warm owner beats spreading it thin, and
-// hedging already rescues an owner that turns out to be slow. The
-// placement is re-read on every call, so a member that joined or expired
-// mid-shard is respected by the very next retry — and an expired member,
-// being off the ring, is never proposed at all.
+// placement order — owner, then the rest by rank — that has not been tried
+// and whose circuit admits a request (closed, or open-with-expired-cooldown
+// handing out its single half-open trial). admit is asked once per
+// candidate and stops at the first grant, so no trial is consumed for a
+// worker that is then not used. Affinity deliberately outranks load here:
+// routing a shard to its warm owner beats spreading it thin, and hedging
+// already rescues an owner that turns out to be slow. The placement is
+// re-read on every call, so a member that joined or expired mid-shard is
+// respected by the very next retry — and an expired member, being off the
+// ranking, is never proposed at all.
 func (d *Dispatcher) next(key string, tried map[*workerState]bool) *workerState {
 	now := d.now()
-	for {
-		var candidate *workerState
-		for _, w := range d.placement(key) {
-			if tried[w] || !w.peekAdmit(now) {
-				continue
-			}
-			candidate = w
-			break
+	for _, w := range d.placement(key) {
+		if !tried[w] && w.admit(now, d.opt.Cooldown) {
+			return w
 		}
-		if candidate == nil {
-			return nil
-		}
-		// Between the survey and here another goroutine may have consumed
-		// the candidate's half-open trial; re-check under the worker's own
-		// lock and re-survey on loss (bounded by the member count).
-		if candidate.admit(now, d.opt.Cooldown) {
-			return candidate
-		}
-		tried[candidate] = true
 	}
+	return nil
 }

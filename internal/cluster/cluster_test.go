@@ -187,9 +187,9 @@ func TestDispatchMatchesLocal(t *testing.T) {
 }
 
 // shardPrimaries reproduces the dispatcher's placement decision for a
-// grid: the ring-preferred worker URL for each shard the dispatcher will
-// cut. Tests that stage a "bad primary" use it to aim the fault at a
-// worker the ring actually proposes first.
+// grid: the preferred worker URL for each shard the dispatcher will cut.
+// Tests that stage a "bad primary" use it to aim the fault at a worker
+// placement actually proposes first.
 func shardPrimaries(d *Dispatcher, g *sweep.Grid) []string {
 	cells := g.Expand()
 	ranges := sweep.SplitCells(len(cells), d.memberCount()*d.opt.ShardsPerWorker)
@@ -203,7 +203,7 @@ func shardPrimaries(d *Dispatcher, g *sweep.Grid) []string {
 // TestRetryOnWorkerFailure: a worker that 500s forces the shard onto a
 // different worker, the merged result is still correct, and the failure is
 // recorded against the bad worker's circuit state. The bad worker is
-// whichever one the ring places first for the first shard, so at least one
+// whichever one placement ranks first for the first shard, so at least one
 // shard is guaranteed to hit it.
 func TestRetryOnWorkerFailure(t *testing.T) {
 	g := testGrid(t)
@@ -269,7 +269,7 @@ func TestCircuitBreaker(t *testing.T) {
 	// the window, so a concurrent second request is refused instead of
 	// piling onto a possibly-still-dead worker.
 	now = now.Add(cooldown)
-	if !w.peekAdmit(now) || !w.admit(now, cooldown) {
+	if !w.admit(now, cooldown) {
 		t.Fatal("circuit not half-open after cooldown")
 	}
 	if w.admit(now, cooldown) {
@@ -319,7 +319,7 @@ func TestHedgeStraggler(t *testing.T) {
 		MaxInFlight:     1,
 		HedgeAfter:      20 * time.Millisecond,
 	})
-	// The straggler must be a worker the ring actually prefers, or no hedge
+	// The straggler must be a worker placement actually prefers, or no hedge
 	// ever fires: stall whichever worker owns the first shard. It may own
 	// the second shard too, so the expectation is "every hedge launched was
 	// won by the fast sibling", not an exact count.

@@ -202,8 +202,10 @@ func TestClusterWorkerKilledMidSweep(t *testing.T) {
 // handler reads the request body first: net/http cancels r.Context() on a
 // client disconnect only once the body has been read to EOF, so a handler
 // parked before reading it never sees the cancel. The follow-up request's
-// shards skip the park via the allowLive flag. If propagation ever breaks,
-// handlers are still parked after the settle and the test fails there.
+// shards skip the park via the allowLive flag. parked counts the handlers
+// that parked and have not returned; the test waits up to 10 s for it to
+// reach zero. If propagation ever breaks, handlers are still parked at that
+// deadline (a park gives up only after 20 s) and the test fails there.
 func TestClusterCancellationPropagation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table5 grid in -short mode")
@@ -219,15 +221,15 @@ func TestClusterCancellationPropagation(t *testing.T) {
 					body, _ := io.ReadAll(r.Body)
 					r.Body = io.NopCloser(bytes.NewReader(body))
 					parked.Add(1)
+					defer parked.Add(-1)
 					select {
 					case shardStarted <- struct{}{}:
 					default:
 					}
 					select {
 					case <-r.Context().Done():
-					case <-time.After(10 * time.Second):
+					case <-time.After(20 * time.Second):
 					}
-					parked.Add(-1)
 				}
 				next.ServeHTTP(w, r)
 			})
@@ -254,10 +256,12 @@ func TestClusterCancellationPropagation(t *testing.T) {
 	}
 
 	// The parked shard handlers wake as the cancellation reaches each of
-	// them and run with dead contexts. Give the abort a moment to unwind,
-	// then confirm it reached every handler and the aborted sweep was
-	// cached nowhere.
-	time.Sleep(300 * time.Millisecond)
+	// them and run with dead contexts. Wait until every one has returned,
+	// then confirm the aborted sweep was cached nowhere.
+	deadline := time.Now().Add(10 * time.Second)
+	for parked.Load() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if n := parked.Load(); n != 0 {
 		t.Errorf("%d shard handlers still parked: the cancel never reached them", n)
 	}
@@ -601,7 +605,7 @@ func TestClusterSingleCellStaysLocal(t *testing.T) {
 // workers, whose shard caches answer every shard, and merges the records.
 // The count covers dispatch, HTTP transport on both sides, the workers'
 // cached hits and the merge. Two requests in flight at most keep every
-// request on a pooled connection, wherever the ring places the shards.
+// request on a pooled connection, wherever placement puts the shards.
 // Measured: 765–773 allocations per sweep (803–821 under -race), most of
 // them net/http's.
 func TestShardedSweepAllocationBudget(t *testing.T) {

@@ -51,15 +51,6 @@ func (w *workerState) seen() time.Time {
 	return w.lastSeen
 }
 
-// peekAdmit reports whether admit would currently succeed, without
-// consuming anything — pick uses it to survey candidates before committing
-// the winner.
-func (w *workerState) peekAdmit(now time.Time) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.openUntil.IsZero() || !now.Before(w.openUntil)
-}
-
 // admit consumes the circuit's permission for one request. A closed
 // circuit always admits; an open circuit admits nothing until its cooldown
 // expires, and then hands out exactly one half-open trial per cooldown
@@ -132,8 +123,8 @@ type WorkerHealth struct {
 	Failures         int64 `json:"failures"`
 	// Seed: the member came from the -workers seed list.
 	Seed bool `json:"seed,omitempty"`
-	// Dormant: an expired seed, off the placement ring but still probed so
-	// it rejoins automatically if it comes back.
+	// Dormant: an expired seed, out of placement but still probed so it
+	// rejoins automatically if it comes back.
 	Dormant bool `json:"dormant,omitempty"`
 	// LastSeenAgeS is the age in seconds of the member's last sign of life
 	// (join/heartbeat, successful probe, or successful request).
@@ -186,7 +177,7 @@ func snapshotHealth(w *workerState, now time.Time, dormant bool) WorkerHealth {
 // closes immediately (instead of waiting out the cooldown), a dead one
 // accrues a failure. A dormant seed that answers is reactivated into the
 // pool, and once the outcomes have landed, members silent past MemberTTL
-// are expired off the ring. The coordinator runs this periodically; tests
+// are expired out of placement. The coordinator runs this periodically; tests
 // call it directly.
 func (d *Dispatcher) Probe(ctx context.Context) {
 	active, dormant := d.snapshotMembers()

@@ -4,7 +4,7 @@
 // POST /api/v1/cluster/join handler calls it, both for first contact and
 // for heartbeat re-registration), and the prober expires members that have
 // been silent past Options.MemberTTL — an expired member leaves the
-// placement ring entirely, so shard selection never proposes it again.
+// placement ranking entirely, so shard selection never proposes it again.
 //
 // Seeds are special only in how they die: an expired seed is parked in a
 // dormant set the prober keeps probing, so a seed worker that comes back at
@@ -14,19 +14,24 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // NormalizeURL canonicalizes a worker base URL: a bare "host:port" gains
 // "http://", trailing slashes are stripped, and anything that does not
 // parse to a scheme plus host — or that smuggles a path, query or fragment
-// into what must be a base URL — is rejected. Both the -workers flag
-// validation and the join API funnel through this, so one worker cannot
-// appear under two spellings and collect two circuit breakers.
+// into what must be a base URL — is rejected, as is a host that is not
+// valid UTF-8 once unescaped (JSON would echo it under another spelling,
+// one that names no member). Both the -workers flag validation and the
+// join API funnel through this, so one worker cannot appear under two
+// spellings and collect two circuit breakers.
 func NormalizeURL(raw string) (string, error) {
 	s := strings.TrimSpace(raw)
 	if s == "" {
@@ -44,6 +49,9 @@ func NormalizeURL(raw string) (string, error) {
 	}
 	if u.Host == "" {
 		return "", fmt.Errorf("cluster: worker URL %q has no host", raw)
+	}
+	if !utf8.ValidString(u.Host) {
+		return "", fmt.Errorf("cluster: worker URL %q: host is not valid UTF-8", raw)
 	}
 	if strings.TrimRight(u.Path, "/") != "" || u.RawQuery != "" || u.Fragment != "" {
 		return "", fmt.Errorf("cluster: worker URL %q must be a base URL (scheme://host[:port], no path or query)", raw)
@@ -80,7 +88,6 @@ func (d *Dispatcher) Join(rawURL string) (string, bool, error) {
 	}
 	w.touch(now)
 	d.members[u] = w
-	d.rebuildLocked()
 	d.joins.Add(1)
 	return u, true, nil
 }
@@ -98,7 +105,6 @@ func (d *Dispatcher) expireSilent(now time.Time) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	changed := false
 	for u, w := range d.members {
 		if now.Sub(w.seen()) <= ttl {
 			continue
@@ -108,30 +114,60 @@ func (d *Dispatcher) expireSilent(now time.Time) {
 			d.dormant[u] = w
 		}
 		d.expired.Add(1)
-		changed = true
-	}
-	if changed {
-		d.rebuildLocked()
 	}
 }
 
-// rebuildLocked reconstructs the placement ring from the active member
-// set. Caller holds d.mu.
-func (d *Dispatcher) rebuildLocked() {
-	members := make([]*workerState, 0, len(d.members))
-	for _, w := range d.members {
-		members = append(members, w)
-	}
-	d.ring = buildRing(members)
-}
-
-// placement snapshots the preference order for a shard key: the ring owner
-// first, then its successors. Computed fresh per attempt, so a member that
-// joined or expired mid-shard is respected by the very next retry.
+// placement is a shard key's preference order over the active members:
+// the owner first, then the retries and hedges in turn. It is computed
+// fresh per attempt, so a member that joined or expired mid-shard is
+// respected by the very next retry.
 func (d *Dispatcher) placement(key string) []*workerState {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.ring.sequence(key)
+	active, _ := d.snapshotMembers()
+	return rank(key, active)
+}
+
+// rank sorts members into key's preference order, in place, by rendezvous
+// (highest-random-weight) hashing (Thaler & Ravishankar, 1998): each member
+// weighs the key, and the heaviest owns it. A weight depends only on the
+// key and the member's own URL, so the order does not depend on how the
+// members are listed, survives a coordinator restart (warm worker caches
+// stay warm), and changes minimally with the pool: a join moves keys only
+// onto the newcomer, and a leave moves only the leaver's keys, each to its
+// former second choice. The key is hashed once; equal weights (colliding
+// URL hashes) break on the URL.
+func rank(key string, members []*workerState) []*workerState {
+	k := fnv1a(key)
+	slices.SortFunc(members, func(a, b *workerState) int {
+		if c := cmp.Compare(weight(k, b.url), weight(k, a.url)); c != 0 {
+			return c
+		}
+		return strings.Compare(a.url, b.url)
+	})
+	return members
+}
+
+// weight is a member's score for a key hash: SplitMix64's finalizer over
+// the key hash XOR the member URL's hash. The full-avalanche mix matters.
+// Member URLs usually differ only in their last bytes (the port), which
+// FNV-1a barely carries into its high bits: without the finalizer, or
+// ranking by FNV-1a of key plus URL instead, one of three loopback workers
+// owns half the keys (TestPlacementBalance).
+func weight(key uint64, u string) uint64 {
+	z := key ^ fnv1a(u)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// fnv1a is the 64-bit FNV-1a hash: allocation-free and the same in every
+// process.
+func fnv1a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // Members returns the active member base URLs in sorted (stable) order —

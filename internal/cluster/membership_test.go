@@ -2,10 +2,16 @@ package cluster
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"vocabpipe/internal/costmodel"
+	"vocabpipe/internal/experiments"
+	"vocabpipe/internal/sim"
+	"vocabpipe/internal/sweep"
 )
 
 func TestNormalizeURL(t *testing.T) {
@@ -23,7 +29,7 @@ func TestNormalizeURL(t *testing.T) {
 	}
 	bad := []string{
 		"", "   ", "http://", "ftp://h:1", "http://h/api", "h?q=1", "http://h#frag",
-		"http://h:1/path", "cache_object:foo",
+		"http://h:1/path", "cache_object:foo", "\xe4", "http://h\xff:1", "h%80:1",
 	}
 	for _, in := range bad {
 		if got, err := NormalizeURL(in); err == nil {
@@ -84,9 +90,9 @@ func TestExpireSeedVsDynamic(t *testing.T) {
 	if st := d.Stats(); st.Expired != 2 {
 		t.Fatalf("stats = %+v, want 2 expirations", st)
 	}
-	// The ring is empty: no key has any placement.
+	// The pool is empty: no key has any placement.
 	if seq := d.placement("any-key"); len(seq) != 0 {
-		t.Fatalf("placement on empty ring = %v, want none", seq)
+		t.Fatalf("placement over an empty pool = %v, want none", seq)
 	}
 
 	// Both can come back: the dormant seed reactivates (same state object —
@@ -105,63 +111,153 @@ func TestExpireSeedVsDynamic(t *testing.T) {
 	}
 }
 
-func TestRingSequenceDeterministic(t *testing.T) {
-	members := []*workerState{{url: "http://a:1"}, {url: "http://b:2"}, {url: "http://c:3"}}
-	r := buildRing(members)
-	for _, key := range []string{"k1", "k2", "a-much-longer-shard-key"} {
-		first := r.sequence(key)
-		if len(first) != len(members) {
-			t.Fatalf("sequence(%q) has %d members, want %d", key, len(first), len(members))
+// TestPlacementDeterministic: a key's ranking holds every member once, is
+// the same whatever order the members are listed in (the registry is a
+// map), and is pinned for a few fixed keys. A coordinator restart must
+// place every shard where the old process did, or warm worker caches go
+// cold, so a change to the hash shows up here as a deliberate diff.
+func TestPlacementDeterministic(t *testing.T) {
+	urls := []string{"http://127.0.0.1:8191", "http://127.0.0.1:8192", "http://127.0.0.1:8193"}
+	pinned := map[string][3]int{ // key → indices into urls, best first
+		"k1": {1, 2, 0},
+		"k2": {2, 1, 0},
+		"k3": {0, 1, 2},
+		"k4": {0, 2, 1},
+		"table5|4B/s2048/v32k/1f1b;1f1b;4B;L32;a24;h3072;s2048;b1;m128;v32768;d8": {2, 0, 1},
+	}
+	orders := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	d := New(Options{Workers: urls})
+	for key, want := range pinned {
+		if got := placementURLs(d.placement(key)); !reflect.DeepEqual(got, []string{urls[want[0]], urls[want[1]], urls[want[2]]}) {
+			t.Errorf("placement(%q) = %v, want pinned order %v", key, got, want)
 		}
-		seen := map[string]bool{}
-		for _, w := range first {
-			if seen[w.url] {
-				t.Fatalf("sequence(%q) repeats %s", key, w.url)
+		for _, o := range orders {
+			members := []*workerState{{url: urls[o[0]]}, {url: urls[o[1]]}, {url: urls[o[2]]}}
+			if got := placementURLs(rank(key, members)); !reflect.DeepEqual(got, placementURLs(d.placement(key))) {
+				t.Errorf("rank(%q) over members listed as %v = %v, want the same order as any other listing", key, o, got)
 			}
-			seen[w.url] = true
-		}
-		if again := r.sequence(key); !reflect.DeepEqual(first, again) {
-			t.Fatalf("sequence(%q) not deterministic", key)
 		}
 	}
-	if buildRing(nil).sequence("k") != nil {
-		t.Error("empty ring must place nothing")
+	if got := rank("k", nil); len(got) != 0 {
+		t.Errorf("rank over no members = %v, want none", got)
 	}
 }
 
-// TestRingMinimalRemap proves the consistent-hashing property the placement
-// exists for: adding a member only moves keys ONTO the new member — no key
-// shuffles between two survivors — so a join invalidates only the warm
-// cache entries it takes over, and a leave only the leaver's.
-func TestRingMinimalRemap(t *testing.T) {
-	members := []*workerState{{url: "http://a:1"}, {url: "http://b:2"}, {url: "http://c:3"}}
-	before := buildRing(members)
-	added := &workerState{url: "http://d:4"}
-	after := buildRing(append(append([]*workerState{}, members...), added))
+func placementURLs(ws []*workerState) []string {
+	out := make([]string, len(ws))
+	for i, w := range ws {
+		out[i] = w.url
+	}
+	return out
+}
+
+// TestPlacementMinimalRemap proves the property placement exists for: a
+// join moves keys only ONTO the newcomer — no key shuffles between two
+// survivors — and a leave moves only the leaver's keys, each to its former
+// second choice. So a join invalidates only the warm cache entries it takes
+// over, and a leave only the leaver's.
+func TestPlacementMinimalRemap(t *testing.T) {
+	a, b, c, added := &workerState{url: "http://a:1"}, &workerState{url: "http://b:2"}, &workerState{url: "http://c:3"}, &workerState{url: "http://d:4"}
 	moved := 0
 	const keys = 1000
 	for i := 0; i < keys; i++ {
 		key := "shard-key-" + strings.Repeat("x", i%7) + string(rune('a'+i%26)) + "-" + time.Duration(i).String()
-		was := before.sequence(key)[0]
-		now := after.sequence(key)[0]
-		if was == now {
-			continue
+		was := rank(key, []*workerState{a, b, c})[0]
+		all := rank(key, []*workerState{a, b, c, added})
+		if now := all[0]; now != was {
+			moved++
+			if now != added {
+				t.Fatalf("join: key %q moved from %s to %s, not to the new member", key, was.url, now.url)
+			}
 		}
-		moved++
-		if now != added {
-			t.Fatalf("key %q moved from %s to %s, not to the new member", key, was.url, now.url)
+		// b leaves the four-member pool.
+		left := rank(key, []*workerState{a, c, added})[0]
+		switch {
+		case all[0] == b && left != all[1]:
+			t.Fatalf("leave: key %q of the leaver moved to %s, not to its second choice %s", key, left.url, all[1].url)
+		case all[0] != b && left != all[0]:
+			t.Fatalf("leave: key %q moved from %s to %s, though its owner stayed", key, all[0].url, left.url)
 		}
 	}
 	// Expect roughly 1/4 of keys on the new member; far outside that means
-	// the virtual-node dispersion is broken.
+	// the weights are not spread.
 	if moved < keys/8 || moved > keys/2 {
 		t.Errorf("%d/%d keys moved to the new member, want roughly %d", moved, keys, keys/4)
 	}
 }
 
+// TestPlacementBalance: every member owns its fair share of the shards.
+// Two pools whose URLs differ only in their last bytes, as real pools'
+// do: three loopback workers on adjacent ports, and four hosts on one
+// subnet. Over 100,000 distinct shard-shaped keys each member owns its
+// fair share within 2 percentage points. Over the shards the four
+// shardable paper grids make when split 4, 8, 12, 16 and 32 ways, keyed as
+// runShard keys them, no member owns less than half or more than twice its
+// fair share.
+func TestPlacementBalance(t *testing.T) {
+	base, ok := costmodel.ConfigByName("4B")
+	if !ok {
+		t.Fatal("no 4B model in the zoo")
+	}
+	synthetic := make([]string, 100000)
+	for i := range synthetic {
+		c := base
+		c.NumMicro = 8 + i%1000
+		c.Vocab = 32768 + 1024*(i/1000)
+		g := &sweep.Grid{Name: "sweep", Cells: []sweep.Cell{{Label: sweep.CellLabel(c, sim.Vocab1), Config: c, Method: sim.Vocab1}}}
+		synthetic[i] = g.Key()
+	}
+	var paper []string
+	for _, name := range []string{"table5", "table6", "blocks", "interlaced-mem"} {
+		grid, ok := experiments.Grid(name)
+		if !ok {
+			t.Fatalf("no %s grid", name)
+		}
+		g := grid()
+		cells := g.Expand()
+		for _, parts := range []int{4, 8, 12, 16, 32} {
+			for _, r := range sweep.SplitCells(len(cells), parts) {
+				paper = append(paper, sweep.Subgrid(g, cells, r).Key())
+			}
+		}
+	}
+
+	for _, urls := range [][]string{
+		{"http://127.0.0.1:8191", "http://127.0.0.1:8192", "http://127.0.0.1:8193"},
+		{"http://10.0.0.1:8080", "http://10.0.0.2:8080", "http://10.0.0.3:8080", "http://10.0.0.4:8080"},
+	} {
+		members := make([]*workerState, len(urls))
+		for i, u := range urls {
+			members[i] = &workerState{url: u}
+		}
+		owned := func(keys []string) map[string]int {
+			n := make(map[string]int, len(urls))
+			for _, key := range keys {
+				n[rank(key, members)[0].url]++
+			}
+			return n
+		}
+		fair := 1 / float64(len(urls))
+		n := owned(synthetic)
+		for _, u := range urls {
+			if share := float64(n[u]) / float64(len(synthetic)); math.Abs(share-fair) > 0.02 {
+				t.Errorf("%s owns %.1f%% of %d synthetic keys, want %.1f%% ± 2", u, 100*share, len(synthetic), 100*fair)
+			}
+		}
+		t.Logf("%d members: synthetic owners %v", len(urls), n)
+		n = owned(paper)
+		for _, u := range urls {
+			if share := float64(n[u]) / float64(len(paper)); share < fair/2 || share > 2*fair {
+				t.Errorf("%s owns %d of %d paper-grid shards, want between half and twice its fair share %.1f", u, n[u], len(paper), fair*float64(len(paper)))
+			}
+		}
+		t.Logf("%d members: paper-grid shard owners %v", len(urls), n)
+	}
+}
+
 // TestAffinityAcrossRepeatedSweeps: with a healthy pool and hedging off, a
 // repeated sweep sends every shard to exactly the worker that served it the
-// first time — the warm-cache property the consistent ring buys.
+// first time — the warm-cache property rendezvous placement buys.
 func TestAffinityAcrossRepeatedSweeps(t *testing.T) {
 	g := testGrid(t)
 	w1 := newStubWorker(t, nil)
@@ -184,8 +280,8 @@ func TestAffinityAcrossRepeatedSweeps(t *testing.T) {
 
 // TestDeadMemberLeavesRing is the regression for the v1 defect where a
 // permanently dead worker still received a fresh dial attempt from every
-// shard: once the prober expires it, the member is off the placement ring
-// — selection never proposes it — so a sweep over the 2 survivors runs
+// shard: once the prober expires it, the member is out of placement —
+// selection never proposes it — so a sweep over the 2 survivors runs
 // with zero retries and zero dials at the dead address.
 func TestDeadMemberLeavesRing(t *testing.T) {
 	g := testGrid(t)
@@ -232,7 +328,7 @@ func TestDeadMemberLeavesRing(t *testing.T) {
 	}
 	st := d.Stats()
 	if st.Retries != 0 || st.Fallbacks != 0 {
-		t.Errorf("stats = %+v, want zero retries and zero fallbacks with the dead member off the ring", st)
+		t.Errorf("stats = %+v, want zero retries and zero fallbacks with the dead member out of placement", st)
 	}
 	if dead.requests.Load() != dialsBefore {
 		t.Error("dead member was dialed during the sweep")

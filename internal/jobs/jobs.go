@@ -17,10 +17,11 @@
 //   - bounded history: finished jobs are retained for polling but the oldest
 //     are pruned past a cap, so a long-lived server cannot leak jobs;
 //   - durability (optional): with Options.Store set, every job writes
-//     through to the store on each lifecycle transition, and a new queue
-//     replays it — queued jobs resume through Options.Rehydrate, jobs that
-//     died mid-run re-run, finished results are still servable (see
-//     store.go).
+//     through to the store on each lifecycle transition (with its progress
+//     as of then; a progress report alone writes nothing), and a new queue
+//     replays it — queued jobs resume through Options.Rehydrate at zero
+//     progress, jobs that died mid-run re-run from zero, finished results
+//     are still servable (see store.go).
 //
 // Lifecycle: queued → running → done | failed | cancelled. A panic in a job
 // function is captured as a failure; it never kills a worker.
@@ -281,8 +282,11 @@ func (q *Queue) restore() {
 				j.finished = time.Now()
 				q.persistLocked(j, StateFailed)
 			} else {
+				// Re-queued from scratch: the dead run's progress is not
+				// this run's.
 				j.fn = fn
 				j.state = StateQueued
+				j.progress = Progress{}
 				j.err = nil
 				j.started = time.Time{}
 				j.finished = time.Time{}
@@ -636,10 +640,12 @@ func (q *Queue) runOne(j *job) {
 	j.mu.Unlock()
 	defer cancel()
 
+	// A report only publishes: the store hears about progress at the next
+	// transition. Writing it through would fsync the WAL once per report,
+	// under the job's lock, while the reporting search waits.
 	report := func(p Progress) {
 		j.mu.Lock()
 		j.progress = p
-		q.persistLocked(j, StateRunning)
 		j.notifyLocked()
 		j.mu.Unlock()
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -281,6 +282,83 @@ func TestDurableLifecyclePersists(t *testing.T) {
 		}
 	}
 	t.Fatalf("job %s missing from store after shutdown: %+v", sid, recs)
+}
+
+// TestProgressReportsWriteNothing: progress reports publish to pollers and
+// watchers but write nothing to the store; only transitions do, each with
+// the progress as of then. A durable job that reports 100 times leaves
+// three WAL records — queued, running, done — not one fsync'd record per
+// report, and the last carries the final progress.
+func TestProgressReportsWriteNothing(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	q := newQueue(t, Options{Workers: 1, Store: store})
+	id, err := q.Submit("search", map[string]int{"n": 1},
+		func(ctx context.Context, report func(Progress)) (any, error) {
+			for i := 1; i <= 100; i++ {
+				report(Progress{Done: i, Total: 100})
+			}
+			return "answer", nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, q, id, StateDone)
+
+	raw, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var states []State
+	var last Progress
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var op walOp
+		if err := json.Unmarshal(line, &op); err != nil || op.Rec == nil {
+			t.Fatalf("WAL line %q: %v", line, err)
+		}
+		states = append(states, op.Rec.State)
+		last = op.Rec.Progress
+	}
+	if want := []State{StateQueued, StateRunning, StateDone}; !reflect.DeepEqual(states, want) {
+		t.Fatalf("a job that reported 100 times left %d WAL records %v, want %v", len(states), states, want)
+	}
+	if last != (Progress{Done: 100, Total: 100}) {
+		t.Errorf("done record carries progress %+v, want the final 100 of 100", last)
+	}
+}
+
+// TestRestoredJobStartsAtZeroProgress: a job that died mid-run at 9 of 56
+// re-queues at zero progress — the dead run's count is not the re-run's —
+// and shows progress again only once the re-run reports.
+func TestRestoredJobStartsAtZeroProgress(t *testing.T) {
+	store := openStore(t)
+	store.Put(Record{ID: "j1", Name: "mid-run", State: StateRunning, Payload: json.RawMessage(`{}`),
+		Progress: Progress{Done: 9, Total: 56}, CreatedAt: time.Unix(2000, 0).UTC()})
+	gate := make(chan struct{})
+	rehydrate := func(json.RawMessage) (Func, error) {
+		return func(ctx context.Context, report func(Progress)) (any, error) {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			report(Progress{Done: 56, Total: 56})
+			return nil, nil
+		}, nil
+	}
+	q := newQueue(t, Options{Workers: 1, Store: store, Rehydrate: rehydrate})
+
+	if s, _ := q.Get("j1"); s.Progress != (Progress{}) {
+		t.Errorf("restored job (%s) shows %d of %d done before its re-run reported, want zero", s.State, s.Progress.Done, s.Progress.Total)
+	}
+	close(gate)
+	if s := waitState(t, q, "j1", StateDone); s.Progress != (Progress{Done: 56, Total: 56}) {
+		t.Errorf("re-run finished at progress %+v, want its own report", s.Progress)
+	}
 }
 
 // TestSubmitEncodesPayloadOnlyWithStore: the payload is the rehydration

@@ -2,7 +2,10 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -167,6 +170,140 @@ func FuzzShardRequest(f *testing.F) {
 			}
 			if c.Config.NumMicro > tune.MaxMicro || c.Config.Devices > guard.opt.MaxDevices {
 				t.Fatalf("body %q: accepted cell %q past the caps: %+v", body, c.Label, c.Config)
+			}
+		}
+	})
+}
+
+// FuzzJoinBody drives arbitrary bytes down POST /api/v1/cluster/join on a
+// coordinator with no seeds, as the body and as the ?url= parameter. Each
+// input meets a fresh dispatcher. Invariants: nothing panics and nothing
+// answers 5xx; every refusal is an enveloped 400; a 200 adds the pool's one
+// member under a canonical URL — NormalizeURL returns it unchanged — that
+// Members() holds; and a second join of that URL answers "added":false.
+func FuzzJoinBody(f *testing.F) {
+	f.Add([]byte(`{"url":"127.0.0.1:8081"}`), "")
+	f.Add([]byte(`{"url":"http://w1:8081/"}`), "")
+	f.Add([]byte(`{"url":"ignored:1"}`), "https://h2")
+	f.Add([]byte(``), "w2:8082")
+	f.Add([]byte(`{"url":"ftp://w:1"}`), "")
+	f.Add([]byte(`{"url":"http://h:1/path"}`), "")
+	f.Add([]byte(`{"url":`), "")
+	f.Add([]byte(`["url"]`), "")
+	f.Add([]byte(`null`), "")
+	f.Add([]byte(``), "\xe4")     // not UTF-8: JSON would echo another URL
+	f.Add([]byte(``), "00!0%800") // nor once unescaped
+
+	s := New(Options{Cluster: cluster.Options{Dynamic: true}})
+	f.Cleanup(func() { s.Close(context.Background()) })
+	h := s.Handler()
+	join := func(t *testing.T, target string, body []byte) (joinResponse, *httptest.ResponseRecorder) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, bytes.NewReader(body))) // must not panic
+		var r joinResponse
+		if rec.Code == http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil {
+				t.Fatalf("%s: 200 with a bad body: %v (%s)", target, err, rec.Body.Bytes())
+			}
+		}
+		return r, rec
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte, query string) {
+		s.cluster = cluster.New(cluster.Options{Dynamic: true})
+		target := "/api/v1/cluster/join"
+		if query != "" {
+			target += "?url=" + url.QueryEscape(query)
+		}
+		r, rec := join(t, target, body)
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest:
+			var e ErrorEnvelope
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code == "" || e.Error.Message == "" {
+				t.Fatalf("body %q, url %q: 400 without an envelope: %v (%s)", body, query, err, rec.Body.Bytes())
+			}
+			return
+		default:
+			t.Fatalf("body %q, url %q: HTTP %d %s, want 200 or an enveloped 400", body, query, rec.Code, rec.Body.Bytes())
+		}
+		if u, err := cluster.NormalizeURL(r.URL); err != nil || u != r.URL {
+			t.Fatalf("body %q, url %q: joined as %q, which normalizes to %q (%v)", body, query, r.URL, u, err)
+		}
+		if m := s.cluster.Members(); !r.Added || r.Members != 1 || !reflect.DeepEqual(m, []string{r.URL}) {
+			t.Fatalf("body %q, url %q: join answered %+v, members %v; want %q added as the only member", body, query, r, m, r.URL)
+		}
+		again, rec := join(t, "/api/v1/cluster/join?url="+url.QueryEscape(r.URL), nil)
+		if rec.Code != http.StatusOK || again.Added || again.URL != r.URL || again.Members != 1 {
+			t.Fatalf("rejoining %q: HTTP %d %+v, want 200 with added=false", r.URL, rec.Code, again)
+		}
+	})
+}
+
+// FuzzOptimizeBody drives arbitrary bytes down POST /api/v1/optimize on a
+// server whose job queue is closed, so an accepted submission answers 503
+// shutting_down instead of running a search. Invariants: nothing panics or
+// answers 500, and every answer is an envelope; the answer is 503 exactly
+// when resolve and checkTuneSpec, called directly on the body decoded as
+// the handler decodes it, accept it; and a body whose JSON value runs past
+// the 64-KiB cap answers 400 invalid_body.
+func FuzzOptimizeBody(f *testing.F) {
+	const limit = 64 << 10
+	f.Add([]byte(`{"scenario":"4b-quick"}`))
+	f.Add([]byte(`{"scenario":"4b-quick","strategy":"anneal"}`))
+	f.Add([]byte(`{"spec":"model=4B;devices=8;micro=32,64;method=vocab-1,vocab-2","strategy":"exhaustive"}`))
+	f.Add([]byte(`{"spec":"model=4B;devices=4096"}`))
+	f.Add([]byte(`{"spec":"model=4B","scenario":"4b-quick"}`))
+	f.Add([]byte(`{"scenario":"nope"}`))
+	f.Add([]byte(`{"scenario":"4b-quick","strategy":"greedy"}`))
+	f.Add([]byte(`{"strategy":"beam"}`))
+	f.Add([]byte(`{"scenario":`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(``))
+	f.Add([]byte(`{"spec":"` + strings.Repeat("a", limit) + `"}`))
+	f.Add(append([]byte(`{"scenario":"4b-quick"}`), bytes.Repeat([]byte(" "), limit)...))
+
+	s := New(Options{})
+	if err := s.Close(context.Background()); err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/optimize", bytes.NewReader(body))) // must not panic
+		var e ErrorEnvelope
+		if rec.Code == http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error.Code == "" {
+			t.Fatalf("body %q: HTTP %d %s, want an enveloped refusal", body, rec.Code, rec.Body.Bytes())
+		}
+
+		// The handler's decode: one JSON value, read through the cap.
+		var req optimizeRequest
+		err := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), limit)).Decode(&req)
+		if err != nil && !errors.Is(err, io.EOF) {
+			if rec.Code != http.StatusBadRequest || e.Error.Code != ErrInvalidBody {
+				t.Fatalf("body %q: decode error %v, but HTTP %d %s", body, err, rec.Code, e.Error.Code)
+			}
+			return
+		}
+		spec, _, refused := req.resolve()
+		if refused == nil {
+			refused = s.checkTuneSpec(spec)
+		}
+		if accepted := refused == nil; accepted != (rec.Code == http.StatusServiceUnavailable) {
+			t.Fatalf("body %q: resolve+checkTuneSpec accepted=%v (%+v), but HTTP %d %s", body, accepted, refused, rec.Code, e.Error.Code)
+		}
+		if rec.Code == http.StatusServiceUnavailable && e.Error.Code != ErrShuttingDown {
+			t.Fatalf("body %q: 503 with code %s, want %s", body, e.Error.Code, ErrShuttingDown)
+		}
+
+		// Whatever the handler's reader does, a first JSON value that does
+		// not end inside the cap is refused as a bad body.
+		var v json.RawMessage
+		dec := json.NewDecoder(bytes.NewReader(body))
+		if len(body) > limit && (dec.Decode(&v) != nil || dec.InputOffset() > limit) {
+			if rec.Code != http.StatusBadRequest || e.Error.Code != ErrInvalidBody {
+				t.Fatalf("%d-byte body whose value runs past the %d-byte cap: HTTP %d %s, want 400 %s", len(body), limit, rec.Code, e.Error.Code, ErrInvalidBody)
 			}
 		}
 	})

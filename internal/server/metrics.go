@@ -148,7 +148,7 @@ func (s *Server) initMetrics() {
 	// totals, and per-worker circuit state labeled by worker URL.
 	if d := s.cluster; d != nil {
 		r.GaugeFunc("vpserve_cluster_members",
-			"Active members on the placement ring right now.",
+			"Active members in shard placement right now.",
 			func() float64 { return float64(d.Stats().Members) })
 		r.CounterSamples("vpserve_cluster_membership_changes_total",
 			"Membership transitions: join (a worker registered or a dormant "+

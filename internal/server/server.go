@@ -64,7 +64,7 @@
 // deterministic cell order, so the response stays byte-identical to a
 // single-node run. Membership is dynamic: workers register and heartbeat
 // via POST /api/v1/cluster/join, silent members are expired by the prober,
-// and shard placement is cache-affine consistent hashing. Every server
+// and shard placement is cache-affine rendezvous hashing. Every server
 // answers POST /api/v1/shard (shard evaluation is always local — a worker
 // never re-shards), so any vpserve instance can serve as a worker. With
 // Options.JobStore set, optimize jobs are durable across restarts.
@@ -809,7 +809,7 @@ type joinResponse struct {
 
 // handleClusterJoin registers (or heartbeats) a worker in the coordinator's
 // member pool. Workers call it on startup and every -heartbeat-every; a
-// member that stops calling it is expired off the placement ring once it
+// member that stops calling it is expired out of placement once it
 // has also been silent to the prober past the member TTL.
 func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {

@@ -192,7 +192,7 @@ func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 1
 //
 // Each cell contributes "|<label>;<method>;<model>;L<layers>;a<heads>;
 // h<hidden>;s<seq>;b<microbatch>;m<micro>;v<vocab>;d<devices>". The string
-// is also the cluster ring's placement hash, so its bytes must never drift.
+// is also the cluster's placement key, so its bytes must never drift.
 // Key walks the grid without expanding it, into one buffer sized from
 // NumCells. A server computes it for each request target it has not seen
 // before, a respelled grid whose body is cached included; a repeated target

@@ -43,9 +43,13 @@
 // shard request, workers observe the closed connection and stop their sweep
 // at the next cell boundary, and the dispatcher returns the context error.
 //
-// Only grids whose cells are fully described by (label, config, method) can
-// cross the wire — sweep.Shardable gates dispatch, and grids with custom
-// Eval closures are evaluated locally by the serving layer instead.
+// Records is the one dispatch path: sweeps and tuner candidate batches alike
+// arrive as grids and shard the same way. Only grids whose cells are fully
+// described by (label, config, method) can cross the wire — sweep.Shardable
+// gates dispatch, and grids with custom cell Eval closures are evaluated
+// locally instead. A worker's answer must name the shard's cells: one
+// record per cell, carrying that cell's label and the grid's name, in
+// order, or the attempt fails like any bad response.
 package cluster
 
 import (
@@ -55,15 +59,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"vocabpipe/internal/costmodel"
 	"vocabpipe/internal/obs"
 	"vocabpipe/internal/report"
-	"vocabpipe/internal/sim"
 	"vocabpipe/internal/sweep"
 )
 
@@ -137,8 +138,8 @@ type Stats struct {
 type Dispatcher struct {
 	opt    Options
 	client *http.Client
-	// sem bounds concurrent shard dispatches across every entry point —
-	// grid fan-out and per-cell tuner evaluations share the same budget.
+	// sem bounds concurrent shard dispatches across every Records call, so
+	// concurrent sweeps and tuner batches share one budget.
 	sem chan struct{}
 	now func() time.Time
 
@@ -234,13 +235,18 @@ func (d *Dispatcher) Stats() Stats {
 
 // Records evaluates the grid across the worker pool and returns its records
 // in expansion order — the same slice a local sweep.Run(...).Records()
-// yields, byte-for-byte once serialized. Non-shardable grids (custom Eval
-// closures) and empty grids are evaluated locally.
-func (d *Dispatcher) Records(ctx context.Context, g *sweep.Grid) ([]report.Record, error) {
+// yields, byte-for-byte once serialized. Non-shardable grids (custom cell
+// Eval closures) and empty grids are evaluated locally. onRecord, when non-nil,
+// is called with each cell's expansion index and record as its shard lands
+// (shard by shard, so calls may run concurrently); a failed Records call
+// may have reported some cells already.
+func (d *Dispatcher) Records(ctx context.Context, g *sweep.Grid, onRecord func(i int, rec report.Record)) ([]report.Record, error) {
 	cells := g.Expand()
 	members := d.memberCount()
 	if len(cells) == 0 || members == 0 || !sweep.Shardable(g) {
-		return d.localRecords(ctx, g)
+		recs, err := d.localRecords(ctx, g)
+		land(onRecord, 0, recs)
+		return recs, err
 	}
 	ranges := sweep.SplitCells(len(cells), members*d.opt.ShardsPerWorker)
 
@@ -263,6 +269,7 @@ func (d *Dispatcher) Records(ctx context.Context, g *sweep.Grid) ([]report.Recor
 		go func(i int, r sweep.Range) {
 			defer wg.Done()
 			shards[i], errs[i] = d.runShard(ctx, g, cells, r)
+			land(onRecord, r.Start, shards[i])
 			if errs[i] != nil {
 				cancel()
 			}
@@ -293,49 +300,15 @@ func (d *Dispatcher) Records(ctx context.Context, g *sweep.Grid) ([]report.Recor
 	return sweep.MergeShardRecords(len(cells), ranges, shards)
 }
 
-// EvalCell evaluates a single cell remotely with the same retry, hedging
-// and fallback semantics as a shard — the seam tune searches use to farm
-// candidate simulations out to the cluster (tune.Options.Eval). The result
-// is reconstructed from the worker's record bit-exactly where it matters:
-// IterTime travels verbatim, MFU (the default objective) is recomputed
-// locally as the pure function costmodel.Config.MFU(iterTime), and the GiB
-// memory fields scale by a power of two, so a coordinator-mode search ranks
-// identically to a local one. Only Bubble — a timeline property the record
-// carries as a percentage — may differ in the last ULP; derived per-device
-// slices and timelines stay empty.
-func (d *Dispatcher) EvalCell(ctx context.Context, c sweep.Cell) (*sim.Result, error) {
-	// The incoming cell's Eval is typically the very hook that routed it
-	// here (tune wires Options.Eval to this method); drop it so the local
-	// fallback simulates the cell instead of recursing into the dispatcher.
-	c.Eval = nil
-	g := &sweep.Grid{Name: c.Experiment, Cells: []sweep.Cell{c}}
-	if c.Experiment == "" {
-		g.Name = "cell"
+// land reports a resolved shard's records, which start at expansion index
+// start, to onRecord. A failed shard has none.
+func land(onRecord func(int, report.Record), start int, recs []report.Record) {
+	if onRecord == nil {
+		return
 	}
-	cells := g.Expand()
-	recs, err := d.runShard(ctx, g, cells, sweep.Range{Start: 0, End: 1})
-	if err != nil {
-		return nil, err
+	for j := range recs {
+		onRecord(start+j, recs[j])
 	}
-	rec := recs[0]
-	if rec.Error != "" {
-		// The worker's sweep already wrapped the cell label; strip the
-		// prefix so the local engine's own wrapping doesn't stutter.
-		msg := strings.TrimPrefix(rec.Error, fmt.Sprintf("sweep: cell %q: ", cells[0].Label))
-		return nil, fmt.Errorf("%s", msg)
-	}
-	cfg := cells[0].Config
-	res := &sim.Result{
-		Config:   cfg,
-		Method:   cells[0].Method,
-		IterTime: rec.IterTimeS,
-		MFU:      cfg.MFU(rec.IterTimeS),
-		MaxMem:   rec.PeakMemGB * costmodel.GiB,
-		MinMem:   rec.MinMemGB * costmodel.GiB,
-		OOM:      rec.OOM,
-		Bubble:   rec.BubblePct / 100,
-	}
-	return res, nil
 }
 
 // localRecords is the in-process path: non-shardable grids and fallback.
@@ -360,8 +333,9 @@ func (d *Dispatcher) runShard(ctx context.Context, g *sweep.Grid, cells []sweep.
 	ssp.SetAttr("range", fmt.Sprintf("[%d,%d)", r.Start, r.End))
 	defer ssp.End()
 
-	// Bounded fan-out lives here so every dispatch path — grid shards and
-	// EvalCell's single-cell tuner evaluations alike — shares one budget.
+	// Bounded fan-out lives here, per shard, so the shards of every
+	// concurrent Records call — sweeps and tuner batches alike — share one
+	// budget.
 	select {
 	case d.sem <- struct{}{}:
 		defer func() { <-d.sem }()
@@ -370,7 +344,8 @@ func (d *Dispatcher) runShard(ctx context.Context, g *sweep.Grid, cells []sweep.
 	}
 	d.shards.Add(1)
 	key := sweep.Subgrid(g, cells, r).Key()
-	body, err := json.Marshal(NewShardRequest(g, cells, r))
+	req := NewShardRequest(g, cells, r)
+	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: encoding shard: %w", err)
 	}
@@ -385,7 +360,7 @@ func (d *Dispatcher) runShard(ctx context.Context, g *sweep.Grid, cells []sweep.
 		if attempt > 0 {
 			d.retries.Add(1)
 		}
-		recs, err := d.attempt(ctx, w, key, tried, body, r.Len())
+		recs, err := d.attempt(ctx, w, key, tried, req, body)
 		if err == nil {
 			d.remote.Add(1)
 			ssp.SetAttr("outcome", "remote")
@@ -407,11 +382,11 @@ func (d *Dispatcher) runShard(ctx context.Context, g *sweep.Grid, cells []sweep.
 	return d.localRecords(ctx, sweep.Subgrid(g, cells, r))
 }
 
-// attempt posts the shard to primary; if HedgeAfter elapses without an
-// answer, a duplicate goes to the next untried member in placement order
-// and the first success wins (the loser's request is cancelled). Workers the
-// hedge consumes are added to tried.
-func (d *Dispatcher) attempt(ctx context.Context, primary *workerState, key string, tried map[*workerState]bool, body []byte, wantLen int) ([]report.Record, error) {
+// attempt posts the shard (req, encoded as body) to primary; if HedgeAfter
+// elapses without an answer, a duplicate goes to the next untried member in
+// placement order and the first success wins (the loser's request is
+// cancelled). Workers the hedge consumes are added to tried.
+func (d *Dispatcher) attempt(ctx context.Context, primary *workerState, key string, tried map[*workerState]bool, req ShardRequest, body []byte) ([]report.Record, error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
@@ -429,7 +404,7 @@ func (d *Dispatcher) attempt(ctx context.Context, primary *workerState, key stri
 		if hedged {
 			sp.SetAttr("hedged", "true")
 		}
-		recs, err := d.post(pctx, w, body, wantLen)
+		recs, err := d.post(pctx, w, req, body)
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 		}
@@ -495,13 +470,15 @@ func (d *Dispatcher) attempt(ctx context.Context, primary *workerState, key stri
 // whatever an unauthenticated joiner streams until the attempt times out.
 const recordBytes = 4 << 10
 
-// post sends one shard request to one worker and decodes the records, at
-// most body plus recordBytes per cell of them. Outcomes feed the worker's
-// circuit state; attempts aborted by the caller's own cancellation (client
-// gone, hedge lost) are neutral — a cancelled caller says nothing about
-// worker health — but an attempt that hits AttemptTimeout is a failure like
-// any other.
-func (d *Dispatcher) post(ctx context.Context, w *workerState, body []byte, wantLen int) ([]report.Record, error) {
+// post sends one shard request (req, encoded as body) to one worker and
+// decodes the records, at most body plus recordBytes per cell of them. The
+// answer must name the shard's cells — one record per cell, in order, each
+// with its cell's label and the grid's name — since any process can join
+// the pool. Outcomes feed the worker's circuit state; attempts aborted by
+// the caller's own cancellation (client gone, hedge lost) are neutral — a
+// cancelled caller says nothing about worker health — but an attempt that
+// hits AttemptTimeout is a failure like any other.
+func (d *Dispatcher) post(ctx context.Context, w *workerState, req ShardRequest, body []byte) ([]report.Record, error) {
 	caller := ctx
 	if d.opt.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
@@ -510,13 +487,13 @@ func (d *Dispatcher) post(ctx context.Context, w *workerState, body []byte, want
 	}
 	w.beginRequest()
 	recs, err := func() ([]report.Record, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/api/v1/shard", bytes.NewReader(body))
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/api/v1/shard", bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
-		req.Header.Set("Content-Type", "application/json")
-		obs.Inject(ctx, req.Header)
-		resp, err := d.client.Do(req)
+		hreq.Header.Set("Content-Type", "application/json")
+		obs.Inject(ctx, hreq.Header)
+		resp, err := d.client.Do(hreq)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: worker %s: %w", w.url, err)
 		}
@@ -526,7 +503,7 @@ func (d *Dispatcher) post(ctx context.Context, w *workerState, body []byte, want
 			return nil, fmt.Errorf("cluster: worker %s: HTTP %d: %s", w.url, resp.StatusCode, bytes.TrimSpace(msg))
 		}
 		var recs []report.Record
-		limit := int64(len(body)) + int64(wantLen)*recordBytes
+		limit := int64(len(body)) + int64(len(req.Cells))*recordBytes
 		lr := &io.LimitedReader{R: resp.Body, N: limit + 1}
 		if err := json.NewDecoder(lr).Decode(&recs); err != nil {
 			if lr.N == 0 {
@@ -534,8 +511,14 @@ func (d *Dispatcher) post(ctx context.Context, w *workerState, body []byte, want
 			}
 			return nil, fmt.Errorf("cluster: worker %s: bad shard response: %w", w.url, err)
 		}
-		if len(recs) != wantLen {
-			return nil, fmt.Errorf("cluster: worker %s: %d records for a %d-cell shard", w.url, len(recs), wantLen)
+		if len(recs) != len(req.Cells) {
+			return nil, fmt.Errorf("cluster: worker %s: %d records for a %d-cell shard", w.url, len(recs), len(req.Cells))
+		}
+		for i := range recs {
+			if recs[i].Label != req.Cells[i].Label || recs[i].Experiment != req.Grid {
+				return nil, fmt.Errorf("cluster: worker %s: record %d names cell %.64q of %.64q, want %q of %q",
+					w.url, i, recs[i].Label, recs[i].Experiment, req.Cells[i].Label, req.Grid)
+			}
 		}
 		return recs, nil
 	}()

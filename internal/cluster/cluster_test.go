@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,7 +21,7 @@ import (
 )
 
 // testGrid is a small shardable grid (3 cells) every unit test reuses.
-func testGrid(t *testing.T) *sweep.Grid {
+func testGrid(t testing.TB) *sweep.Grid {
 	t.Helper()
 	g, err := sweep.ParseGrid("model=4B;method=baseline,vocab-1,vocab-2;vocab=32k;micro=8")
 	if err != nil {
@@ -176,7 +177,7 @@ func TestDispatchMatchesLocal(t *testing.T) {
 			urls[i] = newStubWorker(t, nil).ts.URL
 		}
 		d := New(Options{Workers: urls, ShardsPerWorker: 2})
-		got, err := d.Records(context.Background(), g)
+		got, err := d.Records(context.Background(), g, nil)
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
@@ -215,7 +216,7 @@ func TestRetryOnWorkerFailure(t *testing.T) {
 		bad = w2
 	}
 	bad.failures.Store(1000)
-	got, err := d.Records(context.Background(), g)
+	got, err := d.Records(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestHedgeStraggler(t *testing.T) {
 	}
 	slow.delay = gate
 	start := time.Now()
-	got, err := d.Records(context.Background(), g)
+	got, err := d.Records(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +365,7 @@ func TestLocalFallback(t *testing.T) {
 	dead := newStubWorker(t, nil)
 	dead.ts.Close() // connection refused from the start
 	d := New(Options{Workers: []string{dead.ts.URL}, HedgeAfter: -1})
-	got, err := d.Records(context.Background(), g)
+	got, err := d.Records(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func TestDisableFallback(t *testing.T) {
 	dead := newStubWorker(t, nil)
 	dead.ts.Close()
 	d := New(Options{Workers: []string{dead.ts.URL}, DisableFallback: true, HedgeAfter: -1})
-	_, err := d.Records(context.Background(), g)
+	_, err := d.Records(context.Background(), g, nil)
 	if err == nil {
 		t.Fatal("want error with fallback disabled and no live workers")
 	}
@@ -411,7 +412,7 @@ func TestDispatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := d.Records(ctx, g)
+		_, err := d.Records(ctx, g, nil)
 		done <- err
 	}()
 	<-started
@@ -476,12 +477,10 @@ func TestNewNormalizesURLs(t *testing.T) {
 	New(Options{})
 }
 
-// TestEvalCellFallbackDoesNotRecurse: the tune integration wires a cell's
-// Eval hook to EvalCell itself. With every worker dead, the local fallback
-// must simulate the cell rather than re-enter the dispatcher through that
-// hook — a regression here is an unbounded recursion, not a test failure,
-// so the tune search below must simply complete with a real result.
-func TestEvalCellFallbackDoesNotRecurse(t *testing.T) {
+// TestTuneBatchFallsBackLocally: a tuner search whose candidate batches go
+// through Records over a dead pool completes by local fallback, one per
+// shard, and ranks exactly as an in-process search does.
+func TestTuneBatchFallsBackLocally(t *testing.T) {
 	dead := newStubWorker(t, nil)
 	dead.ts.Close()
 	d := New(Options{Workers: []string{dead.ts.URL}, HedgeAfter: -1})
@@ -490,17 +489,130 @@ func TestEvalCellFallbackDoesNotRecurse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tune.Search(context.Background(), spec, tune.StrategyExhaustive,
-		tune.Options{Parallel: 1, Eval: d.EvalCell})
+	res, err := tune.Search(context.Background(), spec, tune.StrategyExhaustive, tune.Options{Records: d.Records})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Evaluated != 2 || res.Best == nil || !res.Best.Feasible {
-		t.Fatalf("fallback search result = %+v", res)
+	local, err := tune.Search(context.Background(), spec, tune.StrategyExhaustive, tune.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := d.Stats(); st.Fallbacks != 2 {
-		t.Errorf("stats = %+v, want 2 local fallbacks (one per candidate)", st)
+	if !reflect.DeepEqual(res, local) || res.Evaluated != 2 || res.Best == nil {
+		t.Fatalf("fallback search result = %+v, local %+v", res, local)
 	}
+	if st := d.Stats(); st.Fallbacks != 2 || st.Remote != 0 {
+		t.Errorf("stats = %+v, want 2 local fallbacks (one per single-cell shard)", st)
+	}
+}
+
+// foreignAnswer is a worker's 200 answer to testGrid's 3-cell shard whose
+// records name none of its cells.
+var foreignAnswer = []report.Record{
+	{Experiment: "other", Label: "not-this-cell"},
+	{Experiment: "other", Label: "nor-this"},
+	{Experiment: "other", Label: "x3"},
+}
+
+// TestShardAnswerMustNameItsCells: a worker whose answer has the right
+// record count but names other cells, another grid or its cells out of
+// order is refused like any bad response — the worker is charged, the shard
+// falls back, and the merged records are the local ones.
+func TestShardAnswerMustNameItsCells(t *testing.T) {
+	g := testGrid(t)
+	want := localRecords(g)
+	otherGrid := append([]report.Record(nil), want...)
+	for i := range otherGrid {
+		otherGrid[i].Experiment = "other"
+	}
+	swapped := append([]report.Record(nil), want...)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	for _, tt := range []struct {
+		name   string
+		answer []report.Record
+	}{
+		{"foreign cells", foreignAnswer},
+		{"another grid", otherGrid},
+		{"out of order", swapped},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			w := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body)
+				report.WriteJSON(rw, tt.answer)
+			}))
+			defer w.Close()
+			d := New(Options{Workers: []string{w.URL}, ShardsPerWorker: 1, HedgeAfter: -1})
+			got, err := d.Records(context.Background(), g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("records %+v, want the local ones", got)
+			}
+			if st := d.Stats(); st.Remote != 0 || st.Fallbacks != 1 {
+				t.Errorf("stats = %+v, want the answer refused and the shard fallen back", st)
+			}
+			if h := d.Health(); h[0].Failures == 0 {
+				t.Errorf("worker health = %+v, want the refused answer charged", h[0])
+			}
+		})
+	}
+}
+
+// answerTransport is a worker that answers every request 200 with the same
+// bytes, without a socket.
+type answerTransport []byte
+
+func (a answerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		r.Body.Close()
+	}
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
+		Body: io.NopCloser(bytes.NewReader(a)), Request: r}, nil
+}
+
+// FuzzShardResponse feeds arbitrary bytes as a worker's 200 answer to a
+// 3-cell shard. Records must neither panic nor hang, and must return three
+// records carrying the shard's labels and grid name: the local records
+// whenever the answer was refused, the worker's when it was taken.
+func FuzzShardResponse(f *testing.F) {
+	g := testGrid(f)
+	cells := g.Expand()
+	local := localRecords(g)
+	for _, recs := range [][]report.Record{local, foreignAnswer, local[:2]} {
+		var buf bytes.Buffer
+		report.WriteJSON(&buf, recs)
+		f.Add(buf.Bytes())
+	}
+	for _, seed := range []string{"", "null", "[]", "[{},{},{}]", `{"error":{"code":"x"}}`, `[{"label":"` + strings.Repeat("x", 5000)} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		d := New(Options{Workers: []string{"http://worker.test"}, ShardsPerWorker: 1, HedgeAfter: -1})
+		d.client = &http.Client{Transport: answerTransport(body)}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		recs, err := d.Records(ctx, g, nil)
+		if err != nil {
+			t.Fatalf("Records: %v", err)
+		}
+		if len(recs) != len(cells) {
+			t.Fatalf("%d records for %d cells", len(recs), len(cells))
+		}
+		for i := range recs {
+			if recs[i].Label != cells[i].Label || recs[i].Experiment != g.Name {
+				t.Fatalf("record %d names %q of %q, want %q of %q", i, recs[i].Label, recs[i].Experiment, cells[i].Label, g.Name)
+			}
+		}
+		switch st := d.Stats(); {
+		case st.Remote == 1 && st.Fallbacks == 0:
+		case st.Remote == 0 && st.Fallbacks == 1:
+			if !reflect.DeepEqual(recs, local) {
+				t.Fatalf("refused answer, but records %+v differ from the local ones", recs)
+			}
+		default:
+			t.Fatalf("stats = %+v, want one shard answered remotely or by fallback", st)
+		}
+	})
 }
 
 // TestAttemptTimeoutUnwedgesStalledPool: a worker that hangs without
@@ -519,7 +631,7 @@ func TestAttemptTimeoutUnwedgesStalledPool(t *testing.T) {
 		AttemptTimeout:  50 * time.Millisecond,
 	})
 	start := time.Now()
-	got, err := d.Records(context.Background(), g)
+	got, err := d.Records(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +681,7 @@ func TestEndlessShardBodyFallsBack(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	got, err := d.Records(ctx, g)
+	got, err := d.Records(ctx, g, nil)
 	if err != nil {
 		t.Fatalf("Records: %v", err)
 	}

@@ -285,13 +285,11 @@ func TestClusterCancellationPropagation(t *testing.T) {
 	}
 }
 
-// TestClusterTuneJob: POST /api/v1/optimize on a coordinator farms candidate
-// evaluations out to the workers cell by cell and lands on the same best
-// configuration as a purely local search.
-func TestClusterTuneJob(t *testing.T) {
-	c := clustertest.Start(t, 2, clustertest.Options{})
-
-	resp, err := http.Post(c.URL()+"/api/v1/optimize?scenario=4b-quick&strategy=beam", "application/json", nil)
+// submitOptimize posts an optimize job for a named scenario and strategy
+// and returns its ID.
+func submitOptimize(t *testing.T, c *clustertest.Cluster, scenario string, strategy tune.Strategy) string {
+	t.Helper()
+	resp, err := http.Post(c.URL()+"/api/v1/optimize?scenario="+scenario+"&strategy="+string(strategy), "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,60 +304,142 @@ func TestClusterTuneJob(t *testing.T) {
 	if err := json.Unmarshal(raw, &acc); err != nil || acc.ID == "" {
 		t.Fatalf("bad 202 body: %v (%s)", err, raw)
 	}
+	return acc.ID
+}
 
-	var snap jobs.Snapshot
+// awaitJob polls a job until it is done and returns its result as the
+// coordinator encoded it; a job that fails or is cancelled fails the test.
+func awaitJob(t *testing.T, c *clustertest.Cluster, id string) json.RawMessage {
+	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		status, body, _ := get(t, c.URL(), "/api/v1/jobs/"+acc.ID)
+		status, body, _ := get(t, c.URL(), "/api/v1/jobs/"+id)
 		if status != http.StatusOK {
 			t.Fatalf("poll status = %d (%s)", status, body)
+		}
+		var snap struct {
+			State  jobs.State      `json:"state"`
+			Error  string          `json:"error"`
+			Result json.RawMessage `json:"result"`
 		}
 		if err := json.Unmarshal(body, &snap); err != nil {
 			t.Fatal(err)
 		}
 		if snap.State.Terminal() {
-			break
+			if snap.State != jobs.StateDone {
+				t.Fatalf("job %s = %s (error %q)", id, snap.State, snap.Error)
+			}
+			return snap.Result
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in state %s", snap.State)
+			t.Fatalf("job %s stuck in state %s", id, snap.State)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if snap.State != jobs.StateDone {
-		t.Fatalf("job state = %s (error %q)", snap.State, snap.Error)
-	}
-	resRaw, _ := json.Marshal(snap.Result)
-	var res tune.Result
-	if err := json.Unmarshal(resRaw, &res); err != nil {
-		t.Fatalf("job result is not a tune.Result: %v", err)
-	}
+}
 
+// TestClusterTuneJob: POST /api/v1/optimize on a coordinator shards each
+// candidate batch over the workers like any grid, and for every strategy
+// the job's result is a local search's JSON byte for byte, with no local
+// fallback. A search over the coordinator's Records emits one progress
+// event per evaluated candidate, as a local one does.
+func TestClusterTuneJob(t *testing.T) {
+	c := clustertest.Start(t, 2, clustertest.Options{})
 	spec, ok := experiments.TuneSpec("4b-quick")
 	if !ok {
 		t.Fatal("scenario 4b-quick missing from the registry")
 	}
-	local, err := tune.Search(context.Background(), spec, tune.StrategyBeam, tune.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best == nil || local.Best == nil || res.Best.Label != local.Best.Label {
-		t.Fatalf("cluster best = %+v, local best = %+v", res.Best, local.Best)
-	}
-	if res.Evaluated != local.Evaluated {
-		t.Errorf("cluster evaluated %d candidates, local %d", res.Evaluated, local.Evaluated)
-	}
-	// Scores are bit-exact across modes: IterTime travels verbatim and MFU
-	// is recomputed locally from it (see Dispatcher.EvalCell), so a
-	// coordinator must not merely agree on the winner — it must agree on
-	// the numbers.
-	if res.Best.Score != local.Best.Score || res.Best.MFUPct != local.Best.MFUPct ||
-		res.Best.IterTimeS != local.Best.IterTimeS || res.Best.PeakMemGB != local.Best.PeakMemGB {
-		t.Errorf("cluster best metrics %+v differ from local %+v", res.Best, local.Best)
-	}
+	for _, st := range []tune.Strategy{tune.StrategyExhaustive, tune.StrategyBeam, tune.StrategyAnneal} {
+		local, err := tune.Search(context.Background(), spec, st, tune.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := awaitJob(t, c, submitOptimize(t, c, "4b-quick", st)); !bytes.Equal(got, want) {
+			t.Errorf("%s: job result differs from a local search:\n got %s\nwant %s", st, got, want)
+		}
 
+		var events []tune.Progress // OnProgress calls are serialized
+		res, err := tune.Search(context.Background(), spec, st, tune.Options{
+			Records:    c.Coordinator.Cluster().Records,
+			OnProgress: func(p tune.Progress) { events = append(events, p) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := json.Marshal(res); !bytes.Equal(got, want) {
+			t.Errorf("%s: search over the coordinator's Records differs from a local search", st)
+		}
+		if len(events) != res.Evaluated {
+			t.Fatalf("%s: %d progress events for %d evaluated candidates", st, len(events), res.Evaluated)
+		}
+		for i, p := range events {
+			if p.Done != i+1 {
+				t.Fatalf("%s: progress event %d reads done %d", st, i, p.Done)
+			}
+		}
+		if last := events[len(events)-1]; last.Done != res.Evaluated || last.Total != res.Evaluated {
+			t.Errorf("%s: final progress %+v, want done = total = %d", st, last, res.Evaluated)
+		}
+	}
 	// The candidates really were simulated by the workers.
-	if h := coordinatorHealth(t, c); h.Dispatch.Remote < int64(res.Evaluated) {
-		t.Errorf("dispatch remote = %d, want >= %d (one shard per candidate)", h.Dispatch.Remote, res.Evaluated)
+	if h := coordinatorHealth(t, c); h.Dispatch.Remote == 0 || h.Dispatch.Fallbacks != 0 {
+		t.Errorf("dispatch stats %+v, want remote shards and no fallbacks", *h.Dispatch)
+	}
+}
+
+// TestClusterTuneFansOut: an optimize job's candidate batches shard over
+// the whole pool, so a coordinator that runs searches on one sweep worker
+// (Parallel 1) still keeps every worker busy. Each shard request is held
+// until four are in flight at once or 250 ms pass; the exhaustive 4b-quick
+// search must reach four on four workers. Dispatching one candidate per
+// request from the search's sweep workers reaches one.
+func TestClusterTuneFansOut(t *testing.T) {
+	const workers = 4
+	var mu sync.Mutex
+	inFlight, peak := 0, 0
+	met := make(chan struct{})
+	c := clustertest.Start(t, workers, clustertest.Options{
+		Coordinator: server.Options{Parallel: 1},
+		Cluster:     cluster.Options{HedgeAfter: -1},
+		WorkerMiddleware: func(i int, next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/api/v1/shard" {
+					next.ServeHTTP(w, r)
+					return
+				}
+				mu.Lock()
+				inFlight++
+				if inFlight > peak {
+					peak = inFlight
+					if peak == workers {
+						close(met)
+					}
+				}
+				mu.Unlock()
+				select {
+				case <-met:
+				case <-time.After(250 * time.Millisecond):
+				}
+				next.ServeHTTP(w, r)
+				mu.Lock()
+				inFlight--
+				mu.Unlock()
+			})
+		},
+	})
+	awaitJob(t, c, submitOptimize(t, c, "4b-quick", tune.StrategyExhaustive))
+	mu.Lock()
+	defer mu.Unlock()
+	t.Logf("peak %d shard requests in flight", peak)
+	if peak < workers {
+		t.Errorf("at most %d shard requests in flight on %d workers, want %d", peak, workers, workers)
+	}
+	if h := coordinatorHealth(t, c); h.Dispatch.Fallbacks != 0 {
+		t.Errorf("dispatch stats %+v, want no fallbacks", *h.Dispatch)
 	}
 }
 
@@ -626,7 +706,7 @@ func TestShardedSweepAllocationBudget(t *testing.T) {
 	}
 	d := cluster.New(cluster.Options{Workers: urls, ShardsPerWorker: 2, MaxInFlight: 2, LocalParallel: 1})
 	allocs := testing.AllocsPerRun(10, func() {
-		recs, err := d.Records(context.Background(), g)
+		recs, err := d.Records(context.Background(), g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

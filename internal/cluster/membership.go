@@ -25,13 +25,15 @@ import (
 )
 
 // NormalizeURL canonicalizes a worker base URL: a bare "host:port" gains
-// "http://", trailing slashes are stripped, and anything that does not
-// parse to a scheme plus host — or that smuggles a path, query or fragment
-// into what must be a base URL — is rejected, as is a host that is not
-// valid UTF-8 once unescaped (JSON would echo it under another spelling,
-// one that names no member). Both the -workers flag validation and the
-// join API funnel through this, so one worker cannot appear under two
-// spellings and collect two circuit breakers.
+// "http://", the scheme and host name are lowercased, the scheme's default
+// port (:80 for http, :443 for https) is dropped, trailing slashes are
+// stripped, and anything that does not parse to a scheme plus host — or
+// that smuggles a path, query or fragment into what must be a base URL —
+// is rejected, as is a host that is not valid UTF-8 once unescaped (JSON
+// would echo it under another spelling, one that names no member). Both
+// the -workers flag validation and the join API funnel through this, so
+// one worker cannot appear under two spellings and collect two circuit
+// breakers.
 func NormalizeURL(raw string) (string, error) {
 	s := strings.TrimSpace(raw)
 	if s == "" {
@@ -56,7 +58,18 @@ func NormalizeURL(raw string) (string, error) {
 	if strings.TrimRight(u.Path, "/") != "" || u.RawQuery != "" || u.Fragment != "" {
 		return "", fmt.Errorf("cluster: worker URL %q must be a base URL (scheme://host[:port], no path or query)", raw)
 	}
-	return u.Scheme + "://" + u.Host, nil
+	// Host names compare case-insensitively in ASCII only (RFC 4343), so
+	// only ASCII letters fold.
+	host := strings.Map(func(r rune) rune {
+		if 'A' <= r && r <= 'Z' {
+			return r + 'a' - 'A'
+		}
+		return r
+	}, u.Host)
+	if p := u.Port(); (u.Scheme == "http" && p == "80") || (u.Scheme == "https" && p == "443") {
+		host = strings.TrimSuffix(host, ":"+p)
+	}
+	return u.Scheme + "://" + host, nil
 }
 
 // Join registers (or re-registers) a member. The returned added flag is

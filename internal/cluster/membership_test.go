@@ -20,6 +20,14 @@ func TestNormalizeURL(t *testing.T) {
 		{"http://h:1/", "http://h:1"},
 		{"  https://h2  ", "https://h2"},
 		{"http://h:1///", "http://h:1"},
+		{"W1:8081", "http://w1:8081"},
+		{"HTTP://W1:8081", "http://w1:8081"},
+		{"http://w1:80", "http://w1"},
+		{"https://w1:443", "https://w1"},
+		{"https://w1:80", "https://w1:80"},
+		{"http://w1:443", "http://w1:443"},
+		{"http://[::1]:80", "http://[::1]"},
+		{"http://[FE80::1]:8080", "http://[fe80::1]:8080"},
 	}
 	for _, tt := range ok {
 		got, err := NormalizeURL(tt.in)
@@ -60,6 +68,21 @@ func TestJoinAndHeartbeat(t *testing.T) {
 	st := d.Stats()
 	if st.Members != 1 || st.Joins != 1 {
 		t.Fatalf("stats = %+v, want 1 member from 1 join", st)
+	}
+}
+
+// TestJoinSpellingsOfOneWorker: host case and an explicit default port do
+// not make a new member. Seven spellings name three processes.
+func TestJoinSpellingsOfOneWorker(t *testing.T) {
+	d := New(Options{Dynamic: true})
+	for _, u := range []string{"w1:8081", "W1:8081", "http://w1", "http://w1:80", "https://w1:443", "https://w1", "HTTP://w1:8081"} {
+		if _, _, err := d.Join(u); err != nil {
+			t.Fatalf("Join(%q): %v", u, err)
+		}
+	}
+	want := []string{"http://w1", "http://w1:8081", "https://w1"}
+	if got := d.Members(); !reflect.DeepEqual(got, want) {
+		t.Errorf("members %v, want %v", got, want)
 	}
 }
 
@@ -263,12 +286,12 @@ func TestAffinityAcrossRepeatedSweeps(t *testing.T) {
 	w1 := newStubWorker(t, nil)
 	w2 := newStubWorker(t, nil)
 	d := New(Options{Workers: []string{w1.ts.URL, w2.ts.URL}, ShardsPerWorker: 2, HedgeAfter: -1})
-	if _, err := d.Records(context.Background(), g); err != nil {
+	if _, err := d.Records(context.Background(), g, nil); err != nil {
 		t.Fatal(err)
 	}
 	c1, c2 := w1.requests.Load(), w2.requests.Load()
 	for i := 0; i < 3; i++ {
-		if _, err := d.Records(context.Background(), g); err != nil {
+		if _, err := d.Records(context.Background(), g, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,12 +301,12 @@ func TestAffinityAcrossRepeatedSweeps(t *testing.T) {
 	}
 }
 
-// TestDeadMemberLeavesRing is the regression for the v1 defect where a
+// TestDeadMemberLeavesPlacement is the regression for the v1 defect where a
 // permanently dead worker still received a fresh dial attempt from every
 // shard: once the prober expires it, the member is out of placement —
 // selection never proposes it — so a sweep over the 2 survivors runs
 // with zero retries and zero dials at the dead address.
-func TestDeadMemberLeavesRing(t *testing.T) {
+func TestDeadMemberLeavesPlacement(t *testing.T) {
 	g := testGrid(t)
 	w1 := newStubWorker(t, nil)
 	w2 := newStubWorker(t, nil)
@@ -319,7 +342,7 @@ func TestDeadMemberLeavesRing(t *testing.T) {
 	}
 
 	dialsBefore := dead.requests.Load() // 0: the server is closed, but keep it honest
-	got, err := d.Records(context.Background(), g)
+	got, err := d.Records(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

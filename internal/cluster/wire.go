@@ -4,7 +4,10 @@
 // specs, tuner candidate batches — uses one protocol and the worker needs
 // no re-expansion to agree with the coordinator about what the cells are.
 // It does check each cell's model shape against the zoo, because the body
-// comes from any client that can reach the worker.
+// comes from any client that can reach the worker. The answer is the
+// shard's report.Records, one per cell in order, each carrying its cell's
+// label and the grid's name as its experiment; the coordinator refuses
+// any other answer, because any process can join its pool.
 package cluster
 
 import (

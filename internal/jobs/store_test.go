@@ -128,6 +128,169 @@ func TestFileStoreReplaysLargeRecord(t *testing.T) {
 	}
 }
 
+// TestWALCrashPoints records a job history through a real FileStore — a job
+// that finishes, one that fails, one running at the crash and one cancelled
+// while queued — and reopens the log cut at every record boundary and at
+// every byte of its last record. Every cut must open, and the restored
+// queue must be the history after the last whole record: done, failed and
+// cancelled jobs keep their results and errors byte for byte, queued jobs
+// stay queued, a running job comes back queued at zero progress, and a job
+// whose cancel record is whole never runs. Rehydrated jobs block until the
+// queue closes, so the one worker holds the first re-queued job and the
+// rest stay observably queued. Bit flips are out of scope: the log has no
+// checksums.
+func TestWALCrashPoints(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := New(Options{Workers: 1, Store: store})
+	submit := func(name string, fn Func) string {
+		t.Helper()
+		id, err := q.Submit(name, name, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	done := submit("done", func(ctx context.Context, report func(Progress)) (any, error) {
+		report(Progress{Done: 3, Total: 3, Note: "d8/m128/vocab-1"})
+		return map[string]any{"best": "d8/m128/vocab-1", "score": 0.5425193213041748}, nil
+	})
+	waitState(t, q, done, StateDone)
+	failed := submit("failed", func(ctx context.Context, report func(Progress)) (any, error) {
+		return nil, errors.New("tune: search space has 5000 candidates, limit 4096")
+	})
+	waitState(t, q, failed, StateFailed)
+	running := submit("running", func(ctx context.Context, report func(Progress)) (any, error) {
+		report(Progress{Done: 1, Total: 4})
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	waitState(t, q, running, StateRunning)
+	cancelled := submit("cancelled", func(ctx context.Context, report func(Progress)) (any, error) {
+		t.Error("the job cancelled while queued ran")
+		return nil, nil
+	})
+	if s, _ := q.Cancel(cancelled); s.State != StateCancelled {
+		t.Fatalf("cancelled job = %s", s.State)
+	}
+	store.Close() // the crash: nothing the dying queue writes lands
+	if err := q.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The history: each record's job, and the offset just past its JSON.
+	type entry struct {
+		rec Record
+		end int
+	}
+	var history []entry
+	for start := 0; start < len(wal); {
+		n := bytes.IndexByte(wal[start:], '\n')
+		var op walOp
+		if err := json.Unmarshal(wal[start:start+n], &op); err != nil || op.Op != "put" {
+			t.Fatalf("WAL record at byte %d: %v", start, err)
+		}
+		history = append(history, entry{*op.Rec, start + n})
+		start += n + 1
+	}
+	if len(history) != 10 {
+		t.Fatalf("history has %d records, want 10 (3 transitions each for the finished jobs, 2 for the others)", len(history))
+	}
+	cuts := []int{0}
+	for _, e := range history {
+		cuts = append(cuts, e.end+1)
+	}
+	for c := history[len(history)-2].end + 2; c < len(wal); c++ {
+		cuts = append(cuts, c) // every byte of the last record
+	}
+	names := map[string]string{done: "done", failed: "failed", running: "running", cancelled: "cancelled"}
+
+	for _, cut := range cuts {
+		want := map[string]Record{}
+		for _, e := range history {
+			if e.end <= cut {
+				want[e.rec.ID] = e.rec
+			}
+		}
+		cdir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(cdir, walName), wal[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := OpenFileStore(cdir)
+		if err != nil {
+			t.Fatalf("cut at byte %d of %d: open: %v", cut, len(wal), err)
+		}
+		rehydrated := map[string]bool{}
+		started := make(chan string, len(names))
+		q := New(Options{Workers: 1, Store: st, Rehydrate: func(payload json.RawMessage) (Func, error) {
+			var name string
+			if err := json.Unmarshal(payload, &name); err != nil {
+				return nil, err
+			}
+			rehydrated[name] = true
+			return func(ctx context.Context, report func(Progress)) (any, error) {
+				started <- name
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}, nil
+		}})
+		// The one worker takes the first re-queued job, in job order.
+		first := ""
+		for _, id := range []string{done, failed, running, cancelled} {
+			if r, ok := want[id]; ok && !r.State.Terminal() {
+				first = id
+				select {
+				case got := <-started:
+					if got != names[id] {
+						t.Fatalf("cut at byte %d: the re-queued %s job ran first, want %s", cut, got, names[id])
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("cut at byte %d: no re-queued job ran; want %s", cut, names[id])
+				}
+				break
+			}
+		}
+		for id, name := range names {
+			s, ok := q.Get(id)
+			r, known := want[id]
+			switch {
+			case ok != known:
+				t.Errorf("cut at byte %d: %s job restored = %v, want %v", cut, name, ok, known)
+			case !known:
+			case r.State.Terminal():
+				got, _ := json.Marshal(s.Result)
+				if s.Result == nil {
+					got = nil
+				}
+				if s.State != r.State || s.Error != r.Error || !bytes.Equal(got, r.Result) || rehydrated[name] {
+					t.Errorf("cut at byte %d: %s job restored as %s (error %q, result %s, rehydrated %v), want %s (error %q, result %s)",
+						cut, name, s.State, s.Error, got, rehydrated[name], r.State, r.Error, r.Result)
+				}
+			default:
+				wantState := StateQueued
+				if id == first {
+					wantState = StateRunning
+				}
+				if s.State != wantState || s.Progress != (Progress{}) || s.Error != "" || s.Result != nil || !rehydrated[name] {
+					t.Errorf("cut at byte %d: %s job (last whole record %s) restored as %+v, rehydrated %v; want %s at zero progress",
+						cut, name, r.State, s, rehydrated[name], wantState)
+				}
+			}
+		}
+		if err := q.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+	}
+}
+
 // openStore opens a FileStore in a fresh temp dir, closed at cleanup.
 func openStore(t testing.TB) *FileStore {
 	t.Helper()

@@ -2,14 +2,13 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"vocabpipe/internal/costmodel"
 	"vocabpipe/internal/experiments"
+	"vocabpipe/internal/report"
 	"vocabpipe/internal/sim"
 	"vocabpipe/internal/sweep"
 	"vocabpipe/internal/tune"
@@ -17,7 +16,7 @@ import (
 
 // fmtGridKey is sweep.Grid.Key spelled with fmt: the reference the
 // append-built key must equal byte for byte. The key is this server's cache
-// identity and the cluster ring's placement hash, so a one-byte drift would
+// identity and the cluster's placement key, so a one-byte drift would
 // silently split cache entries and move shards between workers.
 func fmtGridKey(g *sweep.Grid) string {
 	var b strings.Builder
@@ -56,34 +55,36 @@ func checkKeyAndLabels(t *testing.T, what string, g *sweep.Grid) {
 
 // TestGridKeyMatchesFmtReference pins Key and CellLabel on every paper grid
 // and on every named tuning scenario's candidate cells, both as the batch
-// a search evaluates and one cell per grid, as the cluster places them.
+// grid a search hands its records function and one cell per grid, as an
+// anneal walk's single-candidate batches are placed.
 func TestGridKeyMatchesFmtReference(t *testing.T) {
 	for _, name := range experiments.Names() {
 		fn, _ := experiments.Grid(name)
 		checkKeyAndLabels(t, "experiment "+name, fn())
 	}
-	errSkip := errors.New("not simulated")
 	for _, name := range experiments.TuneNames() {
 		spec, _ := experiments.TuneSpec(name)
-		// An Eval that records and fails every cell makes the exhaustive
-		// search enumerate the whole space without simulating it.
-		var mu sync.Mutex
-		var cells []sweep.Cell
-		eval := func(_ context.Context, c sweep.Cell) (*sim.Result, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			cells = append(cells, c)
-			return nil, errSkip
+		// A records function that captures the batch and fails every cell
+		// makes the exhaustive search enumerate the whole space without
+		// simulating it.
+		var batch *sweep.Grid
+		records := func(_ context.Context, g *sweep.Grid, _ func(int, report.Record)) ([]report.Record, error) {
+			batch = g
+			recs := make([]report.Record, len(g.Cells))
+			for i := range recs {
+				recs[i] = report.Record{Experiment: g.Name, Label: g.Cells[i].Label, Error: "not simulated"}
+			}
+			return recs, nil
 		}
 		if _, err := tune.Search(context.Background(), spec, tune.StrategyExhaustive,
-			tune.Options{Parallel: 1, Eval: eval}); err != nil {
+			tune.Options{Records: records}); err != nil {
 			t.Fatalf("scenario %s: %v", name, err)
 		}
-		if len(cells) != spec.Defaulted().SpaceSize() {
-			t.Fatalf("scenario %s: saw %d cells, space has %d", name, len(cells), spec.Defaulted().SpaceSize())
+		if batch == nil || len(batch.Cells) != spec.Defaulted().SpaceSize() {
+			t.Fatalf("scenario %s: batch %v, space has %d cells", name, batch, spec.Defaulted().SpaceSize())
 		}
-		checkKeyAndLabels(t, "scenario "+name, &sweep.Grid{Name: cells[0].Experiment, Cells: cells})
-		for _, c := range cells {
+		checkKeyAndLabels(t, "scenario "+name, batch)
+		for _, c := range batch.Expand() {
 			checkKeyAndLabels(t, "scenario "+name+" cell "+c.Label,
 				&sweep.Grid{Name: c.Experiment, Cells: []sweep.Cell{c}})
 		}

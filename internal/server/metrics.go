@@ -152,7 +152,7 @@ func (s *Server) initMetrics() {
 			func() float64 { return float64(d.Stats().Members) })
 		r.CounterSamples("vpserve_cluster_membership_changes_total",
 			"Membership transitions: join (a worker registered or a dormant "+
-				"seed came back) and expire (a silent member left the ring).",
+				"seed came back) and expire (a silent member left shard placement).",
 			[]string{"kind"},
 			func() []metrics.Sample {
 				st := d.Stats()

@@ -251,7 +251,8 @@ func New(opt Options) *Server {
 	}
 	// The queue comes AFTER the dispatcher: replaying the store may resume
 	// optimize jobs immediately, and their rehydrated search functions must
-	// see the coordinator's EvalCell seam, not a nil cluster.
+	// shard their candidate batches through the coordinator's dispatcher,
+	// not a nil cluster.
 	s.jobs = jobs.New(jobs.Options{
 		Workers:   opt.JobWorkers,
 		Capacity:  opt.JobCapacity,
@@ -659,7 +660,7 @@ func (s *Server) records(ctx context.Context, route string, g *sweep.Grid) ([]re
 	csp := obs.SpanFromContext(ctx)
 	if s.cluster != nil && route != "shard" && sweep.Shardable(g) && g.NumCells() > 1 {
 		csp.SetAttr("path", "cluster")
-		return s.cluster.Records(ctx, g)
+		return s.cluster.Records(ctx, g, nil)
 	}
 	csp.SetAttr("path", "local")
 	res, err := sweep.RunCtx(ctx, g, sweep.Options{Parallel: s.opt.Parallel})
@@ -924,13 +925,13 @@ func (req optimizeRequest) resolve() (*tune.Spec, tune.Strategy, *reqError) {
 
 // optimizeJob is the traced search job a resolved submission runs, and its
 // name. Fresh and rehydrated submissions alike run this configuration: in
-// coordinator mode candidate evaluations farm out through the cluster's
-// EvalCell seam. submitCtx is the submitting request's context, which links
-// the job's trace back to it.
+// coordinator mode each candidate batch shards over the worker pool through
+// the cluster's Records, like any grid. submitCtx is the submitting
+// request's context, which links the job's trace back to it.
 func (s *Server) optimizeJob(submitCtx context.Context, spec *tune.Spec, strategy tune.Strategy) (string, jobs.Func) {
 	topt := tune.Options{Parallel: s.opt.Parallel}
 	if s.cluster != nil {
-		topt.Eval = s.cluster.EvalCell
+		topt.Records = s.cluster.Records
 	}
 	name := "optimize/" + spec.Name + "/" + string(strategy)
 	return name, s.traceJob(name, submitCtx, tuneJob(spec, strategy, topt))
@@ -1030,10 +1031,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 	// The job runs detached from the submitting request on purpose: the
 	// whole point of the queue is that the client disconnects and polls.
-	// A coordinator farms the search's candidate simulations out to its
-	// worker pool cell by cell (retry/hedging/fallback included). With a
-	// JobStore configured, this job — and its result — survives a
-	// coordinator restart: the request is its rehydration payload.
+	// A coordinator shards each of the search's candidate batches over its
+	// worker pool (retry/hedging/fallback included). With a JobStore
+	// configured, this job — and its result — survives a coordinator
+	// restart: the request is its rehydration payload.
 	name, fn := s.optimizeJob(r.Context(), spec, strategy)
 	id, err := s.jobs.Submit(name,
 		optimizeRequest{Spec: req.Spec, Scenario: req.Scenario, Strategy: string(strategy)}, fn)

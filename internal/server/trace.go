@@ -126,8 +126,7 @@ func (s *Server) traceJob(name string, submitCtx context.Context, fn jobs.Func) 
 // the *tune.Result. The search honors the job's context, so queue
 // cancellation stops it at the next candidate boundary. opt.OnProgress is
 // overwritten by the queue's own progress reporting; the other fields
-// (Parallel, Eval — e.g. a cluster dispatcher's remote evaluator) pass
-// through.
+// (Parallel, Records — e.g. a cluster dispatcher's) pass through.
 func tuneJob(spec *tune.Spec, strategy tune.Strategy, opt tune.Options) jobs.Func {
 	return func(ctx context.Context, report func(jobs.Progress)) (any, error) {
 		opt.OnProgress = func(p tune.Progress) {

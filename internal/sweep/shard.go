@@ -51,12 +51,9 @@ func SplitCells(n, parts int) []Range {
 
 // Shardable reports whether the grid can be evaluated by a remote worker:
 // every cell must be fully described by (label, config, method), so grids
-// with custom Eval functions — closures that cannot cross the wire — are
-// not shardable and must be evaluated locally.
+// with custom cell Eval functions — closures that cannot cross the wire —
+// are not shardable and must be evaluated locally.
 func Shardable(g *Grid) bool {
-	if g.Eval != nil {
-		return false
-	}
 	for i := range g.Cells {
 		if g.Cells[i].Eval != nil {
 			return false

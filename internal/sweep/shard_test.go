@@ -76,7 +76,6 @@ func TestShardable(t *testing.T) {
 	}{
 		{"plain axes grid", &Grid{Name: "g", Methods: sim.OneF1BMethods}, true},
 		{"explicit cells", &Grid{Cells: []Cell{{Label: "a"}, {Label: "b"}}}, true},
-		{"grid-level eval", &Grid{Eval: eval}, false},
 		{"cell-level eval", &Grid{Cells: []Cell{{Label: "a"}, {Label: "b", Eval: eval}}}, false},
 		{"keep-timelines is fine", &Grid{KeepTimelines: true, Cells: []Cell{{Label: "a"}}}, true},
 	}

@@ -84,9 +84,6 @@ type Grid struct {
 	Seqs    []int
 	Vocabs  []int
 	Methods []sim.Method
-	// Eval, when non-nil, evaluates every expanded cell (cell-level Eval
-	// still wins).
-	Eval EvalFunc
 	// KeepTimelines retains each Result's Timeline. The default drops it
 	// after metrics are extracted so large grids don't pin every schedule
 	// in memory; experiments that render traces opt back in.
@@ -100,9 +97,6 @@ func (g *Grid) Expand() []Cell {
 		copy(cells, g.Cells)
 		for i := range cells {
 			cells[i].Experiment = g.Name
-			if cells[i].Eval == nil {
-				cells[i].Eval = g.Eval
-			}
 		}
 		return cells
 	}
@@ -113,7 +107,6 @@ func (g *Grid) Expand() []Cell {
 			Label:      CellLabel(c, m),
 			Config:     c,
 			Method:     m,
-			Eval:       g.Eval,
 		})
 	})
 	return cells
@@ -454,12 +447,13 @@ func (r *Results) Errs() []error {
 func (r *Results) Records() []report.Record {
 	recs := make([]report.Record, 0, len(r.Cells))
 	for i := range r.Cells {
-		recs = append(recs, recordOf(&r.Cells[i]))
+		recs = append(recs, r.Cells[i].Record())
 	}
 	return recs
 }
 
-func recordOf(c *CellResult) report.Record {
+// Record converts the cell into its machine-readable report record.
+func (c *CellResult) Record() report.Record {
 	rec := report.Record{
 		Experiment: c.Experiment,
 		Label:      c.Label,

@@ -399,12 +399,13 @@ func BenchmarkSweepTinyGrid(b *testing.B) {
 func TestRunCtxCancelMidFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	evals := 0
-	g := &Grid{Name: "cancel", Cells: []Cell{
-		{Label: "a"}, {Label: "b"}, {Label: "c"}, {Label: "d"},
-	}, Eval: func(c Cell) (*sim.Result, error) {
+	eval := func(c Cell) (*sim.Result, error) {
 		evals++
 		cancel() // the client disconnects while cell "a" is being served
 		return &sim.Result{IterTime: 1}, nil
+	}
+	g := &Grid{Name: "cancel", Cells: []Cell{
+		{Label: "a", Eval: eval}, {Label: "b", Eval: eval}, {Label: "c", Eval: eval}, {Label: "d", Eval: eval},
 	}}
 	res, err := RunCtx(ctx, g, Options{Parallel: 1})
 	if !errors.Is(err, context.Canceled) {
@@ -430,10 +431,12 @@ func TestRunCtxCancelMidFlight(t *testing.T) {
 func TestRunCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	g := tinyGrid()
-	g.Eval = func(c Cell) (*sim.Result, error) {
-		t.Error("cell evaluated under a pre-cancelled context")
-		return nil, nil
+	g := &Grid{Name: "tiny", Cells: tinyGrid().Expand()}
+	for i := range g.Cells {
+		g.Cells[i].Eval = func(c Cell) (*sim.Result, error) {
+			t.Error("cell evaluated under a pre-cancelled context")
+			return nil, nil
+		}
 	}
 	res, err := RunCtx(ctx, g, Options{Parallel: 2})
 	if !errors.Is(err, context.Canceled) {
@@ -458,11 +461,11 @@ func TestRunCtxPartialResultsCellByCell(t *testing.T) {
 	const total, cancelAfter = 12, 3
 	cells := make([]Cell, total)
 	for i := range cells {
-		cells[i] = Cell{Label: string(rune('a' + i))}
+		cells[i] = Cell{Label: string(rune('a' + i)), Eval: func(c Cell) (*sim.Result, error) {
+			return &sim.Result{IterTime: 1}, nil
+		}}
 	}
-	g := &Grid{Name: "partial", Cells: cells, Eval: func(c Cell) (*sim.Result, error) {
-		return &sim.Result{IterTime: 1}, nil
-	}}
+	g := &Grid{Name: "partial", Cells: cells}
 	res, err := RunCtx(ctx, g, Options{Parallel: 2, OnCell: func(done, _ int, _ CellResult) {
 		if done == cancelAfter {
 			cancel()

@@ -1,6 +1,7 @@
 // Search strategies: exhaustive (the oracle), beam (staged pruning), anneal
-// (budgeted random walk). All run their candidate batches through the
-// concurrent sweep engine and honor context cancellation between cells.
+// (budgeted random walk). All hand their candidate batches to one records
+// function (Options.Records, the in-process sweep by default) and honor
+// context cancellation between cells.
 package tune
 
 import (
@@ -11,7 +12,7 @@ import (
 	"sort"
 	"sync"
 
-	"vocabpipe/internal/sim"
+	"vocabpipe/internal/report"
 	"vocabpipe/internal/sweep"
 )
 
@@ -69,12 +70,13 @@ type Options struct {
 	// OnProgress, when non-nil, observes the search after each simulated
 	// candidate. Calls are serialized.
 	OnProgress func(Progress)
-	// Eval, when non-nil, replaces in-process simulation of each candidate
-	// cell — the seam a coordinator vpserve uses to farm candidate
-	// evaluations out to its worker pool (cluster.Dispatcher.EvalCell). The
-	// context is the search's own, so cancelling the search cancels remote
-	// evaluations too.
-	Eval func(ctx context.Context, c sweep.Cell) (*sim.Result, error)
+	// Records, when non-nil, evaluates each candidate batch in place of the
+	// in-process sweep: it returns the grid's records in expansion order and
+	// calls onRecord (possibly concurrently) once per cell as its record
+	// lands. A coordinator vpserve passes cluster.Dispatcher.Records, so a
+	// batch shards over the worker pool like any grid. The context is the
+	// search's own, so cancelling the search cancels the batch too.
+	Records func(ctx context.Context, g *sweep.Grid, onRecord func(i int, rec report.Record)) ([]report.Record, error)
 }
 
 // Search runs the strategy over the spec's space and returns the ranked
@@ -97,29 +99,28 @@ func Search(ctx context.Context, spec *Spec, strategy Strategy, opt Options) (*R
 	}
 }
 
-// tracker accumulates live progress across evaluation batches. Its onCell
-// hook runs inside the sweep engine's OnCell callback, so polling clients
-// (the job queue) see progress while a batch is still computing.
+// tracker accumulates live progress across evaluation batches. Its
+// onRecord hook runs as each record lands, so polling clients (the job
+// queue) see progress while a batch is still computing.
 type tracker struct {
 	spec  *Spec
 	opt   Options
-	mu    sync.Mutex // sweep OnCell callbacks can run concurrently
+	mu    sync.Mutex // records can land concurrently
 	done  int
 	total int
 	best  *Ranked
 }
 
-// onCell folds one completed sweep cell into the best-so-far and emits a
-// progress event. The sweep engine may invoke OnCell from several workers
-// at once, so the fold and the OnProgress emission run under the tracker's
-// lock — which also preserves Options.OnProgress's documented "calls are
-// serialized" contract.
-func (t *tracker) onCell(r sweep.CellResult) {
+// onRecord folds one landed record into the best-so-far and emits a
+// progress event. Records may land from several goroutines at once, so the
+// fold and the OnProgress emission run under the tracker's lock — which
+// also preserves Options.OnProgress's documented "calls are serialized"
+// contract.
+func (t *tracker) onRecord(c Candidate, rec report.Record) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.done++
-	cand := Candidate{Method: r.Method, Devices: r.Config.Devices, Micro: r.Config.NumMicro}
-	if rk := t.spec.rankedOf(evaluated{cand: cand, res: r.Result, err: r.Err}); rk.Feasible && (t.best == nil || rk.Score > t.best.Score) {
+	if rk := t.spec.rankedOf(evaluated{cand: c, rec: rec}); rk.Feasible && (t.best == nil || rk.Score > t.best.Score) {
 		best := rk
 		t.best = &best
 	}
@@ -134,7 +135,7 @@ func (t *tracker) onCell(r sweep.CellResult) {
 
 func searchExhaustive(ctx context.Context, s *Spec, opt Options) (*Result, error) {
 	t := &tracker{spec: s, opt: opt, total: s.SpaceSize()}
-	evals, err := s.evaluate(ctx, s.candidates(), opt, t.onCell)
+	evals, err := s.evaluate(ctx, s.candidates(), opt, t)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +159,7 @@ func searchBeam(ctx context.Context, s *Spec, opt Options) (*Result, error) {
 	t := &tracker{spec: s, opt: opt,
 		total: len(stageA) + min(s.BeamWidth, len(stageA))*(len(s.Micros)-1)}
 
-	evalsA, err := s.evaluate(ctx, stageA, opt, t.onCell)
+	evalsA, err := s.evaluate(ctx, stageA, opt, t)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +191,7 @@ func searchBeam(ctx context.Context, s *Spec, opt Options) (*Result, error) {
 		}
 	}
 	t.total = len(stageA) + len(stageB)
-	evalsB, err := s.evaluate(ctx, stageB, opt, t.onCell)
+	evalsB, err := s.evaluate(ctx, stageB, opt, t)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +217,7 @@ func searchAnneal(ctx context.Context, s *Spec, opt Options) (*Result, error) {
 
 	var stored map[Candidate]evaluated
 	if budget == len(all) {
-		evals, err := s.evaluate(ctx, all, opt, t.onCell)
+		evals, err := s.evaluate(ctx, all, opt, t)
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +235,7 @@ func searchAnneal(ctx context.Context, s *Spec, opt Options) (*Result, error) {
 		}
 		e, ok := stored[c]
 		if !ok {
-			evals, err := s.evaluate(ctx, []Candidate{c}, Options{Parallel: 1, Eval: opt.Eval}, t.onCell)
+			evals, err := s.evaluate(ctx, []Candidate{c}, opt, t)
 			if err != nil {
 				return evaluated{}, false, err
 			}

@@ -5,9 +5,12 @@
 // predicted throughput under the calibrated cost model. It turns the
 // simulator from "evaluate what I typed" into "tell me what to run".
 //
-// Three strategies share one evaluation substrate (the concurrent sweep
-// engine, so candidate cells evaluate in parallel and honor context
-// cancellation):
+// Three strategies share one evaluation substrate: each candidate batch is
+// one grid handed to a records function — the concurrent sweep engine in
+// process, or a coordinator's cluster.Dispatcher.Records, which shards it
+// over the worker pool — so candidate cells evaluate in parallel and honor
+// context cancellation, and the search ranks the report.Records that come
+// back:
 //
 //   - exhaustive: every candidate; the correctness oracle for small spaces.
 //   - beam: evaluate every (method, devices) pair at a pivot microbatch
@@ -32,6 +35,7 @@ import (
 	"sort"
 
 	"vocabpipe/internal/costmodel"
+	"vocabpipe/internal/report"
 	"vocabpipe/internal/sim"
 	"vocabpipe/internal/sweep"
 )
@@ -281,27 +285,17 @@ type Result struct {
 	Candidates []Ranked `json:"candidates"`
 }
 
-// evaluated pairs a candidate with its simulation outcome.
+// evaluated pairs a candidate with its cell's record.
 type evaluated struct {
 	cand Candidate
-	res  *sim.Result
-	err  error
+	rec  report.Record
 }
 
-// score computes the objective value of a successful simulation.
-func (s *Spec) score(r *sim.Result) float64 {
-	switch s.Objective {
-	case ObjectiveTokens:
-		if r.IterTime <= 0 {
-			return 0
-		}
-		return float64(r.Config.Seq) * float64(r.Config.MicroBatch) * float64(r.Config.NumMicro) / r.IterTime
-	default: // ObjectiveMFU
-		return r.MFU
-	}
-}
-
-// rankedOf converts one evaluation into its report row.
+// rankedOf converts one evaluation into its report row. Every number is
+// the record's own, or derived from its IterTimeS by the expression sim
+// uses (the MFU score is Config.MFU of the iteration time), and the GiB
+// scale is a power of two, so a row ranks bit-identically whichever
+// process simulated its cell.
 func (s *Spec) rankedOf(e evaluated) Ranked {
 	rk := Ranked{
 		Label:   e.cand.Label(),
@@ -309,26 +303,32 @@ func (s *Spec) rankedOf(e evaluated) Ranked {
 		Devices: e.cand.Devices,
 		Micro:   e.cand.Micro,
 	}
-	if e.err != nil {
-		rk.Error = e.err.Error()
+	r := &e.rec
+	if r.Error != "" {
+		rk.Error = r.Error
 		return rk
 	}
-	r := e.res
-	rk.IterTimeS = r.IterTime
-	rk.MFUPct = 100 * r.MFU
-	rk.PeakMemGB = r.MaxMem / costmodel.GiB
-	rk.BubblePct = 100 * r.Bubble
+	cfg := s.config(e.cand)
+	rk.IterTimeS = r.IterTimeS
+	rk.MFUPct = r.MFUPct
+	rk.PeakMemGB = r.PeakMemGB
+	rk.BubblePct = r.BubblePct
 	rk.OOM = r.OOM
-	if r.IterTime > 0 {
-		rk.TokensPerSec = float64(r.Config.Seq) * float64(r.Config.MicroBatch) * float64(r.Config.NumMicro) / r.IterTime
+	if r.IterTimeS > 0 {
+		rk.TokensPerSec = float64(cfg.Seq) * float64(cfg.MicroBatch) * float64(cfg.NumMicro) / r.IterTimeS
 	}
-	if r.MaxMem > s.MemBudgetBytes {
+	if r.PeakMemGB*costmodel.GiB > s.MemBudgetBytes {
 		rk.Error = fmt.Sprintf("peak memory %.1f GB exceeds the %.1f GB budget",
 			rk.PeakMemGB, s.MemBudgetBytes/costmodel.GiB)
 		return rk
 	}
 	rk.Feasible = true
-	rk.Score = s.score(r)
+	switch s.Objective {
+	case ObjectiveTokens:
+		rk.Score = rk.TokensPerSec
+	default: // ObjectiveMFU
+		rk.Score = cfg.MFU(r.IterTimeS)
+	}
 	return rk
 }
 
@@ -400,39 +400,45 @@ func markPareto(feasible []Ranked) {
 	}
 }
 
-// evaluate runs the candidates through the concurrent sweep engine (one cell
-// per candidate, panic capture and deterministic order included). onCell,
-// when non-nil, observes each completed cell as it happens (completion
-// order, serialized by the sweep engine). opt.Eval, when set, replaces the
-// in-process simulator per cell (bound to this evaluation's ctx, so remote
-// evaluators inherit the search's cancellation).
-func (s *Spec) evaluate(ctx context.Context, cands []Candidate, opt Options, onCell func(sweep.CellResult)) ([]evaluated, error) {
-	g := &sweep.Grid{Name: "tune/" + s.Name}
-	if opt.Eval != nil {
-		eval := opt.Eval
-		g.Eval = func(c sweep.Cell) (*sim.Result, error) { return eval(ctx, c) }
+// evaluate hands the candidates to opt.Records as one grid (one cell per
+// candidate, labelled by Candidate.Label), or to the in-process sweep when
+// it is nil. Each record is folded into t as it lands; the batch returns in
+// candidate order.
+func (s *Spec) evaluate(ctx context.Context, cands []Candidate, opt Options, t *tracker) ([]evaluated, error) {
+	g := &sweep.Grid{Name: "tune/" + s.Name, Cells: make([]sweep.Cell, len(cands))}
+	for i, c := range cands {
+		g.Cells[i] = sweep.Cell{Label: c.Label(), Config: s.config(c), Method: c.Method}
 	}
-	for _, c := range cands {
-		g.Cells = append(g.Cells, sweep.Cell{
-			Label:  c.Label(),
-			Config: s.config(c),
-			Method: c.Method,
-		})
+	onRecord := func(i int, rec report.Record) { t.onRecord(cands[i], rec) }
+	var recs []report.Record
+	var err error
+	if opt.Records != nil {
+		recs, err = opt.Records(ctx, g, onRecord)
+	} else {
+		recs, err = sweepRecords(ctx, g, opt.Parallel, onRecord)
 	}
-	var sopt sweep.Options
-	sopt.Parallel = opt.Parallel
-	if onCell != nil {
-		sopt.OnCell = func(done, total int, r sweep.CellResult) { onCell(r) }
-	}
-	res, err := sweep.RunCtx(ctx, g, sopt)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]evaluated, len(cands))
-	for i := range res.Cells {
-		out[i] = evaluated{cand: cands[i], res: res.Cells[i].Result, err: res.Cells[i].Err}
+	for i := range cands {
+		out[i] = evaluated{cand: cands[i], rec: recs[i]}
 	}
 	return out, nil
+}
+
+// sweepRecords is the in-process records function: the concurrent sweep
+// engine, each cell converted to its record once, as it completes.
+func sweepRecords(ctx context.Context, g *sweep.Grid, parallel int, onRecord func(int, report.Record)) ([]report.Record, error) {
+	recs := make([]report.Record, len(g.Cells))
+	_, err := sweep.RunCtx(ctx, g, sweep.Options{Parallel: parallel, OnCell: func(_, _ int, r sweep.CellResult) {
+		recs[r.Index] = r.Record()
+		onRecord(r.Index, recs[r.Index])
+	}})
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
 }
 
 // WriteTable renders the ranked result as the fixed-width text table both

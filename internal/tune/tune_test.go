@@ -2,16 +2,14 @@ package tune
 
 import (
 	"context"
-	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"vocabpipe/internal/costmodel"
+	"vocabpipe/internal/report"
 	"vocabpipe/internal/sim"
 	"vocabpipe/internal/sweep"
 )
@@ -154,21 +152,25 @@ func TestAnnealTerminatesOnTinySpace(t *testing.T) {
 	}
 }
 
-// countingEval simulates candidates in process and counts the simulations
-// per label; safe for the sweep pool's concurrent workers.
-type countingEval struct {
-	mu    sync.Mutex
-	calls map[string]int
+// countingRecords evaluates candidate batches in process and counts the
+// batches (cells per batch, in call order) and the simulations per label.
+type countingRecords struct {
+	mu      sync.Mutex
+	batches []int
+	calls   map[string]int
 }
 
-func (ce *countingEval) eval(_ context.Context, c sweep.Cell) (*sim.Result, error) {
-	ce.mu.Lock()
-	if ce.calls == nil {
-		ce.calls = map[string]int{}
+func (cr *countingRecords) records(ctx context.Context, g *sweep.Grid, onRecord func(int, report.Record)) ([]report.Record, error) {
+	cr.mu.Lock()
+	if cr.calls == nil {
+		cr.calls = map[string]int{}
 	}
-	ce.calls[c.Label]++
-	ce.mu.Unlock()
-	return sim.Run(c.Config, c.Method)
+	cr.batches = append(cr.batches, len(g.Cells))
+	for _, c := range g.Cells {
+		cr.calls[c.Label]++
+	}
+	cr.mu.Unlock()
+	return sweepRecords(ctx, g, 0, onRecord)
 }
 
 // TestAnnealCoveredSpaceSimulatesOnce: a budget that covers the space runs
@@ -178,15 +180,15 @@ func (ce *countingEval) eval(_ context.Context, c sweep.Cell) (*sim.Result, erro
 func TestAnnealCoveredSpaceSimulatesOnce(t *testing.T) {
 	spec := quickSpec()
 	spec.Budget = 100
-	var ce countingEval
+	var cr countingRecords
 	var last Progress
-	res := mustSearch(t, spec, StrategyAnneal, Options{Parallel: 3, Eval: ce.eval,
+	res := mustSearch(t, spec, StrategyAnneal, Options{Parallel: 3, Records: cr.records,
 		OnProgress: func(p Progress) { last = p }})
 	space := spec.SpaceSize()
-	if len(ce.calls) != space {
-		t.Fatalf("simulated %d distinct candidates, want the whole space of %d", len(ce.calls), space)
+	if len(cr.calls) != space {
+		t.Fatalf("simulated %d distinct candidates, want the whole space of %d", len(cr.calls), space)
 	}
-	for label, n := range ce.calls {
+	for label, n := range cr.calls {
 		if n != 1 {
 			t.Errorf("%s simulated %d times, want once", label, n)
 		}
@@ -202,30 +204,17 @@ func TestAnnealCoveredSpaceSimulatesOnce(t *testing.T) {
 	}
 }
 
-// TestAnnealCoveredSpaceRunsInParallel: the covered-space batch goes through
-// the worker pool, so two evaluations must be in flight at once. A serial
-// walk would hold the first one until its wait gives up.
+// TestAnnealCoveredSpaceRunsInParallel: the covered space reaches the
+// records function as one batch of SpaceSize cells, so whatever evaluates
+// it — the sweep pool or a coordinator's worker pool — sees the whole space
+// at once, not one candidate at a time.
 func TestAnnealCoveredSpaceRunsInParallel(t *testing.T) {
 	spec := quickSpec()
 	spec.Budget = spec.SpaceSize()
-	var arrived atomic.Int32
-	met := make(chan struct{})
-	eval := func(_ context.Context, c sweep.Cell) (*sim.Result, error) {
-		if arrived.Add(1) == 2 {
-			close(met)
-		}
-		select {
-		case <-met:
-		case <-time.After(5 * time.Second):
-			return nil, errors.New("no second evaluation in flight")
-		}
-		return sim.Run(c.Config, c.Method)
-	}
-	res := mustSearch(t, spec, StrategyAnneal, Options{Parallel: 2, Eval: eval})
-	for _, c := range res.Candidates {
-		if strings.Contains(c.Error, "no second evaluation") {
-			t.Fatalf("%s: %s", c.Label, c.Error)
-		}
+	var cr countingRecords
+	mustSearch(t, spec, StrategyAnneal, Options{Records: cr.records})
+	if want := []int{spec.SpaceSize()}; !reflect.DeepEqual(cr.batches, want) {
+		t.Errorf("records batches %v, want one batch of the whole space %v", cr.batches, want)
 	}
 }
 
@@ -234,17 +223,17 @@ func TestAnnealCoveredSpaceRunsInParallel(t *testing.T) {
 func TestAnnealPartialBudgetStaysBudgeted(t *testing.T) {
 	spec := quickSpec()
 	spec.Budget = 12
-	var ce countingEval
-	res := mustSearch(t, spec, StrategyAnneal, Options{Eval: ce.eval})
+	var cr countingRecords
+	res := mustSearch(t, spec, StrategyAnneal, Options{Records: cr.records})
 	simulated := 0
-	for _, n := range ce.calls {
+	for _, n := range cr.calls {
 		simulated += n
 	}
 	if simulated == 0 || simulated > spec.Budget {
 		t.Errorf("simulated %d candidates under a budget of %d", simulated, spec.Budget)
 	}
-	if simulated != res.Evaluated {
-		t.Errorf("simulated %d candidates, walk visited %d", simulated, res.Evaluated)
+	if simulated != res.Evaluated || len(cr.batches) != simulated {
+		t.Errorf("simulated %d candidates in %d batches, walk visited %d", simulated, len(cr.batches), res.Evaluated)
 	}
 }
 

@@ -346,12 +346,13 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		Debug:         *debug,
 		SlowRequest:   *slowRequest,
 		TraceCapacity: traceCap,
-		Cluster: cluster.Options{
+	}
+	if *role == "coordinator" {
+		opts.Cluster = &cluster.Options{
 			Workers:    workerURLs,
-			Dynamic:    *role == "coordinator",
 			MemberTTL:  *memberTTL,
 			HedgeAfter: *hedgeAfter,
-		},
+		}
 	}
 	if *stateDir != "" {
 		store, err := jobs.OpenFileStore(*stateDir)

@@ -67,9 +67,9 @@ func main() {
 	defer stopSeed()
 	fmt.Printf("seed worker listening on %s\n", seedURL)
 
-	// The coordinator: a durable job store plus a dynamic member pool
-	// seeded with one worker — `vpserve -role coordinator -workers <seed>
-	// -state-dir <dir>` in library form.
+	// The coordinator: a durable job store plus a member pool seeded with
+	// one worker that others can join — `vpserve -role coordinator -workers
+	// <seed> -state-dir <dir>` in library form.
 	stateDir, err := os.MkdirTemp("", "vpserve-cluster-example")
 	if err != nil {
 		log.Fatal(err)
@@ -80,7 +80,7 @@ func main() {
 		log.Fatal(err)
 	}
 	copts := server.Options{
-		Cluster:  cluster.Options{Workers: []string{seedURL}, Dynamic: true},
+		Cluster:  &cluster.Options{Workers: []string{seedURL}},
 		JobStore: store,
 	}
 	coord := server.New(copts)

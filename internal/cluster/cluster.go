@@ -23,33 +23,36 @@
 //
 // Fault model:
 //
-//   - bounded fan-out: at most Options.MaxInFlight shard requests are on the
-//     wire at once;
+//   - bounded fan-out: at most max(8, 2 × active members) shard requests are
+//     on the wire at once, across every Records call; the bound is re-read
+//     at each acquire, so it follows the pool as members join and expire;
 //   - retry: a failed shard is retried on a different worker (each worker is
 //     tried at most once per shard);
 //   - hedging: a shard still unanswered after Options.HedgeAfter is sent to
 //     a second worker; the first response wins and the loser is cancelled;
-//   - circuit breaking: a worker with Options.FailureThreshold consecutive
-//     failures is skipped for Options.Cooldown, then allowed one half-open
-//     trial (Probe can also close the circuit early via /healthz);
+//   - circuit breaking: a worker with 3 consecutive failures is skipped for
+//     5 s, then allowed one half-open trial (Probe can also close the
+//     circuit early via /healthz);
 //   - attempt deadline: a single worker request is abandoned (and counted
-//     as a failure) after Options.AttemptTimeout, so a worker that hangs
-//     without erroring cannot wedge a shard past retry and fallback;
-//   - local fallback: a shard every worker failed is evaluated in-process
-//     (unless Options.DisableFallback), so a coordinator degrades to
-//     single-node behavior rather than failing the request.
+//     as a failure) after 2 min, so a worker that hangs without erroring
+//     cannot wedge a shard past retry and fallback;
+//   - local fallback: a shard every worker failed is evaluated in-process,
+//     so a coordinator degrades to single-node behavior rather than failing
+//     the request.
 //
 // Cancellation propagates end to end: the caller's context flows into every
 // shard request, workers observe the closed connection and stop their sweep
 // at the next cell boundary, and the dispatcher returns the context error.
 //
-// Records is the one dispatch path: sweeps and tuner candidate batches alike
-// arrive as grids and shard the same way. Only grids whose cells are fully
-// described by (label, config, method) can cross the wire — sweep.Shardable
-// gates dispatch, and grids with custom cell Eval closures are evaluated
-// locally instead. A worker's answer must name the shard's cells: one
-// record per cell, carrying that cell's label and the grid's name, in
-// order, or the attempt fails like any bad response.
+// Records is the one dispatch path, and it alone decides whether a grid
+// goes remote: sweeps and tuner candidate batches alike arrive as grids and
+// shard the same way. Only grids whose cells are fully described by (label,
+// config, method) can cross the wire — sweep.Shardable gates dispatch, and
+// grids with custom cell Eval closures are evaluated locally instead, as
+// are empty and single-cell grids, for which a round trip buys nothing. A
+// worker's answer must name the shard's cells: one record per cell,
+// carrying that cell's label and the grid's name, in order, or the attempt
+// fails like any bad response.
 package cluster
 
 import (
@@ -68,53 +71,57 @@ import (
 	"vocabpipe/internal/sweep"
 )
 
-// Options tunes a Dispatcher.
+// Options configures a Dispatcher with what a deployment sets; the fault
+// parameters are the package constants below.
 type Options struct {
 	// Workers are the SEED worker base URLs ("http://host:port"; a bare
 	// "host:port" gets the scheme prepended). Seeds are ordinary members in
 	// every way except death: an expired seed parks in a dormant set the
 	// prober keeps watching, so a revived seed rejoins without calling the
-	// join API. Required unless Dynamic is set.
+	// join API. The list may be empty: members then join at runtime through
+	// Join, and until one does every grid evaluates in process.
 	Workers []string
-	// Dynamic permits a dispatcher with an empty seed list: the pool is
-	// populated at runtime through Join (the coordinator's join API). With
-	// no members every shard evaluates by local fallback.
-	Dynamic bool
 	// MemberTTL expires a member whose last sign of life — join/heartbeat,
 	// successful probe or successful request — is older than this, checked
 	// on every Probe pass (default 30s; negative disables expiry). An
 	// expired member leaves the placement ranking entirely: shard selection
 	// never proposes it again until it rejoins.
 	MemberTTL time.Duration
-	// ShardsPerWorker scales shard granularity: a grid splits into
-	// min(cells, workers × ShardsPerWorker) shards (default 4). Finer shards
-	// cost more round trips but make retries cheaper and stragglers smaller.
-	ShardsPerWorker int
-	// MaxInFlight bounds concurrent shard requests (default 2 × workers).
-	MaxInFlight int
 	// HedgeAfter is how long a shard request may go unanswered before a
 	// duplicate is sent to another worker (default 2s; negative disables).
 	HedgeAfter time.Duration
-	// AttemptTimeout is the hard deadline on a single worker request
-	// (default 2m; negative disables). Hedging handles ordinary stragglers
-	// long before this fires — the timeout exists so a worker that hangs
-	// without closing its connection (SIGSTOP, network partition) still
-	// counts as a failure and the shard moves on to retry and, ultimately,
-	// local fallback instead of wedging the request forever.
-	AttemptTimeout time.Duration
-	// FailureThreshold is the consecutive-failure count that opens a
-	// worker's circuit (default 3).
-	FailureThreshold int
-	// Cooldown is how long an open circuit skips its worker before a
-	// half-open trial (default 5s).
-	Cooldown time.Duration
-	// LocalParallel is the sweep worker count used by local fallback
-	// (default GOMAXPROCS, the sweep engine's own default).
+	// LocalParallel is the sweep worker count for grids evaluated in
+	// process, fallback included (default GOMAXPROCS, the sweep engine's
+	// own default).
 	LocalParallel int
-	// DisableFallback makes a shard with no healthy worker a hard error
-	// instead of evaluating it in-process.
-	DisableFallback bool
 }
+
+const (
+	// shardsPerWorker scales shard granularity: a grid splits into
+	// min(cells, members × shardsPerWorker) shards. Finer shards cost more
+	// round trips but make retries cheaper and stragglers smaller.
+	shardsPerWorker = 4
+	// minFanOut floors the fan-out bound, max(minFanOut, 2 × active
+	// members), so a small pool still overlaps its shards.
+	minFanOut = 8
+	// failureThreshold consecutive failures open a worker's circuit.
+	failureThreshold = 3
+	// cooldown is how long an open circuit skips its worker before a
+	// half-open trial.
+	cooldown = 5 * time.Second
+	// attemptTimeout is the hard deadline on a single worker request.
+	// Hedging handles ordinary stragglers long before this fires — the
+	// deadline exists so a worker that hangs without closing its connection
+	// (SIGSTOP, network partition) still counts as a failure and the shard
+	// moves on to retry and, ultimately, local fallback instead of wedging
+	// the request forever.
+	attemptTimeout = 2 * time.Minute
+	// idleConnsPerHost is how many idle connections the dispatcher keeps to
+	// each member: the fan-out bound of a 32-member pool, so a warm sweep
+	// finds a pooled connection for every shard it sends to one member,
+	// where net/http's default of 2 redials the rest each time.
+	idleConnsPerHost = 64
+)
 
 // Stats counts dispatcher activity since construction; /healthz reports it
 // and tests read it to prove the retry/hedge paths actually ran.
@@ -138,17 +145,24 @@ type Stats struct {
 type Dispatcher struct {
 	opt    Options
 	client *http.Client
-	// sem bounds concurrent shard dispatches across every Records call, so
-	// concurrent sweeps and tuner batches share one budget.
-	sem chan struct{}
-	now func() time.Time
+	now    func() time.Time
+	// shardsPerWorker and attemptTimeout start as the package constants;
+	// this package's tests lower them for a finer split or a faster
+	// deadline.
+	shardsPerWorker int
+	attemptTimeout  time.Duration
 
-	// mu guards the membership registry (see membership.go). members is
-	// the active pool; dormant holds expired seeds the prober keeps
-	// watching.
+	// mu guards the membership registry (see membership.go) and the
+	// fan-out slots. members is the active pool; dormant holds expired
+	// seeds the prober keeps watching. onWire counts the shards holding a
+	// slot, across every Records call, so concurrent sweeps and tuner
+	// batches share one bound; freed, when a shard waits for a slot, is
+	// closed as a slot frees or a member joins.
 	mu      sync.RWMutex
 	members map[string]*workerState
 	dormant map[string]*workerState
+	onWire  int
+	freed   chan struct{}
 
 	shards    atomic.Int64
 	remote    atomic.Int64
@@ -162,45 +176,25 @@ type Dispatcher struct {
 
 // New builds a Dispatcher. Seed URLs are normalized and deduplicated (one
 // address must never hold two circuit breakers); an invalid URL panics —
-// callers validate user input with NormalizeURL first. An empty seed list
-// panics unless Options.Dynamic says members will join at runtime.
+// callers validate user input with NormalizeURL first.
 func New(opt Options) *Dispatcher {
-	if len(opt.Workers) == 0 && !opt.Dynamic {
-		panic("cluster: New needs at least one worker URL (or Options.Dynamic)")
-	}
-	if opt.ShardsPerWorker <= 0 {
-		opt.ShardsPerWorker = 4
-	}
-	if opt.MaxInFlight <= 0 {
-		// Scaled to the seed pool but floored so a join-only coordinator
-		// (zero seeds) still has dispatch slots when members arrive.
-		opt.MaxInFlight = 2 * len(opt.Workers)
-		if opt.MaxInFlight < 8 {
-			opt.MaxInFlight = 8
-		}
-	}
 	if opt.HedgeAfter == 0 {
 		opt.HedgeAfter = 2 * time.Second
-	}
-	if opt.AttemptTimeout == 0 {
-		opt.AttemptTimeout = 2 * time.Minute
-	}
-	if opt.FailureThreshold <= 0 {
-		opt.FailureThreshold = 3
-	}
-	if opt.Cooldown <= 0 {
-		opt.Cooldown = 5 * time.Second
 	}
 	if opt.MemberTTL == 0 {
 		opt.MemberTTL = 30 * time.Second
 	}
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConns = 0 // no cap across members
+	transport.MaxIdleConnsPerHost = idleConnsPerHost
 	d := &Dispatcher{
-		opt:     opt,
-		client:  &http.Client{},
-		sem:     make(chan struct{}, opt.MaxInFlight),
-		now:     time.Now,
-		members: make(map[string]*workerState),
-		dormant: make(map[string]*workerState),
+		opt:             opt,
+		client:          &http.Client{Transport: transport},
+		now:             time.Now,
+		shardsPerWorker: shardsPerWorker,
+		attemptTimeout:  attemptTimeout,
+		members:         make(map[string]*workerState),
+		dormant:         make(map[string]*workerState),
 	}
 	now := d.now()
 	for _, raw := range opt.Workers {
@@ -233,22 +227,26 @@ func (d *Dispatcher) Stats() Stats {
 	}
 }
 
-// Records evaluates the grid across the worker pool and returns its records
-// in expansion order — the same slice a local sweep.Run(...).Records()
-// yields, byte-for-byte once serialized. Non-shardable grids (custom cell
-// Eval closures) and empty grids are evaluated locally. onRecord, when non-nil,
-// is called with each cell's expansion index and record as its shard lands
-// (shard by shard, so calls may run concurrently); a failed Records call
-// may have reported some cells already.
+// Records evaluates the grid and returns its records in expansion order —
+// the same slice sweep.Records yields, byte-for-byte once serialized. It
+// alone decides where a grid runs: one that is empty, has a single cell or
+// cannot be sharded (custom cell Eval closures), or that meets an empty
+// pool, is evaluated in process; any other shards across the pool. The
+// span in ctx gets a "path" attribute, local or cluster, naming the choice.
+// onRecord, when non-nil, is called with each cell's expansion index and
+// record as it lands (cell by cell in process, shard by shard otherwise;
+// calls may run concurrently); a failed Records call may have reported some
+// cells already.
 func (d *Dispatcher) Records(ctx context.Context, g *sweep.Grid, onRecord func(i int, rec report.Record)) ([]report.Record, error) {
-	cells := g.Expand()
+	span := obs.SpanFromContext(ctx)
 	members := d.memberCount()
-	if len(cells) == 0 || members == 0 || !sweep.Shardable(g) {
-		recs, err := d.localRecords(ctx, g)
-		land(onRecord, 0, recs)
-		return recs, err
+	if g.NumCells() <= 1 || members == 0 || !sweep.Shardable(g) {
+		span.SetAttr("path", "local")
+		return sweep.Records(ctx, g, d.opt.LocalParallel, onRecord)
 	}
-	ranges := sweep.SplitCells(len(cells), members*d.opt.ShardsPerWorker)
+	span.SetAttr("path", "cluster")
+	cells := g.Expand()
+	ranges := sweep.SplitCells(len(cells), members*d.shardsPerWorker)
 
 	ctx, dsp := obs.StartSpan(ctx, "cluster.dispatch")
 	dsp.SetAttr("cells", fmt.Sprint(len(cells)))
@@ -311,15 +309,6 @@ func land(onRecord func(int, report.Record), start int, recs []report.Record) {
 	}
 }
 
-// localRecords is the in-process path: non-shardable grids and fallback.
-func (d *Dispatcher) localRecords(ctx context.Context, g *sweep.Grid) ([]report.Record, error) {
-	res, err := sweep.RunCtx(ctx, g, sweep.Options{Parallel: d.opt.LocalParallel})
-	if err != nil {
-		return nil, err
-	}
-	return res.Records(), nil
-}
-
 // runShard resolves one shard: try members in placement order (each at most
 // once, hedging stragglers) until one answers, then fall back to local
 // evaluation. The placement key is the shard sub-grid's canonical Key() —
@@ -327,21 +316,18 @@ func (d *Dispatcher) localRecords(ctx context.Context, g *sweep.Grid) ([]report.
 // so a repeated or overlapping sweep routes each shard back to the member
 // whose cache is already warm.
 func (d *Dispatcher) runShard(ctx context.Context, g *sweep.Grid, cells []sweep.Cell, r sweep.Range) ([]report.Record, error) {
-	// The shard span opens BEFORE the semaphore so fan-out queueing — the
+	// The shard span opens BEFORE the slot wait so fan-out queueing — the
 	// first place a saturated coordinator stalls — is visible in the trace.
 	ctx, ssp := obs.StartSpan(ctx, "shard")
 	ssp.SetAttr("range", fmt.Sprintf("[%d,%d)", r.Start, r.End))
 	defer ssp.End()
 
-	// Bounded fan-out lives here, per shard, so the shards of every
-	// concurrent Records call — sweeps and tuner batches alike — share one
-	// budget.
-	select {
-	case d.sem <- struct{}{}:
-		defer func() { <-d.sem }()
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	// The slot is taken before the first attempt, so a queued shard never
+	// starts a hedge timer.
+	if err := d.acquire(ctx); err != nil {
+		return nil, err
 	}
+	defer d.release()
 	d.shards.Add(1)
 	key := sweep.Subgrid(g, cells, r).Key()
 	req := NewShardRequest(g, cells, r)
@@ -350,7 +336,6 @@ func (d *Dispatcher) runShard(ctx context.Context, g *sweep.Grid, cells []sweep.
 		return nil, fmt.Errorf("cluster: encoding shard: %w", err)
 	}
 	tried := make(map[*workerState]bool)
-	var lastErr error
 	for attempt := 0; ; attempt++ {
 		w := d.next(key, tried)
 		if w == nil {
@@ -360,8 +345,7 @@ func (d *Dispatcher) runShard(ctx context.Context, g *sweep.Grid, cells []sweep.
 		if attempt > 0 {
 			d.retries.Add(1)
 		}
-		recs, err := d.attempt(ctx, w, key, tried, req, body)
-		if err == nil {
+		if recs, err := d.attempt(ctx, w, key, tried, req, body); err == nil {
 			d.remote.Add(1)
 			ssp.SetAttr("outcome", "remote")
 			return recs, nil
@@ -369,17 +353,50 @@ func (d *Dispatcher) runShard(ctx context.Context, g *sweep.Grid, cells []sweep.
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		lastErr = err
-	}
-	if d.opt.DisableFallback {
-		if lastErr == nil {
-			lastErr = fmt.Errorf("cluster: no worker available (all circuits open)")
-		}
-		return nil, fmt.Errorf("cluster: shard [%d,%d) of %q failed on every worker: %w", r.Start, r.End, g.Name, lastErr)
 	}
 	d.fallbacks.Add(1)
 	ssp.SetAttr("outcome", "fallback")
-	return d.localRecords(ctx, sweep.Subgrid(g, cells, r))
+	return sweep.Records(ctx, sweep.Subgrid(g, cells, r), d.opt.LocalParallel, nil)
+}
+
+// acquire waits for a fan-out slot. The bound, max(minFanOut, 2 × active
+// members), is read from the live pool at each try, so a join lets waiting
+// shards through at once.
+func (d *Dispatcher) acquire(ctx context.Context) error {
+	d.mu.Lock()
+	for d.onWire >= max(minFanOut, 2*len(d.members)) {
+		if d.freed == nil {
+			d.freed = make(chan struct{})
+		}
+		freed := d.freed
+		d.mu.Unlock()
+		select {
+		case <-freed:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		d.mu.Lock()
+	}
+	d.onWire++
+	d.mu.Unlock()
+	return nil
+}
+
+// release returns a fan-out slot.
+func (d *Dispatcher) release() {
+	d.mu.Lock()
+	d.onWire--
+	d.wakeLocked()
+	d.mu.Unlock()
+}
+
+// wakeLocked wakes every shard waiting for a slot; each re-checks the bound.
+// d.mu must be held.
+func (d *Dispatcher) wakeLocked() {
+	if d.freed != nil {
+		close(d.freed)
+		d.freed = nil
+	}
 }
 
 // attempt posts the shard (req, encoded as body) to primary; if HedgeAfter
@@ -441,7 +458,7 @@ func (d *Dispatcher) attempt(ctx context.Context, primary *workerState, key stri
 					// primary that already completed with an error was
 					// charged by its own outcome; don't count it twice.
 					if !primaryDone {
-						primary.chargeSlow(d.opt.FailureThreshold, d.opt.Cooldown, d.now())
+						primary.chargeSlow(d.now())
 					}
 				}
 				return o.recs, nil
@@ -477,14 +494,11 @@ const recordBytes = 4 << 10
 // the pool. Outcomes feed the worker's circuit state; attempts aborted by
 // the caller's own cancellation (client gone, hedge lost) are neutral — a
 // cancelled caller says nothing about worker health — but an attempt that
-// hits AttemptTimeout is a failure like any other.
+// hits the attempt deadline is a failure like any other.
 func (d *Dispatcher) post(ctx context.Context, w *workerState, req ShardRequest, body []byte) ([]report.Record, error) {
 	caller := ctx
-	if d.opt.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d.opt.AttemptTimeout)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(ctx, d.attemptTimeout)
+	defer cancel()
 	w.beginRequest()
 	recs, err := func() ([]report.Record, error) {
 		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/api/v1/shard", bytes.NewReader(body))
@@ -524,11 +538,11 @@ func (d *Dispatcher) post(ctx context.Context, w *workerState, req ShardRequest,
 	}()
 	switch {
 	case err == nil:
-		w.endRequest(outcomeSuccess, d.opt.FailureThreshold, d.opt.Cooldown, d.now())
+		w.endRequest(outcomeSuccess, d.now())
 	case caller.Err() != nil:
-		w.endRequest(outcomeNeutral, d.opt.FailureThreshold, d.opt.Cooldown, d.now())
+		w.endRequest(outcomeNeutral, d.now())
 	default:
-		w.endRequest(outcomeFailure, d.opt.FailureThreshold, d.opt.Cooldown, d.now())
+		w.endRequest(outcomeFailure, d.now())
 	}
 	return recs, err
 }
@@ -547,7 +561,7 @@ func (d *Dispatcher) post(ctx context.Context, w *workerState, req ShardRequest,
 func (d *Dispatcher) next(key string, tried map[*workerState]bool) *workerState {
 	now := d.now()
 	for _, w := range d.placement(key) {
-		if !tried[w] && w.admit(now, d.opt.Cooldown) {
+		if !tried[w] && w.admit(now) {
 			return w
 		}
 	}

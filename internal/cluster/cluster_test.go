@@ -10,11 +10,13 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"vocabpipe/internal/costmodel"
+	"vocabpipe/internal/experiments"
 	"vocabpipe/internal/report"
 	"vocabpipe/internal/sweep"
 	"vocabpipe/internal/tune"
@@ -176,7 +178,8 @@ func TestDispatchMatchesLocal(t *testing.T) {
 		for i := range urls {
 			urls[i] = newStubWorker(t, nil).ts.URL
 		}
-		d := New(Options{Workers: urls, ShardsPerWorker: 2})
+		d := New(Options{Workers: urls})
+		d.shardsPerWorker = 2
 		got, err := d.Records(context.Background(), g, nil)
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
@@ -193,12 +196,170 @@ func TestDispatchMatchesLocal(t *testing.T) {
 // placement actually proposes first.
 func shardPrimaries(d *Dispatcher, g *sweep.Grid) []string {
 	cells := g.Expand()
-	ranges := sweep.SplitCells(len(cells), d.memberCount()*d.opt.ShardsPerWorker)
+	ranges := sweep.SplitCells(len(cells), d.memberCount()*d.shardsPerWorker)
 	out := make([]string, len(ranges))
 	for i, r := range ranges {
 		out[i] = d.placement(sweep.Subgrid(g, cells, r).Key())[0].url
 	}
 	return out
+}
+
+// holdGate is a stub-worker delay that holds each shard request until want
+// requests are held at once or timeout passes, and records the peak.
+type holdGate struct {
+	want    int
+	timeout time.Duration
+	met     chan struct{}
+
+	mu         sync.Mutex
+	held, peak int
+}
+
+func newHoldGate(want int, timeout time.Duration) *holdGate {
+	return &holdGate{want: want, timeout: timeout, met: make(chan struct{})}
+}
+
+func (g *holdGate) hold(r *http.Request) {
+	g.mu.Lock()
+	g.held++
+	if g.held > g.peak {
+		g.peak = g.held
+		if g.peak == g.want {
+			close(g.met)
+		}
+	}
+	g.mu.Unlock()
+	select {
+	case <-g.met:
+	case <-time.After(g.timeout):
+	case <-r.Context().Done():
+	}
+	g.mu.Lock()
+	g.held--
+	g.mu.Unlock()
+}
+
+// counts returns the requests held now and the peak so far.
+func (g *holdGate) counts() (held, peak int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.held, g.peak
+}
+
+// sixteenCells is a shardable 16-cell grid.
+func sixteenCells(t testing.TB) *sweep.Grid {
+	t.Helper()
+	g, err := sweep.ParseGrid("model=4B;seq=2048;method=baseline,vocab-1,vocab-2,interlaced;vocab=32k,64k,128k,256k;micro=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := g.NumCells(); n != 16 {
+		t.Fatalf("grid has %d cells, want 16", n)
+	}
+	return g
+}
+
+// TestFanOutFollowsMembership: the fan-out bound follows the live pool, not
+// the seed list. Sixteen workers joined to a seedless dispatcher put all 16
+// one-cell shards of a 16-cell grid on the wire at once: each worker holds
+// its shard requests until 16 are held or 2 s pass.
+func TestFanOutFollowsMembership(t *testing.T) {
+	g := sixteenCells(t)
+	gate := newHoldGate(16, 2*time.Second)
+	d := New(Options{HedgeAfter: -1})
+	for i := 0; i < 16; i++ {
+		if _, _, err := d.Join(newStubWorker(t, gate.hold).ts.URL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := d.Records(context.Background(), g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, localRecords(g)) {
+		t.Error("records differ from local sweep")
+	}
+	if st := d.Stats(); st.Shards != 16 || st.Remote != 16 {
+		t.Errorf("stats = %+v, want 16 one-cell shards answered remotely", st)
+	}
+	if _, peak := gate.counts(); peak != 16 {
+		t.Errorf("at most %d shard requests on the wire for 16 members, want all 16", peak)
+	}
+}
+
+// TestJoinWakesWaitingShards: four members cut a 16-cell grid into 16
+// shards, of which the bound, max(8, 2 × 4), lets 8 on the wire. Four more
+// members join while the other 8 wait: the bound becomes 16 and the waiting
+// shards go out at once, while the first 8 are still held.
+func TestJoinWakesWaitingShards(t *testing.T) {
+	g := sixteenCells(t)
+	gate := newHoldGate(16, 5*time.Second)
+	d := New(Options{HedgeAfter: -1})
+	join := func() {
+		if _, _, err := d.Join(newStubWorker(t, gate.hold).ts.URL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		join()
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := d.Records(context.Background(), g, nil)
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if held, _ := gate.counts(); held == 8 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the first 8 shards never reached the pool")
+		}
+	}
+	if _, peak := gate.counts(); peak != 8 {
+		t.Fatalf("%d shard requests on the wire for 4 members, want the bound of 8", peak)
+	}
+	for i := 0; i < 4; i++ {
+		join()
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if _, peak := gate.counts(); peak != 16 {
+		t.Errorf("at most %d shard requests on the wire after 4 more members joined, want 16", peak)
+	}
+}
+
+// TestSingleCellBatchesStayLocal: a search whose every batch is one
+// candidate — 4b-full's anneal, budget 48 of 105 — runs each step in
+// process, where a round trip would buy nothing: no shard request reaches
+// the pool, and the result is an in-process search's JSON byte for byte.
+func TestSingleCellBatchesStayLocal(t *testing.T) {
+	w1, w2 := newStubWorker(t, nil), newStubWorker(t, nil)
+	d := New(Options{Workers: []string{w1.ts.URL, w2.ts.URL}})
+	search := func(opt tune.Options) []byte {
+		t.Helper()
+		spec, ok := experiments.TuneSpec("4b-full")
+		if !ok {
+			t.Fatal("scenario 4b-full missing from the registry")
+		}
+		res, err := tune.Search(context.Background(), spec, tune.StrategyAnneal, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	got, want := search(tune.Options{Records: d.Records}), search(tune.Options{})
+	if !bytes.Equal(got, want) {
+		t.Errorf("anneal over the dispatcher differs from an in-process search:\n got %s\nwant %s", got, want)
+	}
+	if st, n := d.Stats(), w1.requests.Load()+w2.requests.Load(); st.Shards != 0 || n != 0 {
+		t.Errorf("stats = %+v and %d worker requests, want no shard leaving the process", st, n)
+	}
 }
 
 // TestRetryOnWorkerFailure: a worker that 500s forces the shard onto a
@@ -210,7 +371,8 @@ func TestRetryOnWorkerFailure(t *testing.T) {
 	g := testGrid(t)
 	w1 := newStubWorker(t, nil)
 	w2 := newStubWorker(t, nil)
-	d := New(Options{Workers: []string{w1.ts.URL, w2.ts.URL}, ShardsPerWorker: 1, HedgeAfter: -1})
+	d := New(Options{Workers: []string{w1.ts.URL, w2.ts.URL}, HedgeAfter: -1})
+	d.shardsPerWorker = 1
 	bad := w1
 	if shardPrimaries(d, g)[0] == w2.ts.URL {
 		bad = w2
@@ -239,55 +401,54 @@ func TestRetryOnWorkerFailure(t *testing.T) {
 }
 
 // TestCircuitBreaker drives the breaker through closed → open → half-open
-// → closed with an injected clock.
+// → closed with an injected clock, at the package's failure threshold and
+// cooldown.
 func TestCircuitBreaker(t *testing.T) {
 	now := time.Unix(1000, 0)
 	w := &workerState{url: "http://w"}
-	const threshold = 3
-	cooldown := 5 * time.Second
 
 	record := func(o requestOutcome) {
 		w.beginRequest()
-		w.endRequest(o, threshold, cooldown, now)
+		w.endRequest(o, now)
 	}
-	for i := 0; i < threshold-1; i++ {
+	for i := 0; i < failureThreshold-1; i++ {
 		record(outcomeFailure)
-		if !w.admit(now, cooldown) {
-			t.Fatalf("circuit opened after %d failures, threshold is %d", i+1, threshold)
+		if !w.admit(now) {
+			t.Fatalf("circuit opened after %d failures, threshold is %d", i+1, failureThreshold)
 		}
 	}
 	record(outcomeFailure)
-	if w.admit(now, cooldown) {
+	if w.admit(now) {
 		t.Fatal("circuit still closed at the failure threshold")
 	}
 	// Neutral outcomes (cancelled callers) must not extend the cooldown or
 	// close the circuit.
 	record(outcomeNeutral)
-	if w.admit(now, cooldown) {
+	if w.admit(now) {
 		t.Fatal("neutral outcome closed the circuit")
 	}
 	// Cooldown expiry admits exactly ONE half-open trial: the grant re-arms
 	// the window, so a concurrent second request is refused instead of
 	// piling onto a possibly-still-dead worker.
 	now = now.Add(cooldown)
-	if !w.admit(now, cooldown) {
+	if !w.admit(now) {
 		t.Fatal("circuit not half-open after cooldown")
 	}
-	if w.admit(now, cooldown) {
+	if w.admit(now) {
 		t.Fatal("half-open circuit admitted a second concurrent trial")
 	}
 	// The trial's failure re-opens immediately...
 	record(outcomeFailure)
-	if w.admit(now, cooldown) {
+	if w.admit(now) {
 		t.Fatal("failed half-open trial left the circuit closed")
 	}
 	// ...and a later trial's success closes it fully, unmetered again.
 	now = now.Add(cooldown)
-	if !w.admit(now, cooldown) {
+	if !w.admit(now) {
 		t.Fatal("no trial admitted after the second cooldown")
 	}
 	record(outcomeSuccess)
-	if !w.admit(now, cooldown) || !w.admit(now, cooldown) {
+	if !w.admit(now) || !w.admit(now) {
 		t.Fatal("success did not fully close the circuit")
 	}
 	w.mu.Lock()
@@ -315,11 +476,10 @@ func TestHedgeStraggler(t *testing.T) {
 	w2 := newStubWorker(t, nil)
 
 	d := New(Options{
-		Workers:         []string{w1.ts.URL, w2.ts.URL},
-		ShardsPerWorker: 1,
-		MaxInFlight:     1,
-		HedgeAfter:      20 * time.Millisecond,
+		Workers:    []string{w1.ts.URL, w2.ts.URL},
+		HedgeAfter: 20 * time.Millisecond,
 	})
+	d.shardsPerWorker = 1
 	// The straggler must be a worker placement actually prefers, or no hedge
 	// ever fires: stall whichever worker owns the first shard. It may own
 	// the second shard too, so the expectation is "every hedge launched was
@@ -377,22 +537,6 @@ func TestLocalFallback(t *testing.T) {
 	}
 }
 
-// TestDisableFallback: the same dead pool is a hard error when fallback is
-// off, and the error names the shard, not a bare context message.
-func TestDisableFallback(t *testing.T) {
-	g := testGrid(t)
-	dead := newStubWorker(t, nil)
-	dead.ts.Close()
-	d := New(Options{Workers: []string{dead.ts.URL}, DisableFallback: true, HedgeAfter: -1})
-	_, err := d.Records(context.Background(), g, nil)
-	if err == nil {
-		t.Fatal("want error with fallback disabled and no live workers")
-	}
-	if !strings.Contains(err.Error(), "failed on every worker") {
-		t.Errorf("err = %v, want a shard-failure error", err)
-	}
-}
-
 // TestDispatchCancellation: cancelling the caller's context aborts the
 // dispatch promptly even while a worker hangs, and reports the context
 // error rather than a worker error.
@@ -408,7 +552,8 @@ func TestDispatchCancellation(t *testing.T) {
 		case <-r.Context().Done():
 		}
 	})
-	d := New(Options{Workers: []string{slow.ts.URL}, ShardsPerWorker: 1, HedgeAfter: -1})
+	d := New(Options{Workers: []string{slow.ts.URL}, HedgeAfter: -1})
+	d.shardsPerWorker = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -427,24 +572,31 @@ func TestDispatchCancellation(t *testing.T) {
 	}
 }
 
-// TestProbe: a probe against a dead worker opens its circuit (after the
-// threshold) and against a live one closes it immediately.
+// TestProbe: probes against a dead worker open its circuit (at the
+// threshold) and against a live one close it immediately.
 func TestProbe(t *testing.T) {
 	w := newStubWorker(t, nil)
-	d := New(Options{Workers: []string{w.ts.URL}, FailureThreshold: 1, Cooldown: time.Hour})
-	// Kill the worker: one failed probe must open the circuit.
+	d := New(Options{Workers: []string{w.ts.URL}})
+	// Kill the worker: failureThreshold failed probes must open the circuit.
 	w.ts.Close()
-	d.Probe(context.Background())
+	for i := 0; i < failureThreshold; i++ {
+		if h := d.Health(); h[0].CircuitOpen {
+			t.Fatalf("circuit open after %d failed probes, threshold is %d", i, failureThreshold)
+		}
+		d.Probe(context.Background())
+	}
 	if h := d.Health(); !h[0].CircuitOpen {
-		t.Fatalf("health after failed probe = %+v, want open circuit", h[0])
+		t.Fatalf("health after failed probes = %+v, want open circuit", h[0])
 	}
 	// Revive at the same address: impossible with httptest, so boot a new
 	// worker and point a fresh dispatcher's state at it through a probe.
 	w2 := newStubWorker(t, nil)
-	d2 := New(Options{Workers: []string{w2.ts.URL}, FailureThreshold: 1, Cooldown: time.Hour})
+	d2 := New(Options{Workers: []string{w2.ts.URL}})
 	ws := d2.members[w2.ts.URL]
-	ws.beginRequest()
-	ws.endRequest(outcomeFailure, 1, time.Hour, d2.now()) // force open
+	for i := 0; i < failureThreshold; i++ { // force open
+		ws.beginRequest()
+		ws.endRequest(outcomeFailure, d2.now())
+	}
 	if h := d2.Health(); !h[0].CircuitOpen {
 		t.Fatalf("setup: circuit should be open: %+v", h[0])
 	}
@@ -469,12 +621,6 @@ func TestNewNormalizesURLs(t *testing.T) {
 			t.Errorf("member %q missing from pool %v", u, d.members)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("New with no workers and Dynamic off did not panic")
-		}
-	}()
-	New(Options{})
 }
 
 // TestTuneBatchFallsBackLocally: a tuner search whose candidate batches go
@@ -540,7 +686,8 @@ func TestShardAnswerMustNameItsCells(t *testing.T) {
 				report.WriteJSON(rw, tt.answer)
 			}))
 			defer w.Close()
-			d := New(Options{Workers: []string{w.URL}, ShardsPerWorker: 1, HedgeAfter: -1})
+			d := New(Options{Workers: []string{w.URL}, HedgeAfter: -1})
+			d.shardsPerWorker = 1
 			got, err := d.Records(context.Background(), g, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -587,7 +734,8 @@ func FuzzShardResponse(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		d := New(Options{Workers: []string{"http://worker.test"}, ShardsPerWorker: 1, HedgeAfter: -1})
+		d := New(Options{Workers: []string{"http://worker.test"}, HedgeAfter: -1})
+		d.shardsPerWorker = 1
 		d.client = &http.Client{Transport: answerTransport(body)}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -624,12 +772,9 @@ func TestAttemptTimeoutUnwedgesStalledPool(t *testing.T) {
 	stalled := newStubWorker(t, func(r *http.Request) {
 		<-r.Context().Done() // never answers; unblocks only when abandoned
 	})
-	d := New(Options{
-		Workers:         []string{stalled.ts.URL},
-		ShardsPerWorker: 1,
-		HedgeAfter:      -1,
-		AttemptTimeout:  50 * time.Millisecond,
-	})
+	d := New(Options{Workers: []string{stalled.ts.URL}, HedgeAfter: -1})
+	d.shardsPerWorker = 1
+	d.attemptTimeout = 50 * time.Millisecond
 	start := time.Now()
 	got, err := d.Records(context.Background(), g, nil)
 	if err != nil {
@@ -653,8 +798,8 @@ func TestAttemptTimeoutUnwedgesStalledPool(t *testing.T) {
 // TestEndlessShardBodyFallsBack: a member that answers 200 and then streams
 // a body with no end — up to 16 MiB of one JSON string, far past any shard
 // response, and then silence — must lose its attempt as soon as the
-// coordinator has read what a real response could hold, at the default
-// two-minute AttemptTimeout: the coordinator hangs up within a second, the
+// coordinator has read what a real response could hold, well inside the
+// two-minute attempt deadline: the coordinator hangs up within a second, the
 // shard falls back to byte-identical local records, and the member is
 // charged the failure.
 func TestEndlessShardBodyFallsBack(t *testing.T) {

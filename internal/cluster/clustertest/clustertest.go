@@ -34,9 +34,9 @@ type Options struct {
 	Coordinator server.Options
 	// Worker configures each worker server.
 	Worker server.Options
-	// Cluster tunes the coordinator's dispatcher (Workers is filled in by
-	// Start). Tests lower HedgeAfter/Cooldown here to make timing-dependent
-	// paths fast and deterministic.
+	// Cluster configures the coordinator's dispatcher (Workers is filled in
+	// by Start). Tests turn hedging off here (HedgeAfter -1) to isolate the
+	// retry path or keep a held shard request from being duplicated.
 	Cluster cluster.Options
 	// WorkerMiddleware, when non-nil, wraps worker i's handler — e.g. to
 	// delay shard responses (forcing a hedge) or to signal request arrival.
@@ -93,8 +93,8 @@ func (c *Cluster) URL() string { return c.Front.URL }
 
 // Start boots n workers and one coordinator pointed at all of them,
 // registering cleanup on t. Zero-value Options give production defaults.
-// With n == 0 and Options.Cluster.Dynamic set, the coordinator starts with
-// an empty member pool and waits for JoinWorker.
+// With n == 0 the coordinator starts with an empty member pool and
+// evaluates in process until JoinWorker adds a member.
 func Start(t testing.TB, n int, opt Options) *Cluster {
 	t.Helper()
 	c := &Cluster{}
@@ -109,9 +109,9 @@ func Start(t testing.TB, n int, opt Options) *Cluster {
 		c.Workers = append(c.Workers, node)
 		urls = append(urls, node.TS.URL)
 	}
-	opt.Cluster.Workers = urls
-	opt.Coordinator.Cluster = opt.Cluster
 	c.opt = opt
+	c.opt.Cluster.Workers = urls
+	c.opt.Coordinator.Cluster = &c.opt.Cluster
 	if opt.StateDir != "" {
 		st, err := jobs.OpenFileStore(opt.StateDir)
 		if err != nil {

@@ -11,8 +11,10 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"os"
 	"path/filepath"
 	"strings"
@@ -456,10 +458,9 @@ func TestClusterCoordinatorRestartResume(t *testing.T) {
 	c := clustertest.Start(t, 2, clustertest.Options{
 		StateDir:    t.TempDir(),
 		Coordinator: server.Options{JobWorkers: 1}, // B must queue behind A
-		// DisableFallback keeps the held job truly in flight: without it the
-		// coordinator would eventually give up on the gated workers and
-		// finish the evals locally before the kill lands.
-		Cluster: cluster.Options{HedgeAfter: -1, DisableFallback: true},
+		// No hedging: the held shard requests stay held, well inside the
+		// two-minute attempt deadline, until the kill.
+		Cluster: cluster.Options{HedgeAfter: -1},
 		WorkerMiddleware: func(i int, next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/api/v1/shard" && hold.Load() {
@@ -680,14 +681,94 @@ func TestClusterSingleCellStaysLocal(t *testing.T) {
 	}
 }
 
+// TestWarmSweepsReuseConnections: at default options a 10-cell sweep over
+// two in-process workers makes 8 shards, all on the wire at once, several
+// on one worker. Once the pool holds a connection per shard, every sweep
+// sends its shards on pooled connections: across 10 sweeps the workers see
+// no new connection. An idle pool of 2 per worker, net/http's default,
+// redials about 4 per sweep.
+//
+// The first sweep's shard requests are held until all 8 are in flight, so
+// the pool grows to a connection per shard at once. And a sweep starts
+// only once every connection of the last one has been offered back to the
+// pool (httptrace's PutIdleConn), which net/http does on its own goroutine
+// just after a response body is read.
+func TestWarmSweepsReuseConnections(t *testing.T) {
+	g, err := sweep.ParseGrid("model=4B;method=1f1b;vocab=32k,64k;micro=16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dials, held atomic.Int64
+	var holding atomic.Bool
+	holding.Store(true)
+	allHeld := make(chan struct{})
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv := server.New(server.Options{CacheSize: 16, Parallel: 1})
+		h := srv.Handler()
+		ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/api/v1/shard" && holding.Load() {
+				if held.Add(1) == 8 {
+					close(allHeld)
+				}
+				select {
+				case <-allHeld:
+				case <-time.After(5 * time.Second):
+				}
+			}
+			h.ServeHTTP(w, r)
+		}))
+		ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				dials.Add(1)
+			}
+		}
+		ts.Start()
+		t.Cleanup(func() {
+			ts.Close()
+			srv.Close(context.Background())
+		})
+		urls = append(urls, ts.URL)
+	}
+	d := cluster.New(cluster.Options{Workers: urls, LocalParallel: 1})
+	var got, offered atomic.Int64
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn:     func(httptrace.GotConnInfo) { got.Add(1) },
+		PutIdleConn: func(error) { offered.Add(1) },
+	})
+	sweepOnce := func() {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); offered.Load() < got.Load(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d connections offered back to the pool after 5 s", offered.Load(), got.Load())
+			}
+		}
+		if _, err := d.Records(ctx, g, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweepOnce() // all 8 shards at once: a connection per shard
+	holding.Store(false)
+	warm := dials.Load()
+	for i := 0; i < 10; i++ {
+		sweepOnce()
+	}
+	if n := dials.Load() - warm; n != 0 {
+		t.Errorf("10 warm sweeps dialed %d new connections (%d while warming), want 0", n, warm)
+	}
+	if st := d.Stats(); st.Shards != 8*11 || st.Fallbacks != 0 {
+		t.Errorf("dispatch %+v, want 8 remote shards per sweep and no fallback", st)
+	}
+}
+
 // TestShardedSweepAllocationBudget pins what a warmed sharded sweep costs.
 // A dispatcher fans a 10-cell grid out as 4 shards to two in-process
 // workers, whose shard caches answer every shard, and merges the records.
 // The count covers dispatch, HTTP transport on both sides, the workers'
-// cached hits and the merge. Two requests in flight at most keep every
-// request on a pooled connection, wherever placement puts the shards.
-// Measured: 765–773 allocations per sweep (803–821 under -race), most of
-// them net/http's.
+// cached hits and the merge. The dispatcher's idle pool keeps every
+// request on a pooled connection, wherever placement puts the shards
+// (TestWarmSweepsReuseConnections). Measured: 765–767 allocations per sweep
+// (796–818 under -race), most of them net/http's.
 func TestShardedSweepAllocationBudget(t *testing.T) {
 	const budget = 940
 	g, err := sweep.ParseGrid("model=4B;method=1f1b;vocab=32k,64k;micro=16")
@@ -704,7 +785,8 @@ func TestShardedSweepAllocationBudget(t *testing.T) {
 		})
 		urls = append(urls, ts.URL)
 	}
-	d := cluster.New(cluster.Options{Workers: urls, ShardsPerWorker: 2, MaxInFlight: 2, LocalParallel: 1})
+	d := cluster.New(cluster.Options{Workers: urls, LocalParallel: 1})
+	cluster.SetShardsPerWorker(d, 2)
 	allocs := testing.AllocsPerRun(10, func() {
 		recs, err := d.Records(context.Background(), g, nil)
 		if err != nil {

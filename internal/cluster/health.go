@@ -58,7 +58,7 @@ func (w *workerState) seen() time.Time {
 // shards cannot all pile onto a possibly-still-dead worker at once. The
 // trial's success clears the circuit entirely; its failure leaves the
 // re-armed window standing (and endRequest extends it again).
-func (w *workerState) admit(now time.Time, cooldown time.Duration) bool {
+func (w *workerState) admit(now time.Time) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.openUntil.IsZero() {
@@ -75,12 +75,12 @@ func (w *workerState) admit(now time.Time, cooldown time.Duration) bool {
 // for a hedge to be launched AND win — as a circuit failure without
 // touching the in-flight count (the losing request's own completion keeps
 // that bookkeeping right, as a neutral outcome).
-func (w *workerState) chargeSlow(threshold int, cooldown time.Duration, now time.Time) {
+func (w *workerState) chargeSlow(now time.Time) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.failures++
 	w.fails++
-	if w.fails >= threshold {
+	if w.fails >= failureThreshold {
 		w.openUntil = now.Add(cooldown)
 	}
 }
@@ -92,7 +92,7 @@ func (w *workerState) beginRequest() {
 	w.mu.Unlock()
 }
 
-func (w *workerState) endRequest(o requestOutcome, threshold int, cooldown time.Duration, now time.Time) {
+func (w *workerState) endRequest(o requestOutcome, now time.Time) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.inflight--
@@ -104,7 +104,7 @@ func (w *workerState) endRequest(o requestOutcome, threshold int, cooldown time.
 	case outcomeFailure:
 		w.failures++
 		w.fails++
-		if w.fails >= threshold {
+		if w.fails >= failureThreshold {
 			w.openUntil = now.Add(cooldown)
 		}
 	}
@@ -204,16 +204,16 @@ func (d *Dispatcher) probeMember(ctx context.Context, w *workerState, dormant bo
 	err := d.probeOne(ctx, w)
 	switch {
 	case err == nil:
-		w.endRequest(outcomeSuccess, d.opt.FailureThreshold, d.opt.Cooldown, d.now())
+		w.endRequest(outcomeSuccess, d.now())
 		if dormant {
 			// A seed that answered its healthz is back: Join reactivates it
 			// (no-op if a heartbeat already raced us to it).
 			d.Join(w.url)
 		}
 	case ctx.Err() != nil:
-		w.endRequest(outcomeNeutral, d.opt.FailureThreshold, d.opt.Cooldown, d.now())
+		w.endRequest(outcomeNeutral, d.now())
 	default:
-		w.endRequest(outcomeFailure, d.opt.FailureThreshold, d.opt.Cooldown, d.now())
+		w.endRequest(outcomeFailure, d.now())
 	}
 }
 

@@ -78,6 +78,9 @@ func NormalizeURL(raw string) (string, error) {
 // already active, which merely refreshes its liveness timestamp. The
 // normalized URL is returned so callers echo the canonical spelling.
 //
+// A new member raises the fan-out bound, so shards waiting for a slot
+// retry at once.
+//
 // A heartbeat deliberately does not touch circuit state: "my process is
 // up" (the join) and "your requests to me succeed" (the circuit) are
 // different facts, and the prober plus live traffic own the second one.
@@ -102,6 +105,7 @@ func (d *Dispatcher) Join(rawURL string) (string, bool, error) {
 	w.touch(now)
 	d.members[u] = w
 	d.joins.Add(1)
+	d.wakeLocked() // the fan-out bound may have grown
 	return u, true, nil
 }
 

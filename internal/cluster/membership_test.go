@@ -47,7 +47,7 @@ func TestNormalizeURL(t *testing.T) {
 }
 
 func TestJoinAndHeartbeat(t *testing.T) {
-	d := New(Options{Dynamic: true})
+	d := New(Options{})
 	if n := d.memberCount(); n != 0 {
 		t.Fatalf("dynamic dispatcher starts with %d members, want 0", n)
 	}
@@ -74,7 +74,7 @@ func TestJoinAndHeartbeat(t *testing.T) {
 // TestJoinSpellingsOfOneWorker: host case and an explicit default port do
 // not make a new member. Seven spellings name three processes.
 func TestJoinSpellingsOfOneWorker(t *testing.T) {
-	d := New(Options{Dynamic: true})
+	d := New(Options{})
 	for _, u := range []string{"w1:8081", "W1:8081", "http://w1", "http://w1:80", "https://w1:443", "https://w1", "HTTP://w1:8081"} {
 		if _, _, err := d.Join(u); err != nil {
 			t.Fatalf("Join(%q): %v", u, err)
@@ -285,7 +285,8 @@ func TestAffinityAcrossRepeatedSweeps(t *testing.T) {
 	g := testGrid(t)
 	w1 := newStubWorker(t, nil)
 	w2 := newStubWorker(t, nil)
-	d := New(Options{Workers: []string{w1.ts.URL, w2.ts.URL}, ShardsPerWorker: 2, HedgeAfter: -1})
+	d := New(Options{Workers: []string{w1.ts.URL, w2.ts.URL}, HedgeAfter: -1})
+	d.shardsPerWorker = 2
 	if _, err := d.Records(context.Background(), g, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -313,11 +314,11 @@ func TestDeadMemberLeavesPlacement(t *testing.T) {
 	dead := newStubWorker(t, nil)
 	dead.ts.Close()
 	d := New(Options{
-		Workers:         []string{w1.ts.URL, w2.ts.URL, dead.ts.URL},
-		ShardsPerWorker: 1,
-		HedgeAfter:      -1,
-		MemberTTL:       50 * time.Millisecond,
+		Workers:    []string{w1.ts.URL, w2.ts.URL, dead.ts.URL},
+		HedgeAfter: -1,
+		MemberTTL:  50 * time.Millisecond,
 	})
+	d.shardsPerWorker = 1
 	base := time.Now()
 	d.now = func() time.Time { return base }
 	d.Probe(context.Background()) // live members refresh; dead accrues a failure

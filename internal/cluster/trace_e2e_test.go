@@ -93,11 +93,12 @@ func TestClusterTracePropagation(t *testing.T) {
 	c := clustertest.Start(t, 1, clustertest.Options{
 		Coordinator: server.Options{Tracer: coordTracer},
 		Worker:      server.Options{Tracer: workerTracer},
-		// One worker × one shard per worker and no hedging: the span
-		// sequence is strictly sequential, so the fake clocks make the
-		// export fully deterministic.
-		Cluster: cluster.Options{ShardsPerWorker: 1, HedgeAfter: -1},
+		Cluster:     cluster.Options{HedgeAfter: -1},
 	})
+	// One worker × one shard per worker and no hedging: the span sequence
+	// is strictly sequential, so the fake clocks make the export fully
+	// deterministic.
+	cluster.SetShardsPerWorker(c.Coordinator.Cluster(), 1)
 
 	resp, err := http.Get(c.URL() + "/api/v1/experiments/table5")
 	if err != nil {

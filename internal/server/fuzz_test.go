@@ -194,7 +194,7 @@ func FuzzJoinBody(f *testing.F) {
 	f.Add([]byte(``), "\xe4")     // not UTF-8: JSON would echo another URL
 	f.Add([]byte(``), "00!0%800") // nor once unescaped
 
-	s := New(Options{Cluster: cluster.Options{Dynamic: true}})
+	s := New(Options{Cluster: &cluster.Options{}})
 	f.Cleanup(func() { s.Close(context.Background()) })
 	h := s.Handler()
 	join := func(t *testing.T, target string, body []byte) (joinResponse, *httptest.ResponseRecorder) {
@@ -210,7 +210,7 @@ func FuzzJoinBody(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte, query string) {
-		s.cluster = cluster.New(cluster.Options{Dynamic: true})
+		s.cluster = cluster.New(cluster.Options{})
 		target := "/api/v1/cluster/join"
 		if query != "" {
 			target += "?url=" + url.QueryEscape(query)

@@ -43,7 +43,7 @@ func TestClusterJoinNotCoordinator(t *testing.T) {
 // adds, heartbeat-as-refresh (added=false), the ?url= override, and the
 // envelope codes for missing and invalid URLs.
 func TestClusterJoin(t *testing.T) {
-	s, ts := newTestServer(t, Options{Cluster: cluster.Options{Dynamic: true}})
+	s, ts := newTestServer(t, Options{Cluster: &cluster.Options{}})
 
 	decode := func(body []byte) (r struct {
 		URL     string `json:"url"`

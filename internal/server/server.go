@@ -57,17 +57,17 @@
 // admission too — observability and queue management must keep answering
 // precisely when the server is saturated.
 //
-// Distributed mode: when Options.Cluster names seed workers (or allows
-// dynamic join-only membership), the server is a coordinator — shardable
-// grids on the synchronous endpoints (and tuner candidate evaluations) fan
-// out across the member pool through internal/cluster and merge back in
-// deterministic cell order, so the response stays byte-identical to a
-// single-node run. Membership is dynamic: workers register and heartbeat
-// via POST /api/v1/cluster/join, silent members are expired by the prober,
-// and shard placement is cache-affine rendezvous hashing. Every server
-// answers POST /api/v1/shard (shard evaluation is always local — a worker
-// never re-shards), so any vpserve instance can serve as a worker. With
-// Options.JobStore set, optimize jobs are durable across restarts.
+// Distributed mode: when Options.Cluster is set, the server is a
+// coordinator — grids on the synchronous endpoints (and tuner candidate
+// batches) go to the cluster dispatcher, which fans shardable multi-cell
+// ones out across the member pool and merges them back in deterministic
+// cell order, so the response stays byte-identical to a single-node run.
+// Membership is dynamic: the seed list may be empty, workers register and
+// heartbeat via POST /api/v1/cluster/join, silent members are expired by
+// the prober, and shard placement is cache-affine rendezvous hashing. Every
+// server answers POST /api/v1/shard (shard evaluation is always local — a
+// worker never re-shards), so any vpserve instance can serve as a worker.
+// With Options.JobStore set, optimize jobs are durable across restarts.
 //
 // Errors are the uniform envelope {"error":{"code":..., "message":...,
 // "details":{...}}} with a stable machine-readable code (see errors.go);
@@ -144,11 +144,11 @@ type Options struct {
 	// get 429 + Retry-After.
 	MaxInFlight int
 	AdmitQueue  int
-	// Cluster configures coordinator mode: when Cluster.Workers names seed
-	// workers or Cluster.Dynamic allows join-only membership, shardable
-	// grids are dispatched across the worker pool instead of being
-	// evaluated in-process.
-	Cluster cluster.Options
+	// Cluster, when non-nil, makes the server a coordinator: shardable
+	// multi-cell grids are dispatched across the worker pool (seeded by
+	// Cluster.Workers, which may be empty) instead of being evaluated
+	// in-process. A zero Cluster.LocalParallel takes Parallel.
+	Cluster *cluster.Options
 	// JobStore, when non-nil, makes optimize jobs durable: submissions,
 	// progress and results write through to it, and a new server over the
 	// same store resumes queued jobs, re-runs ones that died mid-run and
@@ -241,13 +241,14 @@ func New(opt Options) *Server {
 	case opt.TraceCapacity >= 0:
 		s.tracer = obs.NewTracer(obs.Options{Capacity: opt.TraceCapacity, Service: "vpserve"})
 	}
-	if len(opt.Cluster.Workers) > 0 || opt.Cluster.Dynamic {
-		// The cluster's local fallback uses the same per-grid parallelism
-		// the server's own sweeps would.
-		if opt.Cluster.LocalParallel == 0 {
-			opt.Cluster.LocalParallel = opt.Parallel
+	if opt.Cluster != nil {
+		// The dispatcher's in-process sweeps use the same per-grid
+		// parallelism the server's own sweeps would.
+		copt := *opt.Cluster
+		if copt.LocalParallel == 0 {
+			copt.LocalParallel = opt.Parallel
 		}
-		s.cluster = cluster.New(opt.Cluster)
+		s.cluster = cluster.New(copt)
 	}
 	// The queue comes AFTER the dispatcher: replaying the store may resume
 	// optimize jobs immediately, and their rehydrated search functions must
@@ -563,13 +564,11 @@ func cacheKey(route string, g *sweep.Grid) string { return route + "|" + g.Key()
 // it, for the leader and every coalesced waiter alike, with 429 +
 // Retry-After.
 //
-// In coordinator mode, shardable multi-cell grids compute across the
-// worker pool instead of in-process; the merged records encode into the same
-// cache under the same key, so coordinator and single-node responses are
-// interchangeable byte for byte. The shard route itself always computes
-// locally — a worker never re-shards its shard — and single-cell grids
-// (every /api/v1/schedule request) stay local too: a network round trip plus
-// straggler-hedging exposure buys nothing for one milliseconds-cheap cell.
+// In coordinator mode the cluster dispatcher computes the records, across
+// the worker pool for shardable multi-cell grids; the merged records encode
+// into the same cache under the same key, so coordinator and single-node
+// responses are interchangeable byte for byte. The shard route itself always
+// computes locally — a worker never re-shards its shard.
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, route, key string, grid func() (*sweep.Grid, error)) {
 	// The lookup span covers the whole DoCtx window — on a hit it is a map
 	// lookup of the stored body, on a miss it contains the compute span.
@@ -653,21 +652,17 @@ func (s *Server) admitCompute(ctx context.Context) (func(), error) {
 	return release, err
 }
 
-// records computes g's records: across the worker pool for a coordinator's
-// shardable multi-cell grid, in-process otherwise. ctx carries the compute
-// span, which records the path taken.
+// records computes g's records: through a coordinator's dispatcher, which
+// decides between the pool and the process, for any route but the shard
+// route; in process otherwise. ctx carries the compute span, whose path
+// attribute names the way taken: the dispatcher sets it for the grids it
+// gets, and records for the rest.
 func (s *Server) records(ctx context.Context, route string, g *sweep.Grid) ([]report.Record, error) {
-	csp := obs.SpanFromContext(ctx)
-	if s.cluster != nil && route != "shard" && sweep.Shardable(g) && g.NumCells() > 1 {
-		csp.SetAttr("path", "cluster")
+	if s.cluster != nil && route != "shard" {
 		return s.cluster.Records(ctx, g, nil)
 	}
-	csp.SetAttr("path", "local")
-	res, err := sweep.RunCtx(ctx, g, sweep.Options{Parallel: s.opt.Parallel})
-	if err != nil {
-		return nil, err
-	}
-	return res.Records(), nil
+	obs.SpanFromContext(ctx).SetAttr("path", "local")
+	return sweep.Records(ctx, g, s.opt.Parallel, nil)
 }
 
 // encodeRecords renders records exactly as `vpbench -json` does, into a

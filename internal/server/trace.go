@@ -12,9 +12,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"vocabpipe/internal/jobs"
@@ -241,38 +243,47 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 // covers it. An export past the bound is dropped like any unreadable one.
 const remoteTraceBytes = 512 * 16 << 10
 
-// remoteTraceEvents asks every active worker for its half of the trace.
-// Strictly best-effort with a short deadline: a worker that is down, has
-// evicted the trace (404), or never saw it contributes nothing — the
-// coordinator's own spans still export. Worker i+1's events are re-stamped
-// Pid=i+1 (the coordinator is Pid 0).
+// remoteTraceEvents asks every active worker for its half of the trace, all
+// at once, so a member that hangs costs the export no more than the
+// deadline and hides no other member's half. Strictly best-effort with a
+// short deadline: a worker that is down, has evicted the trace (404), or
+// never saw it contributes nothing — the coordinator's own spans still
+// export. The worker at index i of the sorted member list has its events
+// re-stamped Pid=i+1 (the coordinator is Pid 0), and the halves merge in
+// that order.
 func (s *Server) remoteTraceEvents(ctx context.Context, id obs.TraceID) []trace.Event {
 	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	var merged []trace.Event
-	for i, u := range s.cluster.Members() {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			u+"/api/v1/debug/traces/"+id.String()+"?local=1", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			continue
-		}
-		events, err := trace.ReadChromeTrace(io.LimitReader(resp.Body, remoteTraceBytes))
-		resp.Body.Close()
-		if err != nil {
-			continue
-		}
-		for j := range events {
-			events[j].Pid = i + 1
-		}
-		merged = append(merged, events...)
+	members := s.cluster.Members()
+	halves := make([][]trace.Event, len(members))
+	var wg sync.WaitGroup
+	for i, u := range members {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+				u+"/api/v1/debug/traces/"+id.String()+"?local=1", nil)
+			if err != nil {
+				return
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				return
+			}
+			events, err := trace.ReadChromeTrace(io.LimitReader(resp.Body, remoteTraceBytes))
+			if err != nil {
+				return
+			}
+			for j := range events {
+				events[j].Pid = i + 1
+			}
+			halves[i] = events
+		}()
 	}
-	return merged
+	wg.Wait()
+	return slices.Concat(halves...)
 }

@@ -163,7 +163,7 @@ func TestRemoteTraceReadIsBounded(t *testing.T) {
 	}))
 	defer member.Close()
 	s := New(Options{Parallel: 1, Tracer: detTracer("vpserve", 0),
-		Cluster: cluster.Options{Workers: []string{member.URL}, HedgeAfter: -1}})
+		Cluster: &cluster.Options{Workers: []string{member.URL}, HedgeAfter: -1}})
 	defer s.Close(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -186,6 +186,55 @@ func TestRemoteTraceReadIsBounded(t *testing.T) {
 		if e.Pid != 0 {
 			t.Errorf("event from process %d (name %d bytes) merged; a half past the bound must be dropped", e.Pid, len(e.Name))
 		}
+	}
+}
+
+// TestHungMemberKeepsLiveTraceHalf: members are asked for their trace
+// halves all at once, so a member that never answers hides no other
+// member's half, even when it sorts first and asking in turn would spend
+// the whole deadline on it. The live member's events merge re-stamped with
+// its sorted index + 1.
+func TestHungMemberKeepsLiveTraceHalf(t *testing.T) {
+	a, b := httptest.NewUnstartedServer(nil), httptest.NewUnstartedServer(nil)
+	baseURL := func(ts *httptest.Server) string { return "http://" + ts.Listener.Addr().String() }
+	hung, live := a, b
+	if baseURL(b) < baseURL(a) {
+		hung, live = b, a
+	}
+	hung.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done() // never answers; unblocks when the coordinator gives up
+	})
+	live.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasPrefix(r.URL.Path, "/api/v1/debug/traces/") {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write([]byte(`[{"name":"live member span","cat":"vpserve","ph":"X","ts":0,"dur":1,"pid":0,"tid":0}]`))
+	})
+	for _, ts := range []*httptest.Server{a, b} {
+		ts.Start()
+		defer ts.Close()
+	}
+	s := New(Options{Parallel: 1, Tracer: detTracer("vpserve", 0),
+		Cluster: &cluster.Options{Workers: []string{baseURL(hung), baseURL(live)}, HedgeAfter: -1}})
+	defer s.Close(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/api/v1/schedule?config=4B&method=vocab-1&micro=16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	id := resp.Header.Get("X-Trace-Id")
+	if resp.StatusCode != http.StatusOK || id == "" {
+		t.Fatalf("schedule: HTTP %d, trace %q", resp.StatusCode, id)
+	}
+	events := fetchTrace(t, ts.URL+"/api/v1/debug/traces/"+id)
+	mustEvent(t, events, "GET /api/v1/schedule")
+	if e := mustEvent(t, events, "live member span"); e.Pid != 2 {
+		t.Errorf("live member's event under pid %d, want 2 (sorted second, after the hung member)", e.Pid)
 	}
 }
 

@@ -320,6 +320,30 @@ func RunCtx(ctx context.Context, g *Grid, opt Options) (*Results, error) {
 	return &Results{Grid: g, Cells: results}, ctx.Err()
 }
 
+// Records evaluates the grid in process with parallel workers and returns
+// its records in expansion order. A nil onRecord takes RunCtx(...).Records().
+// Otherwise each cell's record is converted once, as the cell completes, and
+// handed to onRecord with its expansion index; calls may run concurrently.
+func Records(ctx context.Context, g *Grid, parallel int, onRecord func(i int, rec report.Record)) ([]report.Record, error) {
+	opt := Options{Parallel: parallel}
+	if onRecord == nil {
+		res, err := RunCtx(ctx, g, opt)
+		if err != nil {
+			return nil, err
+		}
+		return res.Records(), nil
+	}
+	recs := make([]report.Record, g.NumCells())
+	opt.OnCell = func(_, _ int, r CellResult) {
+		recs[r.Index] = r.Record()
+		onRecord(r.Index, recs[r.Index])
+	}
+	if _, err := RunCtx(ctx, g, opt); err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
 // runnerPool recycles warm simulation runners (engine arenas + analyzer
 // scratch) across workers and Run calls.
 var runnerPool = sync.Pool{New: func() any { return sim.NewRunner() }}

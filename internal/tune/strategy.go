@@ -71,11 +71,11 @@ type Options struct {
 	// candidate. Calls are serialized.
 	OnProgress func(Progress)
 	// Records, when non-nil, evaluates each candidate batch in place of the
-	// in-process sweep: it returns the grid's records in expansion order and
-	// calls onRecord (possibly concurrently) once per cell as its record
-	// lands. A coordinator vpserve passes cluster.Dispatcher.Records, so a
-	// batch shards over the worker pool like any grid. The context is the
-	// search's own, so cancelling the search cancels the batch too.
+	// in-process sweep.Records: it returns the grid's records in expansion
+	// order and calls onRecord (possibly concurrently) once per cell as its
+	// record lands. A coordinator vpserve passes cluster.Dispatcher.Records,
+	// so a batch shards over the worker pool like any grid. The context is
+	// the search's own, so cancelling the search cancels the batch too.
 	Records func(ctx context.Context, g *sweep.Grid, onRecord func(i int, rec report.Record)) ([]report.Record, error)
 }
 

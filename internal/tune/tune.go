@@ -401,8 +401,8 @@ func markPareto(feasible []Ranked) {
 }
 
 // evaluate hands the candidates to opt.Records as one grid (one cell per
-// candidate, labelled by Candidate.Label), or to the in-process sweep when
-// it is nil. Each record is folded into t as it lands; the batch returns in
+// candidate, labelled by Candidate.Label), or to sweep.Records when it is
+// nil. Each record is folded into t as it lands; the batch returns in
 // candidate order.
 func (s *Spec) evaluate(ctx context.Context, cands []Candidate, opt Options, t *tracker) ([]evaluated, error) {
 	g := &sweep.Grid{Name: "tune/" + s.Name, Cells: make([]sweep.Cell, len(cands))}
@@ -415,7 +415,7 @@ func (s *Spec) evaluate(ctx context.Context, cands []Candidate, opt Options, t *
 	if opt.Records != nil {
 		recs, err = opt.Records(ctx, g, onRecord)
 	} else {
-		recs, err = sweepRecords(ctx, g, opt.Parallel, onRecord)
+		recs, err = sweep.Records(ctx, g, opt.Parallel, onRecord)
 	}
 	if err != nil {
 		return nil, err
@@ -425,20 +425,6 @@ func (s *Spec) evaluate(ctx context.Context, cands []Candidate, opt Options, t *
 		out[i] = evaluated{cand: cands[i], rec: recs[i]}
 	}
 	return out, nil
-}
-
-// sweepRecords is the in-process records function: the concurrent sweep
-// engine, each cell converted to its record once, as it completes.
-func sweepRecords(ctx context.Context, g *sweep.Grid, parallel int, onRecord func(int, report.Record)) ([]report.Record, error) {
-	recs := make([]report.Record, len(g.Cells))
-	_, err := sweep.RunCtx(ctx, g, sweep.Options{Parallel: parallel, OnCell: func(_, _ int, r sweep.CellResult) {
-		recs[r.Index] = r.Record()
-		onRecord(r.Index, recs[r.Index])
-	}})
-	if err != nil {
-		return nil, err
-	}
-	return recs, nil
 }
 
 // WriteTable renders the ranked result as the fixed-width text table both

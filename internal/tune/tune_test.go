@@ -170,7 +170,7 @@ func (cr *countingRecords) records(ctx context.Context, g *sweep.Grid, onRecord 
 		cr.calls[c.Label]++
 	}
 	cr.mu.Unlock()
-	return sweepRecords(ctx, g, 0, onRecord)
+	return sweep.Records(ctx, g, 0, onRecord)
 }
 
 // TestAnnealCoveredSpaceSimulatesOnce: a budget that covers the space runs

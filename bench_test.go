@@ -259,7 +259,7 @@ func BenchmarkAllReduce(b *testing.B) {
 }
 
 // BenchmarkEngine compares the event-driven schedule engine (build) against
-// the scan-based reference engine (scan) on the largest Table 5 config: 21B,
+// the full-recompute oracle (scan) on the largest Table 5 config: 21B,
 // 32 devices, 128 microbatches, seq 4096, 256k vocabulary. The two produce
 // bit-identical timelines (see internal/schedule differential tests); this
 // benchmark tracks the dispatch-loop speedup itself.

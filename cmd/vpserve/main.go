@@ -58,7 +58,8 @@
 //	                  to another worker (default 2s; 0 disables;
 //	                  coordinator only)
 //	-probe-every D    member /healthz probe interval — also drives expiry
-//	                  (default 5s; 0 disables; coordinator only)
+//	                  (default 5s; 0 disables probes and expiry alike, so
+//	                  it needs -member-ttl 0; coordinator only)
 //
 // Load-test mode drives the one load engine (internal/load) against a URL —
 // an already-running vpserve (or anything speaking HTTP) — and prints its
@@ -151,7 +152,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	role := fs.String("role", "single", "deployment `role`: single, coordinator or worker")
 	workers := fs.String("workers", "", "comma-separated seed worker base `URLs` (requires -role coordinator; optional — workers can join at runtime)")
 	hedgeAfter := fs.Duration("hedge-after", 2*time.Second, "duplicate an unanswered shard request to another worker after this long (0 disables hedging)")
-	probeEvery := fs.Duration("probe-every", 5*time.Second, "member /healthz probe interval, which also drives membership expiry (0 disables)")
+	probeEvery := fs.Duration("probe-every", 5*time.Second, "member /healthz probe interval, which also drives membership expiry (0 disables both; requires -member-ttl 0)")
 	memberTTL := fs.Duration("member-ttl", 30*time.Second, "expire cluster members silent for this long (0 disables; requires -role coordinator)")
 	stateDir := fs.String("state-dir", "", "`directory` for the durable job store; optimize jobs survive restarts (serving modes only)")
 	join := fs.String("join", "", "coordinator base `URL` to register with and heartbeat (requires -role worker)")
@@ -301,6 +302,13 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 	if *stateDir != "" && *loadtest != "" {
 		fmt.Fprintf(stderr, "vpserve: -state-dir only applies to serving modes\n")
+		return 2
+	}
+	if *probeEvery == 0 && *memberTTL != 0 {
+		// Only a coordinator can get here (-probe-every is coordinator-only).
+		// Expiry runs inside the prober, so without probes no member would
+		// ever expire: refuse rather than silently disabling -member-ttl.
+		fmt.Fprintf(stderr, "vpserve: -probe-every 0 also stops membership expiry, which runs in the prober; pass -member-ttl 0 too\n")
 		return 2
 	}
 	if explicit["hedge-after"] && *hedgeAfter == 0 {

@@ -413,6 +413,10 @@ func TestClusterFlagValidation(t *testing.T) {
 		{"negative hedge-after", []string{"-role", "coordinator", "-hedge-after", "-1s"}, "-hedge-after must not be negative"},
 		{"negative probe-every", []string{"-role", "coordinator", "-probe-every", "-1s"}, "-probe-every must not be negative"},
 		{"negative member-ttl", []string{"-role", "coordinator", "-member-ttl", "-1s"}, "-member-ttl must not be negative"},
+		// Expiry runs in the prober: no probes would silently mean no expiry.
+		// The unbindable -addr makes a missed refusal fail, not serve.
+		{"probe-every 0 with a member-ttl", []string{"-addr", "127.0.0.1:99999", "-role", "coordinator", "-probe-every", "0", "-member-ttl", "1s"}, "pass -member-ttl 0 too"},
+		{"probe-every 0 with the default member-ttl", []string{"-addr", "127.0.0.1:99999", "-role", "coordinator", "-probe-every", "0"}, "pass -member-ttl 0 too"},
 		{"negative heartbeat", []string{"-role", "worker", "-join", "h:1", "-heartbeat-every", "-1s"}, "-heartbeat-every must not be negative"},
 		{"zero loadtest concurrency", []string{"-loadtest", "http://x", "-loadtest-concurrency", "0"}, "-loadtest-concurrency must be positive, got 0"},
 		{"zero loadtest duration", []string{"-loadtest", "http://x", "-loadtest-duration", "0"}, "-loadtest-duration must be positive, got 0s"},
@@ -433,6 +437,11 @@ func TestDocumentedZerosAccepted(t *testing.T) {
 	addr, done, _ := startServe(t, "-parallel", "0", "-max-inflight", "0", "-admit-queue", "-1",
 		"-trace-ring", "0", "-slow-request", "0")
 	fetch(t, addr, "/api/v1/sweep?grid=model%3D4B%3Bmethod%3Dbaseline%3Bvocab%3D32k%3Bmicro%3D16")
+	stopServe(t, done)
+	// The cluster intervals' zeros, -probe-every 0 with the -member-ttl 0
+	// it needs.
+	addr, done, _ = startServe(t, "-role", "coordinator", "-probe-every", "0", "-member-ttl", "0", "-hedge-after", "0")
+	fetch(t, addr, "/healthz")
 	stopServe(t, done)
 }
 

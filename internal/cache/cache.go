@@ -3,11 +3,11 @@
 // grid identities (sweep.Grid.Key); values are whatever a compute function
 // produced for that key.
 //
-// Do (and DoCtx, its cancellable form) is the counted entry point: a cached
-// key returns immediately (hit), a key someone else is already computing
-// blocks until that computation finishes and shares its value (dedup — a
-// thundering herd on one grid computes it once), and otherwise the caller
-// computes, stores and returns (miss). Errors are propagated to every
+// DoCtx is the counted entry point: a cached key returns immediately (hit),
+// a key someone else is already computing blocks until that computation
+// finishes and shares its value (dedup — a thundering herd on one grid
+// computes it once), and otherwise the caller computes, stores and returns
+// (miss). Errors are propagated to every
 // coalesced waiter but never cached, so a transient failure does not poison
 // the key. Get and Put read and store an entry directly, without a
 // computation and without touching the counters.
@@ -68,7 +68,7 @@ func New[V any](capacity int) *Cache[V] {
 	}
 }
 
-// Outcome classifies how Do resolved a key.
+// Outcome classifies how DoCtx resolved a key.
 type Outcome int
 
 const (
@@ -82,7 +82,7 @@ const (
 )
 
 // Get returns the cached value without computing, marking the entry used.
-// It does not touch the hit/miss counters — Do owns the accounting.
+// It does not touch the hit/miss counters — DoCtx owns the accounting.
 func (c *Cache[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -94,17 +94,12 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
-// Do returns the value for key, computing it with compute on a miss. Only
-// one computation per key runs at a time: concurrent callers of the same key
-// block and share the leader's value or error. Errors are never stored.
-func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, Outcome, error) {
-	return c.DoCtx(context.Background(), key,
-		func(context.Context) (V, error) { return compute() })
-}
-
-// DoCtx is Do with per-caller cancellation. The computation receives a
-// context that outlives any individual caller: it is cancelled only when
-// every caller interested in the key has abandoned it. A caller whose ctx
+// DoCtx returns the value for key, computing it with compute on a miss.
+// Only one computation per key runs at a time: concurrent callers of the
+// same key block and share the leader's value or error. Errors are never
+// stored. Cancellation is per caller: the computation receives a context
+// that outlives any individual caller and is cancelled only when every
+// caller interested in the key has abandoned it. A caller whose ctx
 // expires while waiting gets ctx.Err() immediately, but the in-flight
 // computation keeps running for the remaining callers and its result is
 // cached normally — an impatient waiter cannot poison the entry for others.
@@ -175,7 +170,7 @@ func (c *Cache[V]) DoCtx(ctx context.Context, key string, compute func(ctx conte
 
 // abandon drops one caller's interest in an in-flight call. The last caller
 // out cancels the computation's context and unregisters the call so a fresh
-// Do can recompute the key instead of waiting on doomed work.
+// DoCtx can recompute the key instead of waiting on doomed work.
 func (c *Cache[V]) abandon(key string, cl *call[V]) {
 	c.mu.Lock()
 	cl.refs--
@@ -223,7 +218,7 @@ func (c *Cache[V]) Len() int {
 }
 
 // Stats is a snapshot of the cache counters. Hits+Misses+Deduped is the
-// total number of Do calls observed.
+// total number of DoCtx calls observed.
 type Stats struct {
 	Entries   int   `json:"entries"`
 	Capacity  int   `json:"capacity"`
@@ -234,7 +229,7 @@ type Stats struct {
 }
 
 // HitRatePct is hits (including coalesced waiters, which did not recompute)
-// over all Do calls, in percent; zero when nothing was looked up.
+// over all DoCtx calls, in percent; zero when nothing was looked up.
 func (st Stats) HitRatePct() float64 {
 	total := st.Hits + st.Misses + st.Deduped
 	if total == 0 {

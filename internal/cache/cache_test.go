@@ -10,18 +10,18 @@ import (
 	"time"
 )
 
-// put stores key→val through Do with a trivial compute.
+// put stores key→val through DoCtx with a trivial compute.
 func put(t *testing.T, c *Cache[string], key, val string) {
 	t.Helper()
-	got, outcome, err := c.Do(key, func() (string, error) { return val, nil })
+	got, outcome, err := c.DoCtx(context.Background(), key, func(context.Context) (string, error) { return val, nil })
 	if err != nil || got != val {
-		t.Fatalf("Do(%q) = %q, %v, %v", key, got, outcome, err)
+		t.Fatalf("DoCtx(%q) = %q, %v, %v", key, got, outcome, err)
 	}
 }
 
 // TestEvictionOrder drives a cache through table-driven access
 // sequences and checks exactly which keys survive: LRU order, with Get and
-// repeated Do both counting as use.
+// repeated DoCtx both counting as use.
 func TestEvictionOrder(t *testing.T) {
 	tests := []struct {
 		name     string
@@ -92,17 +92,17 @@ func TestEvictionOrder(t *testing.T) {
 func TestHitMissAccounting(t *testing.T) {
 	c := New[int](4)
 	do := func(key string) Outcome {
-		_, outcome, err := c.Do(key, func() (int, error) { return len(key), nil })
+		_, outcome, err := c.DoCtx(context.Background(), key, func(context.Context) (int, error) { return len(key), nil })
 		if err != nil {
 			t.Fatal(err)
 		}
 		return outcome
 	}
 	if got := do("a"); got != Miss {
-		t.Errorf("first Do(a) = %v, want Miss", got)
+		t.Errorf("first DoCtx(a) = %v, want Miss", got)
 	}
 	if got := do("a"); got != Hit {
-		t.Errorf("second Do(a) = %v, want Hit", got)
+		t.Errorf("second DoCtx(a) = %v, want Hit", got)
 	}
 	do("b")
 	do("a")
@@ -128,7 +128,7 @@ func TestHitMissAccounting(t *testing.T) {
 
 // TestPutStoresWithoutCounting pins Put: it stores as the most recently used
 // entry, replaces an existing value, evicts past capacity like a computed
-// value, and leaves the hit/miss ledger alone. A later Do on a Put key hits.
+// value, and leaves the hit/miss ledger alone. A later DoCtx on a Put key hits.
 func TestPutStoresWithoutCounting(t *testing.T) {
 	c := New[string](2)
 	c.Put("a", "1")
@@ -144,13 +144,13 @@ func TestPutStoresWithoutCounting(t *testing.T) {
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Deduped != 0 || st.Evictions != 1 || st.Entries != 2 {
 		t.Errorf("stats = %+v, want no lookups counted, 1 eviction, 2 entries", st)
 	}
-	v, outcome, err := c.Do("c", func() (string, error) { return "recomputed", nil })
+	v, outcome, err := c.DoCtx(context.Background(), "c", func(context.Context) (string, error) { return "recomputed", nil })
 	if err != nil || outcome != Hit || v != "4" {
-		t.Errorf("Do(c) = %q, %v, %v; want the stored 4 as a hit", v, outcome, err)
+		t.Errorf("DoCtx(c) = %q, %v, %v; want the stored 4 as a hit", v, outcome, err)
 	}
 }
 
-// TestDedupConcurrent fires many concurrent Do calls for one key and proves
+// TestDedupConcurrent fires many concurrent DoCtx calls for one key and proves
 // the compute ran exactly once: one Miss, everyone else coalesced onto it.
 func TestDedupConcurrent(t *testing.T) {
 	const waiters = 32
@@ -165,14 +165,14 @@ func TestDedupConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, outcome, err := c.Do("grid", func() (int, error) {
+			v, outcome, err := c.DoCtx(context.Background(), "grid", func(context.Context) (int, error) {
 				computes.Add(1)
 				close(entered)
 				<-release // hold the computation until every waiter has queued
 				return 42, nil
 			})
 			if err != nil || v != 42 {
-				t.Errorf("Do = %d, %v", v, err)
+				t.Errorf("DoCtx = %d, %v", v, err)
 			}
 			outcomes[i] = outcome
 		}(i)
@@ -205,13 +205,13 @@ func TestDedupConcurrent(t *testing.T) {
 func TestErrorsNotCached(t *testing.T) {
 	c := New[int](8)
 	boom := errors.New("boom")
-	if _, _, err := c.Do("k", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.DoCtx(context.Background(), "k", func(context.Context) (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("error result was cached")
 	}
-	v, outcome, err := c.Do("k", func() (int, error) { return 7, nil })
+	v, outcome, err := c.DoCtx(context.Background(), "k", func(context.Context) (int, error) { return 7, nil })
 	if err != nil || v != 7 || outcome != Miss {
 		t.Fatalf("retry = %d, %v, %v; want 7, Miss, nil", v, outcome, err)
 	}
@@ -267,9 +267,9 @@ func TestConcurrentMixed(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", i%40)
-				v, _, err := c.Do(key, func() (int, error) { return i % 40, nil })
+				v, _, err := c.DoCtx(context.Background(), key, func(context.Context) (int, error) { return i % 40, nil })
 				if err != nil || v != i%40 {
-					t.Errorf("Do(%q) = %d, %v", key, v, err)
+					t.Errorf("DoCtx(%q) = %d, %v", key, v, err)
 					return
 				}
 				c.Get(key)
@@ -349,16 +349,16 @@ func TestDoCtxWaiterExpiryDoesNotPoison(t *testing.T) {
 		t.Fatalf("patient waiter got %q", v)
 	}
 	// The entry is cached and healthy for later callers.
-	v, outcome, err := c.Do("k", func() (string, error) {
+	v, outcome, err := c.DoCtx(context.Background(), "k", func(context.Context) (string, error) {
 		t.Error("cached key recomputed")
 		return "", nil
 	})
 	if err != nil || v != "value" || outcome != Hit {
-		t.Fatalf("follow-up Do = %q, %v, %v; want cached value", v, outcome, err)
+		t.Fatalf("follow-up DoCtx = %q, %v, %v; want cached value", v, outcome, err)
 	}
 }
 
-// waitForDeduped spins until n Do calls have coalesced (deduped counter).
+// waitForDeduped spins until n DoCtx calls have coalesced (deduped counter).
 func waitForDeduped(t *testing.T, c *Cache[string], n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -400,7 +400,7 @@ func TestDoCtxAllCallersGoneCancelsCompute(t *testing.T) {
 	}
 
 	// Nothing was cached; a fresh caller recomputes and succeeds.
-	v, outcome, err := c.Do("k", func() (string, error) { return "fresh", nil })
+	v, outcome, err := c.DoCtx(context.Background(), "k", func(context.Context) (string, error) { return "fresh", nil })
 	if err != nil || v != "fresh" || outcome != Miss {
 		t.Fatalf("recompute = %q, %v, %v; want fresh miss", v, outcome, err)
 	}

@@ -225,8 +225,6 @@ const (
 	Alg1Kind AlgKind = iota
 	// Alg2Kind corresponds to OUTPUT-VOCAB-2 rows.
 	Alg2Kind
-	// InputKind corresponds to INPUT rows.
-	InputKind
 )
 
 // scalingCoef holds the a + b/p fit of Table 3: throughput relative to ideal

@@ -178,10 +178,8 @@ func FuzzAnalyzer(f *testing.F) {
 			}
 			spec.Vocab = &schedule.VocabSpec{SDur: q(xq), TDur: q(yq), Barriers: barriers,
 				BcastTime: q(imb) / 4, C1Time: q(xq) / 4, C2Time: q(yq) / 4, ActBytes: transient}
-			spec.ExtraInFlight = barriers
 		case 3:
 			spec.Interlaced = &schedule.InterlacedSpec{VDur: q(xq), SyncTime: q(yq) / 4, ActBytes: transient}
-			spec.CapScale = 1.5
 		}
 		tl, err := schedule.Build(spec)
 		if err != nil {

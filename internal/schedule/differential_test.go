@@ -8,10 +8,13 @@ import (
 )
 
 // Differential tests: the event-driven engine (Build) must reproduce the
-// scan-based reference engine (BuildScan) bit for bit — same passes, same
-// commit order, same float64 start/end times — across randomized specs that
+// full-recompute oracle (BuildScan) bit for bit — same passes, same commit
+// order, same float64 start/end times — across randomized specs that
 // exercise every schedule family, exact ties (quantized durations) and
-// degenerate shapes (P=1, zero durations, huge send times).
+// degenerate shapes (P=1, zero durations, huge send times). Both share the
+// per-slot dispatch rules, so these tests check run's incremental
+// machinery; Timeline.Validate and TestWeightGradientIsFiller check the
+// rules.
 
 // randomSpec draws a valid spec from a distribution biased toward ties:
 // durations are quantized to multiples of 0.25 half the time so that many
@@ -64,16 +67,12 @@ func randomSpec(rng *rand.Rand) *Spec {
 			C2Time:    dur() / 4,
 			ActBytes:  0.25,
 		}
-		spec.ExtraInFlight = barriers
 	case 1: // interlaced
 		spec.Interlaced = &InterlacedSpec{
 			VDur:     dur(),
 			SyncTime: dur() / 4,
 			ActBytes: 0.25,
 		}
-		spec.CapScale = 1.5
-	case 2:
-		spec.ExtraInFlight = rng.Intn(3)
 	}
 	return spec
 }
@@ -158,15 +157,11 @@ func mutateSpec(rng *rand.Rand, s *Spec) *Spec {
 	case 4: // structural: P2P readiness offset
 		c.SendTime = 0.25 * float64(rng.Intn(4))
 	case 5: // structural: switch schedule family on the same shape
-		c.Vocab, c.Interlaced, c.CapScale = nil, nil, 0
+		c.Vocab, c.Interlaced = nil, nil
 		if rng.Intn(2) == 0 {
-			barriers := 1 + rng.Intn(2)
-			c.Vocab = &VocabSpec{SDur: 0.5, TDur: 0.75, Barriers: barriers, ActBytes: 0.25}
-			c.ExtraInFlight = barriers
+			c.Vocab = &VocabSpec{SDur: 0.5, TDur: 0.75, Barriers: 1 + rng.Intn(2), ActBytes: 0.25}
 		} else {
 			c.Interlaced = &InterlacedSpec{VDur: 0.5, SyncTime: 0.25, ActBytes: 0.25}
-			c.CapScale = 1.5
-			c.ExtraInFlight = 0
 		}
 	default: // structural: a fresh shape entirely
 		return randomSpec(rng)
@@ -367,16 +362,13 @@ func FuzzDifferentialEngines(f *testing.F) {
 		switch kind % 5 {
 		case 1:
 			spec.Vocab = &VocabSpec{SDur: fDur / 2, TDur: bDur / 2, Barriers: 2}
-			spec.ExtraInFlight = 2
 		case 2:
 			spec.Vocab = &VocabSpec{SDur: fDur / 2, TDur: bDur / 2, Barriers: 1}
-			spec.ExtraInFlight = 1
 		case 3:
 			spec.Chunks = 2
 			spec.Stages = uniformStages(2*p, fDur/2, bDur/2, bDur/2)
 		case 4:
 			spec.Interlaced = &InterlacedSpec{VDur: fDur, SyncTime: bDur / 4}
-			spec.CapScale = 1.5
 		}
 		rng := rand.New(rand.NewSource(seed))
 		eng := NewEngine()

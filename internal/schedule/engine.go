@@ -29,11 +29,13 @@ func Build(spec *Spec) (*Timeline, error) {
 	return tl, nil
 }
 
-// BuildScan constructs the timed schedule with the original scan-based
-// reference engine, which recomputes every device's best candidate after
-// each committed pass. It is retained as the differential-testing oracle and
-// the benchmark comparison point for the event-driven engine; the two
-// produce bit-identical timelines.
+// BuildScan constructs the timed schedule by full recompute: after each
+// committed pass it re-enumerates every slot of every device through the
+// engine's own per-slot rules and folds all P choices again. It is the
+// differential-testing oracle for Build's incremental machinery (dirty-kind
+// invalidation, cached per-device choices, the resumed fold, prefix replay);
+// the two produce bit-identical timelines. Timeline.Validate remains the
+// independent check of the dependency rules themselves.
 func BuildScan(spec *Spec) (*Timeline, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -107,15 +109,13 @@ const unscheduled = -1.0
 // prefix reuse diffs the next spec against. It is a copy, not a pointer:
 // the caller may mutate or discard its spec after Build returns.
 type prevBuild struct {
-	p, m, chunks  int
-	sendTime      float64
-	capScale      float64
-	extraInFlight int
-	hasVocab      bool
-	vocab         VocabSpec
-	hasInter      bool
-	inter         InterlacedSpec
-	stages        []Stage
+	p, m, chunks int
+	sendTime     float64
+	hasVocab     bool
+	vocab        VocabSpec
+	hasInter     bool
+	inter        InterlacedSpec
+	stages       []Stage
 }
 
 type engine struct {
@@ -156,20 +156,20 @@ type engine struct {
 	prev     prevBuild
 	havePrev bool
 
-	// Event-driven dispatch state (unused by the reference scan engine),
-	// carved by armDispatch from one slab per element type (dispF, dispI,
-	// dispU). Each device caches one slot per candidate kind — per chunk F,
-	// B, W, then S, T, V — holding the kind's next readiness (+Inf when it
-	// has no schedulable pass). All readiness inputs are write-once
-	// (fEnd/bEnd/c1End/... are set exactly once) and each kind has its own
-	// cursor, so a slot stays valid until one of its specific dependencies
-	// lands; applyState marks exactly those (device, kind) pairs in
-	// dirtyKind and queues the device on dirtyList. slotChoice folds a
-	// device's live slots in the reference enumeration order, and
-	// choiceSlot/choiceStart/choicePrio cache the fold result per device
-	// (+Inf start when it has none). Dispatch is a linear fold over those
-	// caches that replays the reference scan's tolerance fold exactly,
-	// resumed at the block of the lowest device whose choice changed.
+	// Dispatch state, carved by armDispatch from one slab per element type
+	// (dispF, dispI, dispU). Each device caches one slot per candidate kind —
+	// per chunk F, B, W, then S, T, V — holding the kind's next readiness
+	// (+Inf when it has no schedulable pass). All readiness inputs are
+	// write-once (fEnd/bEnd/c1End/... are set exactly once) and each kind has
+	// its own cursor, so a slot stays valid until one of its specific
+	// dependencies lands; applyState marks exactly those (device, kind) pairs
+	// in dirtyKind and queues the device on dirtyList. slotChoice folds a
+	// device's live slots in slot order, and choiceSlot/choiceStart/choicePrio
+	// cache the fold result per device (+Inf start when it has none).
+	// Dispatch is a linear fold over those caches that replays
+	// betterCandidate's tolerance fold exactly, resumed at the block of the
+	// lowest device whose choice changed. The scan oracle uses the slots but
+	// none of the caches: it refreshes every slot before every fold.
 	nSlots      int       // 3*Chunks + 3
 	slotReady   []float64 // [device*nSlots+slot]; +Inf = no candidate
 	slotDur     []float64 // [device*nSlots+slot], static per build
@@ -183,7 +183,6 @@ type engine struct {
 	choiceStart []float64
 	choicePrio  []int
 	foldBest    []int // [block]: the fold's best device before device block*foldBlock (-1: none)
-	candBuf     [8]candidate
 
 	dispF []float64
 	dispI []int
@@ -241,10 +240,11 @@ func (e *engine) prepare(spec *Spec) {
 // any commit and therefore always force scratch.
 func (e *engine) prefixLen(s *Spec) int {
 	pv := &e.prev
-	if pv.p != s.P || pv.chunks != s.Chunks || pv.sendTime != s.SendTime ||
-		pv.capScale != s.CapScale || pv.extraInFlight != s.ExtraInFlight {
+	if pv.p != s.P || pv.chunks != s.Chunks || pv.sendTime != s.SendTime {
 		return 0
 	}
+	// The in-flight caps follow from the vocabulary barrier count and the
+	// interlaced flag, so the comparisons below cover them too.
 	if pv.hasVocab != (s.Vocab != nil) || pv.hasInter != (s.Interlaced != nil) {
 		return 0
 	}
@@ -268,7 +268,9 @@ func (e *engine) prefixLen(s *Spec) int {
 	// admission window changed (W duration becomes visible once the stage's
 	// first B lands), or that could advance a per-kind cursor to the
 	// smaller microbatch bound (enumeration diverges once any cursor
-	// reaches min(M, M')).
+	// reaches min(M, M')). A W pass needs no case of its own: it commits
+	// after its stage's B of the same microbatch, which already stops the
+	// prefix when the stage's W duration changed.
 	mDiff := pv.m != s.M
 	mBound := min(pv.m, s.M) - 1
 	for j := range e.prevPasses {
@@ -287,11 +289,6 @@ func (e *engine) prefixLen(s *Spec) int {
 			if pv.stages[st].B != s.Stages[st].B || pv.stages[st].W != s.Stages[st].W {
 				return j
 			}
-		case PassW:
-			st := s.StageOf(tp.Device, tp.Chunk)
-			if pv.stages[st].W != s.Stages[st].W {
-				return j
-			}
 		}
 	}
 	return len(e.prevPasses)
@@ -299,8 +296,7 @@ func (e *engine) prefixLen(s *Spec) int {
 
 func (e *engine) snapshotSpec(s *Spec) {
 	e.prev.p, e.prev.m, e.prev.chunks = s.P, s.M, s.Chunks
-	e.prev.sendTime, e.prev.capScale = s.SendTime, s.CapScale
-	e.prev.extraInFlight = s.ExtraInFlight
+	e.prev.sendTime = s.SendTime
 	e.prev.hasVocab = s.Vocab != nil
 	if s.Vocab != nil {
 		e.prev.vocab = *s.Vocab
@@ -380,9 +376,14 @@ func (e *engine) reset(spec *Spec) {
 		ia[i] = 0
 	}
 
-	scale := spec.CapScale
-	if scale == 0 {
-		scale = 1
+	// Each vocabulary barrier holds one more microbatch in flight (§5.2), and
+	// the interlaced pipeline's activations live 1.5× as long (Appendix B.1).
+	extra, scale := 0, 1.0
+	if spec.Vocab != nil {
+		extra = spec.Vocab.Barriers
+	}
+	if spec.Interlaced != nil {
+		scale = 1.5
 	}
 	for d := 0; d < P; d++ {
 		for c := 0; c < C; c++ {
@@ -405,11 +406,8 @@ func (e *engine) reset(spec *Spec) {
 					base = float64(d+1)/3 + 1
 				}
 			}
-			cp := int(ceilPos(base*scale)) + spec.ExtraInFlight
-			if cp < 1 {
-				cp = 1
-			}
-			e.capIF[d*C+c] = cp
+			// base >= 1 and scale >= 1, so every cap is at least 1.
+			e.capIF[d*C+c] = int(ceilPos(base*scale)) + extra
 		}
 	}
 
@@ -487,14 +485,6 @@ func (e *engine) replay(k int) {
 	}
 }
 
-// candidate is a schedulable pass with its earliest start time.
-type candidate struct {
-	pass     Pass
-	ready    float64
-	duration float64
-	priority int // lower runs first on ties
-}
-
 // priorities: forwards first — an F on the last stage gates the S passes of
 // every device, so pumping the pipe outranks draining it (the in-flight cap,
 // not the priority, is what bounds activation memory). S next (it gates the
@@ -510,19 +500,18 @@ const (
 )
 
 // tieTol is the floating-point tolerance under which two candidate start
-// times count as tied and the (priority, device) tie-break applies. Both
-// engines share it; near-ties arise when the same instant is reached by
+// times count as tied and the (priority, device) tie-break applies. Every
+// fold uses it; near-ties arise when the same instant is reached by
 // different summation orders.
 const tieTol = 1e-15
 
-// betterCandidate is the single tolerance tie-break fold both engines and
-// the per-device selection share: a candidate replaces the current best
-// when it starts tieTol-strictly earlier, or starts within tieTol and has
-// lower priority, or ties on both and runs on a lower device. Every
-// selection loop must fold through this one function — the bit-identical
-// Build/BuildScan guarantee rests on the folds never drifting apart.
-// (Intra-device folds pass dev == bestDev, degenerating the device
-// tie-break to false.)
+// betterCandidate is the tolerance tie-break fold: a candidate replaces the
+// current best when it starts tieTol-strictly earlier, or starts within
+// tieTol and has lower priority, or ties on both and runs on a lower
+// device. The scan oracle's cross-device fold calls it, and slotChoice's
+// intra-device fold is it with the device tie-break degenerate. run's fold
+// unrolls it with the same float expressions; the bit-identical
+// Build/BuildScan guarantee rests on that copy never drifting from it.
 func betterCandidate(start float64, prio, dev int, found bool, bestStart float64, bestPrio, bestDev int) bool {
 	if !found {
 		return true
@@ -544,7 +533,7 @@ func absDiff(a, b float64) float64 {
 // run is the event-driven dispatch loop over cached per-device choices. A
 // commit invalidates only the devices whose dependencies it satisfied
 // (marked dirty inside applyState), so re-enumeration costs O(dirty) per
-// commit instead of the reference engine's O(P) full recompute. Selection
+// commit instead of the scan oracle's O(P) full recompute. Selection
 // is a linear fold over the cached choices, bit-identical to the scan fold
 // since a cached choice equals a fresh recompute. The fold stays O(P) per
 // commit, which is cheap because every pipeline that sim builds has
@@ -627,31 +616,28 @@ func (e *engine) run() (*Timeline, error) {
 	return e.finish(), nil
 }
 
-// runScan is the original reference loop: recompute every device's choice
-// after each commit and fold them with the tolerance comparison.
+// runScan is the full-recompute loop: before every commit it re-enumerates
+// every slot of every device and folds all P choices with betterCandidate.
+// It shares refreshSlots, slotChoice and commitSlot with run but none of
+// run's caches, so it ignores the dirty marks commitSlot leaves (every
+// device stays marked from armDispatch, so the dirty list never grows).
 func (e *engine) runScan() (*Timeline, error) {
-	spec := e.spec
+	p := e.spec.P
+	e.armDispatch(p)
+	all := uint16(1)<<uint(e.nSlots) - 1
 	for e.remaining > 0 {
-		var best candidate
-		bestStart := 0.0
-		bestPrio := 0
-		found := false
-		for d := 0; d < spec.P; d++ {
-			c, start, prio, ok := e.deviceChoice(d)
-			if !ok {
-				continue
-			}
-			if betterCandidate(start, prio, c.pass.Device, found, bestStart, bestPrio, best.pass.Device) {
-				best = c
-				bestStart = start
-				bestPrio = prio
-				found = true
+		bestD, bestSlot, bestStart, bestPrio := -1, 0, 0.0, 0
+		for d := 0; d < p; d++ {
+			e.refreshSlots(d, all)
+			slot, start, prio, ok := e.slotChoice(d)
+			if ok && betterCandidate(start, prio, d, bestD >= 0, bestStart, bestPrio, bestD) {
+				bestD, bestSlot, bestStart, bestPrio = d, slot, start, prio
 			}
 		}
-		if !found {
+		if bestD < 0 {
 			return nil, fmt.Errorf("schedule: no schedulable pass with %d remaining (dependency cycle?)", e.remaining)
 		}
-		e.commit(best, bestStart)
+		e.commitSlot(bestD, bestSlot, bestStart)
 	}
 	return e.finish(), nil
 }
@@ -758,9 +744,10 @@ func (e *engine) setSlot(d, base, k int, ready float64) {
 }
 
 // refreshSlots re-enumerates the masked candidate slots of device d from
-// the engine's readiness state. Kind conditions and readiness expressions
-// mirror candidates() exactly; a kind with no schedulable pass parks its
-// slot at +Inf.
+// the engine's readiness state. It is the one statement of each kind's
+// dispatch rule (cursor, in-flight cap, dataflow and barrier readiness);
+// Timeline.Validate checks the dependency rules independently. A kind with
+// no schedulable pass parks its slot at +Inf.
 func (e *engine) refreshSlots(d int, mask uint16) {
 	spec := e.spec
 	M := spec.M
@@ -876,10 +863,17 @@ func (e *engine) refreshSlots(d int, mask uint16) {
 	}
 }
 
-// slotChoice folds device d's live slots in the reference enumeration
-// order (slot index order is per chunk F, B, W; then S, T, V), reproducing
-// deviceChoice's fold and W admission exactly over the cached readiness.
-// Slots parked at +Inf never enter a fold, so it walks the live mask only.
+// slotChoice picks device d's preferred next pass: the earliest-starting
+// live slot under the tolerance fold, with static pass priorities on ties.
+// It folds in slot index order (per chunk F, B, W; then S, T, V), which
+// resolves exact ties before the tolerance tie-break sees them. Slots parked
+// at +Inf never enter a fold, so it walks the live mask only.
+// Weight-gradient passes are pure filler (zero-bubble style) and are
+// admitted only when they finish before any other live slot could start.
+// (An alternation variant — prefer draining right after a forward — was
+// evaluated and regressed every vocabulary schedule: with the in-flight cap
+// already enforcing the one-forward-one-backward slot budget, deferring
+// forwards starves the last stage whose F gates all S passes.)
 func (e *engine) slotChoice(d int) (int, float64, int, bool) {
 	live := e.liveSlots[d]
 	ns := e.nSlots
@@ -961,160 +955,6 @@ func (e *engine) commitSlot(d, slot int, start float64) {
 	e.applyState(&tp, true)
 }
 
-// deviceChoice picks device d's preferred next pass: the earliest-starting
-// candidate under the shared tolerance fold, with static pass priorities on
-// ties. (An alternation variant — prefer draining right after a forward —
-// was evaluated and regressed every vocabulary schedule: with the in-flight
-// cap already enforcing the one-forward-one-backward slot budget, deferring
-// forwards starves the last stage whose F gates all S passes.)
-// Weight-gradient passes are pure filler (zero-bubble style) and are
-// admitted only when they finish before any other candidate could start.
-func (e *engine) deviceChoice(d int) (candidate, float64, int, bool) {
-	cands, earliestOther, haveOther := e.candidates(d)
-	if len(cands) == 0 {
-		return candidate{}, 0, 0, false
-	}
-	free := e.freeAt[d]
-	var best candidate
-	bestStart := 0.0
-	bestPrio := 0
-	found := false
-	for i := range cands {
-		c := &cands[i]
-		start := free
-		if c.ready > start {
-			start = c.ready
-		}
-		if c.priority == prioW && haveOther && start+c.duration > earliestOther+tieTol {
-			continue
-		}
-		if betterCandidate(start, c.priority, d, found, bestStart, bestPrio, d) {
-			best = *c
-			bestStart = start
-			bestPrio = c.priority
-			found = true
-		}
-	}
-	return best, bestStart, bestPrio, found
-}
-
-// candidates enumerates the next schedulable pass of each kind on device d
-// into the engine's fixed buffer (at most 8: three per chunk plus the
-// vocabulary or interlaced pair). The enumeration order — per chunk F, B,
-// W; then S, T; then V — is part of the bit-identical contract: the fold
-// resolves exact ties by this order before the tolerance tie-break sees
-// them. The second and third results are the earliest start among non-W
-// candidates (the W admission bound) and whether one exists, computed here
-// so deviceChoice folds in a single pass.
-func (e *engine) candidates(d int) ([]candidate, float64, bool) {
-	spec := e.spec
-	M := spec.M
-	out := e.candBuf[:0]
-	base := d * spec.Chunks
-	free := e.freeAt[d]
-	fEnd, bEnd := e.fEnd, e.bEnd
-	// minOther tracks the minimum readiness among non-W candidates; the W
-	// admission bound is then max(free, minOther), since max-with-free
-	// distributes over min.
-	minOther := math.Inf(1)
-	other := func(ready float64) {
-		if ready < minOther {
-			minOther = ready
-		}
-	}
-
-	for c := 0; c < spec.Chunks; c++ {
-		st := spec.StageOf(d, c)
-		row := st * M
-
-		// Forward.
-		if i := e.nextF[base+c]; i < M && e.inFlight[base+c] < e.capIF[base+c] {
-			ready := 0.0
-			ok := true
-			if st > 0 {
-				prev := fEnd[row-M+i]
-				if prev == unscheduled {
-					ok = false
-				} else {
-					ready = prev + spec.SendTime
-				}
-			}
-			if ok {
-				out = append(out, candidate{Pass{PassF, d, c, i}, ready, e.stageF[st], prioF})
-				other(ready)
-			}
-		}
-
-		// Backward.
-		if i := e.nextB[base+c]; i < M {
-			if own := fEnd[row+i]; own != unscheduled {
-				ready := own
-				ok := true
-				if st == e.last {
-					if r, okB := e.lastStageBackwardReady(i); okB {
-						if r > ready {
-							ready = r
-						}
-					} else {
-						ok = false
-					}
-				} else if next := bEnd[row+M+i]; next != unscheduled {
-					if nr := next + spec.SendTime; nr > ready {
-						ready = nr
-					}
-				} else {
-					ok = false
-				}
-				if ok {
-					out = append(out, candidate{Pass{PassB, d, c, i}, ready, e.stageB[st], prioB})
-					other(ready)
-				}
-			}
-		}
-
-		// Weight gradient (split backward).
-		if w := e.stageW[st]; w > 0 {
-			if i := e.nextW[base+c]; i < M {
-				if b := bEnd[row+i]; b != unscheduled {
-					out = append(out, candidate{Pass{PassW, d, c, i}, b, w, prioW})
-				}
-			}
-		}
-	}
-
-	lastRow := e.last * M
-	if v := spec.Vocab; v != nil {
-		if i := e.nextS[d]; i < M {
-			if f := fEnd[lastRow+i]; f != unscheduled {
-				out = append(out, candidate{Pass{PassS, d, 0, i}, f + v.BcastTime, v.SDur, prioS})
-				other(f + v.BcastTime)
-			}
-		}
-		if i := e.nextT[d]; i < M {
-			if c1 := e.c1End[i]; c1 != unscheduled {
-				out = append(out, candidate{Pass{PassT, d, 0, i}, c1, v.TDur, prioT})
-				other(c1)
-			}
-		}
-	}
-
-	if iv := spec.Interlaced; iv != nil {
-		if i := e.nextV[d]; i < M {
-			if f := fEnd[lastRow+i]; f != unscheduled {
-				out = append(out, candidate{Pass{PassV, d, 0, i}, f, iv.VDur + iv.SyncTime, prioV})
-				other(f)
-			}
-		}
-	}
-
-	haveOther := !math.IsInf(minOther, 1)
-	earliestOther := minOther
-	if haveOther && free > earliestOther {
-		earliestOther = free
-	}
-	return out, earliestOther, haveOther
-}
-
 // lastStageBackwardReady returns the extra readiness constraint on the last
 // transformer stage's backward of microbatch i (§5.1).
 func (e *engine) lastStageBackwardReady(i int) (float64, bool) {
@@ -1142,24 +982,10 @@ func (e *engine) lastStageBackwardReady(i int) (float64, bool) {
 	}
 }
 
-// commit is the scan engine's commit step; the event-driven loop uses
-// commitSlot. The scan engine arms no dispatch caches, so it skips
-// invalidation.
-func (e *engine) commit(c candidate, start float64) {
-	end := start + c.duration
-	d := c.pass.Device
-	e.freeAt[d] = end
-	tp := TimedPass{Pass: c.pass, Start: start, End: end}
-	e.passes = append(e.passes, tp)
-	e.byDevice[d] = append(e.byDevice[d], tp)
-	e.remaining--
-	e.applyState(&tp, false)
-}
-
 // applyState folds one committed pass into the engine's readiness state.
-// It is shared by the event-driven loop's commits, the scan engine's
-// commits and prefix replay; live (the event-driven loop only) enables the
-// exact (device, kind) invalidation. Every cross-device readiness input is
+// It is shared by commitSlot (both dispatch loops) and prefix replay; live
+// (commitSlot only) enables the exact (device, kind) invalidation, which
+// run consumes and the scan oracle ignores. Every cross-device readiness input is
 // write-once and each per-kind cursor advances in microbatch order, so the
 // waiter scans below (nextS[dd] == i, etc.) are exhaustive: a device whose
 // cursor already passed i saw this input's dependency satisfied earlier,

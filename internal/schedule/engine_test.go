@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -21,8 +22,7 @@ func oneF1BSpec(p, m int) *Spec {
 
 func vocabSpec(p, m, barriers int) *Spec {
 	return &Spec{P: p, M: m, Chunks: 1, Stages: uniformStages(p, 1, 2, 0),
-		Vocab:         &VocabSpec{SDur: 0.5, TDur: 1, Barriers: barriers, ActBytes: 0.25},
-		ExtraInFlight: barriers}
+		Vocab: &VocabSpec{SDur: 0.5, TDur: 1, Barriers: barriers, ActBytes: 0.25}}
 }
 
 func vhalfSpec(p, m int) *Spec {
@@ -31,8 +31,7 @@ func vhalfSpec(p, m int) *Spec {
 
 func interlacedSpec(p, m int) *Spec {
 	return &Spec{P: p, M: m, Chunks: 1, Stages: uniformStages(p, 1, 2, 0),
-		Interlaced: &InterlacedSpec{VDur: 0.75, SyncTime: 0.25, ActBytes: 0.25},
-		CapScale:   1.5}
+		Interlaced: &InterlacedSpec{VDur: 0.75, SyncTime: 0.25, ActBytes: 0.25}}
 }
 
 func TestOneF1BMakespanExact(t *testing.T) {
@@ -167,6 +166,25 @@ func TestVHalfActivationBalancedAndBelow1F1B(t *testing.T) {
 	}
 }
 
+// TestWeightGradientIsFiller pins the W admission rule: a weight-gradient
+// pass runs only if it ends before any other ready pass on its device could
+// start. Build and BuildScan share that rule, so the differential tests
+// cannot see it change. On this V-Half shape a W takes twice as long as an F
+// or a B, and device 0 defers every W until its backwards are done.
+// Admitting every W instead runs F0 F1 F0 F1 B0 B1 W0 B0 B1 W0 W1 W1 on
+// device 0, with makespan 19.
+func TestWeightGradientIsFiller(t *testing.T) {
+	tl := MustBuild(&Spec{P: 2, M: 2, Chunks: 2, Stages: uniformStages(4, 1, 1, 2)})
+	var got []string
+	for _, p := range tl.ByDevice[0] {
+		got = append(got, fmt.Sprintf("%v%d/c%d", p.Type, p.Micro, p.Chunk))
+	}
+	want := "F0/c0 F1/c0 F0/c1 F1/c1 B0/c1 B1/c1 B0/c0 B1/c0 W0/c0 W1/c0 W0/c1 W1/c1"
+	if s := strings.Join(got, " "); s != want || tl.Makespan != 20 {
+		t.Errorf("device 0 runs %s with makespan %v, want %s with makespan 20", s, tl.Makespan, want)
+	}
+}
+
 func TestVHalfMakespanNearOptimal(t *testing.T) {
 	p, m := 4, 16
 	tl := MustBuild(vhalfSpec(p, m))
@@ -212,8 +230,7 @@ func TestVocabScheduleBeatsImbalanced(t *testing.T) {
 	baseline := MustBuild(&Spec{P: p, M: m, Chunks: 1, Stages: stages})
 
 	vocab := MustBuild(&Spec{P: p, M: m, Chunks: 1, Stages: uniformStages(p, 1, 2, 0),
-		Vocab:         &VocabSpec{SDur: r / float64(p), TDur: 2 * r / float64(p), Barriers: 2},
-		ExtraInFlight: 2})
+		Vocab: &VocabSpec{SDur: r / float64(p), TDur: 2 * r / float64(p), Barriers: 2}})
 
 	if vocab.Makespan >= baseline.Makespan {
 		t.Errorf("vocab-parallel makespan %v should beat imbalanced baseline %v",

@@ -13,24 +13,23 @@ import (
 func FuzzSpecValidate(f *testing.F) {
 	// Seeds: plain 1F1B, vocab Alg1/Alg2, interlaced, V-Half chunks,
 	// degenerate inputs.
-	f.Add(4, 8, 1, 1.0, 2.0, 0.0, 0.1, 0, 0.0, 0.0, 0.0, uint8(0))
-	f.Add(4, 8, 1, 1.0, 2.0, 0.0, 0.0, 2, 0.5, 0.25, 0.0, uint8(1))
-	f.Add(4, 8, 1, 1.0, 2.0, 0.0, 0.0, 1, 0.5, 0.25, 0.0, uint8(2))
-	f.Add(4, 8, 1, 1.0, 2.0, 0.0, 0.0, 0, 0.7, 0.2, 1.5, uint8(3))
-	f.Add(3, 6, 2, 1.0, 1.0, 1.0, 0.05, 0, 0.0, 0.0, 0.0, uint8(0))
-	f.Add(1, 1, 1, 0.0, 0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, uint8(0))
-	f.Add(2, 4, 1, math.Inf(1), 1.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, uint8(0))
-	f.Add(2, 4, 1, math.NaN(), 1.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, uint8(1))
-	f.Add(2, 4, 1, -1.0, 1.0, 0.0, -0.5, 0, 0.0, 0.0, -2.0, uint8(3))
+	f.Add(4, 8, 1, 1.0, 2.0, 0.0, 0.1, 0.0, 0.0, uint8(0))
+	f.Add(4, 8, 1, 1.0, 2.0, 0.0, 0.0, 0.5, 0.25, uint8(1))
+	f.Add(4, 8, 1, 1.0, 2.0, 0.0, 0.0, 0.5, 0.25, uint8(2))
+	f.Add(4, 8, 1, 1.0, 2.0, 0.0, 0.0, 0.7, 0.2, uint8(3))
+	f.Add(3, 6, 2, 1.0, 1.0, 1.0, 0.05, 0.0, 0.0, uint8(0))
+	f.Add(1, 1, 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0))
+	f.Add(2, 4, 1, math.Inf(1), 1.0, 0.0, 0.0, 0.0, 0.0, uint8(0))
+	f.Add(2, 4, 1, math.NaN(), 1.0, 0.0, 0.0, 0.0, 0.0, uint8(1))
+	f.Add(2, 4, 1, -1.0, 1.0, 0.0, -0.5, 0.0, 0.0, uint8(3))
 
 	f.Fuzz(func(t *testing.T, p, m, chunks int, fDur, bDur, wDur, send float64,
-		extraInFlight int, sDur, tDur, capScale float64, variant uint8) {
+		sDur, tDur float64, variant uint8) {
 		// Bound the shape so every input builds quickly; durations are left
 		// raw so Validate sees NaN, Inf and negative values.
 		p = 1 + abs(p)%6
 		m = 1 + abs(m)%10
 		chunks = 1 + abs(chunks)%2
-		extraInFlight = abs(extraInFlight) % 4
 
 		stages := make([]Stage, p*chunks)
 		for i := range stages {
@@ -39,8 +38,7 @@ func FuzzSpecValidate(f *testing.F) {
 			stages[i] = Stage{F: fDur * k, B: bDur * k, W: wDur, ActBytes: fDur, ParamBytes: bDur}
 		}
 		spec := &Spec{
-			P: p, M: m, Chunks: chunks, Stages: stages,
-			SendTime: send, ExtraInFlight: extraInFlight, CapScale: capScale,
+			P: p, M: m, Chunks: chunks, Stages: stages, SendTime: send,
 		}
 		switch variant % 4 {
 		case 1:

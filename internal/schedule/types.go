@@ -15,7 +15,8 @@
 //     last transformer backward, per Algorithms 1 and 2),
 //   - a per-device in-flight cap that encodes the schedule's activation
 //     budget (p−d for 1F1B, +1 per barrier for the vocabulary variants,
-//     1.5× for the interlaced baseline).
+//     1.5× for the interlaced baseline), derived from the spec's Vocab and
+//     Interlaced fields.
 //
 // Passes within a type execute in microbatch order on each device, matching
 // how Megatron-style runtimes issue work. The result is a fully timed
@@ -154,17 +155,13 @@ type Spec struct {
 	// SendTime delays F/B readiness across stage boundaries (point-to-point
 	// activation transfer, overlapped on the communication stream).
 	SendTime float64
-	// Vocab, if non-nil, inserts S/T passes per the selected algorithm.
+	// Vocab, if non-nil, inserts S/T passes per the selected algorithm and
+	// raises every device's in-flight cap by one per barrier (§5.2).
 	Vocab *VocabSpec
-	// Interlaced, if non-nil, inserts synchronous V segments. Mutually
-	// exclusive with Vocab.
+	// Interlaced, if non-nil, inserts synchronous V segments and scales the
+	// base per-device cap by 1.5 (Appendix B.1). Mutually exclusive with
+	// Vocab.
 	Interlaced *InterlacedSpec
-	// ExtraInFlight raises every device's in-flight cap (one per
-	// communication barrier for the vocabulary variants, per §5.2).
-	ExtraInFlight int
-	// CapScale scales the base per-device cap (1.5 for the interlaced
-	// baseline, per Appendix B.1). Zero means 1.
-	CapScale float64
 }
 
 // Validate checks structural consistency. Every duration and byte count must
@@ -197,9 +194,6 @@ func (s *Spec) Validate() error {
 	}
 	if bad(s.SendTime) {
 		return fmt.Errorf("schedule: SendTime is negative or non-finite")
-	}
-	if bad(s.CapScale) {
-		return fmt.Errorf("schedule: CapScale is negative or non-finite")
 	}
 	if v := s.Vocab; v != nil {
 		if bad(v.SDur) || bad(v.TDur) || bad(v.BcastTime) || bad(v.C1Time) || bad(v.C2Time) || bad(v.ActBytes) {

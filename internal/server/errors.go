@@ -24,7 +24,7 @@ const (
 	// ErrInvalidBody: a request body is not well-formed JSON (or too large).
 	ErrInvalidBody ErrCode = "invalid_body"
 	// ErrTooManyCells / ErrTooManyMicro / ErrTooManyDevices: the serving-layer
-	// size guards (Options.MaxCells, tune.MaxMicro, Options.MaxDevices).
+	// size guards (Options.MaxCells, tune.MaxMicro, tune.MaxDevices).
 	ErrTooManyCells   ErrCode = "too_many_cells"
 	ErrTooManyMicro   ErrCode = "too_many_micro"
 	ErrTooManyDevices ErrCode = "too_many_devices"

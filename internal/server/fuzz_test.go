@@ -50,9 +50,9 @@ func FuzzGridQuery(f *testing.F) {
 	s := New(Options{MaxCells: 1})
 	s.opt.MaxCells = 0 // below any real grid; bypasses the >0 default
 	h := s.Handler()
-	// guard holds small caps, so fuzzed micro and devices values reach both
-	// per-cell rejections.
-	guard := &Server{opt: Options{MaxCells: 64, MaxDevices: 16}}
+	// guard holds a small cell cap; fuzzed micro and devices values reach
+	// both per-cell rejections (tune.MaxMicro, tune.MaxDevices).
+	guard := &Server{opt: Options{MaxCells: 64}}
 
 	f.Fuzz(func(t *testing.T, spec string) {
 		g, parseErr := sweep.ParseGrid(spec)
@@ -136,7 +136,7 @@ func FuzzShardRequest(f *testing.F) {
 	f.Add([]byte(`{nope`))
 	f.Add([]byte(`null`))
 
-	guard := &Server{opt: Options{MaxCells: 64, MaxDevices: 16}}
+	guard := &Server{opt: Options{MaxCells: 64}}
 	s := New(Options{MaxCells: 1})
 	s.opt.MaxCells = 0 // every grid that decodes is refused at the size guard
 	h := s.Handler()
@@ -168,7 +168,7 @@ func FuzzShardRequest(f *testing.F) {
 			if c.Config.Layers != z.Layers || c.Config.Heads != z.Heads || c.Config.Hidden != z.Hidden || c.Config.MicroBatch != z.MicroBatch {
 				t.Fatalf("body %q: accepted cell %q of shape %+v, not %s's", body, c.Label, c.Config, z.Name)
 			}
-			if c.Config.NumMicro > tune.MaxMicro || c.Config.Devices > guard.opt.MaxDevices {
+			if c.Config.NumMicro > tune.MaxMicro || c.Config.Devices > tune.MaxDevices {
 				t.Fatalf("body %q: accepted cell %q past the caps: %+v", body, c.Label, c.Config)
 			}
 		}

@@ -306,10 +306,10 @@ func TestOversizedGridRejectedBeforeExpansion(t *testing.T) {
 
 // TestCheckGridMatchesExpansion pins checkGrid, which reads configs and
 // never expands, to the guard it replaced, which expanded every cell and
-// checked each in order: same verdict, same message, same details. The
-// device cap of 16 passes 4B (8 devices) and 10B (16) but not 21B (32), so
-// some offending cells sit behind clean configs and behind the seq and
-// vocab axes.
+// checked each in order: same verdict, same message, same details. In the
+// hand-edited grid the third model asks for 2,048 devices, past
+// tune.MaxDevices, so its offending cells sit behind clean configs and
+// behind the seq and vocab axes.
 func TestCheckGridMatchesExpansion(t *testing.T) {
 	cfg, _ := costmodel.ConfigByName("10B")
 	cfg.Devices = 4096
@@ -331,21 +331,25 @@ func TestCheckGridMatchesExpansion(t *testing.T) {
 		}
 		grids[spec] = g
 	}
-	for _, maxDevices := range []int{1024, 16} {
-		s := &Server{opt: Options{MaxCells: 4096, MaxDevices: maxDevices}}
-		rejected := 0
-		for name, g := range grids {
-			got, want := s.checkGrid(g), expandedCheckGrid(s, g.Expand())
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("MaxDevices %d, %s: checkGrid = %+v, want %+v", maxDevices, name, got, want)
-			}
-			if want != nil {
-				rejected++
-			}
+	behind, err := sweep.ParseGrid("model=4B,10B,21B;seq=4096,2048;vocab=64k,32k;method=1f1b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	behind.Configs[2].Devices = 2048
+	grids["third model over the device cap"] = behind
+	s := &Server{opt: Options{MaxCells: 4096}}
+	rejected := 0
+	for name, g := range grids {
+		got, want := s.checkGrid(g), expandedCheckGrid(s, g.Expand())
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: checkGrid = %+v, want %+v", name, got, want)
 		}
-		if rejected < 3 {
-			t.Errorf("MaxDevices %d: only %d grids rejected, the table must exercise rejections", maxDevices, rejected)
+		if want != nil {
+			rejected++
 		}
+	}
+	if rejected < 4 {
+		t.Errorf("only %d grids rejected, the table must exercise rejections", rejected)
 	}
 }
 
@@ -361,9 +365,9 @@ func expandedCheckGrid(s *Server, cells []sweep.Cell) *reqError {
 			return badRequest(ErrTooManyMicro, map[string]any{"cell": cells[i].Label, "micro": m, "limit": tune.MaxMicro},
 				"cell %q asks for %d microbatches, limit %d", cells[i].Label, m, tune.MaxMicro)
 		}
-		if d := cells[i].Config.Devices; d > s.opt.MaxDevices {
-			return badRequest(ErrTooManyDevices, map[string]any{"cell": cells[i].Label, "devices": d, "limit": s.opt.MaxDevices},
-				"cell %q asks for %d devices, limit %d", cells[i].Label, d, s.opt.MaxDevices)
+		if d := cells[i].Config.Devices; d > tune.MaxDevices {
+			return badRequest(ErrTooManyDevices, map[string]any{"cell": cells[i].Label, "devices": d, "limit": tune.MaxDevices},
+				"cell %q asks for %d devices, limit %d", cells[i].Label, d, tune.MaxDevices)
 		}
 	}
 	return nil

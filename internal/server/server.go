@@ -124,13 +124,11 @@ type Options struct {
 	// GOMAXPROCS, the sweep engine's own default).
 	Parallel int
 	// MaxCells rejects grids that expand past this many cells with 400
-	// (default 4096) — the serving layer's oversized-request guard.
+	// (default 4096) — the serving layer's oversized-request guard. Each
+	// cell's microbatch and device counts are bounded by tune.MaxMicro (4096)
+	// and tune.MaxDevices (1024): cells × microbatches × devices is the real
+	// work a request buys, and cell count alone does not cap it.
 	MaxCells int
-	// MaxDevices bounds the per-cell device count a request may ask for
-	// (default 1024); microbatches are bounded by tune.MaxMicro (4096).
-	// Cells × microbatches × devices is the real work a request buys, and
-	// cell count alone does not cap it.
-	MaxDevices int
 	// JobWorkers and JobCapacity size the async tuner-job queue (defaults 2
 	// and 64): at most JobWorkers searches run concurrently, and past
 	// JobCapacity pending submissions POST /api/v1/optimize answers 429.
@@ -209,9 +207,6 @@ func New(opt Options) *Server {
 	}
 	if opt.MaxCells <= 0 {
 		opt.MaxCells = 4096
-	}
-	if opt.MaxDevices <= 0 {
-		opt.MaxDevices = 1024
 	}
 	if opt.MaxInFlight <= 0 {
 		opt.MaxInFlight = 64
@@ -462,7 +457,7 @@ func (s *Server) checkGrid(g *sweep.Grid) *reqError {
 		return nil
 	}
 	for _, cfg := range g.Configs {
-		if cfg.NumMicro <= tune.MaxMicro && cfg.Devices <= s.opt.MaxDevices {
+		if cfg.NumMicro <= tune.MaxMicro && cfg.Devices <= tune.MaxDevices {
 			continue
 		}
 		if len(g.Seqs) > 0 {
@@ -482,9 +477,9 @@ func (s *Server) checkCell(label string, cfg costmodel.Config) *reqError {
 		return badRequest(ErrTooManyMicro, map[string]any{"cell": label, "micro": m, "limit": tune.MaxMicro},
 			"cell %q asks for %d microbatches, limit %d", label, m, tune.MaxMicro)
 	}
-	if d := cfg.Devices; d > s.opt.MaxDevices {
-		return badRequest(ErrTooManyDevices, map[string]any{"cell": label, "devices": d, "limit": s.opt.MaxDevices},
-			"cell %q asks for %d devices, limit %d", label, d, s.opt.MaxDevices)
+	if d := cfg.Devices; d > tune.MaxDevices {
+		return badRequest(ErrTooManyDevices, map[string]any{"cell": label, "devices": d, "limit": tune.MaxDevices},
+			"cell %q asks for %d devices, limit %d", label, d, tune.MaxDevices)
 	}
 	return nil
 }
@@ -968,24 +963,16 @@ func viewJob(snap jobs.Snapshot) jobView {
 	return jobView{Snapshot: snap, Poll: base, Events: base + "/events"}
 }
 
-// checkTuneSpec applies the serving-layer size guards to a tuning space,
-// mirroring checkGrid: like checkGrid inspecting expanded cells, it checks
-// the *defaulted* spec — the candidates a search will actually evaluate —
-// so an omitted axis cannot smuggle the base model's large device count
-// past a tighter server cap. Microbatch counts need no check here:
-// spec.Validate, which handleOptimize runs first, bounds them by
-// tune.MaxMicro.
+// checkTuneSpec applies the serving layer's cell cap to a tuning space,
+// mirroring checkGrid: like checkGrid inspecting expanded cells, it counts
+// the *defaulted* spec's candidates — the ones a search will actually
+// evaluate — so an omitted axis cannot smuggle a larger space past the cap.
+// Microbatch and device counts need no check here: spec.Validate, which
+// resolve runs first, bounds them by tune.MaxMicro and tune.MaxDevices.
 func (s *Server) checkTuneSpec(spec *tune.Spec) *reqError {
-	d := spec.Defaulted()
-	if size := d.SpaceSize(); size > s.opt.MaxCells {
+	if size := spec.Defaulted().SpaceSize(); size > s.opt.MaxCells {
 		return badRequest(ErrTooManyCells, map[string]any{"candidates": size, "limit": s.opt.MaxCells},
 			"search space has %d candidates, limit %d", size, s.opt.MaxCells)
-	}
-	for _, dev := range d.Devices {
-		if dev > s.opt.MaxDevices {
-			return badRequest(ErrTooManyDevices, map[string]any{"devices": dev, "limit": s.opt.MaxDevices},
-				"candidate asks for %d devices, limit %d", dev, s.opt.MaxDevices)
-		}
 	}
 	return nil
 }

@@ -699,7 +699,7 @@ func TestOptimizeResumesKindTaggedWAL(t *testing.T) {
 }
 
 func TestOptimizeErrors(t *testing.T) {
-	_, ts := newTestServer(t, Options{MaxDevices: 16})
+	_, ts := newTestServer(t, Options{MaxCells: 10})
 	tests := []struct {
 		name       string
 		query      string
@@ -713,10 +713,11 @@ func TestOptimizeErrors(t *testing.T) {
 		{"bad spec", "?spec=model%3D900B", "", http.StatusBadRequest, "unknown model"},
 		{"unknown strategy", "?scenario=4b-quick&strategy=warp", "", http.StatusBadRequest, "unknown strategy"},
 		{"bad body", "", "{not json", http.StatusBadRequest, "bad JSON body"},
-		{"devices over server cap", "?spec=" + url.QueryEscape("model=4B;devices=32"), "", http.StatusBadRequest, "limit 16"},
-		// The devices axis is omitted here, but 21B defaults to 32 devices —
-		// the cap must apply to the defaulted space, not the raw spec.
-		{"defaulted devices over cap", "?spec=" + url.QueryEscape("model=21B;micro=16"), "", http.StatusBadRequest, "limit 16"},
+		{"devices over server cap", "?spec=" + url.QueryEscape("model=4B;devices=2048"), "", http.StatusBadRequest, "device count 2048 out of range [1, 1024]"},
+		// The method axis is omitted here, but it defaults to 7 methods, so
+		// the 2 device counts make 14 candidates — the cap must apply to the
+		// defaulted space, not the raw spec.
+		{"defaulted space over the cell cap", "?spec=" + url.QueryEscape("model=4B;devices=8,16"), "", http.StatusBadRequest, "14 candidates, limit 10"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -75,8 +75,8 @@ func TestShardEndpoint(t *testing.T) {
 }
 
 func TestShardEndpointErrors(t *testing.T) {
-	_, ts := newTestServer(t, Options{MaxDevices: 16})
-	g, err := sweep.ParseGrid("model=4B;method=baseline;devices=32;micro=16")
+	_, ts := newTestServer(t, Options{})
+	g, err := sweep.ParseGrid("model=4B;method=baseline;devices=2048;micro=16")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestShardEndpointErrors(t *testing.T) {
 			http.StatusBadRequest, "unknown method"},
 		{"range mismatch", `{"grid":"g","range":{"start":0,"end":5},"cells":[{"label":"a","method":"baseline"}]}`,
 			http.StatusBadRequest, "does not match"},
-		{"server caps apply", string(overCap), http.StatusBadRequest, "limit 16"},
+		{"server caps apply", string(overCap), http.StatusBadRequest, "2048 devices, limit 1024"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

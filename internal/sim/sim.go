@@ -358,13 +358,10 @@ func build1F1BSpec(cfg costmodel.Config, m Method) (*schedule.Spec, error) {
 	switch m {
 	case Vocab1:
 		spec.Vocab = vocabSpecFor(cfg, costmodel.Alg1Kind)
-		spec.ExtraInFlight = 2
 	case Vocab2:
 		spec.Vocab = vocabSpecFor(cfg, costmodel.Alg2Kind)
-		spec.ExtraInFlight = 1
 	case Interlaced:
 		spec.Interlaced = interlacedSpecFor(cfg)
-		spec.CapScale = 1.5
 	}
 	return spec, nil
 }
@@ -421,12 +418,6 @@ func buildVHalfSpec(cfg costmodel.Config, m Method) (*schedule.Spec, error) {
 
 	if m == VHalfVocab1 {
 		spec.Vocab = vocabSpecFor(cfg, costmodel.Alg1Kind)
-		spec.ExtraInFlight = 2
 	}
 	return spec, nil
-}
-
-// scheduleBuild re-exports schedule.Build for ablations that mutate a spec.
-func scheduleBuild(spec *schedule.Spec) (*schedule.Timeline, error) {
-	return schedule.Build(spec)
 }

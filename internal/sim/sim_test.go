@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vocabpipe/internal/costmodel"
+	"vocabpipe/internal/schedule"
 )
 
 func cfg(name string) costmodel.Config {
@@ -257,7 +258,7 @@ func TestAblationB2(t *testing.T) {
 	}
 	withSync := MustRun(c, Interlaced).IterTime
 	spec.Interlaced.SyncTime = 0
-	tl, err := scheduleBuild(spec)
+	tl, err := schedule.Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,7 @@ func sampleTimeline() *schedule.Timeline {
 		stages[i] = schedule.Stage{F: 1, B: 2, ActBytes: 1}
 	}
 	return schedule.MustBuild(&schedule.Spec{P: 4, M: 6, Chunks: 1, Stages: stages,
-		Vocab:         &schedule.VocabSpec{SDur: 0.5, TDur: 1, Barriers: 2},
-		ExtraInFlight: 2})
+		Vocab: &schedule.VocabSpec{SDur: 0.5, TDur: 1, Barriers: 2}})
 }
 
 func TestASCIIStructure(t *testing.T) {

@@ -136,10 +136,10 @@ func BenchmarkTable3Scaling(b *testing.B) {
 			b.Run(fmt.Sprintf("seq%d/p%d", seq, p), func(b *testing.B) {
 				var s float64
 				for i := 0; i < b.N; i++ {
-					s = costmodel.OutputScalingFactor(costmodel.Alg1Kind, seq, p)
+					s = costmodel.OutputScalingFactor(vocab.Alg1, seq, p)
 				}
 				b.ReportMetric(100*s, "vocab1-scaling%")
-				b.ReportMetric(100*costmodel.OutputScalingFactor(costmodel.Alg2Kind, seq, p), "vocab2-scaling%")
+				b.ReportMetric(100*costmodel.OutputScalingFactor(vocab.Alg2, seq, p), "vocab2-scaling%")
 				b.ReportMetric(100*costmodel.InputScalingFactor(seq, p), "input-scaling%")
 			})
 		}

@@ -141,8 +141,8 @@ func table3(w io.Writer, _ *sweep.Results) {
 			name string
 			f    func(p int) float64
 		}{
-			{"output-vocab-1", func(p int) float64 { return costmodel.OutputScalingFactor(costmodel.Alg1Kind, seq, p) }},
-			{"output-vocab-2", func(p int) float64 { return costmodel.OutputScalingFactor(costmodel.Alg2Kind, seq, p) }},
+			{"output-vocab-1", func(p int) float64 { return costmodel.OutputScalingFactor(vocab.Alg1, seq, p) }},
+			{"output-vocab-2", func(p int) float64 { return costmodel.OutputScalingFactor(vocab.Alg2, seq, p) }},
 			{"input", func(p int) float64 { return costmodel.InputScalingFactor(seq, p) }},
 		}
 		for _, r := range rows {

@@ -15,6 +15,8 @@ package costmodel
 import (
 	"fmt"
 	"math"
+
+	"vocabpipe/internal/vocab"
 )
 
 // Config describes one training configuration (one column of Table 1/2).
@@ -174,59 +176,6 @@ func baseEfficiency(seq int) float64 {
 	return 0.575
 }
 
-// Efficiency returns the fraction of peak FLOPS achieved by a pass of the
-// given kind. shardFrac is the fraction of the vocabulary the pass touches
-// (1 for unpartitioned).
-func (c Config) Efficiency(kind PassKind, shardFrac float64) float64 {
-	base := baseEfficiency(c.Seq)
-	switch kind {
-	case PassTransformer:
-		return base
-	case PassOutput:
-		if shardFrac >= 1 {
-			return base
-		}
-		return base * OutputScalingFactor(Alg1Kind, c.Seq, int(1/shardFrac+0.5))
-	case PassOutputAlg2:
-		if shardFrac >= 1 {
-			return base
-		}
-		return base * OutputScalingFactor(Alg2Kind, c.Seq, int(1/shardFrac+0.5))
-	case PassInput:
-		// The input layer is bandwidth-bound; its FLOPs are negligible either
-		// way. Efficiency here only matters for Table 3's input row, which is
-		// produced by InputScalingFactor directly.
-		return base
-	default:
-		panic("costmodel: unknown pass kind")
-	}
-}
-
-// PassKind labels the compute characteristics of a pass.
-type PassKind int
-
-const (
-	// PassTransformer is a dense transformer-layer kernel.
-	PassTransformer PassKind = iota
-	// PassOutput is the partitioned output layer under Algorithm 1.
-	PassOutput
-	// PassOutputAlg2 is the partitioned output layer under Algorithm 2 (a
-	// little more compute, slightly lower scaling — Table 3).
-	PassOutputAlg2
-	// PassInput is the embedding layer.
-	PassInput
-)
-
-// AlgKind selects the Table 3 row family.
-type AlgKind int
-
-const (
-	// Alg1Kind corresponds to OUTPUT-VOCAB-1 rows.
-	Alg1Kind AlgKind = iota
-	// Alg2Kind corresponds to OUTPUT-VOCAB-2 rows.
-	Alg2Kind
-)
-
 // scalingCoef holds the a + b/p fit of Table 3: throughput relative to ideal
 // linear scaling. Fit anchors are the paper's p=8 and p=32 entries; the p=16
 // entries are held out and predicted within 0.2 points (TestTable3Midpoint).
@@ -238,12 +187,12 @@ func fitScaling(s8, s32 float64) scalingCoef {
 	return scalingCoef{a: s8 - b/8, b: b}
 }
 
-var scalingTable = map[AlgKind]map[int]scalingCoef{
-	Alg1Kind: {
+var scalingTable = map[vocab.Algorithm]map[int]scalingCoef{
+	vocab.Alg1: {
 		2048: fitScaling(0.9129, 0.8059),
 		4096: fitScaling(0.9321, 0.8524),
 	},
-	Alg2Kind: {
+	vocab.Alg2: {
 		2048: fitScaling(0.8672, 0.7593),
 		4096: fitScaling(0.8836, 0.7966),
 	},
@@ -269,7 +218,7 @@ func seqBucket(seq int) int {
 
 // OutputScalingFactor returns the throughput of the partitioned output layer
 // relative to ideal linear scaling across p devices (Table 3).
-func OutputScalingFactor(alg AlgKind, seq, p int) float64 {
+func OutputScalingFactor(alg vocab.Algorithm, seq, p int) float64 {
 	if p <= 1 {
 		return 1
 	}
@@ -318,10 +267,23 @@ func log2(x float64) float64 { return math.Log2(x) }
 
 // --- Pass durations ---
 
-// TimeFor returns the wall-clock seconds of a pass executing flops of work at
-// the given kind/shard fraction.
-func (c Config) TimeFor(kind PassKind, flops, shardFrac float64) float64 {
-	eff := c.Efficiency(kind, shardFrac)
+// TransformerTime returns the wall-clock seconds of a dense transformer
+// kernel executing flops of work. The unpartitioned vocabulary layers on the
+// baseline's end stages run at this efficiency too.
+func (c Config) TransformerTime(flops float64) float64 {
+	return flops / (A100PeakFLOPS * baseEfficiency(c.Seq))
+}
+
+// OutputTime returns the wall-clock seconds of an output-layer pass under
+// alg executing flops of work on shardFrac of the vocabulary. A partitioned
+// pass (shardFrac < 1) runs at Table 3's scaling for its 1/shardFrac
+// devices: a little below linear, and a little lower for Algorithm 2, which
+// computes more before its barrier.
+func (c Config) OutputTime(alg vocab.Algorithm, flops, shardFrac float64) float64 {
+	eff := baseEfficiency(c.Seq)
+	if shardFrac < 1 {
+		eff *= OutputScalingFactor(alg, c.Seq, int(1/shardFrac+0.5))
+	}
 	return flops / (A100PeakFLOPS * eff)
 }
 

@@ -1,9 +1,12 @@
 package costmodel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"vocabpipe/internal/vocab"
 )
 
 func cfg4B() Config {
@@ -100,15 +103,15 @@ func TestWithVocabWithSeq(t *testing.T) {
 func TestTable3AnchorsReproduced(t *testing.T) {
 	// The fit must pass exactly through the p=8 and p=32 anchors.
 	cases := []struct {
-		alg  AlgKind
+		alg  vocab.Algorithm
 		seq  int
 		p    int
 		want float64
 	}{
-		{Alg1Kind, 2048, 8, 0.9129}, {Alg1Kind, 2048, 32, 0.8059},
-		{Alg1Kind, 4096, 8, 0.9321}, {Alg1Kind, 4096, 32, 0.8524},
-		{Alg2Kind, 2048, 8, 0.8672}, {Alg2Kind, 2048, 32, 0.7593},
-		{Alg2Kind, 4096, 8, 0.8836}, {Alg2Kind, 4096, 32, 0.7966},
+		{vocab.Alg1, 2048, 8, 0.9129}, {vocab.Alg1, 2048, 32, 0.8059},
+		{vocab.Alg1, 4096, 8, 0.9321}, {vocab.Alg1, 4096, 32, 0.8524},
+		{vocab.Alg2, 2048, 8, 0.8672}, {vocab.Alg2, 2048, 32, 0.7593},
+		{vocab.Alg2, 4096, 8, 0.8836}, {vocab.Alg2, 4096, 32, 0.7966},
 	}
 	for _, tc := range cases {
 		got := OutputScalingFactor(tc.alg, tc.seq, tc.p)
@@ -136,14 +139,14 @@ func TestTable3Midpoint(t *testing.T) {
 	// Held-out check: the p=16 column of Table 3 was NOT used in the fit.
 	// The a+b/p model must predict it within 1.5 points.
 	cases := []struct {
-		alg  AlgKind
+		alg  vocab.Algorithm
 		seq  int
 		want float64
 	}{
-		{Alg1Kind, 2048, 0.8422},
-		{Alg1Kind, 4096, 0.8802},
-		{Alg2Kind, 2048, 0.7984},
-		{Alg2Kind, 4096, 0.8342},
+		{vocab.Alg1, 2048, 0.8422},
+		{vocab.Alg1, 4096, 0.8802},
+		{vocab.Alg2, 2048, 0.7984},
+		{vocab.Alg2, 4096, 0.8342},
 	}
 	for _, tc := range cases {
 		got := OutputScalingFactor(tc.alg, tc.seq, 16)
@@ -167,7 +170,7 @@ func TestTable3Midpoint(t *testing.T) {
 }
 
 func TestScalingMonotoneInP(t *testing.T) {
-	for _, alg := range []AlgKind{Alg1Kind, Alg2Kind} {
+	for _, alg := range []vocab.Algorithm{vocab.Alg1, vocab.Alg2} {
 		for _, seq := range []int{2048, 4096} {
 			prev := 1.0
 			for _, p := range []int{1, 2, 4, 8, 16, 32, 64} {
@@ -188,30 +191,37 @@ func TestAlg2ScalesBelowAlg1(t *testing.T) {
 	// §6.5: Algorithm 2 introduces a bit more computation overhead.
 	for _, seq := range []int{2048, 4096} {
 		for _, p := range []int{8, 16, 32} {
-			if OutputScalingFactor(Alg2Kind, seq, p) >= OutputScalingFactor(Alg1Kind, seq, p) {
+			if OutputScalingFactor(vocab.Alg2, seq, p) >= OutputScalingFactor(vocab.Alg1, seq, p) {
 				t.Errorf("Alg2 should scale below Alg1 at seq=%d p=%d", seq, p)
 			}
 		}
 	}
 }
 
+// TestEfficiencyBounds: no pass runs faster than its flops at peak, and
+// every pass time is finite, whole or sharded, under either algorithm.
 func TestEfficiencyBounds(t *testing.T) {
 	c := cfg4B()
-	for _, kind := range []PassKind{PassTransformer, PassOutput, PassOutputAlg2, PassInput} {
+	flops := c.OutputLayerFLOPs()
+	ideal := flops / A100PeakFLOPS
+	check := func(name string, dt float64) {
+		if math.IsNaN(dt) || math.IsInf(dt, 0) || dt < ideal {
+			t.Errorf("%s = %v s, want finite and ≥ the ideal %v s", name, dt, ideal)
+		}
+	}
+	check("TransformerTime", c.TransformerTime(flops))
+	for _, alg := range []vocab.Algorithm{vocab.Alg1, vocab.Alg2} {
 		for _, frac := range []float64{1, 0.5, 1.0 / 8, 1.0 / 32} {
-			e := c.Efficiency(kind, frac)
-			if e <= 0 || e > 1 {
-				t.Errorf("efficiency(%v, %v) = %v out of (0,1]", kind, frac, e)
-			}
+			check(fmt.Sprintf("OutputTime(%v, frac %v)", alg, frac), c.OutputTime(alg, flops, frac))
 		}
 	}
 }
 
 func TestTimeForPositive(t *testing.T) {
 	c := cfg4B()
-	dt := c.TimeFor(PassTransformer, c.TransformerLayerFLOPs(), 1)
+	dt := c.TransformerTime(c.TransformerLayerFLOPs())
 	if dt <= 0 {
-		t.Fatalf("TimeFor returned %v", dt)
+		t.Fatalf("TransformerTime returned %v", dt)
 	}
 	// A 4-layer stage pass should be on the order of milliseconds on an A100.
 	if dt > 0.1 || dt < 1e-6 {

@@ -2,6 +2,8 @@
 // method) into a schedule.Spec using the calibrated cost model, builds the
 // timed schedule, and reports the metrics the paper's tables use: MFU, peak
 // memory per device (with OOM detection), bubble ratios and iteration time.
+// Each method is one row of a recipe table: a layer placement, a pipeline
+// shape and what becomes of the vocabulary layers.
 package sim
 
 import (
@@ -11,6 +13,7 @@ import (
 	"vocabpipe/internal/costmodel"
 	"vocabpipe/internal/layout"
 	"vocabpipe/internal/schedule"
+	"vocabpipe/internal/vocab"
 )
 
 // Method enumerates the compared systems (§6.2).
@@ -34,25 +37,63 @@ const (
 	VHalfVocab1
 )
 
-func (m Method) String() string {
-	switch m {
-	case Baseline:
-		return "baseline"
-	case Redis:
-		return "redis"
-	case Vocab1:
-		return "vocab-1"
-	case Vocab2:
-		return "vocab-2"
-	case Interlaced:
-		return "interlaced"
-	case VHalfBaseline:
-		return "vhalf-baseline"
-	case VHalfVocab1:
-		return "vhalf-vocab-1"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
+// vocabPlan is what a method does with the vocabulary layers.
+type vocabPlan int
+
+const (
+	// onEnds keeps both layers whole on the first and last stages.
+	onEnds vocabPlan = iota
+	// stPasses shards them over every device as S and T passes (§5).
+	stPasses
+	// vSegment shards them into the interlaced pipeline's synchronous V
+	// segment (Appendix B).
+	vSegment
+)
+
+// recipe is one method: its layer placement, called with chunks × P stages
+// on P devices; its model chunks per device (2 for V-Half's V shape);
+// whether its backward splits into B and W (zero bubble); and what becomes
+// of its vocabulary layers, with the algorithm their sharded passes run at.
+type recipe struct {
+	name   string
+	layout func(cfg costmodel.Config, stages, devices int) ([]layout.StageLoad, error)
+	chunks int
+	split  bool
+	plan   vocabPlan
+	alg    vocab.Algorithm
+}
+
+// recipes holds one row per method (§6.2). The interlaced segment computes
+// what Algorithm 1's S and T compute, at Algorithm 1's efficiency.
+var recipes = [...]recipe{
+	Baseline:      {"baseline", ends(layout.Baseline), 1, false, onEnds, 0},
+	Redis:         {"redis", ends(layout.Redis), 1, false, onEnds, 0},
+	Vocab1:        {"vocab-1", layout.Vocab, 1, false, stPasses, vocab.Alg1},
+	Vocab2:        {"vocab-2", layout.Vocab, 1, false, stPasses, vocab.Alg2},
+	Interlaced:    {"interlaced", layout.Vocab, 1, false, vSegment, vocab.Alg1},
+	VHalfBaseline: {"vhalf-baseline", ends(layout.Baseline), 2, true, onEnds, 0},
+	VHalfVocab1:   {"vhalf-vocab-1", layout.Vocab, 2, true, stPasses, vocab.Alg1},
+}
+
+// ends adapts a placement that pins the vocabulary layers to the end stages,
+// and so needs no device count, to the recipe's layout signature.
+func ends(place func(costmodel.Config, int) ([]layout.StageLoad, error)) func(costmodel.Config, int, int) ([]layout.StageLoad, error) {
+	return func(cfg costmodel.Config, stages, _ int) ([]layout.StageLoad, error) { return place(cfg, stages) }
+}
+
+// recipe returns m's row, or nil for an unknown method.
+func (m Method) recipe() *recipe {
+	if m < 0 || int(m) >= len(recipes) {
+		return nil
 	}
+	return &recipes[m]
+}
+
+func (m Method) String() string {
+	if r := m.recipe(); r != nil {
+		return r.name
+	}
+	return fmt.Sprintf("Method(%d)", int(m))
 }
 
 // OneF1BMethods are the five systems compared in Table 5 / Figs 11-12.
@@ -89,17 +130,11 @@ type Result struct {
 	Timeline *schedule.Timeline
 }
 
-// Run simulates one (config, method) cell.
+// Run simulates one (config, method) cell on a cold runner and keeps its
+// timeline.
 func Run(cfg costmodel.Config, m Method) (*Result, error) {
-	spec, err := BuildSpec(cfg, m)
-	if err != nil {
-		return nil, err
-	}
-	tl, err := schedule.Build(spec)
-	if err != nil {
-		return nil, err
-	}
-	return FromTimeline(cfg, m, tl), nil
+	r := Runner{KeepTimeline: true}
+	return r.Run(cfg, m)
 }
 
 // Runner is a reusable simulation context: a warm schedule.Engine (arena
@@ -141,8 +176,7 @@ func (r *Runner) Run(cfg costmodel.Config, m Method) (*Result, error) {
 	return res, nil
 }
 
-// FromTimeline measures a built timeline into a Result. Used by Run and by
-// ablations that mutate a spec before building (e.g. Appendix B.2's
+// FromTimeline measures a built timeline into a Result. Used by ablations that mutate a spec before building (e.g. Appendix B.2's
 // sync-free interlaced pipeline). A timeline that aliases a reusable
 // engine's arena (Timeline.Ephemeral) is detached first, so the Result is
 // always safe to cache.
@@ -181,24 +215,26 @@ func measure(an *schedule.Analyzer, cfg costmodel.Config, m Method, tl *schedule
 // PassCount is the number of passes the schedule of (cfg, m) commits —
 // len(Timeline.Passes) of a successful build — without building it. The
 // engine's work grows with it, which makes it the cost estimate callers use
-// to order cells. Per device and microbatch: F and B (2) on 1F1B layouts,
-// plus the interlaced V segment (3) or the vocabulary S and T passes (4);
-// V-Half runs two chunks of F, B and split W (6), plus S and T (8). The
-// count needs no layout, so a config whose build would fail still gets
-// one; a cell with no model config (zero devices) counts 0.
+// to order cells. Per device and microbatch, m's recipe runs F and B per
+// chunk, W per chunk when its backward splits, then S and T, or the
+// interlaced V: 2 for baseline and redis, 3 interlaced, 4 vocab-1 and
+// vocab-2, 6 vhalf-baseline and 8 vhalf-vocab-1. The count needs no layout,
+// so a config whose build would fail still gets one; a cell with no model
+// config (zero devices) or an unknown method counts 0.
 func PassCount(cfg costmodel.Config, m Method) int {
-	perDevMicro := 0
-	switch m {
-	case Baseline, Redis:
-		perDevMicro = 2
-	case Interlaced:
-		perDevMicro = 3
-	case Vocab1, Vocab2:
-		perDevMicro = 4
-	case VHalfBaseline:
-		perDevMicro = 6
-	case VHalfVocab1:
-		perDevMicro = 8
+	r := m.recipe()
+	if r == nil {
+		return 0
+	}
+	perDevMicro := 2 * r.chunks
+	if r.split {
+		perDevMicro += r.chunks
+	}
+	switch r.plan {
+	case stPasses:
+		perDevMicro += 2
+	case vSegment:
+		perDevMicro++
 	}
 	return perDevMicro * cfg.Devices * cfg.NumMicro
 }
@@ -213,61 +249,68 @@ func MustRun(cfg costmodel.Config, m Method) *Result {
 }
 
 // BuildSpec translates a configuration+method into a schedule spec with
-// durations and memory from the cost model. The spec is named
-// "<config>/<method>" so schedule errors and panics identify their cell.
+// durations and memory from the cost model, following m's recipe. The spec
+// is named "<config>/<method>" so schedule errors and panics identify their
+// cell.
 func BuildSpec(cfg costmodel.Config, m Method) (*schedule.Spec, error) {
-	var spec *schedule.Spec
-	var err error
-	switch m {
-	case Baseline, Redis, Vocab1, Vocab2, Interlaced:
-		spec, err = build1F1BSpec(cfg, m)
-	case VHalfBaseline, VHalfVocab1:
-		spec, err = buildVHalfSpec(cfg, m)
-	default:
+	r := m.recipe()
+	if r == nil {
 		return nil, fmt.Errorf("sim: unknown method %v", m)
 	}
+	p := cfg.Devices
+	loads, err := r.layout(cfg, r.chunks*p, p)
 	if err != nil {
 		return nil, err
 	}
-	spec.Name = cfg.Name + "/" + m.String()
+	spec := &schedule.Spec{
+		Name: cfg.Name + "/" + r.name,
+		P:    p, M: cfg.NumMicro, Chunks: r.chunks,
+		Stages:   make([]schedule.Stage, len(loads)),
+		SendTime: costmodel.P2PTime(2 * float64(cfg.MicroBatch) * float64(cfg.Seq) * float64(cfg.Hidden)),
+	}
+	for i, l := range loads {
+		spec.Stages[i] = r.stage(cfg, l)
+	}
+	switch r.plan {
+	case stPasses:
+		spec.Vocab = vocabSpecFor(cfg, r.alg)
+	case vSegment:
+		spec.Interlaced = interlacedSpecFor(cfg, r.alg)
+	}
 	return spec, nil
 }
 
-// stageDurations converts a layout stage into (F, B) seconds. Vocabulary
-// fractions of 1 (baseline/redis ends) run at full-kernel efficiency;
-// fractional shards never appear here (they become S/T passes).
-func stageDurations(cfg costmodel.Config, s layout.StageLoad) (f, b float64) {
-	tfFwd := cfg.TransformerLayerFLOPs() / 3
-	f = cfg.TimeFor(costmodel.PassTransformer, float64(s.TransformerLayers)*tfFwd, 1)
-	b = 2 * f
-	if s.OutputFrac > 0 {
-		outFwd := s.OutputFrac * cfg.OutputLayerFLOPs() / 3
-		f += cfg.TimeFor(costmodel.PassTransformer, outFwd, 1)
-		b += cfg.TimeFor(costmodel.PassTransformer, 2*outFwd, 1)
-	}
-	if s.InputFrac > 0 {
-		inFwd := s.InputFrac * cfg.InputLayerFLOPs() / 3
-		f += cfg.TimeFor(costmodel.PassTransformer, inFwd, 1)
-		b += cfg.TimeFor(costmodel.PassTransformer, 2*inFwd, 1)
-	}
-	return f, b
-}
-
-func stageFromLoad(cfg costmodel.Config, s layout.StageLoad, split bool) schedule.Stage {
-	f, b := stageDurations(cfg, s)
+// stage converts a layout stage into schedule work and memory. Whole
+// vocabulary layers on an end stage run at transformer-kernel efficiency.
+// Sharded ones become S/T (or V) passes, not stage work, so only their
+// parameter memory stays on the stage.
+func (r *recipe) stage(cfg costmodel.Config, l layout.StageLoad) schedule.Stage {
 	st := schedule.Stage{
-		F:          f,
-		ActBytes:   float64(s.TransformerLayers) * cfg.ActivationBytesPerLayerPerMicrobatch(),
-		ParamBytes: s.ParamBytes(cfg),
+		ActBytes:   float64(l.TransformerLayers) * cfg.ActivationBytesPerLayerPerMicrobatch(),
+		ParamBytes: l.ParamBytes(cfg),
 	}
-	if split {
+	if r.plan != onEnds {
+		l.InputFrac, l.OutputFrac = 0, 0
+	}
+	tfFwd := cfg.TransformerLayerFLOPs() / 3
+	f := cfg.TransformerTime(float64(l.TransformerLayers) * tfFwd)
+	b := 2 * f
+	if l.OutputFrac > 0 {
+		outFwd := l.OutputFrac * cfg.OutputLayerFLOPs() / 3
+		f += cfg.TransformerTime(outFwd)
+		b += cfg.TransformerTime(2 * outFwd)
+	}
+	if l.InputFrac > 0 {
+		inFwd := l.InputFrac * cfg.InputLayerFLOPs() / 3
+		f += cfg.TransformerTime(inFwd)
+		b += cfg.TransformerTime(2 * inFwd)
+	}
+	st.F, st.B = f, b
+	if r.split {
 		// Zero-bubble split: activation gradient ≈ weight gradient ≈ forward.
-		st.B = b / 2
-		st.W = b / 2
-	} else {
-		st.B = b
+		st.B, st.W = b/2, b/2
 	}
-	if s.OutputFrac >= 1 {
+	if l.OutputFrac >= 1 {
 		// The unpartitioned output layer's softmax/logit buffers live on this
 		// stage while a microbatch's F/B pair executes (transient, ≈1 live).
 		st.ExtraActBytes = cfg.VocabOutputActivationBytes(1)
@@ -278,146 +321,57 @@ func stageFromLoad(cfg costmodel.Config, s layout.StageLoad, split bool) schedul
 	return st
 }
 
-// vocabSpecFor builds the S/T pass descriptor for vocabulary parallelism.
-func vocabSpecFor(cfg costmodel.Config, alg costmodel.AlgKind) *schedule.VocabSpec {
+// collectives returns the seconds of the vocabulary layers' three
+// collectives per microbatch over the P devices, each charged as an
+// all-reduce: the C0 broadcast of X [b,s,h] fp16 from the last stage; C1's
+// two [b,s] fp32 all-reduces (max, then sum with the fused label logits),
+// lightweight by design (§4.3); and the C2 reduce of ∇X [b,s,h] fp16.
+func collectives(cfg costmodel.Config) (bcast, c1, c2 float64) {
+	bs := float64(cfg.MicroBatch) * float64(cfg.Seq)
+	h := float64(cfg.Hidden)
+	bcast = costmodel.AllReduceTime(2*bs*h, cfg.Devices)
+	c1 = 2 * costmodel.AllReduceTime(4*bs, cfg.Devices)
+	c2 = costmodel.AllReduceTime(2*bs*h, cfg.Devices)
+	return bcast, c1, c2
+}
+
+// vocabSpecFor builds the S/T passes of alg: each device computes its 1/p
+// shard of the output layer, and S also carries the device's share of the
+// input layer (piggybacked, Appendix C).
+func vocabSpecFor(cfg costmodel.Config, alg vocab.Algorithm) *schedule.VocabSpec {
 	p := float64(cfg.Devices)
 	outFwd := cfg.OutputLayerFLOPs() / 3 / p // logits matmul per device
 	outBwd := 2 * cfg.OutputLayerFLOPs() / 3 / p
-	inputShare := cfg.InputLayerFLOPs() / p // folded into S (piggybacked, App C)
-
-	var kind costmodel.PassKind
-	var sFlops, tFlops float64
-	var barriers int
-	switch alg {
-	case costmodel.Alg1Kind:
-		kind = costmodel.PassOutput
-		// S: logits + local softmax; T: both gradient matmuls.
-		sFlops, tFlops = outFwd, outBwd
-		barriers = 2
-	case costmodel.Alg2Kind:
-		kind = costmodel.PassOutputAlg2
+	inputShare := cfg.InputLayerFLOPs() / p
+	// Algorithm 1's S: logits + local softmax; its T: both gradient matmuls.
+	sFlops, tFlops := outFwd, outBwd
+	if alg == vocab.Alg2 {
 		// S additionally computes softmax'(Y)W and GW before the barrier;
 		// T retains only the weight gradient.
 		sFlops, tFlops = outFwd+outBwd/2, outBwd/2
-		barriers = 1
-	default:
-		panic("sim: bad algorithm")
 	}
-	bs := float64(cfg.MicroBatch) * float64(cfg.Seq)
-	h := float64(cfg.Hidden)
+	bcast, c1, c2 := collectives(cfg)
 	return &schedule.VocabSpec{
-		SDur:     cfg.TimeFor(kind, sFlops+inputShare, 1/p),
-		TDur:     cfg.TimeFor(kind, tFlops, 1/p),
-		Barriers: barriers,
-		// C0: broadcast of X [b,s,h] fp16 from the last stage.
-		BcastTime: costmodel.AllReduceTime(2*bs*h, cfg.Devices),
-		// C1: two [b,s] fp32 all-reduces (max, then sum with the fused label
-		// logits) — lightweight by design (§4.3).
-		C1Time: 2 * costmodel.AllReduceTime(4*bs, cfg.Devices),
-		// C2 / ∇X reduce: [b,s,h] fp16.
-		C2Time:   costmodel.AllReduceTime(2*bs*h, cfg.Devices),
-		ActBytes: cfg.VocabOutputActivationBytes(1/p) + 2*cfg.InputActivationBytesPerMicrobatch()/p,
+		SDur:      cfg.OutputTime(alg, sFlops+inputShare, 1/p),
+		TDur:      cfg.OutputTime(alg, tFlops, 1/p),
+		Barriers:  alg.Barriers(),
+		BcastTime: bcast,
+		C1Time:    c1,
+		C2Time:    c2,
+		ActBytes:  cfg.VocabOutputActivationBytes(1/p) + 2*cfg.InputActivationBytesPerMicrobatch()/p,
 	}
 }
 
-func build1F1BSpec(cfg costmodel.Config, m Method) (*schedule.Spec, error) {
-	p := cfg.Devices
-	spec := &schedule.Spec{
-		P: p, M: cfg.NumMicro, Chunks: 1,
-		SendTime: costmodel.P2PTime(2 * float64(cfg.MicroBatch) * float64(cfg.Seq) * float64(cfg.Hidden)),
-	}
-
-	var loads []layout.StageLoad
-	var err error
-	switch m {
-	case Baseline:
-		loads, err = layout.Baseline(cfg, p)
-	case Redis:
-		loads, err = layout.Redis(cfg, p)
-	case Vocab1, Vocab2, Interlaced:
-		loads, err = layout.Vocab(cfg, p, p)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	spec.Stages = make([]schedule.Stage, p)
-	for i, l := range loads {
-		// Vocabulary shards become S/T (or V) passes, not stage work; keep
-		// only their parameter memory on the stage.
-		noVocabCompute := l
-		if m == Vocab1 || m == Vocab2 || m == Interlaced {
-			noVocabCompute.InputFrac, noVocabCompute.OutputFrac = 0, 0
-		}
-		spec.Stages[i] = stageFromLoad(cfg, noVocabCompute, false)
-		if m == Vocab1 || m == Vocab2 || m == Interlaced {
-			spec.Stages[i].ParamBytes = l.ParamBytes(cfg)
-		}
-	}
-
-	switch m {
-	case Vocab1:
-		spec.Vocab = vocabSpecFor(cfg, costmodel.Alg1Kind)
-	case Vocab2:
-		spec.Vocab = vocabSpecFor(cfg, costmodel.Alg2Kind)
-	case Interlaced:
-		spec.Interlaced = interlacedSpecFor(cfg)
-	}
-	return spec, nil
-}
-
-// interlacedSpecFor models the TP-style vocabulary segment: the same sharded
-// compute as Vocab-1 but with the collectives blocking the compute stream
-// (Appendix B.2), plus the 1.5× activation lifespan (Appendix B.1).
-func interlacedSpecFor(cfg costmodel.Config) *schedule.InterlacedSpec {
+// interlacedSpecFor models the TP-style vocabulary segment: the sharded
+// compute of alg's S and T in one V pass, with the three collectives
+// blocking the compute stream (Appendix B.2), plus the 1.5× activation
+// lifespan (Appendix B.1).
+func interlacedSpecFor(cfg costmodel.Config, alg vocab.Algorithm) *schedule.InterlacedSpec {
 	p := float64(cfg.Devices)
-	bs := float64(cfg.MicroBatch) * float64(cfg.Seq)
-	h := float64(cfg.Hidden)
-	segFlops := (cfg.OutputLayerFLOPs() + cfg.InputLayerFLOPs()) / p
-	sync := costmodel.AllReduceTime(2*bs*h, cfg.Devices) + // broadcast of X
-		2*costmodel.AllReduceTime(4*bs, cfg.Devices) + // softmax max/sum
-		costmodel.AllReduceTime(2*bs*h, cfg.Devices) // ∇X all-reduce
+	bcast, c1, c2 := collectives(cfg)
 	return &schedule.InterlacedSpec{
-		VDur:     cfg.TimeFor(costmodel.PassOutput, segFlops, 1/p),
-		SyncTime: sync,
+		VDur:     cfg.OutputTime(alg, (cfg.OutputLayerFLOPs()+cfg.InputLayerFLOPs())/p, 1/p),
+		SyncTime: bcast + c1 + c2,
 		ActBytes: cfg.VocabOutputActivationBytes(1 / p),
 	}
-}
-
-func buildVHalfSpec(cfg costmodel.Config, m Method) (*schedule.Spec, error) {
-	p := cfg.Devices
-	nStages := 2 * p
-	spec := &schedule.Spec{
-		P: p, M: cfg.NumMicro, Chunks: 2,
-		SendTime: costmodel.P2PTime(2 * float64(cfg.MicroBatch) * float64(cfg.Seq) * float64(cfg.Hidden)),
-	}
-
-	var loads []layout.StageLoad
-	var err error
-	switch m {
-	case VHalfBaseline:
-		loads, err = layout.Baseline(cfg, nStages)
-	case VHalfVocab1:
-		loads, err = layout.Vocab(cfg, nStages, p)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	spec.Stages = make([]schedule.Stage, nStages)
-	for i, l := range loads {
-		noVocabCompute := l
-		if m == VHalfVocab1 {
-			noVocabCompute.InputFrac, noVocabCompute.OutputFrac = 0, 0
-		}
-		spec.Stages[i] = stageFromLoad(cfg, noVocabCompute, true)
-		if m == VHalfVocab1 {
-			spec.Stages[i].ParamBytes = l.ParamBytes(cfg)
-		}
-	}
-
-	if m == VHalfVocab1 {
-		spec.Vocab = vocabSpecFor(cfg, costmodel.Alg1Kind)
-	}
-	return spec, nil
 }

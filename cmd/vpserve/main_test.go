@@ -20,10 +20,25 @@ import (
 	"vocabpipe/internal/load"
 )
 
+// runVpserve runs the CLI to completion and returns its output and exit
+// code. It listens on an ephemeral loopback port unless the caller passes its
+// own -addr, so a flag combination whose refusal is missing serves nothing
+// for long: once that server is up, the helper stops it with SIGTERM, as
+// stopServe does, and returns its exit code, which fails the caller's row.
 func runVpserve(args ...string) (string, string, int) {
 	var stdout, stderr bytes.Buffer
-	code := run(args, &stdout, &stderr, nil)
-	return stdout.String(), stderr.String(), code
+	args = append([]string{"-addr", "127.0.0.1:0"}, args...)
+	ready := make(chan string, 1)
+	done := make(chan int, 1)
+	go func() { done <- run(args, &stdout, &stderr, ready) }()
+	select {
+	case code := <-done:
+		return stdout.String(), stderr.String(), code
+	case <-ready:
+		syscall.Kill(os.Getpid(), syscall.SIGTERM)
+		code := <-done
+		return stdout.String(), stderr.String(), code
+	}
 }
 
 // startServe boots run in serve mode on an ephemeral loopback port and
@@ -414,9 +429,8 @@ func TestClusterFlagValidation(t *testing.T) {
 		{"negative probe-every", []string{"-role", "coordinator", "-probe-every", "-1s"}, "-probe-every must not be negative"},
 		{"negative member-ttl", []string{"-role", "coordinator", "-member-ttl", "-1s"}, "-member-ttl must not be negative"},
 		// Expiry runs in the prober: no probes would silently mean no expiry.
-		// The unbindable -addr makes a missed refusal fail, not serve.
-		{"probe-every 0 with a member-ttl", []string{"-addr", "127.0.0.1:99999", "-role", "coordinator", "-probe-every", "0", "-member-ttl", "1s"}, "pass -member-ttl 0 too"},
-		{"probe-every 0 with the default member-ttl", []string{"-addr", "127.0.0.1:99999", "-role", "coordinator", "-probe-every", "0"}, "pass -member-ttl 0 too"},
+		{"probe-every 0 with a member-ttl", []string{"-role", "coordinator", "-probe-every", "0", "-member-ttl", "1s"}, "pass -member-ttl 0 too"},
+		{"probe-every 0 with the default member-ttl", []string{"-role", "coordinator", "-probe-every", "0"}, "pass -member-ttl 0 too"},
 		{"negative heartbeat", []string{"-role", "worker", "-join", "h:1", "-heartbeat-every", "-1s"}, "-heartbeat-every must not be negative"},
 		{"zero loadtest concurrency", []string{"-loadtest", "http://x", "-loadtest-concurrency", "0"}, "-loadtest-concurrency must be positive, got 0"},
 		{"zero loadtest duration", []string{"-loadtest", "http://x", "-loadtest-duration", "0"}, "-loadtest-duration must be positive, got 0s"},

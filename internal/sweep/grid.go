@@ -4,6 +4,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -113,20 +114,23 @@ func SplitList(vals string) []string {
 	return out
 }
 
-// ParseInts parses a comma-separated int list; kSuffix allows "32k" = 32*1024.
+// ParseInts parses a comma-separated int list; kSuffix allows "32k" = 32*1024,
+// and a k-suffixed value whose product passes math.MaxInt is refused.
 // Exported for reuse by spec parsers layered on the sweep machinery
 // (internal/tune's constraint parser shares the value syntax).
 func ParseInts(vals string, kSuffix bool) ([]int, error) {
 	var out []int
 	for _, v := range SplitList(vals) {
-		mult := 1
+		digits, mult := v, 1
 		if kSuffix && (strings.HasSuffix(v, "k") || strings.HasSuffix(v, "K")) {
-			mult = 1024
-			v = v[:len(v)-1]
+			digits, mult = v[:len(v)-1], 1024
 		}
-		n, err := strconv.Atoi(v)
+		n, err := strconv.Atoi(digits)
 		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("sweep: bad value %q (want a positive integer)", v)
+			return nil, fmt.Errorf("sweep: bad value %q (want a positive integer)", digits)
+		}
+		if n > math.MaxInt/mult {
+			return nil, fmt.Errorf("sweep: value %q overflows an int", v)
 		}
 		out = append(out, n*mult)
 	}

@@ -343,16 +343,18 @@ func TestParseGrid(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"",                     // no model
-		"seq=2048",             // no model
-		"model=999B",           // unknown model
-		"model=4B;method=nope", // unknown method
-		"model=4B;turbo=1",     // unknown key
-		"model=4B;seq=zero",    // bad int
-		"model=4B;vocab=-1",    // negative
-		"model=4B;micro=1,2",   // multi-valued micro
-		"model=4B,bananas",     // one good, one bad model
-		"model=4B;seq",         // not key=value
+		"",                                  // no model
+		"seq=2048",                          // no model
+		"model=999B",                        // unknown model
+		"model=4B;method=nope",              // unknown method
+		"model=4B;turbo=1",                  // unknown key
+		"model=4B;seq=zero",                 // bad int
+		"model=4B;vocab=-1",                 // negative
+		"model=4B;micro=1,2",                // multi-valued micro
+		"model=4B,bananas",                  // one good, one bad model
+		"model=4B;seq",                      // not key=value
+		"model=4B;vocab=18014398509481985k", // (2^54+1)·1024 wraps to 1024
+		"model=4B;vocab=9007199254740993k",  // (2^53+1)·1024 wraps negative
 	} {
 		if _, err := ParseGrid(bad); err == nil {
 			t.Errorf("ParseGrid(%q) should fail", bad)

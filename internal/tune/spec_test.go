@@ -83,6 +83,8 @@ func TestParseSpecErrors(t *testing.T) {
 		{"bad range", "model=4B;devices=8..4", "bad range"},
 		{"zero range", "model=4B;devices=0..8", "bad range"},
 		{"bad int", "model=4B;micro=four", "positive integer"},
+		{"k vocab wrapping to 1024", "model=4B;vocab=18014398509481985k", "overflows"},
+		{"k vocab wrapping negative", "model=4B;vocab=9007199254740993k", "overflows"},
 		{"multi seq", "model=4B;seq=2048,4096", "single value"},
 		{"bad mem", "model=4B;mem=-3", "bad mem"},
 		{"nan mem", "model=4B;mem=nan", "bad mem"},

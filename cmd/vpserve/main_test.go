@@ -35,7 +35,9 @@ func runVpserve(args ...string) (string, string, int) {
 	case code := <-done:
 		return stdout.String(), stderr.String(), code
 	case <-ready:
-		syscall.Kill(os.Getpid(), syscall.SIGTERM)
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			panic(err) // without the signal the server would never return
+		}
 		code := <-done
 		return stdout.String(), stderr.String(), code
 	}

@@ -56,7 +56,7 @@ const (
 // of its vocabulary layers, with the algorithm their sharded passes run at.
 type recipe struct {
 	name   string
-	layout func(cfg costmodel.Config, stages, devices int) ([]layout.StageLoad, error)
+	place  func(cfg costmodel.Config, stages, devices int) ([]layout.StageLoad, error)
 	chunks int
 	split  bool
 	plan   vocabPlan
@@ -76,7 +76,7 @@ var recipes = [...]recipe{
 }
 
 // ends adapts a placement that pins the vocabulary layers to the end stages,
-// and so needs no device count, to the recipe's layout signature.
+// and so needs no device count, to the recipe's place signature.
 func ends(place func(costmodel.Config, int) ([]layout.StageLoad, error)) func(costmodel.Config, int, int) ([]layout.StageLoad, error) {
 	return func(cfg costmodel.Config, stages, _ int) ([]layout.StageLoad, error) { return place(cfg, stages) }
 }
@@ -176,10 +176,11 @@ func (r *Runner) Run(cfg costmodel.Config, m Method) (*Result, error) {
 	return res, nil
 }
 
-// FromTimeline measures a built timeline into a Result. Used by ablations that mutate a spec before building (e.g. Appendix B.2's
-// sync-free interlaced pipeline). A timeline that aliases a reusable
-// engine's arena (Timeline.Ephemeral) is detached first, so the Result is
-// always safe to cache.
+// FromTimeline measures a built timeline into a Result. Used by ablations
+// that mutate a spec before building (e.g. Appendix B.2's sync-free
+// interlaced pipeline). A timeline that aliases a reusable engine's arena
+// (Timeline.Ephemeral) is detached first, so the Result is always safe to
+// cache.
 func FromTimeline(cfg costmodel.Config, m Method, tl *schedule.Timeline) *Result {
 	var an schedule.Analyzer
 	res := measure(&an, cfg, m, tl)
@@ -258,7 +259,7 @@ func BuildSpec(cfg costmodel.Config, m Method) (*schedule.Spec, error) {
 		return nil, fmt.Errorf("sim: unknown method %v", m)
 	}
 	p := cfg.Devices
-	loads, err := r.layout(cfg, r.chunks*p, p)
+	loads, err := r.place(cfg, r.chunks*p, p)
 	if err != nil {
 		return nil, err
 	}

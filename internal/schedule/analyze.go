@@ -5,8 +5,7 @@ import "fmt"
 // Analyzer computes timeline metrics with reusable scratch, so a hot sweep
 // loop (sim.Runner) measures thousands of timelines without allocating.
 // Each method's returned slices alias the analyzer's scratch and are valid
-// until the analyzer's next call; the Timeline convenience methods use a
-// throwaway analyzer, so their results are always caller-owned.
+// until the analyzer's next call.
 //
 // An acquisition is a pass that pins memory: an F pins its stage's ActBytes
 // until the same stage's B ends, a vocabulary S pins its transient until the
@@ -44,8 +43,8 @@ type Analyzer struct {
 //     reproducible bit for bit.
 //   - peakIF: the largest number of in-flight microbatches (F started, B not
 //     ended) at any F's start, counting that F, summed across chunks.
-//   - busy: the sum of the row's pass durations, added in row order as
-//     Timeline.DeviceBusy adds them.
+//   - busy: the sum of the row's pass durations, added in row order. It is
+//     the one busy sum: Timeline.BubbleRatio reads it too.
 func walkRow(row []TimedPass, chunks int, size [3]float64) (peak float64, peakIF int, busy float64) {
 	var acquired, due, settled [3]int
 	var started [2]int // F passes per chunk, whatever their size
@@ -136,16 +135,6 @@ func (a *Analyzer) Measure(tl *Timeline, overhead float64) (mem []float64, infli
 	return a.memory(tl, overhead), a.inflight, worstBubble
 }
 
-// PeakActivationBytes returns the per-device peak activation memory measured
-// from the timeline: each microbatch pins its stage's ActBytes from F start
-// to B end, and vocabulary/interlaced segments pin their transient buffers
-// from S (or V) start to T (or V) end. The result aliases the analyzer's
-// scratch.
-func (a *Analyzer) PeakActivationBytes(tl *Timeline) []float64 {
-	a.walk(tl)
-	return a.acts
-}
-
 // PeakInFlight returns, per device, the maximum number of simultaneously
 // in-flight microbatches (F started, B not finished), summed across chunks.
 // For 1F1B this is p−d; the paper's Fig 10 caption states p+2 for Algorithm 1
@@ -191,27 +180,6 @@ func growI(s []int, n int) []int {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// PeakActivationBytes is the convenience form of Analyzer.PeakActivationBytes
-// with a throwaway analyzer; the result is caller-owned.
-func (tl *Timeline) PeakActivationBytes() []float64 {
-	var a Analyzer
-	return a.PeakActivationBytes(tl)
-}
-
-// PeakInFlight is the convenience form of Analyzer.PeakInFlight with a
-// throwaway analyzer; the result is caller-owned.
-func (tl *Timeline) PeakInFlight() []int {
-	var a Analyzer
-	return a.PeakInFlight(tl)
-}
-
-// PeakMemoryBytes is the convenience form of Analyzer.PeakMemoryBytes with a
-// throwaway analyzer; the result is caller-owned.
-func (tl *Timeline) PeakMemoryBytes(overhead float64) []float64 {
-	var a Analyzer
-	return a.PeakMemoryBytes(tl, overhead)
 }
 
 // DeviceParamBytes sums the static parameter footprint of a device's stages.

@@ -67,15 +67,19 @@ func referencePeaks(tl *schedule.Timeline) ([]float64, []int) {
 
 // checkAgainstReference compares both analyzer peaks with the oracle. Every
 // size in spec must be a small integer, so any summation order is exact and
-// the comparison is bit for bit. It also checks the one-walk Measure against
-// the separate calls it stands in for, bit for bit: PeakMemoryBytes,
-// PeakInFlight and Timeline.MaxBubbleRatio.
+// the comparison is bit for bit; the reference's peak memory composes its
+// activation peak with the device's parameters, extras and overhead as the
+// analyzer does. It also checks the one-walk Measure against the separate
+// calls it stands in for, bit for bit: PeakMemoryBytes, PeakInFlight and
+// Timeline.MaxBubbleRatio.
 func checkAgainstReference(t *testing.T, an *schedule.Analyzer, tl *schedule.Timeline) {
 	t.Helper()
 	const overhead = 2
 	name := tl.Spec.Describe()
 	mem, inflight, bubble := an.Measure(tl, overhead)
-	wantMem, wantInFlight := tl.PeakMemoryBytes(overhead), tl.PeakInFlight()
+	var sep schedule.Analyzer
+	wantMem := append([]float64(nil), sep.PeakMemoryBytes(tl, overhead)...)
+	wantInFlight := sep.PeakInFlight(tl)
 	if want := tl.MaxBubbleRatio(); math.Float64bits(bubble) != math.Float64bits(want) {
 		t.Fatalf("%s: Measure worst bubble %v, MaxBubbleRatio %v", name, bubble, want)
 	}
@@ -87,10 +91,11 @@ func checkAgainstReference(t *testing.T, an *schedule.Analyzer, tl *schedule.Tim
 	}
 
 	wantActs, wantIF := referencePeaks(tl)
-	acts := an.PeakActivationBytes(tl)
+	mem = an.PeakMemoryBytes(tl, overhead)
 	for d := range wantActs {
-		if math.Float64bits(acts[d]) != math.Float64bits(wantActs[d]) {
-			t.Fatalf("%s: device %d peak activation %v, reference %v", name, d, acts[d], wantActs[d])
+		want := tl.DeviceParamBytes(d) + wantActs[d] + tl.DeviceExtraActBytes(d) + overhead
+		if math.Float64bits(mem[d]) != math.Float64bits(want) {
+			t.Fatalf("%s: device %d peak memory %v, reference %v (activations %v)", name, d, mem[d], want, wantActs[d])
 		}
 	}
 	inflight = an.PeakInFlight(tl)

@@ -129,41 +129,40 @@ func cloneSpec(s *Spec) *Spec {
 }
 
 // mutateSpec returns an adjacent cell: a copy of spec with one axis changed.
-// Trailing-axis mutations (microbatch count, a perturbed duration) leave a
-// shared committed prefix for the warm engine to replay; structural
-// mutations (readiness offsets, schedule-family switches, a fresh shape)
-// must force its scratch fallback. The random axis choice per step is the
-// shuffle: sequences visit axes in every order, like a sweep grid whose
-// trailing axis rotates.
+// A microbatch-count mutation leaves a shared committed prefix for the warm
+// engine to replay; every other mutation (a perturbed duration, a readiness
+// offset, a schedule-family switch, a fresh shape) forces its scratch
+// fallback, unless the draw repeats the old value. The random axis choice per step is the shuffle: sequences visit
+// axes in every order, like a sweep grid whose trailing axis rotates.
 func mutateSpec(rng *rand.Rand, s *Spec) *Spec {
 	c := cloneSpec(s)
 	switch rng.Intn(8) {
-	case 0, 1: // trailing axis: microbatch count
+	case 0, 1: // replayable: microbatch count
 		c.M = 1 + rng.Intn(24)
-	case 2: // trailing axis: one stage's durations
+	case 2: // scratch: one stage's durations
 		i := rng.Intn(len(c.Stages))
 		c.Stages[i].F += 0.25 * float64(1+rng.Intn(4))
 		c.Stages[i].B += 0.25 * float64(rng.Intn(4))
-	case 3: // trailing axis: vocab/interlaced pass durations
+	case 3: // scratch: vocab/interlaced pass durations
 		switch {
 		case c.Vocab != nil:
 			c.Vocab.SDur = 0.25 * float64(rng.Intn(8))
 			c.Vocab.TDur = 0.25 * float64(rng.Intn(8))
 		case c.Interlaced != nil:
 			c.Interlaced.VDur = 0.25 * float64(rng.Intn(8))
-		default:
+		default: // replayable
 			c.M = 1 + rng.Intn(24)
 		}
-	case 4: // structural: P2P readiness offset
+	case 4: // scratch: P2P readiness offset
 		c.SendTime = 0.25 * float64(rng.Intn(4))
-	case 5: // structural: switch schedule family on the same shape
+	case 5: // scratch: switch schedule family on the same shape
 		c.Vocab, c.Interlaced = nil, nil
 		if rng.Intn(2) == 0 {
 			c.Vocab = &VocabSpec{SDur: 0.5, TDur: 0.75, Barriers: 1 + rng.Intn(2), ActBytes: 0.25}
 		} else {
 			c.Interlaced = &InterlacedSpec{VDur: 0.5, SyncTime: 0.25, ActBytes: 0.25}
 		}
-	default: // structural: a fresh shape entirely
+	default: // scratch: a fresh shape entirely
 		return randomSpec(rng)
 	}
 	return c
@@ -279,9 +278,9 @@ func TestDifferentialCanonicalShapes(t *testing.T) {
 
 // TestDifferentialAdjacentSequences is the deterministic heart of the
 // three-way oracle: one warm engine walks randomized sequences of adjacent
-// cells (trailing-axis mutations, axis shuffles, structural divergences
-// that force the scratch fallback) and every step must match both the scan
-// reference and a throwaway scratch build bit for bit.
+// cells (microbatch-count mutations that replay, axis shuffles, and the
+// other mutations that force the scratch fallback) and every step must
+// match both the scan reference and a throwaway scratch build bit for bit.
 func TestDifferentialAdjacentSequences(t *testing.T) {
 	seqs, steps := 24, 14
 	if testing.Short() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Build constructs the timed schedule for spec. It returns an error if the
@@ -14,20 +15,9 @@ import (
 // timeline owns its memory and is safe to retain indefinitely. Callers that
 // build many schedules back to back should hold a reusable Engine instead:
 // a warm engine recycles all of its state arenas and, when consecutive
-// specs share a committed prefix, replays it instead of re-simulating.
-func Build(spec *Spec) (*Timeline, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	var e engine
-	e.prepare(spec)
-	tl, err := e.run()
-	if err != nil {
-		return nil, err
-	}
-	tl.arena = false // the engine is discarded; the caller owns the memory
-	return tl, nil
-}
+// specs differ only in M, replays their shared prefix instead of
+// re-simulating it.
+func Build(spec *Spec) (*Timeline, error) { return buildOwned(spec, (*engine).run) }
 
 // BuildScan constructs the timed schedule by full recompute: after each
 // committed pass it re-enumerates every slot of every device through the
@@ -36,13 +26,17 @@ func Build(spec *Spec) (*Timeline, error) {
 // invalidation, cached per-device choices, the resumed fold, prefix replay);
 // the two produce bit-identical timelines. Timeline.Validate remains the
 // independent check of the dependency rules themselves.
-func BuildScan(spec *Spec) (*Timeline, error) {
+func BuildScan(spec *Spec) (*Timeline, error) { return buildOwned(spec, (*engine).runScan) }
+
+// buildOwned validates spec and builds it with loop on a throwaway engine,
+// whose memory the returned timeline then owns.
+func buildOwned(spec *Spec, loop func(*engine) (*Timeline, error)) (*Timeline, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	var e engine
 	e.prepare(spec)
-	tl, err := e.runScan()
+	tl, err := loop(&e)
 	if err != nil {
 		return nil, err
 	}
@@ -69,19 +63,19 @@ func MustBuild(spec *Spec) *Timeline {
 // Reuse safety contract: the *Timeline returned by Build aliases the
 // engine's arena and is valid only until the next Build on the same
 // engine. A caller that retains a timeline past that point must call
-// Timeline.Detach for a compact self-owned copy (Timeline.Ephemeral reports
-// whether that is needed). The package-level Build/BuildScan helpers use a
-// throwaway engine, so their timelines are always safe to retain.
+// Timeline.Detach for a compact self-owned copy. The package-level
+// Build/BuildScan helpers use a throwaway engine, so their timelines are
+// always safe to retain.
 //
-// Incremental prefix reuse: when consecutive Build calls receive specs that
-// differ only in trailing axes — a different microbatch count, a changed
-// stage duration — the engine replays the previous build's committed prefix
-// up to the first divergent commit instead of re-simulating it. Any
-// structural difference (device count, chunking, readiness offsets such as
-// SendTime or the vocabulary barrier costs) falls back to a scratch build.
-// Output is bit-identical to a scratch build in every case; the
-// differential tests and FuzzDifferentialEngines pin scan, scratch and
-// warm-incremental builds against each other.
+// Prefix replay runs along the microbatch axis only: when consecutive Build
+// calls receive specs equal in everything but M and Name (a sweep chain, a
+// tuner's microbatch axis), the engine copies the previous build's commits
+// up to the first one of microbatch min(M, M′) − 1 or later instead of
+// re-simulating them; a spec equal in M too is copied whole. Any other
+// difference falls back to a scratch build. Output is bit-identical to a
+// scratch build in every case; the differential tests and
+// FuzzDifferentialEngines pin scan, scratch and warm-incremental builds
+// against each other.
 //
 // An Engine is not safe for concurrent use; pool engines per worker
 // (sweep.Run does this internally).
@@ -105,17 +99,14 @@ func (en *Engine) Build(spec *Spec) (*Timeline, error) {
 
 const unscheduled = -1.0
 
-// prevBuild is the deep copy of the previous completed build's spec that
-// prefix reuse diffs the next spec against. It is a copy, not a pointer:
-// the caller may mutate or discard its spec after Build returns.
+// prevBuild is the previous completed build's spec, copied by value so the
+// caller may mutate or discard its own after Build returns: Stages is the
+// snapshot's own slice, and Vocab and Interlaced point at the copies beside
+// it.
 type prevBuild struct {
-	p, m, chunks int
-	sendTime     float64
-	hasVocab     bool
-	vocab        VocabSpec
-	hasInter     bool
-	inter        InterlacedSpec
-	stages       []Stage
+	Spec
+	vocab      VocabSpec
+	interlaced InterlacedSpec
 }
 
 type engine struct {
@@ -230,86 +221,49 @@ func (e *engine) prepare(spec *Spec) {
 	e.snapshotSpec(spec)
 }
 
-// prefixLen returns how many leading commits of the previous build are
-// bit-identical to what a scratch build of s would produce. Zero on any
-// structural divergence. The rules follow from how the greedy fold consumes
-// the spec: a candidate's duration is invisible until it commits (except a
-// weight-gradient pass, whose duration gates admission as soon as its
-// stage's first backward lands), while readiness offsets (SendTime, the
-// vocabulary broadcast/barrier costs) shift candidate start times before
-// any commit and therefore always force scratch.
+// prefixLen returns how many leading commits of the previous build a
+// scratch build of s would commit bit-identically: none unless s equals the
+// previous spec in everything but M and Name. Dispatch reads M only as
+// the bound of each kind's microbatch cursor, and a commit of microbatch i
+// advances its cursor to i+1, so the builds agree up to the first commit
+// that could bring a cursor to min(M, M′): the first of microbatch
+// min(M, M′) − 1 or later.
 func (e *engine) prefixLen(s *Spec) int {
 	pv := &e.prev
-	if pv.p != s.P || pv.chunks != s.Chunks || pv.sendTime != s.SendTime {
+	if pv.P != s.P || pv.Chunks != s.Chunks || pv.SendTime != s.SendTime ||
+		!slices.Equal(pv.Stages, s.Stages) || !equalPtr(pv.Vocab, s.Vocab) || !equalPtr(pv.Interlaced, s.Interlaced) {
 		return 0
 	}
-	// The in-flight caps follow from the vocabulary barrier count and the
-	// interlaced flag, so the comparisons below cover them too.
-	if pv.hasVocab != (s.Vocab != nil) || pv.hasInter != (s.Interlaced != nil) {
-		return 0
+	if pv.M == s.M {
+		return len(e.prevPasses)
 	}
-	if v := s.Vocab; v != nil {
-		// Any schedule-affecting vocabulary change forces scratch: BcastTime,
-		// C1Time and C2Time are readiness offsets, and SDur/TDur prefixes are
-		// never worth chasing (grids never vary them in isolation).
-		if pv.vocab.SDur != v.SDur || pv.vocab.TDur != v.TDur ||
-			pv.vocab.Barriers != v.Barriers || pv.vocab.BcastTime != v.BcastTime ||
-			pv.vocab.C1Time != v.C1Time || pv.vocab.C2Time != v.C2Time {
-			return 0
-		}
-	}
-	if iv := s.Interlaced; iv != nil {
-		if pv.inter.VDur != iv.VDur || pv.inter.SyncTime != iv.SyncTime {
-			return 0
-		}
-	}
-	// Per-commit taints: stop before the first commit whose own timing
-	// changed (F/B duration at its stage), whose stage's weight-gradient
-	// admission window changed (W duration becomes visible once the stage's
-	// first B lands), or that could advance a per-kind cursor to the
-	// smaller microbatch bound (enumeration diverges once any cursor
-	// reaches min(M, M')). A W pass needs no case of its own: it commits
-	// after its stage's B of the same microbatch, which already stops the
-	// prefix when the stage's W duration changed.
-	mDiff := pv.m != s.M
-	mBound := min(pv.m, s.M) - 1
+	bound := min(pv.M, s.M) - 1
 	for j := range e.prevPasses {
-		tp := &e.prevPasses[j]
-		if mDiff && tp.Micro >= mBound {
+		if e.prevPasses[j].Micro >= bound {
 			return j
-		}
-		switch tp.Type {
-		case PassF:
-			st := s.StageOf(tp.Device, tp.Chunk)
-			if pv.stages[st].F != s.Stages[st].F {
-				return j
-			}
-		case PassB:
-			st := s.StageOf(tp.Device, tp.Chunk)
-			if pv.stages[st].B != s.Stages[st].B || pv.stages[st].W != s.Stages[st].W {
-				return j
-			}
 		}
 	}
 	return len(e.prevPasses)
 }
 
+// equalPtr reports whether a and b are both nil or point at equal values.
+func equalPtr[T comparable](a, b *T) bool {
+	return a == nil && b == nil || a != nil && b != nil && *a == *b
+}
+
 func (e *engine) snapshotSpec(s *Spec) {
-	e.prev.p, e.prev.m, e.prev.chunks = s.P, s.M, s.Chunks
-	e.prev.sendTime = s.SendTime
-	e.prev.hasVocab = s.Vocab != nil
+	pv := &e.prev
+	stages := append(pv.Stages[:0], s.Stages...)
+	pv.Spec = *s
+	pv.Stages = stages
 	if s.Vocab != nil {
-		e.prev.vocab = *s.Vocab
+		pv.vocab = *s.Vocab
+		pv.Vocab = &pv.vocab
 	}
-	e.prev.hasInter = s.Interlaced != nil
 	if s.Interlaced != nil {
-		e.prev.inter = *s.Interlaced
+		pv.interlaced = *s.Interlaced
+		pv.Interlaced = &pv.interlaced
 	}
-	if cap(e.prev.stages) < len(s.Stages) {
-		e.prev.stages = make([]Stage, len(s.Stages))
-	}
-	e.prev.stages = e.prev.stages[:len(s.Stages)]
-	copy(e.prev.stages, s.Stages)
 }
 
 // reset carves and re-initializes every state slab for spec.
@@ -352,7 +306,7 @@ func (e *engine) reset(spec *Spec) {
 	}
 
 	// Int state from one arena.
-	ni := 3*M + 3*P*C + 3*P + 2*P*C
+	ni := 3*M + 3*P*C + 4*P + 2*P*C
 	if cap(e.iArena) < ni {
 		e.iArena = make([]int, ni)
 	}
@@ -369,6 +323,7 @@ func (e *engine) reset(spec *Spec) {
 	e.nextV = carve(&is, P)
 	e.inFlight = carve(&is, P*C)
 	e.capIF = carve(&is, P*C)
+	rowLen := carve(&is, P) // each device's pass count, set below
 	for i := 0; i < 3*M; i++ {
 		ia[i] = P
 	}
@@ -411,19 +366,25 @@ func (e *engine) reset(spec *Spec) {
 		}
 	}
 
-	// Total pass count and exact per-device timeline capacities.
+	// Count each device's passes once: they size its timeline row, and
+	// their sum is the build's total.
 	total := 0
-	for st := 0; st < e.nStage; st++ {
-		total += 2 * M
-		if spec.Stages[st].W > 0 {
-			total += M
+	for d := 0; d < P; d++ {
+		n := 0
+		for c := 0; c < C; c++ {
+			n += 2 * M
+			if spec.Stages[spec.StageOf(d, c)].W > 0 {
+				n += M
+			}
 		}
-	}
-	if spec.Vocab != nil {
-		total += 2 * P * M
-	}
-	if spec.Interlaced != nil {
-		total += P * M
+		if spec.Vocab != nil {
+			n += 2 * M
+		}
+		if spec.Interlaced != nil {
+			n += M
+		}
+		rowLen[d] = n
+		total += n
 	}
 	e.remaining = total
 
@@ -439,20 +400,7 @@ func (e *engine) reset(spec *Spec) {
 	}
 	e.byDevice = e.byDevice[:P]
 	off := 0
-	for d := 0; d < P; d++ {
-		n := 0
-		for c := 0; c < C; c++ {
-			n += 2 * M
-			if spec.Stages[spec.StageOf(d, c)].W > 0 {
-				n += M
-			}
-		}
-		if spec.Vocab != nil {
-			n += 2 * M
-		}
-		if spec.Interlaced != nil {
-			n += M
-		}
+	for d, n := range rowLen {
 		e.byDevice[d] = e.byDevBack[off : off : off+n]
 		off += n
 	}
@@ -1057,13 +1005,7 @@ func (e *engine) applyState(tp *TimedPass, live bool) {
 			e.markKind(d, 1<<uint(nc))
 		}
 		if e.sRemaining[i] == 0 {
-			latest := 0.0
-			for dd := 0; dd < spec.P; dd++ {
-				if s := e.sEnd[dd*M+i]; s > latest {
-					latest = s
-				}
-			}
-			e.c1End[i] = latest + spec.Vocab.C1Time
+			e.c1End[i] = e.latestEnd(e.sEnd, i) + spec.Vocab.C1Time
 			if live {
 				// C1 gates the T passes waiting on microbatch i and, under
 				// Algorithm 2, the last stage's backward.
@@ -1085,13 +1027,7 @@ func (e *engine) applyState(tp *TimedPass, live bool) {
 			e.markKind(d, 1<<uint(nc+1))
 		}
 		if e.tRemaining[i] == 0 && spec.Vocab.Barriers == 2 {
-			latest := 0.0
-			for dd := 0; dd < spec.P; dd++ {
-				if t := e.tEnd[dd*M+i]; t > latest {
-					latest = t
-				}
-			}
-			e.c2End[i] = latest + spec.Vocab.C2Time
+			e.c2End[i] = e.latestEnd(e.tEnd, i) + spec.Vocab.C2Time
 			if live {
 				// C2 gates the last stage's backward (Algorithm 1).
 				e.markKind(e.lastDev, 2<<uint(3*(spec.Chunks-1)))
@@ -1105,17 +1041,25 @@ func (e *engine) applyState(tp *TimedPass, live bool) {
 			e.markKind(d, 1<<uint(nc+2))
 		}
 		if e.vRemaining[i] == 0 {
-			latest := 0.0
-			for dd := 0; dd < spec.P; dd++ {
-				if v := e.vEnd[dd*M+i]; v > latest {
-					latest = v
-				}
-			}
-			e.vBarrier[i] = latest
+			e.vBarrier[i] = e.latestEnd(e.vEnd, i)
 			if live {
 				// The interlaced barrier gates the last stage's backward.
 				e.markKind(e.lastDev, 2<<uint(3*(spec.Chunks-1)))
 			}
 		}
 	}
+}
+
+// latestEnd returns the latest end of microbatch i's passes over every
+// device, read from a [device*M+micro] table (sEnd, tEnd or vEnd): the
+// instant an all-device barrier on them clears.
+func (e *engine) latestEnd(ends []float64, i int) float64 {
+	M := e.spec.M
+	latest := 0.0
+	for d := 0; d < e.spec.P; d++ {
+		if t := ends[d*M+i]; t > latest {
+			latest = t
+		}
+	}
+	return latest
 }

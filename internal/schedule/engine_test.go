@@ -34,6 +34,21 @@ func interlacedSpec(p, m int) *Spec {
 		Interlaced: &InterlacedSpec{VDur: 0.75, SyncTime: 0.25, ActBytes: 0.25}}
 }
 
+// peakInFlight is Analyzer.PeakInFlight on a fresh analyzer, so the result
+// is the caller's.
+func peakInFlight(tl *Timeline) []int {
+	var an Analyzer
+	return an.PeakInFlight(tl)
+}
+
+// peakMemory is Analyzer.PeakMemoryBytes on a fresh analyzer. With no
+// overhead, on a spec whose stages set no ParamBytes or ExtraActBytes, it
+// is each device's peak activation bytes.
+func peakMemory(tl *Timeline, overhead float64) []float64 {
+	var an Analyzer
+	return an.PeakMemoryBytes(tl, overhead)
+}
+
 func TestOneF1BMakespanExact(t *testing.T) {
 	// Classic 1F1B with tF=1, tB=2: makespan = (m + p − 1)(tF + tB).
 	for _, pm := range [][2]int{{2, 4}, {4, 8}, {4, 16}, {8, 24}} {
@@ -48,7 +63,7 @@ func TestOneF1BMakespanExact(t *testing.T) {
 
 func TestOneF1BInFlightIsPMinusD(t *testing.T) {
 	tl := MustBuild(oneF1BSpec(6, 18))
-	got := tl.PeakInFlight()
+	got := peakInFlight(tl)
 	for d, v := range got {
 		if v != 6-d {
 			t.Errorf("device %d in-flight = %d, want %d", d, v, 6-d)
@@ -110,15 +125,15 @@ func TestAllSchedulesValidate(t *testing.T) {
 func TestVocabActivationCounts(t *testing.T) {
 	for _, p := range []int{4, 6, 8} {
 		m := 3 * p
-		alg1 := MustBuild(vocabSpec(p, m, 2)).PeakInFlight()
+		alg1 := peakInFlight(MustBuild(vocabSpec(p, m, 2)))
 		if alg1[0] != p+2 {
 			t.Errorf("p=%d Algorithm 1: device 0 in-flight = %d, want p+2 = %d", p, alg1[0], p+2)
 		}
-		alg2 := MustBuild(vocabSpec(p, m, 1)).PeakInFlight()
+		alg2 := peakInFlight(MustBuild(vocabSpec(p, m, 1)))
 		if alg2[0] != p+1 {
 			t.Errorf("p=%d Algorithm 2: device 0 in-flight = %d, want p+1 = %d", p, alg2[0], p+1)
 		}
-		base := MustBuild(oneF1BSpec(p, m)).PeakInFlight()
+		base := peakInFlight(MustBuild(oneF1BSpec(p, m)))
 		if base[0] != p {
 			t.Errorf("p=%d baseline: device 0 in-flight = %d, want p", p, base[0])
 		}
@@ -130,7 +145,7 @@ func TestVocabActivationCounts(t *testing.T) {
 func TestInterlacedActivation15x(t *testing.T) {
 	for _, p := range []int{4, 8} {
 		m := 3 * p
-		inter := MustBuild(interlacedSpec(p, m)).PeakInFlight()
+		inter := peakInFlight(MustBuild(interlacedSpec(p, m)))
 		want := int(math.Ceil(1.5 * float64(p)))
 		if inter[0] != want {
 			t.Errorf("p=%d interlaced: device 0 in-flight = %d, want 1.5p = %d", p, inter[0], want)
@@ -150,8 +165,7 @@ func TestVHalfActivationBalancedAndBelow1F1B(t *testing.T) {
 		for i := range spec.Stages {
 			spec.Stages[i].ActBytes = 0.5
 		}
-		tl := MustBuild(spec)
-		acts := tl.PeakActivationBytes()
+		acts := peakMemory(MustBuild(spec), 0) // no parameters: activations only
 		lo, hi := acts[0], acts[0]
 		for _, a := range acts {
 			lo = math.Min(lo, a)
@@ -425,13 +439,12 @@ func TestBubbleRatioBounds(t *testing.T) {
 }
 
 func TestPeakMemoryComposition(t *testing.T) {
+	acts := peakMemory(MustBuild(oneF1BSpec(2, 4)), 0) // no parameters: activations only
 	spec := oneF1BSpec(2, 4)
 	spec.Stages[0].ParamBytes = 100
 	spec.Stages[0].ExtraActBytes = 7
 	spec.Stages[1].ParamBytes = 50
-	tl := MustBuild(spec)
-	mem := tl.PeakMemoryBytes(10)
-	acts := tl.PeakActivationBytes()
+	mem := peakMemory(MustBuild(spec), 10)
 	if mem[0] != 100+acts[0]+7+10 {
 		t.Errorf("device 0 memory = %v, want %v", mem[0], 100+acts[0]+7+10)
 	}

@@ -267,10 +267,6 @@ type Timeline struct {
 	arena bool
 }
 
-// Ephemeral reports whether the timeline aliases a reusable Engine's arena
-// and must be Detach-ed before outliving the engine's next Build.
-func (tl *Timeline) Ephemeral() bool { return tl.arena }
-
 // Detach returns a compact self-owned copy of the timeline, safe to retain
 // after the engine that produced it is rebuilt or pooled. Passes and every
 // ByDevice row are carved from two fresh slabs sized exactly; the Spec
@@ -297,18 +293,11 @@ func (tl *Timeline) Detach() *Timeline {
 	return out
 }
 
-// DeviceBusy returns the total busy time of a device.
-func (tl *Timeline) DeviceBusy(d int) float64 {
-	busy := 0.0
-	for _, p := range tl.ByDevice[d] {
-		busy += p.End - p.Start
-	}
-	return busy
-}
-
-// BubbleRatio returns 1 - busy/makespan for a device.
+// BubbleRatio returns 1 - busy/makespan for a device, with the busy time
+// walkRow sums.
 func (tl *Timeline) BubbleRatio(d int) float64 {
-	return bubbleRatio(tl.DeviceBusy(d), tl.Makespan)
+	_, _, busy := walkRow(tl.ByDevice[d], tl.Spec.Chunks, [3]float64{})
+	return bubbleRatio(busy, tl.Makespan)
 }
 
 // bubbleRatio is 1 - busy/makespan, or 0 for an empty timeline.

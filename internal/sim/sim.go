@@ -138,7 +138,7 @@ func Run(cfg costmodel.Config, m Method) (*Result, error) {
 }
 
 // Runner is a reusable simulation context: a warm schedule.Engine (arena
-// state plus prefix reuse across adjacent specs) and an analyzer with
+// state plus prefix replay along the microbatch axis) and an analyzer with
 // persistent scratch. A warm runner simulates a cell with a handful of
 // small allocations — the Result and its per-device slices — instead of
 // rebuilding every engine table. Not safe for concurrent use; pool runners
@@ -179,7 +179,7 @@ func (r *Runner) Run(cfg costmodel.Config, m Method) (*Result, error) {
 // FromTimeline measures a built timeline into a Result. Used by ablations
 // that mutate a spec before building (e.g. Appendix B.2's sync-free
 // interlaced pipeline). A timeline that aliases a reusable engine's arena
-// (Timeline.Ephemeral) is detached first, so the Result is always safe to
+// is detached first (Timeline.Detach), so the Result is always safe to
 // cache.
 func FromTimeline(cfg costmodel.Config, m Method, tl *schedule.Timeline) *Result {
 	var an schedule.Analyzer

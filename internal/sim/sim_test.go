@@ -241,8 +241,12 @@ func TestVHalfMemoryBelow1F1B(t *testing.T) {
 	c := small("7B").WithVocab(32 * 1024)
 	oneF1B := MustRun(c, Vocab1)
 	vhalf := MustRun(c, VHalfVocab1)
-	actOne := oneF1B.Timeline.PeakActivationBytes()[0]
-	actHalf := vhalf.Timeline.PeakActivationBytes()[0]
+	// Device 0's peak memory less what it holds whatever the schedule.
+	act := func(r *Result) float64 {
+		tl := r.Timeline
+		return r.PeakMem[0] - tl.DeviceParamBytes(0) - tl.DeviceExtraActBytes(0) - costmodel.RuntimeOverheadBytes
+	}
+	actOne, actHalf := act(oneF1B), act(vhalf)
 	if actHalf > 0.75*actOne {
 		t.Errorf("V-Half activation %v should be ≤ 0.75x of 1F1B's %v", actHalf, actOne)
 	}
@@ -321,7 +325,7 @@ func TestRunnerResultsSurviveEngineReuse(t *testing.T) {
 	if cached.Timeline == nil {
 		t.Fatal("KeepTimeline set but no timeline attached")
 	}
-	if cached.Timeline.Ephemeral() {
+	if cached.Timeline.Detach() != cached.Timeline {
 		t.Fatal("cached result's timeline still aliases the engine arena")
 	}
 

@@ -321,23 +321,17 @@ func RunCtx(ctx context.Context, g *Grid, opt Options) (*Results, error) {
 }
 
 // Records evaluates the grid in process with parallel workers and returns
-// its records in expansion order. A nil onRecord takes RunCtx(...).Records().
-// Otherwise each cell's record is converted once, as the cell completes, and
-// handed to onRecord with its expansion index; calls may run concurrently.
+// its records in expansion order. Each cell's record is converted once, as
+// the cell completes, and handed to onRecord (when non-nil) with its
+// expansion index; calls may run concurrently.
 func Records(ctx context.Context, g *Grid, parallel int, onRecord func(i int, rec report.Record)) ([]report.Record, error) {
-	opt := Options{Parallel: parallel}
-	if onRecord == nil {
-		res, err := RunCtx(ctx, g, opt)
-		if err != nil {
-			return nil, err
-		}
-		return res.Records(), nil
-	}
 	recs := make([]report.Record, g.NumCells())
-	opt.OnCell = func(_, _ int, r CellResult) {
+	opt := Options{Parallel: parallel, OnCell: func(_, _ int, r CellResult) {
 		recs[r.Index] = r.Record()
-		onRecord(r.Index, recs[r.Index])
-	}
+		if onRecord != nil {
+			onRecord(r.Index, recs[r.Index])
+		}
+	}}
 	if _, err := RunCtx(ctx, g, opt); err != nil {
 		return nil, err
 	}
@@ -355,7 +349,7 @@ const maxChainLen = 16
 // chainCells groups cell indices into evaluation chains: runs of
 // default-eval cells that share a method and a configuration up to the
 // microbatch count, ordered by ascending NumMicro so consecutive specs
-// differ only in the trailing axis and the engine's prefix reuse engages.
+// differ only in M and the engine's prefix replay engages.
 // Custom-eval cells stay singleton chains. The chains come back longest
 // first — by summed sim.PassCount, a stable sort — so a small batch does
 // not end with one worker still holding the heaviest chain while the others

@@ -204,31 +204,25 @@ func (tl *Timeline) DeviceExtraActBytes(d int) float64 {
 
 // Validate checks the committed timeline for dependency violations; it is
 // used by tests to prove the constructor honors the paper's constraints
-// (§5.1) rather than assuming them.
+// (§5.1) rather than assuming them. Each pass the spec calls for must be
+// there: F and B per stage and microbatch, W once per split stage (W > 0)
+// and microbatch, S and T (with Vocab) or V once (with Interlaced) per
+// device and microbatch.
 func (tl *Timeline) Validate() error {
 	spec := tl.Spec
-	fEnd := make([][]float64, spec.NumStages())
-	bStart := make([][]float64, spec.NumStages())
-	bEnd := make([][]float64, spec.NumStages())
-	sStart := make([][]float64, spec.P)
-	sEnd := make([][]float64, spec.P)
-	tStart := make([][]float64, spec.P)
-	tEnd := make([][]float64, spec.P)
-	fStart := make([][]float64, spec.NumStages())
-	vEnd := make([][]float64, spec.P)
-	for i := 0; i < spec.NumStages(); i++ {
-		fEnd[i] = make([]float64, spec.M)
-		fStart[i] = make([]float64, spec.M)
-		bStart[i] = make([]float64, spec.M)
-		bEnd[i] = make([]float64, spec.M)
+	n, M := spec.NumStages(), spec.M
+	grid := func(rows int) [][]float64 {
+		g := make([][]float64, rows)
+		for r := range g {
+			g[r] = make([]float64, M)
+		}
+		return g
 	}
-	for i := 0; i < spec.P; i++ {
-		sStart[i] = make([]float64, spec.M)
-		sEnd[i] = make([]float64, spec.M)
-		tStart[i] = make([]float64, spec.M)
-		tEnd[i] = make([]float64, spec.M)
-		vEnd[i] = make([]float64, spec.M)
-	}
+	fStart, fEnd, bStart, bEnd, wStart := grid(n), grid(n), grid(n), grid(n), grid(n)
+	sStart, sEnd, tStart, tEnd, vEnd := grid(spec.P), grid(spec.P), grid(spec.P), grid(spec.P), grid(spec.P)
+	// How many W passes each stage, and V passes each device, ran per
+	// microbatch.
+	wRuns, vRuns := make([]int, n*M), make([]int, spec.P*M)
 	counts := map[PassType]int{}
 	for _, p := range tl.Passes {
 		counts[p.Type]++
@@ -239,21 +233,41 @@ func (tl *Timeline) Validate() error {
 		case PassB:
 			st := spec.StageOf(p.Device, p.Chunk)
 			bStart[st][p.Micro], bEnd[st][p.Micro] = p.Start, p.End
+		case PassW:
+			st := spec.StageOf(p.Device, p.Chunk)
+			wStart[st][p.Micro] = p.Start
+			wRuns[st*M+p.Micro]++
 		case PassS:
 			sStart[p.Device][p.Micro], sEnd[p.Device][p.Micro] = p.Start, p.End
 		case PassT:
 			tStart[p.Device][p.Micro], tEnd[p.Device][p.Micro] = p.Start, p.End
 		case PassV:
 			vEnd[p.Device][p.Micro] = p.End
+			vRuns[p.Device*M+p.Micro]++
 		}
 	}
-	if counts[PassF] != spec.NumStages()*spec.M || counts[PassB] != spec.NumStages()*spec.M {
-		return errf("missing F/B passes: %d/%d of %d", counts[PassF], counts[PassB], spec.NumStages()*spec.M)
+	split := 0
+	for _, st := range spec.Stages {
+		if st.W > 0 {
+			split++
+		}
 	}
-	last := spec.NumStages() - 1
+	want := map[PassType]int{PassF: n * M, PassB: n * M, PassW: split * M}
+	if spec.Vocab != nil {
+		want[PassS], want[PassT] = spec.P*M, spec.P*M
+	}
+	if spec.Interlaced != nil {
+		want[PassV] = spec.P * M
+	}
+	for pt := PassF; pt <= PassV; pt++ {
+		if counts[pt] != want[pt] {
+			return errf("%d %v passes, want %d", counts[pt], pt, want[pt])
+		}
+	}
+	last := n - 1
 	const tol = 1e-9
-	for i := 0; i < spec.M; i++ {
-		for st := 1; st < spec.NumStages(); st++ {
+	for i := 0; i < M; i++ {
+		for st := 1; st < n; st++ {
 			if fStart[st][i]+tol < fEnd[st-1][i]+spec.SendTime {
 				return errf("F(stage %d, mb %d) starts %.6g before upstream F ends %.6g", st, i, fStart[st][i], fEnd[st-1][i])
 			}
@@ -263,9 +277,20 @@ func (tl *Timeline) Validate() error {
 				return errf("B(stage %d, mb %d) starts before downstream B ends", st, i)
 			}
 		}
-		for st := 0; st < spec.NumStages(); st++ {
+		for st := 0; st < n; st++ {
 			if bStart[st][i]+tol < fEnd[st][i] {
 				return errf("B(stage %d, mb %d) starts before its own F ends", st, i)
+			}
+		}
+		for st := 0; st < n; st++ {
+			if spec.Stages[st].W == 0 {
+				continue
+			}
+			if k := wRuns[st*M+i]; k != 1 {
+				return errf("stage %d, mb %d ran %d W passes, want 1", st, i, k)
+			}
+			if wStart[st][i]+tol < bEnd[st][i] {
+				return errf("W(stage %d, mb %d) starts before its own B ends", st, i)
 			}
 		}
 		if v := spec.Vocab; v != nil {
@@ -300,6 +325,9 @@ func (tl *Timeline) Validate() error {
 		if spec.Interlaced != nil {
 			maxV := 0.0
 			for d := 0; d < spec.P; d++ {
+				if k := vRuns[d*M+i]; k != 1 {
+					return errf("device %d, mb %d ran %d V passes, want 1", d, i, k)
+				}
 				if vEnd[d][i] > maxV {
 					maxV = vEnd[d][i]
 				}

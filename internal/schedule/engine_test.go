@@ -120,6 +120,65 @@ func TestAllSchedulesValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBrokenTimelines edits built timelines so that a pass
+// the spec calls for is missing, repeated or early, and requires Validate to
+// refuse each one. Before Validate counted W, S, T and V and checked each W
+// against its B, it accepted every W and V case here.
+func TestValidateRejectsBrokenTimelines(t *testing.T) {
+	// edit returns a copy of spec's timeline with every pass passed through
+	// fix; a pass fix reports false for is dropped.
+	edit := func(spec *Spec, fix func(tp *TimedPass) bool) *Timeline {
+		tl := MustBuild(spec)
+		out := &Timeline{Spec: spec, Makespan: tl.Makespan, ByDevice: make([][]TimedPass, spec.P)}
+		for _, tp := range tl.Passes {
+			if fix(&tp) {
+				out.Passes = append(out.Passes, tp)
+				out.ByDevice[tp.Device] = append(out.ByDevice[tp.Device], tp)
+			}
+		}
+		return out
+	}
+	is := func(tp *TimedPass, pt PassType, d, c, i int) bool {
+		return tp.Type == pt && tp.Device == d && tp.Chunk == c && tp.Micro == i
+	}
+	cases := []struct {
+		name string
+		tl   *Timeline
+	}{
+		{"every W missing", edit(vhalfSpec(4, 8), func(tp *TimedPass) bool { return tp.Type != PassW })},
+		{"one W missing", edit(vhalfSpec(4, 8), func(tp *TimedPass) bool { return !is(tp, PassW, 2, 1, 5) })},
+		{"one W twice, another never", edit(vhalfSpec(4, 8), func(tp *TimedPass) bool {
+			if is(tp, PassW, 2, 1, 5) {
+				tp.Micro = 4
+			}
+			return true
+		})},
+		{"two Ws swap microbatches", edit(vhalfSpec(4, 8), func(tp *TimedPass) bool {
+			if is(tp, PassW, 1, 0, 0) || is(tp, PassW, 1, 0, 7) {
+				tp.Micro = 7 - tp.Micro // the first W now runs before its B ends
+			}
+			return true
+		})},
+		{"every V missing", edit(interlacedSpec(4, 8), func(tp *TimedPass) bool { return tp.Type != PassV })},
+		{"one V missing", edit(interlacedSpec(4, 8), func(tp *TimedPass) bool { return !is(tp, PassV, 2, 0, 3) })},
+		{"one V twice, another never", edit(interlacedSpec(4, 8), func(tp *TimedPass) bool {
+			if is(tp, PassV, 2, 0, 3) {
+				tp.Micro = 4
+			}
+			return true
+		})},
+		{"one S missing", edit(vocabSpec(4, 8, 2), func(tp *TimedPass) bool { return !is(tp, PassS, 1, 0, 6) })},
+		{"one T missing", edit(vocabSpec(4, 8, 1), func(tp *TimedPass) bool { return !is(tp, PassT, 3, 0, 7) })},
+	}
+	for _, c := range cases {
+		if err := c.tl.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the timeline", c.name)
+		} else {
+			t.Logf("%s: %v", c.name, err)
+		}
+	}
+}
+
 // TestVocabActivationCounts verifies the Fig 10 caption: Algorithm 1 requires
 // activation memory for p+2 microbatches, Algorithm 2 for p+1 (device 0).
 func TestVocabActivationCounts(t *testing.T) {

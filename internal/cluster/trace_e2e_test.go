@@ -49,23 +49,33 @@ func detTracer(service string, idOffset uint64) *obs.Tracer {
 
 // fetchTrace GETs a debug trace export and decodes it through the same
 // reader the simulator's Chrome traces use — the round-trip the export
-// format promises.
+// format promises. A trace is exported once its root span ends, and a
+// server ends a request's root span only after the response is written, so
+// the client can ask before the trace exists: a 404 is retried until a
+// 5-second deadline.
 func fetchTrace(t *testing.T, url string) []trace.Event {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("fetching trace: %v", err)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("fetching trace: %v", err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusNotFound && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+			continue
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("trace fetch: HTTP %d: %s", resp.StatusCode, body)
+		}
+		events, err := trace.ReadChromeTrace(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("export does not round-trip through ReadChromeTrace: %v", err)
+		}
+		return events
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("trace fetch: HTTP %d: %s", resp.StatusCode, body)
-	}
-	events, err := trace.ReadChromeTrace(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("export does not round-trip through ReadChromeTrace: %v", err)
-	}
-	return events
 }
 
 func spanNames(events []trace.Event) []string {

@@ -45,9 +45,23 @@ func schedulePath(micro int) string {
 	return fmt.Sprintf("/api/v1/schedule?config=4B&method=vocab-1&vocab=32768&micro=%d", micro)
 }
 
+// cacheLookups reads the result cache's hit and miss counters off /metrics.
+func cacheLookups(t *testing.T, ts *httptest.Server) (hits, misses float64) {
+	t.Helper()
+	_, fams := scrape(t, ts)
+	for _, name := range []string{"vpserve_cache_hits_total", "vpserve_cache_misses_total"} {
+		if f := fams[name]; f == nil || len(f.samples) != 1 {
+			t.Fatalf("family %s missing or not a single sample", name)
+		}
+	}
+	return fams["vpserve_cache_hits_total"].samples[0].value, fams["vpserve_cache_misses_total"].samples[0].value
+}
+
 // TestIndexRepeatHits: on each GET compute route, a repeated request answers
 // the first response's bytes as a cache hit, and it resolved its key
-// through the index — the resolved counter rises by one per repeat.
+// through the index — the resolved counter rises by one per repeat. It
+// looks its canonical key up in the result cache once: the cache's hit
+// counter rises by exactly one and its miss counter not at all.
 func TestIndexRepeatHits(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	for i, path := range []string{sweepPath(smallGrid), schedulePath(16), "/api/v1/experiments/fig1"} {
@@ -58,6 +72,7 @@ func TestIndexRepeatHits(t *testing.T) {
 		if entries, resolved := indexStats(t, ts); entries != float64(i+1) || resolved != float64(i) {
 			t.Fatalf("%s: after the first request index has %v entries, %v resolved; want %d, %d", path, entries, resolved, i+1, i)
 		}
+		hits, misses := cacheLookups(t, ts)
 		status, again, hdr := get(t, ts, path)
 		if status != http.StatusOK || hdr.Get("X-Cache") != "hit" {
 			t.Fatalf("%s: repeat status %d, X-Cache %q; want 200 hit", path, status, hdr.Get("X-Cache"))
@@ -67,6 +82,10 @@ func TestIndexRepeatHits(t *testing.T) {
 		}
 		if entries, resolved := indexStats(t, ts); entries != float64(i+1) || resolved != float64(i+1) {
 			t.Errorf("%s: after the repeat index has %v entries, %v resolved; want %d, %d", path, entries, resolved, i+1, i+1)
+		}
+		if h, m := cacheLookups(t, ts); h != hits+1 || m != misses {
+			t.Errorf("%s: the repeat moved cache hits %v → %v and misses %v → %v; want one more hit and no miss",
+				path, hits, h, misses, m)
 		}
 	}
 }

@@ -122,8 +122,7 @@ func TestAllSchedulesValidate(t *testing.T) {
 
 // TestValidateRejectsBrokenTimelines edits built timelines so that a pass
 // the spec calls for is missing, repeated or early, and requires Validate to
-// refuse each one. Before Validate counted W, S, T and V and checked each W
-// against its B, it accepted every W and V case here.
+// refuse each one.
 func TestValidateRejectsBrokenTimelines(t *testing.T) {
 	// edit returns a copy of spec's timeline with every pass passed through
 	// fix; a pass fix reports false for is dropped.

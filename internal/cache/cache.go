@@ -9,8 +9,9 @@
 // computes it once), and otherwise the caller computes, stores and returns
 // (miss). Errors are propagated to every
 // coalesced waiter but never cached, so a transient failure does not poison
-// the key. Get and Put read and store an entry directly, without a
-// computation and without touching the counters.
+// the key. Get reads an entry without a computation and counts the lookup
+// as DoCtx does: a hit when the key is cached, a miss when it is not. Put
+// stores an entry directly and counts nothing.
 //
 // One mutex guards the map and the recency list, and computations run
 // outside it, so the lock is held only for a map lookup and a list update.
@@ -82,14 +83,19 @@ const (
 )
 
 // Get returns the cached value without computing, marking the entry used.
-// It does not touch the hit/miss counters — DoCtx owns the accounting.
+// Like DoCtx it counts the lookup: a found key is a hit, a missing one a
+// miss (a key still being computed is a miss too: Get never waits).
 func (c *Cache[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
-		return el.Value.(*entry[V]).val, true
+		v := el.Value.(*entry[V]).val
+		c.mu.Unlock()
+		c.hits.Add(1)
+		return v, true
 	}
+	c.mu.Unlock()
+	c.misses.Add(1)
 	var zero V
 	return zero, false
 }

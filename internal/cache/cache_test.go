@@ -128,21 +128,25 @@ func TestHitMissAccounting(t *testing.T) {
 
 // TestPutStoresWithoutCounting pins Put: it stores as the most recently used
 // entry, replaces an existing value, evicts past capacity like a computed
-// value, and leaves the hit/miss ledger alone. A later DoCtx on a Put key hits.
+// value, and leaves the hit/miss ledger alone. Get counts its lookups: a
+// found key is a hit, a missing one a miss. A later DoCtx on a Put key hits.
 func TestPutStoresWithoutCounting(t *testing.T) {
 	c := New[string](2)
 	c.Put("a", "1")
 	c.Put("b", "2")
 	c.Put("a", "3") // replaces, and makes b the oldest
 	c.Put("c", "4") // evicts b
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Deduped != 0 || st.Evictions != 1 || st.Entries != 2 {
+		t.Errorf("stats = %+v, want no lookups counted, 1 eviction, 2 entries", st)
+	}
 	if v, ok := c.Get("a"); !ok || v != "3" {
 		t.Errorf("Get(a) = %q, %v; want 3, true", v, ok)
 	}
 	if _, ok := c.Get("b"); ok {
 		t.Error("b survived past capacity, want it evicted as the oldest")
 	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Deduped != 0 || st.Evictions != 1 || st.Entries != 2 {
-		t.Errorf("stats = %+v, want no lookups counted, 1 eviction, 2 entries", st)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Deduped != 0 {
+		t.Errorf("stats = %+v, want Get's hit on a and miss on b counted", st)
 	}
 	v, outcome, err := c.DoCtx(context.Background(), "c", func(context.Context) (string, error) { return "recomputed", nil })
 	if err != nil || outcome != Hit || v != "4" {
@@ -215,8 +219,8 @@ func TestErrorsNotCached(t *testing.T) {
 	if err != nil || v != 7 || outcome != Miss {
 		t.Fatalf("retry = %d, %v, %v; want 7, Miss, nil", v, outcome, err)
 	}
-	if st := c.Stats(); st.Misses != 2 {
-		t.Errorf("stats = %+v, want 2 misses", st)
+	if st := c.Stats(); st.Misses != 3 {
+		t.Errorf("stats = %+v, want 3 misses (two DoCtx, one Get)", st)
 	}
 }
 
@@ -278,8 +282,9 @@ func TestConcurrentMixed(t *testing.T) {
 	}
 	wg.Wait()
 	st := c.Stats()
-	if total := st.Hits + st.Misses + st.Deduped; total != 8*200 {
-		t.Errorf("lookups = %d, want %d", total, 8*200)
+	// Each iteration is two counted lookups: the DoCtx and the Get.
+	if total := st.Hits + st.Misses + st.Deduped; total != 2*8*200 {
+		t.Errorf("lookups = %d, want %d", total, 2*8*200)
 	}
 }
 

@@ -146,7 +146,7 @@ func table3(w io.Writer, _ *sweep.Results) {
 			{"input", func(p int) float64 { return costmodel.InputScalingFactor(seq, p) }},
 		}
 		for _, r := range rows {
-			paper := paperTable3[seq][r.name]
+			paper := experiments.PaperTable3[seq][r.name]
 			t.Add(seq, r.name,
 				report.PaperVs(100*r.f(8), paper[0]),
 				report.PaperVs(100*r.f(16), paper[1]),
@@ -164,18 +164,18 @@ func table5(w io.Writer, res *sweep.Results) {
 			t := report.New(fmt.Sprintf("%s, %d GPUs, seq %d", cfg.Name, cfg.Devices, seq),
 				"method", "metric", "32k", "64k", "128k", "256k")
 			for _, m := range sim.OneF1BMethods {
-				paper := paperTable5[cfg.Name][seq][m.String()]
+				paper := experiments.PaperTable5[cfg.Name][seq][m.String()]
 				mfuRow := []any{m.String(), "MFU%"}
 				memRow := []any{m.String(), "peak GB"}
 				for vi, v := range costmodel.VocabSizes {
 					r := res.MustGet(sweep.CellLabel(cfg.WithSeq(seq).WithVocab(v), m))
 					if r.OOM {
-						mfuRow = append(mfuRow, fmt.Sprintf("OOM (paper %s)", paperStr(paper.mfu[vi])))
-						memRow = append(memRow, fmt.Sprintf(">80 (paper %s)", paperStr(paper.mem[vi])))
+						mfuRow = append(mfuRow, fmt.Sprintf("OOM (paper %s)", paperStr(paper.MFU[vi])))
+						memRow = append(memRow, fmt.Sprintf(">80 (paper %s)", paperStr(paper.Mem[vi])))
 						continue
 					}
-					mfuRow = append(mfuRow, report.PaperVs(100*r.MFU, paper.mfu[vi]))
-					memRow = append(memRow, report.PaperVs(r.MaxMem/costmodel.GiB, paper.mem[vi]))
+					mfuRow = append(mfuRow, report.PaperVs(100*r.MFU, paper.MFU[vi]))
+					memRow = append(memRow, report.PaperVs(r.MaxMem/costmodel.GiB, paper.Mem[vi]))
 				}
 				t.Add(mfuRow...)
 				t.Add(memRow...)
@@ -201,19 +201,19 @@ func table6(w io.Writer, res *sweep.Results) {
 			t := report.New(fmt.Sprintf("%s, %d GPUs, seq %d", cfg.Name, cfg.Devices, seq),
 				"method", "metric", "32k", "64k", "128k", "256k")
 			for _, m := range sim.VHalfMethods {
-				paper := paperTable6[cfg.Name][seq][m.String()]
+				paper := experiments.PaperTable6[cfg.Name][seq][m.String()]
 				mfuRow := []any{m.String(), "MFU%"}
 				memRow := []any{m.String(), "max/min GB"}
 				for vi, v := range costmodel.VocabSizes {
 					r := res.MustGet(sweep.CellLabel(cfg.WithSeq(seq).WithVocab(v), m))
 					if r.OOM {
-						mfuRow = append(mfuRow, fmt.Sprintf("OOM (paper %s)", paperStr(paper.mfu[vi])))
-						memRow = append(memRow, fmt.Sprintf(">80 (paper %s)", paperStr(paper.mem[vi])))
+						mfuRow = append(mfuRow, fmt.Sprintf("OOM (paper %s)", paperStr(paper.MFU[vi])))
+						memRow = append(memRow, fmt.Sprintf(">80 (paper %s)", paperStr(paper.Mem[vi])))
 						continue
 					}
-					mfuRow = append(mfuRow, report.PaperVs(100*r.MFU, paper.mfu[vi]))
+					mfuRow = append(mfuRow, report.PaperVs(100*r.MFU, paper.MFU[vi]))
 					memRow = append(memRow, fmt.Sprintf("%s/%s (paper %s)",
-						report.GB(r.MaxMem), report.GB(r.MinMem), paperStr(paper.mem[vi])))
+						report.GB(r.MaxMem), report.GB(r.MinMem), paperStr(paper.Mem[vi])))
 				}
 				t.Add(mfuRow...)
 				t.Add(memRow...)

@@ -11,32 +11,38 @@ import (
 // spec is inconsistent or the constructor cannot make progress (which would
 // indicate a dependency cycle — none of the shipped generators produce one).
 //
-// Build uses the event-driven engine on a throwaway Engine, so the returned
-// timeline owns its memory and is safe to retain indefinitely. Callers that
-// build many schedules back to back should hold a reusable Engine instead:
-// a warm engine recycles all of its state arenas and, when consecutive
-// specs differ only in M, replays their shared prefix instead of
-// re-simulating it.
-func Build(spec *Spec) (*Timeline, error) { return buildOwned(spec, (*engine).run) }
+// A spec with one chunk per device and no split backward (the 1F1B family:
+// baseline, redistribution, both vocabulary algorithms and the interlaced
+// pipeline) is built from its block order, timed in one pass (writeBlock,
+// timeRows). Any other spec (V-Half) is built by greedy dispatch.
+//
+// Build uses a throwaway Engine, so the returned timeline owns its memory
+// and is safe to retain indefinitely. Callers that build many schedules
+// back to back should hold a reusable Engine instead: a warm engine
+// recycles all of its state arenas and, on the greedy path, replays the
+// prefix shared with the previous build when consecutive specs differ only
+// in M.
+func Build(spec *Spec) (*Timeline, error) { return buildOwned(spec, (*engine).build) }
 
-// BuildScan constructs the timed schedule by full recompute: after each
-// committed pass it re-enumerates every slot of every device through the
-// engine's own per-slot rules and folds all P choices again. It is the
-// differential-testing oracle for Build's incremental machinery (dirty-kind
-// invalidation, cached per-device choices, the resumed fold, prefix replay);
-// the two produce bit-identical timelines. Timeline.Validate remains the
-// independent check of the dependency rules themselves.
-func BuildScan(spec *Spec) (*Timeline, error) { return buildOwned(spec, (*engine).runScan) }
+// BuildScan constructs the timed schedule of greedy dispatch by full
+// recompute, for every spec: after each committed pass it re-enumerates
+// every slot of every device through the engine's own per-slot rules and
+// folds all P choices again. It is the differential-testing oracle for
+// greedy dispatch's incremental machinery (dirty-kind invalidation, cached
+// per-device choices, the resumed fold, prefix replay), with which it
+// agrees bit for bit. On a spec that Build builds from its block the two
+// differ. Timeline.Validate remains the independent check of the dependency
+// rules themselves.
+func BuildScan(spec *Spec) (*Timeline, error) { return buildOwned(spec, (*engine).buildScan) }
 
-// buildOwned validates spec and builds it with loop on a throwaway engine,
+// buildOwned validates spec and builds it with build on a throwaway engine,
 // whose memory the returned timeline then owns.
-func buildOwned(spec *Spec, loop func(*engine) (*Timeline, error)) (*Timeline, error) {
+func buildOwned(spec *Spec, build func(*engine, *Spec) (*Timeline, error)) (*Timeline, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	var e engine
-	e.prepare(spec)
-	tl, err := loop(&e)
+	tl, err := build(&e, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -86,15 +92,41 @@ type Engine struct {
 // NewEngine returns an empty engine ready for its first Build.
 func NewEngine() *Engine { return &Engine{} }
 
-// Build validates spec and constructs its schedule, reusing the engine's
-// arenas and any committed prefix shared with the previous build. The
-// returned timeline is valid until the next Build (see the type comment).
+// Build validates spec and constructs its schedule, as the package-level
+// Build does, reusing the engine's arenas and, on the greedy path, any
+// committed prefix shared with the previous build. The returned timeline is
+// valid until the next Build (see the type comment).
 func (en *Engine) Build(spec *Spec) (*Timeline, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	en.e.prepare(spec)
-	return en.e.run()
+	return en.e.build(spec)
+}
+
+// build routes a validated spec: its block order through the timer when it
+// has one, else greedy dispatch. A block build leaves nothing to replay, so
+// prefix replay never crosses the two paths.
+func (e *engine) build(spec *Spec) (*Timeline, error) {
+	if !hasBlock(spec) {
+		return e.buildGreedy(spec)
+	}
+	e.havePrev = false
+	e.reset(spec)
+	e.writeBlock()
+	return e.timeRows()
+}
+
+// buildGreedy builds spec by greedy dispatch, replaying the prefix it
+// shares with the previous greedy build.
+func (e *engine) buildGreedy(spec *Spec) (*Timeline, error) {
+	e.prepare(spec)
+	return e.run()
+}
+
+// buildScan builds spec by greedy dispatch's full-recompute loop.
+func (e *engine) buildScan(spec *Spec) (*Timeline, error) {
+	e.prepare(spec)
+	return e.runScan()
 }
 
 const unscheduled = -1.0
@@ -561,6 +593,7 @@ func (e *engine) run() (*Timeline, error) {
 		}
 		e.commitSlot(bestD, e.choiceSlot[bestD], bestStart)
 	}
+	e.havePrev = true
 	return e.finish(), nil
 }
 
@@ -586,6 +619,71 @@ func (e *engine) runScan() (*Timeline, error) {
 			return nil, fmt.Errorf("schedule: no schedulable pass with %d remaining (dependency cycle?)", e.remaining)
 		}
 		e.commitSlot(bestD, bestSlot, bestStart)
+	}
+	e.havePrev = true
+	return e.finish(), nil
+}
+
+// timeRows times the fixed per-device orders already written into the
+// byDevice rows' backing slab (reset carves each row with its exact pass
+// count, and the timeline fills each row in place): every pass starts at
+// the later of its device's previous end and its inputs' readiness, through
+// the same readiness rules and commit as greedy dispatch. A device commits
+// its next pass as soon as that pass is ready; one that must wait parks
+// until a commit marks it (applyState's exact invalidation, the same marks
+// greedy dispatch consumes), so the work is one readiness check per commit
+// and per wake-up. Commit order is therefore the timer's dependency order.
+// An order whose passes can never all become ready (a cycle through the
+// dependencies) fails the build.
+//
+// The makespan of a fixed order is a max of sums of durations, so
+// lengthening any pass never shortens it (FuzzTimeMonotone).
+func (e *engine) timeRows() (*Timeline, error) {
+	e.armDispatch(e.spec.P) // queues every device
+	nc := 3 * e.spec.Chunks
+	for n := len(e.dirtyList); n > 0; n = len(e.dirtyList) {
+		d := e.dirtyList[n-1]
+		e.dirtyList = e.dirtyList[:n-1]
+		e.dirtyKind[d] = 0
+		row := e.byDevice[d]
+		if len(row) == cap(row) {
+			continue
+		}
+		p := row[: len(row)+1 : len(row)+1][len(row)].Pass
+		var slot int
+		var ready float64
+		var ok bool
+		switch st := e.spec.StageOf(d, p.Chunk); p.Type {
+		case PassF:
+			slot = 3 * p.Chunk
+			ready, ok = e.readyF(st, p.Micro)
+		case PassB:
+			slot = 3*p.Chunk + 1
+			ready, ok = e.readyB(st, p.Micro)
+		case PassW:
+			slot = 3*p.Chunk + 2
+			ready, ok = e.readyW(st, p.Micro)
+		case PassS:
+			slot = nc
+			ready, ok = e.readyS(p.Micro)
+		case PassT:
+			slot = nc + 1
+			ready, ok = e.readyT(p.Micro)
+		default:
+			slot = nc + 2
+			ready, ok = e.readyV(p.Micro)
+		}
+		if !ok {
+			continue
+		}
+		start := e.freeAt[d]
+		if ready > start {
+			start = ready
+		}
+		e.commit(p, slot, start)
+	}
+	if e.remaining > 0 {
+		return nil, fmt.Errorf("schedule: %s: fixed order deadlocks with %d passes untimed", e.spec.Describe(), e.remaining)
 	}
 	return e.finish(), nil
 }
@@ -666,7 +764,6 @@ func (e *engine) finish() *Timeline {
 		}
 	}
 	e.timeline = Timeline{Spec: e.spec, Passes: e.passes, ByDevice: e.byDevice, Makespan: mk, arena: true}
-	e.havePrev = true
 	return &e.timeline
 }
 
@@ -708,16 +805,13 @@ func (e *engine) refreshSlots(d int, mask uint16) {
 			continue
 		}
 		st := spec.StageOf(d, c)
-		row := st * M
 
-		// Forward.
+		// Forward: cursor and in-flight cap, then dataflow.
 		if mask&(1<<uint(3*c)) != 0 {
 			ready := inf
 			if i := e.nextF[cbase+c]; i < M && e.inFlight[cbase+c] < e.capIF[cbase+c] {
-				if st == 0 {
-					ready = 0
-				} else if prev := e.fEnd[row-M+i]; prev != unscheduled {
-					ready = prev + spec.SendTime
+				if r, ok := e.readyF(st, i); ok {
+					ready = r
 				}
 				e.slotMicro[base+3*c] = i
 			}
@@ -728,28 +822,9 @@ func (e *engine) refreshSlots(d int, mask uint16) {
 		if mask&(1<<uint(3*c+1)) != 0 {
 			ready := inf
 			if i := e.nextB[cbase+c]; i < M {
-				if own := e.fEnd[row+i]; own != unscheduled {
-					r := own
-					ok := true
-					if st == e.last {
-						if br, okB := e.lastStageBackwardReady(i); okB {
-							if br > r {
-								r = br
-							}
-						} else {
-							ok = false
-						}
-					} else if next := e.bEnd[row+M+i]; next != unscheduled {
-						if nr := next + spec.SendTime; nr > r {
-							r = nr
-						}
-					} else {
-						ok = false
-					}
-					if ok {
-						ready = r
-						e.slotMicro[base+3*c+1] = i
-					}
+				if r, ok := e.readyB(st, i); ok {
+					ready = r
+					e.slotMicro[base+3*c+1] = i
 				}
 			}
 			e.setSlot(d, base, 3*c+1, ready)
@@ -760,8 +835,8 @@ func (e *engine) refreshSlots(d int, mask uint16) {
 			ready := inf
 			if e.stageW[st] > 0 {
 				if i := e.nextW[cbase+c]; i < M {
-					if b := e.bEnd[row+i]; b != unscheduled {
-						ready = b
+					if r, ok := e.readyW(st, i); ok {
+						ready = r
 						e.slotMicro[base+3*c+2] = i
 					}
 				}
@@ -774,13 +849,12 @@ func (e *engine) refreshSlots(d int, mask uint16) {
 	if mask>>uint(nc) == 0 {
 		return
 	}
-	lastRow := e.last * M
-	if v := spec.Vocab; v != nil {
+	if spec.Vocab != nil {
 		if mask&(1<<uint(nc)) != 0 {
 			ready := inf
 			if i := e.nextS[d]; i < M {
-				if f := e.fEnd[lastRow+i]; f != unscheduled {
-					ready = f + v.BcastTime
+				if r, ok := e.readyS(i); ok {
+					ready = r
 					e.slotMicro[base+nc] = i
 				}
 			}
@@ -789,26 +863,92 @@ func (e *engine) refreshSlots(d int, mask uint16) {
 		if mask&(1<<uint(nc+1)) != 0 {
 			ready := inf
 			if i := e.nextT[d]; i < M {
-				if c1 := e.c1End[i]; c1 != unscheduled {
-					ready = c1
+				if r, ok := e.readyT(i); ok {
+					ready = r
 					e.slotMicro[base+nc+1] = i
 				}
 			}
 			e.setSlot(d, base, nc+1, ready)
 		}
 	}
-	if iv := spec.Interlaced; iv != nil {
+	if spec.Interlaced != nil {
 		if mask&(1<<uint(nc+2)) != 0 {
 			ready := inf
 			if i := e.nextV[d]; i < M {
-				if f := e.fEnd[lastRow+i]; f != unscheduled {
-					ready = f
+				if r, ok := e.readyV(i); ok {
+					ready = r
 					e.slotMicro[base+nc+2] = i
 				}
 			}
 			e.setSlot(d, base, nc+2, ready)
 		}
 	}
+}
+
+// The readiness rules. Each returns when a pass of its kind and microbatch
+// may start as far as its inputs go, the device's own availability aside,
+// and false while an input has not landed. Greedy dispatch (refreshSlots)
+// and the fixed-order timer (timeRows) both read them, so each rule is
+// written once; Timeline.Validate checks them independently.
+
+// readyF: a forward follows the previous stage's forward of its microbatch
+// by the P2P send; stage 0's is always ready.
+func (e *engine) readyF(st, i int) (float64, bool) {
+	if st == 0 {
+		return 0, true
+	}
+	prev := e.fEnd[(st-1)*e.spec.M+i]
+	return prev + e.spec.SendTime, prev != unscheduled
+}
+
+// readyB: a backward follows its own stage's forward and the next stage's
+// backward of its microbatch by the send; the last stage's waits on its
+// barrier instead (lastStageBackwardReady).
+func (e *engine) readyB(st, i int) (float64, bool) {
+	M := e.spec.M
+	r := e.fEnd[st*M+i]
+	if r == unscheduled {
+		return 0, false
+	}
+	if st == e.last {
+		br, ok := e.lastStageBackwardReady(i)
+		if br > r {
+			r = br
+		}
+		return r, ok
+	}
+	next := e.bEnd[(st+1)*M+i]
+	if next == unscheduled {
+		return 0, false
+	}
+	if nr := next + e.spec.SendTime; nr > r {
+		r = nr
+	}
+	return r, true
+}
+
+// readyW: a split weight gradient follows its own stage's backward.
+func (e *engine) readyW(st, i int) (float64, bool) {
+	b := e.bEnd[st*e.spec.M+i]
+	return b, b != unscheduled
+}
+
+// readyS: an S pass follows the last stage's forward by the C0 broadcast.
+func (e *engine) readyS(i int) (float64, bool) {
+	f := e.fEnd[e.last*e.spec.M+i]
+	return f + e.spec.Vocab.BcastTime, f != unscheduled
+}
+
+// readyT: a T pass follows barrier C1.
+func (e *engine) readyT(i int) (float64, bool) {
+	c1 := e.c1End[i]
+	return c1, c1 != unscheduled
+}
+
+// readyV: an interlaced V segment follows the last stage's forward.
+func (e *engine) readyV(i int) (float64, bool) {
+	f := e.fEnd[e.last*e.spec.M+i]
+	return f, f != unscheduled
 }
 
 // slotChoice picks device d's preferred next pass: the earliest-starting
@@ -894,9 +1034,18 @@ func (e *engine) commitSlot(d, slot int, start float64) {
 			pt = PassV
 		}
 	}
-	end := start + e.slotDur[base+slot]
+	e.commit(Pass{pt, d, chunk, e.slotMicro[base+slot]}, slot, start)
+}
+
+// commit times pass p at start for its slot's duration, appends it to the
+// commit order and its device's row, and folds it into the readiness state,
+// marking the devices it may release. Greedy dispatch and the fixed-order
+// timer both commit through it.
+func (e *engine) commit(p Pass, slot int, start float64) {
+	d := p.Device
+	end := start + e.slotDur[d*e.nSlots+slot]
 	e.freeAt[d] = end
-	tp := TimedPass{Pass: Pass{pt, d, chunk, e.slotMicro[base+slot]}, Start: start, End: end}
+	tp := TimedPass{Pass: p, Start: start, End: end}
 	e.passes = append(e.passes, tp)
 	e.byDevice[d] = append(e.byDevice[d], tp)
 	e.remaining--

@@ -7,14 +7,15 @@ import (
 	"testing"
 )
 
-// Differential tests: the event-driven engine (Build) must reproduce the
-// full-recompute oracle (BuildScan) bit for bit — same passes, same commit
-// order, same float64 start/end times — across randomized specs that
-// exercise every schedule family, exact ties (quantized durations) and
-// degenerate shapes (P=1, zero durations, huge send times). Both share the
-// per-slot dispatch rules, so these tests check run's incremental
-// machinery; Timeline.Validate and TestWeightGradientIsFiller check the
-// rules.
+// Differential tests: greedy dispatch's event-driven engine (BuildGreedy,
+// the path Build takes for V-Half and the oracle for every block order)
+// must reproduce the full-recompute oracle (BuildScan) bit for bit — same
+// passes, same commit order, same float64 start/end times — across
+// randomized specs that exercise every schedule family, exact ties
+// (quantized durations) and degenerate shapes (P=1, zero durations, huge
+// send times). Both share the per-slot dispatch rules, so these tests check
+// run's incremental machinery; Timeline.Validate and
+// TestWeightGradientIsFiller check the rules.
 
 // randomSpec draws a valid spec from a distribution biased toward ties:
 // durations are quantized to multiples of 0.25 half the time so that many
@@ -168,15 +169,15 @@ func mutateSpec(rng *rand.Rand, s *Spec) *Spec {
 	return c
 }
 
-// assertThreeWay builds spec three ways — the scan reference, a throwaway
-// event engine, and the supplied warm engine — and demands bit identity.
-// The warm timeline is compared before the engine's next Build, inside its
-// validity window.
+// assertThreeWay builds spec three ways by greedy dispatch — the scan
+// reference, a throwaway event engine, and the supplied warm engine — and
+// demands bit identity. The warm timeline is compared before the engine's
+// next build, inside its validity window.
 func assertThreeWay(t *testing.T, eng *Engine, spec *Spec) {
 	t.Helper()
 	want, errScan := BuildScan(spec)
-	scratch, errEvent := Build(spec)
-	warm, errWarm := eng.Build(spec)
+	scratch, errEvent := BuildGreedy(spec)
+	warm, errWarm := eng.BuildGreedy(spec)
 	if (errScan == nil) != (errEvent == nil) || (errScan == nil) != (errWarm == nil) {
 		t.Fatalf("%s: error mismatch scan=%v event=%v warm=%v", spec.Describe(), errScan, errEvent, errWarm)
 	}
@@ -196,7 +197,7 @@ func TestDifferentialRandomSpecs(t *testing.T) {
 	for i := 0; i < n; i++ {
 		spec := randomSpec(rng)
 		want, errScan := BuildScan(spec)
-		got, errEvent := Build(spec)
+		got, errEvent := BuildGreedy(spec)
 		if (errScan == nil) != (errEvent == nil) {
 			t.Fatalf("iter %d %s: error mismatch scan=%v event=%v", i, spec.Describe(), errScan, errEvent)
 		}
@@ -259,7 +260,7 @@ func TestDifferentialCanonicalShapes(t *testing.T) {
 			t.Fatalf("%s: scan build failed: %v", spec.Describe(), err)
 		}
 		eng := NewEngine() // cold: no prefix replay, so run commits every pass
-		got, err := eng.Build(spec)
+		got, err := eng.BuildGreedy(spec)
 		if err != nil {
 			t.Fatalf("%s: event build failed: %v", spec.Describe(), err)
 		}
@@ -319,7 +320,7 @@ func TestEngineReuseChurn(t *testing.T) {
 			cur := randomSpec(rng)
 			for i := 0; i < steps; i++ {
 				want, errScan := BuildScan(cur)
-				got, errWarm := eng.Build(cur)
+				got, errWarm := eng.BuildGreedy(cur)
 				if (errScan == nil) != (errWarm == nil) {
 					errc <- fmt.Errorf("worker %d step %d: error mismatch scan=%v warm=%v", w, i, errScan, errWarm)
 					return

@@ -110,10 +110,7 @@ func (e *engine) build(spec *Spec) (*Timeline, error) {
 	if !hasBlock(spec) {
 		return e.buildGreedy(spec)
 	}
-	e.havePrev = false
-	e.reset(spec)
-	e.writeBlock()
-	return e.timeRows()
+	return e.buildBlock(spec)
 }
 
 // buildGreedy builds spec by greedy dispatch, replaying the prefix it
@@ -178,6 +175,13 @@ type engine struct {
 
 	prev     prevBuild
 	havePrev bool
+
+	// Block construction scratch (block.go): the spec without its
+	// vocabulary passes, whose skeleton is timed first, and each skeleton
+	// pass's commit rank in that timing, [device*2M + position in the row].
+	skel  Spec
+	rank  []int
+	plans []blockAt
 
 	// Dispatch state, carved by armDispatch from one slab per element type
 	// (dispF, dispI, dispU). Each device caches one slot per candidate kind —
@@ -363,38 +367,9 @@ func (e *engine) reset(spec *Spec) {
 		ia[i] = 0
 	}
 
-	// Each vocabulary barrier holds one more microbatch in flight (§5.2), and
-	// the interlaced pipeline's activations live 1.5× as long (Appendix B.1).
-	extra, scale := 0, 1.0
-	if spec.Vocab != nil {
-		extra = spec.Vocab.Barriers
-	}
-	if spec.Interlaced != nil {
-		scale = 1.5
-	}
 	for d := 0; d < P; d++ {
 		for c := 0; c < C; c++ {
-			var base float64
-			if C == 1 {
-				base = float64(P - d)
-			} else {
-				// V-shape with split backward (B≈F≈W per half-stage): a
-				// stage's lifespan is proportional to its round-trip distance
-				// to the pipeline's turning point, and each device works 3
-				// pass-units per microbatch per chunk, so the in-flight need
-				// is lifespan/interval: (2P−1−d)/3 for the first V leg and
-				// (d+1)/3 for the second. The two legs complement each other,
-				// which is exactly how V-Half balances activation memory
-				// across devices (Qi et al. 2024); the +1 slack absorbs
-				// warmup discretization.
-				if c == 0 {
-					base = float64(2*P-1-d)/3 + 1
-				} else {
-					base = float64(d+1)/3 + 1
-				}
-			}
-			// base >= 1 and scale >= 1, so every cap is at least 1.
-			e.capIF[d*C+c] = int(ceilPos(base*scale)) + extra
+			e.capIF[d*C+c] = inFlightCap(spec, d, c)
 		}
 	}
 
@@ -436,6 +411,41 @@ func (e *engine) reset(spec *Spec) {
 		e.byDevice[d] = e.byDevBack[off : off : off+n]
 		off += n
 	}
+}
+
+// inFlightCap is how many microbatches device d's chunk c may hold in
+// flight: greedy dispatch's cap, and a block's warm-up plus one. Each
+// vocabulary barrier holds one more microbatch in flight (§5.2), and the
+// interlaced pipeline's activations live 1.5× as long (Appendix B.1).
+func inFlightCap(spec *Spec, d, c int) int {
+	P := spec.P
+	extra, scale := 0, 1.0
+	if spec.Vocab != nil {
+		extra = spec.Vocab.Barriers
+	}
+	if spec.Interlaced != nil {
+		scale = 1.5
+	}
+	var base float64
+	if spec.Chunks == 1 {
+		base = float64(P - d)
+	} else {
+		// V-shape with split backward (B≈F≈W per half-stage): a stage's
+		// lifespan is proportional to its round-trip distance to the
+		// pipeline's turning point, and each device works 3 pass-units per
+		// microbatch per chunk, so the in-flight need is lifespan/interval:
+		// (2P−1−d)/3 for the first V leg and (d+1)/3 for the second. The two
+		// legs complement each other, which is exactly how V-Half balances
+		// activation memory across devices (Qi et al. 2024); the +1 slack
+		// absorbs warmup discretization.
+		if c == 0 {
+			base = float64(2*P-1-d)/3 + 1
+		} else {
+			base = float64(d+1)/3 + 1
+		}
+	}
+	// base >= 1 and scale >= 1, so every cap is at least 1.
+	return int(ceilPos(base*scale)) + extra
 }
 
 // ceilPos is math.Ceil for the engine's finite non-negative cap arithmetic,

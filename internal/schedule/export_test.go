@@ -3,9 +3,19 @@ package schedule
 import "fmt"
 
 // BuildGreedy builds spec by greedy dispatch on a throwaway engine, the
-// path Build takes for specs with no block: the subject of the
-// differential tests, reachable from the package's external tests.
+// path Build takes for specs with no block (V-Half), whatever the spec:
+// the subject of the differential tests, and the oracle the block orders
+// are gated against.
 func BuildGreedy(spec *Spec) (*Timeline, error) { return buildOwned(spec, (*engine).buildGreedy) }
+
+// BuildGreedy is Engine.Build on greedy dispatch whatever the spec, with
+// prefix replay from the previous greedy build.
+func (en *Engine) BuildGreedy(spec *Spec) (*Timeline, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	return en.e.buildGreedy(spec)
+}
 
 // Retime times tl's per-device order (ByDevice) afresh through the
 // fixed-order timer on a throwaway engine.

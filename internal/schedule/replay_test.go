@@ -2,8 +2,9 @@ package schedule
 
 import "testing"
 
-// TestPrefixReplayAscendingMicro pins that cross-build prefix replay engages:
-// one warm engine walks an ascending microbatch chain (16, 24, 32, 48, 64) of
+// TestPrefixReplayAscendingMicro pins that cross-build prefix replay engages
+// on greedy dispatch, for every schedule family (Build takes it for V-Half
+// only; the others are its oracle): one warm engine walks an ascending microbatch chain (16, 24, 32, 48, 64) of
 // each canonical shape at P = 4, 8 and 16, and the commits it copies from the
 // previous build instead of dispatching them are counted, not timed. A
 // chain's first build follows a different shape, so it replays nothing;
@@ -32,11 +33,11 @@ func TestPrefixReplayAscendingMicro(t *testing.T) {
 		for _, p := range []int{4, 8, 16} {
 			for _, m := range []int{16, 24, 32, 48, 64} {
 				spec := sh.spec(p, m)
-				want, err := Build(spec)
+				want, err := BuildGreedy(spec)
 				if err != nil {
 					t.Fatalf("%s: scratch build failed: %v", spec.Describe(), err)
 				}
-				got, err := eng.Build(spec)
+				got, err := eng.BuildGreedy(spec)
 				if err != nil {
 					t.Fatalf("%s: warm build failed: %v", spec.Describe(), err)
 				}

@@ -28,7 +28,7 @@ func TestFidelityRatchet(t *testing.T) {
 		oom            int
 		redis, vocab   int
 	}{
-		{"table5", Table5Grid, Table5Fidelity, 2.08, 1.32, 0.630, 2, 7, 15},
+		{"table5", Table5Grid, Table5Fidelity, 1.76, 1.32, 0.725, 2, 7, 0},
 		{"table6", Table6Grid, Table6Fidelity, 8.65, 3.52, 1.0, 0, 0, 0},
 	}
 	round := func(x, unit float64) float64 { return math.Round(x/unit) * unit }

@@ -19,10 +19,14 @@ func (en *Engine) BuildGreedy(spec *Spec) (*Timeline, error) {
 
 // Retime times tl's per-device order (ByDevice) afresh through the
 // fixed-order timer on a throwaway engine.
-func Retime(tl *Timeline) (*Timeline, error) {
+func Retime(tl *Timeline) (*Timeline, error) { return retime(tl.Spec, tl.ByDevice) }
+
+// retime times the per-device orders rows, under spec's durations, through
+// the fixed-order timer on a throwaway engine.
+func retime(spec *Spec, rows [][]TimedPass) (*Timeline, error) {
 	var e engine
-	e.reset(tl.Spec)
-	for d, row := range tl.ByDevice {
+	e.reset(spec)
+	for d, row := range rows {
 		if len(row) != cap(e.byDevice[d]) {
 			return nil, fmt.Errorf("schedule: device %d holds %d passes, the spec calls for %d", d, len(row), cap(e.byDevice[d]))
 		}
@@ -35,3 +39,7 @@ func Retime(tl *Timeline) (*Timeline, error) {
 	out.arena = false
 	return out, nil
 }
+
+// InFlightCap is device d's in-flight cap on a one-chunk spec: greedy
+// dispatch's bound, and a block's warm-up plus one.
+func InFlightCap(spec *Spec, d int) int { return inFlightCap(spec, d, 0) }

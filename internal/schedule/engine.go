@@ -13,7 +13,7 @@ import (
 //
 // A spec with one chunk per device and no split backward (the 1F1B family:
 // baseline, redistribution, both vocabulary algorithms and the interlaced
-// pipeline) is built from its block order, timed in one pass (writeBlock,
+// pipeline) is built from its block order, timed in one pass (buildBlock,
 // timeRows). Any other spec (V-Half) is built by greedy dispatch.
 //
 // Build uses a throwaway Engine, so the returned timeline owns its memory
@@ -73,15 +73,16 @@ func MustBuild(spec *Spec) *Timeline {
 // Build/BuildScan helpers use a throwaway engine, so their timelines are
 // always safe to retain.
 //
-// Prefix replay runs along the microbatch axis only: when consecutive Build
-// calls receive specs equal in everything but M and Name (a sweep chain, a
-// tuner's microbatch axis), the engine copies the previous build's commits
-// up to the first one of microbatch min(M, M′) − 1 or later instead of
-// re-simulating them; a spec equal in M too is copied whole. Any other
-// difference falls back to a scratch build. Output is bit-identical to a
-// scratch build in every case; the differential tests and
-// FuzzDifferentialEngines pin scan, scratch and warm-incremental builds
-// against each other.
+// Prefix replay serves greedy dispatch only, along the microbatch axis
+// only: when consecutive greedy builds receive specs equal in everything
+// but M and Name (a sweep chain, a tuner's microbatch axis), the engine
+// copies the previous build's commits up to the first one of microbatch
+// min(M, M′) − 1 or later instead of re-simulating them; a spec equal in M
+// too is copied whole. Any other difference falls back to a scratch build.
+// Output is bit-identical to a scratch build in every case; the
+// differential tests and FuzzDifferentialEngines pin scan, scratch and
+// warm-incremental builds against each other. A block build times its
+// order from scratch and leaves nothing to replay.
 //
 // An Engine is not safe for concurrent use; pool engines per worker
 // (sweep.Run does this internally).
@@ -659,7 +660,7 @@ func (e *engine) timeRows() (*Timeline, error) {
 		if len(row) == cap(row) {
 			continue
 		}
-		p := row[: len(row)+1 : len(row)+1][len(row)].Pass
+		p := row[:cap(row)][len(row)].Pass
 		var slot int
 		var ready float64
 		var ok bool

@@ -3,9 +3,10 @@ package schedule
 import "testing"
 
 // TestPrefixReplayAscendingMicro pins that cross-build prefix replay engages
-// on greedy dispatch, for every schedule family (Build takes it for V-Half
-// only; the others are its oracle): one warm engine walks an ascending microbatch chain (16, 24, 32, 48, 64) of
-// each canonical shape at P = 4, 8 and 16, and the commits it copies from the
+// on greedy dispatch, for every schedule family (Build takes greedy dispatch
+// for V-Half only; for the others it is the blocks' oracle): one warm engine
+// walks an ascending microbatch chain (16, 24, 32, 48, 64) of each canonical
+// shape at P = 4, 8 and 16, and the commits it copies from the
 // previous build instead of dispatching them are counted, not timed. A
 // chain's first build follows a different shape, so it replays nothing;
 // each later build replays the previous build's commits up to the first one

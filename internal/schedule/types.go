@@ -5,18 +5,25 @@
 // transformer stage, and the number of communication barriers between them
 // determines the extra in-flight activation memory.
 //
-// The constructor is a deterministic greedy list scheduler: it repeatedly
-// commits the globally earliest-startable pass (ties broken by pass priority,
-// then device), subject to
+// A spec with one chunk per device and no split backward (1F1B, Redis,
+// both vocabulary algorithms, the interlaced pipeline) is built from its
+// block: a fixed per-device order, written in closed form, timed in one
+// pass in which each pass starts at the latest of its device coming free,
+// its dependencies ending and its barrier clearing. Each device runs the
+// 1F1B skeleton of its in-flight cap (p−d for 1F1B, +1 per vocabulary
+// barrier, 1.5× for the interlaced baseline), and the S/T (or V) passes go
+// where the block places them on the skeleton's clock.
+//
+// V-Half (two chunks, split backward) is built by a deterministic greedy
+// list scheduler instead: it repeatedly commits the globally
+// earliest-startable pass (ties broken by pass priority, then device),
+// under a per-device in-flight cap from the V's lifespans. Both
+// constructors read one statement of each dependency rule:
 //
 //   - per-stage dataflow (F follows the previous stage's F of the same
 //     microbatch; B follows the next stage's B),
 //   - vocabulary barriers C1/C2 (all-device rendezvous between S, T and the
-//     last transformer backward, per Algorithms 1 and 2),
-//   - a per-device in-flight cap that encodes the schedule's activation
-//     budget (p−d for 1F1B, +1 per barrier for the vocabulary variants,
-//     1.5× for the interlaced baseline), derived from the spec's Vocab and
-//     Interlaced fields.
+//     last transformer backward, per Algorithms 1 and 2).
 //
 // Passes within a type execute in microbatch order on each device, matching
 // how Megatron-style runtimes issue work. The result is a fully timed
@@ -165,8 +172,8 @@ type Spec struct {
 }
 
 // Validate checks structural consistency. Every duration and byte count must
-// be finite and non-negative: a NaN or Inf would silently poison the greedy
-// scheduler's start-time comparisons and every downstream metric.
+// be finite and non-negative: a NaN or Inf would silently poison the
+// constructors' start-time comparisons and every downstream metric.
 func (s *Spec) Validate() error {
 	if s.P <= 0 || s.M <= 0 {
 		return fmt.Errorf("schedule: P=%d M=%d must be positive", s.P, s.M)
@@ -248,12 +255,14 @@ func (s *Spec) StageOf(device, chunk int) int {
 // Timeline is the committed schedule.
 type Timeline struct {
 	Spec *Spec
-	// Passes is in commit order, which is start order only up to the
-	// dispatch tie tolerance (tieTol, 1e-15 s). Starts within tieTol of each
-	// other tie, and the tie goes to the higher-priority pass even when it
-	// starts a little later, so a later commit can start a few tieTol
-	// earlier than the one before it. Over the Table 5 and 6 cells, starts
-	// drop by up to 1.78e-15 s, in 83 of 168 cells.
+	// Passes is in commit order. On a block build that is the timer's
+	// dependency order: a device commits its next pass as soon as its
+	// inputs land, so commit order is not start order. On a greedy build it
+	// is start order up to the dispatch tie tolerance (tieTol, 1e-15 s):
+	// starts within tieTol of each other tie, and the tie goes to the
+	// higher-priority pass even when it starts a little later, so a later
+	// commit can start a few tieTol earlier than the one before it. Over the
+	// Table 6 cells, starts drop by up to 1.78e-15 s, in 44 of 48 cells.
 	Passes []TimedPass
 	// ByDevice is each device's execution order: a pass starts no earlier
 	// than the previous one ends, so starts and ends never decrease.

@@ -15,7 +15,8 @@ import (
 // 1F1B-family methods) and every candidate of the four named tuning
 // scenarios (up to 256 microbatches). A block order never deadlocks, so
 // every spec that lays out must build; the timeline must pass Validate; and
-// a block never holds more microbatches in flight on a device than its cap.
+// each device's peak in-flight is its skeleton's, min(cap, M): never above
+// the cap, and never below it while microbatches remain.
 func TestBlocksHoldOnEveryShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("9,600 specs in -short mode")
@@ -38,8 +39,8 @@ func TestBlocksHoldOnEveryShape(t *testing.T) {
 		}
 		if spec.Chunks == 1 {
 			for d, n := range an.PeakInFlight(tl) {
-				if c := schedule.InFlightCap(spec, d); n > c {
-					t.Fatalf("%s: device %d holds %d microbatches in flight, cap %d", spec.Describe(), d, n, c)
+				if c := schedule.InFlightCap(spec, d); n != min(c, spec.M) {
+					t.Fatalf("%s: device %d holds %d microbatches in flight, want min(cap %d, M %d)", spec.Describe(), d, n, c, spec.M)
 				}
 			}
 		}

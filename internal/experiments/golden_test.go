@@ -21,9 +21,11 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestTimelineGolden pins every schedule the paper experiments and the tuner
 // build: one line of testdata/timelines.golden per cell of the six paper
-// grids and per candidate of the four named tuning scenarios, holding the
-// sha256 of the cell's passes in commit order (type, device, chunk, micro,
-// start and end bits) and its makespan bits, or the cell's error. Each cell
+// grids and per candidate of the four named tuning scenarios, holding two
+// sha256 sums of the cell's passes (type, device, chunk, micro, start and
+// end bits) and its makespan bits, or the cell's error. sha256 hashes the
+// passes in commit order; rows hashes them device by device in ByDevice
+// order, so a change of commit order alone moves only the first. Each cell
 // is built twice, cold on a throwaway engine and warm in sweep's chain
 // order on one engine (sweep.Run with one worker), and the two must hash
 // equal, so a refactor of the engine keeps the commit order and every pass
@@ -95,11 +97,14 @@ func hashGrid(t *testing.T, buf *bytes.Buffer, g *sweep.Grid) {
 		if c.Err != nil {
 			t.Fatalf("%s %s: warm build failed (%v), cold build did not", g.Name, c.Label, c.Err)
 		}
-		sum := timelineSum(tl)
-		if w := timelineSum(c.Result.Timeline); w != sum {
+		sum, rows := timelineSum(tl.Passes, tl.Makespan), rowsSum(tl)
+		if w := timelineSum(c.Result.Timeline.Passes, c.Result.Timeline.Makespan); w != sum {
 			t.Fatalf("%s %s: warm timeline hashes %x, cold %x", g.Name, c.Label, w, sum)
 		}
-		fmt.Fprintf(buf, "%s %s passes=%d sha256=%x\n", g.Name, c.Label, len(tl.Passes), sum)
+		if w := rowsSum(c.Result.Timeline); w != rows {
+			t.Fatalf("%s %s: warm rows hash %x, cold %x", g.Name, c.Label, w, rows)
+		}
+		fmt.Fprintf(buf, "%s %s passes=%d sha256=%x rows=%x\n", g.Name, c.Label, len(tl.Passes), sum, rows)
 	}
 }
 
@@ -120,15 +125,24 @@ func coldBuild(c sweep.Cell) (*schedule.Timeline, error) {
 	return schedule.Build(spec)
 }
 
-// timelineSum hashes the timeline's passes in commit order, then its
-// makespan, as little-endian 64-bit words.
-func timelineSum(tl *schedule.Timeline) [sha256.Size]byte {
-	b := make([]byte, 0, 48*len(tl.Passes)+8)
-	for _, p := range tl.Passes {
+// timelineSum hashes passes in their order, then makespan, as
+// little-endian 64-bit words.
+func timelineSum(passes []schedule.TimedPass, makespan float64) [sha256.Size]byte {
+	b := make([]byte, 0, 48*len(passes)+8)
+	for _, p := range passes {
 		for _, v := range [...]uint64{uint64(p.Type), uint64(p.Device), uint64(p.Chunk), uint64(p.Micro),
 			math.Float64bits(p.Start), math.Float64bits(p.End)} {
 			b = binary.LittleEndian.AppendUint64(b, v)
 		}
 	}
-	return sha256.Sum256(binary.LittleEndian.AppendUint64(b, math.Float64bits(tl.Makespan)))
+	return sha256.Sum256(binary.LittleEndian.AppendUint64(b, math.Float64bits(makespan)))
+}
+
+// rowsSum is timelineSum over the timeline's rows, device after device.
+func rowsSum(tl *schedule.Timeline) [sha256.Size]byte {
+	var rows []schedule.TimedPass
+	for _, row := range tl.ByDevice {
+		rows = append(rows, row...)
+	}
+	return timelineSum(rows, tl.Makespan)
 }

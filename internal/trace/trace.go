@@ -102,24 +102,29 @@ type Event struct {
 	Args map[string]string `json:"args,omitempty"`
 }
 
-// WriteChromeTrace emits the timeline as a Chrome trace_event JSON array.
-// Times are interpreted as seconds and exported in microseconds.
+// WriteChromeTrace emits the timeline as a Chrome trace_event JSON array,
+// device by device in each device's execution order (ByDevice), so the
+// bytes depend on the schedule and not on the order a constructor committed
+// its passes in. Times are interpreted as seconds and exported in
+// microseconds.
 func WriteChromeTrace(w io.Writer, tl *schedule.Timeline) error {
 	events := make([]Event, 0, len(tl.Passes))
-	for _, p := range tl.Passes {
-		events = append(events, Event{
-			Name: fmt.Sprintf("%s mb%d", p.Type, p.Micro),
-			Cat:  p.Type.String(),
-			Ph:   "X",
-			Ts:   p.Start * 1e6,
-			Dur:  (p.End - p.Start) * 1e6,
-			Pid:  0,
-			Tid:  p.Device,
-			Args: map[string]string{
-				"micro": fmt.Sprint(p.Micro),
-				"chunk": fmt.Sprint(p.Chunk),
-			},
-		})
+	for _, row := range tl.ByDevice {
+		for _, p := range row {
+			events = append(events, Event{
+				Name: fmt.Sprintf("%s mb%d", p.Type, p.Micro),
+				Cat:  p.Type.String(),
+				Ph:   "X",
+				Ts:   p.Start * 1e6,
+				Dur:  (p.End - p.Start) * 1e6,
+				Pid:  0,
+				Tid:  p.Device,
+				Args: map[string]string{
+					"micro": fmt.Sprint(p.Micro),
+					"chunk": fmt.Sprint(p.Chunk),
+				},
+			})
+		}
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(events)

@@ -105,8 +105,9 @@ func TestChromeTraceValidJSON(t *testing.T) {
 
 // TestChromeTraceRoundTrip decodes the written trace back into typed events
 // and asserts the structural invariants a trace viewer relies on: one
-// complete event per pass, microsecond scaling, and per-device rows whose
-// events never overlap and progress monotonically in time.
+// complete event per pass, in ByDevice order, microsecond scaling, and
+// per-device rows whose events never overlap and progress monotonically in
+// time.
 func TestChromeTraceRoundTrip(t *testing.T) {
 	tl := sampleTimeline()
 	var buf bytes.Buffer
@@ -121,9 +122,13 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 		t.Fatalf("round-tripped %d events, want %d (one per pass)", len(events), len(tl.Passes))
 	}
 
+	var rows []schedule.TimedPass
+	for _, row := range tl.ByDevice {
+		rows = append(rows, row...)
+	}
 	perDevice := map[int][]Event{}
 	for i, ev := range events {
-		p := tl.Passes[i]
+		p := rows[i]
 		if ev.Ph != "X" {
 			t.Fatalf("event %d: ph = %q, want X", i, ev.Ph)
 		}

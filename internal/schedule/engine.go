@@ -108,6 +108,7 @@ func (en *Engine) Build(spec *Spec) (*Timeline, error) {
 // has one, else greedy dispatch. A block build leaves nothing to replay, so
 // prefix replay never crosses the two paths.
 func (e *engine) build(spec *Spec) (*Timeline, error) {
+	e.timed = 0
 	if !hasBlock(spec) {
 		return e.buildGreedy(spec)
 	}
@@ -221,10 +222,12 @@ type engine struct {
 	// foldVisits counts the devices its dispatch folds visited: P·passes for
 	// a fold that always starts at device 0. replayed counts the commits the
 	// last Build copied from the previous build's prefix instead of
-	// dispatching them.
+	// dispatching them. timed counts the passes the last Build timed
+	// (committed through commit), over every timing pass it made.
 	refreshes  int
 	foldVisits int
 	replayed   int
+	timed      int
 }
 
 // foldBlock is how many devices apart run stores dispatch-fold checkpoints.
@@ -638,65 +641,75 @@ func (e *engine) runScan() (*Timeline, error) {
 // timeRows times the fixed per-device orders already written into the
 // byDevice rows' backing slab (reset carves each row with its exact pass
 // count, and the timeline fills each row in place): every pass starts at
-// the later of its device's previous end and its inputs' readiness, through
-// the same readiness rules and commit as greedy dispatch. A device commits
-// its next pass as soon as that pass is ready; one that must wait parks
-// until a commit marks it (applyState's exact invalidation, the same marks
-// greedy dispatch consumes), so the work is one readiness check per commit
-// and per wake-up. Commit order is therefore the timer's dependency order.
-// An order whose passes can never all become ready (a cycle through the
-// dependencies) fails the build.
+// the later of its device's previous end and its inputs' readiness, read
+// through the same readiness rules as greedy dispatch. It sweeps the
+// devices, alternately ascending (the way forwards flow) and descending
+// (the way backwards flow), and each device commits its next passes while
+// their inputs have landed. A pass's start depends only on its device's
+// previous pass and its inputs, never on when the sweep reached it, so
+// every start and end is the same whatever the sweep order; only the
+// commit order (Timeline.Passes) is the sweep's. A sweep in which no device
+// moves can never be followed by one that does: the order's passes cannot
+// all become ready (a cycle through the dependencies), and the build fails.
 //
 // The makespan of a fixed order is a max of sums of durations, so
 // lengthening any pass never shortens it (FuzzTimeMonotone).
 func (e *engine) timeRows() (*Timeline, error) {
-	e.armDispatch(e.spec.P) // queues every device
-	nc := 3 * e.spec.Chunks
-	for n := len(e.dirtyList); n > 0; n = len(e.dirtyList) {
-		d := e.dirtyList[n-1]
-		e.dirtyList = e.dirtyList[:n-1]
-		e.dirtyKind[d] = 0
-		row := e.byDevice[d]
-		if len(row) == cap(row) {
-			continue
+	P := e.spec.P
+	for asc := true; e.remaining > 0; asc = !asc {
+		moved := false
+		for k := 0; k < P; k++ {
+			d := k
+			if !asc {
+				d = P - 1 - k
+			}
+			for n := len(e.byDevice[d]); n < cap(e.byDevice[d]); n++ {
+				p := e.byDevice[d][:n+1][n].Pass
+				ready, dur, ok := e.readyPass(p)
+				if !ok {
+					break
+				}
+				start := e.freeAt[d]
+				if ready > start {
+					start = ready
+				}
+				e.commit(p, start, dur, false)
+				moved = true
+			}
 		}
-		p := row[:cap(row)][len(row)].Pass
-		var slot int
-		var ready float64
-		var ok bool
-		switch st := e.spec.StageOf(d, p.Chunk); p.Type {
-		case PassF:
-			slot = 3 * p.Chunk
-			ready, ok = e.readyF(st, p.Micro)
-		case PassB:
-			slot = 3*p.Chunk + 1
-			ready, ok = e.readyB(st, p.Micro)
-		case PassW:
-			slot = 3*p.Chunk + 2
-			ready, ok = e.readyW(st, p.Micro)
-		case PassS:
-			slot = nc
-			ready, ok = e.readyS(p.Micro)
-		case PassT:
-			slot = nc + 1
-			ready, ok = e.readyT(p.Micro)
-		default:
-			slot = nc + 2
-			ready, ok = e.readyV(p.Micro)
+		if !moved {
+			return nil, fmt.Errorf("schedule: %s: fixed order deadlocks with %d passes untimed", e.spec.Describe(), e.remaining)
 		}
-		if !ok {
-			continue
-		}
-		start := e.freeAt[d]
-		if ready > start {
-			start = ready
-		}
-		e.commit(p, slot, start)
-	}
-	if e.remaining > 0 {
-		return nil, fmt.Errorf("schedule: %s: fixed order deadlocks with %d passes untimed", e.spec.Describe(), e.remaining)
 	}
 	return e.finish(), nil
+}
+
+// readyPass returns when pass p may start as far as its inputs go, through
+// the readiness rule of its kind, and its duration; false while an input
+// has not landed.
+func (e *engine) readyPass(p Pass) (ready, dur float64, ok bool) {
+	st := e.spec.StageOf(p.Device, p.Chunk)
+	switch p.Type {
+	case PassF:
+		ready, ok = e.readyF(st, p.Micro)
+		return ready, e.stageF[st], ok
+	case PassB:
+		ready, ok = e.readyB(st, p.Micro)
+		return ready, e.stageB[st], ok
+	case PassW:
+		ready, ok = e.readyW(st, p.Micro)
+		return ready, e.stageW[st], ok
+	case PassS:
+		ready, ok = e.readyS(p.Micro)
+		return ready, e.spec.Vocab.SDur, ok
+	case PassT:
+		ready, ok = e.readyT(p.Micro)
+		return ready, e.spec.Vocab.TDur, ok
+	default:
+		iv := e.spec.Interlaced
+		ready, ok = e.readyV(p.Micro)
+		return ready, iv.VDur + iv.SyncTime, ok
+	}
 }
 
 // armDispatch sizes the dispatch caches, fills the static per-slot tables
@@ -899,8 +912,9 @@ func (e *engine) refreshSlots(d int, mask uint16) {
 // The readiness rules. Each returns when a pass of its kind and microbatch
 // may start as far as its inputs go, the device's own availability aside,
 // and false while an input has not landed. Greedy dispatch (refreshSlots)
-// and the fixed-order timer (timeRows) both read them, so each rule is
-// written once; Timeline.Validate checks them independently.
+// and the fixed-order timer (timeRows, through readyPass) both read them,
+// so each rule is written once; Timeline.Validate checks them
+// independently.
 
 // readyF: a forward follows the previous stage's forward of its microbatch
 // by the P2P send; stage 0's is always ready.
@@ -1045,22 +1059,23 @@ func (e *engine) commitSlot(d, slot int, start float64) {
 			pt = PassV
 		}
 	}
-	e.commit(Pass{pt, d, chunk, e.slotMicro[base+slot]}, slot, start)
+	e.commit(Pass{pt, d, chunk, e.slotMicro[base+slot]}, start, e.slotDur[base+slot], true)
 }
 
-// commit times pass p at start for its slot's duration, appends it to the
-// commit order and its device's row, and folds it into the readiness state,
-// marking the devices it may release. Greedy dispatch and the fixed-order
-// timer both commit through it.
-func (e *engine) commit(p Pass, slot int, start float64) {
+// commit times pass p at start for dur, appends it to the commit order and
+// its device's row, and folds it into the readiness state; live marks the
+// devices it may release, for greedy dispatch (applyState). Greedy dispatch
+// and the fixed-order timer both commit through it.
+func (e *engine) commit(p Pass, start, dur float64, live bool) {
 	d := p.Device
-	end := start + e.slotDur[d*e.nSlots+slot]
+	end := start + dur
 	e.freeAt[d] = end
 	tp := TimedPass{Pass: p, Start: start, End: end}
 	e.passes = append(e.passes, tp)
 	e.byDevice[d] = append(e.byDevice[d], tp)
 	e.remaining--
-	e.applyState(&tp, true)
+	e.timed++
+	e.applyState(&tp, live)
 }
 
 // lastStageBackwardReady returns the extra readiness constraint on the last
@@ -1091,9 +1106,10 @@ func (e *engine) lastStageBackwardReady(i int) (float64, bool) {
 }
 
 // applyState folds one committed pass into the engine's readiness state.
-// It is shared by commitSlot (both dispatch loops) and prefix replay; live
-// (commitSlot only) enables the exact (device, kind) invalidation, which
-// run consumes and the scan oracle ignores. Every cross-device readiness input is
+// It is shared by commit (both dispatch loops and the fixed-order timer) and
+// prefix replay; live (greedy dispatch's commits only) enables the exact
+// (device, kind) invalidation, which run consumes and the scan oracle
+// ignores. Every cross-device readiness input is
 // write-once and each per-kind cursor advances in microbatch order, so the
 // waiter scans below (nextS[dd] == i, etc.) are exhaustive: a device whose
 // cursor already passed i saw this input's dependency satisfied earlier,

@@ -1,5 +1,7 @@
 package schedule
 
+import "math"
+
 // hasBlock reports whether spec is built from a block order: one chunk per
 // device and no split backward, the 1F1B family.
 func hasBlock(spec *Spec) bool {
@@ -14,56 +16,23 @@ func hasBlock(spec *Spec) bool {
 	return true
 }
 
-// skelPos is where a pass of microbatch i sits in a device's 1F1B skeleton
-// of warm warm-up forwards (at most M): the warm-up F(0..warm−1), then
-// F(k + warm) and B(k) alternately, then the cool-down backwards.
-func skelPos(warm, M int, pt PassType, i int) int {
-	warm = min(warm, M)
-	switch {
-	case pt == PassF && i < warm:
-		return i
-	case pt == PassF:
-		return 2*i - warm
-	case i < M-warm:
-		return warm + 2*i + 1
-	default:
-		return M + i
-	}
-}
-
-// blockAt is a position in a block order: a time on the skeleton's clock,
-// ties broken by rank.
-type blockAt struct {
-	t    float64
-	rank int
-}
-
-func (a blockAt) before(b blockAt) bool { return a.t < b.t || a.t == b.t && a.rank < b.rank }
-
-// writeSkeleton writes every device's 1F1B skeleton into the first 2M
-// entries of the slab, device after device. The warm-up is spec's in-flight
-// cap less one.
-func (e *engine) writeSkeleton(spec *Spec) {
-	M := spec.M
-	for d := 0; d < spec.P; d++ {
-		row := e.byDevBack[2*M*d : 2*M*(d+1)]
-		warm := inFlightCap(spec, d, 0) - 1
-		for i := 0; i < M; i++ {
-			row[skelPos(warm, M, PassF, i)].Pass = Pass{Type: PassF, Device: d, Micro: i}
-			row[skelPos(warm, M, PassB, i)].Pass = Pass{Type: PassB, Device: d, Micro: i}
-		}
-	}
-}
-
 // buildBlock builds a spec with a block (hasBlock): its order, written in
-// closed form, timed in one pass by timeRows.
+// closed form (writeBlock), timed once by timeRows.
+func (e *engine) buildBlock(spec *Spec) (*Timeline, error) {
+	e.havePrev = false
+	e.reset(spec)
+	e.writeBlock(spec)
+	return e.timeRows()
+}
+
+// writeBlock writes every device's block order into its row.
 //
 // Each device runs the 1F1B skeleton of its in-flight cap (inFlightCap:
 // P − d, plus one per vocabulary barrier, ×1.5 interlaced): cap − 1 warm-up
 // forwards, then forward and backward alternately, then the cool-down
 // backwards. Without vocabulary passes the skeleton is the order. With
-// them, the skeleton is timed alone first, and the vocabulary passes go
-// where §5's blocks put them on that clock, on every device:
+// them, §5's block fixes where each S(i), T(i) or V(i) goes on the block's
+// clock (blockClock), the skeleton's timing with uniform stages:
 //
 //   - S(i) when the last stage's F(i) has ended and C0 has broadcast its
 //     output, a quarter interval later under Algorithm 2;
@@ -74,116 +43,239 @@ func (e *engine) writeSkeleton(spec *Spec) {
 //   - an interlaced V(i) an eighth of an interval after the last stage's
 //     F(i).
 //
-// An interval is stage 0's F + B. The offsets are the best of a scan in
-// eighth-interval steps over the Table 5 cells; an order placed early
-// instead (T right after C1) stalls every device at the barrier. Each
-// planned time is clamped between the
-// last stage's F(i) and B(i) (a T under Algorithm 2 has no upper bound), and
-// the skeleton's commit rank breaks ties, so every dependency points to a
-// strictly later position and the order cannot deadlock, whatever the
-// durations. The skeleton never changes, so peak in-flight is min(cap, M)
-// on every device, and each pass kind runs in microbatch order.
-func (e *engine) buildBlock(spec *Spec) (*Timeline, error) {
-	e.havePrev = false
+// An interval is F + B. Each goes after every skeleton pass of its device
+// that the clock starts before it, S before T at a tie. In the steady state
+// that is a lag in microbatches behind the device's forwards, set by its
+// distance to the last stage and the durations.
+//
+// Any durations give a valid order. The clock runs every row and every
+// dependency between skeleton passes strictly forward. S(i) and V(i) sit no
+// earlier than the last stage's F(i) and strictly before its B(i), and T(i)
+// no earlier than S(i) (and, under Algorithm 1, strictly before that B(i)).
+// Ordered by clock and then S before T, every dependency points forward, so
+// the order cannot deadlock. The skeleton never changes, so peak in-flight
+// is min(cap, M) on every device, and each pass kind runs in microbatch
+// order.
+func (e *engine) writeBlock(spec *Spec) {
 	P, M := spec.P, spec.M
-	if spec.Vocab == nil && spec.Interlaced == nil {
-		e.reset(spec)
-		e.writeSkeleton(spec)
-		return e.timeRows()
-	}
-
-	// Time the skeleton alone, in rows of 2M from the slab's start, on a
-	// slab already sized for the full order.
-	if n := P * M * 4; cap(e.byDevBack) < n {
-		e.byDevBack = make([]TimedPass, n)
-	}
-	e.skel = *spec
-	e.skel.Vocab, e.skel.Interlaced = nil, nil
-	e.reset(&e.skel)
-	e.writeSkeleton(spec)
-	if _, err := e.timeRows(); err != nil {
-		return nil, err
-	}
-	if cap(e.rank) < 2*P*M {
-		e.rank = make([]int, 2*P*M)
-	}
-	rank := e.rank[:2*P*M]
-	for c, tp := range e.passes {
-		rank[2*M*tp.Device+skelPos(inFlightCap(spec, tp.Device, 0)-1, M, tp.Type, tp.Micro)] = c
-	}
-	skel := e.byDevBack[:2*P*M]
-
-	// Plan the vocabulary passes on the skeleton's clock: S(i) (or V(i)) at
-	// plans[i], T(i) at plans[M+i]. A skeleton pass ranks 4× its commit
-	// index; S(i) and V(i) rank just after the last stage's F(i), T(i) just
-	// after them.
-	if cap(e.plans) < 2*M {
-		e.plans = make([]blockAt, 2*M)
-	}
-	plans := e.plans[:2*M]
 	last := P - 1
-	lastWarm := inFlightCap(spec, last, 0) - 1
+	c := newBlockClock(spec)
 	u := spec.Stages[0].F + spec.Stages[0].B
-	for i := 0; i < M; i++ {
-		fPos, bPos := skelPos(lastWarm, M, PassF, i), skelPos(lastWarm, M, PassB, i)
-		f, b := skel[2*M*last+fPos], skel[2*M*last+bPos]
-		r := 4*rank[2*M*last+fPos] + 1
-		var s, t float64
-		switch v := spec.Vocab; {
-		case v == nil:
-			s = f.End + u/8
-		case v.Barriers == 2:
-			s = f.End + v.BcastTime
-			t = s + v.SDur + v.C1Time + 3*u/4
-		default:
-			s = f.End + v.BcastTime + u/4
-			t = s + v.SDur + v.C1Time + 3*u/2
+	// Offsets from the last stage's F(i) end, clamped below far, which lies
+	// past every skeleton pass.
+	far := (M + 2*P + c.e + 2) << 21
+	first, nS, nT := PassS, M, M
+	var cS, cT int
+	switch v := spec.Vocab; {
+	case v == nil && spec.Interlaced == nil:
+		nS, nT = 0, 0
+	case v == nil:
+		first, nT = PassV, 0
+		cS = c.ticks(u/8, 0, far)
+	case v.Barriers == 2:
+		cS = c.ticks(v.BcastTime, 0, far)
+		cT = c.ticks(v.BcastTime+v.SDur+v.C1Time+3*u/4, cS, far)
+	default:
+		cS = c.ticks(v.BcastTime+u/4, 0, far)
+		cT = c.ticks(v.BcastTime+u/4+v.SDur+v.C1Time+3*u/2, cS, far)
+	}
+	twoBarriers := spec.Vocab != nil && spec.Vocab.Barriers == 2
+	lastDev := blockDevice{d: last, w: c.e, r: c.rl, wr: c.wl}
+	// at is the clock of microbatch i's pass at offset off: strictly before
+	// the last stage's B(i) if before.
+	at := func(i, off int, before bool) int {
+		t := c.forward(lastDev, i) + c.f + off
+		if before {
+			t = min(t, c.backward(last, i)-1)
 		}
-		s = min(max(s, f.Start), b.Start)
-		t = max(t, s)
-		if spec.Vocab != nil && spec.Vocab.Barriers == 2 {
-			t = min(t, b.Start)
-		}
-		plans[i], plans[M+i] = blockAt{s, r}, blockAt{t, r + 1}
+		return t
 	}
 
-	// Merge each device's skeleton with the planned passes, from the back,
-	// into its full row: the rows of devices above d lie past d's skeleton,
-	// and within a row the write index never falls below the read index.
-	e.reset(spec)
-	vKind := PassS
-	if spec.Interlaced != nil {
-		vKind = PassV
-	}
-	for d := last; d >= 0; d-- {
+	var dv blockDevice
+	for d := 0; d < P; d++ {
 		row := e.byDevice[d][:cap(e.byDevice[d])]
-		j, iS, iT := 2*M-1, M-1, M-1
-		if spec.Vocab == nil {
-			iT = -1
+		dv = c.next(spec, dv, d)
+		warm := min(dv.w, M)
+		jF, jB, iS, iT := 0, 0, M-nS, M-nT
+		var sAt, tAt, sPre, tPre int
+		if iS < M {
+			sAt = at(iS, cS, true)
+			sPre = c.before(dv, sAt)
 		}
-		for k := len(row) - 1; k >= 0; k-- {
-			pick, best := 0, blockAt{-1, 0}
-			if j >= 0 {
-				best = blockAt{skel[2*M*d+j].Start, 4 * rank[2*M*d+j]}
-			}
-			if iS >= 0 && best.before(plans[iS]) {
-				pick, best = 1, plans[iS]
-			}
-			if iT >= 0 && best.before(plans[M+iT]) {
-				pick = 2
-			}
-			switch pick {
-			case 0:
-				row[k].Pass = skel[2*M*d+j].Pass
-				j--
-			case 1:
-				row[k].Pass = Pass{Type: vKind, Device: d, Micro: iS}
-				iS--
+		if iT < M {
+			tAt = at(iT, cT, twoBarriers)
+			tPre = c.before(dv, tAt)
+		}
+		for k := range row {
+			ps := Pass{Device: d}
+			switch {
+			case iS < M && (iT == M || sAt <= tAt) && sPre <= jF+jB:
+				ps.Type, ps.Micro = first, iS
+				if iS++; iS < M {
+					sAt = at(iS, cS, true)
+					sPre = c.before(dv, sAt)
+				}
+			case iT < M && (iS == M || tAt < sAt) && tPre <= jF+jB:
+				ps.Type, ps.Micro = PassT, iT
+				if iT++; iT < M {
+					tAt = at(iT, cT, twoBarriers)
+					tPre = c.before(dv, tAt)
+				}
+			case jF < M && jF <= jB+warm:
+				ps.Type, ps.Micro = PassF, jF
+				jF++
 			default:
-				row[k].Pass = Pass{Type: PassT, Device: d, Micro: iT}
-				iT--
+				ps.Type, ps.Micro = PassB, jB
+				jB++
 			}
+			row[k].Pass = ps
 		}
 	}
-	return e.timeRows()
+}
+
+// blockClock times a block's skeleton in closed form, in integer ticks,
+// with uniform stages: stage 0's F and B and the send s. A run is a
+// stretch of adjacent devices whose warm-ups fall by one per device.
+//
+// Backwards: B(k) leaves the last stage after its warm-up's forwards and
+// reaches device d, δ = P−1−d stages up, δ·(B + s) later. Each microbatch
+// takes the last stage F + B, plus two sends except once every L
+// microbatches, where L is the longest run's length: the skeleton's longest
+// cycle passes a microbatch's forwards down that run and its backwards back
+// up, L − 1 sends each way, every L microbatches. In the cool-down the
+// backwards run back to back.
+//
+// Forwards: the first device of a run starts F(j) right after the backward
+// it follows in the skeleton, B(j − warm − 1); down the run each starts a
+// forward and a send after the one above. During the warm-up no backward
+// holds the forwards back: F(j) on device d starts at j·F + d·(F + s) up to
+// its first backward, and no earlier than that after it. The warm-up and the
+// steady state meet at the last stage's first backward.
+//
+// F is at least two ticks, B at least one and s below 2F + B, so every row
+// and every dependency between skeleton passes runs strictly forward on the
+// clock, whatever the durations, and a tick fits between the last stage's
+// F(i) and B(i). The warm-up clock keeps them so unless some
+// device's last warm-up forward would come at or after its first backward;
+// then the block uses the steady state alone.
+type blockClock struct {
+	M, P, L, e int
+	f, b, s    int     // F, B and s in ticks
+	a          int     // the last stage's B(0)
+	scale      float64 // ticks per unit of the spec's time
+	rl, wl     int     // the last device's run: its first device and that one's warm-up
+	warmup     bool
+}
+
+// blockDevice is what the clock reads of device d: its warm-up w and its
+// run's first device r, of warm-up wr.
+type blockDevice struct{ d, w, r, wr int }
+
+func newBlockClock(spec *Spec) blockClock {
+	P := spec.P
+	st := spec.Stages[0]
+	c := blockClock{M: spec.M, P: P, L: 1, e: inFlightCap(spec, P-1, 0) - 1}
+	if p := st.F + st.B + 2*spec.SendTime; p > 0 {
+		c.scale = (1 << 20) / p
+	}
+	c.f, c.b = c.ticks(st.F, 2, 1<<20), c.ticks(st.B, 1, 1<<20)
+	c.s = c.ticks(spec.SendTime, 0, 2*c.f+c.b-1)
+	c.a = c.chain(P-1, min(c.e, c.M-1)) + c.f
+	c.warmup = true
+	var dv blockDevice
+	for d := 0; d < P; d++ {
+		dv = c.next(spec, dv, d)
+		c.L = max(c.L, d-dv.r+1)
+		c.warmup = c.warmup && c.chain(d, min(dv.w, c.M-1)) < c.backward(d, 0)
+	}
+	c.rl, c.wl = dv.r, dv.wr
+	return c
+}
+
+// next is device d's blockDevice, from device d − 1's prev.
+func (c *blockClock) next(spec *Spec, prev blockDevice, d int) blockDevice {
+	dv := blockDevice{d: d, w: inFlightCap(spec, d, 0) - 1, r: d}
+	dv.wr = dv.w
+	if d > 0 && prev.w-dv.w == 1 {
+		dv.r, dv.wr = prev.r, prev.wr
+	}
+	return dv
+}
+
+// ticks converts duration x into ticks, rounded and clamped to [lo, hi];
+// with a zero scale every positive duration is hi.
+func (c *blockClock) ticks(x float64, lo, hi int) int {
+	v := math.Round(x * c.scale)
+	if c.scale == 0 && x > 0 {
+		v = math.Inf(1)
+	}
+	return int(min(max(v, float64(lo)), float64(hi)))
+}
+
+// beta is how long after B(0) the last stage starts B(k) in the steady
+// state.
+func (c *blockClock) beta(k int) int {
+	return k*(c.f+c.b) + 2*c.s*(k+floorDiv(-k, c.L))
+}
+
+// betaCount is the first k whose beta(k) exceeds x.
+func (c *blockClock) betaCount(x int) int {
+	span := c.L*(c.f+c.b) + 2*c.s*(c.L-1)
+	q := floorDiv(x, span)
+	return q*c.L + 1 + min(c.L-1, (x-q*span+2*c.s)/(c.f+c.b+2*c.s))
+}
+
+// chain is where the warm-up puts F(j) on device d.
+func (c *blockClock) chain(d, j int) int { return j*c.f + d*(c.f+c.s) }
+
+// steady is where the steady state puts F(j) on device dv.
+func (c *blockClock) steady(dv blockDevice, j int) int {
+	return c.a + (c.P-1-dv.r)*(c.b+c.s) + c.beta(j-dv.wr-1) + c.b + (dv.d-dv.r)*(c.f+c.s)
+}
+
+// forward is the clock of F(j) on device dv.
+func (c *blockClock) forward(dv blockDevice, j int) int {
+	switch {
+	case !c.warmup:
+		return c.steady(dv, j)
+	case j <= dv.w:
+		return c.chain(dv.d, j)
+	default:
+		return max(c.steady(dv, j), c.chain(dv.d, j))
+	}
+}
+
+// backward is the clock of B(k) on device d.
+func (c *blockClock) backward(d, k int) int {
+	t := c.a + (c.P-1-d)*(c.b+c.s)
+	if k0 := max(c.M-c.e-1, 0); k > k0 {
+		return min(t+c.beta(k), t+c.beta(k0)+(k-k0)*c.b)
+	}
+	return t + c.beta(k)
+}
+
+// before counts the skeleton passes of device dv that the clock starts
+// before t: a prefix of its row, since the clock runs each row forward.
+func (c *blockClock) before(dv blockDevice, t int) int {
+	t--
+	n := func(x int) int { return min(max(x, 0), c.M) }
+	f := n(c.betaCount(t-c.a-(c.P-1-dv.r)*(c.b+c.s)-c.b-(dv.d-dv.r)*(c.f+c.s)) + dv.wr + 1)
+	if c.warmup {
+		f = min(n(floorDiv(t-dv.d*(c.f+c.s), c.f)+1), max(f, n(dv.w+1)))
+	}
+	b := n(c.betaCount(t - c.a - (c.P-1-dv.d)*(c.b+c.s)))
+	// The cool-down: B(k) from k0 = M − e − 1 on, a backward apart.
+	if k0 := max(c.M-c.e-1, 0); b > k0 {
+		b = max(b, n(k0+floorDiv(t-c.backward(dv.d, k0), c.b)+1))
+	}
+	return f + b
+}
+
+// floorDiv is ⌊a/b⌋ for b > 0.
+func floorDiv(a, b int) int {
+	q := a / b
+	if a%b < 0 {
+		q--
+	}
+	return q
 }

@@ -178,13 +178,6 @@ type engine struct {
 	prev     prevBuild
 	havePrev bool
 
-	// Block construction scratch (block.go): the spec without its
-	// vocabulary passes, whose skeleton is timed first, and each skeleton
-	// pass's commit rank in that timing, [device*2M + position in the row].
-	skel  Spec
-	rank  []int
-	plans []blockAt
-
 	// Dispatch state, carved by armDispatch from one slab per element type
 	// (dispF, dispI, dispU). Each device caches one slot per candidate kind —
 	// per chunk F, B, W, then S, T, V — holding the kind's next readiness

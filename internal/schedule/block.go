@@ -58,14 +58,13 @@ func (e *engine) buildBlock(spec *Spec) (*Timeline, error) {
 // order.
 func (e *engine) writeBlock(spec *Spec) {
 	P, M := spec.P, spec.M
-	last := P - 1
 	c := newBlockClock(spec)
 	u := spec.Stages[0].F + spec.Stages[0].B
 	// Offsets from the last stage's F(i) end, clamped below far, which lies
 	// past every skeleton pass.
 	far := (M + 2*P + c.e + 2) << 21
 	first, nS, nT := PassS, M, M
-	var cS, cT int
+	var cS, cT, tLate int
 	switch v := spec.Vocab; {
 	case v == nil && spec.Interlaced == nil:
 		nS, nT = 0, 0
@@ -78,17 +77,19 @@ func (e *engine) writeBlock(spec *Spec) {
 	default:
 		cS = c.ticks(v.BcastTime+u/4, 0, far)
 		cT = c.ticks(v.BcastTime+u/4+v.SDur+v.C1Time+3*u/2, cS, far)
+		tLate = far
 	}
-	twoBarriers := spec.Vocab != nil && spec.Vocab.Barriers == 2
-	lastDev := blockDevice{d: last, w: c.e, r: c.rl, wr: c.wl}
-	// at is the clock of microbatch i's pass at offset off: strictly before
-	// the last stage's B(i) if before.
-	at := func(i, off int, before bool) int {
-		t := c.forward(lastDev, i) + c.f + off
-		if before {
-			t = min(t, c.backward(last, i)-1)
-		}
-		return t
+	// The clock of each S(i) (or V(i)) and T(i): S(i) and V(i) strictly
+	// before the last stage's B(i), and T(i) too unless tLate lets it be
+	// later (Algorithm 2).
+	if cap(e.keys) < 2*M {
+		e.keys = make([]int, 2*M)
+	}
+	sAt, tAt := e.keys[:M], e.keys[M:2*M]
+	lastDev := blockDevice{d: P - 1, w: c.e, r: c.rl, wr: c.wl}
+	for i := M - nS; i < M; i++ {
+		f, b := c.forward(lastDev, i)+c.f, c.backward(P-1, i)-1
+		sAt[i], tAt[i] = min(f+cS, b), min(f+cT, b+tLate)
 	}
 
 	var dv blockDevice
@@ -96,40 +97,43 @@ func (e *engine) writeBlock(spec *Spec) {
 		row := e.byDevice[d][:cap(e.byDevice[d])]
 		dv = c.next(spec, dv, d)
 		warm := min(dv.w, M)
-		jF, jB, iS, iT := 0, 0, M-nS, M-nT
-		var sAt, tAt, sPre, tPre int
-		if iS < M {
-			sAt = at(iS, cS, true)
-			sPre = c.before(dv, sAt)
+		jF, jB, iS, iT, k := 0, 0, M-nS, M-nT, 0
+		put := func(pt PassType, i int) {
+			row[k].Pass = Pass{Type: pt, Device: d, Micro: i}
+			k++
 		}
-		if iT < M {
-			tAt = at(iT, cT, twoBarriers)
-			tPre = c.before(dv, tAt)
+		// flush puts every pending S, V or T the clock has no later than t,
+		// in clock order, S before T at a tie.
+		flush := func(t int) {
+			for {
+				switch {
+				case iS < M && (iT == M || sAt[iS] <= tAt[iT]) && sAt[iS] <= t:
+					put(first, iS)
+					iS++
+				case iT < M && (iS == M || tAt[iT] < sAt[iS]) && tAt[iT] <= t:
+					put(PassT, iT)
+					iT++
+				default:
+					return
+				}
+			}
 		}
-		for k := range row {
-			ps := Pass{Device: d}
-			switch {
-			case iS < M && (iT == M || sAt <= tAt) && sPre <= jF+jB:
-				ps.Type, ps.Micro = first, iS
-				if iS++; iS < M {
-					sAt = at(iS, cS, true)
-					sPre = c.before(dv, sAt)
+		for jF+jB < 2*M {
+			if jF < M && jF <= jB+warm {
+				if iS < M || iT < M {
+					flush(c.forward(dv, jF))
 				}
-			case iT < M && (iS == M || tAt < sAt) && tPre <= jF+jB:
-				ps.Type, ps.Micro = PassT, iT
-				if iT++; iT < M {
-					tAt = at(iT, cT, twoBarriers)
-					tPre = c.before(dv, tAt)
-				}
-			case jF < M && jF <= jB+warm:
-				ps.Type, ps.Micro = PassF, jF
+				put(PassF, jF)
 				jF++
-			default:
-				ps.Type, ps.Micro = PassB, jB
+			} else {
+				if iS < M || iT < M {
+					flush(c.backward(d, jB))
+				}
+				put(PassB, jB)
 				jB++
 			}
-			row[k].Pass = ps
 		}
+		flush(math.MaxInt)
 	}
 }
 
@@ -176,7 +180,7 @@ func newBlockClock(spec *Spec) blockClock {
 	st := spec.Stages[0]
 	c := blockClock{M: spec.M, P: P, L: 1, e: inFlightCap(spec, P-1, 0) - 1}
 	if p := st.F + st.B + 2*spec.SendTime; p > 0 {
-		c.scale = (1 << 20) / p
+		c.scale = min((1<<20)/p, math.MaxFloat64)
 	}
 	c.f, c.b = c.ticks(st.F, 2, 1<<20), c.ticks(st.B, 1, 1<<20)
 	c.s = c.ticks(spec.SendTime, 0, 2*c.f+c.b-1)
@@ -202,14 +206,9 @@ func (c *blockClock) next(spec *Spec, prev blockDevice, d int) blockDevice {
 	return dv
 }
 
-// ticks converts duration x into ticks, rounded and clamped to [lo, hi];
-// with a zero scale every positive duration is hi.
+// ticks converts duration x into ticks, rounded and clamped to [lo, hi].
 func (c *blockClock) ticks(x float64, lo, hi int) int {
-	v := math.Round(x * c.scale)
-	if c.scale == 0 && x > 0 {
-		v = math.Inf(1)
-	}
-	return int(min(max(v, float64(lo)), float64(hi)))
+	return int(min(max(math.Round(x*c.scale), float64(lo)), float64(hi)))
 }
 
 // beta is how long after B(0) the last stage starts B(k) in the steady
@@ -218,31 +217,20 @@ func (c *blockClock) beta(k int) int {
 	return k*(c.f+c.b) + 2*c.s*(k+floorDiv(-k, c.L))
 }
 
-// betaCount is the first k whose beta(k) exceeds x.
-func (c *blockClock) betaCount(x int) int {
-	span := c.L*(c.f+c.b) + 2*c.s*(c.L-1)
-	q := floorDiv(x, span)
-	return q*c.L + 1 + min(c.L-1, (x-q*span+2*c.s)/(c.f+c.b+2*c.s))
-}
-
 // chain is where the warm-up puts F(j) on device d.
 func (c *blockClock) chain(d, j int) int { return j*c.f + d*(c.f+c.s) }
 
-// steady is where the steady state puts F(j) on device dv.
-func (c *blockClock) steady(dv blockDevice, j int) int {
-	return c.a + (c.P-1-dv.r)*(c.b+c.s) + c.beta(j-dv.wr-1) + c.b + (dv.d-dv.r)*(c.f+c.s)
-}
-
-// forward is the clock of F(j) on device dv.
+// forward is the clock of F(j) on device dv: the warm-up's, the steady
+// state's, or after the first backward the later of the two.
 func (c *blockClock) forward(dv blockDevice, j int) int {
-	switch {
-	case !c.warmup:
-		return c.steady(dv, j)
-	case j <= dv.w:
+	if c.warmup && j <= dv.w {
 		return c.chain(dv.d, j)
-	default:
-		return max(c.steady(dv, j), c.chain(dv.d, j))
 	}
+	t := c.a + (c.P-1-dv.r)*(c.b+c.s) + c.beta(j-dv.wr-1) + c.b + (dv.d-dv.r)*(c.f+c.s)
+	if c.warmup {
+		t = max(t, c.chain(dv.d, j))
+	}
+	return t
 }
 
 // backward is the clock of B(k) on device d.
@@ -252,23 +240,6 @@ func (c *blockClock) backward(d, k int) int {
 		return min(t+c.beta(k), t+c.beta(k0)+(k-k0)*c.b)
 	}
 	return t + c.beta(k)
-}
-
-// before counts the skeleton passes of device dv that the clock starts
-// before t: a prefix of its row, since the clock runs each row forward.
-func (c *blockClock) before(dv blockDevice, t int) int {
-	t--
-	n := func(x int) int { return min(max(x, 0), c.M) }
-	f := n(c.betaCount(t-c.a-(c.P-1-dv.r)*(c.b+c.s)-c.b-(dv.d-dv.r)*(c.f+c.s)) + dv.wr + 1)
-	if c.warmup {
-		f = min(n(floorDiv(t-dv.d*(c.f+c.s), c.f)+1), max(f, n(dv.w+1)))
-	}
-	b := n(c.betaCount(t - c.a - (c.P-1-dv.d)*(c.b+c.s)))
-	// The cool-down: B(k) from k0 = M − e − 1 on, a backward apart.
-	if k0 := max(c.M-c.e-1, 0); b > k0 {
-		b = max(b, n(k0+floorDiv(t-c.backward(dv.d, k0), c.b)+1))
-	}
-	return f + b
 }
 
 // floorDiv is ⌊a/b⌋ for b > 0.

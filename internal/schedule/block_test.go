@@ -77,3 +77,24 @@ func TestBlocksHoldOnEveryShape(t *testing.T) {
 	}
 	t.Logf("built %d grid specs and %d tuning candidates", grid, built-grid)
 }
+
+// TestBlocksTimeEachPassOnce builds every Table 5 cell on one warm engine. A
+// block is written in closed form and timed once, so the engine times
+// exactly the timeline's passes; a block planned on its skeleton's own
+// timing would time the skeleton's 2PM passes on top.
+func TestBlocksTimeEachPassOnce(t *testing.T) {
+	en := schedule.NewEngine()
+	for _, c := range experiments.Table5Grid().Expand() {
+		spec, err := sim.BuildSpec(c.Config, c.Method)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Label, err)
+		}
+		tl, err := en.Build(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Label, err)
+		}
+		if n := en.Timed(); n != len(tl.Passes) {
+			t.Errorf("%s: timed %d passes for %d in the timeline", c.Label, n, len(tl.Passes))
+		}
+	}
+}

@@ -178,6 +178,9 @@ type engine struct {
 	prev     prevBuild
 	havePrev bool
 
+	// keys holds writeBlock's clock of each S(i) or V(i), then each T(i).
+	keys []int
+
 	// Dispatch state, carved by armDispatch from one slab per element type
 	// (dispF, dispI, dispU). Each device caches one slot per candidate kind —
 	// per chunk F, B, W, then S, T, V — holding the kind's next readiness
@@ -442,17 +445,7 @@ func inFlightCap(spec *Spec, d, c int) int {
 		}
 	}
 	// base >= 1 and scale >= 1, so every cap is at least 1.
-	return int(ceilPos(base*scale)) + extra
-}
-
-// ceilPos is math.Ceil for the engine's finite non-negative cap arithmetic,
-// kept inlineable.
-func ceilPos(x float64) float64 {
-	f := float64(int64(x))
-	if f < x {
-		return f + 1
-	}
-	return f
+	return int(math.Ceil(base*scale)) + extra
 }
 
 // replay re-applies the first k commits of the previous build using the
@@ -1026,31 +1019,13 @@ func (e *engine) slotChoice(d int) (int, float64, int, bool) {
 }
 
 // commitSlot commits device d's cached slot choice at start, reconstructing
-// the pass identity from the slot layout.
+// the pass identity from the slot layout: F, B and W per chunk, then S, T
+// and V, each in PassType order.
 func (e *engine) commitSlot(d, slot int, start float64) {
 	base := d * e.nSlots
-	nc := e.nSlots - 3
-	var pt PassType
-	chunk := 0
-	if slot < nc {
-		chunk = slot / 3
-		switch slot % 3 {
-		case 0:
-			pt = PassF
-		case 1:
-			pt = PassB
-		default:
-			pt = PassW
-		}
-	} else {
-		switch slot - nc {
-		case 0:
-			pt = PassS
-		case 1:
-			pt = PassT
-		default:
-			pt = PassV
-		}
+	pt, chunk := PassType(slot%3), slot/3
+	if nc := e.nSlots - 3; slot >= nc {
+		pt, chunk = PassS+PassType(slot-nc), 0
 	}
 	e.commit(Pass{pt, d, chunk, e.slotMicro[base+slot]}, start, e.slotDur[base+slot], true)
 }
@@ -1074,28 +1049,20 @@ func (e *engine) commit(p Pass, start, dur float64, live bool) {
 // lastStageBackwardReady returns the extra readiness constraint on the last
 // transformer stage's backward of microbatch i (§5.1).
 func (e *engine) lastStageBackwardReady(i int) (float64, bool) {
-	spec := e.spec
-	switch {
-	case spec.Vocab != nil && spec.Vocab.Barriers == 2:
+	t := 0.0
+	switch v := e.spec.Vocab; {
+	case v != nil && v.Barriers == 2:
 		// Algorithm 1: wait for barrier C2 after all T passes.
-		if e.c2End[i] == unscheduled {
-			return 0, false
-		}
-		return e.c2End[i], true
-	case spec.Vocab != nil:
+		t = e.c2End[i]
+	case v != nil:
 		// Algorithm 2: wait for C1 plus the ∇X reduce that runs inside it.
-		if e.c1End[i] == unscheduled {
-			return 0, false
+		if t = e.c1End[i]; t != unscheduled {
+			t += v.C2Time
 		}
-		return e.c1End[i] + spec.Vocab.C2Time, true
-	case spec.Interlaced != nil:
-		if e.vBarrier[i] == unscheduled {
-			return 0, false
-		}
-		return e.vBarrier[i], true
-	default:
-		return 0, true
+	case e.spec.Interlaced != nil:
+		t = e.vBarrier[i]
 	}
+	return t, t != unscheduled
 }
 
 // applyState folds one committed pass into the engine's readiness state.

@@ -510,3 +510,25 @@ func TestPeakMemoryComposition(t *testing.T) {
 		t.Errorf("device 1 memory = %v, want %v", mem[1], 50+acts[1]+10)
 	}
 }
+
+// TestBlockSkipsDispatch builds each block family on a fresh engine: the
+// block path times its fixed order without greedy dispatch, so it never
+// sizes the slot tables (armDispatch) and never marks a device (markKind,
+// which would index the unsized tables and panic).
+func TestBlockSkipsDispatch(t *testing.T) {
+	interlaced := oneF1BSpec(4, 8)
+	interlaced.Interlaced = &InterlacedSpec{VDur: 0.5, SyncTime: 0.1, ActBytes: 1}
+	for _, spec := range []*Spec{oneF1BSpec(4, 8), vocabSpec(4, 8, 1), vocabSpec(4, 8, 2), interlaced} {
+		var e engine
+		tl, err := e.build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.nSlots != 0 || e.dirtyKind != nil || e.dirtyList != nil {
+			t.Errorf("%s: the block build armed greedy dispatch", spec.Describe())
+		}
+		if e.timed != len(tl.Passes) {
+			t.Errorf("%s: timed %d passes for %d in the timeline", spec.Describe(), e.timed, len(tl.Passes))
+		}
+	}
+}

@@ -43,3 +43,6 @@ func retime(spec *Spec, rows [][]TimedPass) (*Timeline, error) {
 // InFlightCap is device d's in-flight cap on a one-chunk spec: greedy
 // dispatch's bound, and a block's warm-up plus one.
 func InFlightCap(spec *Spec, d int) int { return inFlightCap(spec, d, 0) }
+
+// Timed is how many passes the engine's last Build timed.
+func (en *Engine) Timed() int { return en.e.timed }

@@ -134,6 +134,8 @@ func TestWireRejects(t *testing.T) {
 	deep4B.Layers, deep4B.Devices = 1024, 1024
 	wide4B := zoo4B
 	wide4B.Hidden *= 2
+	noDevices, negDevices, noMicro := zoo4B, zoo4B, zoo4B
+	noDevices.Devices, negDevices.Devices, noMicro.NumMicro = 0, -1, 0
 	one := sweep.Range{Start: 0, End: 1}
 	if _, err := (&ShardRequest{Grid: "g", Range: one,
 		Cells: []WireCell{{Label: "a", Config: zoo4B, Method: "baseline"}}}).ToGrid(); err != nil {
@@ -158,6 +160,12 @@ func TestWireRejects(t *testing.T) {
 		{"one cell of two off the zoo", ShardRequest{Grid: "g", Range: sweep.Range{Start: 0, End: 2},
 			Cells: []WireCell{{Label: "a", Config: zoo4B, Method: "baseline"}, {Label: "b", Config: wide4B, Method: "baseline"}}},
 			`cell "b" is not model 4B's shape`},
+		{"no devices", ShardRequest{Grid: "g", Range: one,
+			Cells: []WireCell{{Label: "x", Config: noDevices, Method: "vocab-1"}}}, `cell "x" has 0 devices`},
+		{"negative devices", ShardRequest{Grid: "g", Range: one,
+			Cells: []WireCell{{Label: "x", Config: negDevices, Method: "baseline"}}}, `cell "x" has -1 devices`},
+		{"no microbatches", ShardRequest{Grid: "g", Range: one,
+			Cells: []WireCell{{Label: "x", Config: noMicro, Method: "baseline"}}}, "and 0 microbatches"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

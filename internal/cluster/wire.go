@@ -53,7 +53,8 @@ func NewShardRequest(g *sweep.Grid, cells []sweep.Cell, r sweep.Range) ShardRequ
 // coordinator's cells all derive from a zoo model, overriding at most the
 // sequence length, vocabulary, microbatch count and device count, so this
 // refuses only hand-made bodies — such as a 1,024-layer "4B", which would
-// let a layout place 1,024 pipeline stages. The grid's canonical Key() then
+// let a layout place 1,024 pipeline stages, or a cell with no devices or
+// no microbatches, which no layout can place. The grid's canonical Key() then
 // serves as the worker-side cache key, so identical shards from any
 // coordinator coalesce.
 func (r *ShardRequest) ToGrid() (*sweep.Grid, error) {
@@ -83,6 +84,10 @@ func (r *ShardRequest) ToGrid() (*sweep.Grid, error) {
 		if c.Layers != z.Layers || c.Heads != z.Heads || c.Hidden != z.Hidden || c.MicroBatch != z.MicroBatch {
 			return nil, fmt.Errorf("cluster: shard cell %q is not model %s's shape (layers %d, heads %d, hidden %d, microbatch %d)",
 				wc.Label, z.Name, z.Layers, z.Heads, z.Hidden, z.MicroBatch)
+		}
+		if c.Devices < 1 || c.NumMicro < 1 {
+			return nil, fmt.Errorf("cluster: shard cell %q has %d devices and %d microbatches, want at least 1 of each",
+				wc.Label, c.Devices, c.NumMicro)
 		}
 		g.Cells = append(g.Cells, sweep.Cell{Label: wc.Label, Config: wc.Config, Method: m})
 	}

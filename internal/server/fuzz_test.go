@@ -131,6 +131,14 @@ func FuzzShardRequest(f *testing.F) {
 		`{"Name":"5B","Layers":32,"Heads":24,"Hidden":3072,"Seq":2048,"MicroBatch":1,"NumMicro":16,"Vocab":32768,"Devices":8}}]}`))
 	f.Add([]byte(`{"grid":"g","range":{"start":0,"end":1},"cells":[{"label":"a","method":"1f1b","config":` +
 		`{"Name":"21B","Layers":64,"Heads":40,"Hidden":5120,"Seq":4096,"MicroBatch":1,"NumMicro":5000,"Vocab":262144,"Devices":64}}]}`))
+	// No devices: a layout divides by the device count, and a negative one
+	// sizes a slice.
+	f.Add([]byte(`{"grid":"g","range":{"start":0,"end":1},"cells":[{"label":"x","method":"vocab-1","config":` +
+		`{"Name":"4B","Layers":32,"Heads":24,"Hidden":3072,"Seq":2048,"MicroBatch":1,"NumMicro":16,"Vocab":32768,"Devices":0}}]}`))
+	f.Add([]byte(`{"grid":"g","range":{"start":0,"end":1},"cells":[{"label":"x","method":"baseline","config":` +
+		`{"Name":"4B","Layers":32,"Heads":24,"Hidden":3072,"Seq":2048,"MicroBatch":1,"NumMicro":16,"Vocab":32768,"Devices":-1}}]}`))
+	f.Add([]byte(`{"grid":"g","range":{"start":0,"end":1},"cells":[{"label":"x","method":"baseline","config":` +
+		`{"Name":"4B","Layers":32,"Heads":24,"Hidden":3072,"Seq":2048,"MicroBatch":1,"NumMicro":0,"Vocab":32768,"Devices":8}}]}`))
 	f.Add([]byte(`{"grid":"g","range":{"start":0,"end":5},"cells":[{"label":"a","method":"baseline"}]}`))
 	f.Add([]byte(`{"grid":"g","cells":[]}`))
 	f.Add([]byte(`{nope`))
@@ -168,7 +176,7 @@ func FuzzShardRequest(f *testing.F) {
 			if c.Config.Layers != z.Layers || c.Config.Heads != z.Heads || c.Config.Hidden != z.Hidden || c.Config.MicroBatch != z.MicroBatch {
 				t.Fatalf("body %q: accepted cell %q of shape %+v, not %s's", body, c.Label, c.Config, z.Name)
 			}
-			if c.Config.NumMicro > tune.MaxMicro || c.Config.Devices > tune.MaxDevices {
+			if c.Config.NumMicro > tune.MaxMicro || c.Config.Devices > tune.MaxDevices || c.Config.NumMicro < 1 || c.Config.Devices < 1 {
 				t.Fatalf("body %q: accepted cell %q past the caps: %+v", body, c.Label, c.Config)
 			}
 		}

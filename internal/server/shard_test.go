@@ -103,10 +103,12 @@ func TestShardEndpointErrors(t *testing.T) {
 	}
 }
 
-// TestShardRefusesNonZooShapes: a shard cell must be a zoo model's shape.
-// Before, a hand-made one-cell body of 4B with 1,024 layers on 1,024
-// devices passed every cap and was simulated (200 after ~0.7 s), past the
-// 64 devices any zoo layout reaches.
+// TestShardRefusesNonZooShapes: a shard cell must be a zoo model's shape,
+// on at least one device with at least one microbatch. Before, a hand-made
+// one-cell body of 4B with 1,024 layers on 1,024 devices passed every cap
+// and was simulated (200 after ~0.7 s), past the 64 devices any zoo layout
+// reaches, and one on 0 devices was answered 200 with the cell's integer
+// divide by zero as its error.
 func TestShardRefusesNonZooShapes(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	cfg, _ := costmodel.ConfigByName("4B")
@@ -114,6 +116,8 @@ func TestShardRefusesNonZooShapes(t *testing.T) {
 	deep.Layers, deep.Devices, deep.NumMicro = 1024, 1024, 256
 	unknown := cfg
 	unknown.Name = "4B-custom"
+	noDevices, negDevices, noMicro := cfg, cfg, cfg
+	noDevices.Devices, negDevices.Devices, noMicro.NumMicro = 0, -1, 0
 	for _, tc := range []struct {
 		name     string
 		cfg      costmodel.Config
@@ -121,6 +125,9 @@ func TestShardRefusesNonZooShapes(t *testing.T) {
 	}{
 		{"1,024 layers", deep, "is not model 4B's shape"},
 		{"unknown model", unknown, `unknown model "4B-custom"`},
+		{"no devices", noDevices, "has 0 devices"},
+		{"negative devices", negDevices, "has -1 devices"},
+		{"no microbatches", noMicro, "and 0 microbatches"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			body, err := json.Marshal(cluster.ShardRequest{Grid: "g", Range: sweep.Range{Start: 0, End: 1},

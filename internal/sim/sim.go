@@ -259,6 +259,9 @@ func BuildSpec(cfg costmodel.Config, m Method) (*schedule.Spec, error) {
 		return nil, fmt.Errorf("sim: unknown method %v", m)
 	}
 	p := cfg.Devices
+	if p < 1 {
+		return nil, fmt.Errorf("sim: %s: %d devices, want at least 1", cfg.Name, p)
+	}
 	loads, err := r.place(cfg, r.chunks*p, p)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"vocabpipe/internal/costmodel"
@@ -32,6 +33,21 @@ func TestMethodStrings(t *testing.T) {
 	for m, want := range names {
 		if m.String() != want {
 			t.Errorf("%d.String() = %q, want %q", m, m.String(), want)
+		}
+	}
+}
+
+// TestBuildSpecRefusesNoDevices: a layout divides by the device count and a
+// negative one sizes a slice, so BuildSpec refuses both before placing a
+// layer, for every method, instead of panicking.
+func TestBuildSpecRefusesNoDevices(t *testing.T) {
+	for _, devices := range []int{0, -1} {
+		c := small("4B")
+		c.Devices = devices
+		for _, m := range append(append([]Method(nil), OneF1BMethods...), VHalfBaseline, VHalfVocab1) {
+			if spec, err := BuildSpec(c, m); err == nil || !strings.Contains(err.Error(), "devices, want at least 1") {
+				t.Errorf("%d devices, %s: spec %v, err %v", devices, m, spec, err)
+			}
 		}
 	}
 }

@@ -33,6 +33,30 @@ type experiment struct {
 	render func(w io.Writer, res *sweep.Results)
 }
 
+// fidelityTables are the paper tables -fidelity scores, in print order.
+var fidelityTables = []struct {
+	name  string
+	grid  func() *sweep.Grid
+	score func(*sweep.Results) experiments.Fidelity
+}{
+	{"table5", experiments.Table5Grid, experiments.Table5Fidelity},
+	{"table6", experiments.Table6Grid, experiments.Table6Fidelity},
+}
+
+// runFidelity sweeps each fidelity table and prints its report against the
+// paper in the form TestFidelityRatchet logs it, one line per table.
+func runFidelity(w, stderr io.Writer, parallel int) int {
+	for _, t := range fidelityTables {
+		res := sweep.Run(t.grid(), sweep.Options{Parallel: parallel})
+		if errs := res.Errs(); len(errs) > 0 {
+			fmt.Fprintf(stderr, "vpbench: %s: %v\n", t.name, errs[0])
+			return 1
+		}
+		fmt.Fprintf(w, "%s: %v\n", t.name, t.score(res))
+	}
+	return 0
+}
+
 // experimentList lists every reproduction in "all" execution order.
 var experimentList = []experiment{
 	{"fig1", experiments.Fig1Grid, fig1},

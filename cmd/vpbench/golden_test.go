@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vocabpipe/internal/experiments"
+	"vocabpipe/internal/sweep"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -166,5 +169,32 @@ func TestOutFile(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "\"experiment\": \"custom\"") {
 		t.Errorf("file content: %s", data)
+	}
+}
+
+// TestFidelityMode: -fidelity prints one report line per paper table, the
+// line TestFidelityRatchet logs for that table's sweep, and refuses every
+// other mode beside it.
+func TestFidelityMode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("table5 and table6 grids in -short mode")
+	}
+	stdout, stderr, code := runVpbench(t, "-fidelity")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	want := "table5: " + experiments.Table5Fidelity(sweep.Run(experiments.Table5Grid(), sweep.Options{})).String() + "\n" +
+		"table6: " + experiments.Table6Fidelity(sweep.Run(experiments.Table6Grid(), sweep.Options{})).String() + "\n"
+	if stdout != want {
+		t.Errorf("-fidelity printed\n%s\nwant\n%s", stdout, want)
+	}
+	if !strings.HasPrefix(stdout, "table5: 114 cells, ") || !strings.Contains(stdout, "\ntable6: 46 cells, ") {
+		t.Errorf("-fidelity printed\n%s\nwant the 114 Table 5 and 46 Table 6 cells scored", stdout)
+	}
+	for _, args := range [][]string{{"-fidelity", "table5"}, {"-fidelity", "-grid", "model=4B"}, {"-fidelity", "-tune", "4b-quick"},
+		{"-fidelity", "-tune-list"}, {"-fidelity", "-v"}, {"-fidelity", "-json"}, {"-fidelity", "-csv"}} {
+		if _, stderr, code := runVpbench(t, args...); code != 2 || !strings.Contains(stderr, "-fidelity") {
+			t.Errorf("%v: code=%d stderr=%q", args, code, stderr)
+		}
 	}
 }

@@ -16,6 +16,8 @@
 //	-grid SPEC    run a user-defined sweep, e.g.
 //	              -grid 'model=4B;seq=2048,4096;vocab=32k,256k;method=1f1b'
 //	-v            print per-cell progress to stderr
+//	-fidelity     print the Table 5 and Table 6 fidelity reports against the
+//	              paper's own numbers, one line per table, and exit
 //
 // Tune mode (see tune.go and internal/tune): the auto-tuner searches a
 // configuration space for the best predicted throughput instead of
@@ -70,6 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tuneSpec := fs.String("tune", "", "run the auto-tuner on a named scenario or inline `SPEC` (tune.ParseSpec syntax)")
 	tuneStrategy := fs.String("tune-strategy", "", "search strategy for -tune: beam (default), exhaustive or anneal")
 	tuneList := fs.Bool("tune-list", false, "list the named tuning scenarios and exit")
+	fidelity := fs.Bool("fidelity", false, "print the Table 5 and Table 6 fidelity reports against the paper and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -90,6 +93,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *tuneSpec == "" && explicit["tune-strategy"] {
 		fmt.Fprintln(stderr, "vpbench: -tune-strategy only applies to -tune")
 		return 2
+	}
+	if *fidelity {
+		if *tuneSpec != "" || *gridSpec != "" || *tuneList || explicit["v"] || len(fs.Args()) > 0 {
+			fmt.Fprintln(stderr, "vpbench: -fidelity runs alone (drop -grid, -tune, -tune-list, -v and experiment names)")
+			return 2
+		}
+		if *jsonOut || *csvOut {
+			fmt.Fprintln(stderr, "vpbench: -fidelity has a fixed text format (drop -json/-csv)")
+			return 2
+		}
+		w, outF, code := openOut(*outFile, stdout, stderr)
+		if code != 0 {
+			return code
+		}
+		rc := runFidelity(w, stderr, *parallel)
+		if outF != nil {
+			if err := outF.Close(); err != nil {
+				fmt.Fprintf(stderr, "vpbench: %v\n", err)
+				if rc == 0 {
+					rc = 1
+				}
+			}
+		}
+		return rc
 	}
 	if *tuneList {
 		if *tuneSpec != "" || *gridSpec != "" || explicit["parallel"] || explicit["v"] || len(fs.Args()) > 0 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 
 	"vocabpipe/internal/costmodel"
@@ -40,6 +41,13 @@ func (f Fidelity) Tau() float64 {
 		return float64(f.Concordant-f.Discordant) / float64(n)
 	}
 	return 1
+}
+
+// String is the report in one line, as TestFidelityRatchet logs it and
+// vpbench -fidelity prints it.
+func (f Fidelity) String() string {
+	return fmt.Sprintf("%d cells, MFU error %.2f points, memory error %.2f GB, τ %.3f (%d/%d), %d OOM disagreements, claim violations redis %d, vocab %d",
+		f.Cells, f.MFUErr, f.MemErr, f.Tau(), f.Concordant, f.Discordant, f.OOMDisagree, f.RedisMem, f.VocabMFU)
 }
 
 // Table5Fidelity scores Table5Grid's results against PaperTable5.

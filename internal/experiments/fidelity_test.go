@@ -38,8 +38,7 @@ func TestFidelityRatchet(t *testing.T) {
 			t.Fatalf("%s: %v", b.name, errs[0])
 		}
 		f := b.score(res)
-		t.Logf("%s: %d cells, MFU error %.2f points, memory error %.2f GB, τ %.3f (%d/%d), %d OOM disagreements, claim violations redis %d, vocab %d",
-			b.name, f.Cells, f.MFUErr, f.MemErr, f.Tau(), f.Concordant, f.Discordant, f.OOMDisagree, f.RedisMem, f.VocabMFU)
+		t.Logf("%s: %v", b.name, f)
 		if got := round(f.MFUErr, 0.01); got > b.mfuErr+1e-9 {
 			t.Errorf("%s: MFU mean abs. error %.2f points, budget %.2f", b.name, got, b.mfuErr)
 		}

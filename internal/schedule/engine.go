@@ -13,8 +13,9 @@ import (
 //
 // A spec with one chunk per device and no split backward (the 1F1B family:
 // baseline, redistribution, both vocabulary algorithms and the interlaced
-// pipeline) is built from its block order, timed in one pass (buildBlock,
-// timeRows). Any other spec (V-Half) is built by greedy dispatch.
+// pipeline) is built from its block order, written in closed form and timed
+// once (buildBlock, timeRows). Any other spec (V-Half) is built by greedy
+// dispatch.
 //
 // Build uses a throwaway Engine, so the returned timeline owns its memory
 // and is safe to retain indefinitely. Callers that build many schedules

@@ -7,12 +7,14 @@
 //
 // A spec with one chunk per device and no split backward (1F1B, Redis,
 // both vocabulary algorithms, the interlaced pipeline) is built from its
-// block: a fixed per-device order, written in closed form, timed in one
-// pass in which each pass starts at the latest of its device coming free,
-// its dependencies ending and its barrier clearing. Each device runs the
-// 1F1B skeleton of its in-flight cap (p−d for 1F1B, +1 per vocabulary
-// barrier, 1.5× for the interlaced baseline), and the S/T (or V) passes go
-// where the block places them on the skeleton's clock.
+// block: a fixed per-device order, written in closed form and timed once,
+// each pass starting at the latest of its device coming free, its
+// dependencies ending and its barrier clearing. Each device runs the 1F1B
+// skeleton of its in-flight cap (p−d for 1F1B, +1 per vocabulary barrier,
+// 1.5× for the interlaced baseline), and the S/T (or V) passes go where §5
+// places them on the skeleton's clock, which the package writes in closed
+// form for uniform stages: in the steady state each sits a fixed lag
+// behind its device's forwards.
 //
 // V-Half (two chunks, split backward) is built by a deterministic greedy
 // list scheduler instead: it repeatedly commits the globally
@@ -255,9 +257,11 @@ func (s *Spec) StageOf(device, chunk int) int {
 // Timeline is the committed schedule.
 type Timeline struct {
 	Spec *Spec
-	// Passes is in commit order. On a block build that is the timer's
-	// dependency order: a device commits its next pass as soon as its
-	// inputs land, so commit order is not start order. On a greedy build it
+	// Passes is in commit order. On a block build that is the timer's sweep
+	// order: the devices in turn, alternately ascending and descending, each
+	// committing its next passes while their inputs have landed, so commit
+	// order is not start order and only ByDevice is the schedule. On a
+	// greedy build it
 	// is start order up to the dispatch tie tolerance (tieTol, 1e-15 s):
 	// starts within tieTol of each other tie, and the tie goes to the
 	// higher-priority pass even when it starts a little later, so a later

@@ -54,6 +54,26 @@ func openOut(path string, stdout io.Writer, stderr io.Writer) (io.Writer, *os.Fi
 	return f, f, 0
 }
 
+// toOut runs fn on the -out destination (stdout when path is empty) and
+// closes the file it opened: fn's exit code, or 1 when the file cannot be
+// created or closed.
+func toOut(path string, stdout, stderr io.Writer, fn func(io.Writer) int) int {
+	w, outF, code := openOut(path, stdout, stderr)
+	if code != 0 {
+		return code
+	}
+	rc := fn(w)
+	if outF != nil {
+		if err := outF.Close(); err != nil {
+			fmt.Fprintf(stderr, "vpbench: %v\n", err)
+			if rc == 0 {
+				rc = 1
+			}
+		}
+	}
+	return rc
+}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -103,20 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "vpbench: -fidelity has a fixed text format (drop -json/-csv)")
 			return 2
 		}
-		w, outF, code := openOut(*outFile, stdout, stderr)
-		if code != 0 {
-			return code
-		}
-		rc := runFidelity(w, stderr, *parallel)
-		if outF != nil {
-			if err := outF.Close(); err != nil {
-				fmt.Fprintf(stderr, "vpbench: %v\n", err)
-				if rc == 0 {
-					rc = 1
-				}
-			}
-		}
-		return rc
+		return toOut(*outFile, stdout, stderr, func(w io.Writer) int { return runFidelity(w, stderr, *parallel) })
 	}
 	if *tuneList {
 		if *tuneSpec != "" || *gridSpec != "" || explicit["parallel"] || explicit["v"] || len(fs.Args()) > 0 {
@@ -127,20 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "vpbench: -tune-list has a fixed text format (drop -json/-csv)")
 			return 2
 		}
-		w, outF, code := openOut(*outFile, stdout, stderr)
-		if code != 0 {
-			return code
-		}
-		rc := runTuneList(w)
-		if outF != nil {
-			if err := outF.Close(); err != nil {
-				fmt.Fprintf(stderr, "vpbench: %v\n", err)
-				if rc == 0 {
-					rc = 1
-				}
-			}
-		}
-		return rc
+		return toOut(*outFile, stdout, stderr, runTuneList)
 	}
 	if *tuneSpec != "" {
 		if *gridSpec != "" || len(fs.Args()) > 0 {
@@ -151,20 +145,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "vpbench: -tune emits a ranked table or -json, not CSV")
 			return 2
 		}
-		w, outF, code := openOut(*outFile, stdout, stderr)
-		if code != 0 {
-			return code
-		}
-		rc := runTune(w, stderr, *tuneSpec, *tuneStrategy, *parallel, *jsonOut, *verbose)
-		if outF != nil {
-			if err := outF.Close(); err != nil {
-				fmt.Fprintf(stderr, "vpbench: %v\n", err)
-				if rc == 0 {
-					rc = 1
-				}
-			}
-		}
-		return rc
+		return toOut(*outFile, stdout, stderr, func(w io.Writer) int {
+			return runTune(w, stderr, *tuneSpec, *tuneStrategy, *parallel, *jsonOut, *verbose)
+		})
 	}
 
 	// Select experiments. A custom -grid runs after any named experiments;

@@ -43,10 +43,11 @@ func (e *engine) buildBlock(spec *Spec) (*Timeline, error) {
 //   - an interlaced V(i) an eighth of an interval after the last stage's
 //     F(i).
 //
-// An interval is F + B. Each goes after every skeleton pass of its device
-// that the clock starts before it, S before T at a tie. In the steady state
-// that is a lag in microbatches behind the device's forwards, set by its
-// distance to the last stage and the durations.
+// An interval is F + B; the offsets are the best of a scan in
+// eighth-interval steps over Table 5. Each pass goes after every skeleton
+// pass of its device that the clock starts before it, S before T at a tie.
+// In the steady state that is a lag in microbatches behind the device's
+// forwards, set by its distance to the last stage and the durations.
 //
 // Any durations give a valid order. The clock runs every row and every
 // dependency between skeleton passes strictly forward. S(i) and V(i) sit no

@@ -220,7 +220,7 @@ type engine struct {
 	// a fold that always starts at device 0. replayed counts the commits the
 	// last Build copied from the previous build's prefix instead of
 	// dispatching them. timed counts the passes the last Build timed
-	// (committed through commit), over every timing pass it made.
+	// through commit, replayed ones aside.
 	refreshes  int
 	foldVisits int
 	replayed   int
